@@ -14,11 +14,11 @@ Workloads (inputs come from ``--seed`` only):
   k chosen on a 9-entry grid, kernel rejector with sigma chosen on a
   7-entry grid, fixed cost c=0.5, 3 repeats.  The heavy path: nearly all
   of it is ``backend.knn_mean``.
-* ``fit-knn-budget-csv``: ``run_experiment`` on a 3000-row CSV drawn
-  from the distribution of the bundled hetero_demand.csv and written
-  during set-up, kNN with k chosen on the grid, kernel rejector, budget
-  gamma=0.2, 3 repeats.  The only workload on the budget path and on CSV
-  parsing, which every repeat redoes; no bandwidth selection.
+* ``fit-mlp-budget-csv``: ``run_experiment`` on the bundled
+  hetero_demand.csv (800 rows), the default MLP, kernel rejector, budget
+  gamma=0.2, 10 repeats (the CLI default).  The only workload that
+  bypasses kNN, and the only one on the budget path and on CSV parsing,
+  which every repeat redoes; no bandwidth selection.
 * ``score-knn-d8``: a kNN regressor (k=20) on 8000 rows and a kernel
   smoother (sigma=1) on 2000 held-out rows, both d=8, are fitted during
   set-up; each operation scores one 512-row block with ``predict`` and
@@ -27,8 +27,9 @@ Workloads (inputs come from ``--seed`` only):
 End-to-end metrics (``--trace 0``):
 
 * ``setup_s``: from the start of a worker process to its first timed
-  operation (imports, loading or generating data, and on score-knn-d8
-  fitting the pair); the median over the run's three worker processes.
+  operation (interpreter start and imports, and on score-knn-d8 generating
+  the data and fitting the pair); the median over the run's three worker
+  processes.
 * ``op_s.p50``: median seconds per operation, i.e. per ``run_experiment``
   call (experiment_s.p50) or per 512-row block (block_s.p50).
 * ``throughput``: repeats per second of timed work on the fit workloads
@@ -76,12 +77,7 @@ def fail(message: str) -> None:
 
 
 def run_worker(args, part: int, seconds: float, deadline: float) -> dict:
-    """Run one worker.py process to completion; return its last output line.
-
-    The arguments have a fixed width: the length of the argument list moves
-    the process's memory layout, which should not depend on the seed or the
-    start time.
-    """
+    """Run one worker.py process to completion; return its last output line."""
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     t0 = time.monotonic()
@@ -89,11 +85,11 @@ def run_worker(args, part: int, seconds: float, deadline: float) -> dict:
         sys.executable,
         "perfbench/worker.py",
         f"--workload={args.workload}",
-        f"--seed={args.seed:020d}",
-        f"--seconds={seconds:016.6f}",
+        f"--seed={args.seed}",
+        f"--seconds={seconds}",
         f"--trace={args.trace}",
         f"--part={part}",
-        f"--t0={t0:020.6f}",
+        f"--t0={t0!r}",
     ]
     try:
         done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, timeout=max(1.0, deadline - t0))

@@ -20,7 +20,7 @@ import run  # noqa: E402
 import tracer  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
-from selreg import LossReport  # noqa: E402
+from selreg import LossReport, MlpConfig  # noqa: E402
 from tracer import Span  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
@@ -57,8 +57,8 @@ def small(name):
     w = workloads.make(name, seed=3)
     if name == "fit-knn-smooth1d":
         w.base = replace(w.base, synthetic_n=300, repeats=2)
-    elif name == "fit-knn-budget-csv":
-        w.base, w.csv_rows = replace(w.base, repeats=2), 400
+    elif name == "fit-mlp-budget-csv":
+        w.base = replace(w.base, regressor=MlpConfig(epochs=5), repeats=2)
     else:
         w = workloads.Score(name, seed=3, n_train=600, n_cal=200, block=64)
     w.setup()
@@ -77,8 +77,9 @@ def test_two_traced_runs_agree_on_counts_and_choices(name):
     assert first["selected"] == second["selected"]
     if name == "fit-knn-smooth1d":
         assert len(first["selected"]["k"]) == len(first["selected"]["sigma"]) == 2
-    if name == "fit-knn-budget-csv":
+    if name == "fit-mlp-budget-csv":
         assert len(first["selected"]["c_hat"]) == 2
+        assert counts[0]["harness.load_csv.calls"] == 2
 
 
 def test_checks_reject_a_report_that_breaks_the_loss_identity():

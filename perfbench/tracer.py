@@ -30,39 +30,53 @@ def _rows(args, out) -> dict:
     return {"rows": len(args[1])}  # args[0] is self
 
 
-# (owner, attribute, span name, counter).  An owner "module:Class" patches a
-# class attribute.  One span name may cover several lookup names: harness and
-# select_bandwidth reach kernel_calibrate and empirical_rwr_loss through
-# different modules.  The NumPy kernels call pairwise_sq_dists inside their
-# own module, so backend.pairwise_sq_dists counts direct calls only.
-TARGETS: tuple[tuple[str, str, str, Callable | None], ...] = (
-    ("selreg.backend", "knn_mean", "backend.knn_mean", _pairs),
-    ("selreg.backend", "gaussian_nw", "backend.gaussian_nw", _pairs),
-    ("selreg.backend", "pairwise_sq_dists", "backend.pairwise_sq_dists", _pairs),
-    ("selreg.harness", "fit_knn_auto", "models.fit_knn_auto", lambda a, out: {"k": out.k}),
-    ("selreg.models:KnnRegressor", "predict", "models.predict", _rows),
-    (
-        "selreg.harness",
-        "select_bandwidth",
+@dataclass(frozen=True)
+class Layer:
+    """One traced layer: the span name, the lookup names it wraps, the fields
+    reported for it per operation as "<name>.<field>", and an optional
+    function (args, output) -> attributes recorded on each span."""
+
+    name: str
+    lookups: tuple[str, ...]  # "module.attr", or "module:Class.attr" for a class attribute
+    fields: tuple[str, ...]
+    count: Callable | None = None
+
+
+# One layer may cover several lookup names: harness and select_bandwidth reach
+# kernel_calibrate and empirical_rwr_loss through different modules.  The NumPy
+# kernels call pairwise_sq_dists inside their own module, so
+# backend.pairwise_sq_dists counts direct calls only.
+LAYERS: tuple[Layer, ...] = (
+    Layer("backend.knn_mean", ("selreg.backend.knn_mean",), ("calls", "pairs", "s"), _pairs),
+    Layer("backend.gaussian_nw", ("selreg.backend.gaussian_nw",), ("calls", "pairs", "s"), _pairs),
+    Layer("backend.pairwise_sq_dists", ("selreg.backend.pairwise_sq_dists",), ("calls", "pairs", "s"), _pairs),
+    Layer("models.fit_knn_auto", ("selreg.harness.fit_knn_auto",), ("s",), lambda a, out: {"k": out.k}),
+    Layer("models.fit_mlp", ("selreg.harness.fit_mlp",), ("s",)),
+    Layer(
+        "models.predict",
+        ("selreg.models:KnnRegressor.predict", "selreg.models:MlpRegressor.predict"),
+        ("calls", "rows"),
+        _rows,
+    ),
+    Layer(
         "rejection.select_bandwidth",
+        ("selreg.harness.select_bandwidth",),
+        ("s",),
         lambda a, out: {"sigma": out.length_scale_sigma},
     ),
-    ("selreg.harness", "kernel_calibrate", "rejection.kernel_calibrate", None),
-    ("selreg.rejection", "kernel_calibrate", "rejection.kernel_calibrate", None),
-    ("selreg.rejection:KernelSmootherCalibrator", "estimate", "rejection.estimate", _rows),
-    ("selreg.rejection:InducedRejector", "accept", "rejection.accept", _rows),
-    (
-        "selreg.harness",
-        "conformal_threshold",
+    Layer("rejection.kernel_calibrate", ("selreg.harness.kernel_calibrate", "selreg.rejection.kernel_calibrate"), ("s",)),
+    Layer("rejection.estimate", ("selreg.rejection:KernelSmootherCalibrator.estimate",), ("calls", "rows", "s"), _rows),
+    Layer(
         "rejection.conformal_threshold",
+        ("selreg.harness.conformal_threshold",),
+        ("s",),
         lambda a, out: {"c_hat": out.c_hat, "m": out.m},
     ),
-    ("selreg.harness", "empirical_rwr_loss", "losses.empirical_rwr_loss", None),
-    ("selreg.losses", "empirical_rwr_loss", "losses.empirical_rwr_loss", None),
-    ("selreg.harness", "load_csv", "harness.load_csv", None),
-    ("selreg.core", "split_dataset", "core.split_dataset", None),
-    ("selreg.harness", "standardize", "core.standardize", None),
-    ("selreg.tasks:SmoothTask1D", "sample", "tasks.sample", None),
+    Layer("losses.empirical_rwr_loss", ("selreg.harness.empirical_rwr_loss", "selreg.losses.empirical_rwr_loss"), ("s",)),
+    Layer("harness.load_csv", ("selreg.harness.load_csv",), ("calls", "s")),
+    Layer("core.split_dataset", ("selreg.core.split_dataset",), ("s",)),
+    Layer("core.standardize", ("selreg.harness.standardize",), ("s",)),
+    Layer("tasks.sample", ("selreg.tasks:SmoothTask1D.sample",), ("s",)),
 )
 
 
@@ -119,21 +133,23 @@ class Tracer:
         return traced
 
     @contextmanager
-    def patched(self, targets=TARGETS) -> Iterator["Tracer"]:
+    def patched(self, layers=LAYERS) -> Iterator["Tracer"]:
         saved = []
         try:
-            for owner_name, attr, name, count in targets:
-                module, _, cls = owner_name.partition(":")
-                owner = importlib.import_module(module)
-                if cls:
-                    owner = getattr(owner, cls, None)
-                orig = vars(owner).get(attr) if owner is not None else None
-                if orig is None:
-                    # the program no longer has this lookup name; the layer reads 0
-                    self.missing.append(f"{owner_name}.{attr}")
-                    continue
-                saved.append((owner, attr, orig))
-                setattr(owner, attr, self.wrap(orig, name, count))
+            for layer in layers:
+                for lookup in layer.lookups:
+                    path, _, attr = lookup.rpartition(".")
+                    module, _, cls = path.partition(":")
+                    owner = importlib.import_module(module)
+                    if cls:
+                        owner = getattr(owner, cls, None)
+                    orig = vars(owner).get(attr) if owner is not None else None
+                    if orig is None:
+                        # the program no longer has this lookup name; the layer reads 0
+                        self.missing.append(lookup)
+                        continue
+                    saved.append((owner, attr, orig))
+                    setattr(owner, attr, self.wrap(orig, layer.name, layer.count))
             yield self
         finally:
             for owner, attr, orig in reversed(saved):

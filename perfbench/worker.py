@@ -35,25 +35,9 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().parent / "reference.json"
+OUT_DIR = ROOT / ".perfbench_out"  # traced runs write their spans here
 OPS_PER_PART = 10_000  # process k of a run runs operations k * OPS_PER_PART, ...
 
-# span name -> the fields reported for it as "<span>.<field>", per traced operation
-LAYER_FIELDS = {
-    "backend.knn_mean": ("calls", "pairs", "s"),
-    "backend.gaussian_nw": ("calls", "pairs", "s"),
-    "backend.pairwise_sq_dists": ("calls", "pairs", "s"),
-    "models.fit_knn_auto": ("s",),
-    "models.predict": ("calls", "rows"),
-    "rejection.select_bandwidth": ("s",),
-    "rejection.kernel_calibrate": ("s",),
-    "rejection.estimate": ("calls", "rows", "s"),
-    "rejection.conformal_threshold": ("s",),
-    "losses.empirical_rwr_loss": ("s",),
-    "harness.load_csv": ("calls", "s"),
-    "core.split_dataset": ("s",),
-    "core.standardize": ("s",),
-    "tasks.sample": ("s",),
-}
 UNITS = {"calls": "count", "pairs": "count", "rows": "count", "s": "s"}
 
 
@@ -191,12 +175,12 @@ def per_layer(tr, op_name: str, traced_times, untraced_times, heldout: int) -> d
     totals = tracer.layer_totals(tr.spans)
     zero = {"calls": 0, "s": 0.0, "rows": 0, "pairs": 0}
     metrics = {}
-    for span, fields in LAYER_FIELDS.items():
-        for fld in fields:
-            value = totals.get(span, zero)[fld] / n
+    for layer in tracer.LAYERS:
+        for fld in layer.fields:
+            value = totals.get(layer.name, zero)[fld] / n
             if fld != "s" and value.is_integer():
                 value = int(value)  # counts repeat exactly per operation
-            metrics[f"{span}.{fld}"] = {"value": value, "unit": UNITS[fld]}
+            metrics[f"{layer.name}.{fld}"] = {"value": value, "unit": UNITS[fld]}
     rows = totals.get("models.predict", zero)["rows"]
     metrics["models.predict.rows_per_heldout_row"] = {"value": rows / heldout, "unit": "ratio"}
     traced = sum(traced_times)
@@ -229,8 +213,8 @@ def main() -> None:
     result["env"] = environment()
     spans = result.pop("spans", None)
     if spans is not None:
-        workloads.OUT_DIR.mkdir(exist_ok=True)
-        path = workloads.OUT_DIR / f"{args.workload}-seed{args.seed}.json"
+        OUT_DIR.mkdir(exist_ok=True)
+        path = OUT_DIR / f"{args.workload}-seed{args.seed}.json"
         path.write_text(json.dumps({**result, "spans": spans}, indent=1) + "\n")
         result["trace_file"] = str(path.relative_to(ROOT))
     print(json.dumps(result))

@@ -20,17 +20,13 @@ from selreg import (
     Dataset,
     KernelSpec,
     KnnConfig,
-    RngHandle,
+    MlpConfig,
     fit_knn,
-    get_task,
     induce_rejector,
     kernel_calibrate,
-    split_dataset,
 )
 from selreg.core import CostMode
-from selreg.harness import ExperimentConfig, load_csv, run_experiment
-
-OUT_DIR = Path(__file__).resolve().parent.parent / ".perfbench_out"
+from selreg.harness import ExperimentConfig, bundled_data_path, run_experiment
 
 # Operation i < SEED_STRIDE at benchmark seed s runs run_experiment with master
 # seed (s * SEED_STRIDE + i) * repeats, so no two operations share a repeat seed.
@@ -60,48 +56,27 @@ def budget_window(gamma: float, m: int, n_test: int, repeats: int) -> tuple[floa
     return gamma - 1.0 / (m + 1) - BUDGET_Z * sd, gamma + BUDGET_Z * sd
 
 
-def hetero_demand(n: int, rng: np.random.Generator) -> Dataset:
-    """The distribution of the bundled hetero_demand.csv (3 features, noise
-    variance steps up with the third), at any size."""
-    x = rng.uniform(-2.0, 2.0, size=(n, 3))
-    mean = 2.0 + 1.5 * x[:, 0] - 0.8 * x[:, 1] + 0.6 * x[:, 0] * x[:, 1]
-    sd = 0.2 + 0.9 * (x[:, 2] > 0.5)
-    return Dataset(x, mean + sd * rng.standard_normal(n))
-
-
-def write_csv(path: Path, data: Dataset) -> None:
-    lines = ["x0,x1,x2,target"]
-    lines += [",".join(f"{v:.6f}" for v in row) + f",{y:.6f}" for row, y in zip(data.features, data.targets)]
-    path.parent.mkdir(exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-
-
 class Experiment:
-    """One operation is one ``run_experiment`` call; throughput counts repeats.
-
-    With ``csv_rows`` set, set-up first writes a CSV of that many rows drawn
-    from the seed to ``base.dataset_source``.
-    """
+    """One operation is one ``run_experiment`` call; throughput counts repeats."""
 
     op_name = "harness.run_experiment"
     unit = "repeat"
 
-    def __init__(self, name: str, base: ExperimentConfig, seed: int, csv_rows: int = 0):
+    def __init__(self, name: str, base: ExperimentConfig, seed: int):
         self.name = name
         self.base = base
         self.seed = seed
-        self.csv_rows = csv_rows
 
     def setup(self) -> None:
+        """Only the split sizes that the checks need; every repeat draws or
+        parses its own data inside the timed call."""
         cfg = self.base
-        if self.csv_rows:
-            write_csv(Path(cfg.dataset_source), hetero_demand(self.csv_rows, np.random.default_rng([self.seed, 4])))
-        if cfg.is_synthetic:  # one draw gives the split sizes; each repeat draws its own
-            data = get_task(cfg.dataset_source).sample(cfg.synthetic_n, RngHandle(self.seed))
-        else:
-            data = load_csv(cfg.dataset_source, cfg.target_column)
-        _, val, test = split_dataset(data, cfg.split)
-        self.n_val, self.n_test = val.n, test.n
+        if cfg.is_synthetic:
+            n = cfg.synthetic_n
+        else:  # one data row per line after the header; the CSV has no bad rows
+            n = len(Path(cfg.dataset_source).read_text().splitlines()) - 1
+        # validation and test get the floor of their fractions, train the rest
+        self.n_val, self.n_test = int(n * cfg.split.val_fraction), int(n * cfg.split.test_fraction)
 
     def inputs(self, i: int) -> ExperimentConfig:
         return replace(self.base, seed=(self.seed * SEED_STRIDE + i) * self.base.repeats)
@@ -235,7 +210,7 @@ class Score:
 
 
 DEFAULT_SEED = 0
-WORKLOADS = ("fit-knn-smooth1d", "fit-knn-budget-csv", "score-knn-d8")
+WORKLOADS = ("fit-knn-smooth1d", "fit-mlp-budget-csv", "score-knn-d8")
 
 
 def make(name: str, seed: int):
@@ -252,16 +227,16 @@ def make(name: str, seed: int):
             workers=1,
         )
         return Experiment(name, cfg, seed)
-    if name == "fit-knn-budget-csv":
+    if name == "fit-mlp-budget-csv":
         cfg = ExperimentConfig(
-            str(OUT_DIR / f"hetero_demand-n3000-seed{seed}.csv"),
+            str(bundled_data_path("hetero_demand.csv")),
             CostConfig.fixed_budget(0.2),
-            regressor=KnnConfig(),
+            regressor=MlpConfig(),
             rejector="kernel",
-            repeats=3,
+            repeats=10,
             workers=1,
         )
-        return Experiment(name, cfg, seed, csv_rows=3000)
+        return Experiment(name, cfg, seed)
     if name == "score-knn-d8":
         return Score(name, seed)
     raise ValueError(f"unknown workload {name!r}; choose from {WORKLOADS}")
