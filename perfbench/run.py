@@ -14,11 +14,13 @@ Workloads (inputs come from ``--seed`` only):
   k chosen on a 9-entry grid, kernel rejector with sigma chosen on a
   7-entry grid, fixed cost c=0.5, 3 repeats.  The heavy path: nearly all
   of it is ``backend.knn_mean``.
-* ``fit-mlp-budget-csv``: ``run_experiment`` on the bundled
-  hetero_demand.csv (800 rows), the default MLP, kernel rejector, budget
-  gamma=0.2, 10 repeats (the CLI default).  The only workload that
-  bypasses kNN, and the only one on the budget path and on CSV parsing,
-  which every repeat redoes; no bandwidth selection.
+* ``fit-mlp-budget-csv``: ``run_experiment`` on an 8000-row CSV drawn at
+  the seed by the generator of the bundled hetero_demand.csv, an MLP
+  trained full-batch (otherwise the default MlpConfig), kernel rejector,
+  budget gamma=0.2, 1 repeat per operation, after one untimed warm-up
+  operation per process.  The only workload that bypasses kNN, and the
+  only one on the budget path and on CSV parsing, which every repeat
+  redoes; no bandwidth selection.
 * ``score-knn-d8``: a kNN regressor (k=20) on 8000 rows and a kernel
   smoother (sigma=1) on 2000 held-out rows, both d=8, are fitted during
   set-up; each operation scores one 512-row block with ``predict`` and
@@ -26,9 +28,10 @@ Workloads (inputs come from ``--seed`` only):
 
 End-to-end metrics (``--trace 0``):
 
-* ``setup_s``: from the start of a worker process to its first timed
-  operation (interpreter start and imports, and on score-knn-d8 generating
-  the data and fitting the pair); the median over the run's three worker
+* ``setup_s``: from the start of a worker process to the end of its
+  set-up, before any operation (interpreter start and imports, writing the
+  generated CSV on fit-mlp-budget-csv, and on score-knn-d8 generating the
+  data and fitting the pair); the median over the run's three worker
   processes.
 * ``op_s.p50``: median seconds per operation, i.e. per ``run_experiment``
   call (experiment_s.p50) or per 512-row block (block_s.p50).

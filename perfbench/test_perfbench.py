@@ -20,7 +20,7 @@ import run  # noqa: E402
 import tracer  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
-from selreg import LossReport, MlpConfig  # noqa: E402
+from selreg import LossReport  # noqa: E402
 from tracer import Span  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
@@ -58,7 +58,7 @@ def small(name):
     if name == "fit-knn-smooth1d":
         w.base = replace(w.base, synthetic_n=300, repeats=2)
     elif name == "fit-mlp-budget-csv":
-        w.base = replace(w.base, regressor=MlpConfig(epochs=5), repeats=2)
+        w.base = replace(w.base, regressor=replace(w.base.regressor, epochs=5), repeats=2)
     else:
         w = workloads.Score(name, seed=3, n_train=600, n_cal=200, block=64)
     w.setup()

@@ -4,6 +4,9 @@ Started by run.py, which sets the BLAS thread variables before this process
 imports NumPy.  The process sets up the workload, runs operations for about
 ``--seconds`` and prints one JSON object on its last line of output.
 
+A workload whose first operation in a fresh process is much slower than the
+rest (``warm_up``) runs it once untimed before timing starts.
+
 Untraced (``--trace 0``): each operation is timed with nothing patched.
 Traced (``--trace 1``): each operation runs untraced and then traced on the
 same inputs.  The two outputs must agree, the spans give the per-layer
@@ -35,7 +38,6 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().parent / "reference.json"
-OUT_DIR = ROOT / ".perfbench_out"  # traced runs write their spans here
 OPS_PER_PART = 10_000  # process k of a run runs operations k * OPS_PER_PART, ...
 
 UNITS = {"calls": "count", "pairs": "count", "rows": "count", "s": "s"}
@@ -127,6 +129,9 @@ def measure(w, first_op: int, seconds: float, trace: bool, seed: int) -> dict:
     times, traced_times, paired_times = [], [], []
     work = heldout = failed = 0
     selected = None
+    if w.warm_up:
+        # untimed; its inputs then run again, timed and checked, as op first_op
+        timed(w, w.inputs(first_op), errors, f"op {first_op} warm-up")
     start = time.perf_counter()
     rounds = []  # wall seconds per loop iteration, checks included
     # An operation starts only if a typical iteration still fits in `seconds`,
@@ -213,8 +218,8 @@ def main() -> None:
     result["env"] = environment()
     spans = result.pop("spans", None)
     if spans is not None:
-        OUT_DIR.mkdir(exist_ok=True)
-        path = OUT_DIR / f"{args.workload}-seed{args.seed}.json"
+        workloads.OUT_DIR.mkdir(exist_ok=True)
+        path = workloads.OUT_DIR / f"{args.workload}-seed{args.seed}.json"
         path.write_text(json.dumps({**result, "spans": spans}, indent=1) + "\n")
         result["trace_file"] = str(path.relative_to(ROOT))
     print(json.dumps(result))
