@@ -15,6 +15,8 @@ _CHUNK = 256  # bounds the (chunk, m, d) difference tensor
 def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.shape[1] != queries.shape[1]:
+        raise ValueError("dimension mismatch between queries and points")
     nq = queries.shape[0]
     out = np.empty((nq, points.shape[0]), dtype=np.float64)
     for start in range(0, nq, _CHUNK):
@@ -30,6 +32,8 @@ def knn_mean(
     """Mean of the values at the k nearest points; distance ties break by
     ascending point index (stable sort)."""
     values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != np.shape(points)[0]:
+        raise ValueError("values length must match point count")
     if not 1 <= k <= values.shape[0]:
         raise ValueError("k out of range")
     d2 = pairwise_sq_dists(queries, points)
@@ -46,6 +50,10 @@ def gaussian_nw(
     at the nearest center (ties by ascending index).
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != np.shape(centers)[0]:
+        raise ValueError("values length must match center count")
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
     d2 = pairwise_sq_dists(queries, centers)
     w = np.exp(-d2 / float(sigma))
     den = w.sum(axis=1)

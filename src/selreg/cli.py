@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     CostConfig,
     DataError,
@@ -24,17 +22,19 @@ from .core import (
     SplitSpec,
     model_from_json,
     model_to_json,
-    split_dataset,
 )
 from .harness import (
+    REGRESSOR_KINDS,
+    REJECTOR_KINDS,
     ExperimentConfig,
     RunReport,
+    budget_threshold,
+    cost_calibrator,
     emit_report,
-    load_csv,
+    fit_regressor,
+    materialize,
     run_experiment,
 )
-from .models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp
-from .rejection import conformal_threshold, kernel_calibrate, select_bandwidth
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,50 +130,43 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _cmd_fit(args) -> int:
-    dataset = load_csv(args.data, args.target_col)
-    train, val, _ = split_dataset(dataset, SplitSpec(seed=args.seed))
-    if args.regressor == "knn":
-        model = fit_knn_auto(train, val, KnnConfig())
-    else:
-        from .core import RngHandle, STREAM_MLP
+def _write(out: str, text: str) -> Path:
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+    return path
 
-        model = fit_mlp(train, MlpConfig(init_seed=RngHandle(args.seed, STREAM_MLP)))
-    doc = model_to_json(model)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(doc + "\n")
+
+def _cmd_fit(args) -> int:
+    # the same splits and model as `bench` repeat 0 at this seed
+    train, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
+    model = fit_regressor(args.regressor, train, val, task, args.seed)
+    out = _write(args.out, model_to_json(model))
     print(f"wrote {args.regressor} model to {out}")
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
-    dataset = load_csv(args.data, args.target_col)
-    train, val, _ = split_dataset(dataset, SplitSpec(seed=args.seed))
+    _, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = model_from_json(Path(args.model).read_text())
     kernel = KernelSpec(bandwidth_grid=_sigma_grid(args.sigma_grid))
-    half = val.n // 2
-    inner, outer = val.subset(np.arange(half)), val.subset(np.arange(half, val.n))
-    spec = select_bandwidth(model, inner, outer, kernel, args.cost)
-    calibrator = kernel_calibrate(model, val, spec)
-    scores = calibrator.estimate(val.features)
+    calibrator = cost_calibrator("kernel", kernel, model, val, task, args.cost)
     doc = {
         "calibrator": json.loads(model_to_json(calibrator)),
-        "sigma": spec.length_scale_sigma,
+        "sigma": calibrator.kernel.length_scale_sigma,
         "cost": args.cost,
-        "scores": scores.tolist(),
+        "scores": calibrator.estimate(val.features).tolist(),
     }
     if args.budget is not None:
-        th = conformal_threshold(scores, args.budget)
+        budget_cal, th = budget_threshold("kernel", kernel, model, val, task, args.budget)
         doc["conformal"] = {
+            "calibrator": json.loads(model_to_json(budget_cal)),
             "c_hat": th.c_hat if th.c_hat != float("inf") else "inf",
             "m": th.m,
             "gamma": th.gamma,
             "order_statistic_index": th.order_statistic_index,
         }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out = _write(args.out, json.dumps(doc, sort_keys=True, indent=2))
     print(f"wrote calibration to {out}")
     return EXIT_OK
 
@@ -197,9 +190,7 @@ def _cmd_verify_theory(args) -> int:
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write(args.out, text)
     print(text)
     return EXIT_OK if doc["passed"] else EXIT_VERIFY
 
@@ -217,7 +208,7 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit a regressor on the train split")
     _add_common_data_flags(p_fit)
-    p_fit.add_argument("--regressor", choices=("knn", "mlp"), default="knn")
+    p_fit.add_argument("--regressor", choices=REGRESSOR_KINDS, default="knn")
     p_fit.add_argument("--out", default="model.json")
     p_fit.set_defaults(fn=_cmd_fit)
 
@@ -235,12 +226,8 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--mode", choices=("cost", "budget"), required=True)
     p_bench.add_argument("--cost", type=float, default=None)
     p_bench.add_argument("--budget", type=float, default=None)
-    p_bench.add_argument("--regressor", choices=("knn", "mlp", "oracle"), default="knn")
-    p_bench.add_argument(
-        "--rejector", choices=("kernel", "loss-linear", "conformal", "oracle"), default="kernel"
-    )
-    p_bench.add_argument("--scores-from", choices=("kernel", "loss-linear", "oracle"),
-                         default=None, help="budget mode: score function for the threshold")
+    p_bench.add_argument("--regressor", choices=REGRESSOR_KINDS, default="knn")
+    p_bench.add_argument("--rejector", choices=REJECTOR_KINDS, default="kernel")
     p_bench.add_argument("--repeats", type=int, default=10)
     p_bench.add_argument("--synthetic-n", type=int, default=1000)
     p_bench.add_argument("--sigma-grid", default=None)
@@ -268,18 +255,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
-        if getattr(args, "scores_from", None) and getattr(args, "mode", None) == "budget":
-            args.rejector = args.scores_from
         return args.fn(args)
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SelregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 """Experiment orchestration: data ingestion, repeated fixed-cost and
 fixed-budget runs, and report emission.
 
+One repeat runs four stages, which the CLI's ``fit`` and ``calibrate`` call
+too: ``materialize``, ``fit_regressor``, then ``cost_calibrator`` or
+``budget_threshold``.
+
 Per-repeat seeds are master_seed + repeat_index on named streams, so every
 table is exactly reproducible from its config echo.  CSV targets are
 z-scored on train statistics so that deferral costs are comparable across
@@ -20,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import (
+    Calibrator,
     CostConfig,
     CostMode,
     DataError,
@@ -37,13 +43,14 @@ from .core import (
 from .losses import LossReport, empirical_rwr_loss
 from .models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp
 from .rejection import (
+    ConformalThreshold,
     conformal_threshold,
     induce_rejector,
     kernel_calibrate,
     linear_calibrate,
     select_bandwidth,
 )
-from .tasks import OracleRiskCalibrator, get_task
+from .tasks import OracleRiskCalibrator, SyntheticTask, get_task, task_names
 
 __all__ = [
     "MissingTargetError",
@@ -53,6 +60,10 @@ __all__ = [
     "ExperimentConfig",
     "RunReport",
     "load_csv",
+    "materialize",
+    "fit_regressor",
+    "cost_calibrator",
+    "budget_threshold",
     "run_experiment",
     "run_fixed_cost",
     "run_fixed_budget",
@@ -62,7 +73,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-REJECTOR_KINDS = ("kernel", "loss-linear", "conformal", "oracle")
+REJECTOR_KINDS = ("kernel", "loss-linear", "oracle")
 REGRESSOR_KINDS = ("knn", "mlp", "oracle")
 
 
@@ -161,10 +172,9 @@ def bundled_data_path(name: str) -> Path:
 class ExperimentConfig:
     """Everything needed to reproduce one benchmark row.
 
-    dataset_source is a CSV path or a synthetic task name ("hetero6",
-    "smooth1d").  calibrate_on controls whether the rejector sees the
-    validation split (default; keeps calibration data disjoint from the
-    regressor's) or the training split.  workers > 1 runs the repeats on a
+    dataset_source is a synthetic task name ("hetero6", "smooth1d") or
+    else a CSV path.  The rejector always learns from the validation split,
+    disjoint from the training rows.  workers > 1 runs the repeats on a
     thread pool; per-repeat seeding makes the result identical either way.
     """
 
@@ -178,7 +188,6 @@ class ExperimentConfig:
     target_column: str = "target"
     synthetic_n: int = 1000
     standardize_data: bool | None = None  # None: CSV yes, synthetic no
-    calibrate_on: str = "validation"
     kernel: KernelSpec = field(default_factory=KernelSpec)
     output_dir: str = "."
     workers: int = 1
@@ -192,18 +201,6 @@ class ExperimentConfig:
             raise ValueError(f"rejector must be one of {REJECTOR_KINDS}")
         if isinstance(self.regressor, str) and self.regressor not in REGRESSOR_KINDS:
             raise ValueError(f"regressor must be one of {REGRESSOR_KINDS}")
-        if self.calibrate_on not in ("validation", "train"):
-            raise ValueError("calibrate_on must be 'validation' or 'train'")
-
-    @property
-    def is_synthetic(self) -> bool:
-        return not self.dataset_source.endswith(".csv")
-
-    @property
-    def should_standardize(self) -> bool:
-        if self.standardize_data is None:
-            return not self.is_synthetic
-        return self.standardize_data
 
     def method_name(self) -> str:
         reg = self.regressor if isinstance(self.regressor, str) else (
@@ -244,7 +241,6 @@ class ExperimentConfig:
             "target_column": self.target_column,
             "synthetic_n": self.synthetic_n,
             "standardize_data": self.standardize_data,
-            "calibrate_on": self.calibrate_on,
             "sigma_grid": list(self.kernel.bandwidth_grid),
             "output_dir": self.output_dir,
             "workers": self.workers,
@@ -252,6 +248,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
+        # older echoes carry calibrate_on; only its default still means the same
+        if doc.get("calibrate_on", "validation") != "validation":
+            raise ValueError(f"calibrate_on={doc['calibrate_on']!r}: the option was removed; "
+                             "the rejector always learns from the validation split")
         mode = CostMode(doc["mode"])
         cost = CostConfig(mode, cost_c=doc["cost_c"], budget_gamma=doc["budget_gamma"])
         reg_doc = doc["regressor"]
@@ -278,7 +278,6 @@ class ExperimentConfig:
             target_column=doc["target_column"],
             synthetic_n=doc["synthetic_n"],
             standardize_data=doc["standardize_data"],
-            calibrate_on=doc["calibrate_on"],
             kernel=KernelSpec(bandwidth_grid=tuple(doc["sigma_grid"])),
             output_dir=doc["output_dir"],
             workers=doc.get("workers", 1),
@@ -382,142 +381,90 @@ def _aggregate(
     )
 
 
-def _materialize(cfg: ExperimentConfig, repeat_seed: int):
-    """(train, val, test, task-or-None) for one repeat."""
-    if cfg.is_synthetic:
-        task = get_task(cfg.dataset_source)
-        data = task.sample(cfg.synthetic_n, RngHandle(repeat_seed, STREAM_SAMPLE))
+def materialize(
+    source: str, seed: int, *, target_column: str = "target", synthetic_n: int = 1000,
+    split: SplitSpec = SplitSpec(), standardize_data: bool | None = None,
+) -> tuple[Dataset, Dataset, Dataset, SyntheticTask | None]:
+    """(train, val, test, task) for one repeat at ``seed``, which also seeds
+    the split permutation in place of ``split.seed``.
+
+    A source that names a registered synthetic task draws ``synthetic_n``
+    rows from it; any other source is read as a CSV (task None).  With
+    ``standardize_data`` None, CSVs are z-scored, targets too, on train
+    statistics and synthetic data keeps its native units.
+    """
+    synthetic = source in task_names()
+    if synthetic:
+        task = get_task(source)
+        data = task.sample(synthetic_n, RngHandle(seed, STREAM_SAMPLE))
     else:
         task = None
-        data = load_csv(cfg.dataset_source, cfg.target_column)
-    train, val, test = (
-        data.subset(idx)
-        for idx in _split_indices(data.n, replace(cfg.split, seed=repeat_seed))
-    )
-    if cfg.should_standardize:
+        data = load_csv(source, target_column)
+    train, val, test = core.split_dataset(data, replace(split, seed=seed))
+    if standardize_data if standardize_data is not None else not synthetic:
         train, (val, test), _ = standardize(train, [val, test], targets=True)
     return train, val, test, task
 
 
-def _split_indices(n: int, spec: SplitSpec):
-    # reuse split_dataset's arithmetic by splitting an index column
-    from .core import split_dataset
-
-    dummy = Dataset(np.arange(n, dtype=float)[:, None], np.zeros(n))
-    tr, va, te = split_dataset(dummy, spec)
-    return (
-        tr.features[:, 0].astype(int),
-        va.features[:, 0].astype(int),
-        te.features[:, 0].astype(int),
-    )
-
-
-def _fit_regressor(cfg: ExperimentConfig, train: Dataset, val: Dataset, task, repeat_seed: int):
-    reg = cfg.regressor
-    if isinstance(reg, str):
-        if reg == "oracle":
+def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: Dataset, task, seed: int):
+    """Fit on every training row.  kNN picks k on ``val``; the MLP draws its
+    initial weights from ``seed``; "oracle" looks up the task's true mean."""
+    if isinstance(regressor, str):
+        if regressor == "oracle":
             if task is None:
                 raise SelregError("the oracle regressor needs a synthetic task source")
             points, _ = task.eval_points()
             return TableLookupRegressor(points, task.mean_at(points))
-        reg = KnnConfig() if reg == "knn" else MlpConfig()
-    if isinstance(reg, KnnConfig):
-        return fit_knn_auto(train, val, reg)
-    mlp_cfg = replace(reg, init_seed=RngHandle(repeat_seed, STREAM_MLP))
-    return fit_mlp(train, mlp_cfg)
+        regressor = KnnConfig() if regressor == "knn" else MlpConfig()
+    if isinstance(regressor, KnnConfig):
+        return fit_knn_auto(train, val, regressor)
+    return fit_mlp(train, replace(regressor, init_seed=RngHandle(seed, STREAM_MLP)))
 
 
-def _build_calibrator(cfg: ExperimentConfig, f, cal_data: Dataset, task, c_for_selection: float):
-    if cfg.rejector in ("kernel", "conformal"):
-        half = cal_data.n // 2
-        inner = cal_data.subset(np.arange(half)) if half >= 1 else cal_data
-        outer = cal_data.subset(np.arange(half, cal_data.n)) if cal_data.n - half >= 1 else cal_data
-        spec = select_bandwidth(f, inner, outer, cfg.kernel, c_for_selection)
-        return kernel_calibrate(f, cal_data, spec)
-    if cfg.rejector == "loss-linear":
-        return linear_calibrate(f, cal_data)
-    if cfg.rejector == "oracle":
+def _halves(data: Dataset) -> tuple[Dataset, Dataset]:
+    """First and second half of the rows; a one-row set serves as both."""
+    if data.n < 2:
+        return data, data
+    half = data.n // 2
+    return data.subset(np.arange(half)), data.subset(np.arange(half, data.n))
+
+
+def cost_calibrator(rejector: str, kernel: KernelSpec, f, val: Dataset, task, c: float):
+    """Conditional-risk estimate of ``f`` from its losses on ``val``.
+
+    The kernel smoother picks its bandwidth from ``kernel``'s grid by the
+    deferral loss at cost ``c``, fitting on one half of ``val`` and scoring
+    on the other, then refits on all of ``val``.
+    """
+    if rejector == "kernel":
+        spec = select_bandwidth(f, *_halves(val), kernel, c)
+        return kernel_calibrate(f, val, spec)
+    if rejector == "loss-linear":
+        return linear_calibrate(f, val)
+    if rejector == "oracle":
         if task is None:
             raise SelregError("the oracle rejector needs a synthetic task source")
         return OracleRiskCalibrator(task, f)
-    raise SelregError(f"unknown rejector kind {cfg.rejector!r}")
+    raise SelregError(f"unknown rejector kind {rejector!r}")
 
 
-def _run_repeats(cfg: ExperimentConfig, one_repeat) -> tuple[list[LossReport], list[int]]:
-    """Run the repeats sequentially or on a thread pool; every repeat owns
-    its derived seed, so the two execution modes produce identical results.
-    A failing repeat aborts the whole run with its index and seed attached."""
-    seeds = [cfg.seed + i for i in range(cfg.repeats)]
-
-    def guarded(i: int) -> LossReport:
-        try:
-            return one_repeat(seeds[i])
-        except Exception as exc:
-            exc.args = (f"repeat {i} (seed {seeds[i]}) failed: {exc}",)
-            raise
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(guarded, range(cfg.repeats)))
-    else:
-        reports = [guarded(i) for i in range(cfg.repeats)]
-    return reports, seeds
-
-
-def run_fixed_cost(cfg: ExperimentConfig) -> RunReport:
-    """Split, fit on all training rows, calibrate on held-out data, threshold
-    at the deferral cost, evaluate on test; repeated with derived seeds."""
-    if cfg.cost_config.mode is not CostMode.FIXED_COST:
-        raise ValueError("run_fixed_cost needs a fixed-cost config")
-    c = cfg.cost_config.cost_c
-    t0 = time.perf_counter()
-
-    def one_repeat(repeat_seed: int) -> LossReport:
-        train, val, test, task = _materialize(cfg, repeat_seed)
-        f = _fit_regressor(cfg, train, val, task, repeat_seed)
-        cal_data = val if cfg.calibrate_on == "validation" else train
-        calibrator = _build_calibrator(cfg, f, cal_data, task, c)
-        return empirical_rwr_loss(f, induce_rejector(calibrator, c), test, c)
-
-    reports, seeds = _run_repeats(cfg, one_repeat)
-    return _aggregate(cfg, reports, seeds, t0)
-
-
-def run_fixed_budget(cfg: ExperimentConfig) -> RunReport:
-    """Fit, score held-out data, take the conformal acceptance threshold for
-    the budget, evaluate machine loss and rejection rate on test.
-
-    The scores that feed the threshold are computed on a half of the
-    held-out split that the score function itself was not fitted on, keeping
-    them independent of both the regressor and the calibrator.
+def budget_threshold(
+    rejector: str, kernel: KernelSpec, f, val: Dataset, task, gamma: float
+) -> tuple[Calibrator, ConformalThreshold]:
+    """Calibrator fitted on the first half of ``val`` and the conformal
+    acceptance threshold for budget ``gamma`` from its scores on the second
+    half.  Those scores are independent of both the regressor and the
+    calibrator, as the threshold's coverage guarantee requires.
     """
-    if cfg.cost_config.mode is not CostMode.FIXED_BUDGET:
-        raise ValueError("run_fixed_budget needs a fixed-budget config")
-    gamma = cfg.cost_config.budget_gamma
-    t0 = time.perf_counter()
-
-    def one_repeat(repeat_seed: int) -> LossReport:
-        train, val, test, task = _materialize(cfg, repeat_seed)
-        f = _fit_regressor(cfg, train, val, task, repeat_seed)
-        half = val.n // 2
-        fit_part = val.subset(np.arange(half)) if half >= 1 else val
-        score_part = val.subset(np.arange(half, val.n)) if val.n - half >= 1 else val
-        if cfg.rejector == "oracle":
-            calibrator = _build_calibrator(cfg, f, fit_part, task, 0.0)
-        elif cfg.rejector == "loss-linear":
-            calibrator = linear_calibrate(f, fit_part)
-        else:
-            # median length scale keeps the smoother in range without
-            # consuming the score split
-            sigma = _median_sq_dist(fit_part.features)
-            calibrator = kernel_calibrate(f, fit_part, cfg.kernel.with_sigma(sigma))
-        scores = calibrator.estimate(score_part.features)
-        th = conformal_threshold(scores, gamma)
-        return empirical_rwr_loss(f, th.rejector(calibrator), test, 0.0)
-
-    reports, seeds = _run_repeats(cfg, one_repeat)
-    return _aggregate(cfg, reports, seeds, t0)
+    fit_part, score_part = _halves(val)
+    if rejector == "kernel":
+        # median length scale keeps the smoother in range without
+        # consuming the score split
+        sigma = _median_sq_dist(fit_part.features)
+        calibrator = kernel_calibrate(f, fit_part, kernel.with_sigma(sigma))
+    else:
+        calibrator = cost_calibrator(rejector, kernel, f, fit_part, task, 0.0)
+    return calibrator, conformal_threshold(calibrator.estimate(score_part.features), gamma)
 
 
 def _median_sq_dist(X: np.ndarray) -> float:
@@ -530,9 +477,63 @@ def _median_sq_dist(X: np.ndarray) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    if cfg.cost_config.mode is CostMode.FIXED_COST:
-        return run_fixed_cost(cfg)
-    return run_fixed_budget(cfg)
+    """Split, fit on all training rows, calibrate on held-out data, threshold
+    at the deferral cost or the budget's conformal threshold, evaluate on
+    test; repeated with seeds cfg.seed + i.
+
+    Every repeat owns its derived seed, so running the repeats on a thread
+    pool gives the same result as running them in turn.  A failing repeat
+    aborts the whole run with its index and seed attached.
+    """
+    cc = cfg.cost_config
+    t0 = time.perf_counter()
+    seeds = [cfg.seed + i for i in range(cfg.repeats)]
+
+    def one_repeat(i: int) -> LossReport:
+        seed = seeds[i]
+        try:
+            train, val, test, task = materialize(
+                cfg.dataset_source, seed, target_column=cfg.target_column,
+                synthetic_n=cfg.synthetic_n, split=cfg.split, standardize_data=cfg.standardize_data,
+            )
+            f = fit_regressor(cfg.regressor, train, val, task, seed)
+            if cc.mode is CostMode.FIXED_COST:
+                c = cc.cost_c
+                calibrator = cost_calibrator(cfg.rejector, cfg.kernel, f, val, task, c)
+                rejector = induce_rejector(calibrator, c)
+            else:
+                c = 0.0
+                calibrator, th = budget_threshold(
+                    cfg.rejector, cfg.kernel, f, val, task, cc.budget_gamma
+                )
+                rejector = th.rejector(calibrator)
+            return empirical_rwr_loss(f, rejector, test, c)
+        except Exception as exc:
+            exc.args = (f"repeat {i} (seed {seed}) failed: {exc}",)
+            raise
+
+    if cfg.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            reports = list(pool.map(one_repeat, range(cfg.repeats)))
+    else:
+        reports = [one_repeat(i) for i in range(cfg.repeats)]
+    return _aggregate(cfg, reports, seeds, t0)
+
+
+def run_fixed_cost(cfg: ExperimentConfig) -> RunReport:
+    """run_experiment for a fixed-cost config."""
+    if cfg.cost_config.mode is not CostMode.FIXED_COST:
+        raise ValueError("run_fixed_cost needs a fixed-cost config")
+    return run_experiment(cfg)
+
+
+def run_fixed_budget(cfg: ExperimentConfig) -> RunReport:
+    """run_experiment for a fixed-budget config."""
+    if cfg.cost_config.mode is not CostMode.FIXED_BUDGET:
+        raise ValueError("run_fixed_budget needs a fixed-budget config")
+    return run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "default_discrete_task",
     "default_smooth_task",
     "get_task",
+    "task_names",
     "binary_rwr_risk",
 ]
 
@@ -290,10 +291,15 @@ _TASKS: dict[str, Callable[[], SyntheticTask]] = {
 }
 
 
+def task_names() -> tuple[str, ...]:
+    """Names that get_task accepts, sorted."""
+    return tuple(sorted(_TASKS))
+
+
 def get_task(name: str) -> SyntheticTask:
     try:
         return _TASKS[name]()
     except KeyError:
         raise UnsupportedTaskError(
-            f"unknown synthetic task {name!r}; available: {sorted(_TASKS)}"
+            f"unknown synthetic task {name!r}; available: {list(task_names())}"
         ) from None

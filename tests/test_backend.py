@@ -65,6 +65,31 @@ class TestContracts:
         with pytest.raises(ValueError):
             impl.knn_mean(np.zeros((1, 1)), np.zeros((3, 1)), np.zeros(3), 4)
 
+    # a one-column operand broadcasts against any width, so a mismatch must
+    # be caught explicitly rather than left to NumPy
+    @pytest.mark.parametrize("dq,dp", [(2, 1), (1, 2), (2, 3)])
+    def test_dimension_mismatch_rejected(self, name, impl, dq, dp):
+        q, p, v = np.zeros((2, dq)), np.zeros((3, dp)), np.zeros(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            impl.pairwise_sq_dists(q, p)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            impl.knn_mean(q, p, v, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            impl.gaussian_nw(q, p, v, 1.0)
+
+    @pytest.mark.parametrize("m_values", [2, 4])
+    def test_values_length_mismatch_rejected(self, name, impl, m_values):
+        q, p, v = np.zeros((2, 1)), np.zeros((3, 1)), np.zeros(m_values)
+        with pytest.raises(ValueError, match="values length"):
+            impl.knn_mean(q, p, v, 1)
+        with pytest.raises(ValueError, match="values length"):
+            impl.gaussian_nw(q, p, v, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nw_rejects_nonpositive_sigma(self, name, impl, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            impl.gaussian_nw(np.zeros((1, 1)), np.ones((2, 1)), np.ones(2), sigma)
+
 
 @needs_compiled
 class TestParity:

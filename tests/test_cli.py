@@ -1,11 +1,15 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from selreg.cli import main
-from selreg.harness import bundled_data_path
+from selreg.core import model_from_json
+from selreg.harness import bundled_data_path, materialize
+from selreg.losses import empirical_rwr_loss
+from selreg.rejection import induce_rejector
 
 
 @pytest.fixture
@@ -41,6 +45,29 @@ class TestBench:
     def test_missing_cost_is_usage_error(self, demo_csv, tmp_path):
         rc = main(["bench", "--mode", "cost", "--data", demo_csv, "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_uppercase_csv_suffix_is_read_as_csv(self, tmp_path):
+        data = tmp_path / "plant.CSV"
+        shutil.copy(bundled_data_path("linear_plant.csv"), data)
+        rc = main([
+            "bench", "--mode", "cost", "--cost", "0.5", "--data", str(data),
+            "--repeats", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        assert doc["dataset"] == str(data)
+
+    @pytest.mark.parametrize("flags", [
+        ["--rejector", "conformal"],
+        ["--scores-from", "kernel"],
+    ])
+    def test_removed_options_are_usage_errors(self, flags, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "bench", "--mode", "budget", "--budget", "0.2", "--data", "hetero6",
+                "--synthetic-n", "200", "--repeats", "1", "--out", str(tmp_path), *flags,
+            ])
+        assert exc.value.code == 1
 
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main([
@@ -90,6 +117,41 @@ class TestFitCalibrate:
         assert doc["sigma"] in (0.1, 1.0, 10.0)
         assert len(doc["scores"]) > 0
         assert doc["conformal"]["gamma"] == 0.2
+
+
+    @pytest.mark.parametrize("source", ["linear_plant.csv", "hetero6"])
+    def test_fit_calibrate_match_bench_repeat_zero(self, source, tmp_path):
+        data = str(bundled_data_path(source)) if source.endswith(".csv") else source
+        model, cal = tmp_path / "model.json", tmp_path / "cal.json"
+        assert main(["fit", "--data", data, "--seed", "4", "--out", str(model)]) == 0
+        assert main([
+            "calibrate", "--data", data, "--model", str(model), "--cost", "0.5",
+            "--seed", "4", "--out", str(cal),
+        ]) == 0
+        assert main([
+            "bench", "--mode", "cost", "--cost", "0.5", "--data", data,
+            "--repeats", "1", "--seed", "4", "--out", str(tmp_path),
+        ]) == 0
+        f = model_from_json(model.read_text())
+        calibrator = model_from_json(json.dumps(json.loads(cal.read_text())["calibrator"]))
+        _, _, test, _ = materialize(data, 4)
+        got = empirical_rwr_loss(f, induce_rejector(calibrator, 0.5), test, 0.5)
+        bench = json.loads((tmp_path / "bench.json").read_text())
+        assert got.rwr_loss == bench["repeats"][0]["rwr_loss"]
+
+    def test_budget_threshold_scores_the_unseen_half(self, demo_csv, tmp_path):
+        model, cal = tmp_path / "model.json", tmp_path / "cal.json"
+        assert main(["fit", "--data", demo_csv, "--seed", "4", "--out", str(model)]) == 0
+        assert main([
+            "calibrate", "--data", demo_csv, "--model", str(model),
+            "--budget", "0.2", "--seed", "4", "--out", str(cal),
+        ]) == 0
+        doc = json.loads(cal.read_text())
+        n_val = materialize(demo_csv, 4)[1].n
+        assert len(doc["scores"]) == n_val
+        assert doc["conformal"]["m"] == n_val - n_val // 2
+        budget_cal = model_from_json(json.dumps(doc["conformal"]["calibrator"]))
+        assert budget_cal.points.shape[0] == n_val // 2
 
 
 class TestVerifyTheory:

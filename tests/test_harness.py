@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from selreg.core import CostConfig
+from selreg.core import CostConfig, DataError
 from selreg.harness import (
     CSV_COLUMNS,
     EmptyAfterFilteringError,
@@ -13,6 +13,7 @@ from selreg.harness import (
     bundled_data_path,
     emit_report,
     load_csv,
+    materialize,
     run_experiment,
     run_fixed_budget,
     run_fixed_cost,
@@ -122,6 +123,21 @@ class TestRunFixedCost:
         again = run_experiment(ExperimentConfig.from_dict(rep.config))
         assert again == rep
 
+    def test_old_echo_with_default_calibrate_on_still_loads(self):
+        rep = run_fixed_cost(_cost_cfg())
+        assert "calibrate_on" not in rep.config
+        old = dict(rep.config, calibrate_on="validation")
+        assert ExperimentConfig.from_dict(old).to_dict() == rep.config
+
+    def test_old_echo_calibrating_on_train_is_refused(self):
+        old = dict(_cost_cfg().to_dict(), calibrate_on="train")
+        with pytest.raises(ValueError, match="calibrate_on"):
+            ExperimentConfig.from_dict(old)
+
+    def test_conformal_rejector_kind_is_gone(self):
+        with pytest.raises(ValueError, match="rejector"):
+            _cost_cfg(rejector="conformal")
+
     def test_threaded_repeats_match_sequential(self):
         seq = run_fixed_cost(_cost_cfg(repeats=4))
         par = run_fixed_cost(_cost_cfg(repeats=4, workers=4))
@@ -137,6 +153,26 @@ class TestRunFixedCost:
         )
         with pytest.raises(Exception, match=r"repeat 0 \(seed 5\)"):
             run_fixed_cost(cfg)
+
+
+class TestMaterialize:
+    def test_task_name_is_sampled_in_native_units(self):
+        train, val, test, task = materialize("hetero6", 3, synthetic_n=100)
+        assert task is not None and task.name == "hetero6"
+        assert (train.n, val.n, test.n) == (70, 20, 10)
+        assert set(np.unique(train.features)) <= set(task.eval_points()[0].ravel())
+
+    def test_any_other_source_is_a_standardized_csv(self, tmp_path):
+        path = tmp_path / "plant.CSV"
+        path.write_text(bundled_data_path("linear_plant.csv").read_text())
+        train, _, _, task = materialize(str(path), 3)
+        assert task is None
+        assert train.targets.mean() == pytest.approx(0.0, abs=1e-12)
+        assert train.targets.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_name_is_a_missing_file(self):
+        with pytest.raises(DataError, match="cannot read"):
+            materialize("hetero7", 0)
 
 
 class TestRunFixedBudget:
