@@ -1,0 +1,117 @@
+"""Hot kernels in NumPy: squared distances, k-NN means and Gaussian smoothing.
+
+Contracts:
+
+``pairwise_sq_dists(queries[nq,d], points[m,d]) -> [nq,m]``
+    Squared Euclidean distances, summed coordinate by coordinate from exact
+    differences (not the norm expansion, which cancels and breaks ties).
+
+``knn_mean(queries, points, values[m], k) -> [nq]``
+    Mean of ``values`` at the k nearest points per query, taken in order of
+    (distance, point index); exact distance ties resolve to the lower index.
+
+``gaussian_nw(queries, centers, values[m], sigma) -> [nq]``
+    Weighted average with weights exp(-||q-c||^2 / sigma); an all-zero
+    weight row falls back to the value at the nearest center (ties to the
+    lower index).
+
+Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
+``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+BACKEND = "numpy"
+
+_BLOCK = 256
+
+
+def _sq_dist_blocks(queries, points):
+    """Yield ``(start, d2)`` where ``d2[i, j]`` is the squared distance from
+    ``queries[start + i]`` to ``points[j]``, one block of queries at a time.
+
+    The kernels call this rather than ``pairwise_sq_dists``, so that public
+    name counts only its direct callers.
+    """
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[1] != queries.shape[1]:
+        raise ValueError("dimension mismatch between queries and points")
+    columns = np.ascontiguousarray(points.T)
+    for start in range(0, queries.shape[0], _BLOCK):
+        block = queries[start : start + _BLOCK]
+        d2 = np.zeros((block.shape[0], points.shape[0]))
+        diff = np.empty_like(d2)
+        for q, p in zip(block.T, columns):
+            np.subtract.outer(q, p, out=diff)
+            d2 += np.square(diff, out=diff)
+        del diff  # not held while the caller works on d2
+        yield start, d2
+
+
+def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    out = np.empty((np.shape(queries)[0], np.shape(points)[0]))
+    for start, d2 in _sq_dist_blocks(queries, points):
+        out[start : start + d2.shape[0]] = d2
+    return out
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k nearest points per row of ``d2``, ordered by
+    (distance, index): what a stable argsort of the whole row gives."""
+    part = np.argpartition(d2, k - 1, axis=1)
+    kth = np.take_along_axis(d2, part[:, k - 1 : k], axis=1)
+    idx = np.sort(part[:, :k], axis=1)
+    idx = np.take_along_axis(
+        idx, np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable"), axis=1
+    )
+    # A point beyond the k picked that ties the kth distance may have a lower
+    # index than one picked; a NaN kth distance matches nothing.  Those rows
+    # take the full stable sort.
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    if tied.any():
+        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return idx
+
+
+def knn_mean(
+    queries: np.ndarray, points: np.ndarray, values: np.ndarray, k: int
+) -> np.ndarray:
+    """Mean of the values at the k nearest points; distance ties break by
+    ascending point index."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != np.shape(points)[0]:
+        raise ValueError("values length must match point count")
+    if not 1 <= k <= values.shape[0]:
+        raise ValueError("k out of range")
+    out = np.empty(np.shape(queries)[0])
+    for start, d2 in _sq_dist_blocks(queries, points):
+        out[start : start + d2.shape[0]] = values[_nearest(d2, k)].mean(axis=1)
+    return out
+
+
+def gaussian_nw(
+    queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigma: float
+) -> np.ndarray:
+    """Nadaraya-Watson average with weights exp(-||q - c||^2 / sigma).
+
+    If every weight underflows to zero the estimate falls back to the value
+    at the nearest center (ties by ascending index).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != np.shape(centers)[0]:
+        raise ValueError("values length must match center count")
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    out = np.empty(np.shape(queries)[0])
+    for start, d2 in _sq_dist_blocks(queries, centers):
+        w = np.exp(-d2 / float(sigma))
+        den = w.sum(axis=1)
+        est = (w @ values) / np.where(den > 0.0, den, 1.0)
+        dead = den == 0.0
+        if np.any(dead):
+            est[dead] = values[np.argmin(d2[dead], axis=1)]
+        out[start : start + d2.shape[0]] = est
+    return out

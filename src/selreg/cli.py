@@ -35,6 +35,7 @@ from .harness import (
     materialize,
     run_experiment,
 )
+from .tasks import task_names
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,18 +138,38 @@ def _write(out: str, text: str) -> Path:
     return path
 
 
+def _data_record(args) -> dict:
+    """The options that fix a run's splits and scaling, with a CSV path
+    resolved so that two spellings of one file compare equal."""
+    data = args.data if args.data in task_names() else str(Path(args.data).resolve())
+    return {"data": data, "seed": args.seed, "target_col": args.target_col}
+
+
 def _cmd_fit(args) -> int:
     # the same splits and model as `bench` repeat 0 at this seed
     train, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = fit_regressor(args.regressor, train, val, task, args.seed)
-    out = _write(args.out, model_to_json(model))
+    doc = {**json.loads(model_to_json(model)), **_data_record(args)}
+    out = _write(args.out, json.dumps(doc, sort_keys=True))
     print(f"wrote {args.regressor} model to {out}")
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
+    text = Path(args.model).read_text()
+    # validation rows are held out from the model, and scaled as its training
+    # rows were, only at the data options it was fitted with; a model file
+    # without that record is taken as it is
+    fitted = json.loads(text)
+    mismatched = [
+        f"{key} {fitted[key]!r} at fit, {value!r} here"
+        for key, value in _data_record(args).items()
+        if key in fitted and fitted[key] != value
+    ]
+    if mismatched:
+        raise SelregError(f"{args.model} was fitted on other data: " + "; ".join(mismatched))
     _, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
-    model = model_from_json(Path(args.model).read_text())
+    model = model_from_json(text)
     kernel = KernelSpec(bandwidth_grid=_sigma_grid(args.sigma_grid))
     calibrator = cost_calibrator("kernel", kernel, model, val, task, args.cost)
     doc = {

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
+from .backend import _sq_dist_blocks
 from .core import (
     Calibrator,
     CostConfig,
@@ -468,10 +469,15 @@ def budget_threshold(
 
 
 def _median_sq_dist(X: np.ndarray) -> float:
-    from .backend import pairwise_sq_dists
-
-    d2 = pairwise_sq_dists(X, X)
-    vals = d2[np.triu_indices(d2.shape[0], k=1)]
+    # the condensed upper triangle, one block of rows at a time: no m x m matrix
+    m = X.shape[0]
+    vals = np.empty(m * (m - 1) // 2)
+    cols = np.arange(m)
+    filled = 0
+    for start, d2 in _sq_dist_blocks(X, X):
+        upper = d2[cols[start : start + d2.shape[0], None] < cols]
+        vals[filled : filled + upper.size] = upper
+        filled += upper.size
     med = float(np.median(vals)) if vals.size else 1.0
     return med if med > 0.0 else 1.0
 

@@ -153,18 +153,30 @@ def _init_params(dim: int, width: int, rng: np.random.Generator):
     return [w1, b1, w2, b2]
 
 
-def _forward_backward(params, X: np.ndarray, y: np.ndarray):
-    """Mean-squared loss and its gradients for one batch."""
+def _forward_backward(params, X: np.ndarray, y: np.ndarray, work=None):
+    """Mean-squared loss and its gradients for one batch.
+
+    ``work`` is three [batch, width] buffers for the hidden-layer arrays.
+    Training passes the same ones at every step: allocating and freeing
+    arrays of megabytes per step lets malloc hand their pages back to the
+    system and fault them in again, which slowed a full-batch fit by a
+    third.
+    """
     w1, b1, w2, b2 = params
-    pre = X @ w1 + b1
-    hidden = np.maximum(pre, 0.0)
+    n = X.shape[0]
+    if work is None:
+        work = [np.empty((n, w1.shape[1])) for _ in range(3)]
+    pre, hidden, dhidden = (buf[:n] for buf in work)
+    np.matmul(X, w1, out=pre)
+    pre += b1
+    np.maximum(pre, 0.0, out=hidden)
     pred = (hidden @ w2 + b2)[:, 0]
     err = pred - y
     loss = float(np.mean(err**2))
-    dpred = (2.0 / X.shape[0]) * err
+    dpred = (2.0 / n) * err
     dw2 = hidden.T @ dpred[:, None]
     db2 = np.array([dpred.sum()])
-    dhidden = dpred[:, None] * w2[:, 0][None, :]
+    np.multiply(dpred[:, None], w2[:, 0][None, :], out=dhidden)
     dhidden[pre <= 0.0] = 0.0
     dw1 = X.T @ dhidden
     db1 = dhidden.sum(axis=0)
@@ -190,12 +202,13 @@ def fit_mlp(train: Dataset, cfg: MlpConfig) -> MlpRegressor:
     v = [np.zeros_like(p) for p in params]
     batch = min(cfg.batch_size, train.n)
     lr, wd = cfg.learning_rate, cfg.weight_decay
+    work = [np.empty((batch, cfg.hidden_width)) for _ in range(3)]
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(train.n)
         for start in range(0, train.n, batch):
             idx = order[start : start + batch]
-            loss, grads = _forward_backward(params, X[idx], y[idx])
+            loss, grads = _forward_backward(params, X[idx], y[idx], work)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"training loss became non-finite at step {t}; lower the learning rate"

@@ -1,18 +1,12 @@
-"""Backend contract tests: both implementations must agree with a brute-force
-reference and with each other."""
+"""Backend contract tests: the kernels must agree with a brute-force
+reference, resolve ties to the lower index and stay bounded in memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from selreg.backend import _numpy
-
-try:
-    from selreg.backend import _ckernels
-except ImportError:
-    _ckernels = None
-
-BACKENDS = [("numpy", _numpy)] + ([("compiled", _ckernels)] if _ckernels else [])
-needs_compiled = pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
+from selreg import backend
 
 
 def brute_sq_dists(q, p):
@@ -23,7 +17,21 @@ def brute_sq_dists(q, p):
     return out
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
+def brute_knn_mean(q, p, v, k):
+    order = np.argsort(brute_sq_dists(q, p), axis=1, kind="stable")[:, :k]
+    return v[order].mean(axis=1)
+
+
+def brute_nw(q, c, v, sigma):
+    d2 = brute_sq_dists(q, c)
+    w = np.exp(-d2 / sigma)
+    den = w.sum(axis=1)
+    return np.where(den > 0.0, (w @ v) / np.where(den > 0.0, den, 1.0), v[np.argmin(d2, axis=1)])
+
+
+# The ids are those the tests had while a compiled backend ran them too, so
+# each test keeps its name across that backend's removal.
+@pytest.mark.parametrize("name,impl", [pytest.param("numpy", backend, id="numpy-selreg.backend._numpy")])
 class TestContracts:
     def test_pairwise_matches_brute_force(self, name, impl):
         rng = np.random.default_rng(0)
@@ -90,86 +98,88 @@ class TestContracts:
         with pytest.raises(ValueError, match="sigma must be positive"):
             impl.gaussian_nw(np.zeros((1, 1)), np.ones((2, 1)), np.ones(2), sigma)
 
-
-@needs_compiled
-class TestParity:
-    def test_backends_agree_on_random_batches(self):
+    def test_random_batches_match_brute_force(self, name, impl):
         rng = np.random.default_rng(7)
         for _ in range(5):
             q = rng.normal(size=(40, 4))
             p = rng.normal(size=(60, 4))
             v = rng.normal(size=60)
-            np.testing.assert_allclose(
-                _ckernels.pairwise_sq_dists(q, p), _numpy.pairwise_sq_dists(q, p), rtol=1e-12
-            )
+            np.testing.assert_allclose(impl.pairwise_sq_dists(q, p), brute_sq_dists(q, p), rtol=1e-12)
             for k in (1, 5, 60):
                 np.testing.assert_allclose(
-                    _ckernels.knn_mean(q, p, v, k), _numpy.knn_mean(q, p, v, k), rtol=1e-12
+                    impl.knn_mean(q, p, v, k), brute_knn_mean(q, p, v, k), rtol=1e-12
                 )
             for sigma in (1e-3, 1.0, 1e3):
                 np.testing.assert_allclose(
-                    _ckernels.gaussian_nw(q, p, np.abs(v), sigma),
-                    _numpy.gaussian_nw(q, p, np.abs(v), sigma),
-                    rtol=1e-10,
+                    impl.gaussian_nw(q, p, np.abs(v), sigma), brute_nw(q, p, np.abs(v), sigma), rtol=1e-10
                 )
 
-    def test_duplicate_point_ties_identical(self):
-        # duplicated training points produce exact distance ties; both
-        # backends must resolve them to the same (lowest-index) rows
+    def test_knn_duplicate_point_ties(self, name, impl):
+        # duplicated training points produce exact distance ties, which must
+        # resolve to the lowest-index rows
         points = np.array([[1.0], [1.0], [1.0], [2.0]])
         values = np.array([1.0, 2.0, 3.0, 4.0])
         q = np.array([[1.0], [1.5]])
         for k in (1, 2, 3):
             np.testing.assert_array_equal(
-                _ckernels.knn_mean(q, points, values, k), _numpy.knn_mean(q, points, values, k)
+                impl.knn_mean(q, points, values, k), brute_knn_mean(q, points, values, k)
             )
 
-    def test_integer_lattice_ties_identical(self):
+    def test_knn_integer_lattice_ties(self, name, impl):
         # small integer coordinates make exact ties pervasive; distinct
         # per-point values expose any tie-order mismatch in the mean
         rng = np.random.default_rng(123)
-        for trial in range(20):
+        for _ in range(20):
             m = int(rng.integers(3, 30))
             points = rng.integers(0, 3, size=(m, 2)).astype(float)
             queries = rng.integers(0, 3, size=(8, 2)).astype(float)
             values = rng.permutation(m).astype(float)  # all distinct
             for k in (1, 2, m // 2 + 1, m):
                 np.testing.assert_array_equal(
-                    _ckernels.knn_mean(queries, points, values, k),
-                    _numpy.knn_mean(queries, points, values, k),
+                    impl.knn_mean(queries, points, values, k), brute_knn_mean(queries, points, values, k)
                 )
+
+    def test_queries_spanning_several_blocks(self, name, impl):
+        # 2.5 blocks of 256 rows: every row must match its own brute-force value
+        rng = np.random.default_rng(5)
+        q = rng.integers(-3, 4, size=(2 * 256 + 37, 2)).astype(float)
+        p = rng.integers(-3, 4, size=(40, 2)).astype(float)
+        v = rng.permutation(40).astype(float)
+        np.testing.assert_array_equal(impl.pairwise_sq_dists(q, p), brute_sq_dists(q, p))
+        for k in (1, 7, 40):
+            np.testing.assert_array_equal(impl.knn_mean(q, p, v, k), brute_knn_mean(q, p, v, k))
+        np.testing.assert_allclose(impl.gaussian_nw(q, p, v + 1.0, 2.0), brute_nw(q, p, v + 1.0, 2.0), rtol=1e-12)
+
+    def test_knn_tie_across_the_kth_boundary(self, name, impl):
+        # 1000 points tie at distance 1 from the first query, far more than
+        # k: the k lowest indices must win.  The second query shares the
+        # block and has no tie at its kth distance while k <= 100.
+        points = np.concatenate([np.ones(500), -np.ones(500), 10.0 + 0.01 * np.arange(100)])[:, None]
+        values = np.arange(1100.0)
+        q = np.array([[0.0], [9.5]])
+        for k in (1, 10, 300):
+            np.testing.assert_array_equal(
+                impl.knn_mean(q, points, values, k), brute_knn_mean(q, points, values, k)
+            )
+
+
+def test_kernel_memory_grows_with_the_block_not_the_query_count():
+    rng = np.random.default_rng(2)
+    q, p, v = rng.normal(size=(16 * 256, 2)), rng.normal(size=(1000, 2)), rng.normal(size=1000)
+    full_matrix = q.shape[0] * p.shape[0] * 8
+    for run in (lambda: backend.knn_mean(q, p, v, 5), lambda: backend.gaussian_nw(q, p, v, 1.0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix / 2
 
 
 class TestDispatch:
-    def test_env_override_forces_numpy(self, monkeypatch):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import selreg
-
-        # the child inherits the parent's environment and imports the same
-        # source tree as the parent, whether that came from PYTHONPATH or an
-        # installed package
-        src_root = str(Path(selreg.__file__).parents[1])
-        monkeypatch.setenv("SELREG_BACKEND", "numpy")
-        monkeypatch.setenv(
-            "PYTHONPATH", os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
-        )
-        code = (
-            "import selreg.backend as b; print(b.BACKEND)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
-
     def test_active_backend_exports_kernels(self):
         import selreg.backend as b
 
         assert callable(b.pairwise_sq_dists) and callable(b.knn_mean) and callable(b.gaussian_nw)
-        assert b.BACKEND in ("numpy", "compiled")
+        assert b.BACKEND == "numpy"

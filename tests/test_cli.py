@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,22 @@ class TestFitCalibrate:
         got = empirical_rwr_loss(f, induce_rejector(calibrator, 0.5), test, 0.5)
         bench = json.loads((tmp_path / "bench.json").read_text())
         assert got.rwr_loss == bench["repeats"][0]["rwr_loss"]
+
+    def test_calibrate_refuses_a_model_fitted_at_another_seed(self, demo_csv, tmp_path, capsys):
+        model, cal = tmp_path / "model.json", tmp_path / "cal.json"
+        assert main(["fit", "--data", demo_csv, "--seed", "4", "--out", str(model)]) == 0
+        calibrate = ["calibrate", "--model", str(model), "--cost", "0.5", "--out", str(cal)]
+        capsys.readouterr()
+        assert main(calibrate + ["--data", demo_csv, "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "seed 4 at fit, 5 here" in err and not cal.exists()
+        # another spelling of the same CSV path is the same data
+        other_spelling = str(Path(demo_csv).parent / ".." / Path(demo_csv).parent.name / Path(demo_csv).name)
+        assert main(calibrate + ["--data", other_spelling, "--seed", "4"]) == 0
+        # a model file written without the record loads as before
+        doc = json.loads(model.read_text())
+        model.write_text(json.dumps({"kind": doc["kind"], "payload": doc["payload"]}))
+        assert main(calibrate + ["--data", demo_csv, "--seed", "5"]) == 0
 
     def test_budget_threshold_scores_the_unseen_half(self, demo_csv, tmp_path):
         model, cal = tmp_path / "model.json", tmp_path / "cal.json"
