@@ -6,9 +6,11 @@ Contracts:
     Squared Euclidean distances, summed coordinate by coordinate from exact
     differences (not the norm expansion, which cancels and breaks ties).
 
-``knn_mean(queries, points, values[m], k) -> [nq]``
-    Mean of ``values`` at the k nearest points per query, taken in order of
-    (distance, point index); exact distance ties resolve to the lower index.
+``knn_mean(queries, points, values[m], ks) -> [len(ks), nq]``
+    Row j is the mean of ``values`` at the ``ks[j]`` nearest points per
+    query, taken in order of (distance, point index); exact distance ties
+    resolve to the lower index.  One neighbour ordering per query serves
+    every k, and each row equals a call with that k alone.
 
 ``gaussian_nw(queries, centers, values[m], sigma) -> [nq]``
     Weighted average with weights exp(-||q-c||^2 / sigma); an all-zero
@@ -77,18 +79,21 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 def knn_mean(
-    queries: np.ndarray, points: np.ndarray, values: np.ndarray, k: int
+    queries: np.ndarray, points: np.ndarray, values: np.ndarray, ks
 ) -> np.ndarray:
-    """Mean of the values at the k nearest points; distance ties break by
-    ascending point index."""
+    """Row j: mean of the values at the ks[j] nearest points; distance ties
+    break by ascending point index."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != np.shape(points)[0]:
         raise ValueError("values length must match point count")
-    if not 1 <= k <= values.shape[0]:
+    if len(ks) == 0 or not 1 <= min(ks) <= max(ks) <= values.shape[0]:
         raise ValueError("k out of range")
-    out = np.empty(np.shape(queries)[0])
+    out = np.empty((len(ks), np.shape(queries)[0]))
     for start, d2 in _sq_dist_blocks(queries, points):
-        out[start : start + d2.shape[0]] = values[_nearest(d2, k)].mean(axis=1)
+        # the first k of the (distance, index) order are the k nearest
+        idx = _nearest(d2, max(ks))
+        for j, k in enumerate(ks):
+            out[j, start : start + d2.shape[0]] = values[idx[:, :k]].mean(axis=1)
     return out
 
 

@@ -127,7 +127,6 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         target_column=args.target_col,
         synthetic_n=args.synthetic_n,
         kernel=KernelSpec(bandwidth_grid=_sigma_grid(args.sigma_grid)),
-        output_dir=args.out,
     )
 
 

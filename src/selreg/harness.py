@@ -45,6 +45,7 @@ from .losses import LossReport, empirical_rwr_loss
 from .models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp
 from .rejection import (
     ConformalThreshold,
+    KernelSmootherCalibrator,
     conformal_threshold,
     induce_rejector,
     kernel_calibrate,
@@ -66,8 +67,6 @@ __all__ = [
     "cost_calibrator",
     "budget_threshold",
     "run_experiment",
-    "run_fixed_cost",
-    "run_fixed_budget",
     "emit_report",
     "bundled_data_path",
 ]
@@ -190,7 +189,6 @@ class ExperimentConfig:
     synthetic_n: int = 1000
     standardize_data: bool | None = None  # None: CSV yes, synthetic no
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    output_dir: str = "."
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -243,13 +241,13 @@ class ExperimentConfig:
             "synthetic_n": self.synthetic_n,
             "standardize_data": self.standardize_data,
             "sigma_grid": list(self.kernel.bandwidth_grid),
-            "output_dir": self.output_dir,
             "workers": self.workers,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        # older echoes carry calibrate_on; only its default still means the same
+        # older echoes carry calibrate_on, whose default alone still means the
+        # same, and output_dir, which nothing read
         if doc.get("calibrate_on", "validation") != "validation":
             raise ValueError(f"calibrate_on={doc['calibrate_on']!r}: the option was removed; "
                              "the rejector always learns from the validation split")
@@ -280,7 +278,6 @@ class ExperimentConfig:
             synthetic_n=doc["synthetic_n"],
             standardize_data=doc["standardize_data"],
             kernel=KernelSpec(bandwidth_grid=tuple(doc["sigma_grid"])),
-            output_dir=doc["output_dir"],
             workers=doc.get("workers", 1),
         )
 
@@ -422,12 +419,11 @@ def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: D
     return fit_mlp(train, replace(regressor, init_seed=RngHandle(seed, STREAM_MLP)))
 
 
-def _halves(data: Dataset) -> tuple[Dataset, Dataset]:
-    """First and second half of the rows; a one-row set serves as both."""
-    if data.n < 2:
-        return data, data
-    half = data.n // 2
-    return data.subset(np.arange(half)), data.subset(np.arange(half, data.n))
+def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first and second half of n rows; one row serves as both."""
+    if n < 2:
+        return np.arange(n), np.arange(n)
+    return np.arange(n // 2), np.arange(n // 2, n)
 
 
 def cost_calibrator(rejector: str, kernel: KernelSpec, f, val: Dataset, task, c: float):
@@ -435,11 +431,14 @@ def cost_calibrator(rejector: str, kernel: KernelSpec, f, val: Dataset, task, c:
 
     The kernel smoother picks its bandwidth from ``kernel``'s grid by the
     deferral loss at cost ``c``, fitting on one half of ``val`` and scoring
-    on the other, then refits on all of ``val``.
+    on the other, then refits on all of ``val``.  ``f`` predicts ``val``
+    once.
     """
     if rejector == "kernel":
-        spec = select_bandwidth(f, *_halves(val), kernel, c)
-        return kernel_calibrate(f, val, spec)
+        losses = (f.predict(val.features) - val.targets) ** 2
+        inner, outer = ((val.features[i], losses[i]) for i in _halves(val.n))
+        spec = select_bandwidth(inner, outer, kernel, c)
+        return KernelSmootherCalibrator(val.features, losses, spec)
     if rejector == "loss-linear":
         return linear_calibrate(f, val)
     if rejector == "oracle":
@@ -457,7 +456,7 @@ def budget_threshold(
     half.  Those scores are independent of both the regressor and the
     calibrator, as the threshold's coverage guarantee requires.
     """
-    fit_part, score_part = _halves(val)
+    fit_part, score_part = (val.subset(i) for i in _halves(val.n))
     if rejector == "kernel":
         # median length scale keeps the smoother in range without
         # consuming the score split
@@ -526,20 +525,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     else:
         reports = [one_repeat(i) for i in range(cfg.repeats)]
     return _aggregate(cfg, reports, seeds, t0)
-
-
-def run_fixed_cost(cfg: ExperimentConfig) -> RunReport:
-    """run_experiment for a fixed-cost config."""
-    if cfg.cost_config.mode is not CostMode.FIXED_COST:
-        raise ValueError("run_fixed_cost needs a fixed-cost config")
-    return run_experiment(cfg)
-
-
-def run_fixed_budget(cfg: ExperimentConfig) -> RunReport:
-    """run_experiment for a fixed-budget config."""
-    if cfg.cost_config.mode is not CostMode.FIXED_BUDGET:
-        raise ValueError("run_fixed_budget needs a fixed-budget config")
-    return run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .tasks import SyntheticTask
 
 __all__ = [
     "LossReport",
+    "rwr_report",
     "empirical_rwr_loss",
     "empirical_squared_loss",
     "risk_values",
@@ -68,27 +69,32 @@ class LossReport:
         return LossReport(**json.loads(doc))
 
 
-def empirical_rwr_loss(
-    f: Regressor, r: Rejector, data: Dataset, c: float
-) -> LossReport:
-    """Sample mean of r*(f-y)^2 + (1-r)*c, plus the accepted-only loss."""
-    if c < 0.0:
-        raise ValueError("deferral cost must be nonnegative")
-    if data.n == 0:
-        raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    sq = (f.predict(data.features) - data.targets) ** 2
-    acc = r.accept(data.features).astype(np.float64)
+def rwr_report(sq: np.ndarray, accept: np.ndarray, c: float) -> LossReport:
+    """Sample mean of r*(f-y)^2 + (1-r)*c, plus the accepted-only loss, from
+    per-sample squared errors ``sq`` and {0,1} decisions ``accept``."""
+    acc = accept.astype(np.float64)
     rwr = float(np.mean(acc * sq + (1.0 - acc) * c))
-    n_acc = int(acc.sum())
-    all_deferred = n_acc == 0
+    all_deferred = int(acc.sum()) == 0
     machine = 0.0 if all_deferred else float(sq[acc == 1.0].mean())
     return LossReport(
         rwr_loss=rwr,
         machine_loss=machine,
         rejection_rate=float(1.0 - acc.mean()),
-        n_evaluated=data.n,
+        n_evaluated=sq.shape[0],
         all_deferred=all_deferred,
     )
+
+
+def empirical_rwr_loss(
+    f: Regressor, r: Rejector, data: Dataset, c: float
+) -> LossReport:
+    """rwr_report of (f, r) on ``data``."""
+    if c < 0.0:
+        raise ValueError("deferral cost must be nonnegative")
+    if data.n == 0:
+        raise EmptyDatasetError("cannot evaluate on an empty dataset")
+    sq = (f.predict(data.features) - data.targets) ** 2
+    return rwr_report(sq, r.accept(data.features), c)
 
 
 def empirical_squared_loss(f: Regressor, data: Dataset) -> float:

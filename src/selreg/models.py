@@ -11,7 +11,6 @@ this way whenever the model class is rich enough.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "fit_mlp",
     "fit_knn_auto",
     "gradient_check",
-    "select_hyperparameters",
 ]
 
 DEFAULT_K_GRID = (5, 10, 15, 20, 30, 50, 70, 100, 150)
@@ -89,7 +87,7 @@ class KnnRegressor(Regressor):
             raise KTooLargeError(f"k={k} exceeds training size {self.train_x.shape[0]}")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return backend.knn_mean(_as_block(X), self.train_x, self.train_y, self.k)
+        return backend.knn_mean(_as_block(X), self.train_x, self.train_y, (self.k,))[0]
 
     def payload(self) -> dict:
         return {
@@ -269,35 +267,17 @@ def gradient_check(cfg: MlpConfig, probe: Dataset, step: float = 1e-5) -> Gradie
     return GradientCheckReport(max_relative_error=worst, per_layer=per_layer)
 
 
-def select_hyperparameters(
-    train: Dataset,
-    val: Dataset,
-    grid: Sequence,
-    fit_fn: Callable[[Dataset, object], Regressor],
-) -> object:
-    """Pick the grid element whose fitted model has the lowest validation
-    mean squared error; exact ties go to the earliest (smallest) element."""
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
-    from .losses import empirical_squared_loss
-
-    best, best_loss = None, np.inf
-    for cand in grid:
-        loss = empirical_squared_loss(fit_fn(train, cand), val)
-        if loss < best_loss:
-            best, best_loss = cand, loss
-    return best
-
-
 def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig | None = None) -> KnnRegressor:
     """Fit a k-NN regressor with k chosen on the validation split.
 
-    Grid entries above n_train are silently dropped (small-data runs keep
-    working); if nothing survives, k = n_train.
+    Every k in the grid comes from one neighbour ordering of ``val``
+    against ``train``; the lowest validation mean squared error wins, and
+    exact ties go to the smallest k.  Grid entries above n_train are
+    silently dropped (small-data runs keep working); if nothing survives,
+    k = n_train.
     """
     cfg = cfg or KnnConfig()
-    grid = sorted(k for k in cfg.k_grid if k <= train.n)
-    if not grid:
-        grid = [train.n]
-    k = select_hyperparameters(train, val, grid, lambda tr, k: fit_knn(tr, replace(cfg, k=k)))
-    return fit_knn(train, replace(cfg, k=k))
+    grid = sorted(k for k in cfg.k_grid if k <= train.n) or [train.n]
+    preds = backend.knn_mean(_as_block(val.features), train.features, train.targets, grid)
+    mse = np.mean((preds - val.targets) ** 2, axis=1)
+    return fit_knn(train, replace(cfg, k=grid[int(np.argmin(mse))]))

@@ -176,20 +176,28 @@ def induce_rejector(calibrator: Calibrator, c: float) -> InducedRejector:
 
 
 def select_bandwidth(
-    f: Regressor,
-    val_inner: Dataset,
-    val_outer: Dataset,
+    inner: tuple[np.ndarray, np.ndarray],
+    outer: tuple[np.ndarray, np.ndarray],
     kernel: KernelSpec,
     c: float,
 ) -> KernelSpec:
     """Pick the grid bandwidth whose induced rejector has the lowest
-    held-out combined loss; exact ties go to the smallest sigma."""
-    from .losses import empirical_rwr_loss
+    held-out combined loss; exact ties go to the smallest sigma.
 
+    ``inner`` and ``outer`` are (points, squared losses) of the regressor on
+    held-out rows: the smoother fits on ``inner`` and its rejector is scored
+    on ``outer``.
+    """
+    from .losses import rwr_report
+
+    if len(inner[1]) == 0 or len(outer[1]) == 0:
+        raise EmptyValidationError("validation data must be nonempty")
+    outer_points, outer_losses = outer
     best_sigma, best_loss = None, np.inf
     for sigma in sorted(kernel.bandwidth_grid):
-        cal = kernel_calibrate(f, val_inner, kernel.with_sigma(sigma))
-        loss = empirical_rwr_loss(f, induce_rejector(cal, c), val_outer, c).rwr_loss
+        cal = KernelSmootherCalibrator(*inner, kernel.with_sigma(sigma))
+        accept = induce_rejector(cal, c).accept(outer_points)
+        loss = rwr_report(outer_losses, accept, c).rwr_loss
         if loss < best_loss:
             best_sigma, best_loss = sigma, loss
     return kernel.with_sigma(best_sigma)

@@ -22,7 +22,7 @@ from selreg.core import (
     TableLookupRejector,
     split_dataset,
 )
-from selreg.harness import ExperimentConfig, run_fixed_cost
+from selreg.harness import ExperimentConfig, run_experiment
 from selreg.core import CostConfig
 from selreg.losses import excess_losses, oracle_rwr_risk, squared_risk, truncated_loss
 from selreg.models import MlpConfig, fit_knn_auto, fit_mlp, gradient_check
@@ -218,7 +218,7 @@ def test_criterion_07_pipeline_beats_always_defer():
                 seed=77,
                 synthetic_n=1000,
             )
-            rep = run_fixed_cost(cfg)
+            rep = run_experiment(cfg)
             margins.append(c - rep.rwr_mean)
         ok = all(m > 0.0 for m in margins)
     _report(7, "k-NN + kernel rejector beats the all-defer baseline at every cost",
@@ -261,9 +261,10 @@ def test_criterion_09_consistency_trends():
                 f = fit_knn_auto(train, val)
                 excesses.append(squared_risk(f, task) - noise_floor)
                 half = val.n // 2
-                inner = val.subset(np.arange(half))
-                outer = val.subset(np.arange(half, val.n))
-                spec = select_bandwidth(f, inner, outer, KernelSpec(), c)
+                losses = (f.predict(val.features) - val.targets) ** 2
+                inner = (val.features[:half], losses[:half])
+                outer = (val.features[half:], losses[half:])
+                spec = select_bandwidth(inner, outer, KernelSpec(), c)
                 cal = kernel_calibrate(f, val, spec)
                 achieved = oracle_rwr_risk(f, induce_rejector(cal, c), task, c)
                 gaps.append(abs(achieved - optimum))

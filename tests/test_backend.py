@@ -43,14 +43,14 @@ class TestContracts:
         values = np.array([10.0, 20.0, 99.0])
         # query at 1.0: exact-match row 2 first, then rows 0 and 2... row 0
         # and row 1 tie at distance 1; row 0 must win the second slot
-        got = impl.knn_mean(np.array([[1.0]]), points, values, 2)
+        got = impl.knn_mean(np.array([[1.0]]), points, values, (2,))[0]
         assert got[0] == pytest.approx((99.0 + 10.0) / 2.0)
 
     def test_knn_k_equals_m_is_plain_mean(self, name, impl):
         rng = np.random.default_rng(1)
         p = rng.normal(size=(9, 2))
         v = rng.normal(size=9)
-        got = impl.knn_mean(rng.normal(size=(4, 2)), p, v, 9)
+        got = impl.knn_mean(rng.normal(size=(4, 2)), p, v, (9,))[0]
         np.testing.assert_allclose(got, v.mean(), atol=1e-12)
 
     def test_nw_exact_hand_value(self, name, impl):
@@ -70,8 +70,9 @@ class TestContracts:
         assert got[0] == 1.0
 
     def test_knn_validates_k(self, name, impl):
-        with pytest.raises(ValueError):
-            impl.knn_mean(np.zeros((1, 1)), np.zeros((3, 1)), np.zeros(3), 4)
+        for ks in ((4,), (), (0,), (3, 0), (1, 4)):
+            with pytest.raises(ValueError):
+                impl.knn_mean(np.zeros((1, 1)), np.zeros((3, 1)), np.zeros(3), ks)
 
     # a one-column operand broadcasts against any width, so a mismatch must
     # be caught explicitly rather than left to NumPy
@@ -81,7 +82,7 @@ class TestContracts:
         with pytest.raises(ValueError, match="dimension mismatch"):
             impl.pairwise_sq_dists(q, p)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            impl.knn_mean(q, p, v, 1)
+            impl.knn_mean(q, p, v, (1,))
         with pytest.raises(ValueError, match="dimension mismatch"):
             impl.gaussian_nw(q, p, v, 1.0)
 
@@ -89,7 +90,7 @@ class TestContracts:
     def test_values_length_mismatch_rejected(self, name, impl, m_values):
         q, p, v = np.zeros((2, 1)), np.zeros((3, 1)), np.zeros(m_values)
         with pytest.raises(ValueError, match="values length"):
-            impl.knn_mean(q, p, v, 1)
+            impl.knn_mean(q, p, v, (1,))
         with pytest.raises(ValueError, match="values length"):
             impl.gaussian_nw(q, p, v, 1.0)
 
@@ -107,7 +108,7 @@ class TestContracts:
             np.testing.assert_allclose(impl.pairwise_sq_dists(q, p), brute_sq_dists(q, p), rtol=1e-12)
             for k in (1, 5, 60):
                 np.testing.assert_allclose(
-                    impl.knn_mean(q, p, v, k), brute_knn_mean(q, p, v, k), rtol=1e-12
+                    impl.knn_mean(q, p, v, (k,))[0], brute_knn_mean(q, p, v, k), rtol=1e-12
                 )
             for sigma in (1e-3, 1.0, 1e3):
                 np.testing.assert_allclose(
@@ -122,7 +123,7 @@ class TestContracts:
         q = np.array([[1.0], [1.5]])
         for k in (1, 2, 3):
             np.testing.assert_array_equal(
-                impl.knn_mean(q, points, values, k), brute_knn_mean(q, points, values, k)
+                impl.knn_mean(q, points, values, (k,))[0], brute_knn_mean(q, points, values, k)
             )
 
     def test_knn_integer_lattice_ties(self, name, impl):
@@ -136,7 +137,7 @@ class TestContracts:
             values = rng.permutation(m).astype(float)  # all distinct
             for k in (1, 2, m // 2 + 1, m):
                 np.testing.assert_array_equal(
-                    impl.knn_mean(queries, points, values, k), brute_knn_mean(queries, points, values, k)
+                    impl.knn_mean(queries, points, values, (k,))[0], brute_knn_mean(queries, points, values, k)
                 )
 
     def test_queries_spanning_several_blocks(self, name, impl):
@@ -147,7 +148,7 @@ class TestContracts:
         v = rng.permutation(40).astype(float)
         np.testing.assert_array_equal(impl.pairwise_sq_dists(q, p), brute_sq_dists(q, p))
         for k in (1, 7, 40):
-            np.testing.assert_array_equal(impl.knn_mean(q, p, v, k), brute_knn_mean(q, p, v, k))
+            np.testing.assert_array_equal(impl.knn_mean(q, p, v, (k,))[0], brute_knn_mean(q, p, v, k))
         np.testing.assert_allclose(impl.gaussian_nw(q, p, v + 1.0, 2.0), brute_nw(q, p, v + 1.0, 2.0), rtol=1e-12)
 
     def test_knn_tie_across_the_kth_boundary(self, name, impl):
@@ -159,15 +160,42 @@ class TestContracts:
         q = np.array([[0.0], [9.5]])
         for k in (1, 10, 300):
             np.testing.assert_array_equal(
-                impl.knn_mean(q, points, values, k), brute_knn_mean(q, points, values, k)
+                impl.knn_mean(q, points, values, (k,))[0], brute_knn_mean(q, points, values, k)
             )
+
+    @staticmethod
+    def _assert_rows_match_brute_force(impl, q, p, v, ks):
+        got = impl.knn_mean(q, p, v, ks)
+        assert got.shape == (len(ks), len(q))
+        for row, k in zip(got, ks):
+            np.testing.assert_array_equal(row, brute_knn_mean(q, p, v, k))
+
+    def test_knn_several_ks_match_brute_force(self, name, impl):
+        # one call over a k grid: row j equals the brute-force mean at ks[j],
+        # on random points, duplicated points and an integer lattice
+        rng = np.random.default_rng(11)
+        q, p = rng.normal(size=(300, 3)), rng.normal(size=(80, 3))
+        self._assert_rows_match_brute_force(impl, q, p, rng.normal(size=80), (5, 1, 80, 17))
+        dup = np.array([[1.0], [1.0], [1.0], [2.0]])
+        self._assert_rows_match_brute_force(impl, np.array([[1.0], [1.5]]), dup, np.arange(4.0), (1, 2, 3, 4))
+        for _ in range(20):
+            m = int(rng.integers(3, 30))
+            lattice = rng.integers(0, 3, size=(m, 2)).astype(float)
+            queries = rng.integers(0, 3, size=(8, 2)).astype(float)
+            self._assert_rows_match_brute_force(
+                impl, queries, lattice, rng.permutation(m).astype(float), (1, 2, m // 2 + 1, m)
+            )
+        # from 0, rows 1, 2 and 4 tie at distance 1, so k=2 cuts through the
+        # tie while the 5th and 6th nearest (rows 0 and 5) do not tie
+        line = np.array([[3.0], [1.0], [-1.0], [2.0], [1.0], [4.0], [5.0]])
+        self._assert_rows_match_brute_force(impl, np.array([[0.0]]), line, 10.0 ** np.arange(7), (2, 5))
 
 
 def test_kernel_memory_grows_with_the_block_not_the_query_count():
     rng = np.random.default_rng(2)
     q, p, v = rng.normal(size=(16 * 256, 2)), rng.normal(size=(1000, 2)), rng.normal(size=1000)
     full_matrix = q.shape[0] * p.shape[0] * 8
-    for run in (lambda: backend.knn_mean(q, p, v, 5), lambda: backend.gaussian_nw(q, p, v, 1.0)):
+    for run in (lambda: backend.knn_mean(q, p, v, (5,))[0], lambda: backend.gaussian_nw(q, p, v, 1.0)):
         tracemalloc.start()
         try:
             run()

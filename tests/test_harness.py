@@ -3,20 +3,21 @@ import logging
 import numpy as np
 import pytest
 
-from selreg.core import CostConfig, DataError
+from selreg.core import CostConfig, DataError, KernelSpec, Regressor
 from selreg.harness import (
     CSV_COLUMNS,
     EmptyAfterFilteringError,
     ExperimentConfig,
     MissingTargetError,
     RunReport,
+    budget_threshold,
     bundled_data_path,
+    cost_calibrator,
     emit_report,
+    fit_regressor,
     load_csv,
     materialize,
     run_experiment,
-    run_fixed_budget,
-    run_fixed_cost,
 )
 from selreg.oracle import bayes_risk
 from selreg.tasks import default_discrete_task
@@ -75,7 +76,7 @@ class TestRunFixedCost:
     def test_oracle_everything_matches_population_optimum(self):
         task = default_discrete_task()
         cfg = _cost_cfg(regressor="oracle", rejector="oracle", repeats=10, synthetic_n=1000)
-        rep = run_fixed_cost(cfg)
+        rep = run_experiment(cfg)
         optimum = bayes_risk(task, 2.0)
         # two-point noise keeps per-sample losses near-deterministic; the
         # residual scatter across repeats bounds the Monte Carlo error
@@ -83,17 +84,17 @@ class TestRunFixedCost:
         assert abs(rep.rwr_mean - optimum) <= max(spread, 0.02)
 
     def test_never_worse_than_always_defer(self):
-        rep = run_fixed_cost(_cost_cfg(repeats=5, synthetic_n=600))
+        rep = run_experiment(_cost_cfg(repeats=5, synthetic_n=600))
         sem = rep.rwr_std / np.sqrt(len(rep.repeats))
         assert rep.rwr_mean <= 2.0 + 3.0 * sem
 
     def test_deterministic_reruns(self):
-        a = run_fixed_cost(_cost_cfg())
-        b = run_fixed_cost(_cost_cfg())
+        a = run_experiment(_cost_cfg())
+        b = run_experiment(_cost_cfg())
         assert a == b  # wall clock excluded from equality
 
     def test_aggregates_match_recomputation(self):
-        rep = run_fixed_cost(_cost_cfg())
+        rep = run_experiment(_cost_cfg())
         rwr = np.array([r.rwr_loss for r in rep.repeats])
         assert rep.rwr_mean == pytest.approx(float(rwr.mean()), abs=1e-12)
         assert rep.rwr_std == pytest.approx(float(rwr.std(ddof=1)), abs=1e-12)
@@ -107,7 +108,7 @@ class TestRunFixedCost:
             repeats=2,
             seed=0,
         )
-        rep = run_fixed_cost(cfg)
+        rep = run_experiment(cfg)
         assert np.isfinite(rep.rwr_mean)
         assert rep.config["standardize_data"] is None  # CSV default: standardized
 
@@ -115,19 +116,20 @@ class TestRunFixedCost:
         from selreg.models import MlpConfig
 
         cfg = _cost_cfg(regressor=MlpConfig(epochs=20), repeats=2, synthetic_n=300)
-        rep = run_fixed_cost(cfg)
+        rep = run_experiment(cfg)
         assert np.isfinite(rep.rwr_mean)
 
     def test_config_echo_reproduces_run(self):
-        rep = run_fixed_cost(_cost_cfg())
+        rep = run_experiment(_cost_cfg())
         again = run_experiment(ExperimentConfig.from_dict(rep.config))
         assert again == rep
 
     def test_old_echo_with_default_calibrate_on_still_loads(self):
-        rep = run_fixed_cost(_cost_cfg())
+        rep = run_experiment(_cost_cfg())
         assert "calibrate_on" not in rep.config
-        old = dict(rep.config, calibrate_on="validation")
-        assert ExperimentConfig.from_dict(old).to_dict() == rep.config
+        assert "output_dir" not in rep.config
+        for old in (dict(rep.config, calibrate_on="validation"), dict(rep.config, output_dir=".")):
+            assert ExperimentConfig.from_dict(old).to_dict() == rep.config
 
     def test_old_echo_calibrating_on_train_is_refused(self):
         old = dict(_cost_cfg().to_dict(), calibrate_on="train")
@@ -139,8 +141,8 @@ class TestRunFixedCost:
             _cost_cfg(rejector="conformal")
 
     def test_threaded_repeats_match_sequential(self):
-        seq = run_fixed_cost(_cost_cfg(repeats=4))
-        par = run_fixed_cost(_cost_cfg(repeats=4, workers=4))
+        seq = run_experiment(_cost_cfg(repeats=4))
+        par = run_experiment(_cost_cfg(repeats=4, workers=4))
         assert [r.rwr_loss for r in par.repeats] == [r.rwr_loss for r in seq.repeats]
 
     def test_failed_repeat_carries_context(self, tmp_path):
@@ -152,7 +154,7 @@ class TestRunFixedCost:
             seed=5,
         )
         with pytest.raises(Exception, match=r"repeat 0 \(seed 5\)"):
-            run_fixed_cost(cfg)
+            run_experiment(cfg)
 
 
 class TestMaterialize:
@@ -175,6 +177,33 @@ class TestMaterialize:
             materialize("hetero7", 0)
 
 
+class _RowCounter(Regressor):
+    """A regressor that counts the rows passed to its predict."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, 0
+
+    def predict(self, X):
+        self.rows += len(X)
+        return self.inner.predict(X)
+
+
+class TestHeldOutPredictions:
+    def _fitted(self):
+        train, val, _, task = materialize("hetero6", 3, synthetic_n=400)
+        return _RowCounter(fit_regressor("knn", train, val, task, 3)), val, task
+
+    def test_cost_calibrator_predicts_each_validation_row_once(self):
+        f, val, task = self._fitted()
+        cost_calibrator("kernel", KernelSpec(), f, val, task, 2.0)
+        assert f.rows == val.n
+
+    def test_budget_threshold_predicts_the_fitting_half_only(self):
+        f, val, task = self._fitted()
+        budget_threshold("kernel", KernelSpec(), f, val, task, 0.2)
+        assert f.rows == val.n // 2
+
+
 class TestRunFixedBudget:
     def test_rejection_rate_within_budget_window(self):
         cfg = ExperimentConfig(
@@ -186,7 +215,7 @@ class TestRunFixedBudget:
             seed=3,
             synthetic_n=2000,
         )
-        rep = run_fixed_budget(cfg)
+        rep = run_experiment(cfg)
         m = 200  # half of the 400-row validation split scores the threshold
         assert 0.3 - 0.05 <= rep.rej_mean <= 0.3 + 1.0 / (m + 1) + 0.05
 
@@ -200,7 +229,7 @@ class TestRunFixedBudget:
             seed=5,
             synthetic_n=100,
         )
-        rep = run_fixed_budget(cfg)
+        rep = run_experiment(cfg)
         assert rep.rej_mean == 0.0
 
     def test_machine_loss_counts_accepted_only(self):
@@ -213,7 +242,7 @@ class TestRunFixedBudget:
             seed=9,
             synthetic_n=1000,
         )
-        rep = run_fixed_budget(cfg)
+        rep = run_experiment(cfg)
         for r in rep.repeats:
             if r.rejection_rate < 1.0:
                 # accepted-only mean of r*(f-y)^2 equals rwr at c=0 rescaled
@@ -224,7 +253,7 @@ class TestRunFixedBudget:
 
 class TestEmitReport:
     def _report(self):
-        return run_fixed_cost(_cost_cfg(repeats=2, synthetic_n=200))
+        return run_experiment(_cost_cfg(repeats=2, synthetic_n=200))
 
     def test_csv_schema(self, tmp_path):
         path = emit_report(self._report(), "csv", tmp_path)

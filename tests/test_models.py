@@ -21,10 +21,9 @@ from selreg.models import (
     fit_knn_auto,
     fit_mlp,
     gradient_check,
-    select_hyperparameters,
 )
 from selreg.oracle import random_table_rejector
-from selreg.tasks import default_discrete_task
+from selreg.tasks import default_discrete_task, default_smooth_task
 
 
 class TestKnn:
@@ -61,19 +60,17 @@ class TestKnn:
 
 
 class TestSelectHyperparameters:
-    @staticmethod
-    def _knn_fitter(train, k):
-        return fit_knn(train, KnnConfig(k=k))
+    """fit_knn_auto picks k on the validation split from one k-grid call."""
 
     def test_singleton_grid(self, tiny_dataset):
-        got = select_hyperparameters(tiny_dataset, tiny_dataset, [2], self._knn_fitter)
-        assert got == 2
+        got = fit_knn_auto(tiny_dataset, tiny_dataset, KnnConfig(k_grid=(2,)))
+        assert got.k == 2
 
     def test_tie_prefers_smaller(self):
         # constant targets: every k has zero validation loss
         data = Dataset(np.arange(6, dtype=float)[:, None], np.ones(6))
-        got = select_hyperparameters(data, data, [2, 4], self._knn_fitter)
-        assert got == 2
+        got = fit_knn_auto(data, data, KnnConfig(k_grid=(4, 2)))
+        assert got.k == 2
 
     def test_small_k_wins_on_sloped_data(self):
         rng = np.random.default_rng(0)
@@ -85,17 +82,25 @@ class TestSelectHyperparameters:
             k: empirical_squared_loss(fit_knn(train, KnnConfig(k=k)), val) for k in (5, 150)
         }
         assert losses[5] < losses[150]
-        got = select_hyperparameters(train, val, [5, 150], self._knn_fitter)
-        assert got == 5
+        got = fit_knn_auto(train, val, KnnConfig(k_grid=(5, 150)))
+        assert got.k == 5
 
-    def test_empty_grid_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            select_hyperparameters(tiny_dataset, tiny_dataset, [], self._knn_fitter)
+    def test_matches_per_k_fits_on_smooth1d(self):
+        data = default_smooth_task().sample(1500, RngHandle(4, STREAM_SAMPLE))
+        train, val, _ = split_dataset(data, SplitSpec(seed=4))
+        losses = {
+            k: empirical_squared_loss(fit_knn(train, KnnConfig(k=k)), val)
+            for k in KnnConfig().k_grid
+        }
+        assert len(set(losses.values())) > 1
+        assert fit_knn_auto(train, val).k == min(losses, key=lambda k: (losses[k], k))
 
     def test_auto_fit_truncates_grid_silently(self):
         data = Dataset(np.arange(8, dtype=float)[:, None], np.arange(8, dtype=float))
         model = fit_knn_auto(data, data, KnnConfig(k_grid=(5, 150)))
         assert model.k == 5
+        # with no grid entry left, k = n_train
+        assert fit_knn_auto(data, data, KnnConfig(k_grid=(50, 150))).k == 8
 
 
 class TestMlp:

@@ -9,6 +9,7 @@ from selreg.core import (
     DataError,
     Dataset,
     EmptyScoresError,
+    EmptyValidationError,
     KernelSpec,
     RngHandle,
     STREAM_SAMPLE,
@@ -35,6 +36,11 @@ from selreg.tasks import (
 
 def constant_regressor_on(points):
     return TableLookupRegressor(points, np.zeros(len(points)))
+
+
+def heldout(f, data):
+    """(points, squared losses) of f on data, as select_bandwidth takes them."""
+    return data.features, (f.predict(data.features) - data.targets) ** 2
 
 
 class TestKernelCalibrate:
@@ -158,7 +164,7 @@ class TestSelectBandwidth:
         data = two_point_task.sample(60, RngHandle(1, STREAM_SAMPLE))
         inner, outer = data.subset(np.arange(30)), data.subset(np.arange(30, 60))
         f = TableLookupRegressor(two_point_task.points, two_point_task.means)
-        spec = select_bandwidth(f, inner, outer, KernelSpec(bandwidth_grid=(0.5,)), c=2.0)
+        spec = select_bandwidth(heldout(f, inner), heldout(f, outer), KernelSpec(bandwidth_grid=(0.5,)), c=2.0)
         assert spec.length_scale_sigma == 0.5
 
     def test_argmin_consistent_with_direct_evaluation(self, two_point_task):
@@ -170,7 +176,7 @@ class TestSelectBandwidth:
         for sigma in grid:
             cal = kernel_calibrate(f, inner, KernelSpec(length_scale_sigma=sigma))
             direct[sigma] = empirical_rwr_loss(f, induce_rejector(cal, 2.0), outer, 2.0).rwr_loss
-        spec = select_bandwidth(f, inner, outer, KernelSpec(bandwidth_grid=grid), c=2.0)
+        spec = select_bandwidth(heldout(f, inner), heldout(f, outer), KernelSpec(bandwidth_grid=grid), c=2.0)
         assert spec.length_scale_sigma == min(grid, key=lambda s: (direct[s], s))
 
     def test_tie_prefers_smaller_sigma(self):
@@ -178,8 +184,15 @@ class TestSelectBandwidth:
         x = np.arange(10, dtype=float)[:, None]
         data = Dataset(x, np.zeros(10))
         f = TableLookupRegressor(x, np.zeros(10))
-        spec = select_bandwidth(f, data, data, KernelSpec(bandwidth_grid=(10.0, 0.1, 1.0)), c=1.0)
+        spec = select_bandwidth(heldout(f, data), heldout(f, data), KernelSpec(bandwidth_grid=(10.0, 0.1, 1.0)), c=1.0)
         assert spec.length_scale_sigma == 0.1
+
+    def test_empty_half_rejected(self):
+        one = (np.zeros((1, 1)), np.ones(1))
+        empty = (np.zeros((0, 1)), np.zeros(0))
+        for inner, outer in ((empty, one), (one, empty)):
+            with pytest.raises(EmptyValidationError):
+                select_bandwidth(inner, outer, KernelSpec(), c=1.0)
 
 
 class TestConformalThreshold:
