@@ -11,6 +11,7 @@ from .backend import BACKEND
 from .core import (
     CostConfig,
     CostMode,
+    DEFAULT_SIGMA_GRID,
     Dataset,
     KernelSpec,
     RngHandle,
@@ -36,6 +37,7 @@ __all__ = [
     "BACKEND",
     "CostConfig",
     "CostMode",
+    "DEFAULT_SIGMA_GRID",
     "Dataset",
     "KernelSpec",
     "KnnConfig",

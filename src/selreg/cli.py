@@ -4,7 +4,8 @@ Subcommands: fit, calibrate, bench, verify-theory, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 
 Flags can also come from a flat key=value config file (--config); explicit
-command-line flags win.
+command-line flags win.  A flag value that the run would refuse is a usage
+error.
 """
 
 from __future__ import annotations
@@ -12,19 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import (
     CostConfig,
+    CostMode,
+    DEFAULT_SIGMA_GRID,
     DataError,
-    KernelSpec,
     SelregError,
-    SplitSpec,
     model_from_json,
     model_to_json,
+    sigma_grid,
 )
 from .harness import (
-    REGRESSOR_KINDS,
     REJECTOR_KINDS,
     ExperimentConfig,
     RunReport,
@@ -35,12 +37,16 @@ from .harness import (
     materialize,
     run_experiment,
 )
+from .models import KnnConfig, MlpConfig
 from .tasks import task_names
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+
+# the --regressor choices and the settings that each one runs
+REGRESSORS = {"knn": KnnConfig(), "mlp": MlpConfig(), "oracle": "oracle"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,35 +69,36 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _collect_defaults(parser: argparse.ArgumentParser) -> dict:
-    defaults = {a.dest: a.default for a in parser._actions}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                defaults.update({a.dest: a.default for a in sub._actions})
-    return defaults
-
-
 def _apply_config_file(args: argparse.Namespace, parser: _Parser) -> None:
+    """Set each flag that the config file names, converted as the flag's own
+    argparse action converts it, unless the command line set it."""
     if not getattr(args, "config", None):
         return
-    file_values = _read_config_file(args.config)
-    defaults = _collect_defaults(parser)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if a.dest not in ("help", "config")}
+    for key, raw in _read_config_file(args.config).items():
+        action = actions.get(key)
+        if action is None:
             raise SelregError(f"config file sets unknown option {key!r}")
-        if getattr(args, key) != defaults.get(key):
+        if getattr(args, key) != action.default:
             continue  # explicit flag wins
-        current = defaults.get(key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            raise SelregError(f"config file sets {key} to {raw!r}, not a {action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise SelregError(f"config file sets {key} to {raw!r}; choose from {', '.join(action.choices)}")
         setattr(args, key, value)
+
+
+@contextmanager
+def _flag_values():
+    """A ValueError raised while turning flags into settings is a usage
+    error; one raised later is a fault of the run and propagates."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SelregError(str(exc)) from None
 
 
 def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
@@ -102,32 +109,28 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _sigma_grid(arg: str | None) -> tuple[float, ...]:
-    if not arg:
-        return KernelSpec().bandwidth_grid
-    return tuple(float(tok) for tok in arg.split(","))
+    if arg is None:
+        return DEFAULT_SIGMA_GRID
+    return sigma_grid(float(tok) for tok in arg.split(",") if tok.strip())
 
 
 def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.mode == "cost":
-        if args.cost is None:
-            raise SelregError("--cost is required with --mode cost")
-        cost = CostConfig.fixed_cost(args.cost)
-    else:
-        if args.budget is None:
-            raise SelregError("--budget is required with --mode budget")
-        cost = CostConfig.fixed_budget(args.budget)
-    return ExperimentConfig(
-        dataset_source=args.data,
-        cost_config=cost,
-        regressor=args.regressor,
-        rejector=args.rejector,
-        split=SplitSpec(seed=args.seed),
-        repeats=args.repeats,
-        seed=args.seed,
-        target_column=args.target_col,
-        synthetic_n=args.synthetic_n,
-        kernel=KernelSpec(bandwidth_grid=_sigma_grid(args.sigma_grid)),
-    )
+    if (args.cost if args.mode == "cost" else args.budget) is None:
+        raise SelregError(f"--{args.mode} is required with --mode {args.mode}")
+    with _flag_values():
+        return ExperimentConfig(
+            dataset_source=args.data,
+            cost_config=CostConfig(
+                CostMode(args.mode), cost_c=args.cost or 0.0, budget_gamma=args.budget or 0.0
+            ),
+            regressor=REGRESSORS[args.regressor],
+            rejector=args.rejector,
+            repeats=args.repeats,
+            seed=args.seed,
+            target_column=args.target_col,
+            synthetic_n=args.synthetic_n,
+            sigma_grid=_sigma_grid(args.sigma_grid),
+        )
 
 
 def _write(out: str, text: str) -> Path:
@@ -147,7 +150,7 @@ def _data_record(args) -> dict:
 def _cmd_fit(args) -> int:
     # the same splits and model as `bench` repeat 0 at this seed
     train, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
-    model = fit_regressor(args.regressor, train, val, task, args.seed)
+    model = fit_regressor(REGRESSORS[args.regressor], train, val, task, args.seed)
     doc = {**json.loads(model_to_json(model)), **_data_record(args)}
     out = _write(args.out, json.dumps(doc, sort_keys=True))
     print(f"wrote {args.regressor} model to {out}")
@@ -155,6 +158,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    with _flag_values():
+        cost = CostConfig.fixed_cost(args.cost).cost_c
+        gamma = None if args.budget is None else CostConfig.fixed_budget(args.budget).budget_gamma
+        grid = _sigma_grid(args.sigma_grid)
     text = Path(args.model).read_text()
     # validation rows are held out from the model, and scaled as its training
     # rows were, only at the data options it was fitted with; a model file
@@ -169,16 +176,15 @@ def _cmd_calibrate(args) -> int:
         raise SelregError(f"{args.model} was fitted on other data: " + "; ".join(mismatched))
     _, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = model_from_json(text)
-    kernel = KernelSpec(bandwidth_grid=_sigma_grid(args.sigma_grid))
-    calibrator = cost_calibrator("kernel", kernel, model, val, task, args.cost)
+    calibrator = cost_calibrator("kernel", grid, model, val, task, cost)
     doc = {
         "calibrator": json.loads(model_to_json(calibrator)),
         "sigma": calibrator.kernel.length_scale_sigma,
-        "cost": args.cost,
+        "cost": cost,
         "scores": calibrator.estimate(val.features).tolist(),
     }
-    if args.budget is not None:
-        budget_cal, th = budget_threshold("kernel", kernel, model, val, task, args.budget)
+    if gamma is not None:
+        budget_cal, th = budget_threshold("kernel", model, val, task, gamma)
         doc["conformal"] = {
             "calibrator": json.loads(model_to_json(budget_cal)),
             "c_hat": th.c_hat if th.c_hat != float("inf") else "inf",
@@ -228,7 +234,7 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit a regressor on the train split")
     _add_common_data_flags(p_fit)
-    p_fit.add_argument("--regressor", choices=REGRESSOR_KINDS, default="knn")
+    p_fit.add_argument("--regressor", choices=tuple(REGRESSORS), default="knn")
     p_fit.add_argument("--out", default="model.json")
     p_fit.set_defaults(fn=_cmd_fit)
 
@@ -246,11 +252,12 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--mode", choices=("cost", "budget"), required=True)
     p_bench.add_argument("--cost", type=float, default=None)
     p_bench.add_argument("--budget", type=float, default=None)
-    p_bench.add_argument("--regressor", choices=REGRESSOR_KINDS, default="knn")
+    p_bench.add_argument("--regressor", choices=tuple(REGRESSORS), default="knn")
     p_bench.add_argument("--rejector", choices=REJECTOR_KINDS, default="kernel")
     p_bench.add_argument("--repeats", type=int, default=10)
     p_bench.add_argument("--synthetic-n", type=int, default=1000)
-    p_bench.add_argument("--sigma-grid", default=None)
+    p_bench.add_argument("--sigma-grid", default=None,
+                         help="comma-separated bandwidths; only the kernel rejector in cost mode searches them")
     p_bench.add_argument("--out", default=".")
     p_bench.add_argument("--format", choices=("json", "csv"), default="json")
     p_bench.set_defaults(fn=_cmd_bench)

@@ -33,6 +33,8 @@ __all__ = [
     "SplitSpec",
     "ScalingParams",
     "KernelSpec",
+    "DEFAULT_SIGMA_GRID",
+    "sigma_grid",
     "RngHandle",
     "Regressor",
     "Rejector",
@@ -189,12 +191,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/validation/test fractions plus the permutation seed."""
+    """Train/validation/test fractions."""
 
     train_fraction: float = 0.7
     val_fraction: float = 0.2
     test_fraction: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
@@ -204,12 +205,12 @@ class SplitSpec:
             raise ValueError(f"fractions must sum to 1, got {sum(fracs)!r}")
 
 
-def split_dataset(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+def split_dataset(data: Dataset, spec: SplitSpec, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint row partition into (train, val, test).
 
     Sizes are floor allocations of the fractions; remainder rows go to train
     (the regressor is fitted on all of them, so train gets the extras).  The
-    permutation is fully determined by ``spec.seed``.
+    permutation is fully determined by ``seed``.
     """
     n = data.n
     if n < 3:
@@ -222,7 +223,7 @@ def split_dataset(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dat
         raise EmptySplitError(
             f"split sizes ({n_train},{n_val},{n_test}) contain an empty split for n={n}"
         )
-    perm = RngHandle(spec.seed, STREAM_SPLIT).generator().permutation(n)
+    perm = RngHandle(seed, STREAM_SPLIT).generator().permutation(n)
     i_train = perm[:n_train]
     i_val = perm[n_train : n_train + n_val]
     i_test = perm[n_train + n_val :]
@@ -296,10 +297,16 @@ class CostConfig:
     budget_gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode is CostMode.FIXED_COST and not self.cost_c > 0.0:
-            raise ValueError("fixed-cost mode requires cost_c > 0")
-        if self.mode is CostMode.FIXED_BUDGET and not 0.0 < self.budget_gamma < 1.0:
-            raise ValueError("fixed-budget mode requires budget_gamma in (0,1)")
+        if self.mode is CostMode.FIXED_COST:
+            if not self.cost_c > 0.0:
+                raise ValueError("fixed-cost mode requires cost_c > 0")
+            if self.budget_gamma != 0.0:
+                raise ValueError("fixed-cost mode reads no budget_gamma")
+        else:
+            if not 0.0 < self.budget_gamma < 1.0:
+                raise ValueError("fixed-budget mode requires budget_gamma in (0,1)")
+            if self.cost_c != 0.0:
+                raise ValueError("fixed-budget mode reads no cost_c")
 
     @classmethod
     def fixed_cost(cls, c: float) -> "CostConfig":
@@ -312,26 +319,28 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian RBF kernel k(x, x') = exp(-||x - x'||^2 / sigma).
-
-    ``bandwidth_grid`` is the candidate set searched during bandwidth
-    selection; the default spans seven decades.
+    """Gaussian RBF kernel k(x, x') = exp(-||x - x'||^2 / sigma) at one
+    bandwidth sigma.  Bandwidth selection searches a grid of sigmas (see
+    ``sigma_grid``) and returns the KernelSpec of its choice.
     """
 
     length_scale_sigma: float = 1.0
-    bandwidth_grid: tuple[float, ...] = tuple(10.0**j for j in range(-3, 4))
-    family: str = "gaussian_rbf"
 
     def __post_init__(self) -> None:
         if not self.length_scale_sigma > 0.0:
             raise ValueError("length_scale_sigma must be positive")
-        if len(self.bandwidth_grid) == 0 or any(s <= 0.0 for s in self.bandwidth_grid):
-            raise ValueError("bandwidth_grid must be nonempty and strictly positive")
-        if self.family != "gaussian_rbf":
-            raise ValueError(f"unknown kernel family {self.family!r}")
 
-    def with_sigma(self, sigma: float) -> "KernelSpec":
-        return KernelSpec(float(sigma), self.bandwidth_grid, self.family)
+
+# the candidate bandwidths of selection when none are given: seven decades
+DEFAULT_SIGMA_GRID = tuple(10.0**j for j in range(-3, 4))
+
+
+def sigma_grid(values: Sequence[float]) -> tuple[float, ...]:
+    """``values`` as a bandwidth grid; refuses an empty or nonpositive one."""
+    grid = tuple(float(s) for s in values)
+    if not grid or any(not s > 0.0 for s in grid):
+        raise ValueError(f"sigma grid must be nonempty and strictly positive, got {grid}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +356,6 @@ class Regressor(ABC):
     @abstractmethod
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Vectorized prediction for an [n, d] feature block."""
-
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
 
     def payload(self) -> dict:
         raise NotImplementedError(f"{self.kind} models are not serializable")
@@ -427,9 +433,6 @@ class TableLookupRegressor(Regressor):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.values[self._nearest(X)]
-
-    def with_values(self, values: np.ndarray) -> "TableLookupRegressor":
-        return TableLookupRegressor(self.points, values)
 
     def payload(self) -> dict:
         return {"points": self.points.tolist(), "values": self.values.tolist()}

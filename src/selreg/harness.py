@@ -3,13 +3,16 @@ fixed-budget runs, and report emission.
 
 One repeat runs four stages, which the CLI's ``fit`` and ``calibrate`` call
 too: ``materialize``, ``fit_regressor``, then ``cost_calibrator`` or
-``budget_threshold``.
+``budget_threshold``.  Each stage takes only the settings it reads, and
+``ExperimentConfig`` refuses a setting that its run would not read, so a
+config echo names exactly what ran.
 
-Per-repeat seeds are master_seed + repeat_index on named streams, so every
-table is exactly reproducible from its config echo.  CSV targets are
-z-scored on train statistics so that deferral costs are comparable across
-datasets; synthetic tasks are left in their native units because their
-population optima are stated there.
+Per-repeat seeds are master_seed + repeat_index on named streams: the
+repeat seed draws the synthetic sample, permutes the split and initialises
+the MLP, so every table is exactly reproducible from its config echo.  CSV
+features and targets are z-scored on train statistics so that deferral
+costs are comparable across datasets; synthetic tasks are left in their
+native units because their population optima are stated there.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import csv
 import io
 import json
 import logging
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +32,16 @@ from .core import (
     Calibrator,
     CostConfig,
     CostMode,
+    DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
     KernelSpec,
     RngHandle,
-    STREAM_MLP,
     STREAM_SAMPLE,
     SelregError,
     SplitSpec,
     TableLookupRegressor,
+    sigma_grid,
     standardize,
 )
 from .losses import LossReport, empirical_rwr_loss
@@ -74,7 +77,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 REJECTOR_KINDS = ("kernel", "loss-linear", "oracle")
-REGRESSOR_KINDS = ("knn", "mlp", "oracle")
 
 
 class MissingTargetError(DataError):
@@ -172,10 +174,17 @@ def bundled_data_path(name: str) -> Path:
 class ExperimentConfig:
     """Everything needed to reproduce one benchmark row.
 
-    dataset_source is a synthetic task name ("hetero6", "smooth1d") or
-    else a CSV path.  The rejector always learns from the validation split,
-    disjoint from the training rows.  workers > 1 runs the repeats on a
-    thread pool; per-repeat seeding makes the result identical either way.
+    dataset_source is a synthetic task name ("hetero6", "smooth1d"), which
+    draws ``synthetic_n`` rows, or else a CSV path, whose ``target_column``
+    is the target.  The regressor is a KnnConfig (k picked from its
+    ``k_grid``), an MlpConfig, or "oracle" (the task's true mean).  The
+    rejector always learns from the validation split, disjoint from the
+    training rows; only the kernel rejector in cost mode searches
+    ``sigma_grid``.  workers > 1 runs the repeats on a thread pool;
+    per-repeat seeding makes the result identical either way.
+
+    A value that the run would not read is refused with ValueError rather
+    than echoed.
     """
 
     dataset_source: str
@@ -187,8 +196,7 @@ class ExperimentConfig:
     seed: int = 0
     target_column: str = "target"
     synthetic_n: int = 1000
-    standardize_data: bool | None = None  # None: CSV yes, synthetic no
-    kernel: KernelSpec = field(default_factory=KernelSpec)
+    sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -198,8 +206,16 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.rejector not in REJECTOR_KINDS:
             raise ValueError(f"rejector must be one of {REJECTOR_KINDS}")
-        if isinstance(self.regressor, str) and self.regressor not in REGRESSOR_KINDS:
-            raise ValueError(f"regressor must be one of {REGRESSOR_KINDS}")
+        if not isinstance(self.regressor, (KnnConfig, MlpConfig)) and self.regressor != "oracle":
+            raise ValueError(f'regressor must be a KnnConfig, an MlpConfig or "oracle", got {self.regressor!r}')
+        if isinstance(self.regressor, KnnConfig) and self.regressor.k != KnnConfig.k:
+            raise ValueError(f"KnnConfig(k={self.regressor.k}): the run picks k from k_grid; "
+                             f"write k_grid=({self.regressor.k},) for a fixed k")
+        object.__setattr__(self, "sigma_grid", sigma_grid(self.sigma_grid))
+        searched = self.rejector == "kernel" and self.cost_config.mode is CostMode.FIXED_COST
+        if self.sigma_grid != DEFAULT_SIGMA_GRID and not searched:
+            raise ValueError(f"sigma_grid is searched only by the kernel rejector in cost mode, "
+                             f"not by {self.rejector} in {self.cost_config.mode.value} mode")
 
     def method_name(self) -> str:
         reg = self.regressor if isinstance(self.regressor, str) else (
@@ -210,16 +226,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         reg = self.regressor
         if isinstance(reg, KnnConfig):
-            reg_doc = {"kind": "knn", "k": reg.k, "k_grid": list(reg.k_grid)}
+            reg_doc = {"kind": "knn", "k_grid": list(reg.k_grid)}
         elif isinstance(reg, MlpConfig):
-            reg_doc = {
-                "kind": "mlp",
-                "hidden_width": reg.hidden_width,
-                "learning_rate": reg.learning_rate,
-                "weight_decay": reg.weight_decay,
-                "batch_size": reg.batch_size,
-                "epochs": reg.epochs,
-            }
+            reg_doc = {"kind": "mlp", **asdict(reg)}
         else:
             reg_doc = {"kind": reg}
         return {
@@ -229,41 +238,34 @@ class ExperimentConfig:
             "budget_gamma": self.cost_config.budget_gamma,
             "regressor": reg_doc,
             "rejector": self.rejector,
-            "split": {
-                "train_fraction": self.split.train_fraction,
-                "val_fraction": self.split.val_fraction,
-                "test_fraction": self.split.test_fraction,
-                "seed": self.split.seed,
-            },
+            "split": asdict(self.split),
             "repeats": self.repeats,
             "seed": self.seed,
             "target_column": self.target_column,
             "synthetic_n": self.synthetic_n,
-            "standardize_data": self.standardize_data,
-            "sigma_grid": list(self.kernel.bandwidth_grid),
+            "sigma_grid": list(self.sigma_grid),
             "workers": self.workers,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        # older echoes carry calibrate_on, whose default alone still means the
-        # same, and output_dir, which nothing read
-        if doc.get("calibrate_on", "validation") != "validation":
-            raise ValueError(f"calibrate_on={doc['calibrate_on']!r}: the option was removed; "
-                             "the rejector always learns from the validation split")
+        # Older echoes may carry calibrate_on and standardize_data, whose
+        # defaults alone still mean the same; output_dir, which nothing read;
+        # and split.seed and the kNN k, which the run always replaced.  An
+        # echo of "knn" or "mlp" by name ran the default config.
+        for key, default, rule in (
+            ("calibrate_on", "validation", "the rejector always learns from the validation split"),
+            ("standardize_data", None, "CSVs are z-scored and synthetic tasks keep native units"),
+        ):
+            if doc.get(key, default) != default:
+                raise ValueError(f"{key}={doc[key]!r}: the option was removed; {rule}")
         mode = CostMode(doc["mode"])
         cost = CostConfig(mode, cost_c=doc["cost_c"], budget_gamma=doc["budget_gamma"])
         reg_doc = doc["regressor"]
-        if reg_doc["kind"] == "knn" and "k" in reg_doc:
-            reg = KnnConfig(k=reg_doc["k"], k_grid=tuple(reg_doc["k_grid"]))
-        elif reg_doc["kind"] == "mlp" and "hidden_width" in reg_doc:
-            reg = MlpConfig(
-                hidden_width=reg_doc["hidden_width"],
-                learning_rate=reg_doc["learning_rate"],
-                weight_decay=reg_doc["weight_decay"],
-                batch_size=reg_doc["batch_size"],
-                epochs=reg_doc["epochs"],
-            )
+        if reg_doc["kind"] == "knn":
+            reg = KnnConfig(k_grid=tuple(reg_doc.get("k_grid", KnnConfig.k_grid)))
+        elif reg_doc["kind"] == "mlp":
+            reg = MlpConfig(**{k: v for k, v in reg_doc.items() if k != "kind"})
         else:
             reg = reg_doc["kind"]
         return ExperimentConfig(
@@ -271,23 +273,21 @@ class ExperimentConfig:
             cost_config=cost,
             regressor=reg,
             rejector=doc["rejector"],
-            split=SplitSpec(**doc["split"]),
+            split=SplitSpec(**{k: v for k, v in doc["split"].items() if k != "seed"}),
             repeats=doc["repeats"],
             seed=doc["seed"],
             target_column=doc["target_column"],
             synthetic_n=doc["synthetic_n"],
-            standardize_data=doc["standardize_data"],
-            kernel=KernelSpec(bandwidth_grid=tuple(doc["sigma_grid"])),
+            sigma_grid=doc["sigma_grid"],
             workers=doc.get("workers", 1),
         )
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated result of one repeated experiment.
-
-    Equality ignores wall_clock_s so that identically seeded reruns compare
-    equal; everything else is deterministic.
+    """Aggregated result of one repeated experiment.  Every field is
+    deterministic, so identically seeded reruns compare equal and emit
+    byte-identical files.
     """
 
     dataset: str
@@ -303,47 +303,21 @@ class RunReport:
     rej_std: float
     config: dict
     seed_ledger: tuple[int, ...]
-    wall_clock_s: float = field(compare=False, default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "c_or_gamma": self.c_or_gamma,
-            "method": self.method,
-            "repeats": [json.loads(r.to_json()) for r in self.repeats],
-            "rwr_mean": self.rwr_mean,
-            "rwr_std": self.rwr_std,
-            "machine_mean": self.machine_mean,
-            "machine_std": self.machine_std,
-            "rej_mean": self.rej_mean,
-            "rej_std": self.rej_std,
-            "config": self.config,
-            "seed_ledger": list(self.seed_ledger),
-            "wall_clock_s": self.wall_clock_s,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(repeats=[json.loads(r.to_json()) for r in self.repeats], seed_ledger=list(self.seed_ledger))
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @staticmethod
     def from_dict(doc: dict) -> "RunReport":
-        return RunReport(
-            dataset=doc["dataset"],
-            mode=doc["mode"],
-            c_or_gamma=doc["c_or_gamma"],
-            method=doc["method"],
-            repeats=tuple(LossReport(**r) for r in doc["repeats"]),
-            rwr_mean=doc["rwr_mean"],
-            rwr_std=doc["rwr_std"],
-            machine_mean=doc["machine_mean"],
-            machine_std=doc["machine_std"],
-            rej_mean=doc["rej_mean"],
-            rej_std=doc["rej_std"],
-            config=doc["config"],
-            seed_ledger=tuple(doc["seed_ledger"]),
-            wall_clock_s=doc["wall_clock_s"],
-        )
+        # older reports also carry wall_clock_s, which is not read
+        kw = {f.name: doc[f.name] for f in fields(RunReport)}
+        kw.update(repeats=tuple(LossReport(**r) for r in doc["repeats"]), seed_ledger=tuple(doc["seed_ledger"]))
+        return RunReport(**kw)
 
     @staticmethod
     def from_json(doc: str) -> "RunReport":
@@ -354,9 +328,7 @@ def _std(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-def _aggregate(
-    cfg: ExperimentConfig, reports: list[LossReport], seeds: list[int], t0: float
-) -> RunReport:
+def _aggregate(cfg: ExperimentConfig, reports: list[LossReport], seeds: list[int]) -> RunReport:
     rwr = np.array([r.rwr_loss for r in reports])
     mach = np.array([r.machine_loss for r in reports])
     rej = np.array([r.rejection_rate for r in reports])
@@ -375,48 +347,43 @@ def _aggregate(
         rej_std=_std(rej),
         config=cfg.to_dict(),
         seed_ledger=tuple(seeds),
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
 def materialize(
     source: str, seed: int, *, target_column: str = "target", synthetic_n: int = 1000,
-    split: SplitSpec = SplitSpec(), standardize_data: bool | None = None,
+    split: SplitSpec = SplitSpec(),
 ) -> tuple[Dataset, Dataset, Dataset, SyntheticTask | None]:
     """(train, val, test, task) for one repeat at ``seed``, which also seeds
-    the split permutation in place of ``split.seed``.
+    the split permutation.
 
     A source that names a registered synthetic task draws ``synthetic_n``
-    rows from it; any other source is read as a CSV (task None).  With
-    ``standardize_data`` None, CSVs are z-scored, targets too, on train
-    statistics and synthetic data keeps its native units.
+    rows from it and keeps its native units; any other source is read as a
+    CSV (task None) and z-scored, targets too, on train statistics.
     """
-    synthetic = source in task_names()
-    if synthetic:
+    if source in task_names():
         task = get_task(source)
         data = task.sample(synthetic_n, RngHandle(seed, STREAM_SAMPLE))
-    else:
-        task = None
-        data = load_csv(source, target_column)
-    train, val, test = core.split_dataset(data, replace(split, seed=seed))
-    if standardize_data if standardize_data is not None else not synthetic:
-        train, (val, test), _ = standardize(train, [val, test], targets=True)
-    return train, val, test, task
+        return (*core.split_dataset(data, split, seed), task)
+    data = load_csv(source, target_column)
+    train, val, test = core.split_dataset(data, split, seed)
+    train, (val, test), _ = standardize(train, [val, test], targets=True)
+    return train, val, test, None
 
 
 def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: Dataset, task, seed: int):
     """Fit on every training row.  kNN picks k on ``val``; the MLP draws its
     initial weights from ``seed``; "oracle" looks up the task's true mean."""
-    if isinstance(regressor, str):
-        if regressor == "oracle":
-            if task is None:
-                raise SelregError("the oracle regressor needs a synthetic task source")
-            points, _ = task.eval_points()
-            return TableLookupRegressor(points, task.mean_at(points))
-        regressor = KnnConfig() if regressor == "knn" else MlpConfig()
     if isinstance(regressor, KnnConfig):
         return fit_knn_auto(train, val, regressor)
-    return fit_mlp(train, replace(regressor, init_seed=RngHandle(seed, STREAM_MLP)))
+    if isinstance(regressor, MlpConfig):
+        return fit_mlp(train, regressor, seed)
+    if regressor != "oracle":
+        raise SelregError(f"unknown regressor {regressor!r}")
+    if task is None:
+        raise SelregError("the oracle regressor needs a synthetic task source")
+    points, _ = task.eval_points()
+    return TableLookupRegressor(points, task.mean_at(points))
 
 
 def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,31 +393,23 @@ def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n // 2), np.arange(n // 2, n)
 
 
-def cost_calibrator(rejector: str, kernel: KernelSpec, f, val: Dataset, task, c: float):
+def cost_calibrator(rejector: str, grid: tuple[float, ...], f, val: Dataset, task, c: float):
     """Conditional-risk estimate of ``f`` from its losses on ``val``.
 
-    The kernel smoother picks its bandwidth from ``kernel``'s grid by the
-    deferral loss at cost ``c``, fitting on one half of ``val`` and scoring
-    on the other, then refits on all of ``val``.  ``f`` predicts ``val``
-    once.
+    The kernel smoother picks its bandwidth from ``grid`` by the deferral
+    loss at cost ``c``, fitting on one half of ``val`` and scoring on the
+    other, then refits on all of ``val``.  ``f`` predicts ``val`` once.  The
+    other rejectors read neither ``grid`` nor ``c``.
     """
-    if rejector == "kernel":
-        losses = (f.predict(val.features) - val.targets) ** 2
-        inner, outer = ((val.features[i], losses[i]) for i in _halves(val.n))
-        spec = select_bandwidth(inner, outer, kernel, c)
-        return KernelSmootherCalibrator(val.features, losses, spec)
-    if rejector == "loss-linear":
-        return linear_calibrate(f, val)
-    if rejector == "oracle":
-        if task is None:
-            raise SelregError("the oracle rejector needs a synthetic task source")
-        return OracleRiskCalibrator(task, f)
-    raise SelregError(f"unknown rejector kind {rejector!r}")
+    if rejector != "kernel":
+        return _gridless_calibrator(rejector, f, val, task)
+    losses = (f.predict(val.features) - val.targets) ** 2
+    inner, outer = ((val.features[i], losses[i]) for i in _halves(val.n))
+    spec = select_bandwidth(inner, outer, grid, c)
+    return KernelSmootherCalibrator(val.features, losses, spec)
 
 
-def budget_threshold(
-    rejector: str, kernel: KernelSpec, f, val: Dataset, task, gamma: float
-) -> tuple[Calibrator, ConformalThreshold]:
+def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tuple[Calibrator, ConformalThreshold]:
     """Calibrator fitted on the first half of ``val`` and the conformal
     acceptance threshold for budget ``gamma`` from its scores on the second
     half.  Those scores are independent of both the regressor and the
@@ -461,10 +420,21 @@ def budget_threshold(
         # median length scale keeps the smoother in range without
         # consuming the score split
         sigma = _median_sq_dist(fit_part.features)
-        calibrator = kernel_calibrate(f, fit_part, kernel.with_sigma(sigma))
+        calibrator = kernel_calibrate(f, fit_part, KernelSpec(length_scale_sigma=sigma))
     else:
-        calibrator = cost_calibrator(rejector, kernel, f, fit_part, task, 0.0)
+        calibrator = _gridless_calibrator(rejector, f, fit_part, task)
     return calibrator, conformal_threshold(calibrator.estimate(score_part.features), gamma)
+
+
+def _gridless_calibrator(rejector: str, f, val: Dataset, task) -> Calibrator:
+    """The calibrators that take no bandwidth and no cost."""
+    if rejector == "loss-linear":
+        return linear_calibrate(f, val)
+    if rejector == "oracle":
+        if task is None:
+            raise SelregError("the oracle rejector needs a synthetic task source")
+        return OracleRiskCalibrator(task, f)
+    raise SelregError(f"unknown rejector kind {rejector!r}")
 
 
 def _median_sq_dist(X: np.ndarray) -> float:
@@ -491,7 +461,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     aborts the whole run with its index and seed attached.
     """
     cc = cfg.cost_config
-    t0 = time.perf_counter()
     seeds = [cfg.seed + i for i in range(cfg.repeats)]
 
     def one_repeat(i: int) -> LossReport:
@@ -499,18 +468,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         try:
             train, val, test, task = materialize(
                 cfg.dataset_source, seed, target_column=cfg.target_column,
-                synthetic_n=cfg.synthetic_n, split=cfg.split, standardize_data=cfg.standardize_data,
+                synthetic_n=cfg.synthetic_n, split=cfg.split,
             )
             f = fit_regressor(cfg.regressor, train, val, task, seed)
             if cc.mode is CostMode.FIXED_COST:
                 c = cc.cost_c
-                calibrator = cost_calibrator(cfg.rejector, cfg.kernel, f, val, task, c)
+                calibrator = cost_calibrator(cfg.rejector, cfg.sigma_grid, f, val, task, c)
                 rejector = induce_rejector(calibrator, c)
             else:
                 c = 0.0
-                calibrator, th = budget_threshold(
-                    cfg.rejector, cfg.kernel, f, val, task, cc.budget_gamma
-                )
+                calibrator, th = budget_threshold(cfg.rejector, f, val, task, cc.budget_gamma)
                 rejector = th.rejector(calibrator)
             return empirical_rwr_loss(f, rejector, test, c)
         except Exception as exc:
@@ -524,7 +491,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             reports = list(pool.map(one_repeat, range(cfg.repeats)))
     else:
         reports = [one_repeat(i) for i in range(cfg.repeats)]
-    return _aggregate(cfg, reports, seeds, t0)
+    return _aggregate(cfg, reports, seeds)
 
 
 # ---------------------------------------------------------------------------

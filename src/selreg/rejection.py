@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .core import (
     _as_block,
     _freeze,
     register_model,
+    sigma_grid,
 )
 from .tasks import (
     BinaryTask,
@@ -178,10 +180,10 @@ def induce_rejector(calibrator: Calibrator, c: float) -> InducedRejector:
 def select_bandwidth(
     inner: tuple[np.ndarray, np.ndarray],
     outer: tuple[np.ndarray, np.ndarray],
-    kernel: KernelSpec,
+    grid: Sequence[float],
     c: float,
 ) -> KernelSpec:
-    """Pick the grid bandwidth whose induced rejector has the lowest
+    """Pick the bandwidth of ``grid`` whose induced rejector has the lowest
     held-out combined loss; exact ties go to the smallest sigma.
 
     ``inner`` and ``outer`` are (points, squared losses) of the regressor on
@@ -194,13 +196,13 @@ def select_bandwidth(
         raise EmptyValidationError("validation data must be nonempty")
     outer_points, outer_losses = outer
     best_sigma, best_loss = None, np.inf
-    for sigma in sorted(kernel.bandwidth_grid):
-        cal = KernelSmootherCalibrator(*inner, kernel.with_sigma(sigma))
+    for sigma in sorted(sigma_grid(grid)):
+        cal = KernelSmootherCalibrator(*inner, KernelSpec(sigma))
         accept = induce_rejector(cal, c).accept(outer_points)
         loss = rwr_report(outer_losses, accept, c).rwr_loss
         if loss < best_loss:
             best_sigma, best_loss = sigma, loss
-    return kernel.with_sigma(best_sigma)
+    return KernelSpec(best_sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from selreg.core import (
+    DEFAULT_SIGMA_GRID,
     Dataset,
-    KernelSpec,
     RngHandle,
-    STREAM_MLP,
     STREAM_SAMPLE,
     STREAM_VERIFY,
     SplitSpec,
@@ -25,7 +24,7 @@ from selreg.core import (
 from selreg.harness import ExperimentConfig, run_experiment
 from selreg.core import CostConfig
 from selreg.losses import excess_losses, oracle_rwr_risk, squared_risk, truncated_loss
-from selreg.models import MlpConfig, fit_knn_auto, fit_mlp, gradient_check
+from selreg.models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp, gradient_check
 from selreg.oracle import (
     LocalityMetric,
     bayes_risk,
@@ -212,7 +211,7 @@ def test_criterion_07_pipeline_beats_always_defer():
             cfg = ExperimentConfig(
                 dataset_source="hetero6",
                 cost_config=CostConfig.fixed_cost(c),
-                regressor="knn",
+                regressor=KnnConfig(),
                 rejector="kernel",
                 repeats=10,
                 seed=77,
@@ -230,12 +229,12 @@ def test_criterion_08_mlp_gradients_and_determinism():
     with _Timer() as t:
         rng = np.random.default_rng(108)
         probe = Dataset(rng.normal(size=(16, 3)), rng.normal(size=16))
-        report = gradient_check(MlpConfig(init_seed=RngHandle(8, STREAM_MLP)), probe)
+        report = gradient_check(MlpConfig(), probe, 8)
         grad_ok = report.max_relative_error <= 1e-4
 
         data = Dataset(rng.normal(size=(200, 2)), rng.normal(size=200))
-        cfg = MlpConfig(epochs=40, init_seed=RngHandle(88, STREAM_MLP))
-        a, b = fit_mlp(data, cfg), fit_mlp(data, cfg)
+        cfg = MlpConfig(epochs=40)
+        a, b = fit_mlp(data, cfg, 88), fit_mlp(data, cfg, 88)
         bit_ok = all(
             np.array_equal(pa, pb)
             for pa, pb in zip((a.w1, a.b1, a.w2, a.b2), (b.w1, b.b1, b.w2, b.b2))
@@ -257,14 +256,14 @@ def test_criterion_09_consistency_trends():
             excesses, gaps = [], []
             for seed in range(9):
                 data = task.sample(n, RngHandle(9000 + seed, STREAM_SAMPLE))
-                train, val, _ = split_dataset(data, SplitSpec(seed=seed))
+                train, val, _ = split_dataset(data, SplitSpec(), seed)
                 f = fit_knn_auto(train, val)
                 excesses.append(squared_risk(f, task) - noise_floor)
                 half = val.n // 2
                 losses = (f.predict(val.features) - val.targets) ** 2
                 inner = (val.features[:half], losses[:half])
                 outer = (val.features[half:], losses[half:])
-                spec = select_bandwidth(inner, outer, KernelSpec(), c)
+                spec = select_bandwidth(inner, outer, DEFAULT_SIGMA_GRID, c)
                 cal = kernel_calibrate(f, val, spec)
                 achieved = oracle_rwr_risk(f, induce_rejector(cal, c), task, c)
                 gaps.append(abs(achieved - optimum))

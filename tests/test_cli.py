@@ -61,14 +61,25 @@ class TestBench:
     @pytest.mark.parametrize("flags", [
         ["--rejector", "conformal"],
         ["--scores-from", "kernel"],
+        ["--mode", "cost", "--budget", "0", "--cost", "-1"],
+        ["--repeats", "0"],
+        ["--sigma-grid", "0.1,1"],  # budget mode takes the median length scale
+        ["--mode", "cost", "--budget", "0", "--cost", "1", "--rejector", "loss-linear", "--sigma-grid", "1"],
+        ["--mode", "cost", "--budget", "0", "--cost", "1", "--sigma-grid", "1,-1"],
+        ["--mode", "cost", "--cost", "1"],  # --budget 0.2 is not read in cost mode
     ])
-    def test_removed_options_are_usage_errors(self, flags, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "bench", "--mode", "budget", "--budget", "0.2", "--data", "hetero6",
-                "--synthetic-n", "200", "--repeats", "1", "--out", str(tmp_path), *flags,
-            ])
-        assert exc.value.code == 1
+    def test_removed_options_are_usage_errors(self, flags, tmp_path, capsys):
+        argv = [
+            "bench", "--mode", "budget", "--budget", "0.2", "--data", "hetero6",
+            "--synthetic-n", "200", "--repeats", "1", "--out", str(tmp_path), *flags,
+        ]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # refused by the argument parser
+            rc = exc.code
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main([
@@ -88,6 +99,7 @@ class TestBench:
         doc = json.loads((tmp_path / "bench.json").read_text())
         assert doc["config"]["cost_c"] == 0.5
         assert doc["config"]["repeats"] == 2
+        assert doc["config"]["seed"] == 9
 
     def test_cli_flag_overrides_config_file(self, demo_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -102,6 +114,37 @@ class TestBench:
 
 
 class TestFitCalibrate:
+    @pytest.mark.parametrize("flags", [
+        ["--budget", "1.5"],
+        ["--cost", "-1"],
+        ["--sigma-grid", ""],
+        ["--sigma-grid", "0,1"],
+        ["--sigma-grid", "a,b"],
+    ])
+    def test_refused_values_are_usage_errors(self, flags, demo_csv, tmp_path, capsys):
+        # refused before the model file is read
+        rc = main(["calibrate", "--data", demo_csv, "--model", str(tmp_path / "none.json"),
+                   "--out", str(tmp_path / "cal.json"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_file_values_take_the_flag_type(self, demo_csv, tmp_path):
+        model, cal, cfg = tmp_path / "model.json", tmp_path / "cal.json", tmp_path / "cal.cfg"
+        assert main(["fit", "--data", demo_csv, "--seed", "4", "--out", str(model)]) == 0
+        cfg.write_text("budget = 0.2\nseed = 4\nsigma-grid = 0.1,1\n")
+        assert main(["calibrate", "--data", demo_csv, "--model", str(model),
+                     "--config", str(cfg), "--out", str(cal)]) == 0
+        doc = json.loads(cal.read_text())
+        assert doc["conformal"]["gamma"] == 0.2 and doc["sigma"] in (0.1, 1.0)
+
+    def test_config_file_refuses_a_value_of_the_wrong_type(self, demo_csv, tmp_path, capsys):
+        cfg = tmp_path / "cal.cfg"
+        for text in ("budget = lots\n", "regressor = knn\n"):
+            cfg.write_text(text)
+            rc = main(["calibrate", "--data", demo_csv, "--model", str(tmp_path / "m.json"),
+                       "--config", str(cfg)])
+            assert rc == 1 and capsys.readouterr().err.startswith("error: config file")
+
     def test_fit_then_calibrate(self, demo_csv, tmp_path):
         model = tmp_path / "model.json"
         rc = main(["fit", "--data", demo_csv, "--regressor", "knn", "--seed", "4",

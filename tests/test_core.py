@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from selreg.core import (
     ConstantRegressor,
     CostConfig,
+    CostMode,
+    DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
     EmptySplitError,
@@ -16,6 +18,7 @@ from selreg.core import (
     TableLookupRejector,
     model_from_json,
     model_to_json,
+    sigma_grid,
     split_dataset,
     standardize,
 )
@@ -44,37 +47,37 @@ class TestDataset:
 class TestSplit:
     def test_exact_fractions(self):
         data = Dataset(np.arange(10, dtype=float)[:, None], np.zeros(10))
-        tr, va, te = split_dataset(data, SplitSpec(seed=0))
+        tr, va, te = split_dataset(data, SplitSpec(), 0)
         assert (tr.n, va.n, te.n) == (7, 2, 1)
 
     def test_remainder_goes_to_train(self):
         # floor(0.7*1003)=702, floor(0.2*1003)=200, floor(0.1*1003)=100; +1 to train
         data = Dataset(np.arange(1003, dtype=float)[:, None], np.zeros(1003))
-        tr, va, te = split_dataset(data, SplitSpec(seed=3))
+        tr, va, te = split_dataset(data, SplitSpec(), 3)
         assert (tr.n, va.n, te.n) == (703, 200, 100)
 
     def test_deterministic(self):
         data = Dataset(np.arange(10, dtype=float)[:, None], np.arange(10, dtype=float))
-        a = split_dataset(data, SplitSpec(seed=42))
-        b = split_dataset(data, SplitSpec(seed=42))
+        a = split_dataset(data, SplitSpec(), 42)
+        b = split_dataset(data, SplitSpec(), 42)
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.features, db.features)
 
     def test_too_small_raises(self):
         data = Dataset(np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(EmptySplitError):
-            split_dataset(data, SplitSpec(seed=0))
+            split_dataset(data, SplitSpec(), 0)
 
     def test_empty_split_raises(self):
         data = Dataset(np.zeros((5, 1)), np.zeros(5))
         with pytest.raises(EmptySplitError):
-            split_dataset(data, SplitSpec(seed=0))  # floor(0.1*5) = 0 test rows
+            split_dataset(data, SplitSpec(), 0)  # floor(0.1*5) = 0 test rows
 
     @given(n=st.integers(10, 400), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_partition_property(self, n, seed):
         data = Dataset(np.arange(n, dtype=float)[:, None], np.zeros(n))
-        tr, va, te = split_dataset(data, SplitSpec(seed=seed))
+        tr, va, te = split_dataset(data, SplitSpec(), seed)
         rows = np.concatenate([tr.features[:, 0], va.features[:, 0], te.features[:, 0]])
         assert sorted(rows.astype(int).tolist()) == list(range(n))
 
@@ -134,16 +137,23 @@ class TestCostConfig:
         assert CostConfig.fixed_cost(2.0).cost_c == 2.0
         assert CostConfig.fixed_budget(0.3).budget_gamma == 0.3
 
+    def test_value_of_the_other_mode_is_refused(self):
+        with pytest.raises(ValueError, match="budget_gamma"):
+            CostConfig(CostMode.FIXED_COST, cost_c=1.0, budget_gamma=0.2)
+        with pytest.raises(ValueError, match="cost_c"):
+            CostConfig(CostMode.FIXED_BUDGET, cost_c=1.0, budget_gamma=0.2)
+
 
 class TestKernelSpec:
     def test_default_grid_spans_seven_decades(self):
-        assert KernelSpec().bandwidth_grid == tuple(10.0**j for j in range(-3, 4))
+        assert DEFAULT_SIGMA_GRID == tuple(10.0**j for j in range(-3, 4))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             KernelSpec(length_scale_sigma=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth_grid=(1.0, -1.0))
+        for grid in ((1.0, -1.0), (0.0,), ()):
+            with pytest.raises(ValueError, match="sigma grid"):
+                sigma_grid(grid)
 
 
 class TestSerialization:

@@ -3,7 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from selreg.core import CostConfig, DataError, KernelSpec, Regressor
+import dataclasses
+import json
+
+from selreg.core import CostConfig, CostMode, DEFAULT_SIGMA_GRID, DataError, Regressor, SplitSpec
 from selreg.harness import (
     CSV_COLUMNS,
     EmptyAfterFilteringError,
@@ -19,6 +22,7 @@ from selreg.harness import (
     materialize,
     run_experiment,
 )
+from selreg.models import KnnConfig, MlpConfig
 from selreg.oracle import bayes_risk
 from selreg.tasks import default_discrete_task
 
@@ -62,7 +66,7 @@ def _cost_cfg(**kw):
     base = dict(
         dataset_source="hetero6",
         cost_config=CostConfig.fixed_cost(2.0),
-        regressor="knn",
+        regressor=KnnConfig(),
         rejector="kernel",
         repeats=3,
         seed=42,
@@ -103,18 +107,16 @@ class TestRunFixedCost:
         cfg = ExperimentConfig(
             dataset_source=str(bundled_data_path("hetero_demand.csv")),
             cost_config=CostConfig.fixed_cost(0.5),
-            regressor="knn",
+            regressor=KnnConfig(),
             rejector="loss-linear",
             repeats=2,
             seed=0,
         )
         rep = run_experiment(cfg)
         assert np.isfinite(rep.rwr_mean)
-        assert rep.config["standardize_data"] is None  # CSV default: standardized
+        assert "standardize_data" not in rep.config  # CSVs are always standardized
 
     def test_mlp_regressor_runs(self):
-        from selreg.models import MlpConfig
-
         cfg = _cost_cfg(regressor=MlpConfig(epochs=20), repeats=2, synthetic_n=300)
         rep = run_experiment(cfg)
         assert np.isfinite(rep.rwr_mean)
@@ -126,19 +128,45 @@ class TestRunFixedCost:
 
     def test_old_echo_with_default_calibrate_on_still_loads(self):
         rep = run_experiment(_cost_cfg())
-        assert "calibrate_on" not in rep.config
-        assert "output_dir" not in rep.config
-        for old in (dict(rep.config, calibrate_on="validation"), dict(rep.config, output_dir=".")):
+        for key in ("calibrate_on", "output_dir", "standardize_data"):
+            assert key not in rep.config
+        assert "seed" not in rep.config["split"] and "k" not in rep.config["regressor"]
+        for old in (
+            dict(rep.config, calibrate_on="validation"),
+            dict(rep.config, output_dir="."),
+            dict(rep.config, standardize_data=None),
+            # the split seed and the kNN k were always replaced by the run
+            dict(rep.config, split=dict(rep.config["split"], seed=77)),
+            dict(rep.config, regressor=dict(rep.config["regressor"], k=99)),
+            # "knn" by name ran KnnConfig()
+            dict(rep.config, regressor={"kind": "knn"}),
+        ):
             assert ExperimentConfig.from_dict(old).to_dict() == rep.config
+        mlp = _cost_cfg(regressor=MlpConfig()).to_dict()
+        assert ExperimentConfig.from_dict(dict(mlp, regressor={"kind": "mlp"})).to_dict() == mlp
 
     def test_old_echo_calibrating_on_train_is_refused(self):
-        old = dict(_cost_cfg().to_dict(), calibrate_on="train")
-        with pytest.raises(ValueError, match="calibrate_on"):
-            ExperimentConfig.from_dict(old)
+        for key, value in (("calibrate_on", "train"), ("standardize_data", True), ("standardize_data", False)):
+            old = dict(_cost_cfg().to_dict(), **{key: value})
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(old)
 
     def test_conformal_rejector_kind_is_gone(self):
         with pytest.raises(ValueError, match="rejector"):
             _cost_cfg(rejector="conformal")
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(cost_config=CostConfig.fixed_budget(0.3), sigma_grid=(0.5,)), "sigma_grid"),
+        (dict(rejector="loss-linear", sigma_grid=(0.5,)), "sigma_grid"),
+        (dict(rejector="oracle", sigma_grid=(0.5,)), "sigma_grid"),
+        (dict(sigma_grid=()), "sigma grid"),
+        (dict(regressor=KnnConfig(k=7)), "k_grid"),
+        (dict(regressor="knn"), "regressor"),
+        (dict(regressor="mlp"), "regressor"),
+    ])
+    def test_settings_the_run_would_not_read_are_refused(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            _cost_cfg(**kw)
 
     def test_threaded_repeats_match_sequential(self):
         seq = run_experiment(_cost_cfg(repeats=4))
@@ -191,16 +219,16 @@ class _RowCounter(Regressor):
 class TestHeldOutPredictions:
     def _fitted(self):
         train, val, _, task = materialize("hetero6", 3, synthetic_n=400)
-        return _RowCounter(fit_regressor("knn", train, val, task, 3)), val, task
+        return _RowCounter(fit_regressor(KnnConfig(), train, val, task, 3)), val, task
 
     def test_cost_calibrator_predicts_each_validation_row_once(self):
         f, val, task = self._fitted()
-        cost_calibrator("kernel", KernelSpec(), f, val, task, 2.0)
+        cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, task, 2.0)
         assert f.rows == val.n
 
     def test_budget_threshold_predicts_the_fitting_half_only(self):
         f, val, task = self._fitted()
-        budget_threshold("kernel", KernelSpec(), f, val, task, 0.2)
+        budget_threshold("kernel", f, val, task, 0.2)
         assert f.rows == val.n // 2
 
 
@@ -209,7 +237,7 @@ class TestRunFixedBudget:
         cfg = ExperimentConfig(
             dataset_source="smooth1d",
             cost_config=CostConfig.fixed_budget(0.3),
-            regressor="knn",
+            regressor=KnnConfig(),
             rejector="kernel",
             repeats=10,
             seed=3,
@@ -223,7 +251,7 @@ class TestRunFixedBudget:
         cfg = ExperimentConfig(
             dataset_source="hetero6",
             cost_config=CostConfig.fixed_budget(0.001),
-            regressor="knn",
+            regressor=KnnConfig(),
             rejector="kernel",
             repeats=3,
             seed=5,
@@ -262,20 +290,92 @@ class TestEmitReport:
         assert row.split(",")[0] == "hetero6"
 
     def test_byte_stable(self, tmp_path):
-        rep = self._report()
-        a = emit_report(rep, "json", tmp_path / "a").read_bytes()
-        b = emit_report(rep, "json", tmp_path / "b").read_bytes()
-        assert a == b
-        a_csv = emit_report(rep, "csv", tmp_path / "a").read_bytes()
-        b_csv = emit_report(rep, "csv", tmp_path / "b").read_bytes()
-        assert a_csv == b_csv
+        # two identically seeded runs, not one report emitted twice
+        first, second = self._report(), self._report()
+        for fmt in ("json", "csv"):
+            a = emit_report(first, fmt, tmp_path / "a").read_bytes()
+            b = emit_report(second, fmt, tmp_path / "b").read_bytes()
+            assert a == b
 
     def test_json_round_trip(self, tmp_path):
         rep = self._report()
         path = emit_report(rep, "json", tmp_path)
         back = RunReport.from_json(path.read_text())
         assert back == rep
+        # older reports also carry the run's wall-clock seconds
+        old = dict(json.loads(path.read_text()), wall_clock_s=1.25)
+        assert RunReport.from_dict(old) == rep
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(self._report(), "xml", tmp_path)
+
+
+_ON_HETERO6 = dict(
+    dataset_source="hetero6", cost_config=CostConfig.fixed_cost(2.0), repeats=2, seed=3, synthetic_n=300
+)
+_WITH_MLP = dict(_ON_HETERO6, regressor=MlpConfig(epochs=3, batch_size=64))
+_ON_CSV = dict(_ON_HETERO6, dataset_source=str(bundled_data_path("hetero_demand.csv")))
+
+
+def _mlp(**kw):
+    return {"regressor": dataclasses.replace(_WITH_MLP["regressor"], **kw)}
+
+
+# For each settable value: a base config and one variation of that value.
+# target_column is read only from a CSV and synthetic_n only from a task.
+_VARIATIONS = {
+    (ExperimentConfig, "dataset_source"): (_ON_HETERO6, {"dataset_source": "smooth1d"}),
+    (ExperimentConfig, "cost_config"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_cost(1.0)}),
+    (ExperimentConfig, "regressor"): (_ON_HETERO6, {"regressor": "oracle"}),
+    (ExperimentConfig, "rejector"): (_ON_HETERO6, {"rejector": "loss-linear"}),
+    (ExperimentConfig, "split"): (_ON_HETERO6, {"split": SplitSpec(0.5, 0.3, 0.2)}),
+    (ExperimentConfig, "repeats"): (_ON_HETERO6, {"repeats": 3}),
+    (ExperimentConfig, "seed"): (_ON_HETERO6, {"seed": 4}),
+    (ExperimentConfig, "target_column"): (_ON_CSV, {"target_column": "x2"}),
+    (ExperimentConfig, "synthetic_n"): (_ON_HETERO6, {"synthetic_n": 400}),
+    (ExperimentConfig, "sigma_grid"): (_ON_HETERO6, {"sigma_grid": (1000.0,)}),
+    (ExperimentConfig, "workers"): (_ON_HETERO6, {"workers": 2}),
+    (SplitSpec, "train_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.6, 0.2, 0.2)}),
+    (SplitSpec, "val_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.6, 0.3, 0.1)}),
+    (SplitSpec, "test_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.7, 0.1, 0.2)}),
+    (CostConfig, "mode"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_budget(0.3)}),
+    (CostConfig, "cost_c"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_cost(0.5)}),
+    (KnnConfig, "k_grid"): (_ON_HETERO6, {"regressor": KnnConfig(k_grid=(1,))}),
+    (MlpConfig, "hidden_width"): (_WITH_MLP, _mlp(hidden_width=8)),
+    (MlpConfig, "learning_rate"): (_WITH_MLP, _mlp(learning_rate=5e-3)),
+    (MlpConfig, "weight_decay"): (_WITH_MLP, _mlp(weight_decay=0.1)),
+    (MlpConfig, "batch_size"): (_WITH_MLP, _mlp(batch_size=32)),
+    (MlpConfig, "epochs"): (_WITH_MLP, _mlp(epochs=4)),
+}
+# Values that the run would not read: each builds a config to be refused.
+_REFUSED = {
+    (CostConfig, "budget_gamma"): lambda: dict(
+        _ON_HETERO6, cost_config=CostConfig(CostMode.FIXED_COST, cost_c=2.0, budget_gamma=0.3)
+    ),
+    (KnnConfig, "k"): lambda: dict(_ON_HETERO6, regressor=KnnConfig(k=7)),
+}
+_EQUAL_BY_DESIGN = {(ExperimentConfig, "workers")}
+_SETTINGS = [
+    (owner, f.name)
+    for owner in (ExperimentConfig, SplitSpec, CostConfig, KnnConfig, MlpConfig)
+    for f in dataclasses.fields(owner)
+]
+
+
+@pytest.mark.parametrize("setting", _SETTINGS, ids=[f"{o.__name__}.{n}" for o, n in _SETTINGS])
+def test_every_setting_changes_a_repeat_or_is_refused(setting):
+    """A config echo names what ran: each value either changes some repeat's
+    LossReport or is refused, so none is accepted and then ignored."""
+    if setting in _REFUSED:
+        with pytest.raises(ValueError):
+            ExperimentConfig(**_REFUSED[setting]())
+        return
+    assert setting in _VARIATIONS, f"no variation of {setting[0].__name__}.{setting[1]}"
+    base, change = _VARIATIONS[setting]
+    before = run_experiment(ExperimentConfig(**base)).repeats
+    after = run_experiment(ExperimentConfig(**{**base, **change})).repeats
+    if setting in _EQUAL_BY_DESIGN:
+        assert after == before
+    else:
+        assert after != before

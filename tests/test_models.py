@@ -5,7 +5,6 @@ from selreg.core import (
     Dataset,
     KTooLargeError,
     RngHandle,
-    STREAM_MLP,
     STREAM_SAMPLE,
     SplitSpec,
     TableLookupRegressor,
@@ -87,7 +86,7 @@ class TestSelectHyperparameters:
 
     def test_matches_per_k_fits_on_smooth1d(self):
         data = default_smooth_task().sample(1500, RngHandle(4, STREAM_SAMPLE))
-        train, val, _ = split_dataset(data, SplitSpec(seed=4))
+        train, val, _ = split_dataset(data, SplitSpec(), 4)
         losses = {
             k: empirical_squared_loss(fit_knn(train, KnnConfig(k=k)), val)
             for k in KnnConfig().k_grid
@@ -107,16 +106,16 @@ class TestMlp:
     def test_constant_zero_target_fits_fast(self):
         rng = np.random.default_rng(7)
         data = Dataset(rng.uniform(-1, 1, size=(256, 3)), np.zeros(256))
-        cfg = MlpConfig(learning_rate=5e-3, epochs=50, init_seed=RngHandle(3, STREAM_MLP))
-        model = fit_mlp(data, cfg)
+        cfg = MlpConfig(learning_rate=5e-3, epochs=50)
+        model = fit_mlp(data, cfg, 3)
         assert empirical_squared_loss(model, data) <= 1e-3
 
     def test_bit_identical_retrain(self):
         rng = np.random.default_rng(8)
         data = Dataset(rng.normal(size=(128, 2)), rng.normal(size=128))
-        cfg = MlpConfig(epochs=30, init_seed=RngHandle(9, STREAM_MLP))
-        a = fit_mlp(data, cfg)
-        b = fit_mlp(data, cfg)
+        cfg = MlpConfig(epochs=30)
+        a = fit_mlp(data, cfg, 9)
+        b = fit_mlp(data, cfg, 9)
         for pa, pb in zip((a.w1, a.b1, a.w2, a.b2), (b.w1, b.b1, b.w2, b.b2)):
             np.testing.assert_array_equal(pa, pb)
 
@@ -124,9 +123,9 @@ class TestMlp:
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, size=(500, 1))
         y = 2.0 * x[:, 0] + rng.normal(0, 0.01, 500)
-        train, _, test = split_dataset(Dataset(x, y), SplitSpec(seed=1))
-        cfg = MlpConfig(epochs=800, init_seed=RngHandle(5, STREAM_MLP))
-        model = fit_mlp(train, cfg)
+        train, _, test = split_dataset(Dataset(x, y), SplitSpec(), 1)
+        cfg = MlpConfig(epochs=800)
+        model = fit_mlp(train, cfg, 5)
         mlp_mse = empirical_squared_loss(model, test)
 
         design = np.column_stack([np.ones(train.n), train.features])
@@ -140,7 +139,7 @@ class TestMlp:
     def test_weights_round_trip_with_shape_header(self):
         rng = np.random.default_rng(1)
         data = Dataset(rng.normal(size=(64, 2)), rng.normal(size=64))
-        model = fit_mlp(data, MlpConfig(epochs=5, init_seed=RngHandle(2, STREAM_MLP)))
+        model = fit_mlp(data, MlpConfig(epochs=5), 2)
         clone = model_from_json(model_to_json(model))
         q = rng.normal(size=(5, 2))
         np.testing.assert_array_equal(model.predict(q), clone.predict(q))
@@ -148,40 +147,40 @@ class TestMlp:
     def test_batch_larger_than_n_is_clipped(self):
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=(20, 2)), rng.normal(size=20))
-        fit_mlp(data, MlpConfig(epochs=2, batch_size=256, init_seed=RngHandle(1, STREAM_MLP)))
+        fit_mlp(data, MlpConfig(epochs=2, batch_size=256), 1)
 
     def test_divergence_raises_non_finite_loss(self):
         from selreg.core import NonFiniteLossError
 
         rng = np.random.default_rng(4)
         data = Dataset(rng.normal(size=(32, 2)), rng.normal(size=32))
-        absurd = MlpConfig(learning_rate=1e200, epochs=5, init_seed=RngHandle(2, STREAM_MLP))
+        absurd = MlpConfig(learning_rate=1e200, epochs=5)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError):
-            fit_mlp(data, absurd)
+            fit_mlp(data, absurd, 2)
 
 
 class TestGradientCheck:
     def test_random_probe_passes_bar(self):
         rng = np.random.default_rng(12)
         probe = Dataset(rng.normal(size=(16, 3)), rng.normal(size=16))
-        report = gradient_check(MlpConfig(init_seed=RngHandle(4, STREAM_MLP)), probe)
+        report = gradient_check(MlpConfig(), probe, 4)
         assert report.max_relative_error <= 1e-4
 
     def test_zero_inputs_finite(self):
         probe = Dataset(np.zeros((8, 2)), np.ones(8))
-        report = gradient_check(MlpConfig(init_seed=RngHandle(5, STREAM_MLP)), probe)
+        report = gradient_check(MlpConfig(), probe, 5)
         assert np.isfinite(report.max_relative_error)
 
     def test_per_layer_diagnostics_present(self):
         rng = np.random.default_rng(13)
         probe = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8))
-        report = gradient_check(MlpConfig(init_seed=RngHandle(6, STREAM_MLP)), probe)
+        report = gradient_check(MlpConfig(), probe, 6)
         assert set(report.per_layer) == {"w1", "b1", "w2", "b2"}
 
     def test_probe_size_cap(self):
         probe = Dataset(np.zeros((33, 2)), np.zeros(33))
         with pytest.raises(ValueError):
-            gradient_check(MlpConfig(), probe)
+            gradient_check(MlpConfig(), probe, 0)
 
 
 class TestConsistencyProperties:
@@ -193,7 +192,7 @@ class TestConsistencyProperties:
             excesses = []
             for seed in range(5):
                 data = task.sample(n, RngHandle(500 + seed, STREAM_SAMPLE))
-                tr, va, _ = split_dataset(data, SplitSpec(seed=seed))
+                tr, va, _ = split_dataset(data, SplitSpec(), seed)
                 f = fit_knn_auto(tr, va)
                 excesses.append(squared_risk(f, task) - noise_floor)
             medians.append(float(np.median(excesses)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selreg.core import (
+    DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
     EmptyScoresError,
@@ -164,7 +165,7 @@ class TestSelectBandwidth:
         data = two_point_task.sample(60, RngHandle(1, STREAM_SAMPLE))
         inner, outer = data.subset(np.arange(30)), data.subset(np.arange(30, 60))
         f = TableLookupRegressor(two_point_task.points, two_point_task.means)
-        spec = select_bandwidth(heldout(f, inner), heldout(f, outer), KernelSpec(bandwidth_grid=(0.5,)), c=2.0)
+        spec = select_bandwidth(heldout(f, inner), heldout(f, outer), (0.5,), c=2.0)
         assert spec.length_scale_sigma == 0.5
 
     def test_argmin_consistent_with_direct_evaluation(self, two_point_task):
@@ -176,7 +177,7 @@ class TestSelectBandwidth:
         for sigma in grid:
             cal = kernel_calibrate(f, inner, KernelSpec(length_scale_sigma=sigma))
             direct[sigma] = empirical_rwr_loss(f, induce_rejector(cal, 2.0), outer, 2.0).rwr_loss
-        spec = select_bandwidth(heldout(f, inner), heldout(f, outer), KernelSpec(bandwidth_grid=grid), c=2.0)
+        spec = select_bandwidth(heldout(f, inner), heldout(f, outer), grid, c=2.0)
         assert spec.length_scale_sigma == min(grid, key=lambda s: (direct[s], s))
 
     def test_tie_prefers_smaller_sigma(self):
@@ -184,7 +185,7 @@ class TestSelectBandwidth:
         x = np.arange(10, dtype=float)[:, None]
         data = Dataset(x, np.zeros(10))
         f = TableLookupRegressor(x, np.zeros(10))
-        spec = select_bandwidth(heldout(f, data), heldout(f, data), KernelSpec(bandwidth_grid=(10.0, 0.1, 1.0)), c=1.0)
+        spec = select_bandwidth(heldout(f, data), heldout(f, data), (10.0, 0.1, 1.0), c=1.0)
         assert spec.length_scale_sigma == 0.1
 
     def test_empty_half_rejected(self):
@@ -192,7 +193,7 @@ class TestSelectBandwidth:
         empty = (np.zeros((0, 1)), np.zeros(0))
         for inner, outer in ((empty, one), (one, empty)):
             with pytest.raises(EmptyValidationError):
-                select_bandwidth(inner, outer, KernelSpec(), c=1.0)
+                select_bandwidth(inner, outer, DEFAULT_SIGMA_GRID, c=1.0)
 
 
 class TestConformalThreshold:
@@ -344,7 +345,7 @@ class TestCalibratorConsistency:
         # bandwidth fixed once, picked on the grid at the smallest size
         base = task.sample(50, RngHandle(1234, STREAM_SAMPLE))
         best_sigma = min(
-            KernelSpec().bandwidth_grid,
+            DEFAULT_SIGMA_GRID,
             key=lambda s: _grid_mae(reg, base, s, grid_x, true_risk),
         )
         medians = []
