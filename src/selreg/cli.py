@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import (
@@ -69,26 +70,28 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config_file(args: argparse.Namespace, parser: _Parser) -> None:
-    """Set each flag that the config file names, converted as the flag's own
-    argparse action converts it, unless the command line set it."""
+def _apply_config_file(args: argparse.Namespace, parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's values, converted as each
+    flag's own argparse action converts it, as the subcommand's defaults: a
+    flag given on the command line wins even when it repeats its default."""
     if not getattr(args, "config", None):
-        return
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions if a.dest not in ("help", "config")}
+        return args
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    defaults = {}
     for key, raw in _read_config_file(args.config).items():
         action = actions.get(key)
         if action is None:
             raise SelregError(f"config file sets unknown option {key!r}")
-        if getattr(args, key) != action.default:
-            continue  # explicit flag wins
         try:
             value = action.type(raw) if action.type else raw
         except ValueError:
             raise SelregError(f"config file sets {key} to {raw!r}, not a {action.type.__name__}") from None
         if action.choices is not None and value not in action.choices:
             raise SelregError(f"config file sets {key} to {raw!r}; choose from {', '.join(action.choices)}")
-        setattr(args, key, value)
+        defaults[key] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 @contextmanager
@@ -212,7 +215,7 @@ def _cmd_verify_theory(args) -> int:
     results = run_verification_suite(seed=args.seed, trials=args.trials)
     doc = {
         "passed": all(r.passed for r in results),
-        "properties": [r.to_dict() for r in results],
+        "properties": [asdict(r) for r in results],
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
@@ -281,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser)
+        args = _apply_config_file(args, parser, argv)
         return args.fn(args)
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -39,9 +39,7 @@ __all__ = [
     "Regressor",
     "Rejector",
     "Calibrator",
-    "ConstantRegressor",
     "TableLookupRegressor",
-    "ConstantRejector",
     "TableLookupRejector",
     "split_dataset",
     "standardize",
@@ -397,19 +395,6 @@ def _as_block(X: np.ndarray) -> np.ndarray:
     return X
 
 
-class ConstantRegressor(Regressor):
-    kind = "constant"
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.full(_as_block(X).shape[0], self.value)
-
-    def payload(self) -> dict:
-        return {"value": self.value}
-
-
 class TableLookupRegressor(Regressor):
     """Explicit x -> value map on a finite support; exact on discrete tasks.
 
@@ -440,21 +425,6 @@ class TableLookupRegressor(Regressor):
     @staticmethod
     def from_payload(payload: dict) -> "TableLookupRegressor":
         return TableLookupRegressor(np.array(payload["points"]), np.array(payload["values"]))
-
-
-class ConstantRejector(Rejector):
-    kind = "constant"
-
-    def __init__(self, value: int):
-        if value not in (0, 1):
-            raise ValueError("rejector output must be 0 or 1")
-        self.value = int(value)
-
-    def accept(self, X: np.ndarray) -> np.ndarray:
-        return np.full(_as_block(X).shape[0], self.value, dtype=np.int64)
-
-    def payload(self) -> dict:
-        return {"value": self.value}
 
 
 class TableLookupRejector(Rejector):
@@ -503,9 +473,7 @@ def register_model(tag: str):
     return deco
 
 
-register_model("regressor/constant")(ConstantRegressor)
 register_model("regressor/table_lookup")(TableLookupRegressor)
-register_model("rejector/constant")(ConstantRejector)
 register_model("rejector/table_lookup")(TableLookupRejector)
 
 
@@ -521,7 +489,4 @@ def model_from_json(doc: str):
     tag = obj.get("kind")
     if tag not in _MODEL_REGISTRY:
         raise SelregError(f"unknown model kind {tag!r}")
-    cls = _MODEL_REGISTRY[tag]
-    if hasattr(cls, "from_payload"):
-        return cls.from_payload(obj["payload"])
-    return cls(**obj["payload"])
+    return _MODEL_REGISTRY[tag].from_payload(obj["payload"])

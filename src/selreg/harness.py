@@ -55,7 +55,7 @@ from .rejection import (
     linear_calibrate,
     select_bandwidth,
 )
-from .tasks import OracleRiskCalibrator, SyntheticTask, get_task, task_names
+from .tasks import CondMeanRegressor, DiscreteTask, OracleRiskCalibrator, SyntheticTask, get_task, task_names
 
 __all__ = [
     "MissingTargetError",
@@ -373,7 +373,8 @@ def materialize(
 
 def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: Dataset, task, seed: int):
     """Fit on every training row.  kNN picks k on ``val``; the MLP draws its
-    initial weights from ``seed``; "oracle" looks up the task's true mean."""
+    initial weights from ``seed``; "oracle" is the task's true mean, as a
+    lookup table on a finite support."""
     if isinstance(regressor, KnnConfig):
         return fit_knn_auto(train, val, regressor)
     if isinstance(regressor, MlpConfig):
@@ -382,8 +383,9 @@ def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: D
         raise SelregError(f"unknown regressor {regressor!r}")
     if task is None:
         raise SelregError("the oracle regressor needs a synthetic task source")
-    points, _ = task.eval_points()
-    return TableLookupRegressor(points, task.mean_at(points))
+    if isinstance(task, DiscreteTask):
+        return TableLookupRegressor(task.points, task.means)
+    return CondMeanRegressor(task)
 
 
 def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:

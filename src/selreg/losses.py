@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, EmptyDatasetError, Regressor, Rejector
-from .tasks import SyntheticTask
+from .tasks import OracleRiskCalibrator, SyntheticTask
 
 __all__ = [
     "LossReport",
@@ -31,6 +31,8 @@ __all__ = [
     "empirical_rwr_loss",
     "empirical_squared_loss",
     "risk_values",
+    "prediction_error",
+    "bayes_risk",
     "oracle_rwr_risk",
     "truncated_loss",
     "squared_risk",
@@ -106,8 +108,21 @@ def empirical_squared_loss(f: Regressor, data: Dataset) -> float:
 def risk_values(f: Regressor, task: SyntheticTask) -> np.ndarray:
     """Exact conditional risk R(f, x) at the task's evaluation points."""
     points, _ = task.eval_points()
+    return OracleRiskCalibrator(task, f).estimate(points)
+
+
+def prediction_error(f: Regressor, task: SyntheticTask) -> float:
+    """Exact E[(f(X) - f_bar(X))^2]."""
+    points, weights = task.eval_points()
     bias = f.predict(points) - task.mean_at(points)
-    return bias * bias + task.var_at(points)
+    return float(np.dot(weights, bias * bias))
+
+
+def bayes_risk(task: SyntheticTask, c: float) -> float:
+    """Global optimum of the combined loss: E[min(v(X), c)], evaluated as
+    c + E[min(v - c, 0)] for exact cancellation against all-defer losses."""
+    points, weights = task.eval_points()
+    return float(c + np.dot(weights, np.minimum(task.var_at(points) - c, 0.0)))
 
 
 def oracle_rwr_risk(f: Regressor, r: Rejector, task: SyntheticTask, c: float) -> float:
@@ -136,9 +151,8 @@ def truncated_loss(f: Regressor, task: SyntheticTask, c: float) -> float:
 
 def squared_risk(f: Regressor, task: SyntheticTask) -> float:
     """Exact E[(f(X) - Y)^2] = E[(f - f_bar)^2] + E[v]."""
-    points, weights = task.eval_points()
-    bias = f.predict(points) - task.mean_at(points)
-    return float(np.dot(weights, bias * bias + task.var_at(points)))
+    _, weights = task.eval_points()
+    return float(np.dot(weights, risk_values(f, task)))
 
 
 def excess_losses(f: Regressor, task: SyntheticTask, c: float) -> tuple[float, float]:
@@ -155,7 +169,5 @@ def excess_losses(f: Regressor, task: SyntheticTask, c: float) -> tuple[float, f
     """
     points, weights = task.eval_points()
     v = task.var_at(points)
-    bias = f.predict(points) - task.mean_at(points)
-    exc_trunc = float(np.dot(weights, np.minimum(bias * bias + v, c) - np.minimum(v, c)))
-    exc_sq = float(np.dot(weights, bias * bias))
-    return exc_trunc, exc_sq
+    exc_trunc = float(np.dot(weights, np.minimum(risk_values(f, task), c) - np.minimum(v, c)))
+    return exc_trunc, prediction_error(f, task)

@@ -233,9 +233,9 @@ class GradientCheckReport:
     per_layer: dict[str, float]
 
 
-def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int, step: float = 1e-5) -> GradientCheckReport:
-    """Analytic backprop gradients vs central finite differences at the
-    initial weights ``fit_mlp`` draws from ``seed``.
+def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int) -> GradientCheckReport:
+    """Analytic backprop gradients vs central finite differences (step 1e-5)
+    at the initial weights ``fit_mlp`` draws from ``seed``.
 
     Relative error per parameter is |g_a - g_n| / max(|g_a|, |g_n|, 1e-6);
     the floor keeps near-zero gradients from inflating the ratio.  Probe
@@ -243,6 +243,7 @@ def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int, step: float = 1e-5
     """
     if probe.n > 32:
         raise ValueError("probe dataset must have at most 32 rows")
+    step = 1e-5
     rng = RngHandle(seed, STREAM_MLP).generator()
     params = _init_params(probe.dim, cfg.hidden_width, rng)
     X, y = probe.features, probe.targets

@@ -37,12 +37,11 @@ from .core import (
     TableLookupRejector,
     UnsupportedTaskError,
 )
-from .losses import oracle_rwr_risk, truncated_loss
-from .rejection import classify_with_rejection, conformal_threshold, oracle_bayes_pair
+from .losses import bayes_risk, excess_losses, oracle_rwr_risk, prediction_error, risk_values, truncated_loss
+from .rejection import classify_with_rejection, conformal_threshold, induce_rejector, oracle_bayes_pair
 from .tasks import BinaryTask, DiscreteTask, OracleRiskCalibrator, binary_rwr_risk, default_discrete_task
 
 __all__ = [
-    "LocalityMetric",
     "TableRiskCalibrator",
     "build_locally_trapped_pair",
     "build_entrywise_trapped_pair",
@@ -50,7 +49,6 @@ __all__ = [
     "verify_entrywise_optimality",
     "check_risk_decomposition",
     "enumerate_pair_minimum",
-    "bayes_risk",
     "random_discrete_task",
     "random_table_regressor",
     "random_table_rejector",
@@ -61,18 +59,16 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_SUPPORT_LIMIT = 12
+# random joint perturbations per local search; a candidate counts as an
+# improvement only if it beats the baseline loss by more than _TOL
+_N_RANDOM = 10_000
+_TOL = 1e-10
 
 
 def _require_discrete(task) -> DiscreteTask:
     if not isinstance(task, DiscreteTask):
         raise UnsupportedTaskError("this check needs a finite-support task")
     return task
-
-
-def bayes_risk(task: DiscreteTask, c: float) -> float:
-    """Global optimum of the combined loss: E[min(v(X), c)], evaluated as
-    c + E[min(v - c, 0)] for exact cancellation against all-defer losses."""
-    return float(c + np.dot(task.weights, np.minimum(task.variances - c, 0.0)))
 
 
 def _pair_losses(F: np.ndarray, A: np.ndarray, task: DiscreteTask, c: float) -> np.ndarray:
@@ -156,23 +152,6 @@ def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLoo
 
 
 @dataclass(frozen=True)
-class LocalityMetric:
-    """Joint perturbation ball: sup-norm radius for the regressor values and
-    marginal disagreement probability for the rejector, both capped at
-    ``radius``."""
-
-    radius: float
-
-    @staticmethod
-    def regressor_distance(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-    @staticmethod
-    def rejector_distance(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
-        return float(np.dot(weights, np.asarray(a) != np.asarray(b)))
-
-
-@dataclass(frozen=True)
 class LocalSearchReport:
     baseline_loss: float
     best_found_loss: float
@@ -213,26 +192,25 @@ def _masks_within_budget(rng: np.random.Generator, base: np.ndarray, weights: np
 def verify_local_optimality(
     pair: tuple[Regressor, Rejector],
     task: DiscreteTask,
-    metric: LocalityMetric,
+    radius: float,
     c: float,
-    n_random: int = 10_000,
     rng: RngHandle = RngHandle(0, STREAM_VERIFY),
-    tol: float = 1e-10,
 ) -> LocalSearchReport:
     """Search the perturbation ball for a pair with strictly lower loss.
 
+    The ball caps both the sup-norm change of the regressor values and the
+    marginal probability on which the rejector disagrees at ``radius``.
     Exhaustive single-coordinate moves (a 17-point value grid per support
     point, with and without a rejector flip wherever a flip fits the
-    disagreement budget) are combined with ``n_random`` random joint
+    disagreement budget) are combined with 10,000 random joint
     perturbations; each random regressor is additionally paired with its own
     induced rejector whenever that rejector stays inside the ball.  The
     report carries a counterexample if anything beat the baseline by more
-    than ``tol``.
+    than 1e-10.
     """
     task = _require_discrete(task)
     f, r = pair
     m = task.size
-    delta = metric.radius
     f_vals = f.predict(task.points)
     accepts = r.accept(task.points).astype(np.float64)
     baseline = float(_pair_losses(f_vals[None, :], accepts[None, :], task, c)[0])
@@ -241,9 +219,9 @@ def verify_local_optimality(
     cand_A: list[np.ndarray] = []
 
     # single-coordinate deterministic moves
-    offsets = np.linspace(-delta, delta, 17)
+    offsets = np.linspace(-radius, radius, 17)
     for j in range(m):
-        flip_ok = task.weights[j] <= delta + 1e-15
+        flip_ok = task.weights[j] <= radius + 1e-15
         for off in offsets:
             fv = f_vals.copy()
             fv[j] += off
@@ -257,8 +235,8 @@ def verify_local_optimality(
 
     # random joint perturbations
     gen = rng.generator()
-    F_rand = f_vals + gen.uniform(-delta, delta, size=(n_random, m))
-    A_rand = _masks_within_budget(gen, accepts, task.weights, delta, n_random)
+    F_rand = f_vals + gen.uniform(-radius, radius, size=(_N_RANDOM, m))
+    A_rand = _masks_within_budget(gen, accepts, task.weights, radius, _N_RANDOM)
     cand_F.append(F_rand)
     cand_A.append(A_rand)
 
@@ -266,7 +244,7 @@ def verify_local_optimality(
     risk_rand = (F_rand - task.means) ** 2 + task.variances
     induced = (risk_rand <= c).astype(np.float64)
     dis = (task.weights * (induced != accepts)).sum(axis=1)
-    ok = dis <= delta + 1e-15
+    ok = dis <= radius + 1e-15
     if np.any(ok):
         cand_F.append(F_rand[ok])
         cand_A.append(induced[ok])
@@ -278,7 +256,7 @@ def verify_local_optimality(
     best_loss = float(losses[best])
 
     counterexample = None
-    if best_loss < baseline - tol:
+    if best_loss < baseline - _TOL:
         counterexample = {
             "regressor_values": F[best].tolist(),
             "accepts": A[best].tolist(),
@@ -321,7 +299,6 @@ def verify_entrywise_optimality(
     task: DiscreteTask,
     c: float,
     rng: RngHandle = RngHandle(0, STREAM_VERIFY),
-    tol: float = 1e-10,
 ) -> EntrywiseReport:
     """Confirm no single-argument improvement exists.
 
@@ -366,10 +343,10 @@ def verify_entrywise_optimality(
     best_reg = float(best_reg)
 
     counterexample = None
-    if best_rej < baseline - tol:
+    if best_rej < baseline - _TOL:
         counterexample = {"side": "rejector", "loss": best_rej,
                           "accepts": patterns[int(np.argmin(rej_losses))].tolist()}
-    elif best_reg < baseline - tol:
+    elif best_reg < baseline - _TOL:
         counterexample = {"side": "regressor", "loss": best_reg,
                           "regressor_values": best_values.tolist()}
     return EntrywiseReport(
@@ -396,37 +373,29 @@ def check_risk_decomposition(
 
     and excess <= prediction_error + calibration_error always holds.
     """
-    from .losses import risk_values
-    from .rejection import induce_rejector
-
     points, weights = task.eval_points()
     rej = induce_rejector(calibrator, c)
     achieved = oracle_rwr_risk(fhat, rej, task, c)
-    optimum = float(c + np.dot(weights, np.minimum(task.var_at(points) - c, 0.0)))
-    bias = fhat.predict(points) - task.mean_at(points)
-    prediction_error = float(np.dot(weights, bias * bias))
     calibration_error = float(
         np.dot(weights, np.abs(calibrator.estimate(points) - risk_values(fhat, task)))
     )
-    return achieved - optimum, prediction_error, calibration_error
+    return achieved - bayes_risk(task, c), prediction_error(fhat, task), calibration_error
 
 
-def enumerate_pair_minimum(
-    task: DiscreteTask, c: float, span: float | None = None, step: float | None = None
-) -> float:
+def enumerate_pair_minimum(task: DiscreteTask, c: float) -> float:
     """Minimum combined loss over all lookup pairs on a value grid.
 
     The regressor ranges over per-point grids centered at the conditional
-    mean (span 2*sqrt(c), step 0.25*sqrt(c) by default); the rejector ranges
-    over all 2^m accept patterns.  Given an accept pattern the objective
+    mean (span 2*sqrt(c), step 0.25*sqrt(c)); the rejector ranges over all
+    2^m accept patterns.  Given an accept pattern the objective
     decomposes per point, so the minimum over the product grid is computed
     exactly.
     """
     task = _require_discrete(task)
     if task.size > 8:
         raise SupportTooLargeError("pair enumeration is limited to 8 support points")
-    span = 2.0 * math.sqrt(c) if span is None else span
-    step = 0.25 * math.sqrt(c) if step is None else step
+    span = 2.0 * math.sqrt(c)
+    step = 0.25 * math.sqrt(c)
     offsets = np.arange(-span, span + step / 2, step)
     # per point: accepted -> min over grid of risk; deferred -> c
     point_risk_min = np.array(
@@ -444,13 +413,9 @@ def enumerate_pair_minimum(
 # ---------------------------------------------------------------------------
 
 
-def random_discrete_task(
-    gen: np.random.Generator,
-    size_range: tuple[int, int] = (3, 8),
-    var_range: tuple[float, float] = (0.05, 9.0),
-    mean_range: tuple[float, float] = (-3.0, 3.0),
-) -> DiscreteTask:
-    m = int(gen.integers(size_range[0], size_range[1] + 1))
+def random_discrete_task(gen: np.random.Generator) -> DiscreteTask:
+    """3 to 8 support points with means in [-3, 3] and variances in [0.05, 9]."""
+    m = int(gen.integers(3, 8 + 1))
     weights = gen.uniform(0.2, 1.0, size=m)
     weights /= weights.sum()
     # spread points out so lookup queries are unambiguous
@@ -458,27 +423,22 @@ def random_discrete_task(
     return DiscreteTask(
         points=points,
         weights=weights,
-        means=gen.uniform(*mean_range, size=m),
-        variances=gen.uniform(*var_range, size=m),
-        noise="two_point",
+        means=gen.uniform(-3.0, 3.0, size=m),
+        variances=gen.uniform(0.05, 9.0, size=m),
     )
 
 
-def random_table_regressor(gen: np.random.Generator, task: DiscreteTask, span: float = 3.0) -> TableLookupRegressor:
-    return TableLookupRegressor(task.points, task.means + gen.uniform(-span, span, size=task.size))
+def random_table_regressor(gen: np.random.Generator, task: DiscreteTask) -> TableLookupRegressor:
+    return TableLookupRegressor(task.points, task.means + gen.uniform(-3.0, 3.0, size=task.size))
 
 
 def random_table_rejector(gen: np.random.Generator, task: DiscreteTask) -> TableLookupRejector:
     return TableLookupRejector(task.points, gen.integers(0, 2, size=task.size))
 
 
-def random_table_calibrator(
-    gen: np.random.Generator, task: DiscreteTask, f: Regressor, noise_span: float = 2.0
-) -> TableRiskCalibrator:
-    from .losses import risk_values
-
+def random_table_calibrator(gen: np.random.Generator, task: DiscreteTask, f: Regressor) -> TableRiskCalibrator:
     true_risk = risk_values(f, task)
-    return TableRiskCalibrator(task.points, true_risk + gen.uniform(-noise_span, noise_span, size=task.size))
+    return TableRiskCalibrator(task.points, true_risk + gen.uniform(-2.0, 2.0, size=task.size))
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +452,6 @@ class PropertyResult:
     passed: bool
     margin: float
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "margin": self.margin, "detail": self.detail}
-
-
-def _induced_from_true_risk(task: DiscreteTask, f: Regressor, c: float) -> TableLookupRejector:
-    from .losses import risk_values
-
-    return TableLookupRejector(task.points, (risk_values(f, task) <= c).astype(np.int64))
 
 
 def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[PropertyResult]:
@@ -545,7 +496,7 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
     # --- locally trapped pair
     f0, r0 = build_locally_trapped_pair(task6, c6)
     report = verify_local_optimality(
-        (f0, r0), task6, LocalityMetric(radius=0.9 * math.sqrt(c6)), c6,
+        (f0, r0), task6, 0.9 * math.sqrt(c6), c6,
         rng=RngHandle(seed + 1, STREAM_VERIFY),
     )
     gap_err = abs(report.global_gap - (c6 - bayes_risk(task6, c6)))
@@ -589,7 +540,7 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         r = random_table_rejector(gen, t)
         cc = float(gen.uniform(0.2, 4.0))
         worst_lb = min(worst_lb, oracle_rwr_risk(f, r, t, cc) - truncated_loss(f, t, cc))
-        r_f = _induced_from_true_risk(t, f, cc)
+        r_f = induce_rejector(OracleRiskCalibrator(t, f), cc)
         worst_eq = max(worst_eq, abs(oracle_rwr_risk(f, r_f, t, cc) - truncated_loss(f, t, cc)))
     results.append(PropertyResult("truncated_lower_bound", bool(worst_lb >= -tol), float(worst_lb)))
     results.append(PropertyResult("truncated_equality_at_induced", bool(worst_eq <= tol), float(worst_eq)))
@@ -601,17 +552,12 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         f = random_table_regressor(gen, t)
         cal = random_table_calibrator(gen, t, f)
         cc = float(gen.uniform(0.2, 4.0))
-        from .losses import risk_values
-        from .rejection import induce_rejector
-
         lhs = oracle_rwr_risk(f, induce_rejector(cal, cc), t, cc)
         cal_err = float(np.dot(t.weights, np.abs(cal.values - risk_values(f, t))))
         worst_gap = min(worst_gap, truncated_loss(f, t, cc) + cal_err - lhs)
     results.append(PropertyResult("calibration_gap_bound", bool(worst_gap >= -tol), float(worst_gap)))
 
     # --- squared loss dominates the truncated loss in excess
-    from .losses import excess_losses
-
     worst_sur = math.inf
     for _ in range(trials):
         t = random_discrete_task(gen)

@@ -5,9 +5,10 @@ conditional variance v(x), so every population-level loss in this package
 can be computed exactly: by enumeration on a discrete support, or by fixed
 Gauss-Legendre quadrature on a 1-D continuous one.
 
-Two-point noise places Y at f_bar(x) +/- sqrt(v(x)) with equal probability,
-which makes the conditional mean and variance exact by construction and
-keeps Monte Carlo checks tight.
+Discrete tasks draw two-point noise, placing Y at f_bar(x) +/- sqrt(v(x))
+with equal probability, which makes the conditional mean and variance exact
+by construction and keeps Monte Carlo checks tight; the continuous task
+draws Gaussian noise.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
 class SyntheticTask:
     """Protocol-ish base: subclasses expose exact conditional moments."""
 
-    name: str = ""
-
     def mean_at(self, X: np.ndarray) -> np.ndarray:
         raise UnsupportedTaskError("task lacks a closed-form conditional mean")
 
@@ -59,10 +58,6 @@ class SyntheticTask:
         """(points, weights) such that E[g(X)] = sum_i w_i g(points_i),
         exactly for discrete supports, to quadrature accuracy otherwise."""
         raise UnsupportedTaskError("task does not support exact expectation")
-
-    def expect(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        points, weights = self.eval_points()
-        return float(np.dot(weights, np.asarray(g(points), dtype=np.float64)))
 
     def sample(self, n: int, rng: RngHandle) -> Dataset:
         raise UnsupportedTaskError("task is not samplable")
@@ -76,8 +71,6 @@ class DiscreteTask(SyntheticTask):
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    noise: str = "two_point"
-    name: str = "discrete"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", _freeze(_as_block(self.points)))
@@ -90,8 +83,6 @@ class DiscreteTask(SyntheticTask):
             raise ValueError("weights must be a probability vector (sum 1 within 1e-12)")
         if np.any(self.variances < 0.0):
             raise ValueError("conditional variances must be nonnegative")
-        if self.noise not in ("two_point", "gaussian"):
-            raise ValueError(f"unknown noise family {self.noise!r}")
 
     @property
     def size(self) -> int:
@@ -115,29 +106,24 @@ class DiscreteTask(SyntheticTask):
         gen = rng.generator()
         idx = gen.choice(self.size, size=n, p=self.weights)
         x = self.points[idx]
-        if self.noise == "two_point":
-            sign = gen.integers(0, 2, size=n) * 2 - 1
-            y = self.means[idx] + sign * np.sqrt(self.variances[idx])
-        else:
-            y = self.means[idx] + gen.standard_normal(n) * np.sqrt(self.variances[idx])
+        sign = gen.integers(0, 2, size=n) * 2 - 1
+        y = self.means[idx] + sign * np.sqrt(self.variances[idx])
         return Dataset(x, y)
 
 
 @dataclass(frozen=True)
 class SmoothTask1D(SyntheticTask):
-    """Uniform marginal on [lo, hi] with callable conditional moments.
+    """Uniform marginal on [lo, hi] with callable conditional moments and
+    Gaussian noise.
 
-    Expectations use fixed-order Gauss-Legendre quadrature; order 128 is
-    plenty for the smooth moment functions shipped here.
+    Expectations use Gauss-Legendre quadrature of order 128, which is plenty
+    for the smooth moment functions shipped here.
     """
 
     lo: float
     hi: float
     mean_fn: Callable[[np.ndarray], np.ndarray]
     var_fn: Callable[[np.ndarray], np.ndarray]
-    noise: str = "gaussian"
-    quad_order: int = 128
-    name: str = "smooth1d"
 
     def mean_at(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.mean_fn(_as_block(X)[:, 0]), dtype=np.float64)
@@ -149,7 +135,7 @@ class SmoothTask1D(SyntheticTask):
         return v
 
     def eval_points(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = np.polynomial.legendre.leggauss(self.quad_order)
+        nodes, weights = np.polynomial.legendre.leggauss(128)
         half = 0.5 * (self.hi - self.lo)
         x = self.lo + half * (nodes + 1.0)
         # uniform density 1/(hi-lo) times the affine Jacobian `half`
@@ -161,11 +147,7 @@ class SmoothTask1D(SyntheticTask):
         x = gen.uniform(self.lo, self.hi, size=n)
         mean = self.mean_at(x[:, None])
         sd = np.sqrt(self.var_at(x[:, None]))
-        if self.noise == "two_point":
-            sign = gen.integers(0, 2, size=n) * 2 - 1
-            y = mean + sign * sd
-        else:
-            y = mean + gen.standard_normal(n) * sd
+        y = mean + gen.standard_normal(n) * sd
         return Dataset(x[:, None], y)
 
 
@@ -176,7 +158,6 @@ class BinaryTask:
     points: np.ndarray
     weights: np.ndarray
     eta: np.ndarray
-    name: str = "binary"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", _freeze(_as_block(self.points)))
@@ -268,8 +249,6 @@ def default_discrete_task() -> DiscreteTask:
         weights=np.full(6, 1.0 / 6.0),
         means=np.array([0.5, -1.0, 2.0, 0.0, 1.5, -0.5]),
         variances=np.array([0.25, 0.5, 1.0, 2.0, 4.0, 9.0]),
-        noise="two_point",
-        name="hetero6",
     )
 
 
@@ -280,8 +259,6 @@ def default_smooth_task() -> SmoothTask1D:
         hi=2.0,
         mean_fn=lambda x: np.sin(1.5 * x),
         var_fn=lambda x: 0.05 + 0.5 * (1.0 + np.tanh(x)),
-        noise="gaussian",
-        name="smooth1d",
     )
 
 

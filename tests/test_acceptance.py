@@ -23,11 +23,9 @@ from selreg.core import (
 )
 from selreg.harness import ExperimentConfig, run_experiment
 from selreg.core import CostConfig
-from selreg.losses import excess_losses, oracle_rwr_risk, squared_risk, truncated_loss
+from selreg.losses import bayes_risk, excess_losses, oracle_rwr_risk, squared_risk, truncated_loss
 from selreg.models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp, gradient_check
 from selreg.oracle import (
-    LocalityMetric,
-    bayes_risk,
     build_entrywise_trapped_pair,
     build_locally_trapped_pair,
     check_risk_decomposition,
@@ -140,8 +138,7 @@ def test_criterion_04_trap_constructions():
         f0, r0 = build_locally_trapped_pair(task, c)
         flat_loss = oracle_rwr_risk(f0, r0, task, c)
         local = verify_local_optimality(
-            (f0, r0), task, LocalityMetric(radius=0.9 * math.sqrt(c)), c,
-            n_random=10_000, rng=RngHandle(104, STREAM_VERIFY),
+            (f0, r0), task, 0.9 * math.sqrt(c), c, rng=RngHandle(104, STREAM_VERIFY),
         )
         gap_closed_form = c - bayes_risk(task, c)
         local_ok = (

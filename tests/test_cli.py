@@ -112,6 +112,17 @@ class TestBench:
         doc = json.loads((tmp_path / "bench.json").read_text())
         assert doc["config"]["cost_c"] == 1.5
 
+    def test_explicit_flag_at_its_default_overrides_config_file(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("repeats = 2\n")
+        rc = main([
+            "bench", "--mode", "cost", "--cost", "1", "--data", "hetero6",
+            "--repeats", "10", "--config", str(cfg), "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        assert doc["config"]["repeats"] == 10 and len(doc["repeats"]) == 10
+
 
 class TestFitCalibrate:
     @pytest.mark.parametrize("flags", [
@@ -182,6 +193,12 @@ class TestFitCalibrate:
         got = empirical_rwr_loss(f, induce_rejector(calibrator, 0.5), test, 0.5)
         bench = json.loads((tmp_path / "bench.json").read_text())
         assert got.rwr_loss == bench["repeats"][0]["rwr_loss"]
+
+    def test_fit_refuses_to_write_the_oracle_of_a_continuous_task(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        rc = main(["fit", "--data", "smooth1d", "--regressor", "oracle", "--out", str(model)])
+        assert rc == 1 and "not registered for serialization" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_calibrate_refuses_a_model_fitted_at_another_seed(self, demo_csv, tmp_path, capsys):
         model, cal = tmp_path / "model.json", tmp_path / "cal.json"

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selreg.core import (
-    ConstantRegressor,
     CostConfig,
     CostMode,
     DEFAULT_SIGMA_GRID,
@@ -165,10 +164,6 @@ class TestSerialization:
         q = np.array([[0.0], [1.0]])
         np.testing.assert_array_equal(reg.predict(q), reg2.predict(q))
         np.testing.assert_array_equal(rej.accept(q), rej2.accept(q))
-
-    def test_constant_round_trip(self):
-        m = model_from_json(model_to_json(ConstantRegressor(1.5)))
-        assert m.predict(np.zeros((2, 3)))[0] == 1.5
 
     def test_lookup_predicts_nearest(self):
         reg = TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0]))

@@ -6,7 +6,15 @@ import pytest
 import dataclasses
 import json
 
-from selreg.core import CostConfig, CostMode, DEFAULT_SIGMA_GRID, DataError, Regressor, SplitSpec
+from selreg.core import (
+    CostConfig,
+    CostMode,
+    DEFAULT_SIGMA_GRID,
+    DataError,
+    Regressor,
+    SplitSpec,
+    TableLookupRegressor,
+)
 from selreg.harness import (
     CSV_COLUMNS,
     EmptyAfterFilteringError,
@@ -23,8 +31,8 @@ from selreg.harness import (
     run_experiment,
 )
 from selreg.models import KnnConfig, MlpConfig
-from selreg.oracle import bayes_risk
-from selreg.tasks import default_discrete_task
+from selreg.losses import bayes_risk
+from selreg.tasks import DiscreteTask, default_discrete_task, default_smooth_task
 
 
 class TestLoadCsv:
@@ -188,7 +196,8 @@ class TestRunFixedCost:
 class TestMaterialize:
     def test_task_name_is_sampled_in_native_units(self):
         train, val, test, task = materialize("hetero6", 3, synthetic_n=100)
-        assert task is not None and task.name == "hetero6"
+        assert isinstance(task, DiscreteTask)
+        np.testing.assert_array_equal(task.variances, default_discrete_task().variances)
         assert (train.n, val.n, test.n) == (70, 20, 10)
         assert set(np.unique(train.features)) <= set(task.eval_points()[0].ravel())
 
@@ -203,6 +212,20 @@ class TestMaterialize:
     def test_unknown_name_is_a_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):
             materialize("hetero7", 0)
+
+
+class TestOracleRegressor:
+    def test_is_the_true_mean_off_the_quadrature_nodes(self):
+        train, val, _, task = materialize("smooth1d", 0, synthetic_n=100)
+        f = fit_regressor("oracle", train, val, task, 0)
+        x = np.linspace(-2.0, 2.0, 1001)[:, None]
+        np.testing.assert_array_equal(f.predict(x), default_smooth_task().mean_at(x))
+
+    def test_is_a_lookup_table_on_a_finite_support(self):
+        train, val, _, task = materialize("hetero6", 0, synthetic_n=100)
+        f = fit_regressor("oracle", train, val, task, 0)
+        assert isinstance(f, TableLookupRegressor)
+        np.testing.assert_array_equal(f.predict(task.points), task.means)
 
 
 class _RowCounter(Regressor):

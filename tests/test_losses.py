@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from selreg.core import (
-    ConstantRejector,
     Dataset,
     RngHandle,
     STREAM_SAMPLE,
@@ -20,6 +19,11 @@ from selreg.losses import (
 from selreg.oracle import random_discrete_task, random_table_regressor, random_table_rejector
 
 
+def uniform_rejector(points, accept):
+    """Accepts (1) or defers (0) at every point."""
+    return TableLookupRejector(points, np.full(len(points), accept))
+
+
 def brute_force_risk(f_vals, accepts, task, c):
     """Independent per-point enumeration of E[r*R + (1-r)*c]."""
     total = 0.0
@@ -32,14 +36,14 @@ def brute_force_risk(f_vals, accepts, task, c):
 class TestEmpiricalRwr:
     def test_always_defer_costs_exactly_c(self, tiny_dataset):
         f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
-        rep = empirical_rwr_loss(f, ConstantRejector(0), tiny_dataset, c=2.0)
+        rep = empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 0), tiny_dataset, c=2.0)
         assert rep.rwr_loss == 2.0
         assert rep.rejection_rate == 1.0
         assert rep.all_deferred and rep.machine_loss == 0.0
 
     def test_perfect_predictor_zero_loss(self, tiny_dataset):
         f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
-        rep = empirical_rwr_loss(f, ConstantRejector(1), tiny_dataset, c=2.0)
+        rep = empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 1), tiny_dataset, c=2.0)
         assert rep.rwr_loss == 0.0
         assert rep.rejection_rate == 0.0
 
@@ -65,20 +69,20 @@ class TestEmpiricalRwr:
     def test_negative_cost_rejected(self, tiny_dataset):
         f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
         with pytest.raises(ValueError):
-            empirical_rwr_loss(f, ConstantRejector(1), tiny_dataset, c=-0.1)
+            empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 1), tiny_dataset, c=-0.1)
 
     def test_report_json_round_trip(self, tiny_dataset):
         from selreg.losses import LossReport
 
         f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
-        rep = empirical_rwr_loss(f, ConstantRejector(0), tiny_dataset, c=1.7)
+        rep = empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 0), tiny_dataset, c=1.7)
         assert LossReport.from_json(rep.to_json()) == rep
 
 
 class TestOracleRisk:
     def test_zero_bias_gives_mean_variance(self, two_point_task):
         f = TableLookupRegressor(two_point_task.points, two_point_task.means)
-        risk = oracle_rwr_risk(f, ConstantRejector(1), two_point_task, c=100.0)
+        risk = oracle_rwr_risk(f, uniform_rejector(two_point_task.points, 1), two_point_task, c=100.0)
         assert risk == pytest.approx(5.0, abs=1e-12)  # E[v] = (1+9)/2
 
     def test_enumeration_example(self, two_point_task):

@@ -10,10 +10,8 @@ from selreg.core import (
     TableLookupRegressor,
     TableLookupRejector,
 )
-from selreg.losses import oracle_rwr_risk
+from selreg.losses import bayes_risk, oracle_rwr_risk, truncated_loss
 from selreg.oracle import (
-    LocalityMetric,
-    bayes_risk,
     build_entrywise_trapped_pair,
     build_locally_trapped_pair,
     check_risk_decomposition,
@@ -26,7 +24,13 @@ from selreg.oracle import (
     verify_local_optimality,
 )
 from selreg.rejection import oracle_bayes_pair
-from selreg.tasks import DiscreteTask, OracleRiskCalibrator, default_discrete_task
+from selreg.tasks import (
+    CondMeanRegressor,
+    DiscreteTask,
+    OracleRiskCalibrator,
+    default_discrete_task,
+    default_smooth_task,
+)
 
 C = 2.0
 
@@ -89,7 +93,7 @@ class TestLocalOptimality:
     def test_no_improving_perturbation_found(self, task):
         f0, r0 = build_locally_trapped_pair(task, C)
         report = verify_local_optimality(
-            (f0, r0), task, LocalityMetric(radius=0.9 * math.sqrt(C)), C,
+            (f0, r0), task, 0.9 * math.sqrt(C), C,
             rng=RngHandle(7, STREAM_VERIFY),
         )
         assert not report.improvement_found
@@ -100,7 +104,7 @@ class TestLocalOptimality:
     def test_bayes_pair_locally_and_globally_optimal(self, task):
         pair = oracle_bayes_pair(task, C)
         report = verify_local_optimality(
-            pair, task, LocalityMetric(radius=0.3), C, rng=RngHandle(8, STREAM_VERIFY)
+            pair, task, 0.3, C, rng=RngHandle(8, STREAM_VERIFY)
         )
         assert not report.improvement_found
         assert report.global_gap == pytest.approx(0.0, abs=1e-12)
@@ -111,7 +115,7 @@ class TestLocalOptimality:
         f = TableLookupRegressor(task.points, task.means)
         r = TableLookupRejector(task.points, np.zeros(task.size, dtype=int))
         report = verify_local_optimality(
-            (f, r), task, LocalityMetric(radius=0.9 * math.sqrt(C)), C,
+            (f, r), task, 0.9 * math.sqrt(C), C,
             rng=RngHandle(9, STREAM_VERIFY),
         )
         assert report.improvement_found
@@ -181,6 +185,11 @@ class TestRiskDecomposition:
         assert calib == pytest.approx(C, abs=1e-12)
         assert excess <= calib + 1e-12
 
+    def test_all_zero_at_oracle_on_a_continuous_task(self):
+        smooth = default_smooth_task()
+        f_star = CondMeanRegressor(smooth)
+        assert check_risk_decomposition(f_star, OracleRiskCalibrator(smooth, f_star), smooth, 0.5) == (0.0, 0.0, 0.0)
+
     def test_randomized_triples_obey_bound(self):
         gen = RngHandle(31, STREAM_VERIFY).generator()
         for _ in range(100):
@@ -197,6 +206,11 @@ class TestPairEnumeration:
         star = oracle_rwr_risk(*oracle_bayes_pair(task, C), task, C)
         assert star == pytest.approx(bayes_risk(task, C), abs=1e-12)
         assert enumerate_pair_minimum(task, C) >= star - 1e-10
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, 2.0])
+    def test_bayes_risk_on_a_continuous_task_is_the_truncated_loss_of_the_mean(self, c):
+        smooth = default_smooth_task()
+        assert abs(bayes_risk(smooth, c) - truncated_loss(CondMeanRegressor(smooth), smooth, c)) <= 1e-15
 
     def test_minimum_equals_truncated_variance_mean(self, task):
         # uniform marginal: E[min(v, 2)] = mean(0.25, 0.5, 1, 2, 2, 2)
@@ -225,7 +239,7 @@ class TestPairEnumeration:
         smooth = default_smooth_task()
         pair = oracle_bayes_pair(smooth, 0.5)
         with pytest.raises(UnsupportedTaskError):
-            verify_local_optimality(pair, smooth, LocalityMetric(radius=0.1), 0.5)
+            verify_local_optimality(pair, smooth, 0.1, 0.5)
 
 
 class TestVerificationSuite:
@@ -237,6 +251,7 @@ class TestVerificationSuite:
     def test_report_is_serializable(self):
         results = run_verification_suite(seed=778, trials=5)
         import json
+        from dataclasses import asdict
 
-        doc = json.dumps([r.to_dict() for r in results])
+        doc = json.dumps([asdict(r) for r in results])
         assert "bayes_pair_grid_minimum" in doc
