@@ -212,7 +212,9 @@ def _cmd_bench(args) -> int:
 def _cmd_verify_theory(args) -> int:
     from .oracle import run_verification_suite
 
-    results = run_verification_suite(seed=args.seed, trials=args.trials)
+    # the suite reads nothing but these two flags, so its ValueError is theirs
+    with _flag_values():
+        results = run_verification_suite(seed=args.seed, trials=args.trials)
     doc = {
         "passed": all(r.passed for r in results),
         "properties": [asdict(r) for r in results],

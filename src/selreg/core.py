@@ -349,27 +349,17 @@ def sigma_grid(values: Sequence[float]) -> tuple[float, ...]:
 class Regressor(ABC):
     """Fitted predictor f: X -> Y.  Immutable; predict is pure."""
 
-    kind: str = "abstract"
-
     @abstractmethod
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Vectorized prediction for an [n, d] feature block."""
-
-    def payload(self) -> dict:
-        raise NotImplementedError(f"{self.kind} models are not serializable")
 
 
 class Rejector(ABC):
     """Binary accept/defer rule: 1 = accept (machine predicts), 0 = defer."""
 
-    kind: str = "abstract"
-
     @abstractmethod
     def accept(self, X: np.ndarray) -> np.ndarray:
         """Vectorized {0,1} decision for an [n, d] feature block."""
-
-    def payload(self) -> dict:
-        raise NotImplementedError(f"{self.kind} rejectors are not serializable")
 
 
 class Calibrator(ABC):
@@ -378,14 +368,9 @@ class Calibrator(ABC):
     Estimates are clamped at 0; rejectors are derived by thresholding.
     """
 
-    kind: str = "abstract"
-
     @abstractmethod
     def estimate(self, X: np.ndarray) -> np.ndarray:
         """Vectorized nonnegative risk estimate for an [n, d] feature block."""
-
-    def payload(self) -> dict:
-        raise NotImplementedError(f"{self.kind} calibrators are not serializable")
 
 
 def _as_block(X: np.ndarray) -> np.ndarray:
@@ -402,8 +387,6 @@ class TableLookupRegressor(Regressor):
     ascending row index), which makes the model total while staying exact
     wherever it is actually used.
     """
-
-    kind = "table_lookup"
 
     def __init__(self, points: np.ndarray, values: np.ndarray):
         self.points = _freeze(_as_block(points))
@@ -430,31 +413,14 @@ class TableLookupRegressor(Regressor):
 class TableLookupRejector(Rejector):
     """Explicit x -> {0,1} map on a finite support (nearest-point lookup)."""
 
-    kind = "table_lookup"
-
     def __init__(self, points: np.ndarray, accepts: np.ndarray):
         accepts = np.asarray(accepts)
         if not np.all((accepts == 0) | (accepts == 1)):
             raise ValueError("accepts must be 0/1")
         self._table = TableLookupRegressor(points, accepts.astype(np.float64))
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._table.points
-
-    @property
-    def accepts(self) -> np.ndarray:
-        return self._table.values.astype(np.int64)
-
     def accept(self, X: np.ndarray) -> np.ndarray:
         return self._table.predict(X).astype(np.int64)
-
-    def payload(self) -> dict:
-        return {"points": self.points.tolist(), "accepts": self.accepts.tolist()}
-
-    @staticmethod
-    def from_payload(payload: dict) -> "TableLookupRejector":
-        return TableLookupRejector(np.array(payload["points"]), np.array(payload["accepts"]))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +440,6 @@ def register_model(tag: str):
 
 
 register_model("regressor/table_lookup")(TableLookupRegressor)
-register_model("rejector/table_lookup")(TableLookupRejector)
 
 
 def model_to_json(model) -> str:

@@ -103,7 +103,8 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
 
     Rows containing non-numeric or missing cells are dropped with a
     row-indexed diagnostic on the module logger; structural problems
-    (no header, wrong field count) raise CsvParseError.
+    (no header, a repeated column name, wrong field count) raise
+    CsvParseError.
     """
     path = Path(path)
     try:
@@ -116,6 +117,9 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     except StopIteration:
         raise CsvParseError(f"{path}: empty file, header row required") from None
     header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise CsvParseError(f"{path}: header repeats column(s) {repeated}", column=repeated[0])
     if target_column not in header:
         raise MissingTargetError(f"{path}: target column {target_column!r} not in header {header}")
     t_idx = header.index(target_column)
@@ -305,8 +309,8 @@ class RunReport:
     seed_ledger: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc.update(repeats=[json.loads(r.to_json()) for r in self.repeats], seed_ledger=list(self.seed_ledger))
+        doc = asdict(self)
+        doc.update(repeats=list(doc["repeats"]), seed_ledger=list(self.seed_ledger))
         return doc
 
     def to_json(self) -> str:
@@ -383,7 +387,7 @@ def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: D
         raise SelregError(f"unknown regressor {regressor!r}")
     if task is None:
         raise SelregError("the oracle regressor needs a synthetic task source")
-    if isinstance(task, DiscreteTask):
+    if isinstance(task, DiscreteTask):  # a form that `fit` can write
         return TableLookupRegressor(task.points, task.means)
     return CondMeanRegressor(task)
 
@@ -527,17 +531,8 @@ def emit_report(report: RunReport, fmt: str, out_dir: str | Path, stem: str = "r
             path.write_text(report.to_json() + "\n")
         elif fmt == "csv":
             path = out_dir / f"{stem}.csv"
-            row = [
-                report.dataset,
-                repr(report.c_or_gamma),
-                report.method,
-                repr(report.rwr_mean),
-                repr(report.rwr_std),
-                repr(report.rej_mean),
-                repr(report.rej_std),
-                repr(report.machine_mean),
-                repr(report.machine_std),
-            ]
+            values = (getattr(report, name) for name in CSV_COLUMNS)
+            row = [v if isinstance(v, str) else repr(v) for v in values]
             path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
         else:
             raise ValueError(f"unknown report format {fmt!r}")

@@ -17,7 +17,6 @@ machine precision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,22 +52,6 @@ class LossReport:
     rejection_rate: float
     n_evaluated: int
     all_deferred: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rwr_loss": self.rwr_loss,
-                "machine_loss": self.machine_loss,
-                "rejection_rate": self.rejection_rate,
-                "n_evaluated": self.n_evaluated,
-                "all_deferred": self.all_deferred,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(doc: str) -> "LossReport":
-        return LossReport(**json.loads(doc))
 
 
 def rwr_report(sq: np.ndarray, accept: np.ndarray, c: float) -> LossReport:

@@ -80,8 +80,6 @@ class KnnRegressor(Regressor):
     """Mean target of the k nearest training points (Euclidean distance,
     ties by ascending training-row index)."""
 
-    kind = "knn"
-
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int):
         self.train_x = _freeze(_as_block(train_x))
         self.train_y = _freeze(np.asarray(train_y, dtype=np.float64))
@@ -112,8 +110,6 @@ def fit_knn(train: Dataset, cfg: KnnConfig) -> KnnRegressor:
 
 @register_model("regressor/mlp")
 class MlpRegressor(Regressor):
-    kind = "mlp"
-
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
         self.w1 = _freeze(w1)
         self.b1 = _freeze(b1)

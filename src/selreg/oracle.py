@@ -85,8 +85,6 @@ class TableRiskCalibrator(Calibrator):
     """Arbitrary nonnegative risk table on a finite support; the workhorse
     for randomized calibration-error checks."""
 
-    kind = "table_risk"
-
     def __init__(self, points: np.ndarray, values: np.ndarray):
         self._table = TableLookupRegressor(points, np.maximum(np.asarray(values, float), 0.0))
 
@@ -457,6 +455,8 @@ class PropertyResult:
 def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[PropertyResult]:
     """Numerically check every verifiable claim; returns one result per
     property with its worst-case margin (negative margin = violation)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     results: list[PropertyResult] = []
     gen = RngHandle(seed, STREAM_VERIFY).generator()
     task6 = default_discrete_task()

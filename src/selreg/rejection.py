@@ -68,8 +68,6 @@ class KernelSmootherCalibrator(Calibrator):
     at zero (a no-op here since the losses are nonnegative).
     """
 
-    kind = "kernel_smoother"
-
     def __init__(self, points: np.ndarray, losses: np.ndarray, kernel: KernelSpec):
         self.points = _freeze(_as_block(points))
         self.losses = _freeze(np.asarray(losses, dtype=np.float64))
@@ -99,11 +97,8 @@ class KernelSmootherCalibrator(Calibrator):
         )
 
 
-@register_model("calibrator/linear")
 class LinearLossCalibrator(Calibrator):
     """Least-squares fit of held-out losses on (1, features), clamped at 0."""
-
-    kind = "linear_on_features"
 
     def __init__(self, coef: np.ndarray, intercept: float):
         self.coef = _freeze(np.asarray(coef, dtype=np.float64))
@@ -112,20 +107,10 @@ class LinearLossCalibrator(Calibrator):
     def estimate(self, X: np.ndarray) -> np.ndarray:
         return np.maximum(_as_block(X) @ self.coef + self.intercept, 0.0)
 
-    def payload(self) -> dict:
-        return {"coef": self.coef.tolist(), "intercept": self.intercept}
 
-    @staticmethod
-    def from_payload(payload: dict) -> "LinearLossCalibrator":
-        return LinearLossCalibrator(np.array(payload["coef"]), payload["intercept"])
-
-
-@register_model("rejector/induced")
 class InducedRejector(Rejector):
     """Accepts exactly where the calibrator's risk estimate is <= threshold
     (exact ties accept)."""
-
-    kind = "induced"
 
     def __init__(self, calibrator: Calibrator, threshold: float):
         self.calibrator = calibrator
@@ -133,25 +118,6 @@ class InducedRejector(Rejector):
 
     def accept(self, X: np.ndarray) -> np.ndarray:
         return (self.calibrator.estimate(X) <= self.threshold).astype(np.int64)
-
-    def payload(self) -> dict:
-        import json
-
-        from .core import model_to_json
-
-        return {
-            "threshold": None if math.isinf(self.threshold) else self.threshold,
-            "calibrator": json.loads(model_to_json(self.calibrator)),
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "InducedRejector":
-        import json
-
-        from .core import model_from_json
-
-        threshold = math.inf if payload["threshold"] is None else payload["threshold"]
-        return InducedRejector(model_from_json(json.dumps(payload["calibrator"])), threshold)
 
 
 def kernel_calibrate(f: Regressor, val: Dataset, kernel: KernelSpec) -> KernelSmootherCalibrator:
@@ -257,17 +223,9 @@ def conformal_threshold(scores: np.ndarray, gamma: float) -> ConformalThreshold:
 # ---------------------------------------------------------------------------
 
 
-def oracle_bayes_pair(task: SyntheticTask, c: float) -> tuple[Regressor, Rejector]:
+def oracle_bayes_pair(task: SyntheticTask, c: float) -> tuple[CondMeanRegressor, VarThresholdRejector]:
     """The unimprovable pair: conditional mean plus the rejector that accepts
     exactly where the conditional variance is <= c."""
-    from .tasks import DiscreteTask
-
-    if isinstance(task, DiscreteTask):  # finite support: exact lookup tables
-        accepts = (task.variances <= c).astype(np.int64)
-        return (
-            TableLookupRegressor(task.points, task.means),
-            TableLookupRejector(task.points, accepts),
-        )
     return CondMeanRegressor(task), VarThresholdRejector(task, c)
 
 

@@ -194,9 +194,7 @@ def binary_rwr_risk(classifier: Regressor, rejector: Rejector, task: BinaryTask,
 
 
 class CondMeanRegressor(Regressor):
-    """Wraps a task's exact conditional mean (for continuous supports)."""
-
-    kind = "oracle_mean"
+    """Wraps a task's exact conditional mean."""
 
     def __init__(self, task: SyntheticTask):
         self.task = task
@@ -207,8 +205,6 @@ class CondMeanRegressor(Regressor):
 
 class VarThresholdRejector(Rejector):
     """Accepts exactly where the conditional variance is <= threshold."""
-
-    kind = "oracle_variance_threshold"
 
     def __init__(self, task: SyntheticTask, threshold: float):
         self.task = task
@@ -221,8 +217,6 @@ class VarThresholdRejector(Rejector):
 class OracleRiskCalibrator(Calibrator):
     """Exact conditional risk of a fixed regressor on a synthetic task:
     R(f, x) = (f(x) - f_bar(x))^2 + v(x)."""
-
-    kind = "oracle_risk"
 
     def __init__(self, task: SyntheticTask, regressor: Regressor):
         self.task = task

@@ -88,6 +88,13 @@ class TestBench:
         ])
         assert rc == 2
 
+    def test_repeated_csv_column_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "dup.csv"
+        p.write_text("x,target,target\n" + "".join(f"{i},{i},{i}\n" for i in range(20)))
+        rc = main(["bench", "--mode", "cost", "--cost", "1", "--data", str(p), "--repeats", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2 and "repeats column(s) ['target']" in capsys.readouterr().err
+
     def test_config_file_supplies_flags(self, demo_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# demo config\ncost = 0.5\nrepeats = 2\nseed = 9\n")
@@ -240,6 +247,14 @@ class TestVerifyTheory:
         assert doc["passed"] is True
         names = {p["name"] for p in doc["properties"]}
         assert "locally_trapped_pair" in names and "conformal_coverage" in names
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-1"], ["--seed", "-1"]])
+    def test_refused_values_are_usage_errors(self, flags, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        rc = main(["verify-theory", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
 
 class TestReport:

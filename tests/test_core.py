@@ -12,6 +12,7 @@ from selreg.core import (
     EmptySplitError,
     KernelSpec,
     RngHandle,
+    SelregError,
     SplitSpec,
     TableLookupRegressor,
     TableLookupRejector,
@@ -158,12 +159,33 @@ class TestKernelSpec:
 class TestSerialization:
     def test_table_models_round_trip(self):
         reg = TableLookupRegressor(np.array([[0.0], [1.0]]), np.array([2.0, 3.0]))
-        rej = TableLookupRejector(np.array([[0.0], [1.0]]), np.array([1, 0]))
         reg2 = model_from_json(model_to_json(reg))
-        rej2 = model_from_json(model_to_json(rej))
         q = np.array([[0.0], [1.0]])
         np.testing.assert_array_equal(reg.predict(q), reg2.predict(q))
-        np.testing.assert_array_equal(rej.accept(q), rej2.accept(q))
+
+    def test_registry_holds_the_kinds_that_fit_and_calibrate_write(self):
+        import selreg  # noqa: F401  (registers the model and calibrator classes)
+        from selreg import core
+
+        assert sorted(core._MODEL_REGISTRY) == [
+            "calibrator/kernel_smoother",
+            "regressor/knn",
+            "regressor/mlp",
+            "regressor/table_lookup",
+        ]
+
+    def test_refuses_unregistered_models(self):
+        from selreg.rejection import InducedRejector, LinearLossCalibrator
+
+        points = np.array([[0.0], [1.0]])
+        calibrator = LinearLossCalibrator(np.zeros(1), 0.5)
+        for model in (
+            TableLookupRejector(points, np.array([1, 0])),
+            calibrator,
+            InducedRejector(calibrator, 1.0),
+        ):
+            with pytest.raises(SelregError, match="not registered for serialization"):
+                model_to_json(model)
 
     def test_lookup_predicts_nearest(self):
         reg = TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0]))

@@ -17,6 +17,7 @@ from selreg.core import (
 )
 from selreg.harness import (
     CSV_COLUMNS,
+    CsvParseError,
     EmptyAfterFilteringError,
     ExperimentConfig,
     MissingTargetError,
@@ -57,6 +58,18 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(MissingTargetError):
             load_csv(p, "target")
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("x,target,target", "'target'"),
+        ("x,x,target", "'x'"),
+    ])
+    def test_repeated_column_name_refused(self, header, repeated, tmp_path):
+        # a second "target" would otherwise be fed to the regressor as a feature
+        p = tmp_path / "dup.csv"
+        p.write_text(f"{header}\n1,2,2\n3,4,4\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(p, "target")
+        assert f"repeats column(s) [{repeated}]" in str(exc.value)
 
     def test_all_rows_bad(self, tmp_path):
         p = tmp_path / "hopeless.csv"

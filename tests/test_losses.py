@@ -71,13 +71,6 @@ class TestEmpiricalRwr:
         with pytest.raises(ValueError):
             empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 1), tiny_dataset, c=-0.1)
 
-    def test_report_json_round_trip(self, tiny_dataset):
-        from selreg.losses import LossReport
-
-        f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
-        rep = empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 0), tiny_dataset, c=1.7)
-        assert LossReport.from_json(rep.to_json()) == rep
-
 
 class TestOracleRisk:
     def test_zero_bias_gives_mean_variance(self, two_point_task):

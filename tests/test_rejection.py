@@ -97,16 +97,6 @@ class TestLinearCalibrate:
         cal = linear_calibrate(f, val)
         assert np.all(cal.estimate(np.array([[-100.0], [100.0]])) >= 0.0)
 
-    def test_round_trips_through_json(self):
-        from selreg.core import model_from_json, model_to_json
-
-        rng = np.random.default_rng(2)
-        val = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40))
-        cal = linear_calibrate(constant_regressor_on(val.features), val)
-        clone = model_from_json(model_to_json(cal))
-        q = rng.normal(size=(6, 3))
-        np.testing.assert_array_equal(cal.estimate(q), clone.estimate(q))
-
 
 class TestInducedRejector:
     def test_zero_estimate_accepts_everywhere(self, two_point_task):
@@ -138,26 +128,6 @@ class TestInducedRejector:
         f = TableLookupRegressor(two_point_task.points, two_point_task.means)
         rej = induce_rejector(OracleRiskCalibrator(two_point_task, f), c=2.0)
         np.testing.assert_array_equal(rej.accept(two_point_task.points), [1, 0])
-
-    def test_round_trips_through_json_with_kernel_calibrator(self):
-        from selreg.core import model_from_json, model_to_json
-
-        val = Dataset(np.array([[0.0], [2.0]]), np.array([1.0, 3.0]))
-        f = constant_regressor_on(val.features)
-        cal = kernel_calibrate(f, val, KernelSpec(length_scale_sigma=0.7))
-        rej = induce_rejector(cal, c=4.0)
-        clone = model_from_json(model_to_json(rej))
-        q = np.array([[0.0], [1.0], [2.0], [7.0]])
-        np.testing.assert_array_equal(rej.accept(q), clone.accept(q))
-
-    def test_infinite_threshold_round_trips(self):
-        from selreg.core import model_from_json, model_to_json
-
-        val = Dataset(np.array([[0.0]]), np.array([1.0]))
-        cal = kernel_calibrate(constant_regressor_on(val.features), val, KernelSpec())
-        th = conformal_threshold(np.array([1.0]), gamma=0.01)  # sentinel
-        clone = model_from_json(model_to_json(th.rejector(cal)))
-        assert clone.accept(np.array([[1e6]]))[0] == 1
 
 
 class TestSelectBandwidth:
