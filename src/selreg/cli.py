@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_SIGMA_GRID,
     DataError,
     SelregError,
+    json_object,
     model_from_json,
     model_to_json,
     sigma_grid,
@@ -169,7 +170,7 @@ def _cmd_calibrate(args) -> int:
     # validation rows are held out from the model, and scaled as its training
     # rows were, only at the data options it was fitted with; a model file
     # without that record is taken as it is
-    fitted = json.loads(text)
+    fitted = json_object(text, f"model file {args.model}")
     mismatched = [
         f"{key} {fitted[key]!r} at fit, {value!r} here"
         for key, value in _data_record(args).items()

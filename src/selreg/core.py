@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .backend import pairwise_sq_dists
+
 __all__ = [
     "SelregError",
     "DataError",
@@ -45,6 +47,7 @@ __all__ = [
     "standardize",
     "model_to_json",
     "model_from_json",
+    "json_object",
     "STREAM_SPLIT",
     "STREAM_SAMPLE",
     "STREAM_MLP",
@@ -395,8 +398,6 @@ class TableLookupRegressor(Regressor):
             raise DataError("points/values length mismatch")
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
-        from .backend import pairwise_sq_dists
-
         return np.argmin(pairwise_sq_dists(_as_block(X), self.points), axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -449,9 +450,26 @@ def model_to_json(model) -> str:
     return json.dumps({"kind": tag, "payload": model.payload()}, sort_keys=True)
 
 
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object; anything else is a DataError that
+    names ``what``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} holds a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
 def model_from_json(doc: str):
-    obj = json.loads(doc)
+    obj = json_object(doc, "model file")
     tag = obj.get("kind")
     if tag not in _MODEL_REGISTRY:
         raise SelregError(f"unknown model kind {tag!r}")
-    return _MODEL_REGISTRY[tag].from_payload(obj["payload"])
+    if not isinstance(obj.get("payload"), dict):
+        raise DataError(f"{tag} model file has no payload object")
+    try:
+        return _MODEL_REGISTRY[tag].from_payload(obj["payload"])
+    except KeyError as exc:
+        raise DataError(f"{tag} payload lacks field {exc}") from None

@@ -325,7 +325,10 @@ class RunReport:
 
     @staticmethod
     def from_json(doc: str) -> "RunReport":
-        return RunReport.from_dict(json.loads(doc))
+        try:
+            return RunReport.from_dict(core.json_object(doc, "run report"))
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"run report lacks or garbles a field: {exc}") from None
 
 
 def _std(values: np.ndarray) -> float:

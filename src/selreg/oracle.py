@@ -1,8 +1,8 @@
 """Counterexample constructions and numerical verification of the theory.
 
 Everything here runs on synthetic tasks whose conditional moments are known
-in closed form, so each claimed inequality can be checked by exact
-enumeration rather than sampling:
+in closed form, so each claimed inequality can be checked exactly rather
+than by sampling:
 
 * the conditional-mean regressor paired with the variance-threshold rejector
   is unimprovable, and its risk equals E[min(v(X), c)];
@@ -13,6 +13,12 @@ enumeration rather than sampling:
   excess is dominated by the plain squared-loss excess;
 * the achieved excess risk of a fitted pair is bounded by prediction error
   plus calibration error.
+
+The trap checks search lookup pairs on at most 12 support points.  Given an
+accept pattern the combined loss splits per point (see _pair_losses), and an
+accepted point's risk is lowest at the allowed value nearest its conditional
+mean; so each search sets the regressor values that way once and scores every
+allowed accept pattern, which gives the exact minimum over its set of pairs.
 
 The module is the engine behind the `verify-theory` CLI subcommand.
 """
@@ -58,10 +64,9 @@ __all__ = [
     "EntrywiseReport",
 ]
 
+# the searches enumerate all 2^m accept patterns, so m is capped; a found
+# pair counts as an improvement only if it beats the baseline by more than _TOL
 _EXHAUSTIVE_SUPPORT_LIMIT = 12
-# random joint perturbations per local search; a candidate counts as an
-# improvement only if it beats the baseline loss by more than _TOL
-_N_RANDOM = 10_000
 _TOL = 1e-10
 
 
@@ -72,13 +77,14 @@ def _require_discrete(task) -> DiscreteTask:
 
 
 def _pair_losses(F: np.ndarray, A: np.ndarray, task: DiscreteTask, c: float) -> np.ndarray:
-    """Combined loss for a batch of lookup pairs.
+    """Combined loss of lookup pairs, c + sum_j w_j A_j (risk_j - c) as in
+    oracle_rwr_risk, with risk_j = (F_j - f_bar_j)^2 + v_j.
 
-    F: [batch, m] regressor values at the support, A: [batch, m] accept bits.
-    Same c + sum(w * A * (risk - c)) form as oracle_rwr_risk.
+    F: [..., m] regressor values at the support, A: [..., m] accept bits;
+    the two broadcast against each other.
     """
     risk = (F - task.means) ** 2 + task.variances
-    return c + (task.weights * (A * (risk - c))).sum(axis=1)
+    return c + (task.weights * (A * (risk - c))).sum(axis=-1)
 
 
 class TableRiskCalibrator(Calibrator):
@@ -149,11 +155,9 @@ def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLoo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalSearchReport:
+@dataclass(frozen=True, kw_only=True)
+class _SearchReport:
     baseline_loss: float
-    best_found_loss: float
-    n_candidates: int
     global_optimum: float
     counterexample: dict | None = None
 
@@ -166,193 +170,101 @@ class LocalSearchReport:
         return self.baseline_loss - self.global_optimum
 
 
-def _masks_within_budget(rng: np.random.Generator, base: np.ndarray, weights: np.ndarray, radius: float, n: int) -> np.ndarray:
-    """Random accept patterns whose disagreement weight with ``base`` stays
-    within ``radius`` (flips are dropped in random order until they fit)."""
-    m = base.shape[0]
-    flips = rng.integers(0, 2, size=(n, m)).astype(bool)
-    out = np.empty((n, m), dtype=np.float64)
-    for i in range(n):
-        mask = flips[i].copy()
-        over = np.dot(weights, mask) - radius
-        if over > 1e-15:
-            order = rng.permutation(m)
-            for j in order:
-                if not mask[j]:
-                    continue
-                mask[j] = False
-                if np.dot(weights, mask) <= radius + 1e-15:
-                    break
-        out[i] = np.where(mask, 1.0 - base, base)
-    return out
+@dataclass(frozen=True, kw_only=True)
+class LocalSearchReport(_SearchReport):
+    best_found_loss: float
+
+
+def _all_accept_patterns(m: int) -> np.ndarray:
+    if m > _EXHAUSTIVE_SUPPORT_LIMIT:
+        raise SupportTooLargeError(f"exhaustive search is limited to {_EXHAUSTIVE_SUPPORT_LIMIT} points, got {m}")
+    codes = np.arange(2**m, dtype=np.uint32)
+    return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
+
+
+def _best_pattern(F: np.ndarray, patterns: np.ndarray, task: DiscreteTask, c: float) -> tuple[float, np.ndarray]:
+    """Lowest combined loss of regressor values F over the accept patterns,
+    and the pattern that attains it."""
+    losses = _pair_losses(F, patterns, task, c)
+    best = int(np.argmin(losses))
+    return float(losses[best]), patterns[best]
+
+
+def _baseline(pair: tuple[Regressor, Rejector], task: DiscreteTask, c: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pair's regressor values and accept bits on the support, and its loss."""
+    f, r = pair
+    f_vals = f.predict(task.points)
+    accepts = r.accept(task.points).astype(np.float64)
+    return f_vals, accepts, float(_pair_losses(f_vals, accepts, task, c))
 
 
 def verify_local_optimality(
-    pair: tuple[Regressor, Rejector],
-    task: DiscreteTask,
-    radius: float,
-    c: float,
-    rng: RngHandle = RngHandle(0, STREAM_VERIFY),
+    pair: tuple[Regressor, Rejector], task: DiscreteTask, radius: float, c: float
 ) -> LocalSearchReport:
-    """Search the perturbation ball for a pair with strictly lower loss.
+    """Find the lowest-loss pair in the perturbation ball around ``pair``.
 
     The ball caps both the sup-norm change of the regressor values and the
     marginal probability on which the rejector disagrees at ``radius``.
-    Exhaustive single-coordinate moves (a 17-point value grid per support
-    point, with and without a rejector flip wherever a flip fits the
-    disagreement budget) are combined with 10,000 random joint
-    perturbations; each random regressor is additionally paired with its own
-    induced rejector whenever that rejector stays inside the ball.  The
-    report carries a counterexample if anything beat the baseline by more
-    than 1e-10.
+    The regressor takes the conditional mean clipped to the ball, and every
+    accept pattern within the disagreement budget is scored at those values;
+    by the per-point split of the loss (module docstring) this is the exact
+    minimum over the ball.  The report carries a counterexample if that
+    minimum beats the baseline by more than 1e-10.
     """
     task = _require_discrete(task)
-    f, r = pair
-    m = task.size
-    f_vals = f.predict(task.points)
-    accepts = r.accept(task.points).astype(np.float64)
-    baseline = float(_pair_losses(f_vals[None, :], accepts[None, :], task, c)[0])
-
-    cand_F: list[np.ndarray] = []
-    cand_A: list[np.ndarray] = []
-
-    # single-coordinate deterministic moves
-    offsets = np.linspace(-radius, radius, 17)
-    for j in range(m):
-        flip_ok = task.weights[j] <= radius + 1e-15
-        for off in offsets:
-            fv = f_vals.copy()
-            fv[j] += off
-            cand_F.append(fv)
-            cand_A.append(accepts)
-            if flip_ok:
-                av = accepts.copy()
-                av[j] = 1.0 - av[j]
-                cand_F.append(fv)
-                cand_A.append(av)
-
-    # random joint perturbations
-    gen = rng.generator()
-    F_rand = f_vals + gen.uniform(-radius, radius, size=(_N_RANDOM, m))
-    A_rand = _masks_within_budget(gen, accepts, task.weights, radius, _N_RANDOM)
-    cand_F.append(F_rand)
-    cand_A.append(A_rand)
-
-    # each random regressor's own induced rejector, when inside the ball
-    risk_rand = (F_rand - task.means) ** 2 + task.variances
-    induced = (risk_rand <= c).astype(np.float64)
-    dis = (task.weights * (induced != accepts)).sum(axis=1)
-    ok = dis <= radius + 1e-15
-    if np.any(ok):
-        cand_F.append(F_rand[ok])
-        cand_A.append(induced[ok])
-
-    F = np.vstack([np.atleast_2d(a) for a in cand_F])
-    A = np.vstack([np.atleast_2d(a) for a in cand_A])
-    losses = _pair_losses(F, A, task, c)
-    best = int(np.argmin(losses))
-    best_loss = float(losses[best])
+    f_vals, accepts, baseline = _baseline(pair, task, c)
+    patterns = _all_accept_patterns(task.size)
+    allowed = patterns[(patterns != accepts) @ task.weights <= radius + 1e-15]
+    F = np.clip(task.means, f_vals - radius, f_vals + radius)
+    best_loss, best_accepts = _best_pattern(F, allowed, task, c)
 
     counterexample = None
     if best_loss < baseline - _TOL:
         counterexample = {
-            "regressor_values": F[best].tolist(),
-            "accepts": A[best].tolist(),
+            "regressor_values": F.tolist(),
+            "accepts": best_accepts.tolist(),
             "loss": best_loss,
         }
     return LocalSearchReport(
         baseline_loss=baseline,
         best_found_loss=best_loss,
-        n_candidates=int(F.shape[0]),
         global_optimum=bayes_risk(task, c),
         counterexample=counterexample,
     )
 
 
-@dataclass(frozen=True)
-class EntrywiseReport:
-    baseline_loss: float
+@dataclass(frozen=True, kw_only=True)
+class EntrywiseReport(_SearchReport):
     best_rejector_loss: float
     best_regressor_loss: float
-    global_optimum: float
-    rejector_coverage: float  # fraction of accept patterns enumerated
-    counterexample: dict | None = None
-
-    @property
-    def improvement_found(self) -> bool:
-        return self.counterexample is not None
-
-    @property
-    def global_gap(self) -> float:
-        return self.baseline_loss - self.global_optimum
-
-
-def _all_accept_patterns(m: int) -> np.ndarray:
-    codes = np.arange(2**m, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
 
 
 def verify_entrywise_optimality(
-    pair: tuple[Regressor, Rejector],
-    task: DiscreteTask,
-    c: float,
-    rng: RngHandle = RngHandle(0, STREAM_VERIFY),
+    pair: tuple[Regressor, Rejector], task: DiscreteTask, c: float
 ) -> EntrywiseReport:
-    """Confirm no single-argument improvement exists.
+    """Find the best single-argument change of ``pair``.
 
-    Rejector side: every accept pattern is enumerated (all 2^m for supports
-    of at most 12 points; beyond that, 2^12 random patterns with the
-    coverage fraction recorded).  Regressor side: with the rejector fixed
-    the objective decomposes per support point, so an independent value grid
-    per coordinate — spanning the conditional mean and the current value by
-    +/- 2*sqrt(c) in 0.25*sqrt(c) steps — covers the full product grid.
+    Rejector side: every accept pattern is scored at the pair's regressor
+    values.  Regressor side: with the rejector fixed, the regressor takes the
+    conditional mean, which minimizes every accepted point's risk.  Both
+    minima are exact.
     """
     task = _require_discrete(task)
-    f, r = pair
-    m = task.size
-    f_vals = f.predict(task.points)
-    accepts = r.accept(task.points).astype(np.float64)
-    baseline = float(_pair_losses(f_vals[None, :], accepts[None, :], task, c)[0])
-
-    if m <= _EXHAUSTIVE_SUPPORT_LIMIT:
-        patterns = _all_accept_patterns(m)
-        coverage = 1.0
-    else:
-        gen = rng.generator()
-        patterns = gen.integers(0, 2, size=(2**_EXHAUSTIVE_SUPPORT_LIMIT, m)).astype(np.float64)
-        coverage = float(patterns.shape[0]) / float(2.0**m)
-    rej_losses = _pair_losses(np.broadcast_to(f_vals, patterns.shape), patterns, task, c)
-    best_rej = float(rej_losses.min())
-
-    # per-point value grid; decomposition makes this exact over the product
-    step = 0.25 * math.sqrt(c)
-    span = 2.0 * math.sqrt(c)
-    best_reg = 0.0
-    best_values = f_vals.copy()
-    for j in range(m):
-        lo = min(f_vals[j], task.means[j]) - span
-        hi = max(f_vals[j], task.means[j]) + span
-        grid = np.append(np.arange(lo, hi + step / 2, step), f_vals[j])
-        risks = (grid - task.means[j]) ** 2 + task.variances[j]
-        point_losses = accepts[j] * risks + (1.0 - accepts[j]) * c
-        best_idx = int(np.argmin(point_losses))
-        best_values[j] = grid[best_idx]
-        best_reg += task.weights[j] * float(point_losses[best_idx])
-    best_reg = float(best_reg)
+    f_vals, accepts, baseline = _baseline(pair, task, c)
+    best_rej, best_accepts = _best_pattern(f_vals, _all_accept_patterns(task.size), task, c)
+    best_reg = float(_pair_losses(task.means, accepts, task, c))
 
     counterexample = None
     if best_rej < baseline - _TOL:
-        counterexample = {"side": "rejector", "loss": best_rej,
-                          "accepts": patterns[int(np.argmin(rej_losses))].tolist()}
+        counterexample = {"side": "rejector", "loss": best_rej, "accepts": best_accepts.tolist()}
     elif best_reg < baseline - _TOL:
         counterexample = {"side": "regressor", "loss": best_reg,
-                          "regressor_values": best_values.tolist()}
+                          "regressor_values": task.means.tolist()}
     return EntrywiseReport(
         baseline_loss=baseline,
         best_rejector_loss=best_rej,
         best_regressor_loss=best_reg,
         global_optimum=bayes_risk(task, c),
-        rejector_coverage=coverage,
         counterexample=counterexample,
     )
 
@@ -381,29 +293,10 @@ def check_risk_decomposition(
 
 
 def enumerate_pair_minimum(task: DiscreteTask, c: float) -> float:
-    """Minimum combined loss over all lookup pairs on a value grid.
-
-    The regressor ranges over per-point grids centered at the conditional
-    mean (span 2*sqrt(c), step 0.25*sqrt(c)); the rejector ranges over all
-    2^m accept patterns.  Given an accept pattern the objective
-    decomposes per point, so the minimum over the product grid is computed
-    exactly.
-    """
+    """Minimum combined loss over all lookup pairs: the regressor at the
+    conditional mean, the rejector over all 2^m accept patterns."""
     task = _require_discrete(task)
-    if task.size > 8:
-        raise SupportTooLargeError("pair enumeration is limited to 8 support points")
-    span = 2.0 * math.sqrt(c)
-    step = 0.25 * math.sqrt(c)
-    offsets = np.arange(-span, span + step / 2, step)
-    # per point: accepted -> min over grid of risk; deferred -> c
-    point_risk_min = np.array(
-        [np.min((offsets) ** 2 + task.variances[j]) for j in range(task.size)]
-    )
-    best = math.inf
-    for pattern in _all_accept_patterns(task.size):
-        loss = float(c + np.dot(task.weights, pattern * (point_risk_min - c)))
-        best = min(best, loss)
-    return best
+    return _best_pattern(task.means, _all_accept_patterns(task.size), task, c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +356,7 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
     c6 = 2.0
     tol = 1e-12
 
-    # --- unimprovable reference pair attains the enumerated grid minimum
+    # --- unimprovable reference pair attains the enumerated minimum
     f_star, r_star = oracle_bayes_pair(task6, c6)
     star_loss = oracle_rwr_risk(f_star, r_star, task6, c6)
     grid_min = enumerate_pair_minimum(task6, c6)
@@ -495,10 +388,7 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
 
     # --- locally trapped pair
     f0, r0 = build_locally_trapped_pair(task6, c6)
-    report = verify_local_optimality(
-        (f0, r0), task6, 0.9 * math.sqrt(c6), c6,
-        rng=RngHandle(seed + 1, STREAM_VERIFY),
-    )
+    report = verify_local_optimality((f0, r0), task6, 0.9 * math.sqrt(c6), c6)
     gap_err = abs(report.global_gap - (c6 - bayes_risk(task6, c6)))
     results.append(
         PropertyResult(

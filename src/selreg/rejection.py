@@ -33,12 +33,8 @@ from .core import (
     register_model,
     sigma_grid,
 )
-from .tasks import (
-    BinaryTask,
-    CondMeanRegressor,
-    SyntheticTask,
-    VarThresholdRejector,
-)
+from .losses import rwr_report
+from .tasks import BinaryTask, CondMeanRegressor, OracleRiskCalibrator, SyntheticTask
 
 __all__ = [
     "KernelSmootherCalibrator",
@@ -156,8 +152,6 @@ def select_bandwidth(
     held-out rows: the smoother fits on ``inner`` and its rejector is scored
     on ``outer``.
     """
-    from .losses import rwr_report
-
     if len(inner[1]) == 0 or len(outer[1]) == 0:
         raise EmptyValidationError("validation data must be nonempty")
     outer_points, outer_losses = outer
@@ -209,8 +203,9 @@ def conformal_threshold(scores: np.ndarray, gamma: float) -> ConformalThreshold:
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0,1)")
     # the 1e-9 guard keeps float excess (e.g. 0.8*100 = 80.0000...01) from
-    # bumping an exactly-integer rank up by one
-    rank = math.ceil((1.0 - gamma) * (m + 1) - 1e-9)
+    # bumping an exactly-integer rank up by one; the exact rank is >= 1 for
+    # every gamma < 1, so the guard may not take it to 0
+    rank = max(1, math.ceil((1.0 - gamma) * (m + 1) - 1e-9))
     if rank > m:
         c_hat = math.inf
     else:
@@ -223,10 +218,11 @@ def conformal_threshold(scores: np.ndarray, gamma: float) -> ConformalThreshold:
 # ---------------------------------------------------------------------------
 
 
-def oracle_bayes_pair(task: SyntheticTask, c: float) -> tuple[CondMeanRegressor, VarThresholdRejector]:
+def oracle_bayes_pair(task: SyntheticTask, c: float) -> tuple[CondMeanRegressor, InducedRejector]:
     """The unimprovable pair: conditional mean plus the rejector that accepts
-    exactly where the conditional variance is <= c."""
-    return CondMeanRegressor(task), VarThresholdRejector(task, c)
+    exactly where its risk, the conditional variance, is <= c."""
+    f = CondMeanRegressor(task)
+    return f, induce_rejector(OracleRiskCalibrator(task, f), c)
 
 
 def classify_with_rejection(task: BinaryTask, c: float) -> tuple[TableLookupRegressor, TableLookupRejector]:

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .backend import pairwise_sq_dists
 from .core import (
     Calibrator,
     Dataset,
@@ -36,7 +37,6 @@ __all__ = [
     "BinaryTask",
     "OracleRiskCalibrator",
     "CondMeanRegressor",
-    "VarThresholdRejector",
     "default_discrete_task",
     "default_smooth_task",
     "get_task",
@@ -89,8 +89,6 @@ class DiscreteTask(SyntheticTask):
         return self.points.shape[0]
 
     def _index_of(self, X: np.ndarray) -> np.ndarray:
-        from .backend import pairwise_sq_dists
-
         return np.argmin(pairwise_sq_dists(_as_block(X), self.points), axis=1)
 
     def mean_at(self, X: np.ndarray) -> np.ndarray:
@@ -201,17 +199,6 @@ class CondMeanRegressor(Regressor):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.task.mean_at(X)
-
-
-class VarThresholdRejector(Rejector):
-    """Accepts exactly where the conditional variance is <= threshold."""
-
-    def __init__(self, task: SyntheticTask, threshold: float):
-        self.task = task
-        self.threshold = float(threshold)
-
-    def accept(self, X: np.ndarray) -> np.ndarray:
-        return (self.task.var_at(X) <= self.threshold).astype(np.int64)
 
 
 class OracleRiskCalibrator(Calibrator):

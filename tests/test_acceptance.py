@@ -137,9 +137,7 @@ def test_criterion_04_trap_constructions():
     with _Timer() as t:
         f0, r0 = build_locally_trapped_pair(task, c)
         flat_loss = oracle_rwr_risk(f0, r0, task, c)
-        local = verify_local_optimality(
-            (f0, r0), task, 0.9 * math.sqrt(c), c, rng=RngHandle(104, STREAM_VERIFY),
-        )
+        local = verify_local_optimality((f0, r0), task, 0.9 * math.sqrt(c), c)
         gap_closed_form = c - bayes_risk(task, c)
         local_ok = (
             flat_loss == c
@@ -154,7 +152,6 @@ def test_criterion_04_trap_constructions():
         entry_gap_closed = float(np.dot(task.weights[u1], c - task.variances[u1]))
         entry_ok = (
             not entry.improvement_found
-            and entry.rejector_coverage == 1.0
             and abs(entry.global_gap - entry_gap_closed) <= TOL
             and entry.global_gap > 0.0
         )

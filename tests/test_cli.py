@@ -238,6 +238,29 @@ class TestFitCalibrate:
         assert budget_cal.points.shape[0] == n_val // 2
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("calibrate", "not json"),
+        ("calibrate", "[1, 2]"),
+        ("calibrate", '{"kind": "regressor/knn"}'),
+        ("calibrate", '{"kind": "regressor/knn", "payload": {"k": 3}}'),
+        ("report", '{"dataset": "x"}'),
+    ],
+    ids=["not-json", "json-list", "no-payload", "no-payload-field", "report-no-mode"],
+)
+def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "calibrate":
+        argv = ["calibrate", "--data", "hetero6", "--model", str(path), "--out", str(tmp_path / "cal.json")]
+    else:
+        argv = ["report", "--input", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
 class TestVerifyTheory:
     def test_passes_and_emits_json(self, tmp_path, capsys):
         out = tmp_path / "verify.json"

@@ -190,3 +190,24 @@ class TestSerialization:
     def test_lookup_predicts_nearest(self):
         reg = TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(reg.predict(np.array([[1.0], [9.0]])), [1.0, 2.0])
+
+
+def test_no_function_local_package_imports():
+    # an import of a sibling module inside a function hides a dependency
+    # between modules; the CLI's lazy import of the verification suite is the
+    # one allowed, so that the other subcommands never load it
+    import ast
+    from pathlib import Path
+
+    import selreg
+
+    found = []
+    for path in sorted(Path(selreg.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                ]
+    assert found == ["cli.py:_cmd_verify_theory"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from selreg.core import (
     PremiseViolatedError,
     RngHandle,
+    SupportTooLargeError,
     STREAM_VERIFY,
     TableLookupRegressor,
     TableLookupRejector,
@@ -19,6 +21,7 @@ from selreg.oracle import (
     random_discrete_task,
     random_table_calibrator,
     random_table_regressor,
+    random_table_rejector,
     run_verification_suite,
     verify_entrywise_optimality,
     verify_local_optimality,
@@ -92,20 +95,14 @@ class TestTrapConstructions:
 class TestLocalOptimality:
     def test_no_improving_perturbation_found(self, task):
         f0, r0 = build_locally_trapped_pair(task, C)
-        report = verify_local_optimality(
-            (f0, r0), task, 0.9 * math.sqrt(C), C,
-            rng=RngHandle(7, STREAM_VERIFY),
-        )
+        report = verify_local_optimality((f0, r0), task, 0.9 * math.sqrt(C), C)
         assert not report.improvement_found
         assert report.best_found_loss >= report.baseline_loss - 1e-10
-        assert report.n_candidates > 10_000
         assert report.global_gap == pytest.approx(C - bayes_risk(task, C), abs=1e-12)
 
     def test_bayes_pair_locally_and_globally_optimal(self, task):
         pair = oracle_bayes_pair(task, C)
-        report = verify_local_optimality(
-            pair, task, 0.3, C, rng=RngHandle(8, STREAM_VERIFY)
-        )
+        report = verify_local_optimality(pair, task, 0.3, C)
         assert not report.improvement_found
         assert report.global_gap == pytest.approx(0.0, abs=1e-12)
 
@@ -114,10 +111,7 @@ class TestLocalOptimality:
         # accepting a low-variance point beats paying c
         f = TableLookupRegressor(task.points, task.means)
         r = TableLookupRejector(task.points, np.zeros(task.size, dtype=int))
-        report = verify_local_optimality(
-            (f, r), task, 0.9 * math.sqrt(C), C,
-            rng=RngHandle(9, STREAM_VERIFY),
-        )
+        report = verify_local_optimality((f, r), task, 0.9 * math.sqrt(C), C)
         assert report.improvement_found
         assert report.best_found_loss < C - 0.1
 
@@ -127,7 +121,6 @@ class TestEntrywiseOptimality:
         pair = build_entrywise_trapped_pair(task, C)
         report = verify_entrywise_optimality(pair, task, C)
         assert not report.improvement_found
-        assert report.rejector_coverage == 1.0
         assert report.global_gap > 0.0
 
     def test_bayes_pair_entrywise_optimal_with_zero_gap(self, task):
@@ -150,7 +143,7 @@ class TestEntrywiseOptimality:
         assert report.improvement_found
         assert report.counterexample["side"] == "rejector"
 
-    def test_large_support_switches_to_randomized_mode(self):
+    def test_large_support_is_refused(self):
         from selreg.tasks import DiscreteTask
         from selreg.rejection import oracle_bayes_pair
 
@@ -161,9 +154,65 @@ class TestEntrywiseOptimality:
             means=np.zeros(m),
             variances=np.linspace(0.25, 9.0, m),
         )
-        report = verify_entrywise_optimality(oracle_bayes_pair(big, C), big, C)
-        assert report.rejector_coverage == pytest.approx(2.0**12 / 2.0**m)
-        assert not report.improvement_found
+        with pytest.raises(SupportTooLargeError):
+            verify_entrywise_optimality(oracle_bayes_pair(big, C), big, C)
+
+
+class TestSearchesAreExact:
+    """Each search returns the exact minimum over its set of lookup pairs."""
+
+    @staticmethod
+    def _small_tasks():
+        gen = RngHandle(41, STREAM_VERIFY).generator()
+        for _ in range(20):
+            m = int(gen.integers(1, 4))
+            w = gen.uniform(0.2, 1.0, size=m)
+            t = DiscreteTask(
+                points=np.arange(m, dtype=float)[:, None] * 2.0, weights=w / w.sum(),
+                means=gen.uniform(-3.0, 3.0, size=m), variances=gen.uniform(0.05, 9.0, size=m),
+            )
+            pair = (random_table_regressor(gen, t), random_table_rejector(gen, t))
+            yield t, pair, float(gen.uniform(0.2, 4.0)), float(gen.uniform(0.05, 1.5))
+
+    def test_local_search_matches_brute_force(self):
+        for t, (f, r), c, radius in self._small_tasks():
+            f_vals = f.predict(t.points)
+            accepts = r.accept(t.points)
+            clipped = np.clip(t.means, f_vals - radius, f_vals + radius)
+            axes = [np.append(np.linspace(v - radius, v + radius, 21), mu) for v, mu in zip(f_vals, clipped)]
+            F = np.array(list(itertools.product(*axes)))
+            risk = (F - t.means) ** 2 + t.variances
+            reference = min(
+                float((c + (t.weights * (np.array(A) * (risk - c))).sum(axis=1)).min())
+                for A in itertools.product((0.0, 1.0), repeat=t.size)
+                if np.dot(t.weights, np.array(A) != accepts) <= radius + 1e-15
+            )
+            report = verify_local_optimality((f, r), t, radius, c)
+            assert abs(report.best_found_loss - reference) <= 1e-12
+
+    def test_entrywise_regressor_side_is_the_conditional_mean(self):
+        for t, (f, r), c, _ in self._small_tasks():
+            report = verify_entrywise_optimality((f, r), t, c)
+            expected = oracle_rwr_risk(CondMeanRegressor(t), r, t, c)
+            assert report.best_regressor_loss == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda pair, t: verify_local_optimality(pair, t, 0.1, C),
+            lambda pair, t: verify_entrywise_optimality(pair, t, C),
+            lambda pair, t: enumerate_pair_minimum(t, C),
+        ],
+        ids=["local", "entrywise", "enumerate"],
+    )
+    def test_thirteen_points_refused(self, search):
+        m = 13
+        big = DiscreteTask(
+            points=np.arange(m, dtype=float)[:, None], weights=np.full(m, 1.0 / m),
+            means=np.zeros(m), variances=np.linspace(0.25, 9.0, m),
+        )
+        with pytest.raises(SupportTooLargeError):
+            search(oracle_bayes_pair(big, C), big)
 
 
 class TestRiskDecomposition:
@@ -217,11 +266,11 @@ class TestPairEnumeration:
         expected = float(np.mean([0.25, 0.5, 1.0, 2.0, 2.0, 2.0]))
         assert enumerate_pair_minimum(task, C) == pytest.approx(expected, abs=1e-10)
 
-    def test_enumeration_capped_at_eight_points(self):
+    def test_enumeration_capped_at_twelve_points(self):
         from selreg.core import SupportTooLargeError
         from selreg.tasks import DiscreteTask
 
-        m = 9
+        m = 13
         big = DiscreteTask(
             points=np.arange(m, dtype=float)[:, None],
             weights=np.full(m, 1.0 / m),

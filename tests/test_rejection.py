@@ -183,6 +183,13 @@ class TestConformalThreshold:
         assert th.order_statistic_index == 1
         assert th.c_hat == 1.0
 
+    @pytest.mark.parametrize("gamma", [1 - 1e-9, 1 - 1e-11])
+    def test_budget_next_to_one_takes_min_score(self, gamma):
+        # the float guard on the rank must not take it below 1
+        th = conformal_threshold(np.array([0.1, 0.2, 0.3, 0.4]), gamma)
+        assert th.order_statistic_index == 1
+        assert th.c_hat == 0.1
+
     def test_float_exact_rank_boundary(self):
         # (1-0.2)*(99+1) is exactly 80 in real arithmetic; float excess must
         # not bump the rank to 81
