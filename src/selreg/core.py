@@ -192,34 +192,32 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/validation/test fractions."""
+    """Validation and test fractions; training takes the remaining rows."""
 
-    train_fraction: float = 0.7
     val_fraction: float = 0.2
     test_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
+        fracs = (self.val_fraction, self.test_fraction)
         if any(not 0.0 < f < 1.0 for f in fracs):
             raise ValueError(f"fractions must lie in (0,1), got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {sum(fracs)!r}")
+        if sum(fracs) >= 1.0:
+            raise ValueError(f"fractions must leave rows for training, got a sum of {sum(fracs)!r}")
 
 
 def split_dataset(data: Dataset, spec: SplitSpec, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint row partition into (train, val, test).
 
-    Sizes are floor allocations of the fractions; remainder rows go to train
-    (the regressor is fitted on all of them, so train gets the extras).  The
-    permutation is fully determined by ``seed``.
+    Validation and test sizes are floor allocations of their fractions and
+    train takes every remaining row (the regressor is fitted on all of them).
+    The permutation is fully determined by ``seed``.
     """
     n = data.n
     if n < 3:
         raise EmptySplitError(f"need n >= 3 to populate three splits, got n={n}")
-    n_train = int(np.floor(n * spec.train_fraction))
     n_val = int(np.floor(n * spec.val_fraction))
     n_test = int(np.floor(n * spec.test_fraction))
-    n_train += n - (n_train + n_val + n_test)
+    n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) == 0:
         raise EmptySplitError(
             f"split sizes ({n_train},{n_val},{n_test}) contain an empty split for n={n}"

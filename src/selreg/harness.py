@@ -255,8 +255,9 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         # Older echoes may carry calibrate_on and standardize_data, whose
         # defaults alone still mean the same; output_dir, which nothing read;
-        # and split.seed and the kNN k, which the run always replaced.  An
-        # echo of "knn" or "mlp" by name ran the default config.
+        # split.seed and the kNN k, which the run always replaced; and
+        # split.train_fraction, which the split never read.  An echo of "knn"
+        # or "mlp" by name ran the default config.
         for key, default, rule in (
             ("calibrate_on", "validation", "the rejector always learns from the validation split"),
             ("standardize_data", None, "CSVs are z-scored and synthetic tasks keep native units"),
@@ -277,7 +278,7 @@ class ExperimentConfig:
             cost_config=cost,
             regressor=reg,
             rejector=doc["rejector"],
-            split=SplitSpec(**{k: v for k, v in doc["split"].items() if k != "seed"}),
+            split=SplitSpec(**{k: v for k, v in doc["split"].items() if k not in ("seed", "train_fraction")}),
             repeats=doc["repeats"],
             seed=doc["seed"],
             target_column=doc["target_column"],

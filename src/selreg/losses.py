@@ -150,7 +150,4 @@ def excess_losses(f: Regressor, task: SyntheticTask, c: float) -> tuple[float, f
     and the first never exceeds the second (squared loss is a surrogate for
     the truncated loss).
     """
-    points, weights = task.eval_points()
-    v = task.var_at(points)
-    exc_trunc = float(np.dot(weights, np.minimum(risk_values(f, task), c) - np.minimum(v, c)))
-    return exc_trunc, prediction_error(f, task)
+    return truncated_loss(f, task, c) - bayes_risk(task, c), prediction_error(f, task)

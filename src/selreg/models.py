@@ -51,8 +51,9 @@ class KnnConfig:
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
 
     def __post_init__(self) -> None:
-        if self.k < 1 or any(k < 1 for k in self.k_grid):
-            raise ValueError("neighbor counts must be positive")
+        if self.k < 1 or not self.k_grid or any(k < 1 for k in self.k_grid):
+            raise ValueError(f"neighbour counts must be positive and k_grid nonempty, "
+                             f"got k={self.k}, k_grid={self.k_grid}")
 
 
 @dataclass(frozen=True)

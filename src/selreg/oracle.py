@@ -45,7 +45,14 @@ from .core import (
 )
 from .losses import bayes_risk, excess_losses, oracle_rwr_risk, prediction_error, risk_values, truncated_loss
 from .rejection import classify_with_rejection, conformal_threshold, induce_rejector, oracle_bayes_pair
-from .tasks import BinaryTask, DiscreteTask, OracleRiskCalibrator, binary_rwr_risk, default_discrete_task
+from .tasks import (
+    BinaryTask,
+    CondMeanRegressor,
+    DiscreteTask,
+    OracleRiskCalibrator,
+    binary_rwr_risk,
+    default_discrete_task,
+)
 
 __all__ = [
     "TableRiskCalibrator",
@@ -347,7 +354,8 @@ class PropertyResult:
 
 def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[PropertyResult]:
     """Numerically check every verifiable claim; returns one result per
-    property with its worst-case margin (negative margin = violation)."""
+    property with its worst-case margin (negative margin = violation).
+    The random-instance properties share ``trials`` lookup instances."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     results: list[PropertyResult] = []
@@ -359,32 +367,44 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
     # --- unimprovable reference pair attains the enumerated minimum
     f_star, r_star = oracle_bayes_pair(task6, c6)
     star_loss = oracle_rwr_risk(f_star, r_star, task6, c6)
-    grid_min = enumerate_pair_minimum(task6, c6)
-    margin = grid_min - star_loss
+    enum_min = enumerate_pair_minimum(task6, c6)
+    margin = enum_min - star_loss
     results.append(
         PropertyResult(
-            "bayes_pair_grid_minimum",
+            "bayes_pair_enumerated_minimum",
             bool(abs(star_loss - bayes_risk(task6, c6)) <= 1e-10 and margin >= -1e-10),
             float(margin),
-            f"pair loss {star_loss:.12f}, grid minimum {grid_min:.12f}",
+            f"pair loss {star_loss:.12f}, enumerated minimum {enum_min:.12f}",
         )
     )
 
-    # --- conditional mean is the argmin for every rejector simultaneously
-    worst = math.inf
+    # --- random lookup instances: each trial draws one task, regressor,
+    # rejector, calibrator and cost, and checks every inequality on that draw
+    worst_mean = worst_lb = worst_gap = worst_sur = worst_dec = math.inf
+    worst_eq = 0.0
     for _ in range(trials):
         t = random_discrete_task(gen)
-        f_mean = TableLookupRegressor(t.points, t.means)
-        f_other = random_table_regressor(gen, t)
+        f = random_table_regressor(gen, t)
         r = random_table_rejector(gen, t)
+        cal = random_table_calibrator(gen, t, f)
         cc = float(gen.uniform(0.2, 4.0))
-        worst = min(
-            worst,
-            oracle_rwr_risk(f_other, r, t, cc) - oracle_rwr_risk(f_mean, r, t, cc),
-        )
-    results.append(
-        PropertyResult("cond_mean_argmin_any_rejector", bool(worst >= -tol), float(worst))
-    )
+        loss = oracle_rwr_risk(f, r, t, cc)
+        trunc = truncated_loss(f, t, cc)
+        # the conditional mean is the argmin for every rejector at once
+        worst_mean = min(worst_mean, loss - oracle_rwr_risk(CondMeanRegressor(t), r, t, cc))
+        # the truncated loss lower-bounds the combined loss and ties at the induced rejector
+        worst_lb = min(worst_lb, loss - trunc)
+        r_f = induce_rejector(OracleRiskCalibrator(t, f), cc)
+        worst_eq = max(worst_eq, abs(oracle_rwr_risk(f, r_f, t, cc) - trunc))
+        excess, pred, calib = check_risk_decomposition(f, cal, t, cc)
+        exc_trunc, exc_sq = excess_losses(f, t, cc)
+        # the calibrated rejector adds at most the calibration error to the
+        # truncated loss; the squared excess dominates the truncated excess;
+        # and excess <= prediction error + calibration error
+        worst_gap = min(worst_gap, exc_trunc + calib - excess)
+        worst_sur = min(worst_sur, exc_sq - exc_trunc)
+        worst_dec = min(worst_dec, pred + calib - excess)
+    results.append(PropertyResult("cond_mean_argmin_any_rejector", bool(worst_mean >= -tol), float(worst_mean)))
 
     # --- locally trapped pair
     f0, r0 = build_locally_trapped_pair(task6, c6)
@@ -422,79 +442,27 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         )
     )
 
-    # --- truncated loss lower-bounds the combined loss; ties at the induced rejector
-    worst_lb, worst_eq = math.inf, 0.0
-    for _ in range(trials):
-        t = random_discrete_task(gen)
-        f = random_table_regressor(gen, t)
-        r = random_table_rejector(gen, t)
-        cc = float(gen.uniform(0.2, 4.0))
-        worst_lb = min(worst_lb, oracle_rwr_risk(f, r, t, cc) - truncated_loss(f, t, cc))
-        r_f = induce_rejector(OracleRiskCalibrator(t, f), cc)
-        worst_eq = max(worst_eq, abs(oracle_rwr_risk(f, r_f, t, cc) - truncated_loss(f, t, cc)))
-    results.append(PropertyResult("truncated_lower_bound", bool(worst_lb >= -tol), float(worst_lb)))
-    results.append(PropertyResult("truncated_equality_at_induced", bool(worst_eq <= tol), float(worst_eq)))
-
-    # --- calibration-gap upper bound
-    worst_gap = math.inf
-    for _ in range(trials):
-        t = random_discrete_task(gen)
-        f = random_table_regressor(gen, t)
-        cal = random_table_calibrator(gen, t, f)
-        cc = float(gen.uniform(0.2, 4.0))
-        lhs = oracle_rwr_risk(f, induce_rejector(cal, cc), t, cc)
-        cal_err = float(np.dot(t.weights, np.abs(cal.values - risk_values(f, t))))
-        worst_gap = min(worst_gap, truncated_loss(f, t, cc) + cal_err - lhs)
-    results.append(PropertyResult("calibration_gap_bound", bool(worst_gap >= -tol), float(worst_gap)))
-
-    # --- squared loss dominates the truncated loss in excess
-    worst_sur = math.inf
-    for _ in range(trials):
-        t = random_discrete_task(gen)
-        f = random_table_regressor(gen, t)
-        cc = float(gen.uniform(0.2, 4.0))
-        exc_t, exc_s = excess_losses(f, t, cc)
-        worst_sur = min(worst_sur, exc_s - exc_t)
-    results.append(PropertyResult("surrogate_excess_bound", bool(worst_sur >= -tol), float(worst_sur)))
-
-    # --- excess <= prediction error + calibration error; tight at the oracle
-    worst_dec = math.inf
-    for _ in range(trials):
-        t = random_discrete_task(gen)
-        f = random_table_regressor(gen, t)
-        cal = random_table_calibrator(gen, t, f)
-        cc = float(gen.uniform(0.2, 4.0))
-        excess, pred, calib = check_risk_decomposition(f, cal, t, cc)
-        worst_dec = min(worst_dec, pred + calib - excess)
-    f_star6 = TableLookupRegressor(task6.points, task6.means)
-    tight = check_risk_decomposition(f_star6, OracleRiskCalibrator(task6, f_star6), task6, c6)
-    tight_ok = all(abs(x) <= tol for x in tight)
-    results.append(PropertyResult("risk_decomposition_bound", bool(worst_dec >= -tol), float(worst_dec)))
-    results.append(
-        PropertyResult(
-            "risk_decomposition_tight_at_oracle",
-            bool(tight_ok),
-            float(max(abs(x) for x in tight)),
-        )
-    )
-
-    # --- exact pair consistency: zero errors give exactly the optimum
-    ach, _, _ = check_risk_decomposition(f_star6, OracleRiskCalibrator(task6, f_star6), task6, c6)
-    results.append(PropertyResult("pair_consistency_exact", bool(abs(ach) <= tol), float(abs(ach))))
+    # --- the decomposition is tight at the oracle: zero errors give exactly the optimum
+    tight = check_risk_decomposition(f_star, OracleRiskCalibrator(task6, f_star), task6, c6)
+    results += [
+        PropertyResult("truncated_lower_bound", bool(worst_lb >= -tol), float(worst_lb)),
+        PropertyResult("truncated_equality_at_induced", bool(worst_eq <= tol), float(worst_eq)),
+        PropertyResult("calibration_gap_bound", bool(worst_gap >= -tol), float(worst_gap)),
+        PropertyResult("surrogate_excess_bound", bool(worst_sur >= -tol), float(worst_sur)),
+        PropertyResult("risk_decomposition_bound", bool(worst_dec >= -tol), float(worst_dec)),
+        PropertyResult("risk_decomposition_tight_at_oracle", all(abs(x) <= tol for x in tight),
+                       float(max(abs(x) for x in tight))),
+        PropertyResult("pair_consistency_exact", bool(abs(tight[0]) <= tol), float(abs(tight[0]))),
+    ]
 
     # --- conformal acceptance threshold: coverage, monotonicity, rate ceiling
-    m_cal, gamma, n_trials = 99, 0.2, 2000
+    m_cal, gamma, n_trials, n_fresh = 99, 0.2, 2000, 200
     cov_gen = RngHandle(seed + 2, STREAM_SCORES).generator()
     hits = 0
-    total = 0
-    fresh_per_trial = 200
     for _ in range(n_trials):
-        scores = cov_gen.standard_normal(m_cal)
-        th = conformal_threshold(scores, gamma)
-        fresh = cov_gen.standard_normal(fresh_per_trial)
-        hits += int((fresh <= th.c_hat).sum())
-        total += fresh_per_trial
-    acc_rate = hits / total
+        th = conformal_threshold(cov_gen.standard_normal(m_cal), gamma)
+        hits += int((cov_gen.standard_normal(n_fresh) <= th.c_hat).sum())
+    acc_rate = hits / (n_trials * n_fresh)
     lo, hi = (1 - gamma) - 0.03, (1 - gamma) + 1.0 / (m_cal + 1) + 0.03
     results.append(
         PropertyResult(
@@ -505,28 +473,22 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         )
     )
 
-    mono_gen = RngHandle(seed + 3, STREAM_SCORES).generator()
-    worst_mono = math.inf
+    # each draw: m scores and two budgets; the larger budget never raises the
+    # threshold, and at each budget the rejection rate stays under gamma + 1/(m+1)
+    draw_gen = RngHandle(seed + 3, STREAM_SCORES).generator()
+    worst_mono = worst_ceil = math.inf
     for _ in range(200):
-        s = mono_gen.standard_normal(int(mono_gen.integers(5, 60)))
-        g1, g2 = sorted(mono_gen.uniform(0.05, 0.95, size=2))
-        if g1 == g2:
-            continue
-        c1 = conformal_threshold(s, g1).c_hat
-        c2 = conformal_threshold(s, g2).c_hat
-        worst_mono = min(worst_mono, (c1 - c2) if not (math.isinf(c1) and math.isinf(c2)) else 0.0)
-    results.append(PropertyResult("conformal_monotone_in_budget", bool(worst_mono >= 0.0), float(worst_mono)))
-
-    ceil_gen = RngHandle(seed + 4, STREAM_SCORES).generator()
-    worst_ceil = math.inf
-    for _ in range(200):
-        mm = int(ceil_gen.integers(5, 120))
-        g = float(ceil_gen.uniform(0.05, 0.95))
-        s = ceil_gen.standard_normal(mm)
-        th = conformal_threshold(s, g)
-        rej_rate = float(np.mean(s > th.c_hat))
-        worst_ceil = min(worst_ceil, g + 1.0 / (mm + 1) - rej_rate)
-    results.append(PropertyResult("conformal_rejection_ceiling", bool(worst_ceil >= -tol), float(worst_ceil)))
+        m = int(draw_gen.integers(5, 120))
+        s = draw_gen.standard_normal(m)
+        budgets = sorted(draw_gen.uniform(0.05, 0.95, size=2))
+        c1, c2 = (conformal_threshold(s, g).c_hat for g in budgets)
+        worst_mono = min(worst_mono, 0.0 if math.isinf(c1) and math.isinf(c2) else c1 - c2)
+        for g, c_hat in zip(budgets, (c1, c2)):
+            worst_ceil = min(worst_ceil, g + 1.0 / (m + 1) - float(np.mean(s > c_hat)))
+    results += [
+        PropertyResult("conformal_monotone_in_budget", bool(worst_mono >= 0.0), float(worst_mono)),
+        PropertyResult("conformal_rejection_ceiling", bool(worst_ceil >= -tol), float(worst_ceil)),
+    ]
 
     # --- classification extension on the 4-point label task
     btask = BinaryTask(

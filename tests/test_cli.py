@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from selreg import oracle
 from selreg.cli import main
 from selreg.core import model_from_json
 from selreg.harness import bundled_data_path, materialize
@@ -278,6 +279,14 @@ class TestVerifyTheory:
         captured = capsys.readouterr()
         assert rc == 1 and captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
+
+    def test_failed_property_exits_with_verification_code(self, monkeypatch, tmp_path, capsys):
+        failing = [oracle.PropertyResult("some_bound", False, -1.0)]
+        monkeypatch.setattr(oracle, "run_verification_suite", lambda seed, trials: failing)
+        out = tmp_path / "verify.json"
+        assert main(["verify-theory", "--out", str(out)]) == 3
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is False and doc["properties"][0]["name"] == "some_bound"
 
 
 class TestReport:

@@ -81,9 +81,9 @@ class TestSplit:
         rows = np.concatenate([tr.features[:, 0], va.features[:, 0], te.features[:, 0]])
         assert sorted(rows.astype(int).tolist()) == list(range(n))
 
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SplitSpec(0.5, 0.2, 0.2)
+    def test_fractions_must_leave_rows_for_training(self):
+        with pytest.raises(ValueError, match="training"):
+            SplitSpec(0.6, 0.4)
 
 
 class TestStandardize:
@@ -211,3 +211,28 @@ def test_no_function_local_package_imports():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
     assert found == ["cli.py:_cmd_verify_theory"]
+
+
+def test_no_unused_module_imports():
+    # no linter runs on the package, so a name imported at module level must
+    # be used in that module or re-exported through its __all__
+    import ast
+    from pathlib import Path
+
+    import selreg
+
+    found = []
+    for path in sorted(Path(selreg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                used |= {elt.value for elt in stmt.value.elts}
+        found += [
+            f"{path.name}:{name}"
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__"
+            for name in ((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+            if name not in used
+        ]
+    assert found == []

@@ -158,6 +158,8 @@ class TestRunFixedCost:
             dict(rep.config, standardize_data=None),
             # the split seed and the kNN k were always replaced by the run
             dict(rep.config, split=dict(rep.config["split"], seed=77)),
+            # and the train fraction was always 1 - val - test
+            dict(rep.config, split=dict(rep.config["split"], train_fraction=0.7)),
             dict(rep.config, regressor=dict(rep.config["regressor"], k=99)),
             # "knn" by name ran KnnConfig()
             dict(rep.config, regressor={"kind": "knn"}),
@@ -365,16 +367,15 @@ _VARIATIONS = {
     (ExperimentConfig, "cost_config"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_cost(1.0)}),
     (ExperimentConfig, "regressor"): (_ON_HETERO6, {"regressor": "oracle"}),
     (ExperimentConfig, "rejector"): (_ON_HETERO6, {"rejector": "loss-linear"}),
-    (ExperimentConfig, "split"): (_ON_HETERO6, {"split": SplitSpec(0.5, 0.3, 0.2)}),
+    (ExperimentConfig, "split"): (_ON_HETERO6, {"split": SplitSpec(0.3, 0.2)}),
     (ExperimentConfig, "repeats"): (_ON_HETERO6, {"repeats": 3}),
     (ExperimentConfig, "seed"): (_ON_HETERO6, {"seed": 4}),
     (ExperimentConfig, "target_column"): (_ON_CSV, {"target_column": "x2"}),
     (ExperimentConfig, "synthetic_n"): (_ON_HETERO6, {"synthetic_n": 400}),
     (ExperimentConfig, "sigma_grid"): (_ON_HETERO6, {"sigma_grid": (1000.0,)}),
     (ExperimentConfig, "workers"): (_ON_HETERO6, {"workers": 2}),
-    (SplitSpec, "train_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.6, 0.2, 0.2)}),
-    (SplitSpec, "val_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.6, 0.3, 0.1)}),
-    (SplitSpec, "test_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.7, 0.1, 0.2)}),
+    (SplitSpec, "val_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.3, 0.1)}),
+    (SplitSpec, "test_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.2, 0.2)}),
     (CostConfig, "mode"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_budget(0.3)}),
     (CostConfig, "cost_c"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_cost(0.5)}),
     (KnnConfig, "k_grid"): (_ON_HETERO6, {"regressor": KnnConfig(k_grid=(1,))}),

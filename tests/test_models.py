@@ -101,6 +101,10 @@ class TestSelectHyperparameters:
         # with no grid entry left, k = n_train
         assert fit_knn_auto(data, data, KnnConfig(k_grid=(50, 150))).k == 8
 
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ValueError, match="k_grid"):
+            KnnConfig(k_grid=())
+
 
 class TestMlp:
     def test_constant_zero_target_fits_fast(self):

@@ -303,4 +303,4 @@ class TestVerificationSuite:
         from dataclasses import asdict
 
         doc = json.dumps([asdict(r) for r in results])
-        assert "bayes_pair_grid_minimum" in doc
+        assert "bayes_pair_enumerated_minimum" in doc
