@@ -33,7 +33,6 @@ __all__ = [
     "CostConfig",
     "Dataset",
     "SplitSpec",
-    "ScalingParams",
     "KernelSpec",
     "DEFAULT_SIGMA_GRID",
     "sigma_grid",
@@ -155,7 +154,6 @@ class Dataset:
 
     features: np.ndarray
     targets: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -171,12 +169,8 @@ class Dataset:
             raise DataError(f"row mismatch: {n} feature rows vs {targs.shape[0]} targets")
         if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(targs)):
             raise DataError("NaN/Inf entries are not allowed after ingestion")
-        if self.feature_names is not None and len(self.feature_names) != d:
-            raise DataError("feature_names length must equal feature count")
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "targets", _freeze(targs))
-        if self.feature_names is not None:
-            object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
     @property
     def n(self) -> int:
@@ -187,7 +181,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.features[idx], self.targets[idx], self.feature_names)
+        return Dataset(self.features[idx], self.targets[idx])
 
 
 @dataclass(frozen=True)
@@ -229,51 +223,28 @@ def split_dataset(data: Dataset, spec: SplitSpec, seed: int) -> tuple[Dataset, D
     return data.subset(i_train), data.subset(i_val), data.subset(i_test)
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Per-column statistics of the training split (sample std, ddof=1).
-
-    Columns with zero variance are passed through unscaled and flagged in
-    ``degenerate``.  When targets were scaled, target_std holds the factor.
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-    degenerate: np.ndarray
-    target_mean: float | None = None
-    target_std: float | None = None
-
-    def transform(self, data: Dataset) -> Dataset:
-        feats = (data.features - self.mean) / self.std
-        targs = data.targets
-        if self.target_mean is not None:
-            targs = (targs - self.target_mean) / self.target_std
-        return Dataset(feats, targs, data.feature_names)
+def _location_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # mean and sample std (ddof=1) per column; a constant column gets (0, 1)
+    mean, std = values.mean(axis=0), values.std(axis=0, ddof=1)
+    constant = std == 0.0
+    return np.where(constant, 0.0, mean), np.where(constant, 1.0, std)
 
 
-def standardize(
-    train: Dataset, others: Sequence[Dataset] = (), *, targets: bool = False
-) -> tuple[Dataset, list[Dataset], ScalingParams]:
-    """Z-score features (and optionally targets) on train statistics only.
+def standardize(train: Dataset, others: Sequence[Dataset] = ()) -> tuple[Dataset, list[Dataset]]:
+    """Z-score features and targets on train statistics only; a constant
+    column passes through unscaled.
 
     The other datasets are transformed with the train mean/std — never their
     own — so no information leaks across splits.
     """
     if train.n < 2:
         raise DataError("standardize needs at least 2 training rows")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0, ddof=1)
-    degenerate = std == 0.0
-    mean = np.where(degenerate, 0.0, mean)
-    std = np.where(degenerate, 1.0, std)
-    t_mean = t_std = None
-    if targets:
-        t_mean = float(train.targets.mean())
-        t_std = float(train.targets.std(ddof=1))
-        if t_std == 0.0:
-            t_mean, t_std = 0.0, 1.0
-    params = ScalingParams(mean, std, degenerate, t_mean, t_std)
-    return params.transform(train), [params.transform(d) for d in others], params
+    (f_mean, f_std), (t_mean, t_std) = _location_scale(train.features), _location_scale(train.targets)
+
+    def z(data: Dataset) -> Dataset:
+        return Dataset((data.features - f_mean) / f_std, (data.targets - t_mean) / t_std)
+
+    return z(train), [z(d) for d in others]
 
 
 # ---------------------------------------------------------------------------

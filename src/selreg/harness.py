@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .core import (
     DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
+    EmptyValidationError,
     KernelSpec,
     RngHandle,
     STREAM_SAMPLE,
@@ -104,7 +105,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     Rows containing non-numeric or missing cells are dropped with a
     row-indexed diagnostic on the module logger; structural problems
     (no header, a repeated column name, wrong field count) raise
-    CsvParseError.
+    CsvParseError.  Blank lines are skipped.
     """
     path = Path(path)
     try:
@@ -128,6 +129,8 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     feats, targs = [], []
     n_dropped = 0
     for row_no, row in enumerate(reader, start=1):
+        if not row:
+            continue
         if len(row) != len(header):
             raise CsvParseError(
                 f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}",
@@ -149,8 +152,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
         targs.append(values[t_idx])
     if not feats:
         raise EmptyAfterFilteringError(f"{path}: no usable rows ({n_dropped} dropped)")
-    names = tuple(header[i] for i in f_idx)
-    return Dataset(np.array(feats), np.array(targs), names)
+    return Dataset(np.array(feats), np.array(targs))
 
 
 def _is_number(cell: str) -> bool:
@@ -222,10 +224,7 @@ class ExperimentConfig:
                              f"not by {self.rejector} in {self.cost_config.mode.value} mode")
 
     def method_name(self) -> str:
-        reg = self.regressor if isinstance(self.regressor, str) else (
-            "knn" if isinstance(self.regressor, KnnConfig) else "mlp"
-        )
-        return f"{reg}+{self.rejector}"
+        return f"{self.to_dict()['regressor']['kind']}+{self.rejector}"
 
     def to_dict(self) -> dict:
         reg = self.regressor
@@ -253,39 +252,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        # Older echoes may carry calibrate_on and standardize_data, whose
-        # defaults alone still mean the same; output_dir, which nothing read;
-        # split.seed and the kNN k, which the run always replaced; and
-        # split.train_fraction, which the split never read.  An echo of "knn"
-        # or "mlp" by name ran the default config.
-        for key, default, rule in (
-            ("calibrate_on", "validation", "the rejector always learns from the validation split"),
-            ("standardize_data", None, "CSVs are z-scored and synthetic tasks keep native units"),
-        ):
-            if doc.get(key, default) != default:
-                raise ValueError(f"{key}={doc[key]!r}: the option was removed; {rule}")
-        mode = CostMode(doc["mode"])
-        cost = CostConfig(mode, cost_c=doc["cost_c"], budget_gamma=doc["budget_gamma"])
-        reg_doc = doc["regressor"]
-        if reg_doc["kind"] == "knn":
-            reg = KnnConfig(k_grid=tuple(reg_doc.get("k_grid", KnnConfig.k_grid)))
-        elif reg_doc["kind"] == "mlp":
-            reg = MlpConfig(**{k: v for k, v in reg_doc.items() if k != "kind"})
-        else:
-            reg = reg_doc["kind"]
-        return ExperimentConfig(
-            dataset_source=doc["dataset_source"],
-            cost_config=cost,
-            regressor=reg,
-            rejector=doc["rejector"],
-            split=SplitSpec(**{k: v for k, v in doc["split"].items() if k not in ("seed", "train_fraction")}),
-            repeats=doc["repeats"],
-            seed=doc["seed"],
-            target_column=doc["target_column"],
-            synthetic_n=doc["synthetic_n"],
-            sigma_grid=doc["sigma_grid"],
-            workers=doc.get("workers", 1),
-        )
+        """The config whose ``to_dict`` is ``doc``; any other document is
+        refused with ValueError."""
+        try:
+            reg_doc = dict(doc["regressor"])
+            kind = reg_doc.pop("kind")
+            kw = {k: v for k, v in doc.items() if k not in ("mode", "cost_c", "budget_gamma")}
+            kw.update(
+                cost_config=CostConfig(CostMode(doc["mode"]), doc["cost_c"], doc["budget_gamma"]),
+                regressor=KnnConfig(**reg_doc) if kind == "knn" else MlpConfig(**reg_doc) if kind == "mlp" else kind,
+                split=SplitSpec(**doc["split"]),
+            )
+            cfg = ExperimentConfig(**kw)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"config echo lacks or garbles a field: {exc}") from None
+        echo = cfg.to_dict()
+        differ = sorted(k for k in doc.keys() | echo.keys() if (k in doc) != (k in echo) or doc[k] != echo[k])
+        if differ:
+            raise ValueError(f"config echo differs at {differ} from the one its run writes")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -306,12 +291,12 @@ class RunReport:
     machine_std: float
     rej_mean: float
     rej_std: float
-    config: dict
+    config: ExperimentConfig
     seed_ledger: tuple[int, ...]
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc.update(repeats=list(doc["repeats"]), seed_ledger=list(self.seed_ledger))
+        doc.update(repeats=list(doc["repeats"]), config=self.config.to_dict(), seed_ledger=list(self.seed_ledger))
         return doc
 
     def to_json(self) -> str:
@@ -319,16 +304,17 @@ class RunReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunReport":
-        # older reports also carry wall_clock_s, which is not read
-        kw = {f.name: doc[f.name] for f in fields(RunReport)}
-        kw.update(repeats=tuple(LossReport(**r) for r in doc["repeats"]), seed_ledger=tuple(doc["seed_ledger"]))
-        return RunReport(**kw)
+        """The report that ``doc`` describes; a missing, unknown or garbled
+        field raises KeyError, TypeError or ValueError."""
+        repeats = tuple(LossReport(**r) for r in doc["repeats"])
+        config = ExperimentConfig.from_dict(doc["config"])
+        return RunReport(**dict(doc, repeats=repeats, config=config, seed_ledger=tuple(doc["seed_ledger"])))
 
     @staticmethod
     def from_json(doc: str) -> "RunReport":
         try:
             return RunReport.from_dict(core.json_object(doc, "run report"))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"run report lacks or garbles a field: {exc}") from None
 
 
@@ -353,7 +339,7 @@ def _aggregate(cfg: ExperimentConfig, reports: list[LossReport], seeds: list[int
         machine_std=_std(mach),
         rej_mean=float(rej.mean()),
         rej_std=_std(rej),
-        config=cfg.to_dict(),
+        config=cfg,
         seed_ledger=tuple(seeds),
     )
 
@@ -375,7 +361,7 @@ def materialize(
         return (*core.split_dataset(data, split, seed), task)
     data = load_csv(source, target_column)
     train, val, test = core.split_dataset(data, split, seed)
-    train, (val, test), _ = standardize(train, [val, test], targets=True)
+    train, (val, test) = standardize(train, [val, test])
     return train, val, test, None
 
 
@@ -423,8 +409,11 @@ def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tupl
     """Calibrator fitted on the first half of ``val`` and the conformal
     acceptance threshold for budget ``gamma`` from its scores on the second
     half.  Those scores are independent of both the regressor and the
-    calibrator, as the threshold's coverage guarantee requires.
+    calibrator, as the threshold's coverage guarantee requires, so ``val``
+    needs two rows at least.
     """
+    if val.n < 2:
+        raise EmptyValidationError(f"budget mode needs 2 validation rows, got {val.n}")
     fit_part, score_part = (val.subset(i) for i in _halves(val.n))
     if rejector == "kernel":
         # median length scale keeps the smoother in range without

@@ -51,6 +51,7 @@ class KnnConfig:
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k_grid", tuple(self.k_grid))
         if self.k < 1 or not self.k_grid or any(k < 1 for k in self.k_grid):
             raise ValueError(f"neighbour counts must be positive and k_grid nonempty, "
                              f"got k={self.k}, k_grid={self.k_grid}")
@@ -104,8 +105,6 @@ class KnnRegressor(Regressor):
 
 
 def fit_knn(train: Dataset, cfg: KnnConfig) -> KnnRegressor:
-    if cfg.k > train.n:
-        raise KTooLargeError(f"k={cfg.k} exceeds n_train={train.n}")
     return KnnRegressor(train.features, train.targets, cfg.k)
 
 

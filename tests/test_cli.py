@@ -304,6 +304,25 @@ class TestReport:
         assert rc == 0
         assert (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize("garble", [
+        lambda echo: echo.update(standardize_data=False),
+        lambda echo: echo.update(rejector="conformal"),
+        lambda echo: echo.pop("seed"),
+    ], ids=["unknown-key", "removed-rejector", "missing-key"])
+    def test_echo_that_bench_would_not_write_is_data_error(self, garble, tmp_path, capsys):
+        assert main([
+            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "--synthetic-n", "200", "--repeats", "2", "--out", str(tmp_path),
+        ]) == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        garble(doc["config"])
+        (tmp_path / "bench.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--input", str(tmp_path / "bench.json"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "bench.csv").exists()
+
 
 class TestEntryPoint:
     def test_usage_error_exit_code_via_subprocess(self):

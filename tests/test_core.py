@@ -39,10 +39,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             tiny_dataset.features[0, 0] = 99.0
 
-    def test_subset_keeps_names(self):
-        d = Dataset(np.zeros((3, 1)), np.zeros(3), feature_names=("a",))
-        assert d.subset(np.array([0, 2])).feature_names == ("a",)
-
 
 class TestSplit:
     def test_exact_fractions(self):
@@ -88,30 +84,30 @@ class TestSplit:
 
 class TestStandardize:
     def test_unit_scale(self):
-        train = Dataset(np.array([[1.0], [2.0], [3.0]]), np.zeros(3))
-        out, _, params = standardize(train)
-        assert abs(out.features.mean()) < 1e-12
-        assert abs(out.features.std(ddof=1) - 1.0) < 1e-10
-        assert not params.degenerate[0]
+        train = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 5.0, 9.0]))
+        out, others = standardize(train)
+        assert others == []
+        np.testing.assert_allclose(out.features[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(out.targets, [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_constant_column_passthrough(self):
-        train = Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), np.zeros(3))
-        out, _, params = standardize(train)
+        train = Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), np.full(3, 7.0))
+        out, _ = standardize(train)
         np.testing.assert_array_equal(out.features[:, 0], train.features[:, 0])
-        assert params.degenerate[0] and not params.degenerate[1]
+        np.testing.assert_allclose(out.features[:, 1], [-1.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(out.targets, train.targets)
 
     def test_no_leakage(self):
         train = Dataset(np.array([[0.0], [2.0]]), np.zeros(2))
         test = Dataset(np.array([[10.0]]), np.zeros(1))
-        _, (test_s,), params = standardize(train, [test])
+        _, (test_s,) = standardize(train, [test])
         expected = (10.0 - 1.0) / np.sqrt(2.0)  # train mean 1, train sample std sqrt(2)
         assert test_s.features[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_targets_scaled_on_train_stats(self):
         train = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 2.0]))
         test = Dataset(np.array([[0.5]]), np.array([4.0]))
-        _, (test_s,), params = standardize(train, [test], targets=True)
-        assert params.target_mean == pytest.approx(1.0)
+        _, (test_s,) = standardize(train, [test])
         assert test_s.targets[0] == pytest.approx((4.0 - 1.0) / np.sqrt(2.0))
 
 

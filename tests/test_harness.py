@@ -11,6 +11,7 @@ from selreg.core import (
     CostMode,
     DEFAULT_SIGMA_GRID,
     DataError,
+    EmptyValidationError,
     Regressor,
     SplitSpec,
     TableLookupRegressor,
@@ -42,8 +43,17 @@ class TestLoadCsv:
         p.write_text("a,b,target\n1,2,3\n4,5,6\n7,8,9\n")
         data = load_csv(p, "target")
         assert data.n == 3 and data.dim == 2
-        assert data.feature_names == ("a", "b")
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]])
         np.testing.assert_array_equal(data.targets, [3.0, 6.0, 9.0])
+
+    @pytest.mark.parametrize("text", ["a,target\n1,2\n3,4\n\n", "a,target\n1,2\n\n3,4\n"],
+                             ids=["trailing", "middle"])
+    def test_blank_line_is_skipped(self, text, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text(text)
+        data = load_csv(p, "target")
+        np.testing.assert_array_equal(data.features, [[1.0], [3.0]])
+        np.testing.assert_array_equal(data.targets, [2.0, 4.0])
 
     def test_bad_row_dropped_with_diagnostic(self, tmp_path, caplog):
         p = tmp_path / "bad.csv"
@@ -135,7 +145,7 @@ class TestRunFixedCost:
         )
         rep = run_experiment(cfg)
         assert np.isfinite(rep.rwr_mean)
-        assert "standardize_data" not in rep.config  # CSVs are always standardized
+        assert "standardize_data" not in rep.config.to_dict()  # CSVs are always standardized
 
     def test_mlp_regressor_runs(self):
         cfg = _cost_cfg(regressor=MlpConfig(epochs=20), repeats=2, synthetic_n=300)
@@ -143,30 +153,36 @@ class TestRunFixedCost:
         assert np.isfinite(rep.rwr_mean)
 
     def test_config_echo_reproduces_run(self):
-        rep = run_experiment(_cost_cfg())
-        again = run_experiment(ExperimentConfig.from_dict(rep.config))
-        assert again == rep
+        # each regressor kind in both modes: the JSON reads back equal, and its echo reruns the report
+        for regressor in (KnnConfig(k_grid=[5, 10]), MlpConfig(epochs=3, batch_size=64), "oracle"):
+            for cost in (CostConfig.fixed_cost(2.0), CostConfig.fixed_budget(0.2)):
+                rep = run_experiment(_cost_cfg(regressor=regressor, cost_config=cost, repeats=2, synthetic_n=300))
+                back = RunReport.from_json(rep.to_json())
+                assert back == rep
+                assert run_experiment(back.config) == rep
 
-    def test_old_echo_with_default_calibrate_on_still_loads(self):
-        rep = run_experiment(_cost_cfg())
-        for key in ("calibrate_on", "output_dir", "standardize_data"):
-            assert key not in rep.config
-        assert "seed" not in rep.config["split"] and "k" not in rep.config["regressor"]
-        for old in (
-            dict(rep.config, calibrate_on="validation"),
-            dict(rep.config, output_dir="."),
-            dict(rep.config, standardize_data=None),
-            # the split seed and the kNN k were always replaced by the run
-            dict(rep.config, split=dict(rep.config["split"], seed=77)),
-            # and the train fraction was always 1 - val - test
-            dict(rep.config, split=dict(rep.config["split"], train_fraction=0.7)),
-            dict(rep.config, regressor=dict(rep.config["regressor"], k=99)),
-            # "knn" by name ran KnnConfig()
-            dict(rep.config, regressor={"kind": "knn"}),
-        ):
-            assert ExperimentConfig.from_dict(old).to_dict() == rep.config
-        mlp = _cost_cfg(regressor=MlpConfig()).to_dict()
-        assert ExperimentConfig.from_dict(dict(mlp, regressor={"kind": "mlp"})).to_dict() == mlp
+    @pytest.mark.parametrize("change, match", [
+        (dict(output_dir="."), "output_dir"),
+        (dict(calibrate_on="validation"), "calibrate_on"),
+        (dict(standardize_data=None), "standardize_data"),
+        (dict(split={"val_fraction": 0.2, "test_fraction": 0.1, "seed": 77}), "seed"),
+        (dict(split={"val_fraction": 0.2, "test_fraction": 0.1, "train_fraction": 0.7}), "train_fraction"),
+        (dict(regressor={"kind": "knn"}), "regressor"),
+        (dict(regressor={"kind": "knn", "k_grid": [5], "k": 99}), "k=99"),
+        (dict(regressor={"kind": "mlp"}), "regressor"),
+    ])
+    def test_echo_that_the_run_would_not_write_is_refused(self, change, match):
+        echo = _cost_cfg().to_dict()
+        assert ExperimentConfig.from_dict(echo) == _cost_cfg()
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(dict(echo, **change))
+
+    @pytest.mark.parametrize("key", ["seed", "workers", "split"])
+    def test_echo_missing_a_key_is_refused(self, key):
+        echo = _cost_cfg().to_dict()
+        del echo[key]
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(echo)
 
     def test_old_echo_calibrating_on_train_is_refused(self):
         for key, value in (("calibrate_on", "train"), ("standardize_data", True), ("standardize_data", False)):
@@ -298,6 +314,14 @@ class TestRunFixedBudget:
         rep = run_experiment(cfg)
         assert rep.rej_mean == 0.0
 
+    def test_one_validation_row_is_refused(self):
+        # the calibrator would be fitted on the row that its threshold scores
+        cfg = ExperimentConfig("hetero6", CostConfig.fixed_budget(0.2), split=SplitSpec(0.1, 0.2),
+                               repeats=1, synthetic_n=10)
+        with pytest.raises(EmptyValidationError, match="2 validation rows"):
+            run_experiment(cfg)
+        run_experiment(dataclasses.replace(cfg, cost_config=CostConfig.fixed_cost(2.0)))  # cost mode runs
+
     def test_machine_loss_counts_accepted_only(self):
         cfg = ExperimentConfig(
             dataset_source="hetero6",
@@ -340,9 +364,12 @@ class TestEmitReport:
         path = emit_report(rep, "json", tmp_path)
         back = RunReport.from_json(path.read_text())
         assert back == rep
-        # older reports also carry the run's wall-clock seconds
+        # a field the report does not have, such as an old wall-clock time, is refused
         old = dict(json.loads(path.read_text()), wall_clock_s=1.25)
-        assert RunReport.from_dict(old) == rep
+        with pytest.raises(TypeError, match="wall_clock_s"):
+            RunReport.from_dict(old)
+        with pytest.raises(DataError, match="wall_clock_s"):
+            RunReport.from_json(json.dumps(old))
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -105,6 +105,11 @@ class TestSelectHyperparameters:
         with pytest.raises(ValueError, match="k_grid"):
             KnnConfig(k_grid=())
 
+    def test_list_grid_is_kept_as_a_tuple(self):
+        cfg = KnnConfig(k_grid=[5, 10])
+        assert cfg.k_grid == (5, 10) and cfg == KnnConfig(k_grid=(5, 10))
+        assert hash(cfg) == hash(KnnConfig(k_grid=(5, 10)))
+
 
 class TestMlp:
     def test_constant_zero_target_fits_fast(self):
