@@ -12,13 +12,21 @@ Contracts:
     resolve to the lower index.  One neighbour ordering per query serves
     every k, and each row equals a call with that k alone.
 
+    For d = 1 the points are sorted once per call, and each query looks
+    only at the ``min(2 max(ks), m)`` sorted positions around it.  A row
+    whose answer the window cannot vouch for (a tie at its kth distance, a
+    NaN, a mirror tie out of index order, or a point just outside the window
+    that is not strictly farther) takes the full distance row instead, so
+    the result is the same bits either way.
+
 ``gaussian_nw(queries, centers, values[m], sigma) -> [nq]``
     Weighted average with weights exp(-||q-c||^2 / sigma); an all-zero
     weight row falls back to the value at the nearest center (ties to the
     lower index).
 
 Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
-``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m.
+``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m
+(block x window on the d = 1 path of ``knn_mean``).
 """
 
 from __future__ import annotations
@@ -78,6 +86,57 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
+def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
+    """The k nearest points to each coordinate in ``q`` (d = 1), in
+    (distance, index) order, taken from the ``min(2k, m)`` sorted positions
+    around it, and a mask of the rows to redo on the full path.
+
+    ``sx`` holds the point coordinates sorted stably and ``order`` their
+    indices, so equal coordinates already sit in index order.
+    """
+    m = sx.shape[0]
+    w = min(2 * k, m)
+    lo = np.clip(np.searchsorted(sx, q) - k, 0, m - w)
+    pos = lo[:, None] + np.arange(w)
+    # the full path adds the square to zeros, which changes no bit
+    d2 = np.square(q[:, None] - sx[pos])
+    rank = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    idx = order[np.take_along_axis(pos, rank, axis=1)]
+    near = np.take_along_axis(d2, rank, axis=1)
+    kth = near[:, -1]
+    # a tie at the kth distance, or a NaN one
+    full = np.count_nonzero(d2 <= kth[:, None], axis=1) != k
+    # equal distances out of index order: a mirror tie at q - r and q + r
+    full |= np.any((near[:, 1:] == near[:, :-1]) & (idx[:, 1:] < idx[:, :-1]), axis=1)
+    # the nearest point outside on either side no farther than the kth; the
+    # points past it are farther still, as the sorted coordinates move away
+    for outside, exists in ((lo - 1, lo > 0), (lo + w, lo + w < m)):
+        full |= exists & ~(np.square(q - sx[np.clip(outside, 0, m - 1)]) > kth)
+    return idx, full
+
+
+def _neighbours(queries, points, k: int):
+    """Yield ``(start, idx)``: the k nearest points of each query in a block
+    of ``_BLOCK`` rows, ordered by (distance, index).  One-dimensional data
+    takes the sorted window of ``_window_nearest``; its unsettled rows and
+    all other data take the full distance row."""
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    if not queries.shape[1] == points.shape[1] == 1:
+        for start, d2 in _sq_dist_blocks(queries, points):
+            yield start, _nearest(d2, k)
+        return
+    order = np.argsort(points[:, 0], kind="stable")
+    sx = points[order, 0]
+    for start in range(0, queries.shape[0], _BLOCK):
+        block = queries[start : start + _BLOCK]
+        idx, full = _window_nearest(block[:, 0], order, sx, k)
+        if full.any():
+            for _, d2 in _sq_dist_blocks(block[full], points):
+                idx[full] = _nearest(d2, k)
+        yield start, idx
+
+
 def knn_mean(
     queries: np.ndarray, points: np.ndarray, values: np.ndarray, ks
 ) -> np.ndarray:
@@ -89,11 +148,11 @@ def knn_mean(
     if len(ks) == 0 or not 1 <= min(ks) <= max(ks) <= values.shape[0]:
         raise ValueError("k out of range")
     out = np.empty((len(ks), np.shape(queries)[0]))
-    for start, d2 in _sq_dist_blocks(queries, points):
+    for start, idx in _neighbours(queries, points, max(ks)):
         # the first k of the (distance, index) order are the k nearest
-        idx = _nearest(d2, max(ks))
+        g = values[idx]
         for j, k in enumerate(ks):
-            out[j, start : start + d2.shape[0]] = values[idx[:, :k]].mean(axis=1)
+            out[j, start : start + idx.shape[0]] = g[:, :k].mean(axis=1)
     return out
 
 

@@ -206,6 +206,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("seed", "repeats", "synthetic_n", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.workers < 1:
@@ -225,6 +229,9 @@ class ExperimentConfig:
 
     def method_name(self) -> str:
         return f"{self.to_dict()['regressor']['kind']}+{self.rejector}"
+
+    def repeat_seeds(self) -> tuple[int, ...]:
+        return tuple(self.seed + i for i in range(self.repeats))
 
     def to_dict(self) -> dict:
         reg = self.regressor
@@ -305,10 +312,17 @@ class RunReport:
     @staticmethod
     def from_dict(doc: dict) -> "RunReport":
         """The report that ``doc`` describes; a missing, unknown or garbled
-        field raises KeyError, TypeError or ValueError."""
+        field raises KeyError, TypeError or ValueError, and so does a label
+        or seed ledger other than the one its config echo derives.  The
+        means and deviations are taken as written."""
         repeats = tuple(LossReport(**r) for r in doc["repeats"])
         config = ExperimentConfig.from_dict(doc["config"])
-        return RunReport(**dict(doc, repeats=repeats, config=config, seed_ledger=tuple(doc["seed_ledger"])))
+        derived = _derived_fields(config)
+        # compared as the JSON file spells them, so 1 and 1.0 or true differ
+        differ = sorted(k for k, v in derived.items() if json.dumps(doc[k]) != json.dumps(v))
+        if differ:
+            raise ValueError(f"report fields {differ} differ from those its config echo derives")
+        return RunReport(**dict(doc, repeats=repeats, config=config, **derived))
 
     @staticmethod
     def from_json(doc: str) -> "RunReport":
@@ -322,16 +336,24 @@ def _std(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-def _aggregate(cfg: ExperimentConfig, reports: list[LossReport], seeds: list[int]) -> RunReport:
-    rwr = np.array([r.rwr_loss for r in reports])
-    mach = np.array([r.machine_loss for r in reports])
-    rej = np.array([r.rejection_rate for r in reports])
+def _derived_fields(cfg: ExperimentConfig) -> dict:
+    """The RunReport fields that follow from the config alone."""
     cc = cfg.cost_config
-    return RunReport(
+    return dict(
         dataset=cfg.dataset_source,
         mode=cc.mode.value,
         c_or_gamma=cc.cost_c if cc.mode is CostMode.FIXED_COST else cc.budget_gamma,
         method=cfg.method_name(),
+        seed_ledger=cfg.repeat_seeds(),
+    )
+
+
+def _aggregate(cfg: ExperimentConfig, reports: list[LossReport]) -> RunReport:
+    rwr = np.array([r.rwr_loss for r in reports])
+    mach = np.array([r.machine_loss for r in reports])
+    rej = np.array([r.rejection_rate for r in reports])
+    return RunReport(
+        **_derived_fields(cfg),
         repeats=tuple(reports),
         rwr_mean=float(rwr.mean()),
         rwr_std=_std(rwr),
@@ -340,7 +362,6 @@ def _aggregate(cfg: ExperimentConfig, reports: list[LossReport], seeds: list[int
         rej_mean=float(rej.mean()),
         rej_std=_std(rej),
         config=cfg,
-        seed_ledger=tuple(seeds),
     )
 
 
@@ -460,7 +481,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     aborts the whole run with its index and seed attached.
     """
     cc = cfg.cost_config
-    seeds = [cfg.seed + i for i in range(cfg.repeats)]
+    seeds = cfg.repeat_seeds()
 
     def one_repeat(i: int) -> LossReport:
         seed = seeds[i]
@@ -490,7 +511,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             reports = list(pool.map(one_repeat, range(cfg.repeats)))
     else:
         reports = [one_repeat(i) for i in range(cfg.repeats)]
-    return _aggregate(cfg, reports, seeds)
+    return _aggregate(cfg, reports)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,59 @@ class TestContracts:
         for row, k in zip(got, ks):
             np.testing.assert_array_equal(row, brute_knn_mean(q, p, v, k))
 
+    def test_knn_one_dimension_matches_the_padded_full_path(self, name, impl):
+        # d=1 takes a sorted window of candidates; a zero second column sends
+        # the same distances down the full path, which the window must match
+        # bit for bit: continuous and rounded coordinates (duplicates and
+        # mirror ties), NaN queries, queries beyond every point, max(ks) above
+        # m/2 and k = m, over three blocks of queries
+        rng = np.random.default_rng(21)
+        for decimals in (None, 1, 2):
+            m = 300
+            p = rng.normal(size=m)
+            q = np.concatenate([rng.normal(size=2 * 256 + 40) * 1.5, [np.nan, -50.0, 50.0, np.nan]])
+            if decimals is not None:
+                p, q = np.round(p, decimals), np.round(q, decimals)
+            v = rng.normal(size=m)
+            for ks in ((5, 1, 20), (3, 200), (m,)):
+                got = impl.knn_mean(q[:, None], p[:, None], v, ks)
+                padded = impl.knn_mean(np.c_[q, np.zeros_like(q)], np.c_[p, np.zeros_like(p)], v, ks)
+                # compared as integers, so that equal means are equal bits
+                np.testing.assert_array_equal(got.view(np.int64), padded.view(np.int64))
+
+    def test_knn_duplicates_straddling_the_window_edge(self, name, impl):
+        # from 0 the window of the two sorted positions next to it holds the
+        # second -1 (row 1) and 3; row 0, the first -1, lies just outside it
+        # at the same distance and must win
+        p = np.array([[-1.0], [-1.0], [3.0], [-1.0], [3.0], [0.4]])
+        v = 10.0 ** np.arange(6)
+        self._assert_rows_match_brute_force(impl, np.array([[0.0]]), p[:3], v[:3], (1,))
+        # rows 0, 1 and 3 share -1: k cuts the run of duplicates on either edge
+        q = np.array([[0.0], [-0.3], [1.2], [2.0], [-1.0]])
+        self._assert_rows_match_brute_force(impl, q, p, v, (1, 2, 3))
+        self._assert_rows_match_brute_force(impl, q, p, v, (2, 4, 6))
+        # distinct points at one rounded distance: from -0.1, 1e-20 (row 1)
+        # fills the window and 2e-20 (row 0) lies just past its right edge
+        tiny = np.array([[2e-20], [1e-20], [-5.0]])
+        self._assert_rows_match_brute_force(impl, np.array([[-0.1]]), tiny, v[:3], (1,))
+
+    def test_knn_mirror_tie_goes_to_the_lower_index(self, name, impl):
+        # from 0, row 1 at -1 and row 0 at +1 tie; the window meets -1 first
+        # but row 0 must take the first slot, whether the largest k keeps
+        # just the pair (1, 2) or reaches past it (1, 3, 5)
+        p = np.array([[1.0], [-1.0], [5.0], [3.0], [2.5]])
+        v = 10.0 ** np.arange(5)
+        q = np.array([[0.0], [2.0], [2.75]])
+        self._assert_rows_match_brute_force(impl, q, p, v, (1, 2))
+        self._assert_rows_match_brute_force(impl, q, p, v, (1, 3, 5))
+
+    def test_knn_nan_training_point(self, name, impl):
+        # a NaN point is at NaN distance from every query: it comes last
+        p = np.array([[0.5], [np.nan], [-1.0], [2.0], [np.nan], [1.0]])
+        v = 10.0 ** np.arange(6)
+        q = np.array([[0.0], [1.9], [-5.0], [5.0], [np.nan]])
+        self._assert_rows_match_brute_force(impl, q, p, v, (1, 2, 4, 5, 6))
+
     def test_knn_several_ks_match_brute_force(self, name, impl):
         # one call over a k grid: row j equals the brute-force mean at ks[j],
         # on random points, duplicated points and an integer lattice
@@ -195,7 +248,13 @@ def test_kernel_memory_grows_with_the_block_not_the_query_count():
     rng = np.random.default_rng(2)
     q, p, v = rng.normal(size=(16 * 256, 2)), rng.normal(size=(1000, 2)), rng.normal(size=1000)
     full_matrix = q.shape[0] * p.shape[0] * 8
-    for run in (lambda: backend.knn_mean(q, p, v, (5,))[0], lambda: backend.gaussian_nw(q, p, v, 1.0)):
+    # d=1 takes the sorted window, here once as wide as all m points
+    q1, p1 = q[:, :1], p[:, :1]
+    for run in (
+        lambda: backend.knn_mean(q, p, v, (5,))[0],
+        lambda: backend.knn_mean(q1, p1, v, (5, 500)),
+        lambda: backend.gaussian_nw(q, p, v, 1.0),
+    ):
         tracemalloc.start()
         try:
             run()
@@ -203,6 +262,21 @@ def test_kernel_memory_grows_with_the_block_not_the_query_count():
         finally:
             tracemalloc.stop()
         assert peak < full_matrix / 2
+
+
+def test_window_leaves_only_unsettled_rows_to_the_full_path():
+    # on continuous data the d=1 window settles every row but a NaN query
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=500)
+    order = np.argsort(x, kind="stable")
+    q = np.concatenate([rng.normal(size=200), [np.nan]])
+    _, full = backend._window_nearest(q, order, x[order], 30)
+    assert not full[:-1].any() and full[-1]
+    # the mirror tie from 0 at -1 (row 1) and +1 (row 0)
+    x = np.array([1.0, -1.0, 5.0])
+    order = np.argsort(x, kind="stable")
+    _, full = backend._window_nearest(np.array([0.0, 4.0]), order, x[order], 2)
+    assert full.tolist() == [True, False]
 
 
 class TestDispatch:

@@ -308,7 +308,8 @@ class TestReport:
         lambda echo: echo.update(standardize_data=False),
         lambda echo: echo.update(rejector="conformal"),
         lambda echo: echo.pop("seed"),
-    ], ids=["unknown-key", "removed-rejector", "missing-key"])
+        lambda echo: echo.update(seed=0.5),
+    ], ids=["unknown-key", "removed-rejector", "missing-key", "fractional-seed"])
     def test_echo_that_bench_would_not_write_is_data_error(self, garble, tmp_path, capsys):
         assert main([
             "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
@@ -321,6 +322,18 @@ class TestReport:
         assert main(["report", "--input", str(tmp_path / "bench.json"), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_label_the_echo_does_not_derive_is_data_error(self, tmp_path, capsys):
+        assert main([
+            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "--synthetic-n", "200", "--repeats", "2", "--out", str(tmp_path),
+        ]) == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        (tmp_path / "bench.json").write_text(json.dumps(dict(doc, method="mlp+oracle")))
+        capsys.readouterr()
+        assert main(["report", "--input", str(tmp_path / "bench.json"), "--out", str(tmp_path)]) == 2
+        assert "method" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
 

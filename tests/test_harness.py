@@ -207,6 +207,14 @@ class TestRunFixedCost:
         with pytest.raises(ValueError, match=match):
             _cost_cfg(**kw)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 0.5), ("seed", True), ("repeats", 2.0), ("repeats", True),
+        ("synthetic_n", 300.0), ("workers", False), ("workers", "2"),
+    ])
+    def test_non_integer_counts_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            _cost_cfg(**{name: value})
+
     def test_threaded_repeats_match_sequential(self):
         seq = run_experiment(_cost_cfg(repeats=4))
         par = run_experiment(_cost_cfg(repeats=4, workers=4))
@@ -370,6 +378,20 @@ class TestEmitReport:
             RunReport.from_dict(old)
         with pytest.raises(DataError, match="wall_clock_s"):
             RunReport.from_json(json.dumps(old))
+
+    @pytest.mark.parametrize("field, value", [
+        ("dataset", "smooth1d"), ("mode", "fixed_budget"), ("c_or_gamma", 2.5), ("method", "mlp+oracle"),
+        ("seed_ledger", [7, 8]), ("seed_ledger", [42.0, 43.0]), ("seed_ledger", [42]),
+    ], ids=["dataset", "mode", "c_or_gamma", "method", "seed_ledger", "seed_ledger-floats", "seed_ledger-short"])
+    def test_fields_the_echo_derives_must_match_it(self, field, value):
+        rep = self._report()
+        doc = rep.to_dict()
+        assert RunReport.from_dict(doc) == rep
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            RunReport.from_dict(doc)
+        with pytest.raises(DataError, match=field):
+            RunReport.from_json(json.dumps(doc))
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
