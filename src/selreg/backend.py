@@ -167,7 +167,7 @@ def gaussian_nw(
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != np.shape(centers)[0]:
         raise ValueError("values length must match center count")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     out = np.empty(np.shape(queries)[0])
     for start, d2 in _sq_dist_blocks(queries, centers):

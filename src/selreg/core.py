@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import pairwise_sq_dists
+from . import backend
 
 __all__ = [
     "SelregError",
@@ -148,6 +148,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_int(name: str, value) -> None:
+    """The one contract for counts: an int, and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix [n, d] plus target vector [n]; validated and immutable."""
@@ -203,12 +209,11 @@ def split_dataset(data: Dataset, spec: SplitSpec, seed: int) -> tuple[Dataset, D
     """Disjoint row partition into (train, val, test).
 
     Validation and test sizes are floor allocations of their fractions and
-    train takes every remaining row (the regressor is fitted on all of them).
-    The permutation is fully determined by ``seed``.
+    train takes every remaining row (the regressor is fitted on all of them);
+    an empty split, as every n < 3 gives, raises EmptySplitError.  The
+    permutation is fully determined by ``seed``.
     """
     n = data.n
-    if n < 3:
-        raise EmptySplitError(f"need n >= 3 to populate three splits, got n={n}")
     n_val = int(np.floor(n * spec.val_fraction))
     n_test = int(np.floor(n * spec.test_fraction))
     n_train = n - n_val - n_test
@@ -349,6 +354,8 @@ def _as_block(X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"a feature block must be 1-D or 2-D, got shape {X.shape}")
     return X
 
 
@@ -367,7 +374,7 @@ class TableLookupRegressor(Regressor):
             raise DataError("points/values length mismatch")
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
-        return np.argmin(pairwise_sq_dists(_as_block(X), self.points), axis=1)
+        return np.argmin(backend.pairwise_sq_dists(_as_block(X), self.points), axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.values[self._nearest(X)]
@@ -432,13 +439,17 @@ def json_object(text: str, what: str) -> dict:
 
 
 def model_from_json(doc: str):
+    """The model that ``doc`` describes; an unknown kind, or a payload that
+    its class refuses, is a DataError."""
     obj = json_object(doc, "model file")
     tag = obj.get("kind")
-    if tag not in _MODEL_REGISTRY:
-        raise SelregError(f"unknown model kind {tag!r}")
+    if not isinstance(tag, str) or tag not in _MODEL_REGISTRY:
+        raise DataError(f"unknown model kind {tag!r}")
     if not isinstance(obj.get("payload"), dict):
         raise DataError(f"{tag} model file has no payload object")
     try:
         return _MODEL_REGISTRY[tag].from_payload(obj["payload"])
     except KeyError as exc:
         raise DataError(f"{tag} payload lacks field {exc}") from None
+    except (TypeError, ValueError, SelregError) as exc:
+        raise DataError(f"{tag} payload garbles a field: {exc}") from None

@@ -42,6 +42,7 @@ from .core import (
     SelregError,
     SplitSpec,
     TableLookupRegressor,
+    _require_int,
     sigma_grid,
     standardize,
 )
@@ -85,10 +86,7 @@ class MissingTargetError(DataError):
 
 
 class CsvParseError(DataError):
-    def __init__(self, message: str, row: int | None = None, column: str | None = None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
+    pass
 
 
 class EmptyAfterFilteringError(DataError):
@@ -120,7 +118,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     header = [h.strip() for h in header]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
-        raise CsvParseError(f"{path}: header repeats column(s) {repeated}", column=repeated[0])
+        raise CsvParseError(f"{path}: header repeats column(s) {repeated}")
     if target_column not in header:
         raise MissingTargetError(f"{path}: target column {target_column!r} not in header {header}")
     t_idx = header.index(target_column)
@@ -132,10 +130,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
         if not row:
             continue
         if len(row) != len(header):
-            raise CsvParseError(
-                f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}",
-                row=row_no,
-            )
+            raise CsvParseError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
         try:
             values = [float(cell) for cell in row]
             if not all(np.isfinite(values)):
@@ -207,9 +202,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("seed", "repeats", "synthetic_n", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _require_int(name, getattr(self, name))
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.workers < 1:
@@ -492,14 +485,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             )
             f = fit_regressor(cfg.regressor, train, val, task, seed)
             if cc.mode is CostMode.FIXED_COST:
-                c = cc.cost_c
+                c = threshold = cc.cost_c
                 calibrator = cost_calibrator(cfg.rejector, cfg.sigma_grid, f, val, task, c)
-                rejector = induce_rejector(calibrator, c)
             else:
                 c = 0.0
                 calibrator, th = budget_threshold(cfg.rejector, f, val, task, cc.budget_gamma)
-                rejector = th.rejector(calibrator)
-            return empirical_rwr_loss(f, rejector, test, c)
+                threshold = th.c_hat
+            return empirical_rwr_loss(f, induce_rejector(calibrator, threshold), test, c)
         except Exception as exc:
             exc.args = (f"repeat {i} (seed {seed}) failed: {exc}",)
             raise

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EmptyDatasetError, Regressor, Rejector
+from .core import Dataset, Regressor, Rejector
 from .tasks import OracleRiskCalibrator, SyntheticTask
 
 __all__ = [
@@ -76,15 +76,11 @@ def empirical_rwr_loss(
     """rwr_report of (f, r) on ``data``."""
     if c < 0.0:
         raise ValueError("deferral cost must be nonnegative")
-    if data.n == 0:
-        raise EmptyDatasetError("cannot evaluate on an empty dataset")
     sq = (f.predict(data.features) - data.targets) ** 2
     return rwr_report(sq, r.accept(data.features), c)
 
 
 def empirical_squared_loss(f: Regressor, data: Dataset) -> float:
-    if data.n == 0:
-        raise EmptyDatasetError("cannot evaluate on an empty dataset")
     return float(np.mean((f.predict(data.features) - data.targets) ** 2))
 
 

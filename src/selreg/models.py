@@ -16,6 +16,7 @@ import numpy as np
 
 from . import backend
 from .core import (
+    DataError,
     Dataset,
     KTooLargeError,
     NonFiniteLossError,
@@ -24,6 +25,7 @@ from .core import (
     STREAM_MLP,
     _as_block,
     _freeze,
+    _require_int,
     register_model,
 )
 
@@ -52,6 +54,9 @@ class KnnConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_grid", tuple(self.k_grid))
+        for i, k in enumerate(self.k_grid):
+            _require_int(f"k_grid[{i}]", k)
+        _require_int("k", self.k)
         if self.k < 1 or not self.k_grid or any(k < 1 for k in self.k_grid):
             raise ValueError(f"neighbour counts must be positive and k_grid nonempty, "
                              f"got k={self.k}, k_grid={self.k_grid}")
@@ -71,6 +76,8 @@ class MlpConfig:
     epochs: int = 200
 
     def __post_init__(self) -> None:
+        for name in ("hidden_width", "batch_size", "epochs"):
+            _require_int(name, getattr(self, name))
         if min(self.hidden_width, self.batch_size, self.epochs) < 1:
             raise ValueError("hidden_width, batch_size and epochs must be >= 1")
         if self.learning_rate <= 0.0 or self.weight_decay < 0.0:
@@ -85,7 +92,10 @@ class KnnRegressor(Regressor):
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int):
         self.train_x = _freeze(_as_block(train_x))
         self.train_y = _freeze(np.asarray(train_y, dtype=np.float64))
-        self.k = int(k)
+        if self.train_y.shape != self.train_x.shape[:1]:
+            raise DataError(f"train_y has shape {self.train_y.shape}, not one value per train_x row")
+        _require_int("k", k)
+        self.k = k
         if not 1 <= self.k <= self.train_x.shape[0]:
             raise KTooLargeError(f"k={k} exceeds training size {self.train_x.shape[0]}")
 

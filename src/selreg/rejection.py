@@ -118,15 +118,11 @@ class InducedRejector(Rejector):
 
 def kernel_calibrate(f: Regressor, val: Dataset, kernel: KernelSpec) -> KernelSmootherCalibrator:
     """Store per-sample held-out losses of f and smooth them with the kernel."""
-    if val.n == 0:
-        raise EmptyValidationError("validation data must be nonempty")
     losses = (f.predict(val.features) - val.targets) ** 2
     return KernelSmootherCalibrator(val.features, losses, kernel)
 
 
 def linear_calibrate(f: Regressor, val: Dataset) -> LinearLossCalibrator:
-    if val.n == 0:
-        raise EmptyValidationError("validation data must be nonempty")
     losses = (f.predict(val.features) - val.targets) ** 2
     design = np.column_stack([np.ones(val.n), val.features])
     beta, *_ = np.linalg.lstsq(design, losses, rcond=None)
@@ -186,13 +182,6 @@ class ConformalThreshold:
     m: int
     gamma: float
     order_statistic_index: int
-
-    @property
-    def accepts_everything(self) -> bool:
-        return math.isinf(self.c_hat)
-
-    def rejector(self, calibrator: Calibrator) -> InducedRejector:
-        return InducedRejector(calibrator, self.c_hat)
 
 
 def conformal_threshold(scores: np.ndarray, gamma: float) -> ConformalThreshold:

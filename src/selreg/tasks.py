@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backend import pairwise_sq_dists
+from . import backend
 from .core import (
     Calibrator,
     Dataset,
@@ -89,7 +89,7 @@ class DiscreteTask(SyntheticTask):
         return self.points.shape[0]
 
     def _index_of(self, X: np.ndarray) -> np.ndarray:
-        return np.argmin(pairwise_sq_dists(_as_block(X), self.points), axis=1)
+        return np.argmin(backend.pairwise_sq_dists(_as_block(X), self.points), axis=1)
 
     def mean_at(self, X: np.ndarray) -> np.ndarray:
         return self.means[self._index_of(X)]

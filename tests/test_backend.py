@@ -94,7 +94,7 @@ class TestContracts:
         with pytest.raises(ValueError, match="values length"):
             impl.gaussian_nw(q, p, v, 1.0)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
     def test_nw_rejects_nonpositive_sigma(self, name, impl, sigma):
         with pytest.raises(ValueError, match="sigma must be positive"):
             impl.gaussian_nw(np.zeros((1, 1)), np.ones((2, 1)), np.ones(2), sigma)

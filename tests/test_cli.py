@@ -239,6 +239,12 @@ class TestFitCalibrate:
         assert budget_cal.points.shape[0] == n_val // 2
 
 
+def _knn_file(**payload) -> str:
+    """A knn model file that hetero6 can calibrate, with ``payload`` fields replaced."""
+    good = {"k": 2, "train_x": [[0.0], [1.0], [2.0]], "train_y": [0.0, 1.0, 2.0]}
+    return json.dumps({"kind": "regressor/knn", "payload": dict(good, **payload)})
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -247,8 +253,24 @@ class TestFitCalibrate:
         ("calibrate", '{"kind": "regressor/knn"}'),
         ("calibrate", '{"kind": "regressor/knn", "payload": {"k": 3}}'),
         ("report", '{"dataset": "x"}'),
+        ("calibrate", _knn_file(train_y=[0.0, 1.0])),
+        ("calibrate", _knn_file(train_x="abc")),
+        ("calibrate", _knn_file(train_x=[[[0.0]], [[1.0]], [[2.0]]])),
+        ("calibrate", _knn_file(k=1000000)),
+        ("calibrate", _knn_file(k=2.5)),
+        ("calibrate", _knn_file(k=True)),
+        ("calibrate", json.dumps({"kind": "regressor/mlp", "payload": {
+            "layer_shapes": [[1, 2], [2], [2, 1], [1]],
+            "w1": [[0.0, 0.0, 0.0]], "b1": [0.0, 0.0], "w2": [[0.0], [0.0]], "b2": [0.0],
+        }})),
+        ("calibrate", '{"kind": "regressor/forest", "payload": {}}'),
+        ("calibrate", '{"kind": ["regressor/knn"], "payload": {}}'),
     ],
-    ids=["not-json", "json-list", "no-payload", "no-payload-field", "report-no-mode"],
+    ids=[
+        "not-json", "json-list", "no-payload", "no-payload-field", "report-no-mode",
+        "knn-train-y-short", "knn-string-train-x", "knn-3d-train-x", "knn-k-too-large", "knn-fractional-k", "knn-bool-k",
+        "mlp-w1-off-its-header", "unknown-kind", "unhashable-kind",
+    ],
 )
 def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -309,7 +331,9 @@ class TestReport:
         lambda echo: echo.update(rejector="conformal"),
         lambda echo: echo.pop("seed"),
         lambda echo: echo.update(seed=0.5),
-    ], ids=["unknown-key", "removed-rejector", "missing-key", "fractional-seed"])
+        lambda echo: echo["regressor"].update(k_grid=[5.0]),
+        lambda echo: echo["regressor"].update(k_grid=[True]),
+    ], ids=["unknown-key", "removed-rejector", "missing-key", "fractional-seed", "fractional-k-grid", "bool-k-grid"])
     def test_echo_that_bench_would_not_write_is_data_error(self, garble, tmp_path, capsys):
         assert main([
             "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",

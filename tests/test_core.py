@@ -60,9 +60,12 @@ class TestSplit:
             np.testing.assert_array_equal(da.features, db.features)
 
     def test_too_small_raises(self):
-        data = Dataset(np.zeros((2, 1)), np.zeros(2))
-        with pytest.raises(EmptySplitError):
-            split_dataset(data, SplitSpec(), 0)
+        # fractions below 1 that sum below 1 leave a split empty at every n < 3
+        for n in (1, 2):
+            data = Dataset(np.zeros((n, 1)), np.zeros(n))
+            for spec in (SplitSpec(), SplitSpec(0.5, 0.49), SplitSpec(0.49, 0.5), SplitSpec(0.01, 0.01)):
+                with pytest.raises(EmptySplitError):
+                    split_dataset(data, spec, 0)
 
     def test_empty_split_raises(self):
         data = Dataset(np.zeros((5, 1)), np.zeros(5))
@@ -186,6 +189,21 @@ class TestSerialization:
     def test_lookup_predicts_nearest(self):
         reg = TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(reg.predict(np.array([[1.0], [9.0]])), [1.0, 2.0])
+
+    def test_lookups_call_the_backend_through_its_module(self, monkeypatch):
+        # so that a wrapper on selreg.backend.pairwise_sq_dists, as perfbench's
+        # tracer installs, counts the table and task lookups too
+        from selreg import backend
+        from selreg.tasks import default_discrete_task
+
+        calls, real = [], backend.pairwise_sq_dists
+        monkeypatch.setattr(backend, "pairwise_sq_dists", lambda q, p: calls.append(len(q)) or real(q, p))
+        task = default_discrete_task()
+        q = np.array([[0.0], [9.0]])
+        TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0])).predict(q)
+        task.mean_at(q)
+        task.var_at(q)
+        assert calls == [2, 2, 2]
 
 
 def test_no_function_local_package_imports():

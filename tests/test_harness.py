@@ -210,10 +210,16 @@ class TestRunFixedCost:
     @pytest.mark.parametrize("name, value", [
         ("seed", 0.5), ("seed", True), ("repeats", 2.0), ("repeats", True),
         ("synthetic_n", 300.0), ("workers", False), ("workers", "2"),
+        ("k", 5.0), ("k", True), pytest.param("k_grid", (5, 5.0), id="k_grid-5.0"),
+        pytest.param("k_grid", (True,), id="k_grid-True"), ("hidden_width", True),
+        ("batch_size", 64.0), ("epochs", 2.5),
     ])
     def test_non_integer_counts_are_refused(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an int"):
-            _cost_cfg(**{name: value})
+        # the counts of the run, the kNN search and the MLP share one contract
+        owner = next(cls for cls in (KnnConfig, MlpConfig, _cost_cfg)
+                     if cls is _cost_cfg or name in {f.name for f in dataclasses.fields(cls)})
+        with pytest.raises(ValueError, match=fr"{name}(\[\d\])? must be an int"):
+            owner(**{name: value})
 
     def test_threaded_repeats_match_sequential(self):
         seq = run_experiment(_cost_cfg(repeats=4))
