@@ -216,8 +216,7 @@ class TestRunFixedCost:
     ])
     def test_non_integer_counts_are_refused(self, name, value):
         # the counts of the run, the kNN search and the MLP share one contract
-        owner = next(cls for cls in (KnnConfig, MlpConfig, _cost_cfg)
-                     if cls is _cost_cfg or name in {f.name for f in dataclasses.fields(cls)})
+        owner = KnnConfig if name in ("k", "k_grid") else MlpConfig if name in ("hidden_width", "batch_size", "epochs") else _cost_cfg
         with pytest.raises(ValueError, match=fr"{name}(\[\d\])? must be an int"):
             owner(**{name: value})
 
