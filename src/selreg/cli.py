@@ -22,6 +22,7 @@ from .core import (
     CostMode,
     DEFAULT_SIGMA_GRID,
     DataError,
+    Regressor,
     SelregError,
     json_object,
     model_from_json,
@@ -180,6 +181,10 @@ def _cmd_calibrate(args) -> int:
         raise SelregError(f"{args.model} was fitted on other data: " + "; ".join(mismatched))
     _, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = model_from_json(text)
+    if not isinstance(model, Regressor):
+        raise DataError(f"{args.model} holds a {model.json_tag}, not a regressor")
+    if model.dim != val.dim:
+        raise DataError(f"{args.model} takes {model.dim} input features, {args.data} has {val.dim}")
     calibrator = cost_calibrator("kernel", grid, model, val, task, cost)
     doc = {
         "calibrator": json.loads(model_to_json(calibrator)),

@@ -372,6 +372,7 @@ class TableLookupRegressor(Regressor):
         self.values = _freeze(np.asarray(values, dtype=np.float64))
         if self.points.shape[0] != self.values.shape[0]:
             raise DataError("points/values length mismatch")
+        self.dim = self.points.shape[1]
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
         return np.argmin(backend.pairwise_sq_dists(_as_block(X), self.points), axis=1)

@@ -275,24 +275,42 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated result of one repeated experiment.  Every field is
-    deterministic, so identically seeded reruns compare equal and emit
-    byte-identical files.
+    """One row of the results table: the config that ran and its repeats.
+    Every other field is derived from those two, once, so identically
+    seeded reruns compare equal and emit byte-identical files.
     """
 
-    dataset: str
-    mode: str
-    c_or_gamma: float
-    method: str
-    repeats: tuple[LossReport, ...]
-    rwr_mean: float
-    rwr_std: float
-    machine_mean: float
-    machine_std: float
-    rej_mean: float
-    rej_std: float
     config: ExperimentConfig
-    seed_ledger: tuple[int, ...]
+    repeats: tuple[LossReport, ...]
+    dataset: str = field(init=False)
+    mode: str = field(init=False)
+    c_or_gamma: float = field(init=False)
+    method: str = field(init=False)
+    seed_ledger: tuple[int, ...] = field(init=False)
+    rwr_mean: float = field(init=False)
+    rwr_std: float = field(init=False)
+    machine_mean: float = field(init=False)
+    machine_std: float = field(init=False)
+    rej_mean: float = field(init=False)
+    rej_std: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        cfg, cc = self.config, self.config.cost_config
+        if len(self.repeats) != cfg.repeats:
+            raise ValueError(f"repeats holds {len(self.repeats)} reports, but its config runs {cfg.repeats}")
+        derived = dict(
+            dataset=cfg.dataset_source,
+            mode=cc.mode.value,
+            c_or_gamma=cc.cost_c if cc.mode is CostMode.FIXED_COST else cc.budget_gamma,
+            method=cfg.method_name(),
+            seed_ledger=cfg.repeat_seeds(),
+        )
+        for name, loss in (("rwr", "rwr_loss"), ("machine", "machine_loss"), ("rej", "rejection_rate")):
+            values = np.array([getattr(r, loss) for r in self.repeats])
+            derived[f"{name}_mean"] = float(values.mean())
+            derived[f"{name}_std"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -304,18 +322,17 @@ class RunReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunReport":
-        """The report that ``doc`` describes; a missing, unknown or garbled
-        field raises KeyError, TypeError or ValueError, and so does a label
-        or seed ledger other than the one its config echo derives.  The
-        means and deviations are taken as written."""
-        repeats = tuple(LossReport(**r) for r in doc["repeats"])
-        config = ExperimentConfig.from_dict(doc["config"])
-        derived = _derived_fields(config)
-        # compared as the JSON file spells them, so 1 and 1.0 or true differ
-        differ = sorted(k for k, v in derived.items() if json.dumps(doc[k]) != json.dumps(v))
+        """The report whose ``to_dict`` is ``doc``, rebuilt from its config
+        echo and its repeats; a missing or garbled one raises KeyError,
+        TypeError or ValueError, and any other difference ValueError naming
+        the keys.  Values compare as JSON spells them, floats by repr, so
+        the match is exact and 1 differs from 1.0 or true."""
+        report = RunReport(ExperimentConfig.from_dict(doc["config"]), tuple(LossReport(**r) for r in doc["repeats"]))
+        mine, theirs = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()} for d in (report.to_dict(), doc))
+        differ = sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
         if differ:
-            raise ValueError(f"report fields {differ} differ from those its config echo derives")
-        return RunReport(**dict(doc, repeats=repeats, config=config, **derived))
+            raise ValueError(f"report fields {differ} differ from those its config and repeats derive")
+        return report
 
     @staticmethod
     def from_json(doc: str) -> "RunReport":
@@ -323,39 +340,6 @@ class RunReport:
             return RunReport.from_dict(core.json_object(doc, "run report"))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"run report lacks or garbles a field: {exc}") from None
-
-
-def _std(values: np.ndarray) -> float:
-    return float(values.std(ddof=1)) if values.size > 1 else 0.0
-
-
-def _derived_fields(cfg: ExperimentConfig) -> dict:
-    """The RunReport fields that follow from the config alone."""
-    cc = cfg.cost_config
-    return dict(
-        dataset=cfg.dataset_source,
-        mode=cc.mode.value,
-        c_or_gamma=cc.cost_c if cc.mode is CostMode.FIXED_COST else cc.budget_gamma,
-        method=cfg.method_name(),
-        seed_ledger=cfg.repeat_seeds(),
-    )
-
-
-def _aggregate(cfg: ExperimentConfig, reports: list[LossReport]) -> RunReport:
-    rwr = np.array([r.rwr_loss for r in reports])
-    mach = np.array([r.machine_loss for r in reports])
-    rej = np.array([r.rejection_rate for r in reports])
-    return RunReport(
-        **_derived_fields(cfg),
-        repeats=tuple(reports),
-        rwr_mean=float(rwr.mean()),
-        rwr_std=_std(rwr),
-        machine_mean=float(mach.mean()),
-        machine_std=_std(mach),
-        rej_mean=float(rej.mean()),
-        rej_std=_std(rej),
-        config=cfg,
-    )
 
 
 def materialize(
@@ -503,7 +487,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             reports = list(pool.map(one_repeat, range(cfg.repeats)))
     else:
         reports = [one_repeat(i) for i in range(cfg.repeats)]
-    return _aggregate(cfg, reports)
+    return RunReport(cfg, tuple(reports))
 
 
 # ---------------------------------------------------------------------------

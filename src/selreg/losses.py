@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Regressor, Rejector
+from .core import Dataset, Regressor, Rejector, _require_int
 from .tasks import OracleRiskCalibrator, SyntheticTask
 
 __all__ = [
@@ -52,6 +52,9 @@ class LossReport:
     rejection_rate: float
     n_evaluated: int
     all_deferred: bool = False
+
+    def __post_init__(self) -> None:
+        _require_int("n_evaluated", self.n_evaluated)
 
 
 def rwr_report(sq: np.ndarray, accept: np.ndarray, c: float) -> LossReport:

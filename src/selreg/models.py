@@ -98,6 +98,7 @@ class KnnRegressor(Regressor):
         self.k = k
         if not 1 <= self.k <= self.train_x.shape[0]:
             raise KTooLargeError(f"k={k} exceeds training size {self.train_x.shape[0]}")
+        self.dim = self.train_x.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return backend.knn_mean(_as_block(X), self.train_x, self.train_y, (self.k,))[0]
@@ -125,6 +126,10 @@ class MlpRegressor(Regressor):
         self.b1 = _freeze(b1)
         self.w2 = _freeze(w2)
         self.b2 = _freeze(b2)
+        shapes = tuple(p.shape for p in (self.w1, self.b1, self.w2, self.b2))
+        if len(shapes[0]) != 2 or shapes[1:] != ((shapes[0][1],), (shapes[0][1], 1), (1,)):
+            raise ValueError(f"MLP layer shapes {shapes} do not chain as [d, h], [h], [h, 1], [1]")
+        self.dim = shapes[0][0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         hidden = np.maximum(_as_block(X) @ self.w1 + self.b1, 0.0)

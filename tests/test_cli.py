@@ -263,13 +263,22 @@ def _knn_file(**payload) -> str:
             "layer_shapes": [[1, 2], [2], [2, 1], [1]],
             "w1": [[0.0, 0.0, 0.0]], "b1": [0.0, 0.0], "w2": [[0.0], [0.0]], "b2": [0.0],
         }})),
+        ("calibrate", json.dumps({"kind": "regressor/mlp", "payload": {
+            "layer_shapes": [[1, 2], [3], [2, 1], [1]],
+            "w1": [[0.0, 0.0]], "b1": [0.0, 0.0, 0.0], "w2": [[0.0], [0.0]], "b2": [0.0],
+        }})),
+        ("calibrate", _knn_file(train_x=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])),
+        ("calibrate", json.dumps({"kind": "calibrator/kernel_smoother", "payload": {
+            "points": [[0.0], [1.0]], "losses": [0.5, 0.5], "sigma": 1.0,
+        }})),
         ("calibrate", '{"kind": "regressor/forest", "payload": {}}'),
         ("calibrate", '{"kind": ["regressor/knn"], "payload": {}}'),
     ],
     ids=[
         "not-json", "json-list", "no-payload", "no-payload-field", "report-no-mode",
         "knn-train-y-short", "knn-string-train-x", "knn-3d-train-x", "knn-k-too-large", "knn-fractional-k", "knn-bool-k",
-        "mlp-w1-off-its-header", "unknown-kind", "unhashable-kind",
+        "mlp-w1-off-its-header", "mlp-layers-do-not-chain", "knn-two-columns-on-hetero6",
+        "calibrator-not-a-regressor", "unknown-kind", "unhashable-kind",
     ],
 )
 def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):
@@ -311,6 +320,11 @@ class TestVerifyTheory:
         assert doc["passed"] is False and doc["properties"][0]["name"] == "some_bound"
 
 
+_BOTH_MODES = pytest.mark.parametrize(
+    "mode", [["--mode", "cost", "--cost", "1.0"], ["--mode", "budget", "--budget", "0.2"]], ids=["cost", "budget"]
+)
+
+
 class TestReport:
     def test_json_to_csv(self, tmp_path):
         rc = main([
@@ -325,6 +339,26 @@ class TestReport:
         ])
         assert rc == 0
         assert (tmp_path / "bench.csv").exists()
+
+    @_BOTH_MODES
+    def test_json_report_reproduces_the_bench_file(self, mode, tmp_path):
+        bench = tmp_path / "bench.json"
+        assert main(["bench", *mode, "--data", "hetero6", "--synthetic-n", "200", "--repeats", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["report", "--input", str(bench), "--out", str(tmp_path / "again"), "--format", "json"]) == 0
+        assert (tmp_path / "again" / "bench.json").read_bytes() == bench.read_bytes()
+
+    @_BOTH_MODES
+    def test_mean_the_repeats_do_not_give_is_data_error(self, mode, tmp_path, capsys):
+        bench = tmp_path / "bench.json"
+        assert main(["bench", *mode, "--data", "hetero6", "--synthetic-n", "200", "--repeats", "2",
+                     "--out", str(tmp_path)]) == 0
+        bench.write_text(json.dumps(dict(json.loads(bench.read_text()), rwr_mean=-1.0)))
+        capsys.readouterr()
+        assert main(["report", "--input", str(bench), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and "rwr_mean" in err
+        assert not (tmp_path / "bench.csv").exists()
 
     @pytest.mark.parametrize("garble", [
         lambda echo: echo.update(standardize_data=False),

@@ -126,7 +126,7 @@ class TestRunFixedCost:
     def test_deterministic_reruns(self):
         a = run_experiment(_cost_cfg())
         b = run_experiment(_cost_cfg())
-        assert a == b  # wall clock excluded from equality
+        assert a == b
 
     def test_aggregates_match_recomputation(self):
         rep = run_experiment(_cost_cfg())
@@ -379,24 +379,44 @@ class TestEmitReport:
         assert back == rep
         # a field the report does not have, such as an old wall-clock time, is refused
         old = dict(json.loads(path.read_text()), wall_clock_s=1.25)
-        with pytest.raises(TypeError, match="wall_clock_s"):
+        with pytest.raises(ValueError, match="wall_clock_s"):
             RunReport.from_dict(old)
         with pytest.raises(DataError, match="wall_clock_s"):
             RunReport.from_json(json.dumps(old))
 
-    @pytest.mark.parametrize("field, value", [
-        ("dataset", "smooth1d"), ("mode", "fixed_budget"), ("c_or_gamma", 2.5), ("method", "mlp+oracle"),
-        ("seed_ledger", [7, 8]), ("seed_ledger", [42.0, 43.0]), ("seed_ledger", [42]),
-    ], ids=["dataset", "mode", "c_or_gamma", "method", "seed_ledger", "seed_ledger-floats", "seed_ledger-short"])
-    def test_fields_the_echo_derives_must_match_it(self, field, value):
+    @pytest.mark.parametrize("field, edit", [
+        ("dataset", lambda doc: doc.update(dataset="smooth1d")),
+        ("mode", lambda doc: doc.update(mode="fixed_budget")),
+        ("c_or_gamma", lambda doc: doc.update(c_or_gamma=2.5)),
+        ("method", lambda doc: doc.update(method="mlp+oracle")),
+        ("seed_ledger", lambda doc: doc.update(seed_ledger=[7, 8])),
+        ("seed_ledger", lambda doc: doc.update(seed_ledger=[42.0, 43.0])),
+        ("seed_ledger", lambda doc: doc.update(seed_ledger=[42])),
+        ("rwr_mean", lambda doc: doc.update(rwr_mean=-1.0)),
+        # one unit in the last place: the match is exact
+        ("machine_std", lambda doc: doc.update(machine_std=float(np.nextafter(doc["machine_std"], 1.0)))),
+        ("rej_std", lambda doc: doc.update(rej_std=doc["rej_std"] + 0.125)),
+        ("repeats", lambda doc: doc["repeats"].pop()),
+        ("n_evaluated", lambda doc: doc["repeats"][0].update(n_evaluated=5.5)),
+    ], ids=[
+        "dataset", "mode", "c_or_gamma", "method", "seed_ledger", "seed_ledger-floats", "seed_ledger-short",
+        "rwr_mean", "machine_std", "rej_std", "repeat-dropped", "n_evaluated-fractional",
+    ])
+    def test_fields_the_echo_derives_must_match_it(self, field, edit):
         rep = self._report()
         doc = rep.to_dict()
         assert RunReport.from_dict(doc) == rep
-        doc[field] = value
+        edit(doc)
         with pytest.raises(ValueError, match=field):
             RunReport.from_dict(doc)
         with pytest.raises(DataError, match=field):
             RunReport.from_json(json.dumps(doc))
+
+    def test_only_the_config_and_the_repeats_are_inputs(self):
+        rep = self._report()
+        assert [f.name for f in dataclasses.fields(RunReport) if f.init] == ["config", "repeats"]
+        with pytest.raises(ValueError, match="repeats"):
+            RunReport(rep.config, rep.repeats[:1])
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
