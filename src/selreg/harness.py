@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -298,6 +299,11 @@ class RunReport:
         cfg, cc = self.config, self.config.cost_config
         if len(self.repeats) != cfg.repeats:
             raise ValueError(f"repeats holds {len(self.repeats)} reports, but its config runs {cfg.repeats}")
+        c = cc.cost_c  # 0.0 in budget mode, as run_experiment charges
+        for i, r in enumerate(self.repeats):
+            expect = (1.0 - r.rejection_rate) * r.machine_loss + r.rejection_rate * c
+            if not math.isclose(r.rwr_loss, expect, rel_tol=1e-9, abs_tol=1e-15):
+                raise ValueError(f"repeat {i}: rwr_loss {r.rwr_loss!r} != (1 - rej) * machine + rej * c = {expect!r}")
         derived = dict(
             dataset=cfg.dataset_source,
             mode=cc.mode.value,

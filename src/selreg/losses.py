@@ -45,6 +45,9 @@ class LossReport:
 
     machine_loss is the mean squared error over accepted samples only; when
     everything is deferred it is reported as 0.0 with all_deferred set.
+    Values that ``rwr_report`` cannot produce are refused.  The identity
+    rwr = (1 - rej) * machine + rej * c needs the deferral cost, so
+    ``RunReport`` checks that one.
     """
 
     rwr_loss: float
@@ -55,6 +58,17 @@ class LossReport:
 
     def __post_init__(self) -> None:
         _require_int("n_evaluated", self.n_evaluated)
+        if self.n_evaluated < 1:
+            raise ValueError(f"n_evaluated must be >= 1, got {self.n_evaluated}")
+        if not 0.0 <= self.rejection_rate <= 1.0:
+            raise ValueError(f"rejection_rate {self.rejection_rate!r} is outside [0, 1]")
+        for name in ("rwr_loss", "machine_loss"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} {getattr(self, name)!r} is negative")
+        if self.all_deferred != (self.rejection_rate == 1.0):
+            raise ValueError(f"all_deferred {self.all_deferred!r} contradicts rejection_rate {self.rejection_rate!r}")
+        if self.all_deferred and self.machine_loss != 0.0:
+            raise ValueError(f"all_deferred, yet machine_loss is {self.machine_loss!r}, not 0.0")
 
 
 def rwr_report(sq: np.ndarray, accept: np.ndarray, c: float) -> LossReport:

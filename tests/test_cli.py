@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selreg import oracle
@@ -358,6 +359,24 @@ class TestReport:
         assert main(["report", "--input", str(bench), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1 and "rwr_mean" in err
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("index, field, value", [(0, "all_deferred", True), (1, "rwr_loss", -5.0)])
+    def test_repeat_rwr_report_cannot_write_is_data_error(self, index, field, value, tmp_path, capsys):
+        bench = tmp_path / "bench.json"
+        assert main(["bench", "--mode", "cost", "--cost", "2.0", "--data", "hetero6", "--repeats", "2",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads(bench.read_text())
+        doc["repeats"][index][field] = value
+        # recompute the summary, so that only the repeat itself is wrong
+        for name, loss in (("rwr", "rwr_loss"), ("machine", "machine_loss"), ("rej", "rejection_rate")):
+            values = np.array([r[loss] for r in doc["repeats"]])
+            doc.update({f"{name}_mean": float(values.mean()), f"{name}_std": float(values.std(ddof=1))})
+        bench.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--input", str(bench), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and field in err
         assert not (tmp_path / "bench.csv").exists()
 
     @pytest.mark.parametrize("garble", [

@@ -33,7 +33,7 @@ from selreg.harness import (
     run_experiment,
 )
 from selreg.models import KnnConfig, MlpConfig
-from selreg.losses import bayes_risk
+from selreg.losses import LossReport, bayes_risk
 from selreg.tasks import DiscreteTask, default_discrete_task, default_smooth_task
 
 
@@ -412,6 +412,20 @@ class TestEmitReport:
         with pytest.raises(DataError, match=field):
             RunReport.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("mode", [CostConfig.fixed_cost(2.0), CostConfig.fixed_budget(0.2)], ids=["cost", "budget"])
+    def test_repeat_that_breaks_the_loss_identity_is_refused(self, mode):
+        rep = run_experiment(_cost_cfg(cost_config=mode, repeats=2, synthetic_n=200))
+        first, second = rep.repeats
+        # within the tolerance of perfbench's identity check, 1e-9 relative
+        RunReport(rep.config, (dataclasses.replace(first, rwr_loss=first.rwr_loss * (1 + 1e-12)), second))
+        for broken in (
+            dataclasses.replace(first, rwr_loss=first.rwr_loss * (1 + 1e-6)),
+            dataclasses.replace(first, machine_loss=first.machine_loss + 0.25),
+            dataclasses.replace(first, rejection_rate=first.rejection_rate + 0.25),
+        ):
+            with pytest.raises(ValueError, match="repeat 0: rwr_loss"):
+                RunReport(rep.config, (broken, second))
+
     def test_only_the_config_and_the_repeats_are_inputs(self):
         rep = self._report()
         assert [f.name for f in dataclasses.fields(RunReport) if f.init] == ["config", "repeats"]
@@ -421,6 +435,28 @@ class TestEmitReport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(self._report(), "xml", tmp_path)
+
+
+_PARTLY_DEFERRED = LossReport(rwr_loss=0.5 * 0.2 + 0.5 * 1.0, machine_loss=0.2, rejection_rate=0.5, n_evaluated=10)
+_ALL_DEFERRED = LossReport(rwr_loss=1.0, machine_loss=0.0, rejection_rate=1.0, n_evaluated=10, all_deferred=True)
+
+
+@pytest.mark.parametrize("base, field, value", [
+    (_PARTLY_DEFERRED, "rejection_rate", 1.5),
+    (_PARTLY_DEFERRED, "rejection_rate", -0.25),
+    (_PARTLY_DEFERRED, "rwr_loss", -5.0),
+    (_PARTLY_DEFERRED, "machine_loss", -0.1),
+    (_PARTLY_DEFERRED, "n_evaluated", 0),
+    (_PARTLY_DEFERRED, "all_deferred", True),
+    (_ALL_DEFERRED, "all_deferred", False),
+    (_ALL_DEFERRED, "machine_loss", 0.3),
+], ids=[
+    "rate-above-1", "rate-below-0", "negative-rwr", "negative-machine", "nothing-evaluated",
+    "all-deferred-at-rate-0.5", "not-all-deferred-at-rate-1", "all-deferred-with-machine-loss",
+])
+def test_loss_report_that_rwr_report_cannot_write_is_refused(base, field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(base, **{field: value})
 
 
 _ON_HETERO6 = dict(

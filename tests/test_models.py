@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from selreg import models
 from selreg.core import (
     Dataset,
     KTooLargeError,
     RngHandle,
+    STREAM_MLP,
     STREAM_SAMPLE,
     SplitSpec,
     TableLookupRegressor,
@@ -111,7 +113,60 @@ class TestSelectHyperparameters:
         assert hash(cfg) == hash(KnnConfig(k_grid=(5, 10)))
 
 
+def _boolean_scatter_forward_backward(params, X, y, work=None):
+    """Reference for ``models._forward_backward``: the same arithmetic, but
+    the ReLU backward writes zeros through the boolean index ``pre <= 0.0``."""
+    w1, b1, w2, b2 = params
+    n = X.shape[0]
+    if work is None:
+        work = [np.empty((n, w1.shape[1])) for _ in range(3)]
+    pre, hidden, dhidden = (buf[:n] for buf in work)
+    np.matmul(X, w1, out=pre)
+    pre += b1
+    np.maximum(pre, 0.0, out=hidden)
+    pred = (hidden @ w2 + b2)[:, 0]
+    err = pred - y
+    loss = float(np.mean(err**2))
+    dpred = (2.0 / n) * err
+    dw2 = hidden.T @ dpred[:, None]
+    db2 = np.array([dpred.sum()])
+    np.multiply(dpred[:, None], w2[:, 0][None, :], out=dhidden)
+    dhidden[pre <= 0.0] = 0.0
+    dw1 = X.T @ dhidden
+    db1 = dhidden.sum(axis=0)
+    return loss, [dw1, db1, dw2, db2]
+
+
+def _weight_bytes(model):
+    return [p.tobytes() for p in (model.w1, model.b1, model.w2, model.b2)]
+
+
+# (n, d, batch_size, low, high): rows are drawn uniform on [low, high)^d.
+# All-zero rows make pre exactly 0.0 at the initial zero biases.
+_STEP_SHAPES = {
+    "mini-batch-short-last": (640, 2, 256, -1.0, 1.0),
+    "batch-clipped-to-n-d1": (50, 1, 256, -1.0, 1.0),
+    "full-batch-d3": (800, 3, 800, -1.0, 1.0),
+    "zero-rows": (32, 2, 32, 0.0, 0.0),
+    "unit-dead-on-every-row": (96, 1, 96, 0.5, 1.5),
+}
+
+
 class TestMlp:
+    @pytest.mark.parametrize("shape", list(_STEP_SHAPES), ids=list(_STEP_SHAPES))
+    def test_mask_multiply_keeps_the_boolean_scatter_bits(self, shape, monkeypatch):
+        n, d, batch, low, high = _STEP_SHAPES[shape]
+        rng = np.random.default_rng(11)
+        X = rng.uniform(low, high, size=(n, d))
+        data = Dataset(X, np.sin(3.0 * X.sum(axis=1)) + rng.normal(0, 0.1, n))
+        cfg = MlpConfig(learning_rate=5e-3, batch_size=batch, epochs=20)
+        if shape == "unit-dead-on-every-row":
+            w1 = models._init_params(d, cfg.hidden_width, RngHandle(4, STREAM_MLP).generator())[0]
+            assert (X @ w1 <= 0.0).all(axis=0).any()  # at the initial weights
+        new = _weight_bytes(fit_mlp(data, cfg, 4))
+        monkeypatch.setattr(models, "_forward_backward", _boolean_scatter_forward_backward)
+        assert new == _weight_bytes(fit_mlp(data, cfg, 4))
+
     def test_constant_zero_target_fits_fast(self):
         rng = np.random.default_rng(7)
         data = Dataset(rng.uniform(-1, 1, size=(256, 3)), np.zeros(256))
