@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_SIGMA_GRID,
     DataError,
     Regressor,
+    RngHandle,
     SelregError,
     json_object,
     model_from_json,
@@ -39,6 +40,7 @@ from .harness import (
     fit_regressor,
     materialize,
     run_experiment,
+    write_output,
 )
 from .models import KnnConfig, MlpConfig
 from .tasks import task_names
@@ -138,13 +140,6 @@ def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         )
 
 
-def _write(out: str, text: str) -> Path:
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    return path
-
-
 def _data_record(args) -> dict:
     """The options that fix a run's splits and scaling, with a CSV path
     resolved so that two spellings of one file compare equal."""
@@ -153,17 +148,20 @@ def _data_record(args) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    with _flag_values():
+        RngHandle(args.seed)
     # the same splits and model as `bench` repeat 0 at this seed
     train, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = fit_regressor(REGRESSORS[args.regressor], train, val, task, args.seed)
     doc = {**json.loads(model_to_json(model)), **_data_record(args)}
-    out = _write(args.out, json.dumps(doc, sort_keys=True))
+    out = write_output(args.out, json.dumps(doc, sort_keys=True))
     print(f"wrote {args.regressor} model to {out}")
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
     with _flag_values():
+        RngHandle(args.seed)
         cost = CostConfig.fixed_cost(args.cost).cost_c
         gamma = None if args.budget is None else CostConfig.fixed_budget(args.budget).budget_gamma
         grid = _sigma_grid(args.sigma_grid)
@@ -195,13 +193,11 @@ def _cmd_calibrate(args) -> int:
     if gamma is not None:
         budget_cal, th = budget_threshold("kernel", model, val, task, gamma)
         doc["conformal"] = {
+            **asdict(th),
             "calibrator": json.loads(model_to_json(budget_cal)),
             "c_hat": th.c_hat if th.c_hat != float("inf") else "inf",
-            "m": th.m,
-            "gamma": th.gamma,
-            "order_statistic_index": th.order_statistic_index,
         }
-    out = _write(args.out, json.dumps(doc, sort_keys=True, indent=2))
+    out = write_output(args.out, json.dumps(doc, sort_keys=True, indent=2))
     print(f"wrote calibration to {out}")
     return EXIT_OK
 
@@ -227,7 +223,7 @@ def _cmd_verify_theory(args) -> int:
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
-        _write(args.out, text)
+        write_output(args.out, text)
     print(text)
     return EXIT_OK if doc["passed"] else EXIT_VERIFY
 
@@ -294,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config_file(args, parser, argv)
         return args.fn(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SelregError as exc:

@@ -130,7 +130,7 @@ class RngHandle:
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))

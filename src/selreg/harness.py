@@ -74,6 +74,7 @@ __all__ = [
     "budget_threshold",
     "run_experiment",
     "emit_report",
+    "write_output",
     "bundled_data_path",
 ]
 
@@ -185,8 +186,8 @@ class ExperimentConfig:
     ``sigma_grid``.  workers > 1 runs the repeats on a thread pool;
     per-repeat seeding makes the result identical either way.
 
-    A value that the run would not read is refused with ValueError rather
-    than echoed.
+    A value that the run would not read, or could not use, is refused with
+    ValueError rather than echoed.
     """
 
     dataset_source: str
@@ -204,10 +205,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "repeats", "synthetic_n", "workers"):
             _require_int(name, getattr(self, name))
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if min(self.repeats, self.synthetic_n, self.workers) < 1:
+            raise ValueError("repeats, synthetic_n and workers must be >= 1")
+        for seed in (self.seed, self.seed + self.repeats - 1):
+            RngHandle(seed)  # every repeat seed fits the RNG's 64 bits
+        if self.dataset_source in task_names():
+            if self.target_column != ExperimentConfig.target_column:
+                raise ValueError(f"target_column is read only from a CSV, not from task {self.dataset_source!r}")
+        elif self.synthetic_n != ExperimentConfig.synthetic_n:
+            raise ValueError(f"synthetic_n is read only by a synthetic task, not from CSV {self.dataset_source!r}")
         if self.rejector not in REJECTOR_KINDS:
             raise ValueError(f"rejector must be one of {REJECTOR_KINDS}")
         if not isinstance(self.regressor, (KnnConfig, MlpConfig)) and self.regressor != "oracle":
@@ -513,25 +519,28 @@ CSV_COLUMNS = (
 )
 
 
+def write_output(path: str | Path, text: str) -> Path:
+    """Write ``text`` and a final newline to ``path``, creating its directory; OSError becomes ReportIoError."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+    except OSError as exc:
+        raise ReportIoError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def emit_report(report: RunReport, fmt: str, out_dir: str | Path, stem: str = "report") -> Path:
     """Write the report as JSON (full fidelity) or CSV (one table row).
 
     Output is byte-stable for identical reports: floats are emitted via repr
     and keys are sorted.
     """
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if fmt == "json":
-            path = out_dir / f"{stem}.json"
-            path.write_text(report.to_json() + "\n")
-        elif fmt == "csv":
-            path = out_dir / f"{stem}.csv"
-            values = (getattr(report, name) for name in CSV_COLUMNS)
-            row = [v if isinstance(v, str) else repr(v) for v in values]
-            path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-    except OSError as exc:
-        raise ReportIoError(f"cannot write report to {out_dir}: {exc}") from exc
-    return path
+    if fmt == "json":
+        text = report.to_json()
+    elif fmt == "csv":
+        values = (getattr(report, name) for name in CSV_COLUMNS)
+        text = ",".join(CSV_COLUMNS) + "\n" + ",".join(v if isinstance(v, str) else repr(v) for v in values)
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return write_output(Path(out_dir) / f"{stem}.{fmt}", text)

@@ -28,7 +28,6 @@ __all__ = [
     "LossReport",
     "rwr_report",
     "empirical_rwr_loss",
-    "empirical_squared_loss",
     "risk_values",
     "prediction_error",
     "bayes_risk",
@@ -95,10 +94,6 @@ def empirical_rwr_loss(
         raise ValueError("deferral cost must be nonnegative")
     sq = (f.predict(data.features) - data.targets) ** 2
     return rwr_report(sq, r.accept(data.features), c)
-
-
-def empirical_squared_loss(f: Regressor, data: Dataset) -> float:
-    return float(np.mean((f.predict(data.features) - data.targets) ** 2))
 
 
 def risk_values(f: Regressor, task: SyntheticTask) -> np.ndarray:

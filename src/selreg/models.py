@@ -10,7 +10,7 @@ this way whenever the model class is rich enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,7 +290,7 @@ def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int) -> GradientCheckRe
     return GradientCheckReport(max_relative_error=worst, per_layer=per_layer)
 
 
-def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig | None = None) -> KnnRegressor:
+def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig = KnnConfig()) -> KnnRegressor:
     """Fit a k-NN regressor with k chosen on the validation split.
 
     Every k in the grid comes from one neighbour ordering of ``val``
@@ -299,8 +299,7 @@ def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig | None = None) -> 
     silently dropped (small-data runs keep working); if nothing survives,
     k = n_train.
     """
-    cfg = cfg or KnnConfig()
     grid = sorted(k for k in cfg.k_grid if k <= train.n) or [train.n]
     preds = backend.knn_mean(_as_block(val.features), train.features, train.targets, grid)
     mse = np.mean((preds - val.targets) ** 2, axis=1)
-    return fit_knn(train, replace(cfg, k=grid[int(np.argmin(mse))]))
+    return KnnRegressor(train.features, train.targets, grid[int(np.argmin(mse))])

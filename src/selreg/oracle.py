@@ -137,7 +137,7 @@ def build_locally_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLooku
     return f0, r0
 
 
-def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLookupRegressor, TableLookupRejector]:
+def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLookupRegressor, Rejector]:
     """A pair unimprovable in either argument alone, yet globally suboptimal.
 
     The regressor is spoiled (shifted 2*sqrt(c)) exactly on the strictly
@@ -150,11 +150,8 @@ def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLoo
     if not np.any(u1):
         raise PremiseViolatedError("need a region of strictly sub-threshold variance")
     shift = np.where(u1, 2.0 * math.sqrt(c), 0.0)
-    values = task.means + shift
-    f1 = TableLookupRegressor(task.points, values)
-    risk = (values - task.means) ** 2 + task.variances
-    r1 = TableLookupRejector(task.points, (risk <= c).astype(np.int64))
-    return f1, r1
+    f1 = TableLookupRegressor(task.points, task.means + shift)
+    return f1, induce_rejector(OracleRiskCalibrator(task, f1), c)
 
 
 # ---------------------------------------------------------------------------

@@ -45,26 +45,8 @@ __all__ = [
 ]
 
 
-class SyntheticTask:
-    """Protocol-ish base: subclasses expose exact conditional moments."""
-
-    def mean_at(self, X: np.ndarray) -> np.ndarray:
-        raise UnsupportedTaskError("task lacks a closed-form conditional mean")
-
-    def var_at(self, X: np.ndarray) -> np.ndarray:
-        raise UnsupportedTaskError("task lacks a closed-form conditional variance")
-
-    def eval_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(points, weights) such that E[g(X)] = sum_i w_i g(points_i),
-        exactly for discrete supports, to quadrature accuracy otherwise."""
-        raise UnsupportedTaskError("task does not support exact expectation")
-
-    def sample(self, n: int, rng: RngHandle) -> Dataset:
-        raise UnsupportedTaskError("task is not samplable")
-
-
 @dataclass(frozen=True)
-class DiscreteTask(SyntheticTask):
+class DiscreteTask:
     """Finite support with per-point weight, conditional mean and variance."""
 
     points: np.ndarray
@@ -110,7 +92,7 @@ class DiscreteTask(SyntheticTask):
 
 
 @dataclass(frozen=True)
-class SmoothTask1D(SyntheticTask):
+class SmoothTask1D:
     """Uniform marginal on [lo, hi] with callable conditional moments and
     Gaussian noise.
 
@@ -147,6 +129,12 @@ class SmoothTask1D(SyntheticTask):
         sd = np.sqrt(self.var_at(x[:, None]))
         y = mean + gen.standard_normal(n) * sd
         return Dataset(x[:, None], y)
+
+
+# A task with exact conditional moments: mean_at, var_at, sample, and
+# eval_points, whose (points, weights) give E[g(X)] = sum_i w_i g(points_i),
+# exactly on a discrete support and to quadrature accuracy otherwise.
+SyntheticTask = DiscreteTask | SmoothTask1D
 
 
 @dataclass(frozen=True)

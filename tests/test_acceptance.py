@@ -21,7 +21,7 @@ from selreg.core import (
     TableLookupRejector,
     split_dataset,
 )
-from selreg.harness import ExperimentConfig, run_experiment
+from selreg.harness import ExperimentConfig, cost_calibrator, run_experiment
 from selreg.core import CostConfig
 from selreg.losses import bayes_risk, excess_losses, oracle_rwr_risk, squared_risk, truncated_loss
 from selreg.models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp, gradient_check
@@ -41,9 +41,7 @@ from selreg.rejection import (
     classify_with_rejection,
     conformal_threshold,
     induce_rejector,
-    kernel_calibrate,
     oracle_bayes_pair,
-    select_bandwidth,
 )
 from selreg.tasks import (
     BinaryTask,
@@ -253,12 +251,7 @@ def test_criterion_09_consistency_trends():
                 train, val, _ = split_dataset(data, SplitSpec(), seed)
                 f = fit_knn_auto(train, val)
                 excesses.append(squared_risk(f, task) - noise_floor)
-                half = val.n // 2
-                losses = (f.predict(val.features) - val.targets) ** 2
-                inner = (val.features[:half], losses[:half])
-                outer = (val.features[half:], losses[half:])
-                spec = select_bandwidth(inner, outer, DEFAULT_SIGMA_GRID, c)
-                cal = kernel_calibrate(f, val, spec)
+                cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, None, c)
                 achieved = oracle_rwr_risk(f, induce_rejector(cal, c), task, c)
                 gaps.append(abs(achieved - optimum))
             excess_medians.append(float(np.median(excesses)))

@@ -69,6 +69,11 @@ class TestBench:
         ["--mode", "cost", "--budget", "0", "--cost", "1", "--rejector", "loss-linear", "--sigma-grid", "1"],
         ["--mode", "cost", "--budget", "0", "--cost", "1", "--sigma-grid", "1,-1"],
         ["--mode", "cost", "--cost", "1"],  # --budget 0.2 is not read in cost mode
+        ["--target-col", "y"],  # a synthetic task has no target column
+        ["--data", str(bundled_data_path("linear_plant.csv"))],  # a CSV does not read --synthetic-n 200
+        ["--synthetic-n", "-5"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64 - 1), "--repeats", "2"],
     ])
     def test_removed_options_are_usage_errors(self, flags, tmp_path, capsys):
         argv = [
@@ -140,6 +145,8 @@ class TestFitCalibrate:
         ["--sigma-grid", ""],
         ["--sigma-grid", "0,1"],
         ["--sigma-grid", "a,b"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
     ])
     def test_refused_values_are_usage_errors(self, flags, demo_csv, tmp_path, capsys):
         # refused before the model file is read
@@ -147,6 +154,13 @@ class TestFitCalibrate:
                    "--out", str(tmp_path / "cal.json"), *flags])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_fit_refuses_a_seed_outside_64_bits(self, seed, demo_csv, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--data", demo_csv, "--seed", seed, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
 
     def test_config_file_values_take_the_flag_type(self, demo_csv, tmp_path):
         model, cal, cfg = tmp_path / "model.json", tmp_path / "cal.json", tmp_path / "cal.cfg"
@@ -292,6 +306,45 @@ def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["report --input", "--config", "calibrate --model"])
+def test_unreadable_input_file_is_data_error(flag, tmp_path, capsys):
+    # a directory stands for any file that cannot be read
+    argv = {
+        "report --input": ["report", "--input", str(tmp_path)],
+        "--config": ["bench", "--data", "hetero6", "--mode", "cost", "--cost", "1", "--config", str(tmp_path)],
+        "calibrate --model": ["calibrate", "--data", "hetero6", "--model", str(tmp_path)],
+    }[flag]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "calibrate", "verify-theory", "bench", "report"])
+def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
+    """An --out that is an existing directory, or whose report file is one,
+    is refused with one error line."""
+    model, bench = tmp_path / "model.json", tmp_path / "bench"
+    assert main(["fit", "--data", "hetero6", "--out", str(model)]) == 0
+    assert main(["bench", "--data", "hetero6", "--mode", "cost", "--cost", "1", "--repeats", "1",
+                 "--synthetic-n", "200", "--out", str(bench)]) == 0
+    blocked = tmp_path / "blocked"
+    (blocked / "bench.json").mkdir(parents=True)
+    (blocked / "bench.csv").mkdir()
+    argv = {
+        "fit": ["fit", "--data", "hetero6", "--out", str(blocked)],
+        "calibrate": ["calibrate", "--data", "hetero6", "--model", str(model), "--out", str(blocked)],
+        "verify-theory": ["verify-theory", "--trials", "10", "--out", str(blocked)],
+        "bench": ["bench", "--data", "hetero6", "--mode", "cost", "--cost", "1", "--repeats", "1",
+                  "--synthetic-n", "200", "--out", str(blocked)],
+        "report": ["report", "--input", str(bench / "bench.json"), "--out", str(blocked)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestVerifyTheory:

@@ -202,6 +202,12 @@ class TestRunFixedCost:
         (dict(regressor=KnnConfig(k=7)), "k_grid"),
         (dict(regressor="knn"), "regressor"),
         (dict(regressor="mlp"), "regressor"),
+        (dict(target_column="y"), "target_column"),
+        (dict(dataset_source=str(bundled_data_path("hetero_demand.csv"))), "synthetic_n"),
+        (dict(synthetic_n=0), "synthetic_n"),
+        (dict(synthetic_n=-5), "synthetic_n"),
+        (dict(seed=-1), "64 unsigned bits"),
+        (dict(seed=2**64 - 2, repeats=3), "64 unsigned bits"),
     ])
     def test_settings_the_run_would_not_read_are_refused(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -459,11 +465,10 @@ def test_loss_report_that_rwr_report_cannot_write_is_refused(base, field, value)
         dataclasses.replace(base, **{field: value})
 
 
-_ON_HETERO6 = dict(
-    dataset_source="hetero6", cost_config=CostConfig.fixed_cost(2.0), repeats=2, seed=3, synthetic_n=300
-)
+_RUN = dict(cost_config=CostConfig.fixed_cost(2.0), repeats=2, seed=3)
+_ON_HETERO6 = dict(_RUN, dataset_source="hetero6", synthetic_n=300)
 _WITH_MLP = dict(_ON_HETERO6, regressor=MlpConfig(epochs=3, batch_size=64))
-_ON_CSV = dict(_ON_HETERO6, dataset_source=str(bundled_data_path("hetero_demand.csv")))
+_ON_CSV = dict(_RUN, dataset_source=str(bundled_data_path("hetero_demand.csv")))
 
 
 def _mlp(**kw):

@@ -10,7 +10,6 @@ from selreg.core import (
 )
 from selreg.losses import (
     empirical_rwr_loss,
-    empirical_squared_loss,
     excess_losses,
     oracle_rwr_risk,
     squared_risk,
@@ -125,11 +124,6 @@ class TestSquaredRisk:
     def test_unit_shift_adds_one(self, two_point_task):
         f = TableLookupRegressor(two_point_task.points, two_point_task.means + 1.0)
         assert squared_risk(f, two_point_task) == pytest.approx(6.0, abs=1e-12)
-
-    def test_empirical_hand_case(self):
-        data = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
-        f = TableLookupRegressor(data.features, np.array([0.0, 0.0]))
-        assert empirical_squared_loss(f, data) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExcessLosses:
