@@ -3,9 +3,9 @@
 Subcommands: fit, calibrate, bench, verify-theory, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 
-Flags can also come from a flat key=value config file (--config); explicit
-command-line flags win.  A flag value that the run would refuse is a usage
-error.
+Flags can also come from a flat config file (--config), whose line
+``key = value`` is the flag ``--key=value``; flags given on the command line
+win.  A flag that the parser or the run would refuse is a usage error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .harness import (
     ExperimentConfig,
     RunReport,
     budget_threshold,
+    check_source,
     cost_calibrator,
     emit_report,
     fit_regressor,
@@ -55,14 +56,25 @@ REGRESSORS = {"knn": KnnConfig(), "mlp": MlpConfig(), "oracle": "oracle"}
 
 
 class _Parser(argparse.ArgumentParser):
+    """Flags are spelled in full, and a refused one is a SelregError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SelregError(message)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """``argv`` with each ``key = value`` line of its --config file put after
+    the command as ``--key=value``; argparse keeps the last value it sees, so
+    a flag given on the command line wins even when it repeats its default."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    flags = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -70,32 +82,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise SelregError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _apply_config_file(args: argparse.Namespace, parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
-    """Parse ``argv`` again with the config file's values, converted as each
-    flag's own argparse action converts it, as the subcommand's defaults: a
-    flag given on the command line wins even when it repeats its default."""
-    if not getattr(args, "config", None):
-        return args
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    defaults = {}
-    for key, raw in _read_config_file(args.config).items():
-        action = actions.get(key)
-        if action is None:
-            raise SelregError(f"config file sets unknown option {key!r}")
-        try:
-            value = action.type(raw) if action.type else raw
-        except ValueError:
-            raise SelregError(f"config file sets {key} to {raw!r}, not a {action.type.__name__}") from None
-        if action.choices is not None and value not in action.choices:
-            raise SelregError(f"config file sets {key} to {raw!r}; choose from {', '.join(action.choices)}")
-        defaults[key] = value
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return argv[:1] + flags + argv[1:]
 
 
 @contextmanager
@@ -150,6 +138,7 @@ def _data_record(args) -> dict:
 def _cmd_fit(args) -> int:
     with _flag_values():
         RngHandle(args.seed)
+        check_source(args.data, args.target_col)
     # the same splits and model as `bench` repeat 0 at this seed
     train, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = fit_regressor(REGRESSORS[args.regressor], train, val, task, args.seed)
@@ -162,6 +151,7 @@ def _cmd_fit(args) -> int:
 def _cmd_calibrate(args) -> int:
     with _flag_values():
         RngHandle(args.seed)
+        check_source(args.data, args.target_col)
         cost = CostConfig.fixed_cost(args.cost).cost_c
         gamma = None if args.budget is None else CostConfig.fixed_budget(args.budget).budget_gamma
         grid = _sigma_grid(args.sigma_grid)
@@ -285,10 +275,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _apply_config_file(args, parser, argv)
+        args = build_parser().parse_args(_with_config_flags(argv))
         return args.fn(args)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -272,6 +272,8 @@ class CostConfig:
     budget_gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cost_c", float(self.cost_c))
+        object.__setattr__(self, "budget_gamma", float(self.budget_gamma))
         if self.mode is CostMode.FIXED_COST:
             if not self.cost_c > 0.0:
                 raise ValueError("fixed-cost mode requires cost_c > 0")
@@ -285,11 +287,11 @@ class CostConfig:
 
     @classmethod
     def fixed_cost(cls, c: float) -> "CostConfig":
-        return cls(CostMode.FIXED_COST, cost_c=float(c))
+        return cls(CostMode.FIXED_COST, cost_c=c)
 
     @classmethod
     def fixed_budget(cls, gamma: float) -> "CostConfig":
-        return cls(CostMode.FIXED_BUDGET, budget_gamma=float(gamma))
+        return cls(CostMode.FIXED_BUDGET, budget_gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ __all__ = [
     "ExperimentConfig",
     "RunReport",
     "load_csv",
+    "check_source",
     "materialize",
     "fit_regressor",
     "cost_calibrator",
@@ -123,40 +124,34 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
         raise CsvParseError(f"{path}: header repeats column(s) {repeated}")
     if target_column not in header:
         raise MissingTargetError(f"{path}: target column {target_column!r} not in header {header}")
-    t_idx = header.index(target_column)
-    f_idx = [i for i in range(len(header)) if i != t_idx]
-
-    feats, targs = [], []
+    rows = []
     n_dropped = 0
     for row_no, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != len(header):
             raise CsvParseError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
-        try:
-            values = [float(cell) for cell in row]
-            if not all(np.isfinite(values)):
-                raise ValueError("non-finite value")
-        except ValueError:
-            bad = next(
-                (header[i] for i, cell in enumerate(row) if not _is_number(cell)),
-                header[0],
-            )
+        values = [_finite(cell) for cell in row]
+        if None in values:
+            bad = header[values.index(None)]
             log.warning("%s: dropping row %d (non-numeric cell in column %r)", path, row_no, bad)
             n_dropped += 1
             continue
-        feats.append([values[i] for i in f_idx])
-        targs.append(values[t_idx])
-    if not feats:
+        rows.append(values)
+    if not rows:
         raise EmptyAfterFilteringError(f"{path}: no usable rows ({n_dropped} dropped)")
-    return Dataset(np.array(feats), np.array(targs))
+    table = np.array(rows)
+    t_idx = header.index(target_column)
+    return Dataset(np.delete(table, t_idx, axis=1), table[:, t_idx])
 
 
-def _is_number(cell: str) -> bool:
+def _finite(cell: str) -> float | None:
+    """The cell's value, or None if it is not a finite number."""
     try:
-        return bool(np.isfinite(float(cell)))
+        value = float(cell)
     except ValueError:
-        return False
+        return None
+    return value if math.isfinite(value) else None
 
 
 def bundled_data_path(name: str) -> Path:
@@ -209,11 +204,7 @@ class ExperimentConfig:
             raise ValueError("repeats, synthetic_n and workers must be >= 1")
         for seed in (self.seed, self.seed + self.repeats - 1):
             RngHandle(seed)  # every repeat seed fits the RNG's 64 bits
-        if self.dataset_source in task_names():
-            if self.target_column != ExperimentConfig.target_column:
-                raise ValueError(f"target_column is read only from a CSV, not from task {self.dataset_source!r}")
-        elif self.synthetic_n != ExperimentConfig.synthetic_n:
-            raise ValueError(f"synthetic_n is read only by a synthetic task, not from CSV {self.dataset_source!r}")
+        check_source(self.dataset_source, self.target_column, self.synthetic_n)
         if self.rejector not in REJECTOR_KINDS:
             raise ValueError(f"rejector must be one of {REJECTOR_KINDS}")
         if not isinstance(self.regressor, (KnnConfig, MlpConfig)) and self.regressor != "oracle":
@@ -271,13 +262,30 @@ class ExperimentConfig:
                 split=SplitSpec(**doc["split"]),
             )
             cfg = ExperimentConfig(**kw)
+            differ = _json_differ(cfg.to_dict(), doc)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"config echo lacks or garbles a field: {exc}") from None
-        echo = cfg.to_dict()
-        differ = sorted(k for k in doc.keys() | echo.keys() if (k in doc) != (k in echo) or doc[k] != echo[k])
         if differ:
             raise ValueError(f"config echo differs at {differ} from the one its run writes")
         return cfg
+
+
+def check_source(source: str, target_column: str, synthetic_n: int = ExperimentConfig.synthetic_n) -> None:
+    """Refuse, with ValueError, a target column other than the default on a
+    synthetic task, or a sample size other than the default on a CSV: the
+    source would not read it."""
+    if source in task_names():
+        if target_column != ExperimentConfig.target_column:
+            raise ValueError(f"target_column is read only from a CSV, not from task {source!r}")
+    elif synthetic_n != ExperimentConfig.synthetic_n:
+        raise ValueError(f"synthetic_n is read only by a synthetic task, not from CSV {source!r}")
+
+
+def _json_differ(mine: dict, theirs: dict) -> list[str]:
+    """The keys at which two documents differ as JSON spells them, floats by
+    repr, so the match is exact and 1 differs from 1.0 or true."""
+    a, b = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()} for d in (mine, theirs))
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
 @dataclass(frozen=True)
@@ -337,11 +345,9 @@ class RunReport:
         """The report whose ``to_dict`` is ``doc``, rebuilt from its config
         echo and its repeats; a missing or garbled one raises KeyError,
         TypeError or ValueError, and any other difference ValueError naming
-        the keys.  Values compare as JSON spells them, floats by repr, so
-        the match is exact and 1 differs from 1.0 or true."""
+        the keys as ``_json_differ`` compares them."""
         report = RunReport(ExperimentConfig.from_dict(doc["config"]), tuple(LossReport(**r) for r in doc["repeats"]))
-        mine, theirs = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()} for d in (report.to_dict(), doc))
-        differ = sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
+        differ = _json_differ(report.to_dict(), doc)
         if differ:
             raise ValueError(f"report fields {differ} differ from those its config and repeats derive")
         return report

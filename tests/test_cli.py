@@ -74,18 +74,17 @@ class TestBench:
         ["--synthetic-n", "-5"],
         ["--seed", "-1"],
         ["--seed", str(2**64 - 1), "--repeats", "2"],
+        ["--repeats", "x"],
+        ["--rep", "2"],  # flags are spelled in full
     ])
     def test_removed_options_are_usage_errors(self, flags, tmp_path, capsys):
         argv = [
             "bench", "--mode", "budget", "--budget", "0.2", "--data", "hetero6",
             "--synthetic-n", "200", "--repeats", "1", "--out", str(tmp_path), *flags,
         ]
-        try:
-            rc = main(argv)
-        except SystemExit as exc:  # refused by the argument parser
-            rc = exc.code
-        assert rc == 1
-        assert "Traceback" not in capsys.readouterr().err
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "bench.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
@@ -114,6 +113,14 @@ class TestBench:
         assert doc["config"]["cost_c"] == 0.5
         assert doc["config"]["repeats"] == 2
         assert doc["config"]["seed"] == 9
+
+    def test_config_file_supplies_required_flags(self, demo_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {demo_csv}\nmode = cost\ncost = 0.5\nrepeats = 1\n")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        assert doc["config"]["dataset_source"] == demo_csv
+        assert (doc["config"]["mode"], doc["config"]["cost_c"]) == ("cost", 0.5)
 
     def test_cli_flag_overrides_config_file(self, demo_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -147,6 +154,7 @@ class TestFitCalibrate:
         ["--sigma-grid", "a,b"],
         ["--seed", "-1"],
         ["--seed", str(2**64)],
+        ["--data", "hetero6", "--target-col", "y"],  # a synthetic task has no target column
     ])
     def test_refused_values_are_usage_errors(self, flags, demo_csv, tmp_path, capsys):
         # refused before the model file is read
@@ -162,6 +170,19 @@ class TestFitCalibrate:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
 
+    def test_fit_refuses_a_target_column_on_a_synthetic_task(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--data", "hetero6", "--target-col", "y", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+
+    def test_config_file_supplies_the_required_model(self, demo_csv, tmp_path):
+        model, cal, cfg = tmp_path / "model.json", tmp_path / "cal.json", tmp_path / "cal.cfg"
+        assert main(["fit", "--data", demo_csv, "--out", str(model)]) == 0
+        cfg.write_text(f"model = {model}\ndata = {demo_csv}\ncost = 0.5\n")
+        assert main(["calibrate", "--config", str(cfg), "--out", str(cal)]) == 0
+        assert json.loads(cal.read_text())["cost"] == 0.5
+
     def test_config_file_values_take_the_flag_type(self, demo_csv, tmp_path):
         model, cal, cfg = tmp_path / "model.json", tmp_path / "cal.json", tmp_path / "cal.cfg"
         assert main(["fit", "--data", demo_csv, "--seed", "4", "--out", str(model)]) == 0
@@ -173,11 +194,12 @@ class TestFitCalibrate:
 
     def test_config_file_refuses_a_value_of_the_wrong_type(self, demo_csv, tmp_path, capsys):
         cfg = tmp_path / "cal.cfg"
-        for text in ("budget = lots\n", "regressor = knn\n"):
+        for text, flag in (("budget = lots\n", "--budget"), ("regressor = knn\n", "--regressor")):
             cfg.write_text(text)
             rc = main(["calibrate", "--data", demo_csv, "--model", str(tmp_path / "m.json"),
                        "--config", str(cfg)])
-            assert rc == 1 and capsys.readouterr().err.startswith("error: config file")
+            err = capsys.readouterr().err
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1 and flag in err
 
     def test_fit_then_calibrate(self, demo_csv, tmp_path):
         model = tmp_path / "model.json"
@@ -452,6 +474,21 @@ class TestReport:
         assert main(["report", "--input", str(tmp_path / "bench.json"), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("value", [True, 1])
+    def test_cost_that_is_not_a_float_is_data_error(self, value, tmp_path, capsys):
+        assert main([
+            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "--synthetic-n", "200", "--repeats", "2", "--out", str(tmp_path),
+        ]) == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        doc["config"]["cost_c"] = doc["c_or_gamma"] = value
+        (tmp_path / "bench.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--input", str(tmp_path / "bench.json"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and "cost_c" in err
         assert not (tmp_path / "bench.csv").exists()
 
     def test_label_the_echo_does_not_derive_is_data_error(self, tmp_path, capsys):

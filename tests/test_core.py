@@ -250,3 +250,21 @@ def test_no_unused_module_imports():
             if name not in used
         ]
     assert found == []
+
+
+def test_no_private_attribute_read_from_outside():
+    # a module reads the private attributes (a _name, not a __dunder__) of
+    # self and cls only, never those of another object or module
+    import ast
+    from pathlib import Path
+
+    import selreg
+
+    found = [
+        f"{path.name}:{node.lineno}:{node.attr}"
+        for path in sorted(Path(selreg.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert found == []

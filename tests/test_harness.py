@@ -57,11 +57,15 @@ class TestLoadCsv:
 
     def test_bad_row_dropped_with_diagnostic(self, tmp_path, caplog):
         p = tmp_path / "bad.csv"
-        p.write_text("a,target\n1,2\nNA,4\n5,6\n")
-        with caplog.at_level(logging.WARNING, logger="selreg.harness"):
-            data = load_csv(p, "target")
-        assert data.n == 2
-        assert any("row 2" in rec.getMessage() for rec in caplog.records)
+        for cell in ("NA", "nan", "inf", ""):
+            p.write_text(f"a,b,target\n1,2,3\n4,{cell},6\n7,8,9\n")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="selreg.harness"):
+                data = load_csv(p, "target")
+            np.testing.assert_array_equal(data.targets, [3.0, 9.0])
+            assert [rec.getMessage() for rec in caplog.records] == [
+                f"{p}: dropping row 2 (non-numeric cell in column 'b')"
+            ], cell
 
     def test_missing_target(self, tmp_path):
         p = tmp_path / "no_target.csv"
@@ -170,6 +174,8 @@ class TestRunFixedCost:
         (dict(regressor={"kind": "knn"}), "regressor"),
         (dict(regressor={"kind": "knn", "k_grid": [5], "k": 99}), "k=99"),
         (dict(regressor={"kind": "mlp"}), "regressor"),
+        (dict(cost_c=True), "cost_c"),
+        (dict(cost_c=1), "cost_c"),
     ])
     def test_echo_that_the_run_would_not_write_is_refused(self, change, match):
         echo = _cost_cfg().to_dict()
