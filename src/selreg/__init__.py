@@ -12,6 +12,7 @@ from .core import (
     CostConfig,
     CostMode,
     DEFAULT_SIGMA_GRID,
+    DataError,
     Dataset,
     KernelSpec,
     RngHandle,
@@ -38,6 +39,7 @@ __all__ = [
     "CostConfig",
     "CostMode",
     "DEFAULT_SIGMA_GRID",
+    "DataError",
     "Dataset",
     "KernelSpec",
     "KnnConfig",

@@ -54,6 +54,14 @@ EXIT_VERIFY = 3
 # the --regressor choices and the settings that each one runs
 REGRESSORS = {"knn": KnnConfig(), "mlp": MlpConfig(), "oracle": "oracle"}
 
+# the commands that read a dataset, with their help; each takes the data
+# flags and --config
+DATA_COMMANDS = {
+    "fit": "fit a regressor on the train split",
+    "calibrate": "kernel-calibrate a fitted model",
+    "bench": "run the repeated benchmark protocol",
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Flags are spelled in full, and a refused one is a SelregError."""
@@ -68,7 +76,10 @@ class _Parser(argparse.ArgumentParser):
 def _with_config_flags(argv: list[str]) -> list[str]:
     """``argv`` with each ``key = value`` line of its --config file put after
     the command as ``--key=value``; argparse keeps the last value it sees, so
-    a flag given on the command line wins even when it repeats its default."""
+    a flag given on the command line wins even when it repeats its default.
+    Another command's parser refuses --config unread."""
+    if not argv or argv[0] not in DATA_COMMANDS:
+        return argv
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -94,13 +105,6 @@ def _flag_values():
         yield
     except ValueError as exc:
         raise SelregError(str(exc)) from None
-
-
-def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="CSV path or synthetic task name")
-    p.add_argument("--target-col", default="target")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="flat key=value config file")
 
 
 def _sigma_grid(arg: str | None) -> tuple[float, ...]:
@@ -138,7 +142,7 @@ def _data_record(args) -> dict:
 def _cmd_fit(args) -> int:
     with _flag_values():
         RngHandle(args.seed)
-        check_source(args.data, args.target_col)
+        check_source(args.data, args.target_col, regressor=args.regressor)
     # the same splits and model as `bench` repeat 0 at this seed
     train, val, _, task = materialize(args.data, args.seed, target_column=args.target_col)
     model = fit_regressor(REGRESSORS[args.regressor], train, val, task, args.seed)
@@ -229,14 +233,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="selreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a regressor on the train split")
-    _add_common_data_flags(p_fit)
+    p_fit, p_cal, p_bench = (sub.add_parser(name, help=text) for name, text in DATA_COMMANDS.items())
+    for p in (p_fit, p_cal, p_bench):
+        p.add_argument("--data", required=True, help="CSV path or synthetic task name")
+        p.add_argument("--target-col", default="target")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+
     p_fit.add_argument("--regressor", choices=tuple(REGRESSORS), default="knn")
     p_fit.add_argument("--out", default="model.json")
     p_fit.set_defaults(fn=_cmd_fit)
 
-    p_cal = sub.add_parser("calibrate", help="kernel-calibrate a fitted model")
-    _add_common_data_flags(p_cal)
     p_cal.add_argument("--model", required=True, help="model JSON from `fit`")
     p_cal.add_argument("--cost", type=float, default=1.0)
     p_cal.add_argument("--budget", type=float, default=None)
@@ -244,8 +251,6 @@ def build_parser() -> _Parser:
     p_cal.add_argument("--out", default="calibration.json")
     p_cal.set_defaults(fn=_cmd_calibrate)
 
-    p_bench = sub.add_parser("bench", help="run the repeated benchmark protocol")
-    _add_common_data_flags(p_bench)
     p_bench.add_argument("--mode", choices=("cost", "budget"), required=True)
     p_bench.add_argument("--cost", type=float, default=None)
     p_bench.add_argument("--budget", type=float, default=None)

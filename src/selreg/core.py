@@ -20,15 +20,6 @@ from . import backend
 __all__ = [
     "SelregError",
     "DataError",
-    "EmptyDatasetError",
-    "EmptySplitError",
-    "EmptyValidationError",
-    "EmptyScoresError",
-    "UnsupportedTaskError",
-    "KTooLargeError",
-    "NonFiniteLossError",
-    "PremiseViolatedError",
-    "SupportTooLargeError",
     "CostMode",
     "CostConfig",
     "Dataset",
@@ -66,42 +57,6 @@ class SelregError(Exception):
 
 class DataError(SelregError):
     """Input data violates a contract."""
-
-
-class EmptyDatasetError(DataError):
-    pass
-
-
-class EmptySplitError(DataError):
-    """A requested split fraction rounds to zero rows."""
-
-
-class EmptyValidationError(DataError):
-    pass
-
-
-class EmptyScoresError(DataError):
-    pass
-
-
-class UnsupportedTaskError(SelregError):
-    """The synthetic task does not expose the closed form needed here."""
-
-
-class KTooLargeError(SelregError):
-    pass
-
-
-class NonFiniteLossError(SelregError):
-    """Training diverged; usually a learning-rate misconfiguration."""
-
-
-class PremiseViolatedError(SelregError):
-    """A construction's premise on the task (e.g. variance range) fails."""
-
-
-class SupportTooLargeError(SelregError):
-    """Exhaustive enumeration is infeasible for this support size."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +125,7 @@ class Dataset:
             raise DataError(f"targets must be 1-D, got shape {targs.shape}")
         n, d = feats.shape
         if n < 1 or d < 1:
-            raise EmptyDatasetError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+            raise DataError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         if targs.shape[0] != n:
             raise DataError(f"row mismatch: {n} feature rows vs {targs.shape[0]} targets")
         if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(targs)):
@@ -210,7 +165,7 @@ def split_dataset(data: Dataset, spec: SplitSpec, seed: int) -> tuple[Dataset, D
 
     Validation and test sizes are floor allocations of their fractions and
     train takes every remaining row (the regressor is fitted on all of them);
-    an empty split, as every n < 3 gives, raises EmptySplitError.  The
+    an empty split, as every n < 3 gives, raises DataError.  The
     permutation is fully determined by ``seed``.
     """
     n = data.n
@@ -218,9 +173,7 @@ def split_dataset(data: Dataset, spec: SplitSpec, seed: int) -> tuple[Dataset, D
     n_test = int(np.floor(n * spec.test_fraction))
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) == 0:
-        raise EmptySplitError(
-            f"split sizes ({n_train},{n_val},{n_test}) contain an empty split for n={n}"
-        )
+        raise DataError(f"split sizes ({n_train},{n_val},{n_test}) contain an empty split for n={n}")
     perm = RngHandle(seed, STREAM_SPLIT).generator().permutation(n)
     i_train = perm[:n_train]
     i_val = perm[n_train : n_train + n_val]

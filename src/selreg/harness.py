@@ -36,7 +36,6 @@ from .core import (
     DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
-    EmptyValidationError,
     KernelSpec,
     RngHandle,
     STREAM_SAMPLE,
@@ -61,10 +60,6 @@ from .rejection import (
 from .tasks import CondMeanRegressor, DiscreteTask, OracleRiskCalibrator, SyntheticTask, get_task, task_names
 
 __all__ = [
-    "MissingTargetError",
-    "CsvParseError",
-    "EmptyAfterFilteringError",
-    "ReportIoError",
     "ExperimentConfig",
     "RunReport",
     "load_csv",
@@ -84,53 +79,38 @@ log = logging.getLogger(__name__)
 REJECTOR_KINDS = ("kernel", "loss-linear", "oracle")
 
 
-class MissingTargetError(DataError):
-    pass
-
-
-class CsvParseError(DataError):
-    pass
-
-
-class EmptyAfterFilteringError(DataError):
-    pass
-
-
-class ReportIoError(SelregError):
-    pass
-
-
 def load_csv(path: str | Path, target_column: str) -> Dataset:
     """Parse a headered numeric CSV into a Dataset.
 
     Rows containing non-numeric or missing cells are dropped with a
     row-indexed diagnostic on the module logger; structural problems
     (no header, a repeated column name, wrong field count) raise
-    CsvParseError.  Blank lines are skipped.
+    DataError.  Blank lines are skipped.  The file is read as UTF-8, with
+    or without a byte-order mark.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CsvParseError(f"cannot read {path}: {exc}") from exc
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
-        raise CsvParseError(f"{path}: empty file, header row required") from None
+        raise DataError(f"{path}: empty file, header row required") from None
     header = [h.strip() for h in header]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
-        raise CsvParseError(f"{path}: header repeats column(s) {repeated}")
+        raise DataError(f"{path}: header repeats column(s) {repeated}")
     if target_column not in header:
-        raise MissingTargetError(f"{path}: target column {target_column!r} not in header {header}")
+        raise DataError(f"{path}: target column {target_column!r} not in header {header}")
     rows = []
     n_dropped = 0
     for row_no, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != len(header):
-            raise CsvParseError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
+            raise DataError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
         values = [_finite(cell) for cell in row]
         if None in values:
             bad = header[values.index(None)]
@@ -139,7 +119,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
             continue
         rows.append(values)
     if not rows:
-        raise EmptyAfterFilteringError(f"{path}: no usable rows ({n_dropped} dropped)")
+        raise DataError(f"{path}: no usable rows ({n_dropped} dropped)")
     table = np.array(rows)
     t_idx = header.index(target_column)
     return Dataset(np.delete(table, t_idx, axis=1), table[:, t_idx])
@@ -159,7 +139,7 @@ def bundled_data_path(name: str) -> Path:
     network)."""
     p = Path(__file__).parent / "data" / name
     if not p.exists():
-        raise CsvParseError(f"no bundled dataset named {name!r}")
+        raise DataError(f"no bundled dataset named {name!r}")
     return p
 
 
@@ -204,7 +184,7 @@ class ExperimentConfig:
             raise ValueError("repeats, synthetic_n and workers must be >= 1")
         for seed in (self.seed, self.seed + self.repeats - 1):
             RngHandle(seed)  # every repeat seed fits the RNG's 64 bits
-        check_source(self.dataset_source, self.target_column, self.synthetic_n)
+        check_source(self.dataset_source, self.target_column, self.synthetic_n, self.regressor, self.rejector)
         if self.rejector not in REJECTOR_KINDS:
             raise ValueError(f"rejector must be one of {REJECTOR_KINDS}")
         if not isinstance(self.regressor, (KnnConfig, MlpConfig)) and self.regressor != "oracle":
@@ -270,15 +250,21 @@ class ExperimentConfig:
         return cfg
 
 
-def check_source(source: str, target_column: str, synthetic_n: int = ExperimentConfig.synthetic_n) -> None:
+def check_source(source: str, target_column: str, synthetic_n: int = ExperimentConfig.synthetic_n,
+                 regressor=None, rejector: str | None = None) -> None:
     """Refuse, with ValueError, a target column other than the default on a
-    synthetic task, or a sample size other than the default on a CSV: the
-    source would not read it."""
+    synthetic task, or on a CSV a sample size other than the default or an
+    oracle stage: the source would not read the first two, and has no true
+    mean or risk for the oracle."""
     if source in task_names():
         if target_column != ExperimentConfig.target_column:
             raise ValueError(f"target_column is read only from a CSV, not from task {source!r}")
-    elif synthetic_n != ExperimentConfig.synthetic_n:
+        return
+    if synthetic_n != ExperimentConfig.synthetic_n:
         raise ValueError(f"synthetic_n is read only by a synthetic task, not from CSV {source!r}")
+    for stage, kind in (("regressor", regressor), ("rejector", rejector)):
+        if kind == "oracle":
+            raise ValueError(f"the oracle {stage} needs a synthetic task source, not CSV {source!r}")
 
 
 def _json_differ(mine: dict, theirs: dict) -> list[str]:
@@ -429,7 +415,7 @@ def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tupl
     needs two rows at least.
     """
     if val.n < 2:
-        raise EmptyValidationError(f"budget mode needs 2 validation rows, got {val.n}")
+        raise DataError(f"budget mode needs 2 validation rows, got {val.n}")
     fit_part, score_part = (val.subset(i) for i in _halves(val.n))
     if rejector == "kernel":
         # median length scale keeps the smoother in range without
@@ -526,13 +512,13 @@ CSV_COLUMNS = (
 
 
 def write_output(path: str | Path, text: str) -> Path:
-    """Write ``text`` and a final newline to ``path``, creating its directory; OSError becomes ReportIoError."""
+    """Write ``text`` and a final newline to ``path``, creating its directory; OSError becomes SelregError."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
     except OSError as exc:
-        raise ReportIoError(f"cannot write {path}: {exc}") from exc
+        raise SelregError(f"cannot write {path}: {exc}") from exc
     return path
 
 

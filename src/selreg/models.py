@@ -18,11 +18,10 @@ from . import backend
 from .core import (
     DataError,
     Dataset,
-    KTooLargeError,
-    NonFiniteLossError,
     Regressor,
     RngHandle,
     STREAM_MLP,
+    SelregError,
     _as_block,
     _freeze,
     _require_int,
@@ -97,7 +96,7 @@ class KnnRegressor(Regressor):
         _require_int("k", k)
         self.k = k
         if not 1 <= self.k <= self.train_x.shape[0]:
-            raise KTooLargeError(f"k={k} exceeds training size {self.train_x.shape[0]}")
+            raise SelregError(f"k={k} exceeds training size {self.train_x.shape[0]}")
         self.dim = self.train_x.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -229,9 +228,7 @@ def fit_mlp(train: Dataset, cfg: MlpConfig, seed: int) -> MlpRegressor:
             idx = order[start : start + batch]
             loss, grads = _forward_backward(params, X[idx], y[idx], work)
             if not np.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"training loss became non-finite at step {t}; lower the learning rate"
-                )
+                raise SelregError(f"training loss became non-finite at step {t}; lower the learning rate")
             t += 1
             c1 = 1.0 - _ADAM_BETA1**t
             c2 = 1.0 - _ADAM_BETA2**t

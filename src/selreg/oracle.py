@@ -32,16 +32,14 @@ import numpy as np
 
 from .core import (
     Calibrator,
-    PremiseViolatedError,
     Regressor,
     Rejector,
     RngHandle,
     STREAM_SCORES,
     STREAM_VERIFY,
-    SupportTooLargeError,
+    SelregError,
     TableLookupRegressor,
     TableLookupRejector,
-    UnsupportedTaskError,
 )
 from .losses import bayes_risk, excess_losses, oracle_rwr_risk, prediction_error, risk_values, truncated_loss
 from .rejection import classify_with_rejection, conformal_threshold, induce_rejector, oracle_bayes_pair
@@ -79,7 +77,7 @@ _TOL = 1e-10
 
 def _require_discrete(task) -> DiscreteTask:
     if not isinstance(task, DiscreteTask):
-        raise UnsupportedTaskError("this check needs a finite-support task")
+        raise SelregError("this check needs a finite-support task")
     return task
 
 
@@ -128,9 +126,7 @@ def build_locally_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLooku
     task = _require_discrete(task)
     v = task.variances
     if not (v.min() < c < v.max()):
-        raise PremiseViolatedError(
-            f"need min variance < c < max variance, got [{v.min()}, {v.max()}] vs c={c}"
-        )
+        raise SelregError(f"need min variance < c < max variance, got [{v.min()}, {v.max()}] vs c={c}")
     shift = np.where(v <= c, 2.0 * math.sqrt(c), 0.0)
     f0 = TableLookupRegressor(task.points, task.means + shift)
     r0 = TableLookupRejector(task.points, np.zeros(task.size, dtype=np.int64))
@@ -148,7 +144,7 @@ def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLoo
     task = _require_discrete(task)
     u1 = task.variances < c
     if not np.any(u1):
-        raise PremiseViolatedError("need a region of strictly sub-threshold variance")
+        raise SelregError("need a region of strictly sub-threshold variance")
     shift = np.where(u1, 2.0 * math.sqrt(c), 0.0)
     f1 = TableLookupRegressor(task.points, task.means + shift)
     return f1, induce_rejector(OracleRiskCalibrator(task, f1), c)
@@ -181,7 +177,7 @@ class LocalSearchReport(_SearchReport):
 
 def _all_accept_patterns(m: int) -> np.ndarray:
     if m > _EXHAUSTIVE_SUPPORT_LIMIT:
-        raise SupportTooLargeError(f"exhaustive search is limited to {_EXHAUSTIVE_SUPPORT_LIMIT} points, got {m}")
+        raise SelregError(f"exhaustive search is limited to {_EXHAUSTIVE_SUPPORT_LIMIT} points, got {m}")
     codes = np.arange(2**m, dtype=np.uint32)
     return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
 

@@ -20,9 +20,8 @@ import numpy as np
 from . import backend
 from .core import (
     Calibrator,
+    DataError,
     Dataset,
-    EmptyScoresError,
-    EmptyValidationError,
     KernelSpec,
     Regressor,
     Rejector,
@@ -149,7 +148,7 @@ def select_bandwidth(
     on ``outer``.
     """
     if len(inner[1]) == 0 or len(outer[1]) == 0:
-        raise EmptyValidationError("validation data must be nonempty")
+        raise DataError("validation data must be nonempty")
     outer_points, outer_losses = outer
     best_sigma, best_loss = None, np.inf
     for sigma in sorted(sigma_grid(grid)):
@@ -188,7 +187,7 @@ def conformal_threshold(scores: np.ndarray, gamma: float) -> ConformalThreshold:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     m = scores.shape[0]
     if m == 0:
-        raise EmptyScoresError("need at least one calibration score")
+        raise DataError("need at least one calibration score")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0,1)")
     # the 1e-9 guard keeps float excess (e.g. 0.8*100 = 80.0000...01) from

@@ -25,7 +25,7 @@ from .core import (
     Regressor,
     Rejector,
     RngHandle,
-    UnsupportedTaskError,
+    SelregError,
     _as_block,
     _freeze,
 )
@@ -246,6 +246,4 @@ def get_task(name: str) -> SyntheticTask:
     try:
         return _TASKS[name]()
     except KeyError:
-        raise UnsupportedTaskError(
-            f"unknown synthetic task {name!r}; available: {list(task_names())}"
-        ) from None
+        raise SelregError(f"unknown synthetic task {name!r}; available: {list(task_names())}") from None

@@ -343,6 +343,26 @@ def test_unreadable_input_file_is_data_error(flag, tmp_path, capsys):
     assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify-theory", "report --input r.json"])
+def test_config_on_a_command_that_does_not_take_it_is_usage_error(command, tmp_path, capsys):
+    # refused by the command's parser before the file is looked for
+    assert main([*command.split(), "--config", str(tmp_path / "missing.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--config" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["bench", "--mode", "cost", "--cost", "1", "--regressor", "oracle"],
+    ["bench", "--mode", "cost", "--cost", "1", "--rejector", "oracle"],
+    ["fit", "--regressor", "oracle"],
+], ids=["bench-regressor", "bench-rejector", "fit"])
+def test_oracle_on_a_csv_is_usage_error(flags, tmp_path, capsys):
+    # a CSV has no true mean or risk; refused before the file is read
+    assert main([*flags, "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the oracle ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["fit", "calibrate", "verify-theory", "bench", "report"])
 def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
     """An --out that is an existing directory, or whose report file is one,

@@ -9,7 +9,6 @@ from selreg.core import (
     DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
-    EmptySplitError,
     KernelSpec,
     RngHandle,
     SelregError,
@@ -64,12 +63,12 @@ class TestSplit:
         for n in (1, 2):
             data = Dataset(np.zeros((n, 1)), np.zeros(n))
             for spec in (SplitSpec(), SplitSpec(0.5, 0.49), SplitSpec(0.49, 0.5), SplitSpec(0.01, 0.01)):
-                with pytest.raises(EmptySplitError):
+                with pytest.raises(DataError, match="contain an empty split"):
                     split_dataset(data, spec, 0)
 
     def test_empty_split_raises(self):
         data = Dataset(np.zeros((5, 1)), np.zeros(5))
-        with pytest.raises(EmptySplitError):
+        with pytest.raises(DataError, match="contain an empty split"):
             split_dataset(data, SplitSpec(), 0)  # floor(0.1*5) = 0 test rows
 
     @given(n=st.integers(10, 400), seed=st.integers(0, 2**32 - 1))
@@ -268,3 +267,28 @@ def test_no_private_attribute_read_from_outside():
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert found == []
+
+
+def test_one_exception_class_per_exit_code():
+    # cli.main maps DataError to exit 2 and SelregError to exit 1; a subclass
+    # that nothing catches by type would only carry a second name
+    import ast
+    import builtins
+    from pathlib import Path
+
+    import selreg
+
+    bases = {
+        node.name: [ast.unparse(base).split(".")[-1] for base in node.bases]
+        for path in sorted(Path(selreg.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    assert {name for name in bases if is_exception(name)} == {"SelregError", "DataError"}

@@ -11,17 +11,13 @@ from selreg.core import (
     CostMode,
     DEFAULT_SIGMA_GRID,
     DataError,
-    EmptyValidationError,
     Regressor,
     SplitSpec,
     TableLookupRegressor,
 )
 from selreg.harness import (
     CSV_COLUMNS,
-    CsvParseError,
-    EmptyAfterFilteringError,
     ExperimentConfig,
-    MissingTargetError,
     RunReport,
     budget_threshold,
     bundled_data_path,
@@ -67,10 +63,24 @@ class TestLoadCsv:
                 f"{p}: dropping row 2 (non-numeric cell in column 'b')"
             ], cell
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"target,x\n1,2\n3,4\n5,6\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain, "target"), load_csv(marked, "target")
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.targets, want.targets)
+
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("x,target\n1,2\n\xe9,3\n".encode("latin-1"))
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(p, "target")
+
     def test_missing_target(self, tmp_path):
         p = tmp_path / "no_target.csv"
         p.write_text("a,b\n1,2\n")
-        with pytest.raises(MissingTargetError):
+        with pytest.raises(DataError, match="target column 'target' not in header"):
             load_csv(p, "target")
 
     @pytest.mark.parametrize("header, repeated", [
@@ -81,14 +91,14 @@ class TestLoadCsv:
         # a second "target" would otherwise be fed to the regressor as a feature
         p = tmp_path / "dup.csv"
         p.write_text(f"{header}\n1,2,2\n3,4,4\n")
-        with pytest.raises(CsvParseError) as exc:
+        with pytest.raises(DataError, match="repeats column") as exc:
             load_csv(p, "target")
         assert f"repeats column(s) [{repeated}]" in str(exc.value)
 
     def test_all_rows_bad(self, tmp_path):
         p = tmp_path / "hopeless.csv"
         p.write_text("a,target\nx,1\ny,2\n")
-        with pytest.raises(EmptyAfterFilteringError):
+        with pytest.raises(DataError, match="no usable rows"):
             load_csv(p, "target")
 
     def test_bundled_datasets_load(self):
@@ -214,6 +224,10 @@ class TestRunFixedCost:
         (dict(synthetic_n=-5), "synthetic_n"),
         (dict(seed=-1), "64 unsigned bits"),
         (dict(seed=2**64 - 2, repeats=3), "64 unsigned bits"),
+        (dict(dataset_source=str(bundled_data_path("hetero_demand.csv")), synthetic_n=1000, regressor="oracle"),
+         "oracle regressor"),
+        (dict(dataset_source=str(bundled_data_path("hetero_demand.csv")), synthetic_n=1000, rejector="oracle"),
+         "oracle rejector"),
     ])
     def test_settings_the_run_would_not_read_are_refused(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -343,7 +357,7 @@ class TestRunFixedBudget:
         # the calibrator would be fitted on the row that its threshold scores
         cfg = ExperimentConfig("hetero6", CostConfig.fixed_budget(0.2), split=SplitSpec(0.1, 0.2),
                                repeats=1, synthetic_n=10)
-        with pytest.raises(EmptyValidationError, match="2 validation rows"):
+        with pytest.raises(DataError, match="2 validation rows"):
             run_experiment(cfg)
         run_experiment(dataclasses.replace(cfg, cost_config=CostConfig.fixed_cost(2.0)))  # cost mode runs
 

@@ -4,10 +4,10 @@ import pytest
 from selreg import models
 from selreg.core import (
     Dataset,
-    KTooLargeError,
     RngHandle,
     STREAM_MLP,
     STREAM_SAMPLE,
+    SelregError,
     SplitSpec,
     TableLookupRegressor,
     model_from_json,
@@ -48,8 +48,9 @@ class TestKnn:
         assert model.predict(np.array([[0.9]]))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_k_too_large(self, tiny_dataset):
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(SelregError, match="k=4 exceeds training size 3") as exc:
             fit_knn(tiny_dataset, KnnConfig(k=4))
+        assert exc.type is SelregError
 
     def test_distance_tie_breaks_to_lower_index(self):
         data = Dataset(np.array([[0.0], [2.0]]), np.array([10.0, 20.0]))
@@ -218,13 +219,12 @@ class TestMlp:
         fit_mlp(data, MlpConfig(epochs=2, batch_size=256), 1)
 
     def test_divergence_raises_non_finite_loss(self):
-        from selreg.core import NonFiniteLossError
-
         rng = np.random.default_rng(4)
         data = Dataset(rng.normal(size=(32, 2)), rng.normal(size=32))
         absurd = MlpConfig(learning_rate=1e200, epochs=5)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError):
+        with np.errstate(all="ignore"), pytest.raises(SelregError, match="training loss became non-finite") as exc:
             fit_mlp(data, absurd, 2)
+        assert exc.type is SelregError
 
 
 class TestGradientCheck:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from selreg.core import (
-    PremiseViolatedError,
     RngHandle,
-    SupportTooLargeError,
     STREAM_VERIFY,
+    SelregError,
     TableLookupRegressor,
     TableLookupRejector,
 )
@@ -63,8 +62,9 @@ class TestTrapConstructions:
             points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]),
             means=np.zeros(2), variances=np.array([5.0, 6.0]),
         )
-        with pytest.raises(PremiseViolatedError):
+        with pytest.raises(SelregError, match="need min variance < c") as exc:
             build_locally_trapped_pair(flat, C)
+        assert exc.type is SelregError
 
     def test_entrywise_trap_defers_spoiled_region(self, task):
         f1, r1 = build_entrywise_trapped_pair(task, C)
@@ -154,8 +154,9 @@ class TestEntrywiseOptimality:
             means=np.zeros(m),
             variances=np.linspace(0.25, 9.0, m),
         )
-        with pytest.raises(SupportTooLargeError):
+        with pytest.raises(SelregError, match="exhaustive search is limited to 12 points") as exc:
             verify_entrywise_optimality(oracle_bayes_pair(big, C), big, C)
+        assert exc.type is SelregError
 
 
 class TestSearchesAreExact:
@@ -211,8 +212,9 @@ class TestSearchesAreExact:
             points=np.arange(m, dtype=float)[:, None], weights=np.full(m, 1.0 / m),
             means=np.zeros(m), variances=np.linspace(0.25, 9.0, m),
         )
-        with pytest.raises(SupportTooLargeError):
+        with pytest.raises(SelregError, match="exhaustive search is limited to 12 points") as exc:
             search(oracle_bayes_pair(big, C), big)
+        assert exc.type is SelregError
 
 
 class TestRiskDecomposition:
@@ -267,7 +269,6 @@ class TestPairEnumeration:
         assert enumerate_pair_minimum(task, C) == pytest.approx(expected, abs=1e-10)
 
     def test_enumeration_capped_at_twelve_points(self):
-        from selreg.core import SupportTooLargeError
         from selreg.tasks import DiscreteTask
 
         m = 13
@@ -277,18 +278,19 @@ class TestPairEnumeration:
             means=np.zeros(m),
             variances=np.ones(m),
         )
-        with pytest.raises(SupportTooLargeError):
+        with pytest.raises(SelregError, match="exhaustive search is limited to 12 points") as exc:
             enumerate_pair_minimum(big, C)
+        assert exc.type is SelregError
 
     def test_search_needs_finite_support(self):
-        from selreg.core import UnsupportedTaskError
         from selreg.rejection import oracle_bayes_pair
         from selreg.tasks import default_smooth_task
 
         smooth = default_smooth_task()
         pair = oracle_bayes_pair(smooth, 0.5)
-        with pytest.raises(UnsupportedTaskError):
+        with pytest.raises(SelregError, match="needs a finite-support task") as exc:
             verify_local_optimality(pair, smooth, 0.1, 0.5)
+        assert exc.type is SelregError
 
 
 class TestVerificationSuite:

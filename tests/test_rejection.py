@@ -9,8 +9,6 @@ from selreg.core import (
     DEFAULT_SIGMA_GRID,
     DataError,
     Dataset,
-    EmptyScoresError,
-    EmptyValidationError,
     KernelSpec,
     RngHandle,
     STREAM_SAMPLE,
@@ -162,7 +160,7 @@ class TestSelectBandwidth:
         one = (np.zeros((1, 1)), np.ones(1))
         empty = (np.zeros((0, 1)), np.zeros(0))
         for inner, outer in ((empty, one), (one, empty)):
-            with pytest.raises(EmptyValidationError):
+            with pytest.raises(DataError, match="validation data must be nonempty"):
                 select_bandwidth(inner, outer, DEFAULT_SIGMA_GRID, c=1.0)
 
 
@@ -197,7 +195,7 @@ class TestConformalThreshold:
         assert th.order_statistic_index == 80
 
     def test_empty_scores_rejected(self):
-        with pytest.raises(EmptyScoresError):
+        with pytest.raises(DataError, match="need at least one calibration score"):
             conformal_threshold(np.array([]), gamma=0.5)
 
     @given(
