@@ -19,10 +19,13 @@ Contracts:
     that is not strictly farther) takes the full distance row instead, so
     the result is the same bits either way.
 
-``gaussian_nw(queries, centers, values[m], sigma) -> [nq]``
-    Weighted average with weights exp(-||q-c||^2 / sigma); an all-zero
-    weight row falls back to the value at the nearest center (ties to the
-    lower index).
+``gaussian_nw(queries, centers, values[m], sigmas) -> [len(sigmas), nq]``
+    Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
+    an all-zero weight row falls back to the value at the nearest center
+    (ties to the lower index).  Each block of queries computes its distances
+    once, negates them in place and reuses one block x m weight buffer for
+    every sigma, and each row equals a call with that sigma alone.  Every
+    sigma must be positive and finite.
 
 Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
 ``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m
@@ -30,6 +33,8 @@ Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -157,9 +162,10 @@ def knn_mean(
 
 
 def gaussian_nw(
-    queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigma: float
+    queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigmas
 ) -> np.ndarray:
-    """Nadaraya-Watson average with weights exp(-||q - c||^2 / sigma).
+    """Row j: Nadaraya-Watson average with weights
+    exp(-||q - c||^2 / sigmas[j]).
 
     If every weight underflows to zero the estimate falls back to the value
     at the nearest center (ties by ascending index).
@@ -167,15 +173,20 @@ def gaussian_nw(
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != np.shape(centers)[0]:
         raise ValueError("values length must match center count")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    out = np.empty(np.shape(queries)[0])
+    sigmas = tuple(float(s) for s in sigmas)
+    if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
+        raise ValueError(f"sigma must be positive and finite, got {sigmas}")
+    out = np.empty((len(sigmas), np.shape(queries)[0]))
     for start, d2 in _sq_dist_blocks(queries, centers):
-        w = np.exp(-d2 / float(sigma))
-        den = w.sum(axis=1)
-        est = (w @ values) / np.where(den > 0.0, den, 1.0)
-        dead = den == 0.0
-        if np.any(dead):
-            est[dead] = values[np.argmin(d2[dead], axis=1)]
-        out[start : start + d2.shape[0]] = est
+        # -d2 / s is the same float whether the negation comes first or not
+        negd2 = np.negative(d2, out=d2)
+        w = np.empty_like(negd2)
+        for j, s in enumerate(sigmas):
+            np.exp(np.divide(negd2, s, out=w), out=w)
+            den = w.sum(axis=1)
+            est = (w @ values) / np.where(den > 0.0, den, 1.0)
+            dead = den == 0.0
+            if np.any(dead):
+                est[dead] = values[np.argmax(negd2[dead], axis=1)]
+            out[j, start : start + est.shape[0]] = est
     return out

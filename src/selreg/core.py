@@ -8,6 +8,7 @@ and returns new objects.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -228,8 +229,8 @@ class CostConfig:
         object.__setattr__(self, "cost_c", float(self.cost_c))
         object.__setattr__(self, "budget_gamma", float(self.budget_gamma))
         if self.mode is CostMode.FIXED_COST:
-            if not self.cost_c > 0.0:
-                raise ValueError("fixed-cost mode requires cost_c > 0")
+            if not 0.0 < self.cost_c < math.inf:
+                raise ValueError("fixed-cost mode requires a finite cost_c > 0")
             if self.budget_gamma != 0.0:
                 raise ValueError("fixed-cost mode reads no budget_gamma")
         else:
@@ -257,8 +258,8 @@ class KernelSpec:
     length_scale_sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.length_scale_sigma > 0.0:
-            raise ValueError("length_scale_sigma must be positive")
+        if not 0.0 < self.length_scale_sigma < math.inf:
+            raise ValueError("length_scale_sigma must be positive and finite")
 
 
 # the candidate bandwidths of selection when none are given: seven decades
@@ -266,10 +267,11 @@ DEFAULT_SIGMA_GRID = tuple(10.0**j for j in range(-3, 4))
 
 
 def sigma_grid(values: Sequence[float]) -> tuple[float, ...]:
-    """``values`` as a bandwidth grid; refuses an empty or nonpositive one."""
+    """``values`` as a bandwidth grid; refuses an empty one and any sigma that
+    is not positive and finite."""
     grid = tuple(float(s) for s in values)
-    if not grid or any(not s > 0.0 for s in grid):
-        raise ValueError(f"sigma grid must be nonempty and strictly positive, got {grid}")
+    if not grid or not all(0.0 < s < math.inf for s in grid):
+        raise ValueError(f"sigma grid must be nonempty and each sigma positive and finite, got {grid}")
     return grid
 
 

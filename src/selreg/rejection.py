@@ -72,9 +72,9 @@ class KernelSmootherCalibrator(Calibrator):
 
     def estimate(self, X: np.ndarray) -> np.ndarray:
         est = backend.gaussian_nw(
-            _as_block(X), self.points, self.losses, self.kernel.length_scale_sigma
+            _as_block(X), self.points, self.losses, (self.kernel.length_scale_sigma,)
         )
-        return np.maximum(est, 0.0)
+        return np.maximum(est[0], 0.0)
 
     def payload(self) -> dict:
         return {
@@ -145,16 +145,20 @@ def select_bandwidth(
 
     ``inner`` and ``outer`` are (points, squared losses) of the regressor on
     held-out rows: the smoother fits on ``inner`` and its rejector is scored
-    on ``outer``.
+    on ``outer``.  One kernel call smooths at every sigma; each row is
+    clamped at zero and accepted at or below ``c``, as the
+    ``KernelSmootherCalibrator`` and ``InducedRejector`` of that sigma would.
     """
     if len(inner[1]) == 0 or len(outer[1]) == 0:
         raise DataError("validation data must be nonempty")
+    if not 0.0 <= c < math.inf:
+        raise ValueError("threshold cost must be nonnegative and finite")
     outer_points, outer_losses = outer
+    sigmas = sorted(sigma_grid(grid))
+    estimates = backend.gaussian_nw(_as_block(outer_points), _as_block(inner[0]), inner[1], sigmas)
     best_sigma, best_loss = None, np.inf
-    for sigma in sorted(sigma_grid(grid)):
-        cal = KernelSmootherCalibrator(*inner, KernelSpec(sigma))
-        accept = induce_rejector(cal, c).accept(outer_points)
-        loss = rwr_report(outer_losses, accept, c).rwr_loss
+    for sigma, est in zip(sigmas, np.maximum(estimates, 0.0)):
+        loss = rwr_report(outer_losses, (est <= c).astype(np.int64), c).rwr_loss
         if loss < best_loss:
             best_sigma, best_loss = sigma, loss
     return KernelSpec(best_sigma)

@@ -22,6 +22,22 @@ def brute_knn_mean(q, p, v, k):
     return v[order].mean(axis=1)
 
 
+def per_sigma_nw(q, c, v, sigma):
+    """The single-sigma kernel that the grid kernel replaced, kept as the
+    reference its rows must match bit for bit: a fresh ``-d2 / sigma`` per
+    call and the nearest center by ``argmin`` of the distances."""
+    out = np.empty(len(q))
+    for start, d2 in backend._sq_dist_blocks(q, c):
+        w = np.exp(-d2 / float(sigma))
+        den = w.sum(axis=1)
+        est = (w @ v) / np.where(den > 0.0, den, 1.0)
+        dead = den == 0.0
+        if np.any(dead):
+            est[dead] = v[np.argmin(d2[dead], axis=1)]
+        out[start : start + d2.shape[0]] = est
+    return out
+
+
 def brute_nw(q, c, v, sigma):
     d2 = brute_sq_dists(q, c)
     w = np.exp(-d2 / sigma)
@@ -55,18 +71,18 @@ class TestContracts:
 
     def test_nw_exact_hand_value(self, name, impl):
         got = impl.gaussian_nw(
-            np.array([[1.0]]), np.array([[0.0], [2.0]]), np.array([1.0, 9.0]), 1.0
-        )
+            np.array([[1.0]]), np.array([[0.0], [2.0]]), np.array([1.0, 9.0]), (1.0,)
+        )[0]
         assert got[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_nw_underflow_nearest_fallback(self, name, impl):
         centers = np.array([[0.0], [100.0]])
-        got = impl.gaussian_nw(np.array([[60.0]]), centers, np.array([1.0, 9.0]), 1e-6)
+        got = impl.gaussian_nw(np.array([[60.0]]), centers, np.array([1.0, 9.0]), (1e-6,))[0]
         assert got[0] == 9.0
 
     def test_nw_underflow_tie_takes_lower_index(self, name, impl):
         centers = np.array([[0.0], [120.0]])
-        got = impl.gaussian_nw(np.array([[60.0]]), centers, np.array([1.0, 9.0]), 1e-6)
+        got = impl.gaussian_nw(np.array([[60.0]]), centers, np.array([1.0, 9.0]), (1e-6,))[0]
         assert got[0] == 1.0
 
     def test_knn_validates_k(self, name, impl):
@@ -84,7 +100,7 @@ class TestContracts:
         with pytest.raises(ValueError, match="dimension mismatch"):
             impl.knn_mean(q, p, v, (1,))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            impl.gaussian_nw(q, p, v, 1.0)
+            impl.gaussian_nw(q, p, v, (1.0,))
 
     @pytest.mark.parametrize("m_values", [2, 4])
     def test_values_length_mismatch_rejected(self, name, impl, m_values):
@@ -92,12 +108,36 @@ class TestContracts:
         with pytest.raises(ValueError, match="values length"):
             impl.knn_mean(q, p, v, (1,))
         with pytest.raises(ValueError, match="values length"):
-            impl.gaussian_nw(q, p, v, 1.0)
+            impl.gaussian_nw(q, p, v, (1.0,))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_nw_rejects_nonpositive_sigma(self, name, impl, sigma):
         with pytest.raises(ValueError, match="sigma must be positive"):
-            impl.gaussian_nw(np.zeros((1, 1)), np.ones((2, 1)), np.ones(2), sigma)
+            impl.gaussian_nw(np.zeros((1, 1)), np.ones((2, 1)), np.ones(2), (sigma,))
+
+    @pytest.mark.parametrize("sigmas", [(), (1.0, 0.0), (-1.0, 1.0), (1.0, float("nan")), (1.0, 10.0, float("inf"))])
+    def test_nw_rejects_a_grid_with_any_bad_sigma(self, name, impl, sigmas):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            impl.gaussian_nw(np.zeros((1, 1)), np.ones((2, 1)), np.ones(2), sigmas)
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_nw_rows_are_the_bits_of_single_sigma_calls(self, name, impl, d):
+        # 2.5 blocks of queries; at sigma 1e-3 most rows underflow and take
+        # the nearest center, as do the far queries at every sigma but 1e3
+        rng = np.random.default_rng(17 + d)
+        c = rng.normal(size=(300, d))
+        q = np.concatenate([rng.normal(size=(2 * 256 + 100, d)) * 1.5, 40.0 + rng.normal(size=(28, d))])
+        v = rng.exponential(size=300)
+        sigmas = tuple(10.0**j for j in range(-3, 4))
+        got = impl.gaussian_nw(q, c, v, sigmas)
+        assert got.shape == (len(sigmas), len(q))
+        dead = np.exp(-impl.pairwise_sq_dists(q, c) / sigmas[0]).sum(axis=1) == 0.0
+        assert dead[-28:].all() and not dead.all()
+        for row, sigma in zip(got, sigmas):
+            # compared as integers, so that equal estimates are equal bits
+            alone = impl.gaussian_nw(q, c, v, (sigma,))[0]
+            np.testing.assert_array_equal(row.view(np.int64), alone.view(np.int64))
+            np.testing.assert_array_equal(row.view(np.int64), per_sigma_nw(q, c, v, sigma).view(np.int64))
 
     def test_random_batches_match_brute_force(self, name, impl):
         rng = np.random.default_rng(7)
@@ -112,7 +152,7 @@ class TestContracts:
                 )
             for sigma in (1e-3, 1.0, 1e3):
                 np.testing.assert_allclose(
-                    impl.gaussian_nw(q, p, np.abs(v), sigma), brute_nw(q, p, np.abs(v), sigma), rtol=1e-10
+                    impl.gaussian_nw(q, p, np.abs(v), (sigma,))[0], brute_nw(q, p, np.abs(v), sigma), rtol=1e-10
                 )
 
     def test_knn_duplicate_point_ties(self, name, impl):
@@ -149,7 +189,7 @@ class TestContracts:
         np.testing.assert_array_equal(impl.pairwise_sq_dists(q, p), brute_sq_dists(q, p))
         for k in (1, 7, 40):
             np.testing.assert_array_equal(impl.knn_mean(q, p, v, (k,))[0], brute_knn_mean(q, p, v, k))
-        np.testing.assert_allclose(impl.gaussian_nw(q, p, v + 1.0, 2.0), brute_nw(q, p, v + 1.0, 2.0), rtol=1e-12)
+        np.testing.assert_allclose(impl.gaussian_nw(q, p, v + 1.0, (2.0,))[0], brute_nw(q, p, v + 1.0, 2.0), rtol=1e-12)
 
     def test_knn_tie_across_the_kth_boundary(self, name, impl):
         # 1000 points tie at distance 1 from the first query, far more than
@@ -253,7 +293,8 @@ def test_kernel_memory_grows_with_the_block_not_the_query_count():
     for run in (
         lambda: backend.knn_mean(q, p, v, (5,))[0],
         lambda: backend.knn_mean(q1, p1, v, (5, 500)),
-        lambda: backend.gaussian_nw(q, p, v, 1.0),
+        lambda: backend.gaussian_nw(q, p, v, (1.0,)),
+        lambda: backend.gaussian_nw(q, p, v, tuple(10.0**j for j in range(-3, 4))),
     ):
         tracemalloc.start()
         try:

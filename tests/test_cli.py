@@ -76,6 +76,8 @@ class TestBench:
         ["--seed", str(2**64 - 1), "--repeats", "2"],
         ["--repeats", "x"],
         ["--rep", "2"],  # flags are spelled in full
+        ["--mode", "cost", "--budget", "0", "--cost", "inf"],  # no bandwidth could win at c = inf
+        ["--mode", "cost", "--budget", "0", "--cost", "1", "--sigma-grid", "inf"],  # not JSON
     ])
     def test_removed_options_are_usage_errors(self, flags, tmp_path, capsys):
         argv = [
@@ -155,6 +157,8 @@ class TestFitCalibrate:
         ["--seed", "-1"],
         ["--seed", str(2**64)],
         ["--data", "hetero6", "--target-col", "y"],  # a synthetic task has no target column
+        ["--cost", "inf"],
+        ["--sigma-grid", "inf"],
     ])
     def test_refused_values_are_usage_errors(self, flags, demo_csv, tmp_path, capsys):
         # refused before the model file is read

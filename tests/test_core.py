@@ -128,8 +128,10 @@ class TestRng:
 
 class TestCostConfig:
     def test_mode_invariants(self):
-        with pytest.raises(ValueError):
-            CostConfig.fixed_cost(0.0)
+        # at c = inf every held-out loss is 0 * inf, and no bandwidth can win
+        for c in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="fixed-cost mode requires"):
+                CostConfig.fixed_cost(c)
         with pytest.raises(ValueError):
             CostConfig.fixed_budget(1.0)
         assert CostConfig.fixed_cost(2.0).cost_c == 2.0
@@ -147,9 +149,12 @@ class TestKernelSpec:
         assert DEFAULT_SIGMA_GRID == tuple(10.0**j for j in range(-3, 4))
 
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            KernelSpec(length_scale_sigma=0.0)
-        for grid in ((1.0, -1.0), (0.0,), ()):
+        # an infinite sigma would reach the output files as ``Infinity``,
+        # which is not JSON
+        for sigma in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                KernelSpec(length_scale_sigma=sigma)
+        for grid in ((1.0, -1.0), (0.0,), (), (1.0, float("inf")), (float("nan"),)):
             with pytest.raises(ValueError, match="sigma grid"):
                 sigma_grid(grid)
 

@@ -14,8 +14,11 @@ from selreg.core import (
     STREAM_SAMPLE,
     TableLookupRegressor,
 )
-from selreg.losses import empirical_rwr_loss, oracle_rwr_risk
+from selreg import backend
+from selreg.backend import gaussian_nw
+from selreg.losses import empirical_rwr_loss, oracle_rwr_risk, rwr_report
 from selreg.rejection import (
+    KernelSmootherCalibrator,
     classify_with_rejection,
     conformal_threshold,
     induce_rejector,
@@ -40,6 +43,19 @@ def constant_regressor_on(points):
 def heldout(f, data):
     """(points, squared losses) of f on data, as select_bandwidth takes them."""
     return data.features, (f.predict(data.features) - data.targets) ** 2
+
+
+def per_sigma_select_bandwidth(inner, outer, grid, c):
+    """Bandwidth selection as it was before one kernel call served the whole
+    grid: a smoother and an induced rejector per sigma.  The reference the
+    one-call selection must agree with."""
+    best_sigma, best_loss = None, np.inf
+    for sigma in sorted(grid):
+        cal = KernelSmootherCalibrator(*inner, KernelSpec(sigma))
+        loss = rwr_report(outer[1], induce_rejector(cal, c).accept(outer[0]), c).rwr_loss
+        if loss < best_loss:
+            best_sigma, best_loss = sigma, loss
+    return KernelSpec(best_sigma)
 
 
 class TestKernelCalibrate:
@@ -155,6 +171,43 @@ class TestSelectBandwidth:
         f = TableLookupRegressor(x, np.zeros(10))
         spec = select_bandwidth(heldout(f, data), heldout(f, data), (10.0, 0.1, 1.0), c=1.0)
         assert spec.length_scale_sigma == 0.1
+
+    @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+    def test_cost_must_be_nonnegative_and_finite(self, c):
+        # at c = inf every sigma's loss is NaN, and none could be chosen
+        one = (np.zeros((1, 1)), np.ones(1))
+        with pytest.raises(ValueError, match="threshold cost must be nonnegative and finite"):
+            select_bandwidth(one, one, DEFAULT_SIGMA_GRID, c=c)
+
+    def test_one_kernel_call_for_the_whole_grid(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return gaussian_nw(*args)
+
+        monkeypatch.setattr(backend, "gaussian_nw", counted)
+        rng = np.random.default_rng(3)
+        half = (rng.normal(size=(50, 1)), rng.exponential(size=50))
+        select_bandwidth(half, half, DEFAULT_SIGMA_GRID, c=1.0)
+        assert calls == [sorted(DEFAULT_SIGMA_GRID)]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_picks_what_the_per_sigma_loop_picks(self, d):
+        # random held-out halves and costs, including a cost above every
+        # loss (every sigma accepts all and ties: the smallest must win) and
+        # far outer points that underflow at sigma 1e-3 and take the nearest
+        # inner loss
+        rng = np.random.default_rng(40 + d)
+        grid = (1e3, 1e-3, 0.1, 10.0, 1.0, 0.01, 100.0)
+        for trial in range(30):
+            n_in, n_out = (int(n) for n in rng.integers(1, 80, size=2))
+            inner = (rng.normal(size=(n_in, d)), rng.exponential(size=n_in) * rng.choice([0.0, 1.0], size=n_in))
+            outer_x = rng.normal(size=(n_out, d)) + (5.0 if trial % 3 == 0 else 0.0)
+            outer = (outer_x, rng.exponential(size=n_out))
+            for c in (0.0, 0.3, float(rng.exponential()), 1e6):
+                assert select_bandwidth(inner, outer, grid, c) == per_sigma_select_bandwidth(inner, outer, grid, c)
+        assert select_bandwidth(inner, outer, grid, 1e6) == KernelSpec(1e-3)
 
     def test_empty_half_rejected(self):
         one = (np.zeros((1, 1)), np.ones(1))
