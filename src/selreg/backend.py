@@ -4,7 +4,9 @@ Contracts:
 
 ``pairwise_sq_dists(queries[nq,d], points[m,d]) -> [nq,m]``
     Squared Euclidean distances, summed coordinate by coordinate from exact
-    differences (not the norm expansion, which cancels and breaks ties).
+    differences.  The norm expansion |q|^2 + |p|^2 - 2 q.p cancels and
+    breaks ties: ``knn_mean`` at d > 1 uses it only to preselect candidates,
+    and every distance it compares is still summed from exact differences.
 
 ``knn_mean(queries, points, values[m], ks) -> [len(ks), nq]``
     Row j is the mean of ``values`` at the ``ks[j]`` nearest points per
@@ -19,6 +21,14 @@ Contracts:
     that is not strictly farther) takes the full distance row instead, so
     the result is the same bits either way.
 
+    For d > 1 with ``2 max(ks) < m``, one BLAS product per block gives the
+    norm expansion, which only preselects the ``2 max(ks)`` candidates of
+    each query; every distance compared is still summed from exact
+    differences.  A row whose candidates may miss a point within the
+    expansion's rounding bound of its kth distance (a NaN or inf coordinate,
+    cancellation at large offsets, underflow, or a run of ties past the
+    candidates) takes the full distance row, again with the same bits.
+
 ``gaussian_nw(queries, centers, values[m], sigmas) -> [len(sigmas), nq]``
     Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
     an all-zero weight row falls back to the value at the nearest center
@@ -29,7 +39,9 @@ Contracts:
 
 Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
 ``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m
-(block x window on the d = 1 path of ``knn_mean``).
+(block x window on the d = 1 path of ``knn_mean``).  The d > 1
+preselection holds one block x m expansion and its partition order, no more
+than the full path's distances and differences.
 """
 
 from __future__ import annotations
@@ -41,6 +53,16 @@ import numpy as np
 BACKEND = "numpy"
 
 _BLOCK = 256
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _as_pair(queries, points):
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[1] != queries.shape[1]:
+        raise ValueError("dimension mismatch between queries and points")
+    return queries, points
 
 
 def _sq_dist_blocks(queries, points):
@@ -50,10 +72,7 @@ def _sq_dist_blocks(queries, points):
     The kernels call this rather than ``pairwise_sq_dists``, so that public
     name counts only its direct callers.
     """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[1] != queries.shape[1]:
-        raise ValueError("dimension mismatch between queries and points")
+    queries, points = _as_pair(queries, points)
     columns = np.ascontiguousarray(points.T)
     for start in range(0, queries.shape[0], _BLOCK):
         block = queries[start : start + _BLOCK]
@@ -120,22 +139,72 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     return idx, full
 
 
+def _candidate_nearest(q, columns, p2, p2max, k: int):
+    """The k nearest points to each row of ``q`` (d > 1, 2k < m), in
+    (distance, index) order, and a mask of the rows to redo on the full path.
+
+    ``columns`` holds the points as a [d, m] array, ``p2`` their squared
+    norms and ``p2max`` the largest of them.  The norm expansion
+    ``a = |q|^2 + |p|^2 - 2 q.p`` picks the 2k points of smallest ``a`` as
+    candidates, and only their distances are summed from exact differences,
+    as ``_sq_dist_blocks`` sums them, so every distance compared has the full
+    path's bits.  Call those sums e.  Both a and e lie within about
+    (d + 2) eps S of the true distance, S = |q|^2 + max |p|^2, plus a
+    subnormal per product where they underflow, so |a - e| <= delta below.
+    The k points of smallest a then have e <= a_k + delta, a_k being the kth
+    smallest a, and every point with e at or below the kth smallest e has
+    a <= a_k + 2 delta.  A row settles when the 2k-th smallest a exceeds
+    that: every such point, ties included, is then a candidate.
+    """
+    d = columns.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q2 = np.square(q).sum(axis=1)
+        a = q @ columns
+        a *= -2.0
+        a += p2
+        a += q2[:, None]
+        cand = np.argpartition(a, 2 * k - 1, axis=1)[:, : 2 * k]
+        near = np.take_along_axis(a, cand, axis=1)
+        kth = np.partition(near, k - 1, axis=1)[:, k - 1]
+        # 4 S is formed first, so a row whose sums could overflow gets an
+        # infinite delta; a NaN or inf coordinate makes it NaN or inf too,
+        # and none of these rows settles
+        delta = (d + 4) * (_EPS * (4.0 * (q2 + p2max)) + 4.0 * _TINY)
+        full = ~(near[:, -1] > kth + 2.0 * delta)
+        cand = np.sort(cand, axis=1)
+        e = np.zeros(cand.shape)
+        for qj, pj in zip(q.T, columns):
+            diff = pj[cand]
+            np.subtract(qj[:, None], diff, out=diff)
+            e += np.square(diff, out=diff)
+    return np.take_along_axis(cand, _nearest(e, k), axis=1), full
+
+
 def _neighbours(queries, points, k: int):
     """Yield ``(start, idx)``: the k nearest points of each query in a block
     of ``_BLOCK`` rows, ordered by (distance, index).  One-dimensional data
-    takes the sorted window of ``_window_nearest``; its unsettled rows and
-    all other data take the full distance row."""
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    if not queries.shape[1] == points.shape[1] == 1:
+    takes the sorted window of ``_window_nearest``, and wider data with
+    2k < m the candidates of ``_candidate_nearest``; the rows they leave
+    unsettled, and all other data, take the full distance row."""
+    queries, points = _as_pair(queries, points)
+    m, d = points.shape
+    if d == 1:
+        order = np.argsort(points[:, 0], kind="stable")
+        sx = points[order, 0]
+        pick = lambda block: _window_nearest(block[:, 0], order, sx, k)
+    elif 2 * k < m:
+        columns = np.ascontiguousarray(points.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p2 = np.square(points).sum(axis=1)
+            p2max = p2.max()
+        pick = lambda block: _candidate_nearest(block, columns, p2, p2max, k)
+    else:
         for start, d2 in _sq_dist_blocks(queries, points):
             yield start, _nearest(d2, k)
         return
-    order = np.argsort(points[:, 0], kind="stable")
-    sx = points[order, 0]
     for start in range(0, queries.shape[0], _BLOCK):
         block = queries[start : start + _BLOCK]
-        idx, full = _window_nearest(block[:, 0], order, sx, k)
+        idx, full = pick(block)
         if full.any():
             for _, d2 in _sq_dist_blocks(block[full], points):
                 idx[full] = _nearest(d2, k)

@@ -129,7 +129,9 @@ def linear_calibrate(f: Regressor, val: Dataset) -> LinearLossCalibrator:
 
 
 def induce_rejector(calibrator: Calibrator, c: float) -> InducedRejector:
-    if c < 0.0:
+    # NaN fails every comparison, so it is refused here rather than accepting
+    # no row; inf stays allowed, as a budget threshold can be inf
+    if not c >= 0.0:
         raise ValueError("threshold cost must be nonnegative")
     return InducedRejector(calibrator, c)
 
@@ -223,7 +225,7 @@ def classify_with_rejection(task: BinaryTask, c: float) -> tuple[TableLookupRegr
     The classifier thresholds eta at 1/2; the rejector accepts exactly where
     the classifier's conditional 0-1 risk min(eta, 1-eta) is <= c.
     """
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("deferral cost must be nonnegative")
     labels = (task.eta >= 0.5).astype(np.float64)
     risk = np.minimum(task.eta, 1.0 - task.eta)

@@ -38,6 +38,46 @@ def per_sigma_nw(q, c, v, sigma):
     return out
 
 
+def full_path_knn_mean(q, p, v, ks):
+    """The d > 1 kernel before candidate preselection, kept as the reference
+    its output must match bit for bit: every distance of each row, ordered
+    by ``_nearest``."""
+    out = np.empty((len(ks), len(q)))
+    for start, d2 in backend._sq_dist_blocks(q, p):
+        g = v[backend._nearest(d2, max(ks))]
+        for j, k in enumerate(ks):
+            out[j, start : start + len(g)] = g[:, :k].mean(axis=1)
+    return out
+
+
+def preselection_cases():
+    """(name, queries, points) at d = 8 over 2.5 blocks of queries: the data
+    on which candidate preselection must keep the full path's bits."""
+    rng = np.random.default_rng(31)
+    m, d = 300, 8
+    p = rng.normal(size=(m, d))
+    q = rng.normal(size=(2 * 256 + 40, d)) * 1.5
+    yield "continuous", q, p
+    for decimals in (0, 1, 2):
+        # lattice ties at the kth distance
+        yield f"rounded{decimals}", np.round(q, decimals), np.round(p, decimals)
+    yield "duplicated", q, p[rng.integers(0, 40, size=m)]
+    # the expansion cancels: its error dwarfs the spacing of the points
+    yield "offset1e8", q + 1e8, p + 1e8
+    # squares underflow to subnormals, whose error is absolute, not relative
+    yield "scale1e-162", q * 1e-162, p * 1e-162
+    bad_q = q.copy()
+    bad_q[[3, 300], 0] = np.nan
+    bad_q[[7, 301], 0] = np.inf
+    bad_q[8, 0] = -np.inf
+    yield "nonfinite_queries", bad_q, p
+    # inf only in a column that the queries keep finite: inf - inf would warn
+    for bad in (np.nan, np.inf):
+        bad_p = p.copy()
+        bad_p[11, 1] = bad
+        yield f"points_with_{bad}", q, bad_p
+
+
 def brute_nw(q, c, v, sigma):
     d2 = brute_sq_dists(q, c)
     w = np.exp(-d2 / sigma)
@@ -230,6 +270,18 @@ class TestContracts:
                 # compared as integers, so that equal means are equal bits
                 np.testing.assert_array_equal(got.view(np.int64), padded.view(np.int64))
 
+    @pytest.mark.parametrize("case", list(preselection_cases()), ids=lambda case: case[0])
+    def test_knn_preselection_matches_the_full_path(self, name, impl, case):
+        # d > 1 with 2 max(ks) < m preselects candidates with the norm
+        # expansion; max(ks) >= m/2 and k = m take the full path
+        _, q, p = case
+        v = np.random.default_rng(32).normal(size=len(p))
+        for ks in ((5, 1, 20), (1,), (3, 149), (3, 150), (len(p),)):
+            # compared as integers, so that equal means are equal bits
+            np.testing.assert_array_equal(
+                impl.knn_mean(q, p, v, ks).view(np.int64), full_path_knn_mean(q, p, v, ks).view(np.int64)
+            )
+
     def test_knn_duplicates_straddling_the_window_edge(self, name, impl):
         # from 0 the window of the two sorted positions next to it holds the
         # second -1 (row 1) and 3; row 0, the first -1, lies just outside it
@@ -290,9 +342,13 @@ def test_kernel_memory_grows_with_the_block_not_the_query_count():
     full_matrix = q.shape[0] * p.shape[0] * 8
     # d=1 takes the sorted window, here once as wide as all m points
     q1, p1 = q[:, :1], p[:, :1]
+    # d=8 preselects 2 max(ks) candidates, or takes the full path at K = m
+    q8, p8 = rng.normal(size=(16 * 256, 8)), rng.normal(size=(1000, 8))
     for run in (
         lambda: backend.knn_mean(q, p, v, (5,))[0],
         lambda: backend.knn_mean(q1, p1, v, (5, 500)),
+        lambda: backend.knn_mean(q8, p8, v, (5, 20)),
+        lambda: backend.knn_mean(q8, p8, v, (5, 500)),
         lambda: backend.gaussian_nw(q, p, v, (1.0,)),
         lambda: backend.gaussian_nw(q, p, v, tuple(10.0**j for j in range(-3, 4))),
     ):
@@ -318,6 +374,30 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
     order = np.argsort(x, kind="stable")
     _, full = backend._window_nearest(np.array([0.0, 4.0]), order, x[order], 2)
     assert full.tolist() == [True, False]
+
+
+def _preselect(q, p, k):
+    columns = np.ascontiguousarray(p.T)
+    p2 = np.square(p).sum(axis=1)
+    return backend._candidate_nearest(q, columns, p2, p2.max(), k)
+
+
+def test_preselection_leaves_only_unsettled_rows_to_the_full_path():
+    # on continuous d=8 data the candidates settle every row but a NaN query
+    rng = np.random.default_rng(8)
+    p, v = rng.normal(size=(2000, 8)), rng.normal(size=2000)
+    q = np.concatenate([rng.normal(size=(200, 8)), np.full((1, 8), np.nan)])
+    _, full = _preselect(q, p, 20)
+    assert not full[:-1].any() and full[-1]
+    # an integer lattice ties more than 2k points at the kth distance from
+    # some queries, and an offset of 1e8 makes the expansion's error larger
+    # than the spacing of the points: rows fall back, and the result keeps
+    # the full path's bits
+    for q, p in ((np.round(q[:-1]), np.round(p)), (q[:-1] + 1e8, p + 1e8)):
+        _, full = _preselect(q, p, 20)
+        assert full.any()
+        got = backend.knn_mean(q, p, v, (1, 20))
+        np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, (1, 20)).view(np.int64))
 
 
 class TestDispatch:

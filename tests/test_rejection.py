@@ -143,6 +143,19 @@ class TestInducedRejector:
         rej = induce_rejector(OracleRiskCalibrator(two_point_task, f), c=2.0)
         np.testing.assert_array_equal(rej.accept(two_point_task.points), [1, 0])
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan])
+    def test_threshold_must_be_nonnegative(self, two_point_task, c):
+        # a NaN threshold would accept no row, as est <= nan is always False
+        f = TableLookupRegressor(two_point_task.points, two_point_task.means)
+        with pytest.raises(ValueError, match="threshold cost must be nonnegative"):
+            induce_rejector(OracleRiskCalibrator(two_point_task, f), c)
+
+    def test_infinite_threshold_accepts_everything(self, two_point_task):
+        # a budget threshold is inf when the order statistic runs past m
+        f = TableLookupRegressor(two_point_task.points, two_point_task.means)
+        rej = induce_rejector(OracleRiskCalibrator(two_point_task, f), math.inf)
+        np.testing.assert_array_equal(rej.accept(two_point_task.points), [1, 1])
+
 
 class TestSelectBandwidth:
     def test_singleton_grid(self, two_point_task):
@@ -360,6 +373,12 @@ class TestClassification:
                 else:
                     direct += task.weights[j] * c
             assert binary_rwr_risk(clf, rej, task, c) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [-0.1, math.nan])
+    def test_cost_must_be_nonnegative(self, c):
+        task = BinaryTask(points=np.array([[0.0]]), weights=np.array([1.0]), eta=np.array([0.9]))
+        with pytest.raises(ValueError, match="deferral cost must be nonnegative"):
+            classify_with_rejection(task, c)
 
 
 class TestCalibratorConsistency:
