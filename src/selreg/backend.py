@@ -10,9 +10,11 @@ Contracts:
 
 ``knn_mean(queries, points, values[m], ks) -> [len(ks), nq]``
     Row j is the mean of ``values`` at the ``ks[j]`` nearest points per
-    query, taken in order of (distance, point index); exact distance ties
-    resolve to the lower index.  One neighbour ordering per query serves
-    every k, and each row equals a call with that k alone.
+    query, taken in order of (distance, point index): a stable argsort of
+    the query's distance row, so exact ties resolve to the lower index and
+    NaN distances come last.  ``_nearest`` is that order, and every path
+    below takes its ranking from it.  One neighbour ordering per query
+    serves every k, and each row equals a call with that k alone.
 
     For d = 1 the points are sorted once per call, and each query looks
     only at the ``min(2 max(ks), m)`` sorted positions around it.  A row
@@ -36,6 +38,12 @@ Contracts:
     once, negates them in place and reuses one block x m weight buffer for
     every sigma, and each row equals a call with that sigma alone.  Every
     sigma must be positive and finite.
+
+No kernel warns on extreme coordinates.  inf - inf gives a NaN distance,
+which kNN ranks last and which makes that query's ``gaussian_nw`` estimate
+NaN, as a NaN coordinate does.  A square that overflows gives an infinite
+distance, which kNN ranks after every finite one; it, and any distance
+whose quotient by sigma overflows, gets ``gaussian_nw`` weight 0.
 
 Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
 ``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m
@@ -78,9 +86,12 @@ def _sq_dist_blocks(queries, points):
         block = queries[start : start + _BLOCK]
         d2 = np.zeros((block.shape[0], points.shape[0]))
         diff = np.empty_like(d2)
-        for q, p in zip(block.T, columns):
-            np.subtract.outer(q, p, out=diff)
-            d2 += np.square(diff, out=diff)
+        # inf - inf gives a NaN distance and an overflow an inf one, quietly;
+        # the yield stays outside, so the caller's arithmetic keeps its policy
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, p in zip(block.T, columns):
+                np.subtract.outer(q, p, out=diff)
+                d2 += np.square(diff, out=diff)
         del diff  # not held while the caller works on d2
         yield start, d2
 
@@ -94,20 +105,8 @@ def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points per row of ``d2``, ordered by
-    (distance, index): what a stable argsort of the whole row gives."""
-    part = np.argpartition(d2, k - 1, axis=1)
-    kth = np.take_along_axis(d2, part[:, k - 1 : k], axis=1)
-    idx = np.sort(part[:, :k], axis=1)
-    idx = np.take_along_axis(
-        idx, np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable"), axis=1
-    )
-    # A point beyond the k picked that ties the kth distance may have a lower
-    # index than one picked; a NaN kth distance matches nothing.  Those rows
-    # take the full stable sort.
-    tied = np.count_nonzero(d2 <= kth, axis=1) != k
-    if tied.any():
-        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return idx
+    (distance, index), NaN distances last: a stable argsort of each row."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
@@ -122,20 +121,21 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     w = min(2 * k, m)
     lo = np.clip(np.searchsorted(sx, q) - k, 0, m - w)
     pos = lo[:, None] + np.arange(w)
-    # the full path adds the square to zeros, which changes no bit
-    d2 = np.square(q[:, None] - sx[pos])
-    rank = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    idx = order[np.take_along_axis(pos, rank, axis=1)]
-    near = np.take_along_axis(d2, rank, axis=1)
-    kth = near[:, -1]
-    # a tie at the kth distance, or a NaN one
-    full = np.count_nonzero(d2 <= kth[:, None], axis=1) != k
-    # equal distances out of index order: a mirror tie at q - r and q + r
-    full |= np.any((near[:, 1:] == near[:, :-1]) & (idx[:, 1:] < idx[:, :-1]), axis=1)
-    # the nearest point outside on either side no farther than the kth; the
-    # points past it are farther still, as the sorted coordinates move away
-    for outside, exists in ((lo - 1, lo > 0), (lo + w, lo + w < m)):
-        full |= exists & ~(np.square(q - sx[np.clip(outside, 0, m - 1)]) > kth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the full path adds the square to zeros, which changes no bit
+        d2 = np.square(q[:, None] - sx[pos])
+        rank = _nearest(d2, k)
+        idx = order[np.take_along_axis(pos, rank, axis=1)]
+        near = np.take_along_axis(d2, rank, axis=1)
+        kth = near[:, -1]
+        # a tie at the kth distance, or a NaN one
+        full = np.count_nonzero(d2 <= kth[:, None], axis=1) != k
+        # equal distances out of index order: a mirror tie at q - r and q + r
+        full |= np.any((near[:, 1:] == near[:, :-1]) & (idx[:, 1:] < idx[:, :-1]), axis=1)
+        # the nearest point outside on either side no farther than the kth; the
+        # points past it are farther still, as the sorted coordinates move away
+        for outside, exists in ((lo - 1, lo > 0), (lo + w, lo + w < m)):
+            full |= exists & ~(np.square(q - sx[np.clip(outside, 0, m - 1)]) > kth)
     return idx, full
 
 
@@ -251,7 +251,9 @@ def gaussian_nw(
         negd2 = np.negative(d2, out=d2)
         w = np.empty_like(negd2)
         for j, s in enumerate(sigmas):
-            np.exp(np.divide(negd2, s, out=w), out=w)
+            # a quotient that overflows becomes -inf, whose weight is 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.exp(np.divide(negd2, s, out=w), out=w)
             den = w.sum(axis=1)
             est = (w @ values) / np.where(den > 0.0, den, 1.0)
             dead = den == 0.0

@@ -329,6 +329,10 @@ class TableLookupRegressor(Regressor):
         self.values = _freeze(np.asarray(values, dtype=np.float64))
         if self.points.shape[0] != self.values.shape[0]:
             raise DataError("points/values length mismatch")
+        # argmin takes a NaN distance for the smallest, so a NaN point would
+        # capture every lookup
+        if not (np.isfinite(self.points).all() and np.isfinite(self.values).all()):
+            raise DataError("table points and values must be finite")
         self.dim = self.points.shape[1]
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:

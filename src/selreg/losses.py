@@ -62,8 +62,9 @@ class LossReport:
         if not 0.0 <= self.rejection_rate <= 1.0:
             raise ValueError(f"rejection_rate {self.rejection_rate!r} is outside [0, 1]")
         for name in ("rwr_loss", "machine_loss"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} {getattr(self, name)!r} is negative")
+            # written so that NaN, which fails every comparison, is refused too
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} {getattr(self, name)!r} is negative or NaN")
         if self.all_deferred != (self.rejection_rate == 1.0):
             raise ValueError(f"all_deferred {self.all_deferred!r} contradicts rejection_rate {self.rejection_rate!r}")
         if self.all_deferred and self.machine_loss != 0.0:
@@ -73,6 +74,8 @@ class LossReport:
 def rwr_report(sq: np.ndarray, accept: np.ndarray, c: float) -> LossReport:
     """Sample mean of r*(f-y)^2 + (1-r)*c, plus the accepted-only loss, from
     per-sample squared errors ``sq`` and {0,1} decisions ``accept``."""
+    if not c >= 0.0:  # refuses NaN as well
+        raise ValueError("deferral cost must be nonnegative")
     acc = accept.astype(np.float64)
     rwr = float(np.mean(acc * sq + (1.0 - acc) * c))
     all_deferred = int(acc.sum()) == 0
@@ -90,8 +93,6 @@ def empirical_rwr_loss(
     f: Regressor, r: Rejector, data: Dataset, c: float
 ) -> LossReport:
     """rwr_report of (f, r) on ``data``."""
-    if c < 0.0:
-        raise ValueError("deferral cost must be nonnegative")
     sq = (f.predict(data.features) - data.targets) ** 2
     return rwr_report(sq, r.accept(data.features), c)
 

@@ -2,6 +2,7 @@
 reference, resolve ties to the lower index and stay bounded in memory."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,13 +39,31 @@ def per_sigma_nw(q, c, v, sigma):
     return out
 
 
+def partition_nearest(d2, k):
+    """The (distance, index) order as ``_nearest`` built it before it became
+    one stable argsort, kept as the reference whose bits it must keep: an
+    argpartition pick, a stable re-sort of the k picked, and a full sort of
+    the rows where a tie or a NaN at the kth distance may have left a lower
+    index out."""
+    part = np.argpartition(d2, k - 1, axis=1)
+    kth = np.take_along_axis(d2, part[:, k - 1 : k], axis=1)
+    idx = np.sort(part[:, :k], axis=1)
+    idx = np.take_along_axis(
+        idx, np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable"), axis=1
+    )
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    if tied.any():
+        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return idx
+
+
 def full_path_knn_mean(q, p, v, ks):
     """The d > 1 kernel before candidate preselection, kept as the reference
-    its output must match bit for bit: every distance of each row, ordered
-    by ``_nearest``."""
+    its output must match bit for bit: every distance of each row, ranked
+    by a stable argsort of the row."""
     out = np.empty((len(ks), len(q)))
     for start, d2 in backend._sq_dist_blocks(q, p):
-        g = v[backend._nearest(d2, max(ks))]
+        g = v[np.argsort(d2, axis=1, kind="stable")[:, : max(ks)]]
         for j, k in enumerate(ks):
             out[j, start : start + len(g)] = g[:, :k].mean(axis=1)
     return out
@@ -76,6 +95,49 @@ def preselection_cases():
         bad_p = p.copy()
         bad_p[11, 1] = bad
         yield f"points_with_{bad}", q, bad_p
+
+
+def extreme_cases(d):
+    """(name, queries, points) at dimension d whose arithmetic leaves the
+    finite range: a query and a point sharing an infinite coordinate
+    (inf - inf), squares that overflow, and a distance of about 2.5e305,
+    whose quotient by a sigma of 1e-3 overflows.  At d = 8 an infinite or
+    overflowing point sends every row to the full path; in the last case the
+    points stay finite, and the candidate path settles all but two rows."""
+    rng = np.random.default_rng(40 + d)
+    p, q = rng.normal(size=(300, d)), rng.normal(size=(60, d))
+    shared_p, shared_q = p.copy(), q.copy()
+    shared_p[5, 0], shared_p[6, 0], shared_p[7, -1] = np.inf, -np.inf, np.inf
+    shared_q[0, 0], shared_q[1, 0], shared_q[2, -1] = np.inf, -np.inf, np.inf
+    yield "shared_inf", shared_q, shared_p
+    big_p, big_q = p.copy(), q.copy()
+    big_p[5], big_p[6, 0] = -1e200, 1e200
+    big_q[0], big_q[1, 0] = 1e200, -1e200
+    yield "square_overflow", big_q, big_p
+    far_q = q.copy()
+    far_q[0, 0], far_q[1, 0] = 5e152, 1e152
+    yield "quotient_overflow", far_q, p
+
+
+def quiet_reference(q, p, v, ks, sigmas):
+    """Brute-force ``knn_mean`` and ``gaussian_nw`` with every floating-point
+    warning silenced: distances summed coordinate by coordinate, neighbours
+    by a stable argsort, and the all-zero-weight fallback by ``argmin``."""
+    with np.errstate(all="ignore"):
+        d2 = np.zeros((len(q), len(p)))
+        for j in range(q.shape[1]):
+            d2 += np.square(q[:, None, j] - p[None, :, j])
+        g = v[np.argsort(d2, axis=1, kind="stable")[:, : max(ks)]]
+        knn = np.array([g[:, :k].mean(axis=1) for k in ks])
+        nw = []
+        for sigma in sigmas:
+            w = np.exp(-d2 / sigma)
+            den = w.sum(axis=1)
+            est = (w @ v) / np.where(den > 0.0, den, 1.0)
+            dead = den == 0.0
+            est[dead] = v[np.argmin(d2[dead], axis=1)]
+            nw.append(est)
+    return knn, np.array(nw)
 
 
 def brute_nw(q, c, v, sigma):
@@ -334,6 +396,47 @@ class TestContracts:
         # tie while the 5th and 6th nearest (rows 0 and 5) do not tie
         line = np.array([[3.0], [1.0], [-1.0], [2.0], [1.0], [4.0], [5.0]])
         self._assert_rows_match_brute_force(impl, np.array([[0.0]]), line, 10.0 ** np.arange(7), (2, 5))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 40, 257, 3000])
+def test_nearest_keeps_the_partition_order(width):
+    rng = np.random.default_rng(width)
+    rows = np.abs(rng.normal(size=(24, width)))
+    nonfinite = rows.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        nonfinite[rng.random(rows.shape) < 0.1] = bad
+    nonfinite[[0, 9]] = np.nan
+    cases = [rows, rng.choice(rows[0, :3], size=rows.shape), nonfinite]
+    # rounding ties rows at their kth entry
+    cases += [np.round(rows, decimals) for decimals in (0, 1, 2)]
+    for d2 in cases:
+        for k in sorted({1, 2, width // 2, width - 1, width} & set(range(1, width + 1))):
+            np.testing.assert_array_equal(backend._nearest(d2, k), partition_nearest(d2, k))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_extreme_coordinates_compute_without_warnings(d):
+    ks, sigmas = (1, 5, 20), (1e-3, 1.0, 1e3)
+    for name, q, p in extreme_cases(d):
+        v = np.random.default_rng(d).normal(size=len(p))
+        knn, nw = quiet_reference(q, p, v, ks, sigmas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_knn = backend.knn_mean(q, p, v, ks)
+            got_nw = backend.gaussian_nw(q, p, v, sigmas)
+        np.testing.assert_array_equal(got_knn.view(np.int64), knn.view(np.int64), err_msg=name)
+        np.testing.assert_allclose(got_nw, nw, rtol=1e-12, atol=0.0, err_msg=name)
+        if name == "shared_inf":
+            # inf - inf is a NaN distance: that query's smoother estimate is NaN
+            assert np.isnan(got_nw[:, :3]).all() and not np.isnan(got_nw[:, 3:]).any()
+
+
+def test_distance_blocks_leave_the_callers_error_policy_alone():
+    # the quiet arithmetic ends before each yield, so what the caller
+    # computes on a block still warns as it would elsewhere
+    policy = np.geterr()
+    for _, d2 in backend._sq_dist_blocks(np.zeros((300, 2)), np.ones((4, 2))):
+        assert np.geterr() == policy
 
 
 def test_kernel_memory_grows_with_the_block_not_the_query_count():

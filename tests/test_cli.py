@@ -314,12 +314,15 @@ def _knn_file(**payload) -> str:
         }})),
         ("calibrate", '{"kind": "regressor/forest", "payload": {}}'),
         ("calibrate", '{"kind": ["regressor/knn"], "payload": {}}'),
+        ("calibrate", '{"kind": "regressor/table_lookup", '
+                      '"payload": {"points": [[0.0], [NaN], [2.0]], "values": [1.0, 2.0, 3.0]}}'),
     ],
     ids=[
         "not-json", "json-list", "no-payload", "no-payload-field", "report-no-mode",
         "knn-train-y-short", "knn-string-train-x", "knn-3d-train-x", "knn-k-too-large", "knn-fractional-k", "knn-bool-k",
         "mlp-w1-off-its-header", "mlp-layers-do-not-chain", "knn-two-columns-on-hetero6",
         "calibrator-not-a-regressor", "unknown-kind", "unhashable-kind",
+        "table-nan-point",
     ],
 )
 def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):

@@ -194,6 +194,17 @@ class TestSerialization:
         reg = TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(reg.predict(np.array([[1.0], [9.0]])), [1.0, 2.0])
 
+    def test_lookup_refuses_nonfinite_entries(self):
+        # a NaN point would capture every lookup: argmin takes its NaN
+        # distance for the smallest
+        for points, values in (
+            ([[0.0], [np.nan], [2.0]], [1.0, 2.0, 3.0]),
+            ([[0.0], [np.inf], [2.0]], [1.0, 2.0, 3.0]),
+            ([[0.0], [1.0], [2.0]], [1.0, np.nan, 3.0]),
+        ):
+            with pytest.raises(DataError, match="finite"):
+                TableLookupRegressor(np.array(points), np.array(values))
+
     def test_lookups_call_the_backend_through_its_module(self, monkeypatch):
         # so that a wrapper on selreg.backend.pairwise_sq_dists, as perfbench's
         # tracer installs, counts the table and task lookups too

@@ -472,12 +472,14 @@ _ALL_DEFERRED = LossReport(rwr_loss=1.0, machine_loss=0.0, rejection_rate=1.0, n
     (_PARTLY_DEFERRED, "rejection_rate", -0.25),
     (_PARTLY_DEFERRED, "rwr_loss", -5.0),
     (_PARTLY_DEFERRED, "machine_loss", -0.1),
+    (_PARTLY_DEFERRED, "rwr_loss", np.nan),
+    (_PARTLY_DEFERRED, "machine_loss", np.nan),
     (_PARTLY_DEFERRED, "n_evaluated", 0),
     (_PARTLY_DEFERRED, "all_deferred", True),
     (_ALL_DEFERRED, "all_deferred", False),
     (_ALL_DEFERRED, "machine_loss", 0.3),
 ], ids=[
-    "rate-above-1", "rate-below-0", "negative-rwr", "negative-machine", "nothing-evaluated",
+    "rate-above-1", "rate-below-0", "negative-rwr", "negative-machine", "nan-rwr", "nan-machine", "nothing-evaluated",
     "all-deferred-at-rate-0.5", "not-all-deferred-at-rate-1", "all-deferred-with-machine-loss",
 ])
 def test_loss_report_that_rwr_report_cannot_write_is_refused(base, field, value):

@@ -12,6 +12,7 @@ from selreg.losses import (
     empirical_rwr_loss,
     excess_losses,
     oracle_rwr_risk,
+    rwr_report,
     squared_risk,
     truncated_loss,
 )
@@ -69,6 +70,16 @@ class TestEmpiricalRwr:
         f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
         with pytest.raises(ValueError):
             empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 1), tiny_dataset, c=-0.1)
+
+    def test_nan_cost_rejected(self, tiny_dataset):
+        f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
+        with pytest.raises(ValueError, match="deferral cost must be nonnegative"):
+            empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 1), tiny_dataset, c=np.nan)
+
+    @pytest.mark.parametrize("c", [-0.1, np.nan])
+    def test_rwr_report_refuses_a_negative_or_nan_cost(self, c):
+        with pytest.raises(ValueError, match="deferral cost must be nonnegative"):
+            rwr_report(np.array([1.0, 2.0]), np.array([1, 0]), c)
 
 
 class TestOracleRisk:

@@ -27,6 +27,7 @@ from selreg.oracle import (
 )
 from selreg.rejection import oracle_bayes_pair
 from selreg.tasks import (
+    BinaryTask,
     CondMeanRegressor,
     DiscreteTask,
     OracleRiskCalibrator,
@@ -306,3 +307,29 @@ class TestVerificationSuite:
 
         doc = json.dumps([asdict(r) for r in results])
         assert "bayes_pair_enumerated_minimum" in doc
+
+
+class TestTaskValidation:
+    # NaN fails every comparison, so range checks alone would let it through
+    def test_discrete_task_refuses_nonfinite_entries(self):
+        good = dict(
+            points=np.array([[0.0], [1.0]]),
+            weights=np.array([0.5, 0.5]),
+            means=np.array([0.0, 1.0]),
+            variances=np.array([1.0, 2.0]),
+        )
+        for field in good:
+            for bad in (np.nan, np.inf):
+                broken = good[field].copy()
+                broken.flat[0] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    DiscreteTask(**{**good, field: broken})
+
+    def test_binary_task_refuses_nonfinite_entries(self):
+        good = dict(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2, 0.7]))
+        for field in good:
+            for bad in (np.nan, np.inf):
+                broken = good[field].copy()
+                broken.flat[0] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    BinaryTask(**{**good, field: broken})
