@@ -316,6 +316,14 @@ def _as_block(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _nearest_row(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row of ``points`` nearest to each finite query, ties to the lower row."""
+    X = _as_block(X)
+    if not np.isfinite(X).all():
+        raise DataError("a lookup query holds NaN or inf")
+    return np.argmin(backend.pairwise_sq_dists(X, points), axis=1)
+
+
 class TableLookupRegressor(Regressor):
     """Explicit x -> value map on a finite support; exact on discrete tasks.
 
@@ -335,11 +343,8 @@ class TableLookupRegressor(Regressor):
             raise DataError("table points and values must be finite")
         self.dim = self.points.shape[1]
 
-    def _nearest(self, X: np.ndarray) -> np.ndarray:
-        return np.argmin(backend.pairwise_sq_dists(_as_block(X), self.points), axis=1)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.values[self._nearest(X)]
+        return self.values[_nearest_row(X, self.points)]
 
     def payload(self) -> dict:
         return {"points": self.points.tolist(), "values": self.values.tolist()}

@@ -99,22 +99,19 @@ def empirical_rwr_loss(
 
 def risk_values(f: Regressor, task: SyntheticTask) -> np.ndarray:
     """Exact conditional risk R(f, x) at the task's evaluation points."""
-    points, _ = task.eval_points()
-    return OracleRiskCalibrator(task, f).estimate(points)
+    return OracleRiskCalibrator(task, f).estimate(task.points)
 
 
 def prediction_error(f: Regressor, task: SyntheticTask) -> float:
     """Exact E[(f(X) - f_bar(X))^2]."""
-    points, weights = task.eval_points()
-    bias = f.predict(points) - task.mean_at(points)
-    return float(np.dot(weights, bias * bias))
+    bias = f.predict(task.points) - task.mean_at(task.points)
+    return float(np.dot(task.weights, bias * bias))
 
 
 def bayes_risk(task: SyntheticTask, c: float) -> float:
     """Global optimum of the combined loss: E[min(v(X), c)], evaluated as
     c + E[min(v - c, 0)] for exact cancellation against all-defer losses."""
-    points, weights = task.eval_points()
-    return float(c + np.dot(weights, np.minimum(task.var_at(points) - c, 0.0)))
+    return float(c + np.dot(task.weights, np.minimum(task.var_at(task.points) - c, 0.0)))
 
 
 def oracle_rwr_risk(f: Regressor, r: Rejector, task: SyntheticTask, c: float) -> float:
@@ -123,10 +120,8 @@ def oracle_rwr_risk(f: Regressor, r: Rejector, task: SyntheticTask, c: float) ->
     Evaluated as c + E[r * (R - c)] so the all-defer policy costs exactly c
     even when the weight vector cannot sum to 1.0 in floating point.
     """
-    points, weights = task.eval_points()
-    risk = risk_values(f, task)
-    acc = r.accept(points).astype(np.float64)
-    return float(c + np.dot(weights, acc * (risk - c)))
+    acc = r.accept(task.points).astype(np.float64)
+    return float(c + np.dot(task.weights, acc * (risk_values(f, task) - c)))
 
 
 def truncated_loss(f: Regressor, task: SyntheticTask, c: float) -> float:
@@ -137,14 +132,12 @@ def truncated_loss(f: Regressor, task: SyntheticTask, c: float) -> float:
     c + E[min(R - c, 0)], which matches oracle_rwr_risk term by term at the
     induced rejector.
     """
-    _, weights = task.eval_points()
-    return float(c + np.dot(weights, np.minimum(risk_values(f, task) - c, 0.0)))
+    return float(c + np.dot(task.weights, np.minimum(risk_values(f, task) - c, 0.0)))
 
 
 def squared_risk(f: Regressor, task: SyntheticTask) -> float:
     """Exact E[(f(X) - Y)^2] = E[(f - f_bar)^2] + E[v]."""
-    _, weights = task.eval_points()
-    return float(np.dot(weights, risk_values(f, task)))
+    return float(np.dot(task.weights, risk_values(f, task)))
 
 
 def excess_losses(f: Regressor, task: SyntheticTask, c: float) -> tuple[float, float]:

@@ -283,11 +283,10 @@ def check_risk_decomposition(
 
     and excess <= prediction_error + calibration_error always holds.
     """
-    points, weights = task.eval_points()
     rej = induce_rejector(calibrator, c)
     achieved = oracle_rwr_risk(fhat, rej, task, c)
     calibration_error = float(
-        np.dot(weights, np.abs(calibrator.estimate(points) - risk_values(fhat, task)))
+        np.dot(task.weights, np.abs(calibrator.estimate(task.points) - risk_values(fhat, task)))
     )
     return achieved - bayes_risk(task, c), prediction_error(fhat, task), calibration_error
 

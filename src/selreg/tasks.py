@@ -13,12 +13,12 @@ draws Gaussian noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from . import backend
 from .core import (
     Calibrator,
     Dataset,
@@ -28,6 +28,7 @@ from .core import (
     SelregError,
     _as_block,
     _freeze,
+    _nearest_row,
 )
 
 __all__ = [
@@ -73,17 +74,11 @@ class DiscreteTask:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def _index_of(self, X: np.ndarray) -> np.ndarray:
-        return np.argmin(backend.pairwise_sq_dists(_as_block(X), self.points), axis=1)
-
     def mean_at(self, X: np.ndarray) -> np.ndarray:
-        return self.means[self._index_of(X)]
+        return self.means[_nearest_row(X, self.points)]
 
     def var_at(self, X: np.ndarray) -> np.ndarray:
-        return self.variances[self._index_of(X)]
-
-    def eval_points(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points, self.weights
+        return self.variances[_nearest_row(X, self.points)]
 
     def sample(self, n: int, rng: RngHandle) -> Dataset:
         gen = rng.generator()
@@ -94,19 +89,34 @@ class DiscreteTask:
         return Dataset(x, y)
 
 
+@cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Order-128 Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    return tuple(_freeze(a) for a in np.polynomial.legendre.leggauss(128))
+
+
 @dataclass(frozen=True)
 class SmoothTask1D:
     """Uniform marginal on [lo, hi] with callable conditional moments and
     Gaussian noise.
 
-    Expectations use Gauss-Legendre quadrature of order 128, which is plenty
-    for the smooth moment functions shipped here.
+    Expectations use the order-128 Gauss-Legendre rule held in ``points`` and
+    ``weights``, which is plenty for the smooth moment functions shipped here.
     """
 
     lo: float
     hi: float
     mean_fn: Callable[[np.ndarray], np.ndarray]
     var_fn: Callable[[np.ndarray], np.ndarray]
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes, weights = _legendre_rule()
+        half = 0.5 * (self.hi - self.lo)
+        object.__setattr__(self, "points", _freeze(self.lo + half * (nodes[:, None] + 1.0)))
+        # uniform density 1/(hi-lo) times the affine Jacobian `half`
+        object.__setattr__(self, "weights", _freeze(weights * half / (self.hi - self.lo)))
 
     def mean_at(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.mean_fn(_as_block(X)[:, 0]), dtype=np.float64)
@@ -117,14 +127,6 @@ class SmoothTask1D:
             raise ValueError("var_fn returned a negative variance")
         return v
 
-    def eval_points(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = np.polynomial.legendre.leggauss(128)
-        half = 0.5 * (self.hi - self.lo)
-        x = self.lo + half * (nodes + 1.0)
-        # uniform density 1/(hi-lo) times the affine Jacobian `half`
-        w = weights * half / (self.hi - self.lo)
-        return x[:, None], w
-
     def sample(self, n: int, rng: RngHandle) -> Dataset:
         gen = rng.generator()
         x = gen.uniform(self.lo, self.hi, size=n)
@@ -134,8 +136,8 @@ class SmoothTask1D:
         return Dataset(x[:, None], y)
 
 
-# A task with exact conditional moments: mean_at, var_at, sample, and
-# eval_points, whose (points, weights) give E[g(X)] = sum_i w_i g(points_i),
+# A task with exact conditional moments: mean_at, var_at, sample, and the
+# attributes points and weights, which give E[g(X)] = sum_i w_i g(points_i),
 # exactly on a discrete support and to quadrature accuracy otherwise.
 SyntheticTask = DiscreteTask | SmoothTask1D
 

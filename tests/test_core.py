@@ -194,6 +194,20 @@ class TestSerialization:
         reg = TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(reg.predict(np.array([[1.0], [9.0]])), [1.0, 2.0])
 
+    def test_lookup_refuses_nonfinite_queries(self):
+        # argmin would send a NaN or infinite query to support point 0
+        reg = TableLookupRegressor(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(reg.predict(np.array([[0.5], [1.9]])), [1.0, 3.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="NaN or inf"):
+                reg.predict(np.array([[bad], [1.9]]))
+
+    def test_lookup_rejector_refuses_nonfinite_queries(self):
+        rej = TableLookupRejector(np.array([[0.0], [1.0]]), np.array([0, 1]))
+        np.testing.assert_array_equal(rej.accept(np.array([[0.5], [0.9]])), [0, 1])
+        with pytest.raises(DataError, match="NaN or inf"):
+            rej.accept(np.array([[0.9], [np.nan]]))
+
     def test_lookup_refuses_nonfinite_entries(self):
         # a NaN point would capture every lookup: argmin takes its NaN
         # distance for the smallest

@@ -269,7 +269,7 @@ class TestMaterialize:
         assert isinstance(task, DiscreteTask)
         np.testing.assert_array_equal(task.variances, default_discrete_task().variances)
         assert (train.n, val.n, test.n) == (70, 20, 10)
-        assert set(np.unique(train.features)) <= set(task.eval_points()[0].ravel())
+        assert set(np.unique(train.features)) <= set(task.points.ravel())
 
     def test_any_other_source_is_a_standardized_csv(self, tmp_path):
         path = tmp_path / "plant.CSV"

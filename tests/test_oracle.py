@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from selreg.core import (
+    DEFAULT_SIGMA_GRID,
+    DataError,
     RngHandle,
     STREAM_VERIFY,
     SelregError,
     TableLookupRegressor,
     TableLookupRejector,
 )
+from selreg.harness import cost_calibrator, fit_regressor, materialize
 from selreg.losses import bayes_risk, oracle_rwr_risk, truncated_loss
+from selreg.models import KnnConfig
 from selreg.oracle import (
+    TableRiskCalibrator,
     build_entrywise_trapped_pair,
     build_locally_trapped_pair,
     check_risk_decomposition,
@@ -229,18 +234,31 @@ class TestRiskDecomposition:
     def test_adversarial_calibrator_bounded_by_calibration_error(self, task):
         # estimate = truth + c forces full deferral; the bound still holds
         f_star = TableLookupRegressor(task.points, task.means)
-        from selreg.oracle import TableRiskCalibrator
-
         cal = TableRiskCalibrator(task.points, task.variances + C)
         excess, pred, calib = check_risk_decomposition(f_star, cal, task, C)
         assert pred == 0.0
         assert calib == pytest.approx(C, abs=1e-12)
         assert excess <= calib + 1e-12
 
+    def test_table_calibrator_refuses_nonfinite_queries(self, task):
+        cal = TableRiskCalibrator(task.points, task.variances)
+        np.testing.assert_array_equal(cal.estimate(np.array([[1.0], [10.0]])), [0.25, 9.0])
+        with pytest.raises(DataError, match="NaN or inf"):
+            cal.estimate(np.array([[1.0], [-np.inf]]))
+
     def test_all_zero_at_oracle_on_a_continuous_task(self):
         smooth = default_smooth_task()
         f_star = CondMeanRegressor(smooth)
         assert check_risk_decomposition(f_star, OracleRiskCalibrator(smooth, f_star), smooth, 0.5) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("source,c", [("smooth1d", 0.5), ("hetero6", 2.0)])
+    def test_pipeline_fits_obey_bound(self, source, c, seed):
+        train, val, _, t = materialize(source, seed)
+        f = fit_regressor(KnnConfig(), train, val, t, seed)
+        cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, t, c)
+        excess, pred, calib = check_risk_decomposition(f, cal, t, c)
+        assert excess <= pred + calib + 1e-12
 
     def test_randomized_triples_obey_bound(self):
         gen = RngHandle(31, STREAM_VERIFY).generator()
