@@ -25,19 +25,24 @@ Contracts:
 
     For d > 1 with ``2 max(ks) < m``, one BLAS product per block gives the
     norm expansion, which only preselects the ``2 max(ks)`` candidates of
-    each query; every distance compared is still summed from exact
-    differences.  A row whose candidates may miss a point within the
-    expansion's rounding bound of its kth distance (a NaN or inf coordinate,
-    cancellation at large offsets, underflow, or a run of ties past the
-    candidates) takes the full distance row, again with the same bits.
+    each query: the points whose expansion is at or below its
+    ``2 max(ks)``-th smallest value.  Every distance compared is still summed
+    from exact differences.  A row where that is not exactly ``2 max(ks)``
+    points (a tie there, or a NaN), or whose candidates may miss a point
+    within the expansion's rounding bound of its kth distance (a NaN or inf
+    coordinate, cancellation at large offsets, underflow), takes the full
+    distance row, again with the same bits.
 
 ``gaussian_nw(queries, centers, values[m], sigmas) -> [len(sigmas), nq]``
     Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
     an all-zero weight row falls back to the value at the nearest center
     (ties to the lower index).  Each block of queries computes its distances
     once, negates them in place and reuses one block x m weight buffer for
-    every sigma, and each row equals a call with that sigma alone.  Every
-    sigma must be positive and finite.
+    every sigma, and each row equals a call with that sigma alone.  The
+    numerator is a row sum of weight times value, as the denominator is a
+    row sum of weights, so each row also has the bits of a call with that
+    query alone, whatever block it falls in; a BLAS product's bits depend
+    on how many rows it gets.  Every sigma must be positive and finite.
 
 No kernel warns on extreme coordinates.  inf - inf gives a NaN distance,
 which kNN ranks last and which makes that query's ``gaussian_nw`` estimate
@@ -45,24 +50,75 @@ NaN, as a NaN coordinate does.  A square that overflows gives an infinite
 distance, which kNN ranks after every finite one; it, and any distance
 whose quotient by sigma overflows, gets ``gaussian_nw`` weight 0.
 
-Queries stream through in blocks of ``_BLOCK`` rows, so apart from the
-``[nq,m]`` result of ``pairwise_sq_dists`` memory grows with block x m
-(block x window on the d = 1 path of ``knn_mean``).  The d > 1
-preselection holds one block x m expansion and its partition order, no more
-than the full path's distances and differences.
+Queries stream through in blocks whose row count follows from m, the number
+of points: ``_block_rows(m, budget)`` rows, about ``budget`` elements of a
+block x m array, but never fewer than 16 rows nor more than 256.  Distance
+blocks, and so ``pairwise_sq_dists`` and ``gaussian_nw``, take a budget of
+2**16 elements; the candidate loop of ``knn_mean`` at d > 1 takes 2**19, as
+its per-block work beyond the block x m arrays is larger; the d = 1 window
+of ``knn_mean`` takes 256 rows.  Block size changes no bit of any result.
+
+The block x m arrays live in a per-thread workspace, ``_WORK``: one
+reusable buffer per role (distances, differences, weights, the expansion,
+its partition copy, the candidate mask and the points' columns), each an
+anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
+of size block x m, and no page of it is handed back to the system and
+faulted in again between blocks.  A buffer holds the largest array any call
+in its thread has asked of its role until the thread ends: at most
+``max(budget, 16 m)`` elements, or d x m for the columns.  Apart from the
+``[nq,m]`` result of ``pairwise_sq_dists``, memory therefore grows with that
+element budget and not with the number of queries (block x window on the
+d = 1 path).
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 
 import numpy as np
 
 BACKEND = "numpy"
 
-_BLOCK = 256
+_BLOCK = 256  # rows per block of the d = 1 window, and the most of any block
+_DIST_BUDGET = 2**16  # elements per distance block
+_CANDIDATE_BUDGET = 2**19  # elements per block of the d > 1 candidate loop
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+
+
+class _Workspace(threading.local):
+    """One reusable buffer per role for the calling thread.
+
+    ``take(role, shape)`` returns an array over the role's buffer, whose
+    contents are whatever the last user left there; it is valid until the
+    next ``take`` of that role in this thread.  Each buffer is an anonymous
+    ``mmap``, outside malloc's heap, so it never pins the heap and its pages
+    are faulted in once, not on every block.  It grows to the largest request
+    of its role and is freed with the thread.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < nbytes:
+            buf = np.frombuffer(mmap.mmap(-1, max(nbytes, mmap.PAGESIZE)), dtype=np.uint8)
+            self.buffers[role] = buf
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+_WORK = _Workspace()
+
+
+def _block_rows(m: int, budget: int) -> int:
+    """Rows per block: about ``budget`` elements of a block x m array, within
+    16 to 256 rows."""
+    return max(16, min(_BLOCK, budget // max(m, 1)))
 
 
 def _as_pair(queries, points):
@@ -73,27 +129,44 @@ def _as_pair(queries, points):
     return queries, points
 
 
+def _columns(points: np.ndarray) -> np.ndarray:
+    """The points as a contiguous [d, m] array in the workspace."""
+    columns = _WORK.take("columns", points.shape[::-1])
+    np.copyto(columns, points.T)
+    return columns
+
+
+def _sq_dist(block: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``d2[i, j]``, the squared distance from ``block[i]`` to the point in
+    column j of ``columns``, summed coordinate by coordinate from exact
+    differences into the workspace: valid until the next call."""
+    d2 = _WORK.take("d2", (block.shape[0], columns.shape[1]))
+    diff = _WORK.take("diff", d2.shape)
+    d2.fill(0.0)
+    # inf - inf gives a NaN distance and an overflow an inf one, quietly;
+    # the caller's arithmetic on d2 keeps its own policy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, p in zip(block.T, columns):
+            np.subtract.outer(q, p, out=diff)
+            d2 += np.square(diff, out=diff)
+    return d2
+
+
 def _sq_dist_blocks(queries, points):
     """Yield ``(start, d2)`` where ``d2[i, j]`` is the squared distance from
-    ``queries[start + i]`` to ``points[j]``, one block of queries at a time.
+    ``queries[start + i]`` to ``points[j]``, one block of
+    ``_block_rows(m, _DIST_BUDGET)`` queries at a time.
 
-    The kernels call this rather than ``pairwise_sq_dists``, so that public
-    name counts only its direct callers.
+    ``d2`` lives in the thread's workspace: it is valid only until the next
+    block, and the caller may overwrite it.  The kernels call this rather
+    than ``pairwise_sq_dists``, so that public name counts only its direct
+    callers.
     """
     queries, points = _as_pair(queries, points)
-    columns = np.ascontiguousarray(points.T)
-    for start in range(0, queries.shape[0], _BLOCK):
-        block = queries[start : start + _BLOCK]
-        d2 = np.zeros((block.shape[0], points.shape[0]))
-        diff = np.empty_like(d2)
-        # inf - inf gives a NaN distance and an overflow an inf one, quietly;
-        # the yield stays outside, so the caller's arithmetic keeps its policy
-        with np.errstate(over="ignore", invalid="ignore"):
-            for q, p in zip(block.T, columns):
-                np.subtract.outer(q, p, out=diff)
-                d2 += np.square(diff, out=diff)
-        del diff  # not held while the caller works on d2
-        yield start, d2
+    columns = _columns(points)
+    rows = _block_rows(points.shape[0], _DIST_BUDGET)
+    for start in range(0, queries.shape[0], rows):
+        yield start, _sq_dist(queries[start : start + rows], columns)
 
 
 def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -145,69 +218,92 @@ def _candidate_nearest(q, columns, p2, p2max, k: int):
 
     ``columns`` holds the points as a [d, m] array, ``p2`` their squared
     norms and ``p2max`` the largest of them.  The norm expansion
-    ``a = |q|^2 + |p|^2 - 2 q.p`` picks the 2k points of smallest ``a`` as
-    candidates, and only their distances are summed from exact differences,
-    as ``_sq_dist_blocks`` sums them, so every distance compared has the full
-    path's bits.  Call those sums e.  Both a and e lie within about
-    (d + 2) eps S of the true distance, S = |q|^2 + max |p|^2, plus a
-    subnormal per product where they underflow, so |a - e| <= delta below.
-    The k points of smallest a then have e <= a_k + delta, a_k being the kth
-    smallest a, and every point with e at or below the kth smallest e has
-    a <= a_k + 2 delta.  A row settles when the 2k-th smallest a exceeds
-    that: every such point, ties included, is then a candidate.
+    ``a = |q|^2 + |p|^2 - 2 q.p`` picks as candidates the points whose ``a``
+    is at most t, the 2k-th smallest ``a`` of the row; a row where that is
+    not exactly 2k points (a tie at t, or a NaN) is redone.  Only the
+    candidates' distances are summed from exact differences, as ``_sq_dist``
+    sums them, so every distance compared has the full path's bits.  Call
+    those sums e.  Both a and e lie within about (d + 2) eps S of the true
+    distance, S = |q|^2 + max |p|^2, plus a subnormal per product where they
+    underflow, so |a - e| <= delta below.  The k points of smallest a then
+    have e <= a_k + delta, a_k being the kth smallest a, and every point with
+    e at or below the kth smallest e has a <= a_k + 2 delta.  A row settles
+    when t exceeds that: every such point, ties included, is then a
+    candidate.
+
+    The expansion, its partition copy and the candidate mask are block x m
+    arrays in the workspace; nothing of that size is allocated.
     """
-    d = columns.shape[0]
+    n, (d, m) = q.shape[0], columns.shape
     with np.errstate(over="ignore", invalid="ignore"):
         q2 = np.square(q).sum(axis=1)
-        a = q @ columns
+        a = np.matmul(q, columns, out=_WORK.take("a", (n, m)))
         a *= -2.0
         a += p2
         a += q2[:, None]
-        cand = np.argpartition(a, 2 * k - 1, axis=1)[:, : 2 * k]
-        near = np.take_along_axis(a, cand, axis=1)
-        kth = np.partition(near, k - 1, axis=1)[:, k - 1]
+        part = _WORK.take("part", (n, m))
+        np.copyto(part, a)
+        # one kth: NumPy's partition is several times slower given two
+        part.partition(2 * k - 1, axis=1)
+        t = part[:, 2 * k - 1]
+        kth = np.partition(part[:, : 2 * k], k - 1, axis=1)[:, k - 1]
+        mask = np.less_equal(a, t[:, None], out=_WORK.take("mask", (n, m), bool))
         # 4 S is formed first, so a row whose sums could overflow gets an
         # infinite delta; a NaN or inf coordinate makes it NaN or inf too,
         # and none of these rows settles
         delta = (d + 4) * (_EPS * (4.0 * (q2 + p2max)) + 4.0 * _TINY)
-        full = ~(near[:, -1] > kth + 2.0 * delta)
-        cand = np.sort(cand, axis=1)
+        full = (np.count_nonzero(mask, axis=1) != 2 * k) | ~(t > kth + 2.0 * delta)
+        # a row to redo takes the first 2k points, so that every row has 2k
+        mask[full] = False
+        mask[full, : 2 * k] = True
+        # flat indices come in order, so each row's candidates are sorted
+        cand = np.flatnonzero(mask).reshape(n, 2 * k)
+        cand -= np.arange(0, n * m, m)[:, None]
         e = np.zeros(cand.shape)
+        diff = np.empty(cand.shape)
         for qj, pj in zip(q.T, columns):
-            diff = pj[cand]
+            np.take(pj, cand, out=diff)
             np.subtract(qj[:, None], diff, out=diff)
             e += np.square(diff, out=diff)
     return np.take_along_axis(cand, _nearest(e, k), axis=1), full
 
 
 def _neighbours(queries, points, k: int):
-    """Yield ``(start, idx)``: the k nearest points of each query in a block
-    of ``_BLOCK`` rows, ordered by (distance, index).  One-dimensional data
-    takes the sorted window of ``_window_nearest``, and wider data with
-    2k < m the candidates of ``_candidate_nearest``; the rows they leave
-    unsettled, and all other data, take the full distance row."""
+    """Yield ``(start, idx)``: the k nearest points of each query in a block,
+    ordered by (distance, index).  One-dimensional data takes the sorted
+    window of ``_window_nearest`` in blocks of ``_BLOCK`` rows, and wider
+    data with 2k < m the candidates of ``_candidate_nearest`` in blocks of
+    ``_block_rows(m, _CANDIDATE_BUDGET)``; the rows they leave unsettled take
+    the full distance row, in distance blocks of their own.  All other data
+    takes the full path."""
     queries, points = _as_pair(queries, points)
     m, d = points.shape
-    if d == 1:
-        order = np.argsort(points[:, 0], kind="stable")
-        sx = points[order, 0]
-        pick = lambda block: _window_nearest(block[:, 0], order, sx, k)
-    elif 2 * k < m:
-        columns = np.ascontiguousarray(points.T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            p2 = np.square(points).sum(axis=1)
-            p2max = p2.max()
-        pick = lambda block: _candidate_nearest(block, columns, p2, p2max, k)
-    else:
+    if d != 1 and 2 * k >= m:
         for start, d2 in _sq_dist_blocks(queries, points):
             yield start, _nearest(d2, k)
         return
-    for start in range(0, queries.shape[0], _BLOCK):
-        block = queries[start : start + _BLOCK]
+    columns = _columns(points)
+    if d == 1:
+        rows = _BLOCK
+        order = np.argsort(points[:, 0], kind="stable")
+        sx = points[order, 0]
+        pick = lambda block: _window_nearest(block[:, 0], order, sx, k)
+    else:
+        rows = _block_rows(m, _CANDIDATE_BUDGET)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p2 = np.einsum("ij,ij->j", columns, columns)
+            p2max = p2.max()
+        pick = lambda block: _candidate_nearest(block, columns, p2, p2max, k)
+    redo_rows = _block_rows(m, _DIST_BUDGET)
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start : start + rows]
         idx, full = pick(block)
-        if full.any():
-            for _, d2 in _sq_dist_blocks(block[full], points):
-                idx[full] = _nearest(d2, k)
+        redo = np.flatnonzero(full)
+        # the redone rows may span several distance blocks: each writes back
+        # through its own indices
+        for r in range(0, redo.shape[0], redo_rows):
+            some = redo[r : r + redo_rows]
+            idx[some] = _nearest(_sq_dist(block[some], columns), k)
         yield start, idx
 
 
@@ -249,13 +345,16 @@ def gaussian_nw(
     for start, d2 in _sq_dist_blocks(queries, centers):
         # -d2 / s is the same float whether the negation comes first or not
         negd2 = np.negative(d2, out=d2)
-        w = np.empty_like(negd2)
+        w = _WORK.take("w", negd2.shape)
         for j, s in enumerate(sigmas):
             # a quotient that overflows becomes -inf, whose weight is 0
             with np.errstate(over="ignore", invalid="ignore"):
                 np.exp(np.divide(negd2, s, out=w), out=w)
-            den = w.sum(axis=1)
-            est = (w @ values) / np.where(den > 0.0, den, 1.0)
+                den = w.sum(axis=1)
+                # a row sum, not a BLAS product, so that the block's row
+                # count changes no bit of a row
+                est = np.multiply(w, values, out=w).sum(axis=1)
+                est /= np.where(den > 0.0, den, 1.0)
             dead = den == 0.0
             if np.any(dead):
                 est[dead] = values[np.argmax(negd2[dead], axis=1)]

@@ -131,8 +131,19 @@ class MlpRegressor(Regressor):
         self.dim = shapes[0][0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        hidden = np.maximum(_as_block(X) @ self.w1 + self.b1, 0.0)
-        return (hidden @ self.w2 + self.b2)[:, 0]
+        """One output per row of X, with the bits of a one-row call: the
+        first layer adds its terms one input coordinate at a time and the
+        output is a row sum, where BLAS products would give bits that depend
+        on the number of rows.  Training keeps its matrix products."""
+        X = _as_block(X)
+        if X.shape[1] != self.dim:
+            raise ValueError(f"the MLP takes {self.dim} input features, got {X.shape[1]}")
+        hidden = np.broadcast_to(self.b1, (X.shape[0], self.b1.shape[0])).copy()
+        term = np.empty_like(hidden)
+        for x, w in zip(X.T, self.w1):
+            hidden += np.multiply.outer(x, w, out=term)
+        np.maximum(hidden, 0.0, out=hidden)
+        return np.multiply(hidden, self.w2[:, 0], out=hidden).sum(axis=1) + self.b2[0]
 
     def payload(self) -> dict:
         # explicit layer-shape header so readers can validate before parsing

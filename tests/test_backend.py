@@ -1,6 +1,8 @@
 """Backend contract tests: the kernels must agree with a brute-force
 reference, resolve ties to the lower index and stay bounded in memory."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -26,12 +28,14 @@ def brute_knn_mean(q, p, v, k):
 def per_sigma_nw(q, c, v, sigma):
     """The single-sigma kernel that the grid kernel replaced, kept as the
     reference its rows must match bit for bit: a fresh ``-d2 / sigma`` per
-    call and the nearest center by ``argmin`` of the distances."""
+    call and the nearest center by ``argmin`` of the distances.  Its
+    numerator is the kernel's row sum of weight times value, which replaced
+    the ``w @ v`` product whose bits depend on the block's row count."""
     out = np.empty(len(q))
     for start, d2 in backend._sq_dist_blocks(q, c):
         w = np.exp(-d2 / float(sigma))
         den = w.sum(axis=1)
-        est = (w @ v) / np.where(den > 0.0, den, 1.0)
+        est = (w * v).sum(axis=1) / np.where(den > 0.0, den, 1.0)
         dead = den == 0.0
         if np.any(dead):
             est[dead] = v[np.argmin(d2[dead], axis=1)]
@@ -122,7 +126,8 @@ def extreme_cases(d):
 def quiet_reference(q, p, v, ks, sigmas):
     """Brute-force ``knn_mean`` and ``gaussian_nw`` with every floating-point
     warning silenced: distances summed coordinate by coordinate, neighbours
-    by a stable argsort, and the all-zero-weight fallback by ``argmin``."""
+    by a stable argsort, the smoother's numerator as the kernel's row sum of
+    weight times value, and the all-zero-weight fallback by ``argmin``."""
     with np.errstate(all="ignore"):
         d2 = np.zeros((len(q), len(p)))
         for j in range(q.shape[1]):
@@ -133,7 +138,7 @@ def quiet_reference(q, p, v, ks, sigmas):
         for sigma in sigmas:
             w = np.exp(-d2 / sigma)
             den = w.sum(axis=1)
-            est = (w @ v) / np.where(den > 0.0, den, 1.0)
+            est = (w * v).sum(axis=1) / np.where(den > 0.0, den, 1.0)
             dead = den == 0.0
             est[dead] = v[np.argmin(d2[dead], axis=1)]
             nw.append(est)
@@ -462,6 +467,130 @@ def test_kernel_memory_grows_with_the_block_not_the_query_count():
         finally:
             tracemalloc.stop()
         assert peak < full_matrix / 2
+
+
+@pytest.mark.parametrize("rows", [16, 64, 256])
+def test_nw_rows_are_the_bits_of_one_row_calls(rows):
+    # m sets the distance blocks to `rows` queries, and the queries span
+    # two blocks and part of a third; each row must keep the bits it has
+    # when its query is scored alone
+    m = {16: 4096, 64: 1024, 256: 256}[rows]
+    assert backend._block_rows(m, backend._DIST_BUDGET) == rows
+    rng = np.random.default_rng(rows)
+    c, v = rng.normal(size=(m, 8)), rng.exponential(size=m)
+    q = rng.normal(size=(2 * rows + 7, 8)) * 1.5
+    sigmas = (0.5, 4.0)
+    got = backend.gaussian_nw(q, c, v, sigmas)
+    alone = np.stack([backend.gaussian_nw(row[None], c, v, sigmas)[:, 0] for row in q], axis=1)
+    # compared as integers, so that equal estimates are equal bits
+    np.testing.assert_array_equal(got.view(np.int64), alone.view(np.int64))
+
+
+def test_knn_redone_rows_span_several_distance_blocks():
+    # at m = 4096 the d = 8 candidate loop takes blocks of 128 queries and
+    # redoes the rows it cannot settle in distance blocks of 16; the d = 1
+    # window takes blocks of 256.  Rows to redo, more than one distance block
+    # of them, sit in the second and later blocks: NaN and infinite
+    # coordinates, and queries next to 101 copies of one point far from the
+    # rest, which tie past the 2k candidates.  Each must land in its own row.
+    rng = np.random.default_rng(9)
+    m, ks = 4096, (1, 20)
+    p, v = rng.normal(size=(m, 8)), rng.normal(size=m)
+    p[0] = 4.0
+    p[rng.choice(np.arange(1, m), 100, replace=False)] = p[0]
+    q = rng.normal(size=(400, 8))
+    q[150:175, 2] = np.nan
+    q[200:215, 0] = np.inf
+    q[215:225, 5] = -np.inf
+    q[300:340] = p[0] + 1e-3 * rng.normal(size=(40, 8))
+    rows = backend._block_rows(m, backend._CANDIDATE_BUDGET)
+    assert (rows, backend._block_rows(m, backend._DIST_BUDGET)) == (128, 16)
+    redone = [np.count_nonzero(_preselect(q[s : s + rows], p, max(ks))[1]) for s in range(0, len(q), rows)]
+    assert redone[0] == 0 and min(redone[1:3]) > 16
+    # compared as integers, so that equal means are equal bits
+    got = backend.knn_mean(q, p, v, ks)
+    np.testing.assert_array_equal(got.view(np.int64), quiet_reference(q, p, v, ks, ())[0].view(np.int64))
+    # on the rounded line nearly every row ties at its kth distance
+    q1, p1 = np.round(q[:, 2:3], 1), np.round(p[:, 2:3], 1)
+    got = backend.knn_mean(q1, p1, v, ks)
+    np.testing.assert_array_equal(got.view(np.int64), quiet_reference(q1, p1, v, ks, ())[0].view(np.int64))
+
+
+def test_kernels_on_concurrent_threads_give_the_sequential_bits():
+    # each thread has a workspace of its own: three threads on two cores,
+    # switching often, must each get the bits of a call made alone
+    rng = np.random.default_rng(12)
+    p, v = rng.normal(size=(3000, 8)), rng.normal(size=3000)
+    inputs = [rng.normal(size=(300, 8)) * (1.0 + i) for i in range(3)]
+
+    def score(q):
+        return np.concatenate([backend.knn_mean(q, p, v, (1, 20)), backend.gaussian_nw(q, p[:1000], v[:1000], (0.5, 4.0))])
+
+    expected = [score(q) for q in inputs]
+    results = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs), timeout=60)
+
+    def run(i):
+        start.wait()
+        for _ in range(4):
+            results[i].append(score(inputs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(expected, results):
+        assert len(got) == 4
+        for out in got:
+            np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_a_repeated_call_allocates_no_block_of_distances():
+    # the first call sizes the workspace; a second identical one allocates
+    # no block x m array, as each block at the parent did
+    rng = np.random.default_rng(13)
+    m = 8000
+    q, p, v = rng.normal(size=(600, 8)), rng.normal(size=(m, 8)), rng.normal(size=m)
+    for budget, run in (
+        (backend._CANDIDATE_BUDGET, lambda: backend.knn_mean(q, p, v, (5, 20))),
+        (backend._DIST_BUDGET, lambda: backend.gaussian_nw(q, p, v, (0.5, 4.0))),
+    ):
+        block = backend._block_rows(m, budget) * m * 8
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 8
+
+
+def test_workspace_grows_with_the_block_not_the_query_count():
+    # tracemalloc does not see the workspace's mmap buffers: a fresh thread,
+    # whose workspace starts empty, reports their sizes itself
+    rng = np.random.default_rng(14)
+    q, p, v = rng.normal(size=(16 * 256, 8)), rng.normal(size=(1000, 8)), rng.normal(size=1000)
+    sizes = []
+
+    def run():
+        backend.knn_mean(q, p, v, (5, 20))
+        backend.knn_mean(q, p, v, (5, 500))
+        backend.gaussian_nw(q, p, v, (1.0, 10.0))
+        sizes.extend(buf.nbytes for buf in backend._WORK.buffers.values())
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and sizes
+    assert sum(sizes) < q.shape[0] * p.shape[0] * 8 / 2
 
 
 def test_window_leaves_only_unsettled_rows_to_the_full_path():

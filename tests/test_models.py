@@ -213,6 +213,22 @@ class TestMlp:
         q = rng.normal(size=(5, 2))
         np.testing.assert_array_equal(model.predict(q), clone.predict(q))
 
+    def test_predict_rows_are_the_bits_of_one_row_calls(self):
+        # a row must score alike in any batch, as split-conformal calibration
+        # assumes; BLAS products give bits that depend on the row count
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.normal(size=(400, 5)), rng.normal(size=400))
+        model = fit_mlp(data, MlpConfig(epochs=3), 0)
+        q = rng.normal(size=(300, 5))
+        got = model.predict(q)
+        alone = np.array([model.predict(row[None])[0] for row in q])
+        # compared as integers, so that equal predictions are equal bits
+        np.testing.assert_array_equal(got.view(np.int64), alone.view(np.int64))
+        products = (np.maximum(q @ model.w1 + model.b1, 0.0) @ model.w2 + model.b2)[:, 0]
+        np.testing.assert_allclose(got, products, rtol=1e-12, atol=1e-14)
+        with pytest.raises(ValueError, match="takes 5 input features, got 4"):
+            model.predict(q[:, :4])
+
     def test_batch_larger_than_n_is_clipped(self):
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=(20, 2)), rng.normal(size=20))
