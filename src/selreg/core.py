@@ -99,9 +99,27 @@ class RngHandle:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of ``a``.  Every array that a dataset, task,
+    model or calibrator holds passes through here, so this is the one place
+    that refuses NaN and inf: one such entry would spoil every risk estimate
+    and threshold computed from it."""
     a = np.array(a, dtype=np.float64, copy=True, order="C")
+    if not np.isfinite(a).all():
+        raise DataError(f"stored arrays must be finite; one of shape {a.shape} holds NaN or inf")
     a.setflags(write=False)
     return a
+
+
+def _table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``points`` frozen as an [n, d] block, then each column frozen; a
+    column without exactly one entry per point row is a DataError."""
+    points = _freeze(_as_block(points))
+    frozen = tuple(_freeze(col) for col in columns)
+    for col in frozen:
+        if col.shape != points.shape[:1]:
+            raise DataError(f"a column of shape {col.shape} does not give one entry to each of "
+                            f"{points.shape[0]} point rows")
+    return (points, *frozen)
 
 
 def _require_int(name: str, value) -> None:
@@ -118,21 +136,14 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DataError(f"features must be 2-D, got shape {feats.shape}")
-        targs = np.asarray(self.targets, dtype=np.float64)
-        if targs.ndim != 1:
-            raise DataError(f"targets must be 1-D, got shape {targs.shape}")
+        if np.ndim(self.features) != 2:
+            raise DataError(f"features must be 2-D, got shape {np.shape(self.features)}")
+        feats, targs = _table(self.features, self.targets)
         n, d = feats.shape
         if n < 1 or d < 1:
             raise DataError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        if targs.shape[0] != n:
-            raise DataError(f"row mismatch: {n} feature rows vs {targs.shape[0]} targets")
-        if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(targs)):
-            raise DataError("NaN/Inf entries are not allowed after ingestion")
-        object.__setattr__(self, "features", _freeze(feats))
-        object.__setattr__(self, "targets", _freeze(targs))
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "targets", targs)
 
     @property
     def n(self) -> int:
@@ -333,14 +344,7 @@ class TableLookupRegressor(Regressor):
     """
 
     def __init__(self, points: np.ndarray, values: np.ndarray):
-        self.points = _freeze(_as_block(points))
-        self.values = _freeze(np.asarray(values, dtype=np.float64))
-        if self.points.shape[0] != self.values.shape[0]:
-            raise DataError("points/values length mismatch")
-        # argmin takes a NaN distance for the smallest, so a NaN point would
-        # capture every lookup
-        if not (np.isfinite(self.points).all() and np.isfinite(self.values).all()):
-            raise DataError("table points and values must be finite")
+        self.points, self.values = _table(points, values)
         self.dim = self.points.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -448,7 +448,8 @@ def _median_sq_dist(X: np.ndarray) -> float:
         upper = d2[cols[start : start + d2.shape[0], None] < cols]
         vals[filled : filled + upper.size] = upper
         filled += upper.size
-    med = float(np.median(vals)) if vals.size else 1.0
+    # vals is this function's own array, so the median may partition it in place
+    med = float(np.median(vals, overwrite_input=True)) if vals.size else 1.0
     return med if med > 0.0 else 1.0
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import backend
 from .core import (
-    DataError,
     Dataset,
     Regressor,
     RngHandle,
@@ -25,6 +24,7 @@ from .core import (
     _as_block,
     _freeze,
     _require_int,
+    _table,
     register_model,
 )
 
@@ -89,10 +89,7 @@ class KnnRegressor(Regressor):
     ties by ascending training-row index)."""
 
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, k: int):
-        self.train_x = _freeze(_as_block(train_x))
-        self.train_y = _freeze(np.asarray(train_y, dtype=np.float64))
-        if self.train_y.shape != self.train_x.shape[:1]:
-            raise DataError(f"train_y has shape {self.train_y.shape}, not one value per train_x row")
+        self.train_x, self.train_y = _table(train_x, train_y)
         _require_int("k", k)
         self.k = k
         if not 1 <= self.k <= self.train_x.shape[0]:

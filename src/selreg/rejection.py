@@ -29,6 +29,7 @@ from .core import (
     TableLookupRejector,
     _as_block,
     _freeze,
+    _table,
     register_model,
     sigma_grid,
 )
@@ -64,10 +65,7 @@ class KernelSmootherCalibrator(Calibrator):
     """
 
     def __init__(self, points: np.ndarray, losses: np.ndarray, kernel: KernelSpec):
-        self.points = _freeze(_as_block(points))
-        self.losses = _freeze(np.asarray(losses, dtype=np.float64))
-        if self.points.shape[0] != self.losses.shape[0]:
-            raise ValueError("points/losses length mismatch")
+        self.points, self.losses = _table(points, losses)
         self.kernel = kernel
 
     def estimate(self, X: np.ndarray) -> np.ndarray:
@@ -96,7 +94,7 @@ class LinearLossCalibrator(Calibrator):
     """Least-squares fit of held-out losses on (1, features), clamped at 0."""
 
     def __init__(self, coef: np.ndarray, intercept: float):
-        self.coef = _freeze(np.asarray(coef, dtype=np.float64))
+        self.coef = _freeze(coef)
         self.intercept = float(intercept)
 
     def estimate(self, X: np.ndarray) -> np.ndarray:

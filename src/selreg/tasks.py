@@ -29,6 +29,7 @@ from .core import (
     _as_block,
     _freeze,
     _nearest_row,
+    _table,
 )
 
 __all__ = [
@@ -56,15 +57,9 @@ class DiscreteTask:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _freeze(_as_block(self.points)))
-        for f in ("weights", "means", "variances"):
-            object.__setattr__(self, f, _freeze(np.asarray(getattr(self, f), dtype=np.float64)))
-        m = self.points.shape[0]
-        if not (self.weights.shape == self.means.shape == self.variances.shape == (m,)):
-            raise ValueError("weights/means/variances must all have one entry per point")
-        # NaN passes the range checks below, as it fails every comparison
-        if not all(np.isfinite(getattr(self, f)).all() for f in ("points", "weights", "means", "variances")):
-            raise ValueError("points, weights, means and variances must be finite")
+        fields = ("points", "weights", "means", "variances")
+        for f, a in zip(fields, _table(*(getattr(self, f) for f in fields))):
+            object.__setattr__(self, f, a)
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0.0):
             raise ValueError("weights must be a probability vector (sum 1 within 1e-12)")
         if np.any(self.variances < 0.0):
@@ -151,11 +146,9 @@ class BinaryTask:
     eta: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _freeze(_as_block(self.points)))
-        object.__setattr__(self, "weights", _freeze(np.asarray(self.weights, dtype=np.float64)))
-        object.__setattr__(self, "eta", _freeze(np.asarray(self.eta, dtype=np.float64)))
-        if not all(np.isfinite(getattr(self, f)).all() for f in ("points", "weights", "eta")):
-            raise ValueError("points, weights and eta must be finite")
+        fields = ("points", "weights", "eta")
+        for f, a in zip(fields, _table(*(getattr(self, f) for f in fields))):
+            object.__setattr__(self, f, a)
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         if np.any((self.eta < 0.0) | (self.eta > 1.0)):

@@ -103,6 +103,26 @@ class TestBench:
                    "--out", str(tmp_path)])
         assert rc == 2 and "repeats column(s) ['target']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, header row required"),
+        ("x,y,target\n1,2,3\n4,5\n", "row 2 has 2 fields, expected 3"),
+    ], ids=["empty-file", "short-row"])
+    def test_malformed_csv_is_data_error(self, text, message, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        rc = main(["bench", "--mode", "cost", "--cost", "1", "--data", str(p), "--repeats", "1",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and message in err
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cost = 1\nrepeats 2\n")
+        rc = main(["bench", "--mode", "cost", "--data", "hetero6", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"{cfg}:2: expected 'key = value'" in err
+
     def test_config_file_supplies_flags(self, demo_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# demo config\ncost = 0.5\nrepeats = 2\nseed = 9\n")
@@ -316,13 +336,19 @@ def _knn_file(**payload) -> str:
         ("calibrate", '{"kind": ["regressor/knn"], "payload": {}}'),
         ("calibrate", '{"kind": "regressor/table_lookup", '
                       '"payload": {"points": [[0.0], [NaN], [2.0]], "values": [1.0, 2.0, 3.0]}}'),
+        ("calibrate", _knn_file(train_y=[0.0, float("nan"), 2.0])),
+        ("calibrate", _knn_file(train_x=[[0.0], [float("inf")], [2.0]])),
+        ("calibrate", json.dumps({"kind": "regressor/mlp", "payload": {
+            "layer_shapes": [[1, 2], [2], [2, 1], [1]],
+            "w1": [[0.0, 0.0]], "b1": [0.0, 0.0], "w2": [[0.0], [float("nan")]], "b2": [0.0],
+        }})),
     ],
     ids=[
         "not-json", "json-list", "no-payload", "no-payload-field", "report-no-mode",
         "knn-train-y-short", "knn-string-train-x", "knn-3d-train-x", "knn-k-too-large", "knn-fractional-k", "knn-bool-k",
         "mlp-w1-off-its-header", "mlp-layers-do-not-chain", "knn-two-columns-on-hetero6",
         "calibrator-not-a-regressor", "unknown-kind", "unhashable-kind",
-        "table-nan-point",
+        "table-nan-point", "knn-nan-train-y", "knn-infinity-train-x", "mlp-nan-weight",
     ],
 )
 def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):

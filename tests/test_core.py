@@ -299,6 +299,32 @@ def test_no_private_attribute_read_from_outside():
     assert found == []
 
 
+def test_finiteness_is_checked_in_one_place_per_kind_of_input():
+    # _freeze refuses NaN and inf in every array a dataset, task, model or
+    # calibrator holds; the other checks guard what is never stored: lookup
+    # queries, CSV cells and the training loss
+    import ast
+    from pathlib import Path
+
+    import selreg
+
+    def sites(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from sites(child, child.name)
+                continue
+            if getattr(child, "attr", getattr(child, "id", None)) == "isfinite":
+                yield where
+            yield from sites(child, where)
+
+    found = {
+        f"{path.stem}.{where}"
+        for path in sorted(Path(selreg.__file__).parent.glob("*.py"))
+        for where in sites(ast.parse(path.read_text()), "<module>")
+    }
+    assert found == {"core._freeze", "core._nearest_row", "harness._finite", "models.fit_mlp"}
+
+
 def test_one_exception_class_per_exit_code():
     # cli.main maps DataError to exit 2 and SelregError to exit 1; a subclass
     # that nothing catches by type would only carry a second name

@@ -6,6 +6,7 @@ import pytest
 import dataclasses
 import json
 
+from selreg.backend import pairwise_sq_dists
 from selreg.core import (
     CostConfig,
     CostMode,
@@ -27,6 +28,7 @@ from selreg.harness import (
     load_csv,
     materialize,
     run_experiment,
+    _median_sq_dist,
 )
 from selreg.models import KnnConfig, MlpConfig
 from selreg.losses import LossReport, bayes_risk
@@ -360,6 +362,17 @@ class TestRunFixedBudget:
         with pytest.raises(DataError, match="2 validation rows"):
             run_experiment(cfg)
         run_experiment(dataclasses.replace(cfg, cost_config=CostConfig.fixed_cost(2.0)))  # cost mode runs
+
+    def test_median_length_scale_is_the_median_over_all_pairs(self):
+        # m = 601 at d = 8 spans six 109-row distance blocks
+        m = 601
+        X = np.random.default_rng(11).standard_normal((m, 8))
+        want = np.median(pairwise_sq_dists(X, X)[np.triu_indices(m, 1)])
+        assert _median_sq_dist(X) == want
+
+    @pytest.mark.parametrize("X", [np.ones((1, 3)), np.full((5, 3), 2.0)], ids=["one-point", "all-equal"])
+    def test_median_length_scale_without_spread_is_one(self, X):
+        assert _median_sq_dist(X) == 1.0
 
     def test_machine_loss_counts_accepted_only(self):
         cfg = ExperimentConfig(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -30,7 +31,7 @@ from selreg.oracle import (
     verify_entrywise_optimality,
     verify_local_optimality,
 )
-from selreg.rejection import oracle_bayes_pair
+from selreg.rejection import induce_rejector, oracle_bayes_pair
 from selreg.tasks import (
     BinaryTask,
     CondMeanRegressor,
@@ -149,6 +150,16 @@ class TestEntrywiseOptimality:
         assert report.improvement_found
         assert report.counterexample["side"] == "rejector"
 
+    def test_improvable_regressor_detected(self, task):
+        # a shifted mean with the rejector its own risk induces: no accept
+        # pattern beats it at these values, but the conditional mean does
+        f = TableLookupRegressor(task.points, task.means + 0.1)
+        r = induce_rejector(OracleRiskCalibrator(task, f), C)
+        report = verify_entrywise_optimality((f, r), task, C)
+        assert report.improvement_found
+        assert report.counterexample["side"] == "regressor"
+        assert report.counterexample["loss"] == 1.2916666666666667
+
     def test_large_support_is_refused(self):
         from selreg.tasks import DiscreteTask
         from selreg.rejection import oracle_bayes_pair
@@ -223,6 +234,19 @@ class TestSearchesAreExact:
         assert exc.type is SelregError
 
 
+_PIPELINE_SOURCES = [("smooth1d", 0.5), ("hetero6", 2.0)]
+
+
+@functools.cache
+def _pipeline_terms(source: str, c: float, n: int, seed: int) -> tuple[float, float, float]:
+    """(excess, prediction error, calibration error) of the kNN and kernel
+    smoother that the pipeline fits on ``n`` rows of ``source`` at ``seed``."""
+    train, val, _, t = materialize(source, seed, synthetic_n=n)
+    f = fit_regressor(KnnConfig(), train, val, t, seed)
+    cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, t, c)
+    return check_risk_decomposition(f, cal, t, c)
+
+
 class TestRiskDecomposition:
     def test_all_zero_at_oracle(self, task):
         f_star = TableLookupRegressor(task.points, task.means)
@@ -252,13 +276,20 @@ class TestRiskDecomposition:
         assert check_risk_decomposition(f_star, OracleRiskCalibrator(smooth, f_star), smooth, 0.5) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("source,c", [("smooth1d", 0.5), ("hetero6", 2.0)])
+    @pytest.mark.parametrize("source,c", _PIPELINE_SOURCES)
     def test_pipeline_fits_obey_bound(self, source, c, seed):
-        train, val, _, t = materialize(source, seed)
-        f = fit_regressor(KnnConfig(), train, val, t, seed)
-        cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, t, c)
-        excess, pred, calib = check_risk_decomposition(f, cal, t, c)
-        assert excess <= pred + calib + 1e-12
+        for n in (1000, 4000):
+            excess, pred, calib = _pipeline_terms(source, c, n, seed)
+            assert excess <= pred + calib + 1e-12, n
+
+    @pytest.mark.parametrize("source,c", _PIPELINE_SOURCES)
+    def test_pipeline_terms_fall_with_n(self, source, c):
+        # consistency on the pipeline's own fits: the excess risk and both of
+        # its bounding terms, averaged over seeds 0-4, shrink as n grows
+        small, large = (
+            np.mean([_pipeline_terms(source, c, n, seed) for seed in range(5)], axis=0) for n in (1000, 4000)
+        )
+        assert (large < small).all(), (small, large)
 
     def test_randomized_triples_obey_bound(self):
         gen = RngHandle(31, STREAM_VERIFY).generator()
@@ -340,7 +371,7 @@ class TestTaskValidation:
             for bad in (np.nan, np.inf):
                 broken = good[field].copy()
                 broken.flat[0] = bad
-                with pytest.raises(ValueError, match="must be finite"):
+                with pytest.raises(DataError, match="must be finite"):
                     DiscreteTask(**{**good, field: broken})
 
     def test_binary_task_refuses_nonfinite_entries(self):
@@ -349,5 +380,9 @@ class TestTaskValidation:
             for bad in (np.nan, np.inf):
                 broken = good[field].copy()
                 broken.flat[0] = bad
-                with pytest.raises(ValueError, match="must be finite"):
+                with pytest.raises(DataError, match="must be finite"):
                     BinaryTask(**{**good, field: broken})
+
+    def test_binary_task_refuses_a_column_short_of_the_points(self):
+        with pytest.raises(DataError, match="one entry to each of 2 point rows"):
+            BinaryTask(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2]))
