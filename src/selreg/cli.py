@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .core import (
     CostConfig,
-    CostMode,
     DEFAULT_SIGMA_GRID,
     DataError,
     Regressor,
@@ -114,13 +113,11 @@ def _sigma_grid(arg: str | None) -> tuple[float, ...]:
 
 
 def _build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    if (args.cost if args.mode == "cost" else args.budget) is None:
-        raise SelregError(f"--{args.mode} is required with --mode {args.mode}")
     with _flag_values():
         return ExperimentConfig(
             dataset_source=args.data,
-            cost_config=CostConfig(
-                CostMode(args.mode), cost_c=args.cost or 0.0, budget_gamma=args.budget or 0.0
+            cost_config=(
+                CostConfig.fixed_cost(args.cost) if args.budget is None else CostConfig.fixed_budget(args.budget)
             ),
             regressor=REGRESSORS[args.regressor],
             rejector=args.rejector,
@@ -251,9 +248,10 @@ def build_parser() -> _Parser:
     p_cal.add_argument("--out", default="calibration.json")
     p_cal.set_defaults(fn=_cmd_calibrate)
 
-    p_bench.add_argument("--mode", choices=("cost", "budget"), required=True)
-    p_bench.add_argument("--cost", type=float, default=None)
-    p_bench.add_argument("--budget", type=float, default=None)
+    # the one flag given picks the mode: a deferral cost c or a rejection budget gamma
+    deferral = p_bench.add_mutually_exclusive_group(required=True)
+    deferral.add_argument("--cost", type=float)
+    deferral.add_argument("--budget", type=float)
     p_bench.add_argument("--regressor", choices=tuple(REGRESSORS), default="knn")
     p_bench.add_argument("--rejector", choices=REJECTOR_KINDS, default="kernel")
     p_bench.add_argument("--repeats", type=int, default=10)

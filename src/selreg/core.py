@@ -230,33 +230,39 @@ class CostMode(Enum):
 @dataclass(frozen=True)
 class CostConfig:
     """Either a deferral cost c (same units as squared target error) or a
-    maximum rejection fraction gamma."""
+    maximum rejection fraction gamma: ``value`` is the one ``mode`` reads."""
 
     mode: CostMode
-    cost_c: float = 0.0
-    budget_gamma: float = 0.0
+    value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cost_c", float(self.cost_c))
-        object.__setattr__(self, "budget_gamma", float(self.budget_gamma))
+        object.__setattr__(self, "value", float(self.value))
         if self.mode is CostMode.FIXED_COST:
-            if not 0.0 < self.cost_c < math.inf:
-                raise ValueError("fixed-cost mode requires a finite cost_c > 0")
-            if self.budget_gamma != 0.0:
-                raise ValueError("fixed-cost mode reads no budget_gamma")
+            if not 0.0 < self.value < math.inf:
+                raise ValueError(f"fixed-cost mode requires a finite cost c > 0, got {self.value!r}")
+        elif self.mode is CostMode.FIXED_BUDGET:
+            if not 0.0 < self.value < 1.0:
+                raise ValueError(f"fixed-budget mode requires gamma in (0,1), got {self.value!r}")
         else:
-            if not 0.0 < self.budget_gamma < 1.0:
-                raise ValueError("fixed-budget mode requires budget_gamma in (0,1)")
-            if self.cost_c != 0.0:
-                raise ValueError("fixed-budget mode reads no cost_c")
+            raise ValueError(f"mode must be a CostMode, got {self.mode!r}")
 
     @classmethod
     def fixed_cost(cls, c: float) -> "CostConfig":
-        return cls(CostMode.FIXED_COST, cost_c=c)
+        return cls(CostMode.FIXED_COST, c)
 
     @classmethod
     def fixed_budget(cls, gamma: float) -> "CostConfig":
-        return cls(CostMode.FIXED_BUDGET, budget_gamma=gamma)
+        return cls(CostMode.FIXED_BUDGET, gamma)
+
+    @property
+    def cost_c(self) -> float:
+        """The deferral cost; 0.0 in budget mode, where deferring is free."""
+        return self.value if self.mode is CostMode.FIXED_COST else 0.0
+
+    @property
+    def budget_gamma(self) -> float:
+        """The rejection budget; 0.0 in cost mode."""
+        return self.value if self.mode is CostMode.FIXED_BUDGET else 0.0
 
 
 @dataclass(frozen=True)

@@ -235,9 +235,10 @@ class ExperimentConfig:
         try:
             reg_doc = dict(doc["regressor"])
             kind = reg_doc.pop("kind")
+            mode = CostMode(doc["mode"])
             kw = {k: v for k, v in doc.items() if k not in ("mode", "cost_c", "budget_gamma")}
             kw.update(
-                cost_config=CostConfig(CostMode(doc["mode"]), doc["cost_c"], doc["budget_gamma"]),
+                cost_config=CostConfig(mode, doc["cost_c" if mode is CostMode.FIXED_COST else "budget_gamma"]),
                 regressor=KnnConfig(**reg_doc) if kind == "knn" else MlpConfig(**reg_doc) if kind == "mlp" else kind,
                 split=SplitSpec(**doc["split"]),
             )
@@ -307,7 +308,7 @@ class RunReport:
         derived = dict(
             dataset=cfg.dataset_source,
             mode=cc.mode.value,
-            c_or_gamma=cc.cost_c if cc.mode is CostMode.FIXED_COST else cc.budget_gamma,
+            c_or_gamma=cc.value,
             method=cfg.method_name(),
             seed_ledger=cfg.repeat_seeds(),
         )
@@ -474,11 +475,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             )
             f = fit_regressor(cfg.regressor, train, val, task, seed)
             if cc.mode is CostMode.FIXED_COST:
-                c = threshold = cc.cost_c
+                c = threshold = cc.value
                 calibrator = cost_calibrator(cfg.rejector, cfg.sigma_grid, f, val, task, c)
             else:
                 c = 0.0
-                calibrator, th = budget_threshold(cfg.rejector, f, val, task, cc.budget_gamma)
+                calibrator, th = budget_threshold(cfg.rejector, f, val, task, cc.value)
                 threshold = th.c_hat
             return empirical_rwr_loss(f, induce_rejector(calibrator, threshold), test, c)
         except Exception as exc:

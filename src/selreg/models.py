@@ -33,11 +33,9 @@ __all__ = [
     "MlpConfig",
     "KnnRegressor",
     "MlpRegressor",
-    "GradientCheckReport",
     "fit_knn",
     "fit_mlp",
     "fit_knn_auto",
-    "gradient_check",
 ]
 
 DEFAULT_K_GRID = (5, 10, 15, 20, 30, 50, 70, 100, 150)
@@ -172,7 +170,7 @@ def _init_params(dim: int, width: int, rng: np.random.Generator):
     return [w1, b1, w2, b2]
 
 
-def _forward_backward(params, X: np.ndarray, y: np.ndarray, work=None):
+def _forward_backward(params, X: np.ndarray, y: np.ndarray, work):
     """Mean-squared loss and its gradients for one batch.
 
     The ReLU backward multiplies by the mask ``hidden > 0.0`` rather than
@@ -189,8 +187,6 @@ def _forward_backward(params, X: np.ndarray, y: np.ndarray, work=None):
     """
     w1, b1, w2, b2 = params
     n = X.shape[0]
-    if work is None:
-        work = [np.empty((n, w1.shape[1])) for _ in range(3)]
     pre, hidden, dhidden = (buf[:n] for buf in work)
     np.matmul(X, w1, out=pre)
     pre += b1
@@ -247,52 +243,6 @@ def fit_mlp(train: Dataset, cfg: MlpConfig, seed: int) -> MlpRegressor:
                 if wd > 0.0 and i in (0, 2):  # decay weights only
                     params[i] = params[i] - lr * wd * params[i]
     return MlpRegressor(*params)
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    max_relative_error: float
-    per_layer: dict[str, float]
-
-
-def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int) -> GradientCheckReport:
-    """Analytic backprop gradients vs central finite differences (step 1e-5)
-    at the initial weights ``fit_mlp`` draws from ``seed``.
-
-    Relative error per parameter is |g_a - g_n| / max(|g_a|, |g_n|, 1e-6);
-    the floor keeps near-zero gradients from inflating the ratio.  Probe
-    datasets should stay small (<= 32 rows).
-    """
-    if probe.n > 32:
-        raise ValueError("probe dataset must have at most 32 rows")
-    step = 1e-5
-    rng = RngHandle(seed, STREAM_MLP).generator()
-    params = _init_params(probe.dim, cfg.hidden_width, rng)
-    X, y = probe.features, probe.targets
-    _, analytic = _forward_backward(params, X, y)
-
-    names = ("w1", "b1", "w2", "b2")
-    per_layer: dict[str, float] = {}
-    worst = 0.0
-    for i, name in enumerate(names):
-        p = params[i]
-        numeric = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            orig = p[ix]
-            p[ix] = orig + step
-            up, _ = _forward_backward(params, X, y)
-            p[ix] = orig - step
-            down, _ = _forward_backward(params, X, y)
-            p[ix] = orig
-            numeric[ix] = (up - down) / (2.0 * step)
-            it.iternext()
-        denom = np.maximum(np.maximum(np.abs(analytic[i]), np.abs(numeric)), 1e-6)
-        err = float(np.max(np.abs(analytic[i] - numeric) / denom))
-        per_layer[name] = err
-        worst = max(worst, err)
-    return GradientCheckReport(max_relative_error=worst, per_layer=per_layer)
 
 
 def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig = KnnConfig()) -> KnnRegressor:

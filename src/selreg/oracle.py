@@ -444,7 +444,6 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         PropertyResult("risk_decomposition_bound", bool(worst_dec >= -tol), float(worst_dec)),
         PropertyResult("risk_decomposition_tight_at_oracle", all(abs(x) <= tol for x in tight),
                        float(max(abs(x) for x in tight))),
-        PropertyResult("pair_consistency_exact", bool(abs(tight[0]) <= tol), float(abs(tight[0]))),
     ]
 
     # --- conformal acceptance threshold: coverage, monotonicity, rate ceiling

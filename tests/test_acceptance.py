@@ -24,7 +24,7 @@ from selreg.core import (
 from selreg.harness import ExperimentConfig, cost_calibrator, run_experiment
 from selreg.core import CostConfig
 from selreg.losses import bayes_risk, excess_losses, oracle_rwr_risk, squared_risk, truncated_loss
-from selreg.models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp, gradient_check
+from selreg.models import KnnConfig, MlpConfig, fit_knn_auto, fit_mlp
 from selreg.oracle import (
     build_entrywise_trapped_pair,
     build_locally_trapped_pair,
@@ -49,6 +49,7 @@ from selreg.tasks import (
     binary_rwr_risk,
     default_discrete_task,
 )
+from test_models import gradient_check
 
 TOL = 1e-12
 

@@ -23,7 +23,7 @@ def demo_csv():
 class TestBench:
     def test_fixed_cost_json(self, demo_csv, tmp_path, capsys):
         rc = main([
-            "bench", "--mode", "cost", "--cost", "0.5",
+            "bench", "--cost", "0.5",
             "--data", demo_csv, "--target-col", "target",
             "--regressor", "knn", "--rejector", "kernel",
             "--repeats", "2", "--seed", "1",
@@ -36,7 +36,7 @@ class TestBench:
 
     def test_fixed_budget_csv_output(self, tmp_path):
         rc = main([
-            "bench", "--mode", "budget", "--budget", "0.3",
+            "bench", "--budget", "0.3",
             "--data", "hetero6", "--synthetic-n", "300",
             "--repeats", "2", "--seed", "2",
             "--out", str(tmp_path), "--format", "csv",
@@ -45,15 +45,15 @@ class TestBench:
         header = (tmp_path / "bench.csv").read_text().splitlines()[0]
         assert header.startswith("dataset,c_or_gamma,method")
 
-    def test_missing_cost_is_usage_error(self, demo_csv, tmp_path):
-        rc = main(["bench", "--mode", "cost", "--data", demo_csv, "--out", str(tmp_path)])
-        assert rc == 1
+    def test_missing_cost_is_usage_error(self, demo_csv, tmp_path, capsys):
+        rc = main(["bench", "--data", demo_csv, "--out", str(tmp_path)])
+        assert rc == 1 and capsys.readouterr().err == "error: one of the arguments --cost --budget is required\n"
 
     def test_uppercase_csv_suffix_is_read_as_csv(self, tmp_path):
         data = tmp_path / "plant.CSV"
         shutil.copy(bundled_data_path("linear_plant.csv"), data)
         rc = main([
-            "bench", "--mode", "cost", "--cost", "0.5", "--data", str(data),
+            "bench", "--cost", "0.5", "--data", str(data),
             "--repeats", "1", "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -61,37 +61,45 @@ class TestBench:
         assert doc["dataset"] == str(data)
 
     @pytest.mark.parametrize("flags", [
-        ["--rejector", "conformal"],
-        ["--scores-from", "kernel"],
-        ["--mode", "cost", "--budget", "0", "--cost", "-1"],
-        ["--repeats", "0"],
-        ["--sigma-grid", "0.1,1"],  # budget mode takes the median length scale
-        ["--mode", "cost", "--budget", "0", "--cost", "1", "--rejector", "loss-linear", "--sigma-grid", "1"],
-        ["--mode", "cost", "--budget", "0", "--cost", "1", "--sigma-grid", "1,-1"],
-        ["--mode", "cost", "--cost", "1"],  # --budget 0.2 is not read in cost mode
-        ["--target-col", "y"],  # a synthetic task has no target column
-        ["--data", str(bundled_data_path("linear_plant.csv"))],  # a CSV does not read --synthetic-n 200
-        ["--synthetic-n", "-5"],
-        ["--seed", "-1"],
-        ["--seed", str(2**64 - 1), "--repeats", "2"],
-        ["--repeats", "x"],
-        ["--rep", "2"],  # flags are spelled in full
-        ["--mode", "cost", "--budget", "0", "--cost", "inf"],  # no bandwidth could win at c = inf
-        ["--mode", "cost", "--budget", "0", "--cost", "1", "--sigma-grid", "inf"],  # not JSON
+        ["--budget", "0.2", "--rejector", "conformal"],
+        ["--budget", "0.2", "--scores-from", "kernel"],
+        ["--cost", "-1"],
+        ["--budget", "0.2", "--repeats", "0"],
+        ["--budget", "0.2", "--sigma-grid", "0.1,1"],  # budget mode takes the median length scale
+        ["--cost", "1", "--rejector", "loss-linear", "--sigma-grid", "1"],
+        ["--cost", "1", "--sigma-grid", "1,-1"],
+        ["--budget", "0.2", "--cost", "1"],  # one flag picks the mode
+        ["--budget", "0.2", "--target-col", "y"],  # a synthetic task has no target column
+        ["--budget", "0.2", "--data", str(bundled_data_path("linear_plant.csv"))],  # a CSV reads no --synthetic-n 200
+        ["--budget", "0.2", "--synthetic-n", "-5"],
+        ["--budget", "0.2", "--seed", "-1"],
+        ["--budget", "0.2", "--seed", str(2**64 - 1), "--repeats", "2"],
+        ["--budget", "0.2", "--repeats", "x"],
+        ["--budget", "0.2", "--rep", "2"],  # flags are spelled in full
+        ["--cost", "inf"],  # no bandwidth could win at c = inf
+        ["--cost", "1", "--sigma-grid", "inf"],  # not JSON
+        ["--mode", "cost", "--cost", "1"],  # --cost alone picks the mode
+        [],  # neither --cost nor --budget
+        ["--budget", "0.2", "--cost", "0"],  # a flag given at 0 is still given
+        ["--cost", "0.5", "--budget", "0"],
     ])
     def test_removed_options_are_usage_errors(self, flags, tmp_path, capsys):
-        argv = [
-            "bench", "--mode", "budget", "--budget", "0.2", "--data", "hetero6",
-            "--synthetic-n", "200", "--repeats", "1", "--out", str(tmp_path), *flags,
-        ]
-        rc = main(argv)
+        rc = main(["bench", "--data", "hetero6", "--synthetic-n", "200", "--repeats", "1", "--out", str(tmp_path), *flags])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "bench.json").exists()
 
+    def test_mode_line_in_a_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = cost\ncost = 1\n")
+        rc = main(["bench", "--data", "hetero6", "--repeats", "1", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == "error: unrecognized arguments: --mode=cost\n"
+        assert not (tmp_path / "bench.json").exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main([
-            "bench", "--mode", "cost", "--cost", "1.0",
+            "bench", "--cost", "1.0",
             "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path),
         ])
         assert rc == 2
@@ -99,7 +107,7 @@ class TestBench:
     def test_repeated_csv_column_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "dup.csv"
         p.write_text("x,target,target\n" + "".join(f"{i},{i},{i}\n" for i in range(20)))
-        rc = main(["bench", "--mode", "cost", "--cost", "1", "--data", str(p), "--repeats", "1",
+        rc = main(["bench", "--cost", "1", "--data", str(p), "--repeats", "1",
                    "--out", str(tmp_path)])
         assert rc == 2 and "repeats column(s) ['target']" in capsys.readouterr().err
 
@@ -110,7 +118,7 @@ class TestBench:
     def test_malformed_csv_is_data_error(self, text, message, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text(text)
-        rc = main(["bench", "--mode", "cost", "--cost", "1", "--data", str(p), "--repeats", "1",
+        rc = main(["bench", "--cost", "1", "--data", str(p), "--repeats", "1",
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and message in err
@@ -118,7 +126,7 @@ class TestBench:
     def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("cost = 1\nrepeats 2\n")
-        rc = main(["bench", "--mode", "cost", "--data", "hetero6", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["bench", "--data", "hetero6", "--config", str(cfg), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
         assert f"{cfg}:2: expected 'key = value'" in err
@@ -127,7 +135,7 @@ class TestBench:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# demo config\ncost = 0.5\nrepeats = 2\nseed = 9\n")
         rc = main([
-            "bench", "--mode", "cost", "--data", demo_csv,
+            "bench", "--data", demo_csv,
             "--config", str(cfg), "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -138,7 +146,7 @@ class TestBench:
 
     def test_config_file_supplies_required_flags(self, demo_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data = {demo_csv}\nmode = cost\ncost = 0.5\nrepeats = 1\n")
+        cfg.write_text(f"data = {demo_csv}\ncost = 0.5\nrepeats = 1\n")
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "bench.json").read_text())
         assert doc["config"]["dataset_source"] == demo_csv
@@ -148,7 +156,7 @@ class TestBench:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("cost = 0.5\n")
         rc = main([
-            "bench", "--mode", "cost", "--cost", "1.5", "--data", demo_csv,
+            "bench", "--cost", "1.5", "--data", demo_csv,
             "--repeats", "2", "--config", str(cfg), "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -159,7 +167,7 @@ class TestBench:
         cfg = tmp_path / "r.cfg"
         cfg.write_text("repeats = 2\n")
         rc = main([
-            "bench", "--mode", "cost", "--cost", "1", "--data", "hetero6",
+            "bench", "--cost", "1", "--data", "hetero6",
             "--repeats", "10", "--config", str(cfg), "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -253,7 +261,7 @@ class TestFitCalibrate:
             "--seed", "4", "--out", str(cal),
         ]) == 0
         assert main([
-            "bench", "--mode", "cost", "--cost", "0.5", "--data", data,
+            "bench", "--cost", "0.5", "--data", data,
             "--repeats", "1", "--seed", "4", "--out", str(tmp_path),
         ]) == 0
         f = model_from_json(model.read_text())
@@ -368,7 +376,7 @@ def test_unreadable_input_file_is_data_error(flag, tmp_path, capsys):
     # a directory stands for any file that cannot be read
     argv = {
         "report --input": ["report", "--input", str(tmp_path)],
-        "--config": ["bench", "--data", "hetero6", "--mode", "cost", "--cost", "1", "--config", str(tmp_path)],
+        "--config": ["bench", "--data", "hetero6", "--cost", "1", "--config", str(tmp_path)],
         "calibrate --model": ["calibrate", "--data", "hetero6", "--model", str(tmp_path)],
     }[flag]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -385,8 +393,8 @@ def test_config_on_a_command_that_does_not_take_it_is_usage_error(command, tmp_p
 
 
 @pytest.mark.parametrize("flags", [
-    ["bench", "--mode", "cost", "--cost", "1", "--regressor", "oracle"],
-    ["bench", "--mode", "cost", "--cost", "1", "--rejector", "oracle"],
+    ["bench", "--cost", "1", "--regressor", "oracle"],
+    ["bench", "--cost", "1", "--rejector", "oracle"],
     ["fit", "--regressor", "oracle"],
 ], ids=["bench-regressor", "bench-rejector", "fit"])
 def test_oracle_on_a_csv_is_usage_error(flags, tmp_path, capsys):
@@ -402,7 +410,7 @@ def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
     is refused with one error line."""
     model, bench = tmp_path / "model.json", tmp_path / "bench"
     assert main(["fit", "--data", "hetero6", "--out", str(model)]) == 0
-    assert main(["bench", "--data", "hetero6", "--mode", "cost", "--cost", "1", "--repeats", "1",
+    assert main(["bench", "--data", "hetero6", "--cost", "1", "--repeats", "1",
                  "--synthetic-n", "200", "--out", str(bench)]) == 0
     blocked = tmp_path / "blocked"
     (blocked / "bench.json").mkdir(parents=True)
@@ -411,7 +419,7 @@ def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
         "fit": ["fit", "--data", "hetero6", "--out", str(blocked)],
         "calibrate": ["calibrate", "--data", "hetero6", "--model", str(model), "--out", str(blocked)],
         "verify-theory": ["verify-theory", "--trials", "10", "--out", str(blocked)],
-        "bench": ["bench", "--data", "hetero6", "--mode", "cost", "--cost", "1", "--repeats", "1",
+        "bench": ["bench", "--data", "hetero6", "--cost", "1", "--repeats", "1",
                   "--synthetic-n", "200", "--out", str(blocked)],
         "report": ["report", "--input", str(bench / "bench.json"), "--out", str(blocked)],
     }[command]
@@ -450,14 +458,14 @@ class TestVerifyTheory:
 
 
 _BOTH_MODES = pytest.mark.parametrize(
-    "mode", [["--mode", "cost", "--cost", "1.0"], ["--mode", "budget", "--budget", "0.2"]], ids=["cost", "budget"]
+    "mode", [["--cost", "1.0"], ["--budget", "0.2"]], ids=["cost", "budget"]
 )
 
 
 class TestReport:
     def test_json_to_csv(self, tmp_path):
         rc = main([
-            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "bench", "--cost", "1.0", "--data", "hetero6",
             "--synthetic-n", "200", "--repeats", "2", "--seed", "0",
             "--out", str(tmp_path), "--format", "json",
         ])
@@ -492,7 +500,7 @@ class TestReport:
     @pytest.mark.parametrize("index, field, value", [(0, "all_deferred", True), (1, "rwr_loss", -5.0)])
     def test_repeat_rwr_report_cannot_write_is_data_error(self, index, field, value, tmp_path, capsys):
         bench = tmp_path / "bench.json"
-        assert main(["bench", "--mode", "cost", "--cost", "2.0", "--data", "hetero6", "--repeats", "2",
+        assert main(["bench", "--cost", "2.0", "--data", "hetero6", "--repeats", "2",
                      "--out", str(tmp_path)]) == 0
         doc = json.loads(bench.read_text())
         doc["repeats"][index][field] = value
@@ -517,7 +525,7 @@ class TestReport:
     ], ids=["unknown-key", "removed-rejector", "missing-key", "fractional-seed", "fractional-k-grid", "bool-k-grid"])
     def test_echo_that_bench_would_not_write_is_data_error(self, garble, tmp_path, capsys):
         assert main([
-            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "bench", "--cost", "1.0", "--data", "hetero6",
             "--synthetic-n", "200", "--repeats", "2", "--out", str(tmp_path),
         ]) == 0
         doc = json.loads((tmp_path / "bench.json").read_text())
@@ -532,7 +540,7 @@ class TestReport:
     @pytest.mark.parametrize("value", [True, 1])
     def test_cost_that_is_not_a_float_is_data_error(self, value, tmp_path, capsys):
         assert main([
-            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "bench", "--cost", "1.0", "--data", "hetero6",
             "--synthetic-n", "200", "--repeats", "2", "--out", str(tmp_path),
         ]) == 0
         doc = json.loads((tmp_path / "bench.json").read_text())
@@ -546,7 +554,7 @@ class TestReport:
 
     def test_label_the_echo_does_not_derive_is_data_error(self, tmp_path, capsys):
         assert main([
-            "bench", "--mode", "cost", "--cost", "1.0", "--data", "hetero6",
+            "bench", "--cost", "1.0", "--data", "hetero6",
             "--synthetic-n", "200", "--repeats", "2", "--out", str(tmp_path),
         ]) == 0
         doc = json.loads((tmp_path / "bench.json").read_text())
@@ -563,4 +571,4 @@ class TestEntryPoint:
             [sys.executable, "-m", "selreg.cli", "bench"],
             capture_output=True, text=True,
         )
-        assert out.returncode == 1  # missing required --mode
+        assert out.returncode == 1  # neither --cost nor --budget

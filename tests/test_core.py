@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +24,14 @@ from selreg.core import (
     split_dataset,
     standardize,
 )
+from selreg.harness import ExperimentConfig
 
 
 class TestDataset:
+    def test_features_must_be_2d(self):
+        with pytest.raises(DataError, match=r"features must be 2-D, got shape \(3,\)"):
+            Dataset(np.zeros(3), np.zeros(3))
+
     def test_row_mismatch_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.zeros((3, 2)), np.zeros(4))
@@ -40,6 +48,11 @@ class TestDataset:
 
 
 class TestSplit:
+    @pytest.mark.parametrize("fracs", [(0.0, 0.1), (0.2, 1.0)])
+    def test_fractions_must_lie_in_the_open_unit_interval(self, fracs):
+        with pytest.raises(ValueError, match=re.escape(f"fractions must lie in (0,1), got {fracs}")):
+            SplitSpec(*fracs)
+
     def test_exact_fractions(self):
         data = Dataset(np.arange(10, dtype=float)[:, None], np.zeros(10))
         tr, va, te = split_dataset(data, SplitSpec(), 0)
@@ -85,6 +98,10 @@ class TestSplit:
 
 
 class TestStandardize:
+    def test_one_training_row_is_refused(self):
+        with pytest.raises(DataError, match="standardize needs at least 2 training rows"):
+            standardize(Dataset(np.zeros((1, 2)), np.zeros(1)))
+
     def test_unit_scale(self):
         train = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 5.0, 9.0]))
         out, others = standardize(train)
@@ -129,19 +146,38 @@ class TestRng:
 class TestCostConfig:
     def test_mode_invariants(self):
         # at c = inf every held-out loss is 0 * inf, and no bandwidth can win
-        for c in (0.0, float("inf"), float("nan")):
+        for c in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="fixed-cost mode requires"):
                 CostConfig.fixed_cost(c)
-        with pytest.raises(ValueError):
-            CostConfig.fixed_budget(1.0)
-        assert CostConfig.fixed_cost(2.0).cost_c == 2.0
-        assert CostConfig.fixed_budget(0.3).budget_gamma == 0.3
+        # 1.5 is a cost but not a budget
+        for gamma in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="fixed-budget mode requires gamma in"):
+                CostConfig.fixed_budget(gamma)
+        assert CostConfig.fixed_cost(1.5) == CostConfig(CostMode.FIXED_COST, 1.5)
+        assert CostConfig.fixed_budget(0.5).value == 0.5
+        assert [f.name for f in dataclasses.fields(CostConfig)] == ["mode", "value"]
+
+    @pytest.mark.parametrize("mode", ["cost", "budget", None])
+    def test_mode_that_is_not_a_cost_mode_is_refused(self, mode):
+        with pytest.raises(ValueError, match="mode must be a CostMode"):
+            CostConfig(mode, 0.5)
+
+    def test_value_of_the_other_mode_reads_zero(self):
+        cost, budget = CostConfig.fixed_cost(2.0), CostConfig.fixed_budget(0.3)
+        assert (cost.cost_c, cost.budget_gamma) == (2.0, 0.0)
+        assert (budget.cost_c, budget.budget_gamma) == (0.0, 0.3)
 
     def test_value_of_the_other_mode_is_refused(self):
-        with pytest.raises(ValueError, match="budget_gamma"):
+        # a config has no slot for it, and a config echo that gives one is
+        # not the echo of any run
+        with pytest.raises(TypeError):
             CostConfig(CostMode.FIXED_COST, cost_c=1.0, budget_gamma=0.2)
-        with pytest.raises(ValueError, match="cost_c"):
-            CostConfig(CostMode.FIXED_BUDGET, cost_c=1.0, budget_gamma=0.2)
+        for cost_config, other in ((CostConfig.fixed_cost(1.0), "budget_gamma"),
+                                   (CostConfig.fixed_budget(0.2), "cost_c")):
+            echo = ExperimentConfig("hetero6", cost_config).to_dict()
+            assert echo[other] == 0.0 and ExperimentConfig.from_dict(echo).cost_config == cost_config
+            with pytest.raises(ValueError, match=f"differs at \\['{other}'\\]"):
+                ExperimentConfig.from_dict(dict(echo, **{other: 0.5}))
 
 
 class TestKernelSpec:
@@ -201,6 +237,10 @@ class TestSerialization:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DataError, match="NaN or inf"):
                 reg.predict(np.array([[bad], [1.9]]))
+
+    def test_lookup_rejector_accepts_only_zero_or_one(self):
+        with pytest.raises(ValueError, match="accepts must be 0/1"):
+            TableLookupRejector(np.array([[0.0], [1.0]]), np.array([0, 0.5]))
 
     def test_lookup_rejector_refuses_nonfinite_queries(self):
         rej = TableLookupRejector(np.array([[0.0], [1.0]]), np.array([0, 1]))

@@ -9,10 +9,10 @@ import json
 from selreg.backend import pairwise_sq_dists
 from selreg.core import (
     CostConfig,
-    CostMode,
     DEFAULT_SIGMA_GRID,
     DataError,
     Regressor,
+    SelregError,
     SplitSpec,
     TableLookupRegressor,
 )
@@ -285,6 +285,10 @@ class TestMaterialize:
         with pytest.raises(DataError, match="cannot read"):
             materialize("hetero7", 0)
 
+    def test_unknown_bundled_dataset_is_refused(self):
+        with pytest.raises(DataError, match="no bundled dataset named 'nope.csv'"):
+            bundled_data_path("nope.csv")
+
 
 class TestOracleRegressor:
     def test_is_the_true_mean_off_the_quadrature_nodes(self):
@@ -298,6 +302,40 @@ class TestOracleRegressor:
         f = fit_regressor("oracle", train, val, task, 0)
         assert isinstance(f, TableLookupRegressor)
         np.testing.assert_array_equal(f.predict(task.points), task.means)
+
+
+class TestStageRefusals:
+    """The stages refuse a kind they do not know, and an oracle without the
+    synthetic task that defines it."""
+
+    @pytest.fixture(scope="class")
+    def csv_splits(self):
+        return materialize(str(bundled_data_path("linear_plant.csv")), 0)
+
+    @pytest.mark.parametrize("regressor, message", [
+        ("forest", "unknown regressor 'forest'"),
+        ("oracle", "the oracle regressor needs a synthetic task source"),
+    ], ids=["unknown-kind", "oracle-without-task"])
+    def test_fit_regressor(self, regressor, message, csv_splits):
+        train, val, _, task = csv_splits
+        with pytest.raises(SelregError, match=message) as exc:
+            fit_regressor(regressor, train, val, task, 0)
+        assert exc.type is SelregError
+
+    @pytest.mark.parametrize("rejector, message", [
+        ("forest", "unknown rejector kind 'forest'"),
+        ("oracle", "the oracle rejector needs a synthetic task source"),
+    ], ids=["unknown-kind", "oracle-without-task"])
+    @pytest.mark.parametrize("stage", ["cost", "budget"])
+    def test_calibrator_without_a_grid(self, stage, rejector, message, csv_splits):
+        train, val, _, task = csv_splits
+        f = fit_regressor(KnnConfig(), train, val, task, 0)
+        with pytest.raises(SelregError, match=message) as exc:
+            if stage == "cost":
+                cost_calibrator(rejector, DEFAULT_SIGMA_GRID, f, val, task, 0.5)
+            else:
+                budget_threshold(rejector, f, val, task, 0.2)
+        assert exc.type is SelregError
 
 
 class _RowCounter(Regressor):
@@ -526,8 +564,10 @@ _VARIATIONS = {
     (ExperimentConfig, "workers"): (_ON_HETERO6, {"workers": 2}),
     (SplitSpec, "val_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.3, 0.1)}),
     (SplitSpec, "test_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.2, 0.2)}),
-    (CostConfig, "mode"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_budget(0.3)}),
-    (CostConfig, "cost_c"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_cost(0.5)}),
+    # 0.5 is both a cost and a budget, so only the mode changes
+    (CostConfig, "mode"): (dict(_ON_HETERO6, cost_config=CostConfig.fixed_cost(0.5)),
+                           {"cost_config": CostConfig.fixed_budget(0.5)}),
+    (CostConfig, "value"): (_ON_HETERO6, {"cost_config": CostConfig.fixed_cost(0.5)}),
     (KnnConfig, "k_grid"): (_ON_HETERO6, {"regressor": KnnConfig(k_grid=(1,))}),
     (MlpConfig, "hidden_width"): (_WITH_MLP, _mlp(hidden_width=8)),
     (MlpConfig, "learning_rate"): (_WITH_MLP, _mlp(learning_rate=5e-3)),
@@ -537,9 +577,6 @@ _VARIATIONS = {
 }
 # Values that the run would not read: each builds a config to be refused.
 _REFUSED = {
-    (CostConfig, "budget_gamma"): lambda: dict(
-        _ON_HETERO6, cost_config=CostConfig(CostMode.FIXED_COST, cost_c=2.0, budget_gamma=0.3)
-    ),
     (KnnConfig, "k"): lambda: dict(_ON_HETERO6, regressor=KnnConfig(k=7)),
 }
 _EQUAL_BY_DESIGN = {(ExperimentConfig, "workers")}

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from selreg.models import (
     fit_knn,
     fit_knn_auto,
     fit_mlp,
-    gradient_check,
 )
 from selreg.oracle import random_table_rejector
 from selreg.tasks import default_discrete_task, default_smooth_task
@@ -118,13 +119,11 @@ class TestSelectHyperparameters:
         assert hash(cfg) == hash(KnnConfig(k_grid=(5, 10)))
 
 
-def _boolean_scatter_forward_backward(params, X, y, work=None):
+def _boolean_scatter_forward_backward(params, X, y, work):
     """Reference for ``models._forward_backward``: the same arithmetic, but
     the ReLU backward writes zeros through the boolean index ``pre <= 0.0``."""
     w1, b1, w2, b2 = params
     n = X.shape[0]
-    if work is None:
-        work = [np.empty((n, w1.shape[1])) for _ in range(3)]
     pre, hidden, dhidden = (buf[:n] for buf in work)
     np.matmul(X, w1, out=pre)
     pre += b1
@@ -234,6 +233,14 @@ class TestMlp:
         data = Dataset(rng.normal(size=(20, 2)), rng.normal(size=20))
         fit_mlp(data, MlpConfig(epochs=2, batch_size=256), 1)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(hidden_width=0), "hidden_width, batch_size and epochs must be >= 1"),
+        (dict(learning_rate=0.0), "learning_rate must be > 0 and weight_decay >= 0"),
+    ], ids=["zero-width", "zero-learning-rate"])
+    def test_config_refuses_values_it_cannot_train_with(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            MlpConfig(**change)
+
     def test_divergence_raises_non_finite_loss(self):
         rng = np.random.default_rng(4)
         data = Dataset(rng.normal(size=(32, 2)), rng.normal(size=32))
@@ -241,6 +248,53 @@ class TestMlp:
         with np.errstate(all="ignore"), pytest.raises(SelregError, match="training loss became non-finite") as exc:
             fit_mlp(data, absurd, 2)
         assert exc.type is SelregError
+
+
+@dataclass(frozen=True)
+class GradientCheckReport:
+    max_relative_error: float
+    per_layer: dict[str, float]
+
+
+def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int) -> GradientCheckReport:
+    """Analytic backprop gradients vs central finite differences (step 1e-5)
+    at the initial weights ``fit_mlp`` draws from ``seed``.
+
+    Relative error per parameter is |g_a - g_n| / max(|g_a|, |g_n|, 1e-6);
+    the floor keeps near-zero gradients from inflating the ratio.  Probe
+    datasets should stay small (<= 32 rows).
+    """
+    if probe.n > 32:
+        raise ValueError("probe dataset must have at most 32 rows")
+    step = 1e-5
+    rng = RngHandle(seed, STREAM_MLP).generator()
+    params = models._init_params(probe.dim, cfg.hidden_width, rng)
+    X, y = probe.features, probe.targets
+    work = [np.empty((probe.n, cfg.hidden_width)) for _ in range(3)]
+    _, analytic = models._forward_backward(params, X, y, work)
+
+    names = ("w1", "b1", "w2", "b2")
+    per_layer: dict[str, float] = {}
+    worst = 0.0
+    for i, name in enumerate(names):
+        p = params[i]
+        numeric = np.zeros_like(p)
+        it = np.nditer(p, flags=["multi_index"])
+        while not it.finished:
+            ix = it.multi_index
+            orig = p[ix]
+            p[ix] = orig + step
+            up, _ = models._forward_backward(params, X, y, work)
+            p[ix] = orig - step
+            down, _ = models._forward_backward(params, X, y, work)
+            p[ix] = orig
+            numeric[ix] = (up - down) / (2.0 * step)
+            it.iternext()
+        denom = np.maximum(np.maximum(np.abs(analytic[i]), np.abs(numeric)), 1e-6)
+        err = float(np.max(np.abs(analytic[i] - numeric) / denom))
+        per_layer[name] = err
+        worst = max(worst, err)
+    return GradientCheckReport(max_relative_error=worst, per_layer=per_layer)
 
 
 class TestGradientCheck:

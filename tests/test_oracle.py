@@ -37,6 +37,7 @@ from selreg.tasks import (
     CondMeanRegressor,
     DiscreteTask,
     OracleRiskCalibrator,
+    binary_rwr_risk,
     default_discrete_task,
     default_smooth_task,
 )
@@ -71,6 +72,12 @@ class TestTrapConstructions:
         )
         with pytest.raises(SelregError, match="need min variance < c") as exc:
             build_locally_trapped_pair(flat, C)
+        assert exc.type is SelregError
+
+    def test_entrywise_premise_checked(self, task):
+        # hetero6's smallest variance is 0.25, so no point lies strictly below c = 0.25
+        with pytest.raises(SelregError, match="need a region of strictly sub-threshold variance") as exc:
+            build_entrywise_trapped_pair(task, 0.25)
         assert exc.type is SelregError
 
     def test_entrywise_trap_defers_spoiled_region(self, task):
@@ -382,6 +389,32 @@ class TestTaskValidation:
                 broken.flat[0] = bad
                 with pytest.raises(DataError, match="must be finite"):
                     BinaryTask(**{**good, field: broken})
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(weights=np.array([0.5, 0.6])), r"weights must be a probability vector \(sum 1 within 1e-12\)"),
+        (dict(variances=np.array([1.0, -0.5])), "conditional variances must be nonnegative"),
+    ], ids=["weights-sum-1.1", "negative-variance"])
+    def test_discrete_task_refuses_an_impossible_distribution(self, change, message):
+        good = dict(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]),
+                    means=np.array([0.0, 1.0]), variances=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=message):
+            DiscreteTask(**{**good, **change})
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(weights=np.array([0.5, 0.6])), "weights must sum to 1"),
+        (dict(eta=np.array([0.2, 1.5])), r"eta must lie in \[0,1\]"),
+    ], ids=["weights-sum-1.1", "eta-above-1"])
+    def test_binary_task_refuses_an_impossible_distribution(self, change, message):
+        good = dict(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2, 0.7]))
+        with pytest.raises(ValueError, match=message):
+            BinaryTask(**{**good, **change})
+
+    def test_binary_risk_needs_a_zero_one_classifier(self):
+        task = BinaryTask(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2, 0.7]))
+        half = TableLookupRegressor(task.points, np.array([0.0, 0.5]))
+        accept_all = TableLookupRejector(task.points, np.array([1, 1]))
+        with pytest.raises(ValueError, match="classifier must output 0/1 labels on the support"):
+            binary_rwr_risk(half, accept_all, task, 0.3)
 
     def test_binary_task_refuses_a_column_short_of_the_points(self):
         with pytest.raises(DataError, match="one entry to each of 2 point rows"):

@@ -241,6 +241,11 @@ class TestConformalThreshold:
         assert th.order_statistic_index == 5
         assert math.isinf(th.c_hat)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_budget_must_lie_in_the_open_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0,1\)"):
+            conformal_threshold(np.array([0.1, 0.2]), gamma)
+
     def test_extreme_budget_takes_min_score(self):
         scores = np.array([5.0, 1.0, 3.0, 2.0, 9.0, 4.0, 8.0, 7.0, 6.0, 10.0])
         th = conformal_threshold(scores, gamma=0.999)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from selreg.core import DataError
+from selreg.core import DataError, SelregError
 from selreg.harness import materialize
-from selreg.tasks import SmoothTask1D, _legendre_rule, default_discrete_task, default_smooth_task
+from selreg.tasks import SmoothTask1D, _legendre_rule, default_discrete_task, default_smooth_task, get_task
 
 
 def quadrature_reference(task):
@@ -75,3 +75,15 @@ def test_discrete_moments_take_the_nearest_point_ties_lower():
     task = default_discrete_task()
     np.testing.assert_array_equal(task.mean_at(np.array([[1.0], [1.1], [11.0]])), [0.5, -1.0, -0.5])
     np.testing.assert_array_equal(task.var_at(np.array([[3.0], [-1.0]])), [0.5, 0.25])
+
+
+def test_smooth_task_refuses_a_negative_variance():
+    task = SmoothTask1D(lo=0.0, hi=1.0, mean_fn=np.sin, var_fn=lambda x: x - 0.5)
+    with pytest.raises(ValueError, match="var_fn returned a negative variance"):
+        task.var_at(np.array([[0.25]]))
+
+
+def test_unknown_task_name_is_refused():
+    with pytest.raises(SelregError, match=r"unknown synthetic task 'hetero7'; available: \['hetero6', 'smooth1d'\]") as exc:
+        get_task("hetero7")
+    assert exc.type is SelregError
