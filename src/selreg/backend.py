@@ -4,7 +4,11 @@ Contracts:
 
 ``pairwise_sq_dists(queries[nq,d], points[m,d]) -> [nq,m]``
     Squared Euclidean distances, summed coordinate by coordinate from exact
-    differences.  The norm expansion |q|^2 + |p|^2 - 2 q.p cancels and
+    differences.  Each difference is a BLAS product of two exact terms,
+    ``(q, -1) . (1, p)``, so it is rounded once: the bits of ``q - p``,
+    however many rows the product gets (of two NaNs it may keep either), at
+    a third of the cost of ``np.subtract.outer`` on rows shorter than about
+    2,700 points.  The norm expansion |q|^2 + |p|^2 - 2 q.p cancels and
     breaks ties: ``knn_mean`` at d > 1 uses it only to preselect candidates,
     and every distance it compares is still summed from exact differences.
 
@@ -23,9 +27,10 @@ Contracts:
     that is not strictly farther) takes the full distance row instead, so
     the result is the same bits either way.
 
-    For d > 1 with ``2 max(ks) < m``, one BLAS product per block gives the
-    norm expansion, which only preselects the ``2 max(ks)`` candidates of
-    each query: the points whose expansion is at or below its
+    For d > 1 with ``2 max(ks) < m``, one BLAS product per block,
+    ``[|q|^2, -2q, 1] @ [1; p; |p|^2]``, gives the whole norm expansion with
+    no further pass over the block.  It only preselects the ``2 max(ks)``
+    candidates of each query: the points whose expansion is at or below its
     ``2 max(ks)``-th smallest value.  Every distance compared is still summed
     from exact differences.  A row where that is not exactly ``2 max(ks)``
     points (a tie there, or a NaN), or whose candidates may miss a point
@@ -37,12 +42,14 @@ Contracts:
     Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
     an all-zero weight row falls back to the value at the nearest center
     (ties to the lower index).  Each block of queries computes its distances
-    once, negates them in place and reuses one block x m weight buffer for
-    every sigma, and each row equals a call with that sigma alone.  The
-    numerator is a row sum of weight times value, as the denominator is a
-    row sum of weights, so each row also has the bits of a call with that
-    query alone, whatever block it falls in; a BLAS product's bits depend
-    on how many rows it gets.  Every sigma must be positive and finite.
+    once and reuses one block x m weight buffer for every sigma, into which
+    it divides the distances by ``-sigma``: the bits of ``-(d2 / sigma)``,
+    as division rounds the magnitude alone.  Each row equals a call with
+    that sigma alone.  The numerator is a row sum of weight times value, as
+    the denominator is a row sum of weights, so each row also has the bits
+    of a call with that query alone, whatever block it falls in; a BLAS
+    product that rounds more than once has bits that depend on how many
+    rows it gets.  Every sigma must be positive and finite.
 
 No kernel warns on extreme coordinates.  inf - inf gives a NaN distance,
 which kNN ranks last and which makes that query's ``gaussian_nw`` estimate
@@ -60,19 +67,26 @@ of ``knn_mean`` takes 256 rows.  Block size changes no bit of any result.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
 reusable buffer per role (distances, differences, weights, the expansion,
-its partition copy, the candidate mask and the points' columns), each an
+its partition copy, the candidate mask and the point table), each an
 anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
 of size block x m, and no page of it is handed back to the system and
 faulted in again between blocks.  A buffer holds the largest array any call
 in its thread has asked of its role until the thread ends: at most
-``max(budget, 16 m)`` elements, or d x m for the columns.  Apart from the
-``[nq,m]`` result of ``pairwise_sq_dists``, memory therefore grows with that
-element budget and not with the number of queries (block x window on the
-d = 1 path).
+``max(budget, 16 m)`` elements, or (d + 2) x m for the point table.  Apart
+from the ``[nq,m]`` result of ``pairwise_sq_dists``, memory therefore grows
+with that element budget and not with the number of queries (block x window
+on the d = 1 path).
+
+The point table, rows ``1, p_1 .. p_d, |p|^2``, is the one copy of the
+points in a call: each difference product reads two of its rows, and the
+expansion reads all of them.  A kernel generator holds its table until it
+is done or closed, and any other kernel called in its thread meanwhile
+raises rather than overwrite it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import threading
@@ -97,12 +111,32 @@ class _Workspace(threading.local):
     ``mmap``, outside malloc's heap, so it never pins the heap and its pages
     are faulted in once, not on every block.  It grows to the largest request
     of its role and is freed with the thread.
+
+    ``hold(role, shape)`` takes a role for the length of a ``with`` block,
+    and ``take`` refuses a held role: a block generator that holds its point
+    table makes a second one in its thread raise, rather than overwrite the
+    table between two of its blocks.
     """
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
+        self.held: set[str] = set()
+
+    @contextlib.contextmanager
+    def hold(self, role: str, shape: tuple[int, ...]):
+        array = self.take(role, shape)
+        self.held.add(role)
+        try:
+            yield array
+        finally:
+            self.held.discard(role)
 
     def take(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        if role in self.held:
+            raise RuntimeError(
+                f"the workspace's {role!r} is held by a live kernel generator in this thread;"
+                " finish or close it before calling another kernel"
+            )
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self.buffers.get(role)
@@ -129,26 +163,53 @@ def _as_pair(queries, points):
     return queries, points
 
 
-def _columns(points: np.ndarray) -> np.ndarray:
-    """The points as a contiguous [d, m] array in the workspace."""
-    columns = _WORK.take("columns", points.shape[::-1])
-    np.copyto(columns, points.T)
-    return columns
+@contextlib.contextmanager
+def _point_table(points: np.ndarray):
+    """The [d + 2, m] table of rows ``1, p_1 .. p_d, |p|^2`` over the m
+    points, in the workspace and held there until the block exits.  Both
+    products read it through views, so the points are copied once per call.
+    Every kernel takes its table before any other buffer, so while a
+    generator holds one, any other kernel in its thread raises."""
+    m, d = points.shape
+    with _WORK.hold("table", (d + 2, m)) as table:
+        table[0] = 1.0
+        np.copyto(table[1:-1], points.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.einsum("ij,ij->j", table[1:-1], table[1:-1], out=table[-1])
+        yield table
 
 
-def _sq_dist(block: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``d2[i, j]``, the squared distance from ``block[i]`` to the point in
-    column j of ``columns``, summed coordinate by coordinate from exact
-    differences into the workspace: valid until the next call."""
-    d2 = _WORK.take("d2", (block.shape[0], columns.shape[1]))
-    diff = _WORK.take("diff", d2.shape)
-    d2.fill(0.0)
+def _sq_dist(block: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``d2[i, j]``, the squared distance from ``block[i]`` to point j of
+    the ``_point_table``, summed coordinate by coordinate from exact
+    differences into the workspace: valid until the next call.
+
+    Each difference ``q - p`` is the product ``(q, -1) . (1, p)`` of the
+    block's column and two rows of the table.  Both terms are exact, so
+    their sum is rounded once: the bits of ``q - p``, but for the sign of a
+    zero, which the square drops, and, where both are NaN, which of the two
+    it keeps.  ``np.subtract.outer`` gives those bits too, but on rows
+    shorter than about 2,700 points NumPy runs it through its buffered
+    iterator at three times the cost of the product; on longer rows the
+    product costs up to 1.5 times as much.  The first square goes straight
+    into ``d2``.
+    """
+    (n, d), m = block.shape, table.shape[1]
+    d2 = _WORK.take("d2", (n, m))
+    diff = _WORK.take("diff", (n, m))
+    lhs = _WORK.take("lhs", (n, 2))
+    lhs[:, 1] = -1.0
+    if d == 0:  # no coordinate to square: every distance is 0
+        d2.fill(0.0)
     # inf - inf gives a NaN distance and an overflow an inf one, quietly;
     # the caller's arithmetic on d2 keeps its own policy
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, p in zip(block.T, columns):
-            np.subtract.outer(q, p, out=diff)
-            d2 += np.square(diff, out=diff)
+        for j in range(d):
+            lhs[:, 0] = block[:, j]
+            out = diff if j else d2
+            np.square(np.matmul(lhs, table[: j + 2 : j + 1], out=out), out=out)
+            if j:
+                d2 += diff
     return d2
 
 
@@ -158,15 +219,16 @@ def _sq_dist_blocks(queries, points):
     ``_block_rows(m, _DIST_BUDGET)`` queries at a time.
 
     ``d2`` lives in the thread's workspace: it is valid only until the next
-    block, and the caller may overwrite it.  The kernels call this rather
-    than ``pairwise_sq_dists``, so that public name counts only its direct
-    callers.
+    block, and the caller may overwrite it.  Until the generator is done or
+    closed it holds its point table, so a kernel called from its loop
+    raises.  The kernels call this rather than ``pairwise_sq_dists``, so
+    that public name counts only its direct callers.
     """
     queries, points = _as_pair(queries, points)
-    columns = _columns(points)
     rows = _block_rows(points.shape[0], _DIST_BUDGET)
-    for start in range(0, queries.shape[0], rows):
-        yield start, _sq_dist(queries[start : start + rows], columns)
+    with _point_table(points) as table:
+        for start in range(0, queries.shape[0], rows):
+            yield start, _sq_dist(queries[start : start + rows], table)
 
 
 def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -212,35 +274,46 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     return idx, full
 
 
-def _candidate_nearest(q, columns, p2, p2max, k: int):
+def _candidate_nearest(q, table, p2max, k: int):
     """The k nearest points to each row of ``q`` (d > 1, 2k < m), in
     (distance, index) order, and a mask of the rows to redo on the full path.
 
-    ``columns`` holds the points as a [d, m] array, ``p2`` their squared
-    norms and ``p2max`` the largest of them.  The norm expansion
-    ``a = |q|^2 + |p|^2 - 2 q.p`` picks as candidates the points whose ``a``
-    is at most t, the 2k-th smallest ``a`` of the row; a row where that is
-    not exactly 2k points (a tie at t, or a NaN) is redone.  Only the
-    candidates' distances are summed from exact differences, as ``_sq_dist``
-    sums them, so every distance compared has the full path's bits.  Call
-    those sums e.  Both a and e lie within about (d + 2) eps S of the true
-    distance, S = |q|^2 + max |p|^2, plus a subnormal per product where they
-    underflow, so |a - e| <= delta below.  The k points of smallest a then
-    have e <= a_k + delta, a_k being the kth smallest a, and every point with
-    e at or below the kth smallest e has a <= a_k + 2 delta.  A row settles
-    when t exceeds that: every such point, ties included, is then a
-    candidate.
+    ``table`` is the ``_point_table`` and ``p2max`` the largest squared norm
+    in it.  The norm expansion ``a = |q|^2 + |p|^2 - 2 q.p`` is one product,
+    ``[|q|^2, -2q, 1] @ [1; p; |p|^2]``, so it takes no pass over the block
+    x m array beyond the product's own.  It picks as candidates the points
+    whose ``a`` is at most t, the 2k-th smallest ``a`` of the row; a row
+    where that is not exactly 2k points (a tie at t, or a NaN) is redone.
+    Only the candidates' distances are summed from exact differences, with
+    the bits ``_sq_dist`` gives them, so every distance compared has the full
+    path's bits.  Call those sums e and the true distance D <= 2S, where
+    S = |q|^2 + max |p|^2 and eps is the spacing of floats at 1 (twice the
+    unit roundoff).  e has at most d + 2 roundings per term: |e - D| <=
+    (d + 2) eps S.  |q|^2 and |p|^2 have at most d roundings each, and the
+    product's d + 2 terms, summed in any order with or without fused
+    multiply-adds, at most d + 2 each on a sum of magnitudes <= 2S:
+    |a - D| <= (3d/2 + 2) eps S.  Where a rounding underflows it may add
+    half a subnormal besides, and a and e take fewer than 8d roundings that
+    can (a subtraction whose result underflows is exact).  So |a - e| <=
+    (5d/2 + 4) eps S + 4d tiny, within delta = (d + 4)(4 eps S + 4 tiny).  The k points of
+    smallest a then have e <= a_k + delta, a_k being the kth smallest a, and
+    every point with e at or below the kth smallest e has a <= a_k + 2 delta.
+    A row settles when t exceeds that: every such point, ties included, is
+    then a candidate.
 
-    The expansion, its partition copy and the candidate mask are block x m
-    arrays in the workspace; nothing of that size is allocated.
+    The expansion and its partition copy are block x m arrays in the
+    workspace.  Each row's count of candidates is a ``bincount`` of their
+    flat indices, so the candidate mask takes one pass; a row with ties at t
+    lists them all there for a moment, at most block x m indices.
     """
-    n, (d, m) = q.shape[0], columns.shape
+    n, m = q.shape[0], table.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         q2 = np.square(q).sum(axis=1)
-        a = np.matmul(q, columns, out=_WORK.take("a", (n, m)))
-        a *= -2.0
-        a += p2
-        a += q2[:, None]
+        lhs = _WORK.take("expansion", (n, table.shape[0]))
+        lhs[:, 0] = q2
+        np.multiply(q, -2.0, out=lhs[:, 1:-1])
+        lhs[:, -1] = 1.0
+        a = np.matmul(lhs, table, out=_WORK.take("a", (n, m)))
         part = _WORK.take("part", (n, m))
         np.copyto(part, a)
         # one kth: NumPy's partition is several times slower given two
@@ -248,20 +321,20 @@ def _candidate_nearest(q, columns, p2, p2max, k: int):
         t = part[:, 2 * k - 1]
         kth = np.partition(part[:, : 2 * k], k - 1, axis=1)[:, k - 1]
         mask = np.less_equal(a, t[:, None], out=_WORK.take("mask", (n, m), bool))
+        # flat indices come in order, so each row's candidates are sorted
+        row, col = np.divmod(np.flatnonzero(mask), m)
         # 4 S is formed first, so a row whose sums could overflow gets an
         # infinite delta; a NaN or inf coordinate makes it NaN or inf too,
         # and none of these rows settles
-        delta = (d + 4) * (_EPS * (4.0 * (q2 + p2max)) + 4.0 * _TINY)
-        full = (np.count_nonzero(mask, axis=1) != 2 * k) | ~(t > kth + 2.0 * delta)
+        delta = (q.shape[1] + 4) * (_EPS * (4.0 * (q2 + p2max)) + 4.0 * _TINY)
+        full = (np.bincount(row, minlength=n) != 2 * k) | ~(t > kth + 2.0 * delta)
+        cand = np.empty((n, 2 * k), dtype=np.intp)
+        cand[~full] = col[~full[row]].reshape(-1, 2 * k)
         # a row to redo takes the first 2k points, so that every row has 2k
-        mask[full] = False
-        mask[full, : 2 * k] = True
-        # flat indices come in order, so each row's candidates are sorted
-        cand = np.flatnonzero(mask).reshape(n, 2 * k)
-        cand -= np.arange(0, n * m, m)[:, None]
+        cand[full] = np.arange(2 * k)
         e = np.zeros(cand.shape)
         diff = np.empty(cand.shape)
-        for qj, pj in zip(q.T, columns):
+        for qj, pj in zip(q.T, table[1:-1]):
             np.take(pj, cand, out=diff)
             np.subtract(qj[:, None], diff, out=diff)
             e += np.square(diff, out=diff)
@@ -282,29 +355,27 @@ def _neighbours(queries, points, k: int):
         for start, d2 in _sq_dist_blocks(queries, points):
             yield start, _nearest(d2, k)
         return
-    columns = _columns(points)
-    if d == 1:
-        rows = _BLOCK
-        order = np.argsort(points[:, 0], kind="stable")
-        sx = points[order, 0]
-        pick = lambda block: _window_nearest(block[:, 0], order, sx, k)
-    else:
-        rows = _block_rows(m, _CANDIDATE_BUDGET)
-        with np.errstate(over="ignore", invalid="ignore"):
-            p2 = np.einsum("ij,ij->j", columns, columns)
-            p2max = p2.max()
-        pick = lambda block: _candidate_nearest(block, columns, p2, p2max, k)
-    redo_rows = _block_rows(m, _DIST_BUDGET)
-    for start in range(0, queries.shape[0], rows):
-        block = queries[start : start + rows]
-        idx, full = pick(block)
-        redo = np.flatnonzero(full)
-        # the redone rows may span several distance blocks: each writes back
-        # through its own indices
-        for r in range(0, redo.shape[0], redo_rows):
-            some = redo[r : r + redo_rows]
-            idx[some] = _nearest(_sq_dist(block[some], columns), k)
-        yield start, idx
+    with _point_table(points) as table:
+        if d == 1:
+            rows = _BLOCK
+            order = np.argsort(points[:, 0], kind="stable")
+            sx = points[order, 0]
+            pick = lambda block: _window_nearest(block[:, 0], order, sx, k)
+        else:
+            rows = _block_rows(m, _CANDIDATE_BUDGET)
+            p2max = table[-1].max()
+            pick = lambda block: _candidate_nearest(block, table, p2max, k)
+        redo_rows = _block_rows(m, _DIST_BUDGET)
+        for start in range(0, queries.shape[0], rows):
+            block = queries[start : start + rows]
+            idx, full = pick(block)
+            redo = np.flatnonzero(full)
+            # the redone rows may span several distance blocks: each writes
+            # back through its own indices
+            for r in range(0, redo.shape[0], redo_rows):
+                some = redo[r : r + redo_rows]
+                idx[some] = _nearest(_sq_dist(block[some], table), k)
+            yield start, idx
 
 
 def knn_mean(
@@ -343,13 +414,12 @@ def gaussian_nw(
         raise ValueError(f"sigma must be positive and finite, got {sigmas}")
     out = np.empty((len(sigmas), np.shape(queries)[0]))
     for start, d2 in _sq_dist_blocks(queries, centers):
-        # -d2 / s is the same float whether the negation comes first or not
-        negd2 = np.negative(d2, out=d2)
-        w = _WORK.take("w", negd2.shape)
+        w = _WORK.take("w", d2.shape)
         for j, s in enumerate(sigmas):
             # a quotient that overflows becomes -inf, whose weight is 0
             with np.errstate(over="ignore", invalid="ignore"):
-                np.exp(np.divide(negd2, s, out=w), out=w)
+                # division rounds the magnitude alone: d2 / -s is -(d2 / s)
+                np.exp(np.divide(d2, -s, out=w), out=w)
                 den = w.sum(axis=1)
                 # a row sum, not a BLAS product, so that the block's row
                 # count changes no bit of a row
@@ -357,6 +427,6 @@ def gaussian_nw(
                 est /= np.where(den > 0.0, den, 1.0)
             dead = den == 0.0
             if np.any(dead):
-                est[dead] = values[np.argmax(negd2[dead], axis=1)]
+                est[dead] = values[np.argmin(d2[dead], axis=1)]
             out[j, start : start + est.shape[0]] = est
     return out

@@ -236,6 +236,9 @@ class CostConfig:
     value: float
 
     def __post_init__(self) -> None:
+        # float() would take True as 1.0 and "0.2" as 0.2
+        if not isinstance(self.value, (int, float, np.floating)) or isinstance(self.value, bool):
+            raise ValueError(f"a cost or budget must be a real number, got {self.value!r}")
         object.__setattr__(self, "value", float(self.value))
         if self.mode is CostMode.FIXED_COST:
             if not 0.0 < self.value < math.inf:

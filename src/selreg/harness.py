@@ -237,8 +237,13 @@ class ExperimentConfig:
             kind = reg_doc.pop("kind")
             mode = CostMode(doc["mode"])
             kw = {k: v for k, v in doc.items() if k not in ("mode", "cost_c", "budget_gamma")}
+            field = "cost_c" if mode is CostMode.FIXED_COST else "budget_gamma"
+            try:
+                cost_config = CostConfig(mode, doc[field])
+            except ValueError as exc:
+                raise ValueError(f"config echo garbles {field}: {exc}") from None
             kw.update(
-                cost_config=CostConfig(mode, doc["cost_c" if mode is CostMode.FIXED_COST else "budget_gamma"]),
+                cost_config=cost_config,
                 regressor=KnnConfig(**reg_doc) if kind == "knn" else MlpConfig(**reg_doc) if kind == "mlp" else kind,
                 split=SplitSpec(**doc["split"]),
             )

@@ -160,6 +160,9 @@ class TestContracts:
         rng = np.random.default_rng(0)
         q, p = rng.normal(size=(7, 3)), rng.normal(size=(11, 3))
         np.testing.assert_allclose(impl.pairwise_sq_dists(q, p), brute_sq_dists(q, p), atol=1e-12)
+        # with no coordinates every distance is 0, whatever the last call left
+        # in the workspace
+        np.testing.assert_array_equal(impl.pairwise_sq_dists(q[:, :0], p[:, :0]), np.zeros((7, 11)))
 
     def test_knn_tie_breaks_by_index(self, name, impl):
         points = np.array([[0.0], [2.0], [1.0]])
@@ -436,6 +439,65 @@ def test_extreme_coordinates_compute_without_warnings(d):
             assert np.isnan(got_nw[:, :3]).all() and not np.isnan(got_nw[:, 3:]).any()
 
 
+def subtract_outer_sq_dists(q, p):
+    """Squared distances as ``_sq_dist`` summed them before its differences
+    came from products: ``np.subtract.outer`` per coordinate, squared and
+    added to zeros in coordinate order."""
+    with np.errstate(all="ignore"):
+        d2 = np.zeros((len(q), len(p)))
+        for j in range(q.shape[1]):
+            d2 += np.square(np.subtract.outer(q[:, j], p[:, j]))
+    return d2
+
+
+@pytest.mark.parametrize("m", [300, 2000, 3000])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_sq_dist_keeps_the_bits_of_subtract_outer(m, d):
+    # m on both sides of about 2,700 points, below which np.subtract.outer
+    # runs through NumPy's buffered iterator; every special value meets
+    # every other in the first coordinate, and again in the last
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324,
+                        3e-310, 2.2e-308, 1e-160, -3e-162, 1.0])
+    s = len(special)
+    rng = np.random.default_rng(m + d)
+    p, q = rng.normal(size=(m, d)), rng.normal(size=(2 * s + 1, d))
+    p[:s, 0] = q[:s, 0] = special
+    p[-s:, -1] = q[s : 2 * s, -1] = special[::-1]
+    # a query and points whose differences and squares are subnormal
+    q[-1] = 1e-160 * rng.normal(size=d)
+    p[s : 2 * s] = 1e-160 * rng.normal(size=(s, d))
+    want = subtract_outer_sq_dists(q, p)
+    with backend._point_table(p) as table:
+        # compared as integers, so that equal distances are equal bits
+        np.testing.assert_array_equal(backend._sq_dist(q, table).view(np.int64), want.view(np.int64))
+        # of two NaNs the product may keep either one's bits: a NaN all the same
+        assert np.isnan(backend._sq_dist(-q[:1], table)).all()
+
+
+def test_a_live_distance_generator_refuses_other_kernels_in_its_thread():
+    # two generators over different points in one thread would share the
+    # point table, and the first one's later blocks would be computed
+    # against the second one's points; instead the second raises
+    rng = np.random.default_rng(15)
+    q, p, other = rng.normal(size=(100, 3)), rng.normal(size=(4096, 3)), rng.normal(size=(4096, 3))
+    first = backend._sq_dist_blocks(q, p)
+    got = [next(first)[1].copy()]
+    for interleave in (
+        lambda: next(backend._sq_dist_blocks(q, other)),
+        lambda: backend.gaussian_nw(q, other, other[:, 0], (1.0,)),
+        lambda: backend.knn_mean(q, other, other[:, 0], (5,)),
+    ):
+        with pytest.raises(RuntimeError, match="held by a live kernel generator"):
+            interleave()
+    got += [d2.copy() for _, d2 in first]
+    np.testing.assert_array_equal(np.concatenate(got).view(np.int64), subtract_outer_sq_dists(q, p).view(np.int64))
+    # a generator that is done, or closed early, frees the table
+    early = backend._sq_dist_blocks(q, p)
+    next(early)
+    early.close()
+    backend.gaussian_nw(q, other, other[:, 0], (1.0,))
+
+
 def test_distance_blocks_leave_the_callers_error_policy_alone():
     # the quiet arithmetic ends before each yield, so what the caller
     # computes on a block still warns as it would elsewhere
@@ -609,9 +671,8 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
 
 
 def _preselect(q, p, k):
-    columns = np.ascontiguousarray(p.T)
-    p2 = np.square(p).sum(axis=1)
-    return backend._candidate_nearest(q, columns, p2, p2.max(), k)
+    with backend._point_table(p) as table:
+        return backend._candidate_nearest(q, table, table[-1].max(), k)
 
 
 def test_preselection_leaves_only_unsettled_rows_to_the_full_path():

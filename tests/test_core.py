@@ -162,6 +162,23 @@ class TestCostConfig:
         with pytest.raises(ValueError, match="mode must be a CostMode"):
             CostConfig(mode, 0.5)
 
+    @pytest.mark.parametrize("make", [CostConfig.fixed_cost, CostConfig.fixed_budget])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_bool_value_is_refused(self, make, value):
+        with pytest.raises(ValueError, match="must be a real number"):
+            make(value)
+
+    @pytest.mark.parametrize("make", [CostConfig.fixed_cost, CostConfig.fixed_budget])
+    @pytest.mark.parametrize("value", ["0.2", b"0.2", None, 0.2j, [0.2]])
+    def test_value_that_is_not_real_is_refused(self, make, value):
+        with pytest.raises(ValueError, match="must be a real number"):
+            make(value)
+
+    def test_int_float_and_numpy_float_values_are_kept(self):
+        assert CostConfig.fixed_cost(2).value == 2.0 and type(CostConfig.fixed_cost(2).value) is float
+        assert CostConfig.fixed_cost(np.float32(0.5)).value == 0.5
+        assert CostConfig.fixed_budget(np.float64(0.2)) == CostConfig.fixed_budget(0.2)
+
     def test_value_of_the_other_mode_reads_zero(self):
         cost, budget = CostConfig.fixed_cost(2.0), CostConfig.fixed_budget(0.3)
         assert (cost.cost_c, cost.budget_gamma) == (2.0, 0.0)
