@@ -24,6 +24,7 @@ from .core import (
 from .losses import LossReport, empirical_rwr_loss, oracle_rwr_risk, squared_risk, truncated_loss
 from .models import KnnConfig, MlpConfig, fit_knn, fit_knn_auto, fit_mlp
 from .rejection import (
+    KernelSmootherCalibrator,
     conformal_threshold,
     induce_rejector,
     kernel_calibrate,
@@ -41,6 +42,7 @@ __all__ = [
     "DEFAULT_SIGMA_GRID",
     "DataError",
     "Dataset",
+    "KernelSmootherCalibrator",
     "KernelSpec",
     "KnnConfig",
     "LossReport",

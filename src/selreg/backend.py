@@ -250,17 +250,19 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     around it, and a mask of the rows to redo on the full path.
 
     ``sx`` holds the point coordinates sorted stably and ``order`` their
-    indices, so equal coordinates already sit in index order.
+    indices, so equal coordinates already sit in index order.  A window is
+    ``w`` consecutive sorted positions from ``lo``, so both gathers copy
+    whole runs: the coordinates as rows of a sliding-window view, and a
+    neighbour's index as ``order[lo + rank]``.
     """
     m = sx.shape[0]
     w = min(2 * k, m)
     lo = np.clip(np.searchsorted(sx, q) - k, 0, m - w)
-    pos = lo[:, None] + np.arange(w)
     with np.errstate(over="ignore", invalid="ignore"):
         # the full path adds the square to zeros, which changes no bit
-        d2 = np.square(q[:, None] - sx[pos])
+        d2 = np.square(q[:, None] - np.lib.stride_tricks.sliding_window_view(sx, w)[lo])
         rank = _nearest(d2, k)
-        idx = order[np.take_along_axis(pos, rank, axis=1)]
+        idx = order[lo[:, None] + rank]
         near = np.take_along_axis(d2, rank, axis=1)
         kth = near[:, -1]
         # a tie at the kth distance, or a NaN one

@@ -174,7 +174,7 @@ def _cmd_calibrate(args) -> int:
         raise DataError(f"{args.model} holds a {model.json_tag}, not a regressor")
     if model.dim != val.dim:
         raise DataError(f"{args.model} takes {model.dim} input features, {args.data} has {val.dim}")
-    calibrator = cost_calibrator("kernel", grid, model, val, task, cost)
+    calibrator = cost_calibrator("kernel", grid, model, val, model.predict(val.features), task, cost)
     doc = {
         "calibrator": json.loads(model_to_json(calibrator)),
         "sigma": calibrator.kernel.length_scale_sigma,

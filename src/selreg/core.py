@@ -128,6 +128,15 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _require_real(name: str, value) -> float:
+    """The one contract for real-valued settings: an int or a float, and not
+    a bool, returned as a float.  float() alone would take True as 1.0 and
+    "0.2" as 0.2; the caller checks the range, NaN and inf included."""
+    if not isinstance(value, (int, float, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix [n, d] plus target vector [n]; validated and immutable."""
@@ -236,10 +245,7 @@ class CostConfig:
     value: float
 
     def __post_init__(self) -> None:
-        # float() would take True as 1.0 and "0.2" as 0.2
-        if not isinstance(self.value, (int, float, np.floating)) or isinstance(self.value, bool):
-            raise ValueError(f"a cost or budget must be a real number, got {self.value!r}")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", _require_real("a cost or budget", self.value))
         if self.mode is CostMode.FIXED_COST:
             if not 0.0 < self.value < math.inf:
                 raise ValueError(f"fixed-cost mode requires a finite cost c > 0, got {self.value!r}")
@@ -278,6 +284,7 @@ class KernelSpec:
     length_scale_sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "length_scale_sigma", _require_real("length_scale_sigma", self.length_scale_sigma))
         if not 0.0 < self.length_scale_sigma < math.inf:
             raise ValueError("length_scale_sigma must be positive and finite")
 

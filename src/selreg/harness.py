@@ -7,6 +7,12 @@ too: ``materialize``, ``fit_regressor``, then ``cost_calibrator`` or
 ``ExperimentConfig`` refuses a setting that its run would not read, so a
 config echo names exactly what ran.
 
+Each held-out row is predicted once per repeat at most.  In cost mode
+``fit_regressor`` hands its predictions of the validation split to
+``cost_calibrator``, which predicts nothing: kNN's are the chosen k's row of
+its k grid.  In budget mode only the half of the split that the calibrator
+fits on is predicted.
+
 Per-repeat seeds are master_seed + repeat_index on named streams: the
 repeat seed draws the synthetic sample, permutes the split and initialises
 the MLP, so every table is exactly reproducible from its config echo.  CSV
@@ -373,21 +379,31 @@ def materialize(
     return train, val, test, None
 
 
-def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: Dataset, task, seed: int):
+def fit_regressor(regressor: KnnConfig | MlpConfig | str, train: Dataset, val: Dataset, task, seed: int, *,
+                  out: np.ndarray | None = None):
     """Fit on every training row.  kNN picks k on ``val``; the MLP draws its
     initial weights from ``seed``; "oracle" is the task's true mean, as a
-    lookup table on a finite support."""
+    lookup table on a finite support.
+
+    ``out``, an array of ``val.n`` floats, receives the fitted model's
+    predictions on ``val``: kNN's from its k grid, the others' from one
+    ``predict``.
+    """
     if isinstance(regressor, KnnConfig):
-        return fit_knn_auto(train, val, regressor)
+        return fit_knn_auto(train, val, regressor, out=out)
     if isinstance(regressor, MlpConfig):
-        return fit_mlp(train, regressor, seed)
-    if regressor != "oracle":
+        f = fit_mlp(train, regressor, seed)
+    elif regressor != "oracle":
         raise SelregError(f"unknown regressor {regressor!r}")
-    if task is None:
+    elif task is None:
         raise SelregError("the oracle regressor needs a synthetic task source")
-    if isinstance(task, DiscreteTask):  # a form that `fit` can write
-        return TableLookupRegressor(task.points, task.means)
-    return CondMeanRegressor(task)
+    elif isinstance(task, DiscreteTask):  # a form that `fit` can write
+        f = TableLookupRegressor(task.points, task.means)
+    else:
+        f = CondMeanRegressor(task)
+    if out is not None:
+        out[...] = f.predict(val.features)
+    return f
 
 
 def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -397,20 +413,26 @@ def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n // 2), np.arange(n // 2, n)
 
 
-def cost_calibrator(rejector: str, grid: tuple[float, ...], f, val: Dataset, task, c: float):
-    """Conditional-risk estimate of ``f`` from its losses on ``val``.
+def cost_calibrator(rejector: str, grid: tuple[float, ...], f, val: Dataset, predictions: np.ndarray,
+                    task, c: float) -> Calibrator:
+    """Conditional-risk estimate of ``f`` from its losses on ``val``, whose
+    rows ``f`` predicted as ``predictions`` (see ``fit_regressor``'s
+    ``out``); this stage predicts nothing.
 
     The kernel smoother picks its bandwidth from ``grid`` by the deferral
     loss at cost ``c``, fitting on one half of ``val`` and scoring on the
-    other, then refits on all of ``val``.  ``f`` predicts ``val`` once.  The
-    other rejectors read neither ``grid`` nor ``c``.
+    other, then refits on all of ``val``.  The loss-linear fit reads the
+    same losses; the oracle reads ``f`` and ``task`` alone.  The other
+    rejectors read neither ``grid`` nor ``c``.
     """
-    if rejector != "kernel":
-        return _gridless_calibrator(rejector, f, val, task)
-    losses = (f.predict(val.features) - val.targets) ** 2
-    inner, outer = ((val.features[i], losses[i]) for i in _halves(val.n))
-    spec = select_bandwidth(inner, outer, grid, c)
-    return KernelSmootherCalibrator(val.features, losses, spec)
+    losses = (predictions - val.targets) ** 2
+    if rejector == "kernel":
+        inner, outer = ((val.features[i], losses[i]) for i in _halves(val.n))
+        spec = select_bandwidth(inner, outer, grid, c)
+        return KernelSmootherCalibrator(val.features, losses, spec)
+    if rejector == "loss-linear":
+        return linear_calibrate(val.features, losses)
+    return _oracle_calibrator(rejector, f, task)
 
 
 def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tuple[Calibrator, ConformalThreshold]:
@@ -418,7 +440,7 @@ def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tupl
     acceptance threshold for budget ``gamma`` from its scores on the second
     half.  Those scores are independent of both the regressor and the
     calibrator, as the threshold's coverage guarantee requires, so ``val``
-    needs two rows at least.
+    needs two rows at least.  ``f`` predicts the first half only.
     """
     if val.n < 2:
         raise DataError(f"budget mode needs 2 validation rows, got {val.n}")
@@ -428,20 +450,22 @@ def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tupl
         # consuming the score split
         sigma = _median_sq_dist(fit_part.features)
         calibrator = kernel_calibrate(f, fit_part, KernelSpec(length_scale_sigma=sigma))
+    elif rejector == "loss-linear":
+        losses = (f.predict(fit_part.features) - fit_part.targets) ** 2
+        calibrator = linear_calibrate(fit_part.features, losses)
     else:
-        calibrator = _gridless_calibrator(rejector, f, fit_part, task)
+        calibrator = _oracle_calibrator(rejector, f, task)
     return calibrator, conformal_threshold(calibrator.estimate(score_part.features), gamma)
 
 
-def _gridless_calibrator(rejector: str, f, val: Dataset, task) -> Calibrator:
-    """The calibrators that take no bandwidth and no cost."""
-    if rejector == "loss-linear":
-        return linear_calibrate(f, val)
-    if rejector == "oracle":
-        if task is None:
-            raise SelregError("the oracle rejector needs a synthetic task source")
-        return OracleRiskCalibrator(task, f)
-    raise SelregError(f"unknown rejector kind {rejector!r}")
+def _oracle_calibrator(rejector: str, f, task) -> Calibrator:
+    """The task's exact conditional risk of ``f``: the one calibrator that
+    reads no held-out row."""
+    if rejector != "oracle":
+        raise SelregError(f"unknown rejector kind {rejector!r}")
+    if task is None:
+        raise SelregError("the oracle rejector needs a synthetic task source")
+    return OracleRiskCalibrator(task, f)
 
 
 def _median_sq_dist(X: np.ndarray) -> float:
@@ -478,10 +502,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 cfg.dataset_source, seed, target_column=cfg.target_column,
                 synthetic_n=cfg.synthetic_n, split=cfg.split,
             )
-            f = fit_regressor(cfg.regressor, train, val, task, seed)
+            predictions = np.empty(val.n) if cc.mode is CostMode.FIXED_COST else None
+            f = fit_regressor(cfg.regressor, train, val, task, seed, out=predictions)
             if cc.mode is CostMode.FIXED_COST:
                 c = threshold = cc.value
-                calibrator = cost_calibrator(cfg.rejector, cfg.sigma_grid, f, val, task, c)
+                calibrator = cost_calibrator(cfg.rejector, cfg.sigma_grid, f, val, predictions, task, c)
             else:
                 c = 0.0
                 calibrator, th = budget_threshold(cfg.rejector, f, val, task, cc.value)

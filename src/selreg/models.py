@@ -10,6 +10,7 @@ this way whenever the model class is rich enough.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .core import (
     _as_block,
     _freeze,
     _require_int,
+    _require_real,
     _table,
     register_model,
 )
@@ -77,8 +79,12 @@ class MlpConfig:
             _require_int(name, getattr(self, name))
         if min(self.hidden_width, self.batch_size, self.epochs) < 1:
             raise ValueError("hidden_width, batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0.0 or self.weight_decay < 0.0:
-            raise ValueError("learning_rate must be > 0 and weight_decay >= 0")
+        for name in ("learning_rate", "weight_decay"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        # NaN fails both comparisons: a NaN decay would skip the decay silently
+        if not (0.0 < self.learning_rate < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError(f"learning_rate must be > 0 and weight_decay >= 0, both finite, got "
+                             f"{self.learning_rate!r} and {self.weight_decay!r}")
 
 
 @register_model("regressor/knn")
@@ -245,7 +251,8 @@ def fit_mlp(train: Dataset, cfg: MlpConfig, seed: int) -> MlpRegressor:
     return MlpRegressor(*params)
 
 
-def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig = KnnConfig()) -> KnnRegressor:
+def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig = KnnConfig(), *,
+                 out: np.ndarray | None = None) -> KnnRegressor:
     """Fit a k-NN regressor with k chosen on the validation split.
 
     Every k in the grid comes from one neighbour ordering of ``val``
@@ -253,8 +260,16 @@ def fit_knn_auto(train: Dataset, val: Dataset, cfg: KnnConfig = KnnConfig()) -> 
     exact ties go to the smallest k.  Grid entries above n_train are
     silently dropped (small-data runs keep working); if nothing survives,
     k = n_train.
+
+    ``out``, an array of ``val.n`` floats, receives the chosen k's row of
+    the grid: the model's predictions on ``val``, with the bits of
+    ``predict(val.features)``, as each row of ``knn_mean`` has the bits of
+    a call with its k alone.  So the held-out losses need no second pass.
     """
     grid = sorted(k for k in cfg.k_grid if k <= train.n) or [train.n]
     preds = backend.knn_mean(_as_block(val.features), train.features, train.targets, grid)
     mse = np.mean((preds - val.targets) ** 2, axis=1)
-    return KnnRegressor(train.features, train.targets, grid[int(np.argmin(mse))])
+    best = int(np.argmin(mse))
+    if out is not None:
+        out[...] = preds[best]
+    return KnnRegressor(train.features, train.targets, grid[best])

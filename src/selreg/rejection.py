@@ -119,9 +119,10 @@ def kernel_calibrate(f: Regressor, val: Dataset, kernel: KernelSpec) -> KernelSm
     return KernelSmootherCalibrator(val.features, losses, kernel)
 
 
-def linear_calibrate(f: Regressor, val: Dataset) -> LinearLossCalibrator:
-    losses = (f.predict(val.features) - val.targets) ** 2
-    design = np.column_stack([np.ones(val.n), val.features])
+def linear_calibrate(points: np.ndarray, losses: np.ndarray) -> LinearLossCalibrator:
+    """Least-squares fit of the held-out ``losses`` on (1, ``points``)."""
+    points, losses = _table(points, losses)
+    design = np.column_stack([np.ones(points.shape[0]), points])
     beta, *_ = np.linalg.lstsq(design, losses, rcond=None)
     return LinearLossCalibrator(beta[1:], beta[0])
 

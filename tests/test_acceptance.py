@@ -250,9 +250,10 @@ def test_criterion_09_consistency_trends():
             for seed in range(9):
                 data = task.sample(n, RngHandle(9000 + seed, STREAM_SAMPLE))
                 train, val, _ = split_dataset(data, SplitSpec(), seed)
-                f = fit_knn_auto(train, val)
+                predictions = np.empty(val.n)
+                f = fit_knn_auto(train, val, out=predictions)
                 excesses.append(squared_risk(f, task) - noise_floor)
-                cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, None, c)
+                cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, predictions, None, c)
                 achieved = oracle_rwr_risk(f, induce_rejector(cal, c), task, c)
                 gaps.append(abs(achieved - optimum))
             excess_medians.append(float(np.median(excesses)))

@@ -211,6 +211,15 @@ class TestKernelSpec:
             with pytest.raises(ValueError, match="sigma grid"):
                 sigma_grid(grid)
 
+    @pytest.mark.parametrize("sigma", [True, np.bool_(True), "1.0", None])
+    def test_sigma_that_is_not_real_is_refused(self, sigma):
+        with pytest.raises(ValueError, match="must be a real number"):
+            KernelSpec(sigma)
+
+    def test_sigma_is_kept_as_a_float(self):
+        assert type(KernelSpec(2).length_scale_sigma) is float
+        assert KernelSpec(np.float64(0.5)) == KernelSpec(0.5)
+
 
 class TestSerialization:
     def test_table_models_round_trip(self):

@@ -30,7 +30,7 @@ from selreg.harness import (
     run_experiment,
     _median_sq_dist,
 )
-from selreg.models import KnnConfig, MlpConfig
+from selreg.models import KnnConfig, KnnRegressor, MlpConfig, MlpRegressor
 from selreg.losses import LossReport, bayes_risk
 from selreg.tasks import DiscreteTask, default_discrete_task, default_smooth_task
 
@@ -332,7 +332,7 @@ class TestStageRefusals:
         f = fit_regressor(KnnConfig(), train, val, task, 0)
         with pytest.raises(SelregError, match=message) as exc:
             if stage == "cost":
-                cost_calibrator(rejector, DEFAULT_SIGMA_GRID, f, val, task, 0.5)
+                cost_calibrator(rejector, DEFAULT_SIGMA_GRID, f, val, f.predict(val.features), task, 0.5)
             else:
                 budget_threshold(rejector, f, val, task, 0.2)
         assert exc.type is SelregError
@@ -355,9 +355,43 @@ class TestHeldOutPredictions:
         return _RowCounter(fit_regressor(KnnConfig(), train, val, task, 3)), val, task
 
     def test_cost_calibrator_predicts_each_validation_row_once(self):
+        # the caller's one predict of val serves every calibrator
         f, val, task = self._fitted()
-        cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, task, 2.0)
+        predictions = f.predict(val.features)
+        for rejector in ("kernel", "loss-linear"):
+            cost_calibrator(rejector, DEFAULT_SIGMA_GRID, f, val, predictions, task, 2.0)
         assert f.rows == val.n
+
+    @pytest.mark.parametrize("regressor", [KnnConfig(), MlpConfig(epochs=2), "oracle"], ids=["knn", "mlp", "oracle"])
+    def test_fit_regressor_out_holds_the_bits_of_predict(self, regressor):
+        train, val, _, task = materialize("hetero6", 3, synthetic_n=400)
+        out = np.full(val.n, np.nan)
+        f = fit_regressor(regressor, train, val, task, 3, out=out)
+        np.testing.assert_array_equal(out.view(np.int64), f.predict(val.features).view(np.int64))
+
+    @staticmethod
+    def _count_rows(monkeypatch, cls) -> list[int]:
+        rows, predict = [], cls.predict
+        monkeypatch.setattr(cls, "predict", lambda self, X: rows.append(len(X)) or predict(self, X))
+        return rows
+
+    @pytest.mark.parametrize("rejector", ["kernel", "loss-linear"])
+    def test_cost_mode_knn_run_predicts_the_test_rows_only(self, monkeypatch, rejector):
+        # k selection hands its chosen row of val to the calibrator
+        rows = self._count_rows(monkeypatch, KnnRegressor)
+        cfg = ExperimentConfig("hetero6", CostConfig.fixed_cost(2.0), rejector=rejector, repeats=2, seed=3,
+                               synthetic_n=400)
+        run_experiment(cfg)
+        n_test = [materialize("hetero6", s, synthetic_n=400)[2].n for s in cfg.repeat_seeds()]
+        assert sum(rows) == sum(n_test)
+
+    def test_budget_mode_mlp_run_predicts_the_fitting_half_and_the_test_rows(self, monkeypatch):
+        rows = self._count_rows(monkeypatch, MlpRegressor)
+        cfg = ExperimentConfig("hetero6", CostConfig.fixed_budget(0.2), regressor=MlpConfig(epochs=2),
+                               repeats=1, seed=3, synthetic_n=400)
+        run_experiment(cfg)
+        _, val, test, _ = materialize("hetero6", 3, synthetic_n=400)
+        assert sum(rows) == val.n // 2 + test.n
 
     def test_budget_threshold_predicts_the_fitting_half_only(self):
         f, val, task = self._fitted()

@@ -119,6 +119,43 @@ class TestSelectHyperparameters:
         assert hash(cfg) == hash(KnnConfig(k_grid=(5, 10)))
 
 
+class TestGridRow:
+    """``fit_knn_auto(..., out=p)`` gives ``p`` the bits of the chosen
+    model's ``predict(val.features)``."""
+
+    @staticmethod
+    def _fit(train, val, cfg=KnnConfig()):
+        out = np.full(val.n, np.nan)
+        model = fit_knn_auto(train, val, cfg, out=out)
+        np.testing.assert_array_equal(out.view(np.int64), model.predict(val.features).view(np.int64))
+        return model
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_bits_of_predict(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(900, d))
+        y = np.sin(2.0 * x[:, 0]) + x.sum(axis=1) + 0.1 * rng.normal(size=900)
+        train, val = Dataset(x[:600], y[:600]), Dataset(x[600:], y[600:])
+        # a k below the grid's largest: the grid orders more neighbours than k needs
+        assert self._fit(train, val).k < max(KnnConfig().k_grid)
+
+    def test_bits_of_predict_with_ties_at_the_kth_distance(self):
+        # integer coordinates: each has about 20 training rows, so the kth
+        # distance ties and the rows are redone on the full path
+        rng = np.random.default_rng(5)
+        train = Dataset(rng.integers(0, 30, size=(600, 1)).astype(float), rng.normal(size=600))
+        val = Dataset(rng.integers(0, 30, size=(200, 1)).astype(float), rng.normal(size=200))
+        model = self._fit(train, val, KnnConfig(k_grid=(5, 10, 30, 70)))
+        d2 = np.sort((val.features - train.features.T) ** 2, axis=1)
+        assert np.any(d2[:, model.k - 1] == d2[:, model.k])
+
+    def test_bits_of_predict_when_every_grid_entry_exceeds_n_train(self):
+        rng = np.random.default_rng(6)
+        train = Dataset(rng.normal(size=(40, 2)), rng.normal(size=40))
+        val = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
+        assert self._fit(train, val, KnnConfig(k_grid=(50, 150))).k == train.n
+
+
 def _boolean_scatter_forward_backward(params, X, y, work):
     """Reference for ``models._forward_backward``: the same arithmetic, but
     the ReLU backward writes zeros through the boolean index ``pre <= 0.0``."""
@@ -240,6 +277,32 @@ class TestMlp:
     def test_config_refuses_values_it_cannot_train_with(self, change, message):
         with pytest.raises(ValueError, match=message):
             MlpConfig(**change)
+
+    # a NaN decay failed ``wd > 0.0``, so training skipped the decay silently
+    @pytest.mark.parametrize("change", [
+        dict(weight_decay=float("nan")),
+        dict(weight_decay=float("inf")),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+    ], ids=["nan-decay", "inf-decay", "nan-rate", "inf-rate"])
+    def test_config_refuses_a_non_finite_rate(self, change):
+        with pytest.raises(ValueError, match="both finite"):
+            MlpConfig(**change)
+
+    @pytest.mark.parametrize("change", [
+        dict(learning_rate=True),
+        dict(weight_decay=False),
+        dict(learning_rate="5e-4"),
+        dict(weight_decay=None),
+    ], ids=["bool-rate", "bool-decay", "str-rate", "none-decay"])
+    def test_config_refuses_a_rate_that_is_not_real(self, change):
+        with pytest.raises(ValueError, match="must be a real number"):
+            MlpConfig(**change)
+
+    def test_config_keeps_rates_as_floats(self):
+        cfg = MlpConfig(learning_rate=np.float32(0.5), weight_decay=0)
+        assert (cfg.learning_rate, cfg.weight_decay) == (0.5, 0.0)
+        assert type(cfg.learning_rate) is float and type(cfg.weight_decay) is float
 
     def test_divergence_raises_non_finite_loss(self):
         rng = np.random.default_rng(4)

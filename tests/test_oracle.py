@@ -249,8 +249,9 @@ def _pipeline_terms(source: str, c: float, n: int, seed: int) -> tuple[float, fl
     """(excess, prediction error, calibration error) of the kNN and kernel
     smoother that the pipeline fits on ``n`` rows of ``source`` at ``seed``."""
     train, val, _, t = materialize(source, seed, synthetic_n=n)
-    f = fit_regressor(KnnConfig(), train, val, t, seed)
-    cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, t, c)
+    predictions = np.empty(val.n)
+    f = fit_regressor(KnnConfig(), train, val, t, seed, out=predictions)
+    cal = cost_calibrator("kernel", DEFAULT_SIGMA_GRID, f, val, predictions, t, c)
     return check_risk_decomposition(f, cal, t, c)
 
 

@@ -101,14 +101,14 @@ class TestLinearCalibrate:
         y = np.sqrt(0.5 + 2.0 * x[:, 0])
         val = Dataset(x, y)
         f = constant_regressor_on(x)
-        cal = linear_calibrate(f, val)
+        cal = linear_calibrate(val.features, (f.predict(val.features) - val.targets) ** 2)
         est = cal.estimate(np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(est, [0.5, 2.5], atol=1e-8)
 
     def test_clamped_at_zero(self):
         val = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         f = TableLookupRegressor(val.features, val.targets)  # zero losses
-        cal = linear_calibrate(f, val)
+        cal = linear_calibrate(val.features, (f.predict(val.features) - val.targets) ** 2)
         assert np.all(cal.estimate(np.array([[-100.0], [100.0]])) >= 0.0)
 
 
