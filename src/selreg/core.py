@@ -336,10 +336,8 @@ class Calibrator(ABC):
 
 def _as_block(X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2:
-        raise ValueError(f"a feature block must be 1-D or 2-D, got shape {X.shape}")
+        raise ValueError(f"a feature block must be 2-D [rows, features], got shape {X.shape}")
     return X
 
 
@@ -351,6 +349,15 @@ def _nearest_row(X: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.argmin(backend.pairwise_sq_dists(X, points), axis=1)
 
 
+def _support_table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_table`` for a lookup's support, which may not repeat a point: the lookup reads only its first copy."""
+    table = _table(points, *columns)
+    rows, counts = np.unique(table[0], axis=0, return_counts=True)
+    if counts.max(initial=1) > 1:
+        raise DataError(f"support point {rows[counts.argmax()].tolist()} appears {counts.max()} times")
+    return table
+
+
 class TableLookupRegressor(Regressor):
     """Explicit x -> value map on a finite support; exact on discrete tasks.
 
@@ -360,7 +367,7 @@ class TableLookupRegressor(Regressor):
     """
 
     def __init__(self, points: np.ndarray, values: np.ndarray):
-        self.points, self.values = _table(points, values)
+        self.points, self.values = _support_table(points, values)
         self.dim = self.points.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:

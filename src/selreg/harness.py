@@ -164,8 +164,8 @@ class ExperimentConfig:
     ``k_grid``), an MlpConfig, or "oracle" (the task's true mean).  The
     rejector always learns from the validation split, disjoint from the
     training rows; only the kernel rejector in cost mode searches
-    ``sigma_grid``.  workers > 1 runs the repeats on a thread pool;
-    per-repeat seeding makes the result identical either way.
+    ``sigma_grid``.  The repeats run in turn: ``workers`` must be 1, and
+    stays in the echo only so that stored reports keep loading.
 
     A value that the run would not read, or could not use, is refused with
     ValueError rather than echoed.
@@ -186,8 +186,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "repeats", "synthetic_n", "workers"):
             _require_int(name, getattr(self, name))
-        if min(self.repeats, self.synthetic_n, self.workers) < 1:
-            raise ValueError("repeats, synthetic_n and workers must be >= 1")
+        if min(self.repeats, self.synthetic_n) < 1:
+            raise ValueError("repeats and synthetic_n must be >= 1")
+        if self.workers != 1:
+            raise ValueError(f"workers={self.workers}: the repeats run in turn, so workers must be 1")
         for seed in (self.seed, self.seed + self.repeats - 1):
             RngHandle(seed)  # every repeat seed fits the RNG's 64 bits
         check_source(self.dataset_source, self.target_column, self.synthetic_n, self.regressor, self.rejector)
@@ -486,17 +488,13 @@ def _median_sq_dist(X: np.ndarray) -> float:
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Split, fit on all training rows, calibrate on held-out data, threshold
     at the deferral cost or the budget's conformal threshold, evaluate on
-    test; repeated with seeds cfg.seed + i.
-
-    Every repeat owns its derived seed, so running the repeats on a thread
-    pool gives the same result as running them in turn.  A failing repeat
-    aborts the whole run with its index and seed attached.
+    test; repeated in turn with seeds cfg.seed + i.  A failing repeat aborts
+    the whole run with its index and seed attached.
     """
     cc = cfg.cost_config
-    seeds = cfg.repeat_seeds()
 
-    def one_repeat(i: int) -> LossReport:
-        seed = seeds[i]
+    def one_repeat(i: int, seed: int) -> LossReport:
+        # a repeat's arrays are freed when it returns, before the next one starts
         try:
             train, val, test, task = materialize(
                 cfg.dataset_source, seed, target_column=cfg.target_column,
@@ -516,14 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             exc.args = (f"repeat {i} (seed {seed}) failed: {exc}",)
             raise
 
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(one_repeat, range(cfg.repeats)))
-    else:
-        reports = [one_repeat(i) for i in range(cfg.repeats)]
-    return RunReport(cfg, tuple(reports))
+    return RunReport(cfg, tuple(one_repeat(i, seed) for i, seed in enumerate(cfg.repeat_seeds())))
 
 
 # ---------------------------------------------------------------------------

@@ -185,26 +185,27 @@ def _forward_backward(params, X: np.ndarray, y: np.ndarray, work):
     the scatter wrote ``+0.0`` is harmless: added to the Adam moments, which
     start at ``+0.0``, it gives the same bits.
 
-    ``work`` is three [batch, width] buffers for the hidden-layer arrays.
-    Training passes the same ones at every step: allocating and freeing
-    arrays of megabytes per step lets malloc hand their pages back to the
-    system and fault them in again, which slowed a full-batch fit by a
-    third.
+    ``work`` is one [batch, width] buffer: the hidden layer, built in place,
+    until its ReLU mask is taken, then the hidden-layer gradient.  Training
+    passes the same one at every step: allocating and freeing arrays of
+    megabytes per step lets malloc hand their pages back to the system and
+    fault them in again, which slowed a full-batch fit by a third.
     """
     w1, b1, w2, b2 = params
     n = X.shape[0]
-    pre, hidden, dhidden = (buf[:n] for buf in work)
-    np.matmul(X, w1, out=pre)
-    pre += b1
-    np.maximum(pre, 0.0, out=hidden)
+    hidden = work[:n]
+    np.matmul(X, w1, out=hidden)
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
     pred = (hidden @ w2 + b2)[:, 0]
     err = pred - y
     loss = float(np.mean(err**2))
     dpred = (2.0 / n) * err
     dw2 = hidden.T @ dpred[:, None]
     db2 = np.array([dpred.sum()])
-    np.outer(dpred, w2[:, 0], out=dhidden)
-    np.multiply(dhidden, hidden > 0.0, out=dhidden)
+    active = hidden > 0.0
+    dhidden = np.outer(dpred, w2[:, 0], out=hidden)
+    np.multiply(dhidden, active, out=dhidden)
     dw1 = X.T @ dhidden
     db1 = dhidden.sum(axis=0)
     return loss, [dw1, db1, dw2, db2]
@@ -230,7 +231,7 @@ def fit_mlp(train: Dataset, cfg: MlpConfig, seed: int) -> MlpRegressor:
     v = [np.zeros_like(p) for p in params]
     batch = min(cfg.batch_size, train.n)
     lr, wd = cfg.learning_rate, cfg.weight_decay
-    work = [np.empty((batch, cfg.hidden_width)) for _ in range(3)]
+    work = np.empty((batch, cfg.hidden_width))
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(train.n)

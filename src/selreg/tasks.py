@@ -29,7 +29,7 @@ from .core import (
     _as_block,
     _freeze,
     _nearest_row,
-    _table,
+    _support_table,
 )
 
 __all__ = [
@@ -58,7 +58,7 @@ class DiscreteTask:
 
     def __post_init__(self) -> None:
         fields = ("points", "weights", "means", "variances")
-        for f, a in zip(fields, _table(*(getattr(self, f) for f in fields))):
+        for f, a in zip(fields, _support_table(*(getattr(self, f) for f in fields))):
             object.__setattr__(self, f, a)
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0.0):
             raise ValueError("weights must be a probability vector (sum 1 within 1e-12)")
@@ -147,7 +147,7 @@ class BinaryTask:
 
     def __post_init__(self) -> None:
         fields = ("points", "weights", "eta")
-        for f, a in zip(fields, _table(*(getattr(self, f) for f in fields))):
+        for f, a in zip(fields, _support_table(*(getattr(self, f) for f in fields))):
             object.__setattr__(self, f, a)
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")

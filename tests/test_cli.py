@@ -344,6 +344,8 @@ def _knn_file(**payload) -> str:
         ("calibrate", '{"kind": ["regressor/knn"], "payload": {}}'),
         ("calibrate", '{"kind": "regressor/table_lookup", '
                       '"payload": {"points": [[0.0], [NaN], [2.0]], "values": [1.0, 2.0, 3.0]}}'),
+        ("calibrate", '{"kind": "regressor/table_lookup", '
+                      '"payload": {"points": [[0.0], [2.0], [0.0]], "values": [1.0, 2.0, 3.0]}}'),
         ("calibrate", _knn_file(train_y=[0.0, float("nan"), 2.0])),
         ("calibrate", _knn_file(train_x=[[0.0], [float("inf")], [2.0]])),
         ("calibrate", json.dumps({"kind": "regressor/mlp", "payload": {
@@ -356,7 +358,7 @@ def _knn_file(**payload) -> str:
         "knn-train-y-short", "knn-string-train-x", "knn-3d-train-x", "knn-k-too-large", "knn-fractional-k", "knn-bool-k",
         "mlp-w1-off-its-header", "mlp-layers-do-not-chain", "knn-two-columns-on-hetero6",
         "calibrator-not-a-regressor", "unknown-kind", "unhashable-kind",
-        "table-nan-point", "knn-nan-train-y", "knn-infinity-train-x", "mlp-nan-weight",
+        "table-nan-point", "table-repeated-point", "knn-nan-train-y", "knn-infinity-train-x", "mlp-nan-weight",
     ],
 )
 def test_malformed_input_file_is_data_error(command, text, tmp_path, capsys):

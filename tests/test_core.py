@@ -23,8 +23,12 @@ from selreg.core import (
     sigma_grid,
     split_dataset,
     standardize,
+    _table,
 )
 from selreg.harness import ExperimentConfig
+from selreg.models import KnnRegressor, MlpRegressor
+from selreg.oracle import TableRiskCalibrator
+from selreg.rejection import KernelSmootherCalibrator, LinearLossCalibrator
 
 
 class TestDataset:
@@ -285,6 +289,25 @@ class TestSerialization:
             with pytest.raises(DataError, match="finite"):
                 TableLookupRegressor(np.array(points), np.array(values))
 
+    @pytest.mark.parametrize("points", [
+        [[0.0], [1.0], [0.0]],
+        [[0.0], [-0.0]],
+        [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]],
+    ], ids=["1-d", "signed-zeros", "2-d"])
+    def test_lookup_refuses_a_repeated_point(self, points):
+        # a lookup reaches only the first copy, so the later values would be dropped
+        values = np.arange(len(points), dtype=float)
+        with pytest.raises(DataError, match="appears 2 times"):
+            TableLookupRegressor(np.array(points), values)
+        with pytest.raises(DataError, match="appears 2 times"):
+            TableLookupRejector(np.array(points), values > 0.0)
+        with pytest.raises(DataError, match="appears 2 times"):
+            TableRiskCalibrator(np.array(points), values)
+
+    def test_lookup_takes_points_that_share_a_coordinate(self):
+        reg = TableLookupRegressor(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 2.0]]), np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(reg.predict(reg.points), reg.values)
+
     def test_lookups_call_the_backend_through_its_module(self, monkeypatch):
         # so that a wrapper on selreg.backend.pairwise_sq_dists, as perfbench's
         # tracer installs, counts the table and task lookups too
@@ -299,6 +322,24 @@ class TestSerialization:
         task.mean_at(q)
         task.var_at(q)
         assert calls == [2, 2, 2]
+
+
+def test_a_one_dimensional_block_is_refused():
+    # [0, 1] could be one row of two features or two rows of one
+    x = np.array([0.0, 1.0])
+    points = x[:, None]
+    calls = [
+        TableLookupRegressor(points, x).predict,
+        KnnRegressor(points, x, 1).predict,
+        MlpRegressor(np.ones((1, 2)), np.zeros(2), np.ones((2, 1)), np.zeros(1)).predict,
+        KernelSmootherCalibrator(points, x, KernelSpec(1.0)).estimate,
+        LinearLossCalibrator(np.ones(1), 0.0).estimate,
+        TableRiskCalibrator(points, x).estimate,
+        lambda q: _table(q, x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"must be 2-D \[rows, features\], got shape \(2,\)"):
+            call(x)
 
 
 def test_no_function_local_package_imports():

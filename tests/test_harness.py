@@ -32,6 +32,7 @@ from selreg.harness import (
 )
 from selreg.models import KnnConfig, KnnRegressor, MlpConfig, MlpRegressor
 from selreg.losses import LossReport, bayes_risk
+from selreg.rejection import conformal_threshold, linear_calibrate
 from selreg.tasks import DiscreteTask, default_discrete_task, default_smooth_task
 
 
@@ -230,6 +231,7 @@ class TestRunFixedCost:
          "oracle regressor"),
         (dict(dataset_source=str(bundled_data_path("hetero_demand.csv")), synthetic_n=1000, rejector="oracle"),
          "oracle rejector"),
+        (dict(workers=2), "workers"),
     ])
     def test_settings_the_run_would_not_read_are_refused(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -247,11 +249,6 @@ class TestRunFixedCost:
         owner = KnnConfig if name in ("k", "k_grid") else MlpConfig if name in ("hidden_width", "batch_size", "epochs") else _cost_cfg
         with pytest.raises(ValueError, match=fr"{name}(\[\d\])? must be an int"):
             owner(**{name: value})
-
-    def test_threaded_repeats_match_sequential(self):
-        seq = run_experiment(_cost_cfg(repeats=4))
-        par = run_experiment(_cost_cfg(repeats=4, workers=4))
-        assert [r.rwr_loss for r in par.repeats] == [r.rwr_loss for r in seq.repeats]
 
     def test_failed_repeat_carries_context(self, tmp_path):
         missing = tmp_path / "gone.csv"
@@ -385,18 +382,28 @@ class TestHeldOutPredictions:
         n_test = [materialize("hetero6", s, synthetic_n=400)[2].n for s in cfg.repeat_seeds()]
         assert sum(rows) == sum(n_test)
 
-    def test_budget_mode_mlp_run_predicts_the_fitting_half_and_the_test_rows(self, monkeypatch):
+    @pytest.mark.parametrize("rejector", ["kernel", "loss-linear"])
+    def test_budget_mode_mlp_run_predicts_the_fitting_half_and_the_test_rows(self, monkeypatch, rejector):
         rows = self._count_rows(monkeypatch, MlpRegressor)
         cfg = ExperimentConfig("hetero6", CostConfig.fixed_budget(0.2), regressor=MlpConfig(epochs=2),
-                               repeats=1, seed=3, synthetic_n=400)
+                               rejector=rejector, repeats=1, seed=3, synthetic_n=400)
         run_experiment(cfg)
         _, val, test, _ = materialize("hetero6", 3, synthetic_n=400)
         assert sum(rows) == val.n // 2 + test.n
 
-    def test_budget_threshold_predicts_the_fitting_half_only(self):
+    @pytest.mark.parametrize("rejector", ["kernel", "loss-linear"])
+    def test_budget_threshold_predicts_the_fitting_half_only(self, rejector):
         f, val, task = self._fitted()
-        budget_threshold("kernel", f, val, task, 0.2)
+        calibrator, th = budget_threshold(rejector, f, val, task, 0.2)
         assert f.rows == val.n // 2
+        fit_part, score_part = val.subset(np.arange(val.n // 2)), val.subset(np.arange(val.n // 2, val.n))
+        if rejector == "loss-linear":
+            losses = (f.inner.predict(fit_part.features) - fit_part.targets) ** 2
+            expected = linear_calibrate(fit_part.features, losses)
+            np.testing.assert_array_equal(calibrator.coef.view(np.int64), expected.coef.view(np.int64))
+            assert np.float64(calibrator.intercept).tobytes() == np.float64(expected.intercept).tobytes()
+        c_hat = conformal_threshold(calibrator.estimate(score_part.features), 0.2).c_hat
+        assert np.float64(th.c_hat).tobytes() == np.float64(c_hat).tobytes()
 
 
 class TestRunFixedBudget:
@@ -595,7 +602,6 @@ _VARIATIONS = {
     (ExperimentConfig, "target_column"): (_ON_CSV, {"target_column": "x2"}),
     (ExperimentConfig, "synthetic_n"): (_ON_HETERO6, {"synthetic_n": 400}),
     (ExperimentConfig, "sigma_grid"): (_ON_HETERO6, {"sigma_grid": (1000.0,)}),
-    (ExperimentConfig, "workers"): (_ON_HETERO6, {"workers": 2}),
     (SplitSpec, "val_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.3, 0.1)}),
     (SplitSpec, "test_fraction"): (_ON_HETERO6, {"split": SplitSpec(0.2, 0.2)}),
     # 0.5 is both a cost and a budget, so only the mode changes
@@ -612,8 +618,8 @@ _VARIATIONS = {
 # Values that the run would not read: each builds a config to be refused.
 _REFUSED = {
     (KnnConfig, "k"): lambda: dict(_ON_HETERO6, regressor=KnnConfig(k=7)),
+    (ExperimentConfig, "workers"): lambda: dict(_ON_HETERO6, workers=2),
 }
-_EQUAL_BY_DESIGN = {(ExperimentConfig, "workers")}
 _SETTINGS = [
     (owner, f.name)
     for owner in (ExperimentConfig, SplitSpec, CostConfig, KnnConfig, MlpConfig)
@@ -633,7 +639,4 @@ def test_every_setting_changes_a_repeat_or_is_refused(setting):
     base, change = _VARIATIONS[setting]
     before = run_experiment(ExperimentConfig(**base)).repeats
     after = run_experiment(ExperimentConfig(**{**base, **change})).repeats
-    if setting in _EQUAL_BY_DESIGN:
-        assert after == before
-    else:
-        assert after != before
+    assert after != before

@@ -157,11 +157,12 @@ class TestGridRow:
 
 
 def _boolean_scatter_forward_backward(params, X, y, work):
-    """Reference for ``models._forward_backward``: the same arithmetic, but
-    the ReLU backward writes zeros through the boolean index ``pre <= 0.0``."""
+    """Reference for ``models._forward_backward``: the same arithmetic in
+    three arrays of its own, ignoring ``work``, and the ReLU backward writes
+    zeros through the boolean index ``pre <= 0.0``."""
     w1, b1, w2, b2 = params
     n = X.shape[0]
-    pre, hidden, dhidden = (buf[:n] for buf in work)
+    pre, hidden, dhidden = (np.empty((n, w1.shape[1])) for _ in range(3))
     np.matmul(X, w1, out=pre)
     pre += b1
     np.maximum(pre, 0.0, out=hidden)
@@ -333,7 +334,7 @@ def gradient_check(cfg: MlpConfig, probe: Dataset, seed: int) -> GradientCheckRe
     rng = RngHandle(seed, STREAM_MLP).generator()
     params = models._init_params(probe.dim, cfg.hidden_width, rng)
     X, y = probe.features, probe.targets
-    work = [np.empty((probe.n, cfg.hidden_width)) for _ in range(3)]
+    work = np.empty((probe.n, cfg.hidden_width))
     _, analytic = models._forward_backward(params, X, y, work)
 
     names = ("w1", "b1", "w2", "b2")

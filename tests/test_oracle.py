@@ -410,6 +410,18 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match=message):
             BinaryTask(**{**good, **change})
 
+    def test_discrete_task_refuses_a_repeated_point(self):
+        # the lookup would read x = 0 as mean 0 with risk 0.1, where the
+        # two copies give a true mean of 1 and a Bayes risk of 0.55
+        with pytest.raises(DataError, match=r"support point \[0.0\] appears 2 times"):
+            DiscreteTask(points=np.array([[0.0], [0.0], [1.0]]), weights=np.array([0.25, 0.25, 0.5]),
+                         means=np.array([0.0, 2.0, 1.0]), variances=np.array([0.1, 0.1, 0.1]))
+
+    def test_binary_task_refuses_a_repeated_point(self):
+        with pytest.raises(DataError, match=r"support point \[1.0, 2.0\] appears 2 times"):
+            BinaryTask(points=np.array([[1.0, 2.0], [0.0, 2.0], [1.0, 2.0]]), weights=np.full(3, 1.0 / 3.0),
+                       eta=np.array([0.2, 0.5, 0.7]))
+
     def test_binary_risk_needs_a_zero_one_classifier(self):
         task = BinaryTask(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2, 0.7]))
         half = TableLookupRegressor(task.points, np.array([0.0, 0.5]))
