@@ -21,11 +21,14 @@ Contracts:
     serves every k, and each row equals a call with that k alone.
 
     For d = 1 the points are sorted once per call, and each query looks
-    only at the ``min(2 max(ks), m)`` sorted positions around it.  A row
-    whose answer the window cannot vouch for (a tie at its kth distance, a
-    NaN, a mirror tie out of index order, or a point just outside the window
-    that is not strictly farther) takes the full distance row instead, so
-    the result is the same bits either way.
+    only at k = ``max(ks)`` consecutive sorted positions: the k nearest
+    points are such a run.  Its start lies within k positions left of the
+    query's ``searchsorted`` point, and a binary search finds it, moving
+    right while the point just past the run is strictly nearer than its
+    first point.  A row whose answer the window cannot vouch for (a NaN kth
+    distance, a mirror tie out of index order, or a point just outside the
+    window that is not strictly farther than the kth) takes the full
+    distance row instead, so the result is the same bits either way.
 
     For d > 1 with ``2 max(ks) < m``, one BLAS product per block,
     ``[|q|^2, -2q, 1] @ [1; p; |p|^2]``, gives the whole norm expansion with
@@ -51,6 +54,14 @@ Contracts:
     product that rounds more than once has bits that depend on how many
     rows it gets.  Every sigma must be positive and finite.
 
+    ``np.exp`` is 10 to 20 times slower on every argument below about
+    -707.7.  So a block whose least quotient, ``-(max d2 / sigma)``, is
+    below -700 takes its weights lane by lane: a lane at or above -700, or
+    NaN, is ``np.exp`` of its quotient; a lane in [-746, -700) is the exact
+    ``np.exp`` of its quotient, taken from a gather of those few lanes; any
+    lower lane, -inf included, is +0.0, as ``np.exp`` gives there.  Those
+    are ``np.exp``'s own bits in every lane.
+
 No kernel warns on extreme coordinates.  inf - inf gives a NaN distance,
 which kNN ranks last and which makes that query's ``gaussian_nw`` estimate
 NaN, as a NaN coordinate does.  A square that overflows gives an infinite
@@ -66,8 +77,9 @@ its per-block work beyond the block x m arrays is larger; the d = 1 window
 of ``knn_mean`` takes 256 rows.  Block size changes no bit of any result.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
-reusable buffer per role (distances, differences, weights, the expansion,
-its partition copy, the candidate mask and the point table), each an
+reusable buffer per role (distances, differences, weights, the mark of
+the weights' underflowing lanes, the expansion, its partition copy, the
+candidate mask and the point table), each an
 anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
 of size block x m, and no page of it is handed back to the system and
 faulted in again between blocks.  A buffer holds the largest array any call
@@ -100,6 +112,8 @@ _DIST_BUDGET = 2**16  # elements per distance block
 _CANDIDATE_BUDGET = 2**19  # elements per block of the d > 1 candidate loop
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+_EXP_FAST = -700.0  # np.exp is fast at and above this argument
+_EXP_ZERO = -746.0  # and +0.0 below this one, under half the least subnormal
 
 
 class _Workspace(threading.local):
@@ -246,32 +260,43 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     """The k nearest points to each coordinate in ``q`` (d = 1), in
-    (distance, index) order, taken from the ``min(2k, m)`` sorted positions
-    around it, and a mask of the rows to redo on the full path.
+    (distance, index) order, taken from k consecutive sorted positions, and
+    a mask of the rows to redo on the full path.
 
     ``sx`` holds the point coordinates sorted stably and ``order`` their
-    indices, so equal coordinates already sit in index order.  A window is
-    ``w`` consecutive sorted positions from ``lo``, so both gathers copy
-    whole runs: the coordinates as rows of a sliding-window view, and a
-    neighbour's index as ``order[lo + rank]``.
+    indices, so equal coordinates already sit in index order.  With p the
+    query's ``searchsorted`` point, the window starts at some ``lo`` in
+    [p - k, p]: the point just left of it lies below the query, and the one
+    just right of it at or above.  There, moving the window one step right
+    while the point just past it is strictly nearer than its first point is
+    a test that holds up to some start and fails after it, so a binary
+    search finds that start.  Both gathers copy whole runs: the coordinates
+    as rows of a sliding-window view, and a neighbour's index as
+    ``order[lo + rank]``.
     """
     m = sx.shape[0]
-    w = min(2 * k, m)
-    lo = np.clip(np.searchsorted(sx, q) - k, 0, m - w)
+    p = np.searchsorted(sx, q)
+    lo, hi = np.maximum(p - k, 0), np.minimum(p, m - k)
     with np.errstate(over="ignore", invalid="ignore"):
+        # hi - lo <= k halves at every step; where mid < hi <= m - k, mid + k
+        # is a point, and a NaN fails the test
+        for _ in range(int(k).bit_length()):
+            mid = (lo + hi) // 2
+            right = (mid < hi) & (np.square(q - sx.take(mid + k, mode="clip")) < np.square(q - sx[mid]))
+            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
         # the full path adds the square to zeros, which changes no bit
-        d2 = np.square(q[:, None] - np.lib.stride_tricks.sliding_window_view(sx, w)[lo])
+        d2 = np.square(q[:, None] - np.lib.stride_tricks.sliding_window_view(sx, k)[lo])
         rank = _nearest(d2, k)
         idx = order[lo[:, None] + rank]
         near = np.take_along_axis(d2, rank, axis=1)
         kth = near[:, -1]
-        # a tie at the kth distance, or a NaN one
+        # a NaN kth distance: every other window has all k at or below it
         full = np.count_nonzero(d2 <= kth[:, None], axis=1) != k
         # equal distances out of index order: a mirror tie at q - r and q + r
         full |= np.any((near[:, 1:] == near[:, :-1]) & (idx[:, 1:] < idx[:, :-1]), axis=1)
         # the nearest point outside on either side no farther than the kth; the
         # points past it are farther still, as the sorted coordinates move away
-        for outside, exists in ((lo - 1, lo > 0), (lo + w, lo + w < m)):
+        for outside, exists in ((lo - 1, lo > 0), (lo + k, lo + k < m)):
             full |= exists & ~(np.square(q - sx[np.clip(outside, 0, m - 1)]) > kth)
     return idx, full
 
@@ -399,6 +424,29 @@ def knn_mean(
     return out
 
 
+def _exp(x: np.ndarray, least) -> np.ndarray:
+    """``np.exp(x)`` in place, with its bits, for a block whose least
+    element is ``least`` (NaN if any element is NaN).
+
+    A block with any lane below ``_EXP_FAST`` marks those lanes, takes the
+    exact ``np.exp`` of the few in [``_EXP_ZERO``, ``_EXP_FAST``), clamps
+    the marked lanes to ``_EXP_FAST`` so that the whole block exps on the
+    fast path, writes +0.0 into the marked lanes and puts the exact values
+    back.  A NaN lane is never marked and stays NaN; a -inf lane is marked
+    and becomes +0.0, as ``np.exp`` gives.
+    """
+    if least >= _EXP_FAST:
+        return np.exp(x, out=x)
+    flat = x.reshape(-1)
+    mark = np.less(flat, _EXP_FAST, out=_WORK.take("mark", flat.shape, bool))
+    band = np.flatnonzero(mark & (flat >= _EXP_ZERO))
+    exact = np.exp(flat[band])
+    np.exp(np.maximum(flat, _EXP_FAST, out=flat), out=flat)
+    np.multiply(flat, np.logical_not(mark, out=mark), out=flat)
+    flat[band] = exact
+    return x
+
+
 def gaussian_nw(
     queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigmas
 ) -> np.ndarray:
@@ -417,11 +465,14 @@ def gaussian_nw(
     out = np.empty((len(sigmas), np.shape(queries)[0]))
     for start, d2 in _sq_dist_blocks(queries, centers):
         w = _WORK.take("w", d2.shape)
+        d2max = d2.max(initial=0.0)  # NaN if any distance is
         for j, s in enumerate(sigmas):
             # a quotient that overflows becomes -inf, whose weight is 0
             with np.errstate(over="ignore", invalid="ignore"):
-                # division rounds the magnitude alone: d2 / -s is -(d2 / s)
-                np.exp(np.divide(d2, -s, out=w), out=w)
+                # division rounds the magnitude alone: d2 / -s is -(d2 / s),
+                # and it keeps order, so the block's least quotient is
+                # -(d2max / s)
+                _exp(np.divide(d2, -s, out=w), -(d2max / s))
                 den = w.sum(axis=1)
                 # a row sum, not a BLAS product, so that the block's row
                 # count changes no bit of a row

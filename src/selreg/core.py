@@ -350,11 +350,23 @@ def _nearest_row(X: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _support_table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_table`` for a lookup's support, which may not repeat a point: the lookup reads only its first copy."""
+    """``_table`` for a lookup's support, whose every row a lookup must reach:
+    each point's nearest row is itself.  That refuses a repeated point and
+    two distinct points whose squared distance underflows to 0 alike, as the
+    lookup reads only the first of them."""
     table = _table(points, *columns)
-    rows, counts = np.unique(table[0], axis=0, return_counts=True)
-    if counts.max(initial=1) > 1:
-        raise DataError(f"support point {rows[counts.argmax()].tolist()} appears {counts.max()} times")
+    n = table[0].shape[0]
+    # a block of rows at a time, so that the check holds about 2**20
+    # distances, not n x n
+    rows = max(1, 2**20 // max(n, 1))
+    nearest = np.empty(n, dtype=np.intp)
+    for i in range(0, n, rows):
+        nearest[i : i + rows] = _nearest_row(table[0][i : i + rows], table[0])
+    if np.any(nearest != np.arange(n)):
+        counts = np.bincount(nearest)
+        row = int(counts.argmax())
+        raise DataError(f"support point {table[0][row].tolist()} appears {counts[row]} times to a lookup:"
+                        f" rows {np.flatnonzero(nearest == row).tolist()} are at distance 0 from it")
     return table
 
 

@@ -249,6 +249,43 @@ class TestContracts:
             np.testing.assert_array_equal(row.view(np.int64), alone.view(np.int64))
             np.testing.assert_array_equal(row.view(np.int64), per_sigma_nw(q, c, v, sigma).view(np.int64))
 
+    def test_nw_weights_keep_their_bits_where_exp_underflows(self, name, impl):
+        # np.exp is slow below about -707.7, and the kernel clamps a block's
+        # quotients below -700 and restores the few in [-746, -700) exactly.
+        # Row i of the second block sits at about sqrt(t_i) from 51 centers on
+        # [0, 0.05], so its quotients at sigma 1 span [-t_i, -t_i + 2.7] and
+        # straddle -700, -707.7, ln(DBL_MIN) = -708.40, -745.13 (the least
+        # nonzero weight) and -746; near -745.13 a whole row of weights is
+        # subnormal, so each one shows in its sums.  The third block adds an
+        # inf distance, a quotient that overflows at sigma 0.5 and NaN
+        # distances; the first and last blocks keep every quotient above -700
+        # at sigmas 1 and 1e3.
+        rng = np.random.default_rng(61)
+        c = np.linspace(0.0, 0.05, 51)[:, None]
+        v = rng.exponential(size=len(c))
+        t = np.concatenate([edge + np.linspace(-3.0, 3.0, 50) for edge in (700.0, 707.7, 708.4, 745.13, 746.0)])
+        near = lambda n: rng.uniform(-5.0, 5.0, size=n)
+        odd = near(256)
+        odd[[3, 50]] = np.nan
+        odd[[7, 90]] = 1e200, -1e200  # the square overflows: an inf distance
+        odd[[9, 120]] = 1e154, -1e154  # 1e308, whose quotient by 0.5 overflows
+        q = np.concatenate([near(256), np.sqrt(t), near(6), odd, near(40)])[:, None]
+        sigmas = (0.5, 1.0, 1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            deep = [[np.any(d2 / -s < -700.0) for s in sigmas] for _, d2 in backend._sq_dist_blocks(q, c)]
+        assert deep == [[False, False, False], [True, True, False], [True, True, True], [False, False, False]]
+        got = impl.gaussian_nw(q, c, v, sigmas)
+        assert np.isnan(got[:, [256 + 256 + 3, 256 + 256 + 50]]).all()
+        for row, sigma in zip(got, sigmas):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = per_sigma_nw(q, c, v, sigma)
+            # the reference's -d2 / sigma flips a NaN's sign bit, where the
+            # kernel's d2 / -sigma keeps it; every other estimate is compared
+            # as integers, so that equal estimates are equal bits
+            nan = np.isnan(expect)
+            np.testing.assert_array_equal(np.isnan(row), nan)
+            np.testing.assert_array_equal(row[~nan].view(np.int64), expect[~nan].view(np.int64))
+
     def test_random_batches_match_brute_force(self, name, impl):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -321,20 +358,33 @@ class TestContracts:
             np.testing.assert_array_equal(row, brute_knn_mean(q, p, v, k))
 
     def test_knn_one_dimension_matches_the_padded_full_path(self, name, impl):
-        # d=1 takes a sorted window of candidates; a zero second column sends
+        # d=1 takes a window of k sorted points; a zero second column sends
         # the same distances down the full path, which the window must match
         # bit for bit: continuous and rounded coordinates (duplicates and
-        # mirror ties), NaN queries, queries beyond every point, max(ks) above
-        # m/2 and k = m, over three blocks of queries
+        # mirror ties), queries on points, NaN queries, queries beyond every
+        # point, k = 1, max(ks) above m/2, k = m - 1 and k = m, over three
+        # blocks of queries
         rng = np.random.default_rng(21)
+        cases = []
         for decimals in (None, 1, 2):
             m = 300
             p = rng.normal(size=m)
-            q = np.concatenate([rng.normal(size=2 * 256 + 40) * 1.5, [np.nan, -50.0, 50.0, np.nan]])
+            q = rng.normal(size=2 * 256 + 40) * 1.5
+            q = np.concatenate([q, p[:40], [np.nan, -50.0, 50.0, np.nan]])
             if decimals is not None:
                 p, q = np.round(p, decimals), np.round(q, decimals)
-            v = rng.normal(size=m)
-            for ks in ((5, 1, 20), (3, 200), (m,)):
+            cases.append((p, q, ((5, 1, 20), (3, 200), (1,), (m - 1,), (m,))))
+        # a single point
+        cases.append((np.array([0.25]), np.array([-1.0, 0.25, 0.3, np.nan, 7.0]), ((1,),)))
+        # a run of 40 equal coordinates, longer than k: from on the run and
+        # just beside it, the window starts or ends inside the run; the last
+        # ks are a NumPy array
+        p = rng.permutation(np.concatenate([rng.normal(size=60), np.full(40, 0.5), rng.normal(size=60)]))
+        q = np.concatenate([[0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.45, 0.55, -40.0, 40.0], p[:30], rng.normal(size=30)])
+        cases.append((p, q, ((1, 5, 20), (39,), (41,), (len(p) - 1,), np.array([2, 7]))))
+        for p, q, kss in cases:
+            v = rng.normal(size=len(p))
+            for ks in kss:
                 got = impl.knn_mean(q[:, None], p[:, None], v, ks)
                 padded = impl.knn_mean(np.c_[q, np.zeros_like(q)], np.c_[p, np.zeros_like(p)], v, ks)
                 # compared as integers, so that equal means are equal bits

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,9 +294,12 @@ class TestSerialization:
         [[0.0], [1.0], [0.0]],
         [[0.0], [-0.0]],
         [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]],
-    ], ids=["1-d", "signed-zeros", "2-d"])
+        [[0.0], [1e-170]],
+    ], ids=["1-d", "signed-zeros", "2-d", "underflow"])
     def test_lookup_refuses_a_repeated_point(self, points):
-        # a lookup reaches only the first copy, so the later values would be dropped
+        # a lookup reaches only the first copy, so the later values would be
+        # dropped; 1e-170 squared underflows to 0, so a lookup at 1e-170 ties
+        # with row 0 as at an exact repeat
         values = np.arange(len(points), dtype=float)
         with pytest.raises(DataError, match="appears 2 times"):
             TableLookupRegressor(np.array(points), values)
@@ -304,13 +308,29 @@ class TestSerialization:
         with pytest.raises(DataError, match="appears 2 times"):
             TableRiskCalibrator(np.array(points), values)
 
+    def test_lookup_checks_its_support_in_blocks(self):
+        # the n x n distances of 3,000 points would take 72 MB
+        points = np.random.default_rng(3).normal(size=(3000, 2))
+        tracemalloc.start()
+        try:
+            TableLookupRegressor(points, np.zeros(3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    def test_lookup_takes_points_whose_distance_stays_positive(self):
+        reg = TableLookupRegressor(np.array([[0.0], [1e-160]]), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(reg.predict(reg.points), reg.values)
+
     def test_lookup_takes_points_that_share_a_coordinate(self):
         reg = TableLookupRegressor(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 2.0]]), np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(reg.predict(reg.points), reg.values)
 
     def test_lookups_call_the_backend_through_its_module(self, monkeypatch):
         # so that a wrapper on selreg.backend.pairwise_sq_dists, as perfbench's
-        # tracer installs, counts the table and task lookups too
+        # tracer installs, counts the table and task lookups too, and the
+        # lookup of each support in itself that its constructor makes
         from selreg import backend
         from selreg.tasks import default_discrete_task
 
@@ -321,7 +341,7 @@ class TestSerialization:
         TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0])).predict(q)
         task.mean_at(q)
         task.var_at(q)
-        assert calls == [2, 2, 2]
+        assert calls == [task.size, 2, 2, 2, 2]
 
 
 def test_a_one_dimensional_block_is_refused():

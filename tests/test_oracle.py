@@ -417,6 +417,13 @@ class TestTaskValidation:
             DiscreteTask(points=np.array([[0.0], [0.0], [1.0]]), weights=np.array([0.25, 0.25, 0.5]),
                          means=np.array([0.0, 2.0, 1.0]), variances=np.array([0.1, 0.1, 0.1]))
 
+    def test_discrete_task_refuses_points_a_lookup_cannot_tell_apart(self):
+        # distinct points whose squared distance underflows to 0: a lookup at
+        # 1e-170 reads row 0, as at a repeat
+        with pytest.raises(DataError, match=r"support point \[0.0\] appears 2 times"):
+            DiscreteTask(points=np.array([[0.0], [1e-170], [1.0]]), weights=np.array([0.25, 0.25, 0.5]),
+                         means=np.array([0.0, 2.0, 1.0]), variances=np.array([0.1, 0.1, 0.1]))
+
     def test_binary_task_refuses_a_repeated_point(self):
         with pytest.raises(DataError, match=r"support point \[1.0, 2.0\] appears 2 times"):
             BinaryTask(points=np.array([[1.0, 2.0], [0.0, 2.0], [1.0, 2.0]]), weights=np.full(3, 1.0 / 3.0),
