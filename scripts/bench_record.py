@@ -11,7 +11,8 @@ thread, from the measured checkout's own ``src`` and ``perfbench``:
   the file also shows whether the results kept their bits;
 * perfbench: ``perfbench/run.py`` at ``--trace 0`` and ``--trace 1`` on each
   workload of ``BENCHMARK.json``, each for its ``run_seconds``, keeping each
-  run's last JSON line and its ``env`` line.
+  run's last JSON line, its ``env`` line, its exit code and, on a traced run,
+  the lookup names its tracer did not find (``parse_perfbench``).
 
 The file also records the checkout's commit (and whether its tree differs
 from it), a hash and the line count of ``src/selreg``, the Python, NumPy and
@@ -30,6 +31,7 @@ their per-pair lists, not by one median.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -46,6 +48,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 SECONDS = BENCHMARK["run_seconds"]  # per perfbench run
 BUNDLED_CSV = "src/selreg/data/hetero_demand.csv"  # relative to the checkout
+MISSING = "lookup names not found: "  # how run.py prints the tracer's misses
 
 # name -> the run_experiment config, as the child process builds it
 MATRIX = {
@@ -92,19 +95,29 @@ def run_config(checkout: Path, spec: dict, repeats: int = REPEATS) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def run_perfbench(checkout: Path, workload: str, trace: int) -> dict:
-    """The checkout's own perfbench on one workload at seed 0: its last JSON
-    line and its ``env`` line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-           "--seconds", str(SECONDS), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, env=dict(os.environ, **THREADS), stdout=subprocess.PIPE, text=True)
-    lines = done.stdout.splitlines()
+def parse_perfbench(stdout: str, exit_code: int) -> dict:
+    """What one ``perfbench/run.py`` run printed: its last JSON line as
+    ``result``, its ``env`` line, its exit code, and the lookup names that
+    its tracer did not find as ``missing``: a list, empty where run.py
+    prints ``none``, and None on an untraced run, which prints no such
+    line.  A traced name that loses its last caller shows up there."""
+    lines = stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    found = next((line.split(MISSING, 1)[1] for line in lines if MISSING in line), None)
+    missing = None if found is None else [] if found == "none" else ast.literal_eval(found)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        result = {"error": f"perfbench exited {done.returncode} without a JSON line"}
-    return {"result": result, "env": env}
+        result = {"error": f"perfbench exited {exit_code} without a JSON line"}
+    return {"result": result, "env": env, "exit_code": exit_code, "missing": missing}
+
+
+def run_perfbench(checkout: Path, workload: str, trace: int) -> dict:
+    """The checkout's own perfbench on one workload at seed 0, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+           "--seconds", str(SECONDS), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, env=dict(os.environ, **THREADS), stdout=subprocess.PIPE, text=True)
+    return parse_perfbench(done.stdout, done.returncode)
 
 
 def environment(checkout: Path) -> dict:
@@ -158,8 +171,9 @@ def measure(record: dict, checkout: Path, pair: int) -> None:
         for trace in (0, 1):
             run = run_perfbench(checkout, workload, trace)
             record["perfbench"][workload][f"trace{trace}"].append(dict(run, pair=pair))
-            ok = run["result"].get("correct")
-            print(f"  {record['label']:>8} {workload} trace {trace}: correct {ok}", flush=True)
+            ok, code, missing = run["result"].get("correct"), run["exit_code"], run["missing"]
+            print(f"  {record['label']:>8} {workload} trace {trace}: correct {ok}, exit {code},"
+                  f" names not found {missing}", flush=True)
 
 
 def main(argv=None) -> None:

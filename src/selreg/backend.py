@@ -71,10 +71,10 @@ whose quotient by sigma overflows, gets ``gaussian_nw`` weight 0.
 Queries stream through in blocks whose row count follows from m, the number
 of points: ``_block_rows(m, budget)`` rows, about ``budget`` elements of a
 block x m array, but never fewer than 16 rows nor more than 256.  Distance
-blocks, and so ``pairwise_sq_dists`` and ``gaussian_nw``, take a budget of
-2**16 elements; the candidate loop of ``knn_mean`` at d > 1 takes 2**19, as
-its per-block work beyond the block x m arrays is larger; the d = 1 window
-of ``knn_mean`` takes 256 rows.  Block size changes no bit of any result.
+blocks, and so ``pairwise_sq_dists``, ``gaussian_nw`` and ``core``'s
+lookups, take a budget of 2**16 elements; the candidate loop of
+``knn_mean`` at d > 1 takes 2**19, as it does more work per block; the
+d = 1 window of ``knn_mean`` takes 256 rows.  Block size changes no bit.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
 reusable buffer per role (distances, differences, weights, the mark of
@@ -235,8 +235,9 @@ def _sq_dist_blocks(queries, points):
     ``d2`` lives in the thread's workspace: it is valid only until the next
     block, and the caller may overwrite it.  Until the generator is done or
     closed it holds its point table, so a kernel called from its loop
-    raises.  The kernels call this rather than ``pairwise_sq_dists``, so
-    that public name counts only its direct callers.
+    raises.  The kernels, ``core``'s lookups and ``harness``'s median call
+    this rather than ``pairwise_sq_dists``, which has no caller in the
+    package, so that public name counts only its direct callers.
     """
     queries, points = _as_pair(queries, points)
     rows = _block_rows(points.shape[0], _DIST_BUDGET)
@@ -290,8 +291,8 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
         idx = order[lo[:, None] + rank]
         near = np.take_along_axis(d2, rank, axis=1)
         kth = near[:, -1]
-        # a NaN kth distance: every other window has all k at or below it
-        full = np.count_nonzero(d2 <= kth[:, None], axis=1) != k
+        # a NaN kth distance: NaNs sort last, so only then is one in the window
+        full = np.isnan(kth)
         # equal distances out of index order: a mirror tie at q - r and q + r
         full |= np.any((near[:, 1:] == near[:, :-1]) & (idx[:, 1:] < idx[:, :-1]), axis=1)
         # the nearest point outside on either side no farther than the kth; the

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import backend
+from .backend import _sq_dist_blocks
 
 __all__ = [
     "SelregError",
@@ -111,9 +111,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``points`` frozen as an [n, d] block, then each column frozen; a
-    column without exactly one entry per point row is a DataError."""
+    """``points`` frozen as an [n, d] block, then each column frozen; no
+    point row, or a column without exactly one entry per point row, is a
+    DataError."""
     points = _freeze(_as_block(points))
+    if points.shape[0] == 0:
+        raise DataError(f"a table needs at least one point row, got shape {points.shape}")
     frozen = tuple(_freeze(col) for col in columns)
     for col in frozen:
         if col.shape != points.shape[:1]:
@@ -148,9 +151,8 @@ class Dataset:
         if np.ndim(self.features) != 2:
             raise DataError(f"features must be 2-D, got shape {np.shape(self.features)}")
         feats, targs = _table(self.features, self.targets)
-        n, d = feats.shape
-        if n < 1 or d < 1:
-            raise DataError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+        if feats.shape[1] < 1:
+            raise DataError(f"need d >= 1 features, got shape {feats.shape}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)
 
@@ -342,11 +344,15 @@ def _as_block(X: np.ndarray) -> np.ndarray:
 
 
 def _nearest_row(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row of ``points`` nearest to each finite query, ties to the lower row."""
+    """Row of ``points`` nearest to each finite query, ties to the lower row:
+    the argmin of each distance block, as ``gaussian_nw``'s fallback takes."""
     X = _as_block(X)
     if not np.isfinite(X).all():
         raise DataError("a lookup query holds NaN or inf")
-    return np.argmin(backend.pairwise_sq_dists(X, points), axis=1)
+    nearest = np.empty(X.shape[0], dtype=np.intp)
+    for start, d2 in _sq_dist_blocks(X, points):
+        nearest[start : start + d2.shape[0]] = np.argmin(d2, axis=1)
+    return nearest
 
 
 def _support_table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -355,14 +361,8 @@ def _support_table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray
     two distinct points whose squared distance underflows to 0 alike, as the
     lookup reads only the first of them."""
     table = _table(points, *columns)
-    n = table[0].shape[0]
-    # a block of rows at a time, so that the check holds about 2**20
-    # distances, not n x n
-    rows = max(1, 2**20 // max(n, 1))
-    nearest = np.empty(n, dtype=np.intp)
-    for i in range(0, n, rows):
-        nearest[i : i + rows] = _nearest_row(table[0][i : i + rows], table[0])
-    if np.any(nearest != np.arange(n)):
+    nearest = _nearest_row(table[0], table[0])
+    if np.any(nearest != np.arange(nearest.shape[0])):
         counts = np.bincount(nearest)
         row = int(counts.argmax())
         raise DataError(f"support point {table[0][row].tolist()} appears {counts[row]} times to a lookup:"

@@ -27,13 +27,14 @@ def brute_knn_mean(q, p, v, k):
 
 def per_sigma_nw(q, c, v, sigma):
     """The single-sigma kernel that the grid kernel replaced, kept as the
-    reference its rows must match bit for bit: a fresh ``-d2 / sigma`` per
-    call and the nearest center by ``argmin`` of the distances.  Its
+    reference its rows must match bit for bit: a fresh ``d2 / -sigma`` per
+    call, which keeps a NaN's sign bit as the kernel does, and the nearest
+    center by ``argmin`` of the distances.  Its
     numerator is the kernel's row sum of weight times value, which replaced
     the ``w @ v`` product whose bits depend on the block's row count."""
     out = np.empty(len(q))
     for start, d2 in backend._sq_dist_blocks(q, c):
-        w = np.exp(-d2 / float(sigma))
+        w = np.exp(d2 / -float(sigma))
         den = w.sum(axis=1)
         est = (w * v).sum(axis=1) / np.where(den > 0.0, den, 1.0)
         dead = den == 0.0
@@ -233,16 +234,19 @@ class TestContracts:
     @pytest.mark.parametrize("d", [1, 8])
     def test_nw_rows_are_the_bits_of_single_sigma_calls(self, name, impl, d):
         # 2.5 blocks of queries; at sigma 1e-3 most rows underflow and take
-        # the nearest center, as do the far queries at every sigma but 1e3
+        # the nearest center, as do the far queries at every sigma but 1e3;
+        # row 300 holds a NaN, so its estimate is NaN at every sigma
         rng = np.random.default_rng(17 + d)
         c = rng.normal(size=(300, d))
         q = np.concatenate([rng.normal(size=(2 * 256 + 100, d)) * 1.5, 40.0 + rng.normal(size=(28, d))])
+        q[300, -1] = np.nan
         v = rng.exponential(size=300)
         sigmas = tuple(10.0**j for j in range(-3, 4))
         got = impl.gaussian_nw(q, c, v, sigmas)
         assert got.shape == (len(sigmas), len(q))
         dead = np.exp(-impl.pairwise_sq_dists(q, c) / sigmas[0]).sum(axis=1) == 0.0
         assert dead[-28:].all() and not dead.all()
+        assert np.isnan(got[:, 300]).all() and np.isnan(got).sum() == len(sigmas)
         for row, sigma in zip(got, sigmas):
             # compared as integers, so that equal estimates are equal bits
             alone = impl.gaussian_nw(q, c, v, (sigma,))[0]
@@ -279,12 +283,8 @@ class TestContracts:
         for row, sigma in zip(got, sigmas):
             with np.errstate(over="ignore", invalid="ignore"):
                 expect = per_sigma_nw(q, c, v, sigma)
-            # the reference's -d2 / sigma flips a NaN's sign bit, where the
-            # kernel's d2 / -sigma keeps it; every other estimate is compared
-            # as integers, so that equal estimates are equal bits
-            nan = np.isnan(expect)
-            np.testing.assert_array_equal(np.isnan(row), nan)
-            np.testing.assert_array_equal(row[~nan].view(np.int64), expect[~nan].view(np.int64))
+            # compared as integers, so that equal estimates are equal bits
+            np.testing.assert_array_equal(row.view(np.int64), expect.view(np.int64))
 
     def test_random_batches_match_brute_force(self, name, impl):
         rng = np.random.default_rng(7)
@@ -718,6 +718,12 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
     order = np.argsort(x, kind="stable")
     _, full = backend._window_nearest(np.array([0.0, 4.0]), order, x[order], 2)
     assert full.tolist() == [True, False]
+    # at k = m no point lies outside the window: only the NaN kth distance
+    # sends the NaN query to the full path
+    x = rng.normal(size=40)
+    order = np.argsort(x, kind="stable")
+    _, full = backend._window_nearest(np.array([0.3, np.nan]), order, x[order], 40)
+    assert full.tolist() == [False, True]
 
 
 def _preselect(q, p, k):

@@ -1,4 +1,5 @@
-"""The matrix half of scripts/bench_record.py on one shrunken config."""
+"""scripts/bench_record.py: the matrix half on one shrunken config, and the
+parsing of canned perfbench output."""
 
 import importlib.util
 import json
@@ -37,3 +38,37 @@ def test_a_record_names_what_it_measured():
     assert set(record["perfbench"]) == set(bench_record.WORKLOADS)
     assert all(m["config"]["repeats"] == 10 for m in record["matrix"].values())
     json.dumps(record)
+
+
+# canned perfbench/run.py output, cut to the lines that parse_perfbench reads
+ENV = {"backend": "numpy", "nproc": 2}
+RESULT = {"correct": True, "attempted": 48, "failed": 0, "metrics": {}}
+
+
+def traced(missing: str) -> str:
+    return "\n".join([
+        "workload score-knn-d8  seed 0  trace 1  backend numpy",
+        "  operations                             48             0 failed, error rate 0",
+        "  spans written to .perfbench_out/score-knn-d8-seed0.json; lookup names not found: " + missing,
+        "env " + json.dumps(ENV),
+        json.dumps(RESULT),
+    ]) + "\n"
+
+
+def test_a_perfbench_run_keeps_its_exit_code_and_the_names_its_tracer_missed():
+    parse = load_script().parse_perfbench
+    assert parse(traced("none"), 0) == {"result": RESULT, "env": ENV, "exit_code": 0, "missing": []}
+    gone = ["selreg.backend.pairwise_sq_dists", "selreg.harness.kernel_calibrate"]
+    assert parse(traced(str(gone)), 0)["missing"] == gone
+    # an untraced run prints no such line
+    untraced = "".join(line + "\n" for line in traced("none").splitlines() if "lookup names" not in line)
+    assert parse(untraced, 0) == {"result": RESULT, "env": ENV, "exit_code": 0, "missing": None}
+
+
+def test_a_perfbench_run_that_fails_keeps_its_exit_code():
+    parse = load_script().parse_perfbench
+    failed = parse("perfbench: workload nothing is not in BENCHMARK.json\n", 1)
+    assert failed == {
+        "result": {"error": "perfbench exited 1 without a JSON line"}, "env": None, "exit_code": 1, "missing": None,
+    }
+    assert parse("", 2)["result"] == {"error": "perfbench exited 2 without a JSON line"}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selreg.backend import pairwise_sq_dists
 from selreg.core import (
     CostConfig,
     CostMode,
@@ -29,7 +30,7 @@ from selreg.core import (
 from selreg.harness import ExperimentConfig
 from selreg.models import KnnRegressor, MlpRegressor
 from selreg.oracle import TableRiskCalibrator
-from selreg.rejection import KernelSmootherCalibrator, LinearLossCalibrator
+from selreg.rejection import KernelSmootherCalibrator, LinearLossCalibrator, linear_calibrate
 
 
 class TestDataset:
@@ -327,21 +328,35 @@ class TestSerialization:
         reg = TableLookupRegressor(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 2.0]]), np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(reg.predict(reg.points), reg.values)
 
-    def test_lookups_call_the_backend_through_its_module(self, monkeypatch):
-        # so that a wrapper on selreg.backend.pairwise_sq_dists, as perfbench's
-        # tracer installs, counts the table and task lookups too, and the
-        # lookup of each support in itself that its constructor makes
-        from selreg import backend
-        from selreg.tasks import default_discrete_task
+    def test_lookups_take_the_first_nearest_row_block_by_block(self):
+        # half-integer queries on an integer lattice tie with up to four
+        # points, and 7,500 queries on 900 points span over 100 distance
+        # blocks; the [nq, m] distances would take 54 MB
+        points = np.stack(np.meshgrid(np.arange(30.0), np.arange(30.0)), axis=-1).reshape(-1, 2)
+        q = np.random.default_rng(5).integers(-2, 61, size=(7500, 2)) / 2.0
+        reg = TableLookupRegressor(points, np.arange(900.0))
+        tracemalloc.start()
+        try:
+            got = reg.predict(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, np.argmin(pairwise_sq_dists(q, points), axis=1))
+        assert peak < 54e6 / 8
 
-        calls, real = [], backend.pairwise_sq_dists
-        monkeypatch.setattr(backend, "pairwise_sq_dists", lambda q, p: calls.append(len(q)) or real(q, p))
-        task = default_discrete_task()
-        q = np.array([[0.0], [9.0]])
-        TableLookupRegressor(np.array([[0.0], [10.0]]), np.array([1.0, 2.0])).predict(q)
-        task.mean_at(q)
-        task.var_at(q)
-        assert calls == [task.size, 2, 2, 2, 2]
+
+@pytest.mark.parametrize("build", [
+    TableLookupRegressor,
+    lambda x, v: TableLookupRejector(x, v > 0.0),
+    TableRiskCalibrator,
+    lambda x, v: KernelSmootherCalibrator(x, v, KernelSpec(1.0)),
+    linear_calibrate,
+], ids=["lookup-regressor", "lookup-rejector", "risk-table", "kernel-smoother", "linear-calibrate"])
+def test_a_table_without_points_is_refused(build):
+    # before, the lookups and the smoother failed on first use, and the
+    # linear fit of no rows gave a zero model that accepts every query
+    with pytest.raises(DataError, match=r"at least one point row, got shape \(0, 2\)"):
+        build(np.zeros((0, 2)), np.zeros(0))
 
 
 def test_a_one_dimensional_block_is_refused():
