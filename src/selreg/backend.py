@@ -31,15 +31,22 @@ Contracts:
     distance row instead, so the result is the same bits either way.
 
     For d > 1 with ``2 max(ks) < m``, one BLAS product per block,
-    ``[|q|^2, -2q, 1] @ [1; p; |p|^2]``, gives the whole norm expansion with
-    no further pass over the block.  It only preselects the ``2 max(ks)``
-    candidates of each query: the points whose expansion is at or below its
-    ``2 max(ks)``-th smallest value.  Every distance compared is still summed
-    from exact differences.  A row where that is not exactly ``2 max(ks)``
-    points (a tie there, or a NaN), or whose candidates may miss a point
-    within the expansion's rounding bound of its kth distance (a NaN or inf
-    coordinate, cancellation at large offsets, underflow), takes the full
-    distance row, again with the same bits.
+    ``[|q'|^2, -2q', 1] @ [1; p'; |p'|^2]``, gives the whole norm expansion
+    of the points less a centre c with no further pass over the block.  It
+    only preselects the ``2 max(ks)`` candidates of each query: the points
+    whose expansion is at or below its ``2 max(ks)``-th smallest value.
+    Every distance compared is still summed in float64 from exact
+    differences.  Three passes take the rows in turn, each only those the
+    last left unsettled.  The first runs in float32, with c the midpoint of
+    the points' bounding box, so that its error follows the points' spread
+    and not their distance from the origin.  The second runs in float64 on
+    the points as given (c = 0).  A pass leaves a row unsettled where its
+    candidates are not exactly ``2 max(ks)`` points (a tie there, or a NaN),
+    or may miss a point within the expansion's rounding bound of its kth
+    distance (a NaN or inf coordinate, coordinates far from c, underflow,
+    overflow).  The third pass, the full distance row, takes the rows that
+    neither settles.  The result has the same bits whichever pass settles a
+    row.
 
 ``gaussian_nw(queries, centers, values[m], sigmas) -> [len(sigmas), nq]``
     Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
@@ -79,21 +86,23 @@ d = 1 window of ``knn_mean`` takes 256 rows.  Block size changes no bit.
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
 reusable buffer per role (distances, differences, weights, the mark of
 the weights' underflowing lanes, the expansion, its partition copy, the
-candidate mask and the point table), each an
+candidate mask, the point table and its float32 centred copy), each an
 anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
 of size block x m, and no page of it is handed back to the system and
 faulted in again between blocks.  A buffer holds the largest array any call
 in its thread has asked of its role until the thread ends: at most
-``max(budget, 16 m)`` elements, or (d + 2) x m for the point table.  Apart
+``max(budget, 16 m)`` elements, or (d + 2) x m for each point table.  Apart
 from the ``[nq,m]`` result of ``pairwise_sq_dists``, memory therefore grows
 with that element budget and not with the number of queries (block x window
 on the d = 1 path).
 
 The point table, rows ``1, p_1 .. p_d, |p|^2``, is the one copy of the
 points in a call: each difference product reads two of its rows, and the
-expansion reads all of them.  A kernel generator holds its table until it
-is done or closed, and any other kernel called in its thread meanwhile
-raises rather than overwrite it.
+expansion reads all of them.  The float32 pass reads a second table,
+``_expansions``' rows ``1, p'_1 .. p'_d, |p'|^2`` of the centred points,
+built from the rows of the first inside its hold.  A kernel generator holds
+its table until it is done or closed, and any other kernel called in its
+thread meanwhile raises rather than overwrite either.
 """
 
 from __future__ import annotations
@@ -110,8 +119,6 @@ BACKEND = "numpy"
 _BLOCK = 256  # rows per block of the d = 1 window, and the most of any block
 _DIST_BUDGET = 2**16  # elements per distance block
 _CANDIDATE_BUDGET = 2**19  # elements per block of the d > 1 candidate loop
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).smallest_subnormal
 _EXP_FAST = -700.0  # np.exp is fast at and above this argument
 _EXP_ZERO = -746.0  # and +0.0 below this one, under half the least subnormal
 
@@ -302,60 +309,129 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     return idx, full
 
 
-def _candidate_nearest(q, table, p2max, k: int):
-    """The k nearest points to each row of ``q`` (d > 1, 2k < m), in
-    (distance, index) order, and a mask of the rows to redo on the full path.
+def _expansions(table: np.ndarray):
+    """The expansion tables of the d > 1 candidate passes, in the order they
+    run, each as ``(ptable, centre, p2max)``: the product's table, the
+    centre c its points are taken from, and the largest squared norm in it.
 
-    ``table`` is the ``_point_table`` and ``p2max`` the largest squared norm
-    in it.  The norm expansion ``a = |q|^2 + |p|^2 - 2 q.p`` is one product,
-    ``[|q|^2, -2q, 1] @ [1; p; |p|^2]``, so it takes no pass over the block
-    x m array beyond the product's own.  It picks as candidates the points
-    whose ``a`` is at most t, the 2k-th smallest ``a`` of the row; a row
-    where that is not exactly 2k points (a tie at t, or a NaN) is redone.
-    Only the candidates' distances are summed from exact differences, with
-    the bits ``_sq_dist`` gives them, so every distance compared has the full
-    path's bits.  Call those sums e and the true distance D <= 2S, where
-    S = |q|^2 + max |p|^2 and eps is the spacing of floats at 1 (twice the
-    unit roundoff).  e has at most d + 2 roundings per term: |e - D| <=
-    (d + 2) eps S.  |q|^2 and |p|^2 have at most d roundings each, and the
-    product's d + 2 terms, summed in any order with or without fused
-    multiply-adds, at most d + 2 each on a sum of magnitudes <= 2S:
-    |a - D| <= (3d/2 + 2) eps S.  Where a rounding underflows it may add
-    half a subnormal besides, and a and e take fewer than 8d roundings that
-    can (a subtraction whose result underflows is exact).  So |a - e| <=
-    (5d/2 + 4) eps S + 4d tiny, within delta = (d + 4)(4 eps S + 4 tiny).  The k points of
-    smallest a then have e <= a_k + delta, a_k being the kth smallest a, and
-    every point with e at or below the kth smallest e has a <= a_k + 2 delta.
-    A row settles when t exceeds that: every such point, ties included, is
-    then a candidate.
+    The first is float32, rows ``1, p'_1 .. p'_d, |p'|^2`` with
+    ``p' = p - c``, c the midpoint of the points' bounding box, read from the
+    rows of ``table``: each difference rounds to float64, then to float32, in
+    NumPy's small cast buffer, and the squared norms are summed in float32.
+    Centred points keep their float32 error relative to their spread, not to
+    their distance from the origin.  The second is the float64
+    ``_point_table`` itself, centred at 0.
+    """
+    rows = table[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = (rows.min(axis=1) + rows.max(axis=1)) / 2.0
+        table32 = _WORK.take("table32", table.shape, np.float32)
+        table32[0] = 1.0
+        np.subtract(rows, centre[:, None], out=table32[1:-1], casting="same_kind")
+        np.einsum("ij,ij->j", table32[1:-1], table32[1:-1], out=table32[-1])
+        return (table32, centre, table32[-1].max()), (table, 0.0, table[-1].max())
+
+
+def _candidate_nearest(q, table, expansion, k: int):
+    """The k nearest points to each row of ``q`` (d > 1, 2k < m), in
+    (distance, index) order, and a mask of the rows to redo.
+
+    ``table`` is the ``_point_table`` and ``expansion`` one pass of
+    ``_expansions``: a table ``[1; p'; |p'|^2]`` of the points less a centre
+    c, its dtype float32 or float64, and the largest squared norm in it.
+    Everything up to the choice of candidates runs in that dtype.  The norm
+    expansion ``a = |q'|^2 + |p'|^2 - 2 q'.p'`` of ``q' = q - c`` is one
+    product, ``[|q'|^2, -2q', 1] @ [1; p'; |p'|^2]``, so it takes no pass
+    over the block x m array beyond the product's own.  It picks as
+    candidates the points whose ``a`` is at most t, the 2k-th smallest ``a``
+    of the row; a row where that is not exactly 2k points (a tie at t, or a
+    NaN) is redone.  Only the candidates' distances are summed, in float64
+    from exact differences of the points as given, with the bits
+    ``_sq_dist`` gives them, so every distance compared has the full path's
+    bits.
+
+    Call those sums e and the true distance D; with x = q - c and y = p - c
+    taken exactly, S = |x|^2 + max |y|^2 >= D / 2.  eps is the spacing of
+    floats at 1 (twice the unit roundoff) and tiny the least subnormal, of
+    the table's dtype unless marked 64.
+
+    * e has at most d + 2 roundings per term: |e - D| <= (d + 2) eps64 S,
+      plus tiny64 / 2 for each of its d squares that underflows.
+    * Each coordinate of q' and p' is rounded in float64 and, on the float32
+      pass, again to float32: within u = (1 + eps64) eps / 2 of x (or y)
+      relatively, or tiny / 2 absolutely.  The distance D' of the rounded
+      points then differs from D by at most 2 |x - y| r + r^2, where
+      r = u (|x| + |y|) + sqrt(d) tiny and (|x| + |y|)^2 <= 2 S: that is at
+      most 3.01 eps S + tiny, as 2 sqrt(2 d S) tiny <= eps S + 2 d tiny^2 /
+      eps.  The float64 pass, at c = 0, rounds nothing here.
+    * |q'|^2 and |p'|^2 have at most d roundings each, and the product's
+      d + 2 terms, summed in any order with or without fused multiply-adds,
+      at most d + 2 each on a sum of magnitudes <= 2 S', S' being S of the
+      rounded points: |a - D'| <= (3d/2 + 2) eps S', plus tiny / 2 for each
+      of the 3d squares and products that underflows (a sum whose result
+      underflows is exact).
+    * S and S' are within a factor 1 + (d + 3) eps, and d tiny, of S as the
+      code forms it, ``|q'|^2 + max |p'|^2`` in the table's dtype.
+
+    So for d < 2^20, |a - e| <= (5d/2 + 4) eps S + 2d tiny on the float64
+    pass and (3d/2 + 6) eps S + (3d/2 + 2) tiny on the float32 one, both
+    within delta = (d + 4)(4 eps S + 4 tiny) of the computed S.  The k
+    points of smallest a then have e <= a_k + delta, a_k being the kth
+    smallest a, and every point with e at or below the kth smallest e has
+    a <= a_k + 2 delta.  A row settles when t exceeds that: every such
+    point, ties included, is then a candidate.  A row whose computed S is
+    not at most a quarter of the dtype's largest float (NaN, inf, or so
+    large that a term of the product, or 4 S, could overflow) is redone.
+
+    The pick ranks the bits of ``a`` read as integers of their width, which
+    NumPy partitions several times faster than floats where it has SIMD
+    sorting (x86 with AVX-512): t is the float whose key is the 2k-th
+    smallest, and the candidates are the points whose key is at most its.
+    The keys order as the floats where the sign bit is clear, and below all
+    of those where it is set.  So where t has its sign bit clear, every
+    point outside the candidates has a > t, and a_k, taken from the float
+    values of the candidates, is that of the row, as above.  A row whose t
+    has it set never settles: every a is at least e - delta >= -delta, so
+    t - a_k <= delta.
 
     The expansion and its partition copy are block x m arrays in the
-    workspace.  Each row's count of candidates is a ``bincount`` of their
-    flat indices, so the candidate mask takes one pass; a row with ties at t
-    lists them all there for a moment, at most block x m indices.
+    workspace, sharing their bytes between the two dtypes.  Each row's count
+    of candidates is a ``bincount`` of their flat indices, so the candidate
+    mask takes one pass; a row with ties at t lists them all there for a
+    moment, at most block x m indices.  A row that the bound already sends
+    back lists none.
     """
-    n, m = q.shape[0], table.shape[1]
+    ptable, centre, p2max = expansion
+    (n, d), m = q.shape, table.shape[1]
+    info = np.finfo(ptable.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        q2 = np.square(q).sum(axis=1)
-        lhs = _WORK.take("expansion", (n, table.shape[0]))
+        lhs = _WORK.take("expansion", (n, d + 2), ptable.dtype)
+        np.subtract(q, centre, out=lhs[:, 1:-1], casting="same_kind")
+        q2 = np.square(lhs[:, 1:-1]).sum(axis=1)
         lhs[:, 0] = q2
-        np.multiply(q, -2.0, out=lhs[:, 1:-1])
+        lhs[:, 1:-1] *= -2.0
         lhs[:, -1] = 1.0
-        a = np.matmul(lhs, table, out=_WORK.take("a", (n, m)))
-        part = _WORK.take("part", (n, m))
-        np.copyto(part, a)
+        a = np.matmul(lhs, ptable, out=_WORK.take("a", (n, m), ptable.dtype))
+        keys = a.view(f"i{a.itemsize}")
+        part = _WORK.take("part", (n, m), keys.dtype)
+        np.copyto(part, keys)
         # one kth: NumPy's partition is several times slower given two
         part.partition(2 * k - 1, axis=1)
-        t = part[:, 2 * k - 1]
-        kth = np.partition(part[:, : 2 * k], k - 1, axis=1)[:, k - 1]
-        mask = np.less_equal(a, t[:, None], out=_WORK.take("mask", (n, m), bool))
+        tkey = part[:, 2 * k - 1]
+        t = tkey.view(a.dtype)
+        kth = np.partition(part[:, : 2 * k].view(a.dtype), k - 1, axis=1)[:, k - 1]
+        s = (q2 + p2max).astype(np.float64, copy=False)
+        delta = (d + 4) * (float(info.eps) * (4.0 * s) + 4.0 * float(info.smallest_subnormal))
+        # below a quarter of the largest float no term of the product, nor
+        # 4 S, overflows; NaN and inf are not below it
+        full = ~(s <= float(info.max) / 4.0) | ~(t > kth + 2.0 * delta)
+        # a row already redone lists no candidates but its -0.0s, whose key
+        # is the least
+        limit = np.where(full, np.iinfo(keys.dtype).min, tkey)
+        mask = np.less_equal(keys, limit[:, None], out=_WORK.take("mask", (n, m), bool))
         # flat indices come in order, so each row's candidates are sorted
         row, col = np.divmod(np.flatnonzero(mask), m)
-        # 4 S is formed first, so a row whose sums could overflow gets an
-        # infinite delta; a NaN or inf coordinate makes it NaN or inf too,
-        # and none of these rows settles
-        delta = (q.shape[1] + 4) * (_EPS * (4.0 * (q2 + p2max)) + 4.0 * _TINY)
-        full = (np.bincount(row, minlength=n) != 2 * k) | ~(t > kth + 2.0 * delta)
+        full |= np.bincount(row, minlength=n) != 2 * k
         cand = np.empty((n, 2 * k), dtype=np.intp)
         cand[~full] = col[~full[row]].reshape(-1, 2 * k)
         # a row to redo takes the first 2k points, so that every row has 2k
@@ -374,9 +450,10 @@ def _neighbours(queries, points, k: int):
     ordered by (distance, index).  One-dimensional data takes the sorted
     window of ``_window_nearest`` in blocks of ``_BLOCK`` rows, and wider
     data with 2k < m the candidates of ``_candidate_nearest`` in blocks of
-    ``_block_rows(m, _CANDIDATE_BUDGET)``; the rows they leave unsettled take
-    the full distance row, in distance blocks of their own.  All other data
-    takes the full path."""
+    ``_block_rows(m, _CANDIDATE_BUDGET)``, first on the float32 expansion
+    and then, for the rows that leaves unsettled, on the float64 one.  The
+    rows the last pass leaves unsettled take the full distance row, in
+    distance blocks of their own.  All other data takes the full path."""
     queries, points = _as_pair(queries, points)
     m, d = points.shape
     if d != 1 and 2 * k >= m:
@@ -388,16 +465,19 @@ def _neighbours(queries, points, k: int):
             rows = _BLOCK
             order = np.argsort(points[:, 0], kind="stable")
             sx = points[order, 0]
-            pick = lambda block: _window_nearest(block[:, 0], order, sx, k)
+            passes = [lambda block: _window_nearest(block[:, 0], order, sx, k)]
         else:
             rows = _block_rows(m, _CANDIDATE_BUDGET)
-            p2max = table[-1].max()
-            pick = lambda block: _candidate_nearest(block, table, p2max, k)
+            passes = [lambda block, e=e: _candidate_nearest(block, table, e, k) for e in _expansions(table)]
         redo_rows = _block_rows(m, _DIST_BUDGET)
         for start in range(0, queries.shape[0], rows):
             block = queries[start : start + rows]
-            idx, full = pick(block)
+            idx, full = passes[0](block)
             redo = np.flatnonzero(full)
+            for pick in passes[1:]:
+                if redo.size:
+                    idx[redo], full = pick(block[redo])
+                    redo = redo[full]
             # the redone rows may span several distance blocks: each writes
             # back through its own indices
             for r in range(0, redo.shape[0], redo_rows):

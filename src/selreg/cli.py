@@ -27,6 +27,7 @@ from .core import (
     json_object,
     model_from_json,
     model_to_json,
+    read_text,
     sigma_grid,
 )
 from .harness import (
@@ -85,7 +86,7 @@ def _with_config_flags(argv: list[str]) -> list[str]:
     if not path:
         return argv
     flags = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -156,7 +157,7 @@ def _cmd_calibrate(args) -> int:
         cost = CostConfig.fixed_cost(args.cost).cost_c
         gamma = None if args.budget is None else CostConfig.fixed_budget(args.budget).budget_gamma
         grid = _sigma_grid(args.sigma_grid)
-    text = Path(args.model).read_text()
+    text = read_text(args.model)
     # validation rows are held out from the model, and scaled as its training
     # rows were, only at the data options it was fitted with; a model file
     # without that record is taken as it is
@@ -220,7 +221,7 @@ def _cmd_verify_theory(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = RunReport.from_json(Path(args.input).read_text())
+    report = RunReport.from_json(read_text(args.input))
     path = emit_report(report, args.format, args.out, stem=Path(args.input).stem)
     print(f"wrote {path}")
     return EXIT_OK

@@ -12,6 +12,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -430,6 +431,15 @@ def model_to_json(model) -> str:
     if tag is None:
         raise SelregError(f"{type(model).__name__} is not registered for serialization")
     return json.dumps({"kind": tag, "payload": model.payload()}, sort_keys=True)
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``, read as UTF-8 with or without a
+    byte-order mark; a file that cannot be read or decoded is a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def json_object(text: str, what: str) -> dict:

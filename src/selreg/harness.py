@@ -49,6 +49,7 @@ from .core import (
     SplitSpec,
     TableLookupRegressor,
     _require_int,
+    read_text,
     sigma_grid,
     standardize,
 )
@@ -95,11 +96,7 @@ def load_csv(path: str | Path, target_column: str) -> Dataset:
     or without a byte-order mark.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_text(path)))
     try:
         header = next(reader)
     except StopIteration:

@@ -100,6 +100,20 @@ def preselection_cases():
         bad_p = p.copy()
         bad_p[11, 1] = bad
         yield f"points_with_{bad}", q, bad_p
+    # float32 on the first pass: squares that underflow, inputs that are
+    # subnormal, squares that overflow, and, on a lattice, squares that
+    # underflow where distances tie
+    for scale in (1e-20, 1e-40, 1e19, 1e20):
+        yield f"scale{scale:.0e}", q * scale, p * scale
+    yield "rounded0_scale1e-21", np.round(q) * 1e-21, np.round(p) * 1e-21
+    # centred, the offset leaves float32 the points' spread
+    yield "offset1e3", q + 1e3, p + 1e3
+    # the outlier puts the centre, and float32's error, far from the cluster
+    cluster = p * 1e-2
+    cluster[7] = 1e3
+    yield "cluster_outlier", q * 1e-2, cluster
+    # points distinct in float64 that round to one float32 value
+    yield "float32_collisions", q, p[rng.integers(0, 40, size=m)] + 1e-12 * rng.normal(size=(m, d))
 
 
 def extreme_cases(d):
@@ -617,7 +631,7 @@ def test_knn_redone_rows_span_several_distance_blocks():
     q[300:340] = p[0] + 1e-3 * rng.normal(size=(40, 8))
     rows = backend._block_rows(m, backend._CANDIDATE_BUDGET)
     assert (rows, backend._block_rows(m, backend._DIST_BUDGET)) == (128, 16)
-    redone = [np.count_nonzero(_preselect(q[s : s + rows], p, max(ks))[1]) for s in range(0, len(q), rows)]
+    redone = [np.count_nonzero(np.logical_and(*_preselect(q[s : s + rows], p, max(ks)))) for s in range(0, len(q), rows)]
     assert redone[0] == 0 and min(redone[1:3]) > 16
     # compared as integers, so that equal means are equal bits
     got = backend.knn_mean(q, p, v, ks)
@@ -727,24 +741,49 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
 
 
 def _preselect(q, p, k):
+    """The rows that each candidate pass leaves unsettled when it runs on
+    every row of q: the float32 pass, then the float64 one."""
     with backend._point_table(p) as table:
-        return backend._candidate_nearest(q, table, table[-1].max(), k)
+        return [backend._candidate_nearest(q, table, e, k)[1] for e in backend._expansions(table)]
 
 
 def test_preselection_leaves_only_unsettled_rows_to_the_full_path():
-    # on continuous d=8 data the candidates settle every row but a NaN query
+    # on continuous d=8 data the float32 candidates settle every row but a
+    # NaN query, which no pass settles: normal data, and data drawn on
+    # [-1, 1]^8 as score-knn-d8 draws it
     rng = np.random.default_rng(8)
     p, v = rng.normal(size=(2000, 8)), rng.normal(size=2000)
     q = np.concatenate([rng.normal(size=(200, 8)), np.full((1, 8), np.nan)])
-    _, full = _preselect(q, p, 20)
-    assert not full[:-1].any() and full[-1]
+    uniform = np.concatenate([rng.uniform(-1.0, 1.0, size=(200, 8)), q[-1:]]), rng.uniform(-1.0, 1.0, size=p.shape)
+    for case in ((q, p), uniform):
+        full32, full64 = _preselect(*case, 20)
+        assert not full32[:-1].any() and full32[-1] and full64[-1]
+    q = q[:-1]
     # an integer lattice ties more than 2k points at the kth distance from
-    # some queries, and an offset of 1e8 makes the expansion's error larger
-    # than the spacing of the points: rows fall back, and the result keeps
-    # the full path's bits
-    for q, p in ((np.round(q[:-1]), np.round(p)), (q[:-1] + 1e8, p + 1e8)):
-        _, full = _preselect(q, p, 20)
-        assert full.any()
+    # some queries, so that rows reach the full path; an offset of 1e8 makes
+    # the float64 expansion's error larger than the spacing of the points,
+    # but centred, float32 sees their spread and not their offset, and
+    # settles every row, as at an offset of 1e3
+    lattice, offset = (np.round(q), np.round(p)), (q + 1e8, p + 1e8)
+    full32, full64 = _preselect(*lattice, 20)
+    assert (full32 & full64).any()
+    full32, full64 = _preselect(*offset, 20)
+    assert full64.any() and not full32.any()
+    assert not _preselect(q + 1e3, p + 1e3, 20)[0].any()
+    # a tight cluster and one far outlier, which puts the centre, and with it
+    # the float32 error, far from the cluster: every row reaches the float64
+    # retry, which settles them all with the outlier at 1e3 and none at 1e8
+    cluster = rng.normal(size=(2000, 8)) * 1e-2
+    q = rng.normal(size=(200, 8)) * 1e-2
+    outliers = []
+    for outlier, settled64 in ((1e3, True), (1e8, False)):
+        p = cluster.copy()
+        p[7] = outlier
+        full32, full64 = _preselect(q, p, 20)
+        assert full32.all() and (~full64 if settled64 else full64).all()
+        outliers.append((q, p))
+    # the result keeps the full path's bits
+    for q, p in (lattice, offset, *outliers):
         got = backend.knn_mean(q, p, v, (1, 20))
         np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, (1, 20)).view(np.int64))
 

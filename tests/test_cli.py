@@ -104,6 +104,25 @@ class TestBench:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [
+        ["bench", "--data", "hetero6", "--cost", "2", "--config", "{bad}"],
+        ["calibrate", "--data", "hetero6", "--cost", "2", "--model", "{bad}"],
+        ["report", "--input", "{bad}"],
+    ], ids=["config", "calibrate-model", "report-input"])
+    def test_an_input_file_that_is_not_utf8_is_data_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"cost = 2\n\xff\n")
+        rc = main([arg.format(bad=bad) for arg in command] + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"data error: cannot read {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_file_may_open_with_a_byte_order_mark(self, demo_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("cost = 0.5\nrepeats = 1\n".encode("utf-8-sig"))
+        assert main(["bench", "--data", demo_csv, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "bench.json").read_text())["config"]["cost_c"] == 0.5
+
     def test_repeated_csv_column_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "dup.csv"
         p.write_text("x,target,target\n" + "".join(f"{i},{i},{i}\n" for i in range(20)))
