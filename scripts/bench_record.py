@@ -15,8 +15,9 @@ thread, from the measured checkout's own ``src`` and ``perfbench``:
   the lookup names its tracer did not find (``parse_perfbench``).
 
 The file also records the checkout's commit (and whether its tree differs
-from it), a hash and the line count of ``src/selreg``, the Python, NumPy and
-BLAS versions, nproc and the thread variables.
+from it), a hash of ``src/selreg`` and its count of lines, in all and of code
+(``code_lines``), the Python, NumPy and BLAS versions, nproc and the thread
+variables.
 
 ``--against PATH`` measures a second checkout in alternation: each of the N
 pairs runs both halves on one checkout and then on the other, the first of
@@ -38,6 +39,8 @@ import os
 import platform
 import subprocess
 import sys
+import tokenize
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +123,26 @@ def run_perfbench(checkout: Path, workload: str, trace: int) -> dict:
     return parse_perfbench(done.stdout, done.returncode)
 
 
+def code_lines(source: str) -> int:
+    """The lines of a Python source that hold a token outside docstrings and
+    comments, so that deleting a docstring does not read as less code."""
+    docstrings = [
+        (node.body[0].lineno, node.body[0].end_lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    ]
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(StringIO(source).readline):
+        if tok.type in skip or (
+            tok.type == tokenize.STRING and any(a <= tok.start[0] and tok.end[0] <= b for a, b in docstrings)
+        ):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def environment(checkout: Path) -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -133,16 +156,18 @@ def environment(checkout: Path) -> dict:
         return done.stdout.strip() if done.returncode == 0 else None
 
     status = git("status", "--porcelain", "--", "src", "perfbench")
-    digest, lines = hashlib.sha256(), 0
+    digest, lines, code = hashlib.sha256(), 0, 0
     for path in sorted((checkout / "src" / "selreg").rglob("*.py")):
         text = path.read_bytes()
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0" + text)
         lines += len(text.splitlines())
+        code += code_lines(text.decode())
     return {
         "git_commit": git("rev-parse", "HEAD"),
         "tree_differs_from_commit": None if status is None else bool(status),
         "src_selreg_sha256": digest.hexdigest(),
         "src_selreg_lines": lines,
+        "src_selreg_code_lines": code,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,

@@ -22,13 +22,17 @@ Contracts:
 
     For d = 1 the points are sorted once per call, and each query looks
     only at k = ``max(ks)`` consecutive sorted positions: the k nearest
-    points are such a run.  Its start lies within k positions left of the
-    query's ``searchsorted`` point, and a binary search finds it, moving
-    right while the point just past the run is strictly nearer than its
-    first point.  A row whose answer the window cannot vouch for (a NaN kth
-    distance, a mirror tie out of index order, or a point just outside the
-    window that is not strictly farther than the kth) takes the full
-    distance row instead, so the result is the same bits either way.
+    points are such a run.  The run moves one step right while the point
+    just past it is strictly nearer than its first point, that is, for
+    distinct coordinates, while the two sum to less than twice the query.
+    Those sums of sorted coordinates k apart never decrease along the
+    points, so one ``searchsorted`` of twice the query among them gives the
+    start.  The checks, not the search, vouch for the bits: a row whose
+    answer the window cannot vouch for (a NaN kth distance, a mirror tie out
+    of index order, or a point just outside the window that is not strictly
+    farther than the kth) takes the full distance row instead, so the
+    result is the same bits whatever start rounding, equal coordinates,
+    infinities or overflow give the search.
 
     For d > 1 with ``2 max(ks) < m``, one BLAS product per block,
     ``[|q'|^2, -2q', 1] @ [1; p'; |p'|^2]``, gives the whole norm expansion
@@ -242,8 +246,8 @@ def _sq_dist_blocks(queries, points):
     ``d2`` lives in the thread's workspace: it is valid only until the next
     block, and the caller may overwrite it.  Until the generator is done or
     closed it holds its point table, so a kernel called from its loop
-    raises.  The kernels, ``core``'s lookups and ``harness``'s median call
-    this rather than ``pairwise_sq_dists``, which has no caller in the
+    raises.  ``gaussian_nw``, ``core``'s lookups and ``harness``'s median
+    call this rather than ``pairwise_sq_dists``, which has no caller in the
     package, so that public name counts only its direct callers.
     """
     queries, points = _as_pair(queries, points)
@@ -272,26 +276,20 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     a mask of the rows to redo on the full path.
 
     ``sx`` holds the point coordinates sorted stably and ``order`` their
-    indices, so equal coordinates already sit in index order.  With p the
-    query's ``searchsorted`` point, the window starts at some ``lo`` in
-    [p - k, p]: the point just left of it lies below the query, and the one
-    just right of it at or above.  There, moving the window one step right
-    while the point just past it is strictly nearer than its first point is
-    a test that holds up to some start and fails after it, so a binary
-    search finds that start.  Both gathers copy whole runs: the coordinates
-    as rows of a sliding-window view, and a neighbour's index as
-    ``order[lo + rank]``.
+    indices, so equal coordinates already sit in index order.  The window
+    of start j moves one step right while point j + k is strictly nearer to
+    q than point j.  Where ``sx[j] < sx[j + k]`` that holds exactly when
+    ``sx[j] + sx[j + k] < 2q``, and these sums never decrease with j, so one
+    ``searchsorted`` of 2q among them finds the start.  Rounding, equal
+    coordinates, infinities (-inf + inf is NaN in the middle of the sums)
+    and overflow can move it; the checks below, not the search, vouch for
+    the answer, and send any row whose window is not its k nearest to the
+    full path.  Both gathers copy whole runs: the coordinates as rows of a
+    sliding-window view, and a neighbour's index as ``order[lo + rank]``.
     """
     m = sx.shape[0]
-    p = np.searchsorted(sx, q)
-    lo, hi = np.maximum(p - k, 0), np.minimum(p, m - k)
     with np.errstate(over="ignore", invalid="ignore"):
-        # hi - lo <= k halves at every step; where mid < hi <= m - k, mid + k
-        # is a point, and a NaN fails the test
-        for _ in range(int(k).bit_length()):
-            mid = (lo + hi) // 2
-            right = (mid < hi) & (np.square(q - sx.take(mid + k, mode="clip")) < np.square(q - sx[mid]))
-            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+        lo = np.searchsorted(sx[: m - k] + sx[k:], 2.0 * q)
         # the full path adds the square to zeros, which changes no bit
         d2 = np.square(q[:, None] - np.lib.stride_tricks.sliding_window_view(sx, k)[lo])
         rank = _nearest(d2, k)
@@ -445,31 +443,44 @@ def _candidate_nearest(q, table, expansion, k: int):
     return np.take_along_axis(cand, _nearest(e, k), axis=1), full
 
 
-def _neighbours(queries, points, k: int):
-    """Yield ``(start, idx)``: the k nearest points of each query in a block,
-    ordered by (distance, index).  One-dimensional data takes the sorted
-    window of ``_window_nearest`` in blocks of ``_BLOCK`` rows, and wider
-    data with 2k < m the candidates of ``_candidate_nearest`` in blocks of
-    ``_block_rows(m, _CANDIDATE_BUDGET)``, first on the float32 expansion
-    and then, for the rows that leaves unsettled, on the float64 one.  The
-    rows the last pass leaves unsettled take the full distance row, in
-    distance blocks of their own.  All other data takes the full path."""
+def knn_mean(
+    queries: np.ndarray, points: np.ndarray, values: np.ndarray, ks
+) -> np.ndarray:
+    """Row j: mean of the values at the ks[j] nearest points; distance ties
+    break by ascending point index.
+
+    The k = ``max(ks)`` nearest points of each query come from one block
+    loop, in which each pass settles the rows it can and hands the rest on.
+    One-dimensional data takes the sorted window of ``_window_nearest`` in
+    blocks of ``_BLOCK`` rows.  Wider data with 2k < m takes the candidates
+    of ``_candidate_nearest`` in blocks of ``_block_rows(m, _CANDIDATE_BUDGET)``,
+    first on the float32 expansion and then, for the rows that leaves
+    unsettled, on the float64 one.  Wider data with 2k >= m has too few
+    points to preselect from: its one pass, in blocks of
+    ``_block_rows(m, _DIST_BUDGET)``, settles no row.  Every row that no
+    pass settles takes the full distance row, in distance blocks of its own.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != np.shape(points)[0]:
+        raise ValueError("values length must match point count")
+    if len(ks) == 0 or not 1 <= min(ks) <= max(ks) <= values.shape[0]:
+        raise ValueError("k out of range")
     queries, points = _as_pair(queries, points)
-    m, d = points.shape
-    if d != 1 and 2 * k >= m:
-        for start, d2 in _sq_dist_blocks(queries, points):
-            yield start, _nearest(d2, k)
-        return
+    (m, d), k = points.shape, max(ks)
+    out = np.empty((len(ks), queries.shape[0]))
+    redo_rows = _block_rows(m, _DIST_BUDGET)
     with _point_table(points) as table:
         if d == 1:
             rows = _BLOCK
             order = np.argsort(points[:, 0], kind="stable")
             sx = points[order, 0]
             passes = [lambda block: _window_nearest(block[:, 0], order, sx, k)]
-        else:
+        elif 2 * k < m:
             rows = _block_rows(m, _CANDIDATE_BUDGET)
             passes = [lambda block, e=e: _candidate_nearest(block, table, e, k) for e in _expansions(table)]
-        redo_rows = _block_rows(m, _DIST_BUDGET)
+        else:  # too few points to preselect from: a pass that settles no row
+            rows = redo_rows
+            passes = [lambda block: (np.empty((block.shape[0], k), dtype=np.intp), np.ones(block.shape[0], bool))]
         for start in range(0, queries.shape[0], rows):
             block = queries[start : start + rows]
             idx, full = passes[0](block)
@@ -483,25 +494,10 @@ def _neighbours(queries, points, k: int):
             for r in range(0, redo.shape[0], redo_rows):
                 some = redo[r : r + redo_rows]
                 idx[some] = _nearest(_sq_dist(block[some], table), k)
-            yield start, idx
-
-
-def knn_mean(
-    queries: np.ndarray, points: np.ndarray, values: np.ndarray, ks
-) -> np.ndarray:
-    """Row j: mean of the values at the ks[j] nearest points; distance ties
-    break by ascending point index."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] != np.shape(points)[0]:
-        raise ValueError("values length must match point count")
-    if len(ks) == 0 or not 1 <= min(ks) <= max(ks) <= values.shape[0]:
-        raise ValueError("k out of range")
-    out = np.empty((len(ks), np.shape(queries)[0]))
-    for start, idx in _neighbours(queries, points, max(ks)):
-        # the first k of the (distance, index) order are the k nearest
-        g = values[idx]
-        for j, k in enumerate(ks):
-            out[j, start : start + idx.shape[0]] = g[:, :k].mean(axis=1)
+            # the first k of the (distance, index) order are the k nearest
+            g = values[idx]
+            for j, kj in enumerate(ks):
+                out[j, start : start + idx.shape[0]] = g[:, :kj].mean(axis=1)
     return out
 
 

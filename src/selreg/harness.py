@@ -437,9 +437,10 @@ def cost_calibrator(rejector: str, grid: tuple[float, ...], f, val: Dataset, pre
 def budget_threshold(rejector: str, f, val: Dataset, task, gamma: float) -> tuple[Calibrator, ConformalThreshold]:
     """Calibrator fitted on the first half of ``val`` and the conformal
     acceptance threshold for budget ``gamma`` from its scores on the second
-    half.  Those scores are independent of both the regressor and the
-    calibrator, as the threshold's coverage guarantee requires, so ``val``
-    needs two rows at least.  ``f`` predicts the first half only.
+    half.  Those scores are independent of the calibrator, and of a
+    regressor that read no row of that half (``run_experiment`` picks kNN's
+    k on the first half), as the threshold's coverage guarantee requires, so
+    ``val`` needs two rows at least.  ``f`` predicts the first half only.
     """
     if val.n < 2:
         raise DataError(f"budget mode needs 2 validation rows, got {val.n}")
@@ -497,12 +498,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 cfg.dataset_source, seed, target_column=cfg.target_column,
                 synthetic_n=cfg.synthetic_n, split=cfg.split,
             )
-            predictions = np.empty(val.n) if cc.mode is CostMode.FIXED_COST else None
-            f = fit_regressor(cfg.regressor, train, val, task, seed, out=predictions)
             if cc.mode is CostMode.FIXED_COST:
+                predictions = np.empty(val.n)
+                f = fit_regressor(cfg.regressor, train, val, task, seed, out=predictions)
                 c = threshold = cc.value
                 calibrator = cost_calibrator(cfg.rejector, cfg.sigma_grid, f, val, predictions, task, c)
             else:
+                # kNN picks k on the calibrator's half, so that the half the
+                # threshold scores stays unseen by the regressor too
+                f = fit_regressor(cfg.regressor, train, val.subset(_halves(val.n)[0]), task, seed)
                 c = 0.0
                 calibrator, th = budget_threshold(cfg.rejector, f, val, task, cc.value)
                 threshold = th.c_hat

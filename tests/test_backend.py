@@ -396,6 +396,16 @@ class TestContracts:
         p = rng.permutation(np.concatenate([rng.normal(size=60), np.full(40, 0.5), rng.normal(size=60)]))
         q = np.concatenate([[0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.45, 0.55, -40.0, 40.0], p[:30], rng.normal(size=30)])
         cases.append((p, q, ((1, 5, 20), (39,), (41,), (len(p) - 1,), np.array([2, 7]))))
+        # points at both infinities: at k = 51 the sums of sorted coordinates
+        # k apart, which the window searches, run -inf, -inf, NaN, inf, inf
+        p = rng.permutation(np.concatenate([np.full(3, -np.inf), rng.normal(size=50), np.full(3, np.inf)]))
+        q = np.concatenate([rng.normal(size=40) * 3.0, [-np.inf, np.inf, np.nan, 0.0, -40.0, 40.0]])
+        cases.append((p, q, ((51,), (1, 5), (52,), (len(p),))))
+        # coordinates near the largest float, where those sums and twice the
+        # query overflow
+        p = np.concatenate([rng.uniform(-1.0, 1.0, size=200) * 1.7e308, [1.7e308, -1.7e308]])
+        q = np.concatenate([rng.uniform(-1.0, 1.0, size=60) * 1.7e308, [1.7e308, -1.7e308, 0.0]])
+        cases.append((p, q, ((1, 5), (30,), (150,))))
         for p, q, kss in cases:
             v = rng.normal(size=len(p))
             for ks in kss:
@@ -720,13 +730,16 @@ def test_workspace_grows_with_the_block_not_the_query_count():
 
 
 def test_window_leaves_only_unsettled_rows_to_the_full_path():
-    # on continuous data the d=1 window settles every row but a NaN query
+    # on continuous data the d=1 window settles every row but a NaN query,
+    # queries beyond every point included; a start one position off keeps
+    # the bits, as the full path takes its row, and only this count shows it
     rng = np.random.default_rng(4)
     x = rng.normal(size=500)
     order = np.argsort(x, kind="stable")
-    q = np.concatenate([rng.normal(size=200), [np.nan]])
-    _, full = backend._window_nearest(q, order, x[order], 30)
-    assert not full[:-1].any() and full[-1]
+    q = np.concatenate([rng.normal(size=200), [-50.0, 50.0, np.nan]])
+    for k in (1, 30, 150, len(x) - 1):
+        _, full = backend._window_nearest(q, order, x[order], k)
+        assert not full[:-1].any() and full[-1]
     # the mirror tie from 0 at -1 (row 1) and +1 (row 0)
     x = np.array([1.0, -1.0, 5.0])
     order = np.argsort(x, kind="stable")
@@ -782,8 +795,15 @@ def test_preselection_leaves_only_unsettled_rows_to_the_full_path():
         full32, full64 = _preselect(q, p, 20)
         assert full32.all() and (~full64 if settled64 else full64).all()
         outliers.append((q, p))
+    # z-scored heavy-tailed data: the float32 pass leaves many rows to the
+    # float64 retry, which settles every one
+    z = rng.lognormal(sigma=2.0, size=(2200, 8))
+    z = (z - z.mean(axis=0)) / z.std(axis=0)
+    heavy = (z[2000:], z[:2000])
+    full32, full64 = _preselect(*heavy, 20)
+    assert full32.sum() >= 50 and not full64.any()
     # the result keeps the full path's bits
-    for q, p in (lattice, offset, *outliers):
+    for q, p in (lattice, offset, *outliers, heavy):
         got = backend.knn_mean(q, p, v, (1, 20))
         np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, (1, 20)).view(np.int64))
 

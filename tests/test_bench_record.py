@@ -3,6 +3,7 @@ parsing of canned perfbench output."""
 
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,23 @@ def test_a_record_names_what_it_measured():
     record = bench_record.new_record("x", ROOT, None)
     env = record["env"]
     assert env["src_selreg_lines"] > 0 and len(env["src_selreg_sha256"]) == 64
+    assert 0 < env["src_selreg_code_lines"] < env["src_selreg_lines"]
+    # code lines leave out docstrings, comments and blank lines, but not a
+    # string that is no docstring, nor a statement after a docstring
+    canned = textwrap.dedent('''\
+        """A module
+        docstring."""
+
+        import os  # a comment
+        # a comment line
+
+
+        def f():
+            """One line."""; x = 1
+            return ("""a
+            string""")
+        ''')
+    assert bench_record.code_lines(canned) == 5
     assert env["thread_variables"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert set(record["perfbench"]) == set(bench_record.WORKLOADS)
     assert all(m["config"]["repeats"] == 10 for m in record["matrix"].values())

@@ -7,10 +7,12 @@ import dataclasses
 import json
 
 from selreg.backend import pairwise_sq_dists
+from selreg import harness
 from selreg.core import (
     CostConfig,
     DEFAULT_SIGMA_GRID,
     DataError,
+    Dataset,
     Regressor,
     SelregError,
     SplitSpec,
@@ -433,6 +435,40 @@ class TestRunFixedBudget:
         )
         rep = run_experiment(cfg)
         assert rep.rej_mean == 0.0
+
+    @pytest.mark.parametrize("rejector", ["kernel", "loss-linear"])
+    @pytest.mark.parametrize("regressor", [KnnConfig(), MlpConfig(epochs=2), "oracle"], ids=["knn", "mlp", "oracle"])
+    def test_the_scored_half_reaches_neither_regressor_nor_calibrator(self, monkeypatch, regressor, rejector):
+        # the threshold's coverage needs scores independent of both: new
+        # targets on the second half of val keep kNN's k, the calibrator's
+        # estimates and c_hat bit for bit
+        materialize_, budget_threshold_ = harness.materialize, harness.budget_threshold
+        cfg = ExperimentConfig("smooth1d", CostConfig.fixed_budget(0.2), regressor=regressor, rejector=rejector,
+                               repeats=1, seed=0)
+        runs = []
+
+        def run(targets_of):
+            def materialize(*args, **kw):
+                train, val, test, task = materialize_(*args, **kw)
+                half = val.n // 2
+                targets = np.concatenate([val.targets[:half], targets_of(val.targets[half:])])
+                return train, Dataset(val.features, targets), test, task
+
+            def budget_threshold(rejector, f, val, task, gamma):
+                calibrator, th = budget_threshold_(rejector, f, val, task, gamma)
+                runs.append((getattr(f, "k", None), calibrator.estimate(val.features), th.c_hat))
+                return calibrator, th
+
+            monkeypatch.setattr(harness, "materialize", materialize)
+            monkeypatch.setattr(harness, "budget_threshold", budget_threshold)
+            run_experiment(cfg)
+
+        run(lambda y: y)
+        run(lambda y: 10.0 - 5.0 * y[::-1])
+        (k, estimates, c_hat), (k2, estimates2, c_hat2) = runs
+        assert k == k2 and (k is not None) == isinstance(regressor, KnnConfig)
+        np.testing.assert_array_equal(estimates.view(np.int64), estimates2.view(np.int64))
+        assert np.float64(c_hat).tobytes() == np.float64(c_hat2).tobytes()
 
     def test_one_validation_row_is_refused(self):
         # the calibrator would be fitted on the row that its threshold scores
