@@ -73,6 +73,19 @@ Contracts:
     lower lane, -inf included, is +0.0, as ``np.exp`` gives there.  Those
     are ``np.exp``'s own bits in every lane.
 
+``nearest_rows(queries, points) -> [nq]``
+    The index of each query's nearest point, ties to the lower index: the
+    argmin of each distance block, so a NaN distance, which ``np.argmin``
+    takes as the least, wins its row.  ``core``'s lookups call it on finite
+    queries only.
+
+``median_sq_dist(points[m,d]) -> float``
+    The median of the m (m - 1) / 2 squared distances between distinct
+    points, ``np.median`` of the condensed upper triangle of
+    ``pairwise_sq_dists(points, points)``, with its bits; NaN below two
+    points.  The triangle is filled block by block into one array of the
+    call's own, which the median partitions in place: no m x m array.
+
 No kernel warns on extreme coordinates.  inf - inf gives a NaN distance,
 which kNN ranks last and which makes that query's ``gaussian_nw`` estimate
 NaN, as a NaN coordinate does.  A square that overflows gives an infinite
@@ -82,10 +95,11 @@ whose quotient by sigma overflows, gets ``gaussian_nw`` weight 0.
 Queries stream through in blocks whose row count follows from m, the number
 of points: ``_block_rows(m, budget)`` rows, about ``budget`` elements of a
 block x m array, but never fewer than 16 rows nor more than 256.  Distance
-blocks, and so ``pairwise_sq_dists``, ``gaussian_nw`` and ``core``'s
-lookups, take a budget of 2**16 elements; the candidate loop of
-``knn_mean`` at d > 1 takes 2**19, as it does more work per block; the
-d = 1 window of ``knn_mean`` takes 256 rows.  Block size changes no bit.
+blocks, and so ``pairwise_sq_dists``, ``gaussian_nw``, ``nearest_rows``,
+``median_sq_dist`` and the full-path rows of ``knn_mean``, take a budget of
+2**16 elements; the candidate loop of ``knn_mean`` at d > 1 takes 2**19, as
+it does more work per block; the d = 1 window of ``knn_mean`` takes 256
+rows.  Block size changes no bit.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
 reusable buffer per role (distances, differences, weights, the mark of
@@ -96,22 +110,24 @@ of size block x m, and no page of it is handed back to the system and
 faulted in again between blocks.  A buffer holds the largest array any call
 in its thread has asked of its role until the thread ends: at most
 ``max(budget, 16 m)`` elements, or (d + 2) x m for each point table.  Apart
-from the ``[nq,m]`` result of ``pairwise_sq_dists``, memory therefore grows
-with that element budget and not with the number of queries (block x window
-on the d = 1 path).
+from the ``[nq,m]`` result of ``pairwise_sq_dists`` and the triangle of
+``median_sq_dist``, memory therefore grows with that element budget and not
+with the number of queries (block x window on the d = 1 path).
 
 The point table, rows ``1, p_1 .. p_d, |p|^2``, is the one copy of the
 points in a call: each difference product reads two of its rows, and the
 expansion reads all of them.  The float32 pass reads a second table,
 ``_expansions``' rows ``1, p'_1 .. p'_d, |p'|^2`` of the centred points,
-built from the rows of the first inside its hold.  A kernel generator holds
-its table until it is done or closed, and any other kernel called in its
-thread meanwhile raises rather than overwrite either.
+built from the rows of the first.
+
+Each kernel takes its buffers and is done with them within one call, and
+calls no other kernel while its point table is live.  No kernel yields, so
+no code outside this module runs between two of its blocks, and a block
+never leaves the call that computed it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import mmap
 import threading
@@ -136,32 +152,12 @@ class _Workspace(threading.local):
     ``mmap``, outside malloc's heap, so it never pins the heap and its pages
     are faulted in once, not on every block.  It grows to the largest request
     of its role and is freed with the thread.
-
-    ``hold(role, shape)`` takes a role for the length of a ``with`` block,
-    and ``take`` refuses a held role: a block generator that holds its point
-    table makes a second one in its thread raise, rather than overwrite the
-    table between two of its blocks.
     """
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
-        self.held: set[str] = set()
-
-    @contextlib.contextmanager
-    def hold(self, role: str, shape: tuple[int, ...]):
-        array = self.take(role, shape)
-        self.held.add(role)
-        try:
-            yield array
-        finally:
-            self.held.discard(role)
 
     def take(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        if role in self.held:
-            raise RuntimeError(
-                f"the workspace's {role!r} is held by a live kernel generator in this thread;"
-                " finish or close it before calling another kernel"
-            )
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self.buffers.get(role)
@@ -180,28 +176,29 @@ def _block_rows(m: int, budget: int) -> int:
     return max(16, min(_BLOCK, budget // max(m, 1)))
 
 
-def _as_pair(queries, points):
+def _point_table(points: np.ndarray) -> np.ndarray:
+    """The [d + 2, m] table of rows ``1, p_1 .. p_d, |p|^2`` over the m
+    points, in the workspace: valid until the next call in this thread.
+    Both products read it through views, so the points are copied once per
+    call."""
+    m, d = points.shape
+    table = _WORK.take("table", (d + 2, m))
+    table[0] = 1.0
+    np.copyto(table[1:-1], points.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.einsum("ij,ij->j", table[1:-1], table[1:-1], out=table[-1])
+    return table
+
+
+def _prepare(queries, points):
+    """What every block loop starts from: the queries as contiguous float64,
+    the ``_point_table`` of the points, and the rows of a distance block,
+    ``_block_rows(m, _DIST_BUDGET)``."""
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     if points.shape[1] != queries.shape[1]:
         raise ValueError("dimension mismatch between queries and points")
-    return queries, points
-
-
-@contextlib.contextmanager
-def _point_table(points: np.ndarray):
-    """The [d + 2, m] table of rows ``1, p_1 .. p_d, |p|^2`` over the m
-    points, in the workspace and held there until the block exits.  Both
-    products read it through views, so the points are copied once per call.
-    Every kernel takes its table before any other buffer, so while a
-    generator holds one, any other kernel in its thread raises."""
-    m, d = points.shape
-    with _WORK.hold("table", (d + 2, m)) as table:
-        table[0] = 1.0
-        np.copyto(table[1:-1], points.T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.einsum("ij,ij->j", table[1:-1], table[1:-1], out=table[-1])
-        yield table
+    return queries, _point_table(points), _block_rows(points.shape[0], _DIST_BUDGET)
 
 
 def _sq_dist(block: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -238,30 +235,39 @@ def _sq_dist(block: np.ndarray, table: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _sq_dist_blocks(queries, points):
-    """Yield ``(start, d2)`` where ``d2[i, j]`` is the squared distance from
-    ``queries[start + i]`` to ``points[j]``, one block of
-    ``_block_rows(m, _DIST_BUDGET)`` queries at a time.
-
-    ``d2`` lives in the thread's workspace: it is valid only until the next
-    block, and the caller may overwrite it.  Until the generator is done or
-    closed it holds its point table, so a kernel called from its loop
-    raises.  ``gaussian_nw``, ``core``'s lookups and ``harness``'s median
-    call this rather than ``pairwise_sq_dists``, which has no caller in the
-    package, so that public name counts only its direct callers.
-    """
-    queries, points = _as_pair(queries, points)
-    rows = _block_rows(points.shape[0], _DIST_BUDGET)
-    with _point_table(points) as table:
-        for start in range(0, queries.shape[0], rows):
-            yield start, _sq_dist(queries[start : start + rows], table)
-
-
 def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    out = np.empty((np.shape(queries)[0], np.shape(points)[0]))
-    for start, d2 in _sq_dist_blocks(queries, points):
-        out[start : start + d2.shape[0]] = d2
+    queries, table, rows = _prepare(queries, points)
+    out = np.empty((queries.shape[0], table.shape[1]))
+    for start in range(0, queries.shape[0], rows):
+        out[start : start + rows] = _sq_dist(queries[start : start + rows], table)
     return out
+
+
+def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the point nearest to each query, ties to the lower index."""
+    queries, table, rows = _prepare(queries, points)
+    out = np.empty(queries.shape[0], dtype=np.intp)
+    for start in range(0, queries.shape[0], rows):
+        out[start : start + rows] = np.argmin(_sq_dist(queries[start : start + rows], table), axis=1)
+    return out
+
+
+def median_sq_dist(points: np.ndarray) -> float:
+    """Median squared distance between distinct points; NaN below two."""
+    points, table, rows = _prepare(points, points)
+    m = points.shape[0]
+    if m < 2:
+        return math.nan
+    vals = np.empty(m * (m - 1) // 2)
+    cols = np.arange(m)
+    filled = 0
+    for start in range(0, m, rows):
+        # the condensed upper triangle of this block's rows
+        upper = _sq_dist(points[start : start + rows], table)[cols[start : start + rows, None] < cols]
+        vals[filled : filled + upper.size] = upper
+        filled += upper.size
+    # vals is this call's own array, so the median may partition it in place
+    return float(np.median(vals, overwrite_input=True))
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -465,39 +471,37 @@ def knn_mean(
         raise ValueError("values length must match point count")
     if len(ks) == 0 or not 1 <= min(ks) <= max(ks) <= values.shape[0]:
         raise ValueError("k out of range")
-    queries, points = _as_pair(queries, points)
-    (m, d), k = points.shape, max(ks)
+    queries, table, redo_rows = _prepare(queries, points)
+    d, m, k = queries.shape[1], table.shape[1], max(ks)
     out = np.empty((len(ks), queries.shape[0]))
-    redo_rows = _block_rows(m, _DIST_BUDGET)
-    with _point_table(points) as table:
-        if d == 1:
-            rows = _BLOCK
-            order = np.argsort(points[:, 0], kind="stable")
-            sx = points[order, 0]
-            passes = [lambda block: _window_nearest(block[:, 0], order, sx, k)]
-        elif 2 * k < m:
-            rows = _block_rows(m, _CANDIDATE_BUDGET)
-            passes = [lambda block, e=e: _candidate_nearest(block, table, e, k) for e in _expansions(table)]
-        else:  # too few points to preselect from: a pass that settles no row
-            rows = redo_rows
-            passes = [lambda block: (np.empty((block.shape[0], k), dtype=np.intp), np.ones(block.shape[0], bool))]
-        for start in range(0, queries.shape[0], rows):
-            block = queries[start : start + rows]
-            idx, full = passes[0](block)
-            redo = np.flatnonzero(full)
-            for pick in passes[1:]:
-                if redo.size:
-                    idx[redo], full = pick(block[redo])
-                    redo = redo[full]
-            # the redone rows may span several distance blocks: each writes
-            # back through its own indices
-            for r in range(0, redo.shape[0], redo_rows):
-                some = redo[r : r + redo_rows]
-                idx[some] = _nearest(_sq_dist(block[some], table), k)
-            # the first k of the (distance, index) order are the k nearest
-            g = values[idx]
-            for j, kj in enumerate(ks):
-                out[j, start : start + idx.shape[0]] = g[:, :kj].mean(axis=1)
+    if d == 1:
+        rows = _BLOCK
+        order = np.argsort(table[1], kind="stable")
+        sx = table[1, order]
+        passes = [lambda block: _window_nearest(block[:, 0], order, sx, k)]
+    elif 2 * k < m:
+        rows = _block_rows(m, _CANDIDATE_BUDGET)
+        passes = [lambda block, e=e: _candidate_nearest(block, table, e, k) for e in _expansions(table)]
+    else:  # too few points to preselect from: a pass that settles no row
+        rows = redo_rows
+        passes = [lambda block: (np.empty((block.shape[0], k), dtype=np.intp), np.ones(block.shape[0], bool))]
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start : start + rows]
+        idx, full = passes[0](block)
+        redo = np.flatnonzero(full)
+        for pick in passes[1:]:
+            if redo.size:
+                idx[redo], full = pick(block[redo])
+                redo = redo[full]
+        # the redone rows may span several distance blocks: each writes
+        # back through its own indices
+        for r in range(0, redo.shape[0], redo_rows):
+            some = redo[r : r + redo_rows]
+            idx[some] = _nearest(_sq_dist(block[some], table), k)
+        # the first k of the (distance, index) order are the k nearest
+        g = values[idx]
+        for j, kj in enumerate(ks):
+            out[j, start : start + idx.shape[0]] = g[:, :kj].mean(axis=1)
     return out
 
 
@@ -539,8 +543,10 @@ def gaussian_nw(
     sigmas = tuple(float(s) for s in sigmas)
     if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
         raise ValueError(f"sigma must be positive and finite, got {sigmas}")
-    out = np.empty((len(sigmas), np.shape(queries)[0]))
-    for start, d2 in _sq_dist_blocks(queries, centers):
+    queries, table, rows = _prepare(queries, centers)
+    out = np.empty((len(sigmas), queries.shape[0]))
+    for start in range(0, queries.shape[0], rows):
+        d2 = _sq_dist(queries[start : start + rows], table)
         w = _WORK.take("w", d2.shape)
         d2max = d2.max(initial=0.0)  # NaN if any distance is
         for j, s in enumerate(sigmas):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import _sq_dist_blocks
+from .backend import nearest_rows
 
 __all__ = [
     "SelregError",
@@ -345,15 +345,12 @@ def _as_block(X: np.ndarray) -> np.ndarray:
 
 
 def _nearest_row(X: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row of ``points`` nearest to each finite query, ties to the lower row:
-    the argmin of each distance block, as ``gaussian_nw``'s fallback takes."""
+    """Row of ``points`` nearest to each finite query, ties to the lower row,
+    as ``gaussian_nw``'s fallback takes."""
     X = _as_block(X)
     if not np.isfinite(X).all():
         raise DataError("a lookup query holds NaN or inf")
-    nearest = np.empty(X.shape[0], dtype=np.intp)
-    for start, d2 in _sq_dist_blocks(X, points):
-        nearest[start : start + d2.shape[0]] = np.argmin(d2, axis=1)
-    return nearest
+    return nearest_rows(X, points)
 
 
 def _support_table(points: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .backend import _sq_dist_blocks
+from .backend import median_sq_dist
 from .core import (
     Calibrator,
     CostConfig,
@@ -469,17 +469,8 @@ def _oracle_calibrator(rejector: str, f, task) -> Calibrator:
 
 
 def _median_sq_dist(X: np.ndarray) -> float:
-    # the condensed upper triangle, one block of rows at a time: no m x m matrix
-    m = X.shape[0]
-    vals = np.empty(m * (m - 1) // 2)
-    cols = np.arange(m)
-    filled = 0
-    for start, d2 in _sq_dist_blocks(X, X):
-        upper = d2[cols[start : start + d2.shape[0], None] < cols]
-        vals[filled : filled + upper.size] = upper
-        filled += upper.size
-    # vals is this function's own array, so the median may partition it in place
-    med = float(np.median(vals, overwrite_input=True)) if vals.size else 1.0
+    # below two rows the median is NaN, and NaN > 0 is False
+    med = median_sq_dist(X)
     return med if med > 0.0 else 1.0
 
 
@@ -555,8 +546,12 @@ def emit_report(report: RunReport, fmt: str, out_dir: str | Path, stem: str = "r
     if fmt == "json":
         text = report.to_json()
     elif fmt == "csv":
-        values = (getattr(report, name) for name in CSV_COLUMNS)
-        text = ",".join(CSV_COLUMNS) + "\n" + ",".join(v if isinstance(v, str) else repr(v) for v in values)
+        row = [v if isinstance(v, str) else repr(v) for v in (getattr(report, name) for name in CSV_COLUMNS)]
+        buf = io.StringIO()
+        # minimal quoting: only a field with a comma, a quote or a line break
+        # in it, such as a dataset path, is quoted
+        csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, row])
+        text = buf.getvalue()[:-1]  # write_output adds the final newline
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return write_output(Path(out_dir) / f"{stem}.{fmt}", text)

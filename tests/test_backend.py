@@ -33,7 +33,9 @@ def per_sigma_nw(q, c, v, sigma):
     numerator is the kernel's row sum of weight times value, which replaced
     the ``w @ v`` product whose bits depend on the block's row count."""
     out = np.empty(len(q))
-    for start, d2 in backend._sq_dist_blocks(q, c):
+    q, table, rows = backend._prepare(q, c)
+    for start in range(0, len(q), rows):
+        d2 = backend._sq_dist(q[start : start + rows], table)
         w = np.exp(d2 / -float(sigma))
         den = w.sum(axis=1)
         est = (w * v).sum(axis=1) / np.where(den > 0.0, den, 1.0)
@@ -67,7 +69,9 @@ def full_path_knn_mean(q, p, v, ks):
     its output must match bit for bit: every distance of each row, ranked
     by a stable argsort of the row."""
     out = np.empty((len(ks), len(q)))
-    for start, d2 in backend._sq_dist_blocks(q, p):
+    q, table, rows = backend._prepare(q, p)
+    for start in range(0, len(q), rows):
+        d2 = backend._sq_dist(q[start : start + rows], table)
         g = v[np.argsort(d2, axis=1, kind="stable")[:, : max(ks)]]
         for j, k in enumerate(ks):
             out[j, start : start + len(g)] = g[:, :k].mean(axis=1)
@@ -289,8 +293,12 @@ class TestContracts:
         odd[[9, 120]] = 1e154, -1e154  # 1e308, whose quotient by 0.5 overflows
         q = np.concatenate([near(256), np.sqrt(t), near(6), odd, near(40)])[:, None]
         sigmas = (0.5, 1.0, 1e3)
+        qs, table, rows = backend._prepare(q, c)
         with np.errstate(over="ignore", invalid="ignore"):
-            deep = [[np.any(d2 / -s < -700.0) for s in sigmas] for _, d2 in backend._sq_dist_blocks(q, c)]
+            deep = [
+                [np.any(backend._sq_dist(qs[start : start + rows], table) / -s < -700.0) for s in sigmas]
+                for start in range(0, len(qs), rows)
+            ]
         assert deep == [[False, False, False], [True, True, False], [True, True, True], [False, False, False]]
         got = impl.gaussian_nw(q, c, v, sigmas)
         assert np.isnan(got[:, [256 + 256 + 3, 256 + 256 + 50]]).all()
@@ -541,43 +549,58 @@ def test_sq_dist_keeps_the_bits_of_subtract_outer(m, d):
     q[-1] = 1e-160 * rng.normal(size=d)
     p[s : 2 * s] = 1e-160 * rng.normal(size=(s, d))
     want = subtract_outer_sq_dists(q, p)
-    with backend._point_table(p) as table:
-        # compared as integers, so that equal distances are equal bits
-        np.testing.assert_array_equal(backend._sq_dist(q, table).view(np.int64), want.view(np.int64))
-        # of two NaNs the product may keep either one's bits: a NaN all the same
-        assert np.isnan(backend._sq_dist(-q[:1], table)).all()
+    table = backend._point_table(p)
+    # compared as integers, so that equal distances are equal bits
+    np.testing.assert_array_equal(backend._sq_dist(q, table).view(np.int64), want.view(np.int64))
+    # of two NaNs the product may keep either one's bits: a NaN all the same
+    assert np.isnan(backend._sq_dist(-q[:1], table)).all()
 
 
-def test_a_live_distance_generator_refuses_other_kernels_in_its_thread():
-    # two generators over different points in one thread would share the
-    # point table, and the first one's later blocks would be computed
-    # against the second one's points; instead the second raises
-    rng = np.random.default_rng(15)
-    q, p, other = rng.normal(size=(100, 3)), rng.normal(size=(4096, 3)), rng.normal(size=(4096, 3))
-    first = backend._sq_dist_blocks(q, p)
-    got = [next(first)[1].copy()]
-    for interleave in (
-        lambda: next(backend._sq_dist_blocks(q, other)),
-        lambda: backend.gaussian_nw(q, other, other[:, 0], (1.0,)),
-        lambda: backend.knn_mean(q, other, other[:, 0], (5,)),
-    ):
-        with pytest.raises(RuntimeError, match="held by a live kernel generator"):
-            interleave()
-    got += [d2.copy() for _, d2 in first]
-    np.testing.assert_array_equal(np.concatenate(got).view(np.int64), subtract_outer_sq_dists(q, p).view(np.int64))
-    # a generator that is done, or closed early, frees the table
-    early = backend._sq_dist_blocks(q, p)
-    next(early)
-    early.close()
-    backend.gaussian_nw(q, other, other[:, 0], (1.0,))
+def test_kernels_leave_the_callers_error_policy_alone():
+    # each kernel quiets its own overflowing arithmetic and restores the
+    # caller's policy on return: squares of 1e200 overflow to inf, and
+    # inf - inf is NaN
+    q = np.full((300, 2), 1e200)
+    q[::7] = -np.inf
+    p = np.concatenate([np.ones((4, 2)), np.full((4, 2), np.inf), -q[:4]])
+    v = np.arange(len(p), dtype=np.float64)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        policy = np.geterr()
+        for call in (
+            lambda: backend.pairwise_sq_dists(q, p),
+            lambda: backend.knn_mean(q, p, v, (1, 3)),
+            lambda: backend.knn_mean(q[:, :1], p[:, :1], v, (1, 3)),
+            lambda: backend.gaussian_nw(q, p, v, (1.0, 1e-300)),
+            lambda: backend.nearest_rows(q, p),
+            lambda: backend.median_sq_dist(np.concatenate([q[1:20], p])),
+        ):
+            call()
+            assert np.geterr() == policy
 
 
-def test_distance_blocks_leave_the_callers_error_policy_alone():
-    # the quiet arithmetic ends before each yield, so what the caller
-    # computes on a block still warns as it would elsewhere
-    policy = np.geterr()
-    for _, d2 in backend._sq_dist_blocks(np.zeros((300, 2)), np.ones((4, 2))):
-        assert np.geterr() == policy
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 18, 19, 256, 258, 601, 602])
+def test_median_sq_dist_has_the_bits_of_the_full_triangle(m):
+    # odd and even pair counts, in one distance block up to m = 256 at d = 8
+    # and in several above; any faster median must keep these bits
+    rng = np.random.default_rng(m)
+    continuous = rng.normal(size=(m, 8))
+    lattice = np.round(continuous)
+    repeated = continuous.copy()
+    repeated[m // 4 :] = continuous[0]
+    for name, X in (("continuous", continuous), ("lattice", lattice), ("repeated", repeated)):
+        upper = backend.pairwise_sq_dists(X, X)[np.triu_indices(m, 1)]
+        want = np.median(upper)
+        got = backend.median_sq_dist(X)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), name
+        if name == "lattice" and m >= 18:
+            assert np.count_nonzero(upper == want) > 1  # ties at the median
+        if name == "repeated":
+            assert want == 0.0  # harness takes sigma 1.0 for it
+
+
+def test_median_sq_dist_below_two_points_is_nan():
+    for m in (0, 1):
+        assert np.isnan(backend.median_sq_dist(np.ones((m, 3))))
 
 
 def test_kernel_memory_grows_with_the_block_not_the_query_count():
@@ -756,8 +779,8 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
 def _preselect(q, p, k):
     """The rows that each candidate pass leaves unsettled when it runs on
     every row of q: the float32 pass, then the float64 one."""
-    with backend._point_table(p) as table:
-        return [backend._candidate_nearest(q, table, e, k)[1] for e in backend._expansions(table)]
+    table = backend._point_table(p)
+    return [backend._candidate_nearest(q, table, e, k)[1] for e in backend._expansions(table)]
 
 
 def test_preselection_leaves_only_unsettled_rows_to_the_full_path():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -44,6 +46,19 @@ class TestBench:
         assert rc == 0
         header = (tmp_path / "bench.csv").read_text().splitlines()[0]
         assert header.startswith("dataset,c_or_gamma,method")
+
+    def test_csv_row_quotes_a_dataset_path_with_a_comma_or_a_quote(self, tmp_path):
+        data = tmp_path / 'plant, "copy".csv'
+        shutil.copy(bundled_data_path("linear_plant.csv"), data)
+        bench = ["bench", "--cost", "0.5", "--data", str(data), "--repeats", "1"]
+        assert main([*bench, "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
+        assert main([*bench, "--out", str(tmp_path / "json")]) == 0
+        assert main(["report", "--input", str(tmp_path / "json" / "bench.json"),
+                     "--out", str(tmp_path / "again"), "--format", "csv"]) == 0
+        text = (tmp_path / "csv" / "bench.csv").read_text()
+        header, row = csv.reader(io.StringIO(text))
+        assert len(header) == len(row) == 9 and row[header.index("dataset")] == str(data)
+        assert (tmp_path / "again" / "bench.csv").read_bytes() == (tmp_path / "csv" / "bench.csv").read_bytes()
 
     def test_missing_cost_is_usage_error(self, demo_csv, tmp_path, capsys):
         rc = main(["bench", "--data", demo_csv, "--out", str(tmp_path)])

@@ -441,6 +441,30 @@ def test_no_private_attribute_read_from_outside():
     assert found == []
 
 
+def test_distance_blocks_never_leave_the_backend():
+    # a kernel that yields lends its workspace buffers (a block, its point
+    # table) to code outside the call, which may call another kernel over
+    # them; and a private backend name imported elsewhere lets another
+    # module loop over those buffers itself
+    import ast
+    from pathlib import Path
+
+    import selreg
+
+    found = []
+    for path in sorted(Path(selreg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if path.name == "backend.py" and isinstance(node, (ast.Yield, ast.YieldFrom)):
+                found.append(f"{path.name}:{node.lineno}: yield")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "backend":
+                found += [f"{path.name}:{node.lineno}: imports {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == [], (
+        f"{found}: a kernel generator lends workspace buffers to code outside the call, and so needs"
+        " a guard like the deleted workspace hold; keep every block loop inside one backend call"
+    )
+
+
 def test_finiteness_is_checked_in_one_place_per_kind_of_input():
     # _freeze refuses NaN and inf in every array a dataset, task, model or
     # calibrator holds; the other checks guard what is never stored: lookup

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from selreg.harness import (
     _median_sq_dist,
 )
 from selreg.models import KnnConfig, KnnRegressor, MlpConfig, MlpRegressor
-from selreg.losses import LossReport, bayes_risk
-from selreg.rejection import conformal_threshold, linear_calibrate
+from selreg.losses import LossReport, bayes_risk, empirical_rwr_loss
+from selreg.rejection import conformal_threshold, induce_rejector, linear_calibrate
 from selreg.tasks import DiscreteTask, default_discrete_task, default_smooth_task
 
 
@@ -422,6 +423,27 @@ class TestRunFixedBudget:
         rep = run_experiment(cfg)
         m = 200  # half of the 400-row validation split scores the threshold
         assert 0.3 - 0.05 <= rep.rej_mean <= 0.3 + 1.0 / (m + 1) + 0.05
+
+    @pytest.mark.parametrize("source, n, two_sided", [("smooth1d", 1000, True), ("hetero6", 400, False)])
+    def test_mean_test_rejection_meets_the_conformal_rate(self, source, n, two_sided):
+        # m exchangeable scores without ties reject a new row with probability
+        # 1 - ceil((1 - gamma)(m + 1)) / (m + 1); ties accept, so with them
+        # only the ceiling gamma + 1 / (m + 1) holds, as on hetero6's six
+        # support points.  Each repeat spreads by the threshold's draw of m
+        # scores and the binomial draw of the test rows.
+        gamma, seeds = 0.2, range(150)
+        rates = []
+        for seed in seeds:
+            train, val, test, task = materialize(source, seed, synthetic_n=n)
+            f = fit_regressor(KnnConfig(), train, val.subset(np.arange(val.n // 2)), task, seed)
+            calibrator, th = budget_threshold("kernel", f, val, task, gamma)
+            rates.append(empirical_rwr_loss(f, induce_rejector(calibrator, th.c_hat), test, 0.0).rejection_rate)
+        m, n_test = val.n - val.n // 2, test.n
+        se = math.sqrt(gamma * (1.0 - gamma) * (1.0 / (m + 2) + 1.0 / n_test) / len(seeds))
+        mean = float(np.mean(rates))
+        assert mean <= gamma + 1.0 / (m + 1) + 5.0 * se
+        if two_sided:
+            assert abs(mean - (1.0 - math.ceil((1.0 - gamma) * (m + 1)) / (m + 1))) <= 5.0 * se
 
     def test_small_sample_sentinel_accepts_all(self):
         cfg = ExperimentConfig(
