@@ -1,9 +1,10 @@
-"""Record a checkout's benchmark numbers in BENCH_<label>.json at the repo root.
+"""Record a checkout's benchmark numbers in BENCH_<commit>.json at the repo root.
 
-    python scripts/bench_record.py --label L [--checkout PATH] [--against PATH --pairs N]
+    python scripts/bench_record.py [--label L] [--checkout PATH] [--against PATH --pairs N]
 
-Two halves, both run in fresh processes with OpenBLAS, OpenMP and MKL on one
-thread, from the measured checkout's own ``src`` and ``perfbench``:
+The matrix, perfbench and kernel halves, all run in fresh processes with
+OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
+``src`` and ``perfbench``:
 
 * the matrix: four ``run_experiment`` configs (``MATRIX``), 10 repeats at seed
   0, each in a fresh ``python``.  Every run records its wall seconds, the
@@ -12,21 +13,28 @@ thread, from the measured checkout's own ``src`` and ``perfbench``:
 * perfbench: ``perfbench/run.py`` at ``--trace 0`` and ``--trace 1`` on each
   workload of ``BENCHMARK.json``, each for its ``run_seconds``, keeping each
   run's last JSON line, its ``env`` line, its exit code and, on a traced run,
-  the lookup names its tracer did not find (``parse_perfbench``).
+  the lookup names its tracer did not find (``parse_perfbench``);
+* the kernels: ``backend.knn_mean`` on each input of ``KERNELS``, one fresh
+  ``python`` per input, timed in process: the median of ``CALLS`` calls
+  after one untimed warm-up call, each call's seconds, and a sha256 of the
+  result's bytes, so that two files show whether the bits held.  Each input
+  reaches one tier of the kNN search; this script builds them
+  (``kernel_input``), so both checkouts get the same ones.
 
 The file also records the checkout's commit (and whether its tree differs
 from it), a hash of ``src/selreg`` and its count of lines, in all and of code
 (``code_lines``), the Python, NumPy and BLAS versions, nproc and the thread
 variables.
 
-``--against PATH`` measures a second checkout in alternation: each of the N
-pairs runs both halves on one checkout and then on the other, the first of
-the two swapping from pair to pair, and one file is written for each:
-``BENCH_<label>.json``, and ``BENCH_<commit>.json`` for PATH, named by its
-short commit.  Make the two checkouts the same way and at paths of equal
-length; two checkouts of one commit give an A/A run, which shows the noise of
-the machine and of the way the checkouts were made.  Compare two files by
-their per-pair lists, not by one median.
+The file is named by the checkout's short commit, unless ``--label`` names
+it; a checkout whose ``src`` or ``perfbench`` differs from its commit needs a
+label.  ``--against PATH`` measures a second checkout in alternation: each of
+the N pairs runs the halves on one checkout and then on the other, the first
+of the two swapping from pair to pair, and one file is written for each, the
+second named by PATH's short commit.  Make the two checkouts the same way and
+at paths of equal length; two checkouts of one commit give an A/A run, which
+shows the noise of the machine and of the way the checkouts were made.
+Compare two files by their per-pair lists, not by one median.
 """
 
 from __future__ import annotations
@@ -63,6 +71,25 @@ MATRIX = {
     "csv-mlp-kernel-c0.2": {"source": BUNDLED_CSV, "mode": "cost", "value": 0.2, "regressor": "mlp"},
 }
 REPEATS = 10
+CALLS = 9  # timed knn_mean calls per kernel input
+
+# name -> a knn_mean input, which kernel_input draws at seed 0; the comments
+# name the tier of the kNN search that settles its rows
+DEFAULT_K_GRID = [5, 10, 15, 20, 30, 50, 70, 100, 150]  # as in selreg.models
+KERNELS = {
+    # the float32 candidate pass settles every row
+    "uniform-d8": {"data": "uniform", "nq": 512, "m": 8000, "d": 8, "ks": [20]},
+    "csv-like-d3": {"data": "normal", "nq": 160, "m": 560, "d": 3, "ks": DEFAULT_K_GRID},
+    # the float32 pass leaves rows to the full distance row
+    "lognormal-d8": {"data": "lognormal", "nq": 200, "m": 2000, "d": 8, "ks": [20]},
+    "cluster-outlier1e3-d8": {"data": "cluster", "outlier": 1e3, "nq": 512, "m": 8000, "d": 8, "ks": [20]},
+    # the full distance row takes every row
+    "cluster-outlier1e8-d8": {"data": "cluster", "outlier": 1e8, "nq": 512, "m": 8000, "d": 8, "ks": [20]},
+    "lattice-d8": {"data": "lattice", "nq": 512, "m": 8000, "d": 8, "ks": [20]},
+    "few-points-d8": {"data": "normal", "nq": 512, "m": 250, "d": 8, "ks": [150]},
+    # d = 1 on six values, as on hetero6: the window settles no row
+    "six-values-d1": {"data": "six_values", "nq": 200, "m": 600, "d": 1, "ks": DEFAULT_K_GRID},
+}
 
 # Runs one config in the child: the wall seconds of run_experiment alone, then
 # the process's peak RSS (ru_maxrss is in KiB on Linux).
@@ -87,6 +114,60 @@ print(json.dumps({
     "rej_mean": repr(report.rej_mean),
 }))
 """
+
+
+# Times one kernel input in the child: argv holds the input's spec, the number
+# of timed calls and the directory of this script, whose kernel_input builds it.
+KERNEL_CHILD = """
+import hashlib, json, statistics, sys, time
+sys.path.insert(0, sys.argv[3])
+from bench_record import kernel_input
+from selreg import backend
+args = kernel_input(json.loads(sys.argv[1]))
+out = backend.knn_mean(*args)
+seconds = []
+for _ in range(int(sys.argv[2])):
+    t0 = time.perf_counter()
+    backend.knn_mean(*args)
+    seconds.append(time.perf_counter() - t0)
+print(json.dumps({
+    "median_s": statistics.median(seconds),
+    "call_s": seconds,
+    "sha256": hashlib.sha256(out.tobytes()).hexdigest(),
+}))
+"""
+
+
+def kernel_input(spec: dict):
+    """The ``knn_mean`` arguments ``(queries, points, values, ks)`` that a
+    ``KERNELS`` spec names, drawn at seed 0."""
+    rng = np.random.default_rng(0)
+    data, nq, m, d = spec["data"], spec["nq"], spec["m"], spec["d"]
+    if data == "uniform":  # as score-knn-d8 draws its points
+        q, p = rng.uniform(-1.0, 1.0, size=(nq, d)), rng.uniform(-1.0, 1.0, size=(m, d))
+    elif data == "lognormal":  # z-scored and heavy-tailed
+        z = rng.lognormal(sigma=2.0, size=(nq + m, d))
+        z = (z - z.mean(axis=0)) / z.std(axis=0)
+        q, p = z[:nq], z[nq:]
+    elif data == "cluster":  # a cluster at scale 1e-2 and one point far out
+        q, p = rng.normal(size=(nq, d)) * 1e-2, rng.normal(size=(m, d)) * 1e-2
+        p[7] = spec["outlier"]
+    elif data == "six_values":  # ties on every row
+        q, p = rng.integers(-1, 7, size=(nq, d)) * 1.0, rng.integers(0, 6, size=(m, d)) * 1.0
+    else:  # normal, or rounded to the integer lattice
+        q, p = rng.normal(size=(nq, d)), rng.normal(size=(m, d))
+        if data == "lattice":
+            q, p = np.round(q), np.round(p)
+    return q, p, rng.normal(size=m), tuple(spec["ks"])
+
+
+def run_kernel(checkout: Path, spec: dict, calls: int = CALLS) -> dict:
+    """One kernel input in a fresh ``python`` on ``checkout``'s source."""
+    args = [json.dumps(spec), str(calls), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, **THREADS, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, "-c", KERNEL_CHILD, *args], cwd=checkout, env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def run_config(checkout: Path, spec: dict, repeats: int = REPEATS) -> dict:
@@ -183,15 +264,20 @@ def new_record(label: str, checkout: Path, against: str | None) -> dict:
         "env": environment(checkout),
         "matrix": {name: {"config": dict(spec, repeats=REPEATS), "runs": []} for name, spec in MATRIX.items()},
         "perfbench": {w: {"seconds": SECONDS, "trace0": [], "trace1": []} for w in WORKLOADS},
+        "kernels": {name: {"input": spec, "calls": CALLS, "runs": []} for name, spec in KERNELS.items()},
     }
 
 
 def measure(record: dict, checkout: Path, pair: int) -> None:
-    """Both halves once on ``checkout``, appended to ``record``."""
+    """Each half once on ``checkout``, appended to ``record``."""
     for name, spec in MATRIX.items():
         run = run_config(checkout, spec)
         record["matrix"][name]["runs"].append(dict(run, pair=pair))
         print(f"  {record['label']:>8} {name:32s} {run['wall_s']:.3f} s  {run['peak_rss_mb']:.1f} MB", flush=True)
+    for name, spec in KERNELS.items():
+        run = run_kernel(checkout, spec)
+        record["kernels"][name]["runs"].append(dict(run, pair=pair))
+        print(f"  {record['label']:>8} {name:32s} {run['median_s'] * 1e3:8.2f} ms  {run['sha256'][:12]}", flush=True)
     for workload in WORKLOADS:
         for trace in (0, 1):
             run = run_perfbench(checkout, workload, trace)
@@ -203,13 +289,18 @@ def measure(record: dict, checkout: Path, pair: int) -> None:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repo root")
+    parser.add_argument("--label", help="writes BENCH_<label>.json at the repo root (default: the short commit)")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="the checkout to measure (default: this one)")
     parser.add_argument("--against", type=Path, help="a second checkout, measured in alternation")
-    parser.add_argument("--pairs", type=int, default=1, help="rounds of both halves per checkout")
+    parser.add_argument("--pairs", type=int, default=1, help="rounds of the halves per checkout")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.label is None:
+        env = environment(args.checkout.resolve())
+        if not env["git_commit"] or env["tree_differs_from_commit"]:
+            parser.error("--label is needed where the checkout's src or perfbench differs from a commit")
+        args.label = env["git_commit"][:7]
     sides = [(args.label, args.checkout.resolve())]
     if args.against is not None:
         against = args.against.resolve()

@@ -40,17 +40,15 @@ Contracts:
     only preselects the ``2 max(ks)`` candidates of each query: the points
     whose expansion is at or below its ``2 max(ks)``-th smallest value.
     Every distance compared is still summed in float64 from exact
-    differences.  Three passes take the rows in turn, each only those the
-    last left unsettled.  The first runs in float32, with c the midpoint of
-    the points' bounding box, so that its error follows the points' spread
-    and not their distance from the origin.  The second runs in float64 on
-    the points as given (c = 0).  A pass leaves a row unsettled where its
-    candidates are not exactly ``2 max(ks)`` points (a tie there, or a NaN),
-    or may miss a point within the expansion's rounding bound of its kth
-    distance (a NaN or inf coordinate, coordinates far from c, underflow,
-    overflow).  The third pass, the full distance row, takes the rows that
-    neither settles.  The result has the same bits whichever pass settles a
-    row.
+    differences.  Two tiers rank the rows.  The first runs in float32, with
+    c the midpoint of the points' bounding box, so that its error follows
+    the points' spread and not their distance from the origin.  It leaves a
+    row unsettled where its candidates are not exactly ``2 max(ks)`` points
+    (a tie there, or a NaN), or may miss a point within the expansion's
+    rounding bound of its kth distance (a NaN or inf coordinate, coordinates
+    far from c, underflow, overflow).  The full distance row takes those
+    rows; where 2k < m it ranks only the points at or below each row's kth
+    distance.  The result has the same bits whichever tier settles a row.
 
 ``gaussian_nw(queries, centers, values[m], sigmas) -> [len(sigmas), nq]``
     Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
@@ -82,9 +80,10 @@ Contracts:
 ``median_sq_dist(points[m,d]) -> float``
     The median of the m (m - 1) / 2 squared distances between distinct
     points, ``np.median`` of the condensed upper triangle of
-    ``pairwise_sq_dists(points, points)``, with its bits; NaN below two
-    points.  The triangle is filled block by block into one array of the
-    call's own, which the median partitions in place: no m x m array.
+    ``pairwise_sq_dists(points, points)``, with its bits, but where only the
+    sum of the two middle values overflows: there it halves each first.  NaN
+    below two points.  The triangle is filled block by block into one array
+    of the call's own, which the median partitions in place: no m x m array.
 
 No kernel warns on extreme coordinates.  inf - inf gives a NaN distance,
 which kNN ranks last and which makes that query's ``gaussian_nw`` estimate
@@ -115,10 +114,10 @@ from the ``[nq,m]`` result of ``pairwise_sq_dists`` and the triangle of
 with the number of queries (block x window on the d = 1 path).
 
 The point table, rows ``1, p_1 .. p_d, |p|^2``, is the one copy of the
-points in a call: each difference product reads two of its rows, and the
-expansion reads all of them.  The float32 pass reads a second table,
-``_expansions``' rows ``1, p'_1 .. p'_d, |p'|^2`` of the centred points,
-built from the rows of the first.
+points in a call: each difference product reads two of its rows.  The
+float32 expansion reads a second table, ``_centred_table``'s rows
+``1, p'_1 .. p'_d, |p'|^2`` of the centred points, built from the rows of
+the first.
 
 Each kernel takes its buffers and is done with them within one call, and
 calls no other kernel while its point table is live.  No kernel yields, so
@@ -267,13 +266,27 @@ def median_sq_dist(points: np.ndarray) -> float:
         vals[filled : filled + upper.size] = upper
         filled += upper.size
     # vals is this call's own array, so the median may partition it in place
-    return float(np.median(vals, overwrite_input=True))
+    with np.errstate(over="ignore"):
+        med = float(np.median(vals, overwrite_input=True))
+        # where only the sum of the two middle values overflows, the median of
+        # the halves, which vals still holds the values of, is exact
+        return 2.0 * float(np.median(vals / 2.0)) if med == math.inf else med
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points per row of ``d2``, ordered by
-    (distance, index), NaN distances last: a stable argsort of each row."""
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    (distance, index), NaN distances last: the first k of a stable argsort
+    of each row.  Where 2k < m only the points at or below the row's kth
+    distance are ranked, by one stable sort on (row, distance) of their flat
+    indices, which come in index order; ``~(d2 > kth)`` keeps NaNs, and the
+    whole row where the kth is NaN."""
+    if 2 * k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    row, col = np.divmod(np.flatnonzero(~(d2 > kth)), d2.shape[1])
+    col = col[np.lexsort((d2[row, col], row))]
+    # every row keeps at least k points, and its first k lead its run
+    return col[np.searchsorted(row, np.arange(d2.shape[0]))[:, None] + np.arange(k)]
 
 
 def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
@@ -313,18 +326,14 @@ def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
     return idx, full
 
 
-def _expansions(table: np.ndarray):
-    """The expansion tables of the d > 1 candidate passes, in the order they
-    run, each as ``(ptable, centre, p2max)``: the product's table, the
-    centre c its points are taken from, and the largest squared norm in it.
-
-    The first is float32, rows ``1, p'_1 .. p'_d, |p'|^2`` with
-    ``p' = p - c``, c the midpoint of the points' bounding box, read from the
-    rows of ``table``: each difference rounds to float64, then to float32, in
-    NumPy's small cast buffer, and the squared norms are summed in float32.
-    Centred points keep their float32 error relative to their spread, not to
-    their distance from the origin.  The second is the float64
-    ``_point_table`` itself, centred at 0.
+def _centred_table(table: np.ndarray):
+    """The float32 table of the candidate pass, rows ``1, p'_1 .. p'_d,
+    |p'|^2`` with ``p' = p - c``, c the midpoint of the points' bounding box,
+    read from the rows of ``table``; with c and the largest squared norm in
+    it.  Each difference rounds to float64, then to float32, in NumPy's
+    small cast buffer, and the squared norms are summed in float32.  Centred
+    points keep their float32 error relative to their spread, not to their
+    distance from the origin.
     """
     rows = table[1:-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -333,17 +342,17 @@ def _expansions(table: np.ndarray):
         table32[0] = 1.0
         np.subtract(rows, centre[:, None], out=table32[1:-1], casting="same_kind")
         np.einsum("ij,ij->j", table32[1:-1], table32[1:-1], out=table32[-1])
-        return (table32, centre, table32[-1].max()), (table, 0.0, table[-1].max())
+        return table32, centre, table32[-1].max()
 
 
-def _candidate_nearest(q, table, expansion, k: int):
+def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     """The k nearest points to each row of ``q`` (d > 1, 2k < m), in
     (distance, index) order, and a mask of the rows to redo.
 
-    ``table`` is the ``_point_table`` and ``expansion`` one pass of
-    ``_expansions``: a table ``[1; p'; |p'|^2]`` of the points less a centre
-    c, its dtype float32 or float64, and the largest squared norm in it.
-    Everything up to the choice of candidates runs in that dtype.  The norm
+    ``table`` is the ``_point_table``, and ``table32``, ``centre`` and
+    ``p2max`` are the ``_centred_table``: ``[1; p'; |p'|^2]`` in float32 of
+    the points less the centre c, and the largest squared norm in it.
+    Everything up to the choice of candidates runs in float32.  The norm
     expansion ``a = |q'|^2 + |p'|^2 - 2 q'.p'`` of ``q' = q - c`` is one
     product, ``[|q'|^2, -2q', 1] @ [1; p'; |p'|^2]``, so it takes no pass
     over the block x m array beyond the product's own.  It picks as
@@ -357,17 +366,17 @@ def _candidate_nearest(q, table, expansion, k: int):
     Call those sums e and the true distance D; with x = q - c and y = p - c
     taken exactly, S = |x|^2 + max |y|^2 >= D / 2.  eps is the spacing of
     floats at 1 (twice the unit roundoff) and tiny the least subnormal, of
-    the table's dtype unless marked 64.
+    float32 unless marked 64.
 
     * e has at most d + 2 roundings per term: |e - D| <= (d + 2) eps64 S,
       plus tiny64 / 2 for each of its d squares that underflows.
-    * Each coordinate of q' and p' is rounded in float64 and, on the float32
-      pass, again to float32: within u = (1 + eps64) eps / 2 of x (or y)
-      relatively, or tiny / 2 absolutely.  The distance D' of the rounded
-      points then differs from D by at most 2 |x - y| r + r^2, where
+    * Each coordinate of q' and p' is rounded in float64 and again to
+      float32: within u = (1 + eps64) eps / 2 of x (or y) relatively, or
+      tiny / 2 absolutely.  The distance D' of the rounded points then
+      differs from D by at most 2 |x - y| r + r^2, where
       r = u (|x| + |y|) + sqrt(d) tiny and (|x| + |y|)^2 <= 2 S: that is at
       most 3.01 eps S + tiny, as 2 sqrt(2 d S) tiny <= eps S + 2 d tiny^2 /
-      eps.  The float64 pass, at c = 0, rounds nothing here.
+      eps.
     * |q'|^2 and |p'|^2 have at most d roundings each, and the product's
       d + 2 terms, summed in any order with or without fused multiply-adds,
       at most d + 2 each on a sum of magnitudes <= 2 S', S' being S of the
@@ -375,71 +384,65 @@ def _candidate_nearest(q, table, expansion, k: int):
       of the 3d squares and products that underflows (a sum whose result
       underflows is exact).
     * S and S' are within a factor 1 + (d + 3) eps, and d tiny, of S as the
-      code forms it, ``|q'|^2 + max |p'|^2`` in the table's dtype.
+      code forms it, ``|q'|^2 + max |p'|^2`` in float32.
 
-    So for d < 2^20, |a - e| <= (5d/2 + 4) eps S + 2d tiny on the float64
-    pass and (3d/2 + 6) eps S + (3d/2 + 2) tiny on the float32 one, both
-    within delta = (d + 4)(4 eps S + 4 tiny) of the computed S.  The k
-    points of smallest a then have e <= a_k + delta, a_k being the kth
-    smallest a, and every point with e at or below the kth smallest e has
-    a <= a_k + 2 delta.  A row settles when t exceeds that: every such
-    point, ties included, is then a candidate.  A row whose computed S is
-    not at most a quarter of the dtype's largest float (NaN, inf, or so
-    large that a term of the product, or 4 S, could overflow) is redone.
+    So for d < 2^20, |a - e| <= (3d/2 + 6) eps S + (3d/2 + 2) tiny, within
+    delta = (d + 4)(4 eps S + 4 tiny) of the computed S.  The k points of
+    smallest a then have e <= a_k + delta, a_k being the kth smallest a, and
+    every point with e at or below the kth smallest e has a <= a_k +
+    2 delta.  A row settles when t exceeds that: every such point, ties
+    included, is then a candidate.  A row whose computed S is not at most a
+    quarter of float32's largest value (NaN, inf, or so large that a term of
+    the product, or 4 S, could overflow) is redone.
 
-    The pick ranks the bits of ``a`` read as integers of their width, which
-    NumPy partitions several times faster than floats where it has SIMD
-    sorting (x86 with AVX-512): t is the float whose key is the 2k-th
-    smallest, and the candidates are the points whose key is at most its.
-    The keys order as the floats where the sign bit is clear, and below all
-    of those where it is set.  So where t has its sign bit clear, every
-    point outside the candidates has a > t, and a_k, taken from the float
-    values of the candidates, is that of the row, as above.  A row whose t
-    has it set never settles: every a is at least e - delta >= -delta, so
+    The pick ranks the bits of ``a`` read as int32, which NumPy partitions
+    several times faster than floats where it has SIMD sorting (x86 with
+    AVX-512): t is the float whose key is the 2k-th smallest, and the
+    candidates are the points whose key is at most its.  The keys order as
+    the floats where the sign bit is clear, and below all of those where it
+    is set.  So where t has its sign bit clear, every point outside the
+    candidates has a > t, and a_k, taken from the float values of the
+    candidates, is that of the row, as above.  A row whose t has it set
+    never settles: every a is at least e - delta >= -delta, so
     t - a_k <= delta.
 
     The expansion and its partition copy are block x m arrays in the
-    workspace, sharing their bytes between the two dtypes.  Each row's count
-    of candidates is a ``bincount`` of their flat indices, so the candidate
-    mask takes one pass; a row with ties at t lists them all there for a
-    moment, at most block x m indices.  A row that the bound already sends
-    back lists none.
+    workspace.  Each row's count of candidates is a ``bincount`` of their
+    flat indices, so the candidate mask takes one pass; a row with ties at t
+    lists them all there for a moment, at most block x m indices.  A row that
+    the bound already sends back lists none.
     """
-    ptable, centre, p2max = expansion
     (n, d), m = q.shape, table.shape[1]
-    info = np.finfo(ptable.dtype)
+    info = np.finfo(np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = _WORK.take("expansion", (n, d + 2), ptable.dtype)
+        lhs = _WORK.take("expansion", (n, d + 2), np.float32)
         np.subtract(q, centre, out=lhs[:, 1:-1], casting="same_kind")
-        q2 = np.square(lhs[:, 1:-1]).sum(axis=1)
-        lhs[:, 0] = q2
+        lhs[:, 0] = q2 = np.square(lhs[:, 1:-1]).sum(axis=1)
         lhs[:, 1:-1] *= -2.0
         lhs[:, -1] = 1.0
-        a = np.matmul(lhs, ptable, out=_WORK.take("a", (n, m), ptable.dtype))
-        keys = a.view(f"i{a.itemsize}")
-        part = _WORK.take("part", (n, m), keys.dtype)
+        a = np.matmul(lhs, table32, out=_WORK.take("a", (n, m), np.float32))
+        keys = a.view(np.int32)
+        part = _WORK.take("part", (n, m), np.int32)
         np.copyto(part, keys)
         # one kth: NumPy's partition is several times slower given two
         part.partition(2 * k - 1, axis=1)
         tkey = part[:, 2 * k - 1]
-        t = tkey.view(a.dtype)
         kth = np.partition(part[:, : 2 * k].view(a.dtype), k - 1, axis=1)[:, k - 1]
         s = (q2 + p2max).astype(np.float64, copy=False)
         delta = (d + 4) * (float(info.eps) * (4.0 * s) + 4.0 * float(info.smallest_subnormal))
         # below a quarter of the largest float no term of the product, nor
         # 4 S, overflows; NaN and inf are not below it
-        full = ~(s <= float(info.max) / 4.0) | ~(t > kth + 2.0 * delta)
+        full = ~(s <= float(info.max) / 4.0) | ~(tkey.view(a.dtype) > kth + 2.0 * delta)
         # a row already redone lists no candidates but its -0.0s, whose key
         # is the least
-        limit = np.where(full, np.iinfo(keys.dtype).min, tkey)
+        limit = np.where(full, np.iinfo(np.int32).min, tkey)
         mask = np.less_equal(keys, limit[:, None], out=_WORK.take("mask", (n, m), bool))
         # flat indices come in order, so each row's candidates are sorted
         row, col = np.divmod(np.flatnonzero(mask), m)
         full |= np.bincount(row, minlength=n) != 2 * k
-        cand = np.empty((n, 2 * k), dtype=np.intp)
-        cand[~full] = col[~full[row]].reshape(-1, 2 * k)
         # a row to redo takes the first 2k points, so that every row has 2k
-        cand[full] = np.arange(2 * k)
+        cand = np.tile(np.arange(2 * k), (n, 1))
+        cand[~full] = col[~full[row]].reshape(-1, 2 * k)
         e = np.zeros(cand.shape)
         diff = np.empty(cand.shape)
         for qj, pj in zip(q.T, table[1:-1]):
@@ -456,15 +459,14 @@ def knn_mean(
     break by ascending point index.
 
     The k = ``max(ks)`` nearest points of each query come from one block
-    loop, in which each pass settles the rows it can and hands the rest on.
-    One-dimensional data takes the sorted window of ``_window_nearest`` in
-    blocks of ``_BLOCK`` rows.  Wider data with 2k < m takes the candidates
-    of ``_candidate_nearest`` in blocks of ``_block_rows(m, _CANDIDATE_BUDGET)``,
-    first on the float32 expansion and then, for the rows that leaves
-    unsettled, on the float64 one.  Wider data with 2k >= m has too few
-    points to preselect from: its one pass, in blocks of
-    ``_block_rows(m, _DIST_BUDGET)``, settles no row.  Every row that no
-    pass settles takes the full distance row, in distance blocks of its own.
+    loop, in which a first pass settles the rows it can and hands the rest
+    to the full distance row.  One-dimensional data takes the sorted window
+    of ``_window_nearest`` in blocks of ``_BLOCK`` rows.  Wider data with
+    2k < m takes the float32 candidates of ``_candidate_nearest`` in blocks
+    of ``_block_rows(m, _CANDIDATE_BUDGET)``.  Wider data with 2k >= m has
+    too few points to preselect from: its first pass, in blocks of
+    ``_block_rows(m, _DIST_BUDGET)``, settles no row.  The rows it leaves
+    take the full distance row, in distance blocks of their own.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != np.shape(points)[0]:
@@ -478,21 +480,18 @@ def knn_mean(
         rows = _BLOCK
         order = np.argsort(table[1], kind="stable")
         sx = table[1, order]
-        passes = [lambda block: _window_nearest(block[:, 0], order, sx, k)]
+        first = lambda block: _window_nearest(block[:, 0], order, sx, k)
     elif 2 * k < m:
         rows = _block_rows(m, _CANDIDATE_BUDGET)
-        passes = [lambda block, e=e: _candidate_nearest(block, table, e, k) for e in _expansions(table)]
+        centred = _centred_table(table)
+        first = lambda block: _candidate_nearest(block, table, *centred, k)
     else:  # too few points to preselect from: a pass that settles no row
         rows = redo_rows
-        passes = [lambda block: (np.empty((block.shape[0], k), dtype=np.intp), np.ones(block.shape[0], bool))]
+        first = lambda block: (np.empty((block.shape[0], k), dtype=np.intp), np.ones(block.shape[0], bool))
     for start in range(0, queries.shape[0], rows):
         block = queries[start : start + rows]
-        idx, full = passes[0](block)
+        idx, full = first(block)
         redo = np.flatnonzero(full)
-        for pick in passes[1:]:
-            if redo.size:
-                idx[redo], full = pick(block[redo])
-                redo = redo[full]
         # the redone rows may span several distance blocks: each writes
         # back through its own indices
         for r in range(0, redo.shape[0], redo_rows):

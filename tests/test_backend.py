@@ -504,6 +504,30 @@ def test_nearest_keeps_the_partition_order(width):
             np.testing.assert_array_equal(backend._nearest(d2, k), partition_nearest(d2, k))
 
 
+@pytest.mark.parametrize("m", [40, 41, 600])
+def test_full_path_ranking_is_the_stable_argsort(m):
+    # where 2k < m the full path ranks only the points at or below each
+    # row's kth distance; k = (m - 1) // 2 and m // 2 put 2k at m - 1 and m
+    rng = np.random.default_rng(m)
+    d2 = np.abs(rng.normal(size=(40, m)))
+    d2[10:20] = np.round(d2[10:20], 1)  # ties at the kth distance
+    # NaN distances of either sign bit, and +inf
+    for bad in (np.nan, -np.nan, np.inf):
+        d2[20:35][rng.random((15, m)) < 0.1] = bad
+    assert np.signbit(d2[20:35][np.isnan(d2[20:35])]).any()
+    d2[35] = np.nan  # a NaN kth distance
+    d2[36, : m - m // 4] = -np.nan  # a NaN kth distance from k = m // 4 + 1
+    d2[37] = np.inf
+    d2[38] = d2[39] = 0.0
+    # a six-value support at d = 1, as on hetero6: every row ties
+    x = rng.integers(0, 6, size=m).astype(float)[:, None]
+    support = backend._sq_dist(np.arange(-1.0, 7.0, 0.5)[:, None], backend._point_table(x)).copy()
+    for rows in (d2, support):
+        for k in (1, 2, 3, m // 4 + 1, (m - 1) // 2, m // 2):
+            want = np.argsort(rows, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(backend._nearest(rows, k).view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_extreme_coordinates_compute_without_warnings(d):
     ks, sigmas = (1, 5, 20), (1e-3, 1.0, 1e3)
@@ -576,6 +600,11 @@ def test_kernels_leave_the_callers_error_policy_alone():
         ):
             call()
             assert np.geterr() == policy
+        # the two middle squared distances, 1.5625e308 and 1.69e308, are
+        # finite, but their sum is not: the median halves each first
+        overflow = backend.median_sq_dist(np.array([[0.0], [1e153], [1.25e154], [-1.3e154]]))
+        assert np.geterr() == policy
+    assert overflow == 1.5625e308 / 2 + 1.69e308 / 2
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 18, 19, 256, 258, 601, 602])
@@ -611,11 +640,15 @@ def test_kernel_memory_grows_with_the_block_not_the_query_count():
     q1, p1 = q[:, :1], p[:, :1]
     # d=8 preselects 2 max(ks) candidates, or takes the full path at K = m
     q8, p8 = rng.normal(size=(16 * 256, 8)), rng.normal(size=(1000, 8))
+    # a tight cluster and one point at 1e8 send every row to the full path
+    outlier = p8 * 1e-2
+    outlier[7] = 1e8
     for run in (
         lambda: backend.knn_mean(q, p, v, (5,))[0],
         lambda: backend.knn_mean(q1, p1, v, (5, 500)),
         lambda: backend.knn_mean(q8, p8, v, (5, 20)),
         lambda: backend.knn_mean(q8, p8, v, (5, 500)),
+        lambda: backend.knn_mean(q8 * 1e-2, outlier, v, (5, 20)),
         lambda: backend.gaussian_nw(q, p, v, (1.0,)),
         lambda: backend.gaussian_nw(q, p, v, tuple(10.0**j for j in range(-3, 4))),
     ):
@@ -664,7 +697,7 @@ def test_knn_redone_rows_span_several_distance_blocks():
     q[300:340] = p[0] + 1e-3 * rng.normal(size=(40, 8))
     rows = backend._block_rows(m, backend._CANDIDATE_BUDGET)
     assert (rows, backend._block_rows(m, backend._DIST_BUDGET)) == (128, 16)
-    redone = [np.count_nonzero(np.logical_and(*_preselect(q[s : s + rows], p, max(ks)))) for s in range(0, len(q), rows)]
+    redone = [np.count_nonzero(_preselect(q[s : s + rows], p, max(ks))) for s in range(0, len(q), rows)]
     assert redone[0] == 0 and min(redone[1:3]) > 16
     # compared as integers, so that equal means are equal bits
     got = backend.knn_mean(q, p, v, ks)
@@ -777,10 +810,10 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
 
 
 def _preselect(q, p, k):
-    """The rows that each candidate pass leaves unsettled when it runs on
-    every row of q: the float32 pass, then the float64 one."""
+    """The rows that the float32 candidate pass leaves to the full path when
+    it runs on every row of q."""
     table = backend._point_table(p)
-    return [backend._candidate_nearest(q, table, e, k)[1] for e in backend._expansions(table)]
+    return backend._candidate_nearest(q, table, *backend._centred_table(table), k)[1]
 
 
 def test_preselection_leaves_only_unsettled_rows_to_the_full_path():
@@ -792,39 +825,33 @@ def test_preselection_leaves_only_unsettled_rows_to_the_full_path():
     q = np.concatenate([rng.normal(size=(200, 8)), np.full((1, 8), np.nan)])
     uniform = np.concatenate([rng.uniform(-1.0, 1.0, size=(200, 8)), q[-1:]]), rng.uniform(-1.0, 1.0, size=p.shape)
     for case in ((q, p), uniform):
-        full32, full64 = _preselect(*case, 20)
-        assert not full32[:-1].any() and full32[-1] and full64[-1]
+        full = _preselect(*case, 20)
+        assert not full[:-1].any() and full[-1]
     q = q[:-1]
     # an integer lattice ties more than 2k points at the kth distance from
-    # some queries, so that rows reach the full path; an offset of 1e8 makes
-    # the float64 expansion's error larger than the spacing of the points,
-    # but centred, float32 sees their spread and not their offset, and
-    # settles every row, as at an offset of 1e3
+    # some queries, so that rows reach the full path; at an offset of 1e8
+    # the float64 expansion's error would be larger than the spacing of the
+    # points, but centred, float32 sees their spread and not their offset,
+    # and settles every row, as at an offset of 1e3
     lattice, offset = (np.round(q), np.round(p)), (q + 1e8, p + 1e8)
-    full32, full64 = _preselect(*lattice, 20)
-    assert (full32 & full64).any()
-    full32, full64 = _preselect(*offset, 20)
-    assert full64.any() and not full32.any()
-    assert not _preselect(q + 1e3, p + 1e3, 20)[0].any()
+    assert _preselect(*lattice, 20).any()
+    assert not _preselect(*offset, 20).any()
+    assert not _preselect(q + 1e3, p + 1e3, 20).any()
     # a tight cluster and one far outlier, which puts the centre, and with it
-    # the float32 error, far from the cluster: every row reaches the float64
-    # retry, which settles them all with the outlier at 1e3 and none at 1e8
+    # the float32 error, far from the cluster: every row takes the full path
     cluster = rng.normal(size=(2000, 8)) * 1e-2
     q = rng.normal(size=(200, 8)) * 1e-2
     outliers = []
-    for outlier, settled64 in ((1e3, True), (1e8, False)):
+    for outlier in (1e3, 1e8):
         p = cluster.copy()
         p[7] = outlier
-        full32, full64 = _preselect(q, p, 20)
-        assert full32.all() and (~full64 if settled64 else full64).all()
+        assert _preselect(q, p, 20).all()
         outliers.append((q, p))
-    # z-scored heavy-tailed data: the float32 pass leaves many rows to the
-    # float64 retry, which settles every one
+    # z-scored heavy-tailed data: the float32 pass leaves many rows
     z = rng.lognormal(sigma=2.0, size=(2200, 8))
     z = (z - z.mean(axis=0)) / z.std(axis=0)
     heavy = (z[2000:], z[:2000])
-    full32, full64 = _preselect(*heavy, 20)
-    assert full32.sum() >= 50 and not full64.any()
+    assert _preselect(*heavy, 20).sum() >= 50
     # the result keeps the full path's bits
     for q, p in (lattice, offset, *outliers, heavy):
         got = backend.knn_mean(q, p, v, (1, 20))

@@ -1,6 +1,7 @@
-"""scripts/bench_record.py: the matrix half on one shrunken config, and the
-parsing of canned perfbench output."""
+"""scripts/bench_record.py: the matrix half on one shrunken config, the
+kernel half on shrunken inputs, and the parsing of canned perfbench output."""
 
+import hashlib
 import importlib.util
 import json
 import textwrap
@@ -30,6 +31,27 @@ def test_a_matrix_run_records_time_memory_and_results():
     assert repr(float(run["rwr_mean"])) == run["rwr_mean"]
 
 
+def test_the_kernel_half_times_each_input_and_hashes_its_result():
+    from selreg import backend
+
+    bench_record = load_script()
+    assert set(bench_record.KERNELS) == {
+        "uniform-d8", "csv-like-d3", "lognormal-d8", "cluster-outlier1e3-d8", "cluster-outlier1e8-d8",
+        "lattice-d8", "few-points-d8", "six-values-d1",
+    }
+    for name, spec in bench_record.KERNELS.items():
+        q, p, v, ks = bench_record.kernel_input(spec)
+        assert q.shape == (spec["nq"], spec["d"]) and p.shape == (spec["m"], spec["d"]) and v.shape == (spec["m"],)
+        # shrunk, so that the script cannot rot unseen
+        tiny = dict(spec, nq=8, m=300)
+        run = bench_record.run_kernel(ROOT, tiny, calls=2)
+        assert set(run) == {"median_s", "call_s", "sha256"}
+        assert len(run["call_s"]) == 2 and 0.0 < run["median_s"] < 2.0
+        # the hash is of the result's bytes, so two files show whether the bits held
+        want = hashlib.sha256(backend.knn_mean(*bench_record.kernel_input(tiny)).tobytes()).hexdigest()
+        assert run["sha256"] == want, name
+
+
 def test_a_record_names_what_it_measured():
     bench_record = load_script()
     record = bench_record.new_record("x", ROOT, None)
@@ -55,6 +77,7 @@ def test_a_record_names_what_it_measured():
     assert env["thread_variables"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert set(record["perfbench"]) == set(bench_record.WORKLOADS)
     assert all(m["config"]["repeats"] == 10 for m in record["matrix"].values())
+    assert all(k["input"] == bench_record.KERNELS[name] and k["calls"] == 9 for name, k in record["kernels"].items())
     json.dumps(record)
 
 
