@@ -507,7 +507,8 @@ def test_nearest_keeps_the_partition_order(width):
 @pytest.mark.parametrize("m", [40, 41, 600])
 def test_full_path_ranking_is_the_stable_argsort(m):
     # where 2k < m the full path ranks only the points at or below each
-    # row's kth distance; k = (m - 1) // 2 and m // 2 put 2k at m - 1 and m
+    # row's kth distance; k = (m - 1) // 2 puts 2k at m - 1 on odd m, and
+    # k = m // 2 puts it at m on even m
     rng = np.random.default_rng(m)
     d2 = np.abs(rng.normal(size=(40, m)))
     d2[10:20] = np.round(d2[10:20], 1)  # ties at the kth distance
