@@ -6,8 +6,10 @@ The matrix, perfbench and kernel halves, all run in fresh processes with
 OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
 ``src`` and ``perfbench``:
 
-* the matrix: four ``run_experiment`` configs (``MATRIX``), 10 repeats at seed
-  0, each in a fresh ``python``.  Every run records its wall seconds, the
+* the matrix: four ``run_experiment`` configs (``MATRIX``), 10 repeats at
+  seed 0, each in a fresh ``python``, timed in process: the median of
+  ``CALLS`` calls after one untimed warm-up call, which pays for the
+  imports' first use, and each call's seconds.  Every run also records the
   process's peak RSS, and ``rwr_mean`` and ``rej_mean`` by ``repr``, so that
   the file also shows whether the results kept their bits;
 * perfbench: ``perfbench/run.py`` at ``--trace 0`` and ``--trace 1`` on each
@@ -71,7 +73,7 @@ MATRIX = {
     "csv-mlp-kernel-c0.2": {"source": BUNDLED_CSV, "mode": "cost", "value": 0.2, "regressor": "mlp"},
 }
 REPEATS = 10
-CALLS = 9  # timed knn_mean calls per kernel input
+CALLS = 9  # timed calls per matrix config and per kernel input
 
 # name -> a knn_mean input, which kernel_input draws at seed 0; the comments
 # name the tier of the kNN search that settles its rows
@@ -91,10 +93,11 @@ KERNELS = {
     "six-values-d1": {"data": "six_values", "nq": 200, "m": 600, "d": 1, "ks": DEFAULT_K_GRID},
 }
 
-# Runs one config in the child: the wall seconds of run_experiment alone, then
-# the process's peak RSS (ru_maxrss is in KiB on Linux).
+# Times one matrix config in the child: argv holds the config and the number
+# of timed run_experiment calls; it prints their seconds, then the process's
+# peak RSS (ru_maxrss is in KiB on Linux) and the untimed call's results.
 CHILD = """
-import json, resource, sys, time
+import json, resource, statistics, sys, time
 from selreg import CostConfig, KnnConfig, MlpConfig
 from selreg.harness import ExperimentConfig, run_experiment
 spec = json.loads(sys.argv[1])
@@ -104,11 +107,15 @@ cfg = ExperimentConfig(
     regressor=KnnConfig() if spec["regressor"] == "knn" else MlpConfig(),
     rejector="kernel", repeats=spec["repeats"], seed=0, synthetic_n=spec.get("synthetic_n", 1000),
 )
-t0 = time.perf_counter()
 report = run_experiment(cfg)
-wall = time.perf_counter() - t0
+seconds = []
+for _ in range(int(sys.argv[2])):
+    t0 = time.perf_counter()
+    run_experiment(cfg)
+    seconds.append(time.perf_counter() - t0)
 print(json.dumps({
-    "wall_s": wall,
+    "median_s": statistics.median(seconds),
+    "call_s": seconds,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "rwr_mean": repr(report.rwr_mean),
     "rej_mean": repr(report.rej_mean),
@@ -161,22 +168,23 @@ def kernel_input(spec: dict):
     return q, p, rng.normal(size=m), tuple(spec["ks"])
 
 
+def run_child(checkout: Path, code: str, *args: str) -> dict:
+    """The last line of ``code``, run in a fresh ``python`` on ``checkout``'s
+    source with ``args`` as its argv, read as JSON."""
+    env = dict(os.environ, **THREADS, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=checkout, env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def run_kernel(checkout: Path, spec: dict, calls: int = CALLS) -> dict:
-    """One kernel input in a fresh ``python`` on ``checkout``'s source."""
-    args = [json.dumps(spec), str(calls), str(Path(__file__).resolve().parent)]
-    env = dict(os.environ, **THREADS, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, "-c", KERNEL_CHILD, *args], cwd=checkout, env=env,
-                          stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    """One kernel input, timed in a fresh ``python`` on ``checkout``'s source."""
+    return run_child(checkout, KERNEL_CHILD, json.dumps(spec), str(calls), str(Path(__file__).resolve().parent))
 
 
-def run_config(checkout: Path, spec: dict, repeats: int = REPEATS) -> dict:
-    """One matrix config in a fresh ``python`` on ``checkout``'s source."""
-    arg = json.dumps(dict(spec, repeats=repeats))
-    env = dict(os.environ, **THREADS, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, "-c", CHILD, arg], cwd=checkout, env=env,
-                          stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+def run_config(checkout: Path, spec: dict, repeats: int = REPEATS, calls: int = CALLS) -> dict:
+    """One matrix config, timed in a fresh ``python`` on ``checkout``'s source."""
+    return run_child(checkout, CHILD, json.dumps(dict(spec, repeats=repeats)), str(calls))
 
 
 def parse_perfbench(stdout: str, exit_code: int) -> dict:
@@ -262,7 +270,8 @@ def new_record(label: str, checkout: Path, against: str | None) -> dict:
         "label": label,
         "against": against,
         "env": environment(checkout),
-        "matrix": {name: {"config": dict(spec, repeats=REPEATS), "runs": []} for name, spec in MATRIX.items()},
+        "matrix": {name: {"config": dict(spec, repeats=REPEATS), "calls": CALLS, "runs": []}
+                   for name, spec in MATRIX.items()},
         "perfbench": {w: {"seconds": SECONDS, "trace0": [], "trace1": []} for w in WORKLOADS},
         "kernels": {name: {"input": spec, "calls": CALLS, "runs": []} for name, spec in KERNELS.items()},
     }
@@ -273,7 +282,7 @@ def measure(record: dict, checkout: Path, pair: int) -> None:
     for name, spec in MATRIX.items():
         run = run_config(checkout, spec)
         record["matrix"][name]["runs"].append(dict(run, pair=pair))
-        print(f"  {record['label']:>8} {name:32s} {run['wall_s']:.3f} s  {run['peak_rss_mb']:.1f} MB", flush=True)
+        print(f"  {record['label']:>8} {name:32s} {run['median_s']:.3f} s  {run['peak_rss_mb']:.1f} MB", flush=True)
     for name, spec in KERNELS.items():
         run = run_kernel(checkout, spec)
         record["kernels"][name]["runs"].append(dict(run, pair=pair))

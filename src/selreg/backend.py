@@ -108,14 +108,15 @@ anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
 of size block x m, and no page of it is handed back to the system and
 faulted in again between blocks.  A buffer holds the largest array any call
 in its thread has asked of its role until the thread ends: at most
-``max(budget, 16 m)`` elements, or (d + 2) x m for each point table.  Apart
-from the ``[nq,m]`` result of ``pairwise_sq_dists`` and the triangle of
-``median_sq_dist``, memory therefore grows with that element budget and not
-with the number of queries (block x window on the d = 1 path).
+``max(budget, 16 m)`` elements, (d + 1) x m for the point table, or
+(d + 2) x m for its float32 copy.  Apart from the ``[nq,m]`` result of
+``pairwise_sq_dists`` and the triangle of ``median_sq_dist``, memory
+therefore grows with that element budget and not with the number of
+queries (block x window on the d = 1 path).
 
-The point table, rows ``1, p_1 .. p_d, |p|^2``, is the one copy of the
-points in a call: each difference product reads two of its rows.  The
-float32 expansion reads a second table, ``_centred_table``'s rows
+The point table, rows ``1, p_1 .. p_d``, is the one copy of the points
+in a call: each difference product reads two of its rows.  The float32
+expansion reads a second table, ``_centred_table``'s rows
 ``1, p'_1 .. p'_d, |p'|^2`` of the centred points, built from the rows of
 the first.
 
@@ -176,16 +177,13 @@ def _block_rows(m: int, budget: int) -> int:
 
 
 def _point_table(points: np.ndarray) -> np.ndarray:
-    """The [d + 2, m] table of rows ``1, p_1 .. p_d, |p|^2`` over the m
-    points, in the workspace: valid until the next call in this thread.
-    Both products read it through views, so the points are copied once per
-    call."""
+    """The [d + 1, m] table of rows ``1, p_1 .. p_d`` over the m points, in
+    the workspace: valid until the next call in this thread.  The products
+    read it through views, so the points are copied once per call."""
     m, d = points.shape
-    table = _WORK.take("table", (d + 2, m))
+    table = _WORK.take("table", (d + 1, m))
     table[0] = 1.0
-    np.copyto(table[1:-1], points.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.einsum("ij,ij->j", table[1:-1], table[1:-1], out=table[-1])
+    np.copyto(table[1:], points.T)
     return table
 
 
@@ -335,10 +333,11 @@ def _centred_table(table: np.ndarray):
     points keep their float32 error relative to their spread, not to their
     distance from the origin.
     """
-    rows = table[1:-1]
+    rows = table[1:]
+    d, m = rows.shape
     with np.errstate(over="ignore", invalid="ignore"):
         centre = (rows.min(axis=1) + rows.max(axis=1)) / 2.0
-        table32 = _WORK.take("table32", table.shape, np.float32)
+        table32 = _WORK.take("table32", (d + 2, m), np.float32)
         table32[0] = 1.0
         np.subtract(rows, centre[:, None], out=table32[1:-1], casting="same_kind")
         np.einsum("ij,ij->j", table32[1:-1], table32[1:-1], out=table32[-1])
@@ -445,7 +444,7 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
         cand[~full] = col[~full[row]].reshape(-1, 2 * k)
         e = np.zeros(cand.shape)
         diff = np.empty(cand.shape)
-        for qj, pj in zip(q.T, table[1:-1]):
+        for qj, pj in zip(q.T, table[1:]):
             np.take(pj, cand, out=diff)
             np.subtract(qj[:, None], diff, out=diff)
             e += np.square(diff, out=diff)

@@ -26,7 +26,7 @@ The module is the engine behind the `verify-theory` CLI subcommand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .core import (
     SelregError,
     TableLookupRegressor,
     TableLookupRejector,
+    _require_real,
 )
 from .losses import bayes_risk, excess_losses, oracle_rwr_risk, prediction_error, risk_values, truncated_loss
 from .rejection import classify_with_rejection, conformal_threshold, induce_rejector, oracle_bayes_pair
@@ -338,42 +339,58 @@ def random_table_calibrator(gen: np.random.Generator, task: DiscreteTask, f: Reg
 
 @dataclass(frozen=True)
 class PropertyResult:
+    """One property of the suite and its margin: its least slack over the
+    instances it checked, with the tolerance included.  It passes exactly
+    where the margin is at least 0, so a NaN margin fails."""
+
     name: str
-    passed: bool
     margin: float
     detail: str = ""
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "margin", _require_real("margin", self.margin))
+        object.__setattr__(self, "passed", self.margin >= 0.0)
+
+
+def _least(*margins: float) -> float:
+    """The least margin, NaN if any is NaN (``min`` keeps whichever of a NaN
+    and a number comes first)."""
+    return float(np.min(margins))
 
 
 def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[PropertyResult]:
     """Numerically check every verifiable claim; returns one result per
-    property with its worst-case margin (negative margin = violation).
-    The random-instance properties share ``trials`` lookup instances."""
+    property, in a fixed order.
+
+    Each property reports its worst margin over the instances it checked,
+    with the tolerance included: ``x + tol`` for a claim ``x >= -tol``,
+    ``tol - err`` for a claim ``err <= tol``, and the least of these for a
+    claim of several parts.  It passes exactly where that margin is >= 0,
+    and ``selreg verify-theory`` exits with code 3 if any property fails.
+    The random-instance properties share ``trials`` lookup instances.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    results: list[PropertyResult] = []
+    props: dict[str, tuple[float, str]] = {}  # name -> (margin, detail), in report order
     gen = RngHandle(seed, STREAM_VERIFY).generator()
     task6 = default_discrete_task()
     c6 = 2.0
     tol = 1e-12
+    bayes6 = bayes_risk(task6, c6)
 
     # --- unimprovable reference pair attains the enumerated minimum
     f_star, r_star = oracle_bayes_pair(task6, c6)
     star_loss = oracle_rwr_risk(f_star, r_star, task6, c6)
     enum_min = enumerate_pair_minimum(task6, c6)
-    margin = enum_min - star_loss
-    results.append(
-        PropertyResult(
-            "bayes_pair_enumerated_minimum",
-            bool(abs(star_loss - bayes_risk(task6, c6)) <= 1e-10 and margin >= -1e-10),
-            float(margin),
-            f"pair loss {star_loss:.12f}, enumerated minimum {enum_min:.12f}",
-        )
+    props["bayes_pair_enumerated_minimum"] = (
+        _least(_TOL - abs(star_loss - bayes6), enum_min - star_loss + _TOL),
+        f"pair loss {star_loss:.12f}, enumerated minimum {enum_min:.12f}",
     )
 
     # --- random lookup instances: each trial draws one task, regressor,
     # rejector, calibrator and cost, and checks every inequality on that draw
-    worst_mean = worst_lb = worst_gap = worst_sur = worst_dec = math.inf
-    worst_eq = 0.0
+    worst: dict[str, float] = {}  # name -> least margin over the draws
     for _ in range(trials):
         t = random_discrete_task(gen)
         f = random_table_regressor(gen, t)
@@ -382,69 +399,51 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         cc = float(gen.uniform(0.2, 4.0))
         loss = oracle_rwr_risk(f, r, t, cc)
         trunc = truncated_loss(f, t, cc)
-        # the conditional mean is the argmin for every rejector at once
-        worst_mean = min(worst_mean, loss - oracle_rwr_risk(CondMeanRegressor(t), r, t, cc))
-        # the truncated loss lower-bounds the combined loss and ties at the induced rejector
-        worst_lb = min(worst_lb, loss - trunc)
         r_f = induce_rejector(OracleRiskCalibrator(t, f), cc)
-        worst_eq = max(worst_eq, abs(oracle_rwr_risk(f, r_f, t, cc) - trunc))
         excess, pred, calib = check_risk_decomposition(f, cal, t, cc)
         exc_trunc, exc_sq = excess_losses(f, t, cc)
-        # the calibrated rejector adds at most the calibration error to the
-        # truncated loss; the squared excess dominates the truncated excess;
-        # and excess <= prediction error + calibration error
-        worst_gap = min(worst_gap, exc_trunc + calib - excess)
-        worst_sur = min(worst_sur, exc_sq - exc_trunc)
-        worst_dec = min(worst_dec, pred + calib - excess)
-    results.append(PropertyResult("cond_mean_argmin_any_rejector", bool(worst_mean >= -tol), float(worst_mean)))
+        for name, margin in {
+            # the conditional mean is the argmin for every rejector at once
+            "cond_mean_argmin_any_rejector": loss - oracle_rwr_risk(CondMeanRegressor(t), r, t, cc) + tol,
+            # the truncated loss lower-bounds the combined loss and ties at the induced rejector
+            "truncated_lower_bound": loss - trunc + tol,
+            "truncated_equality_at_induced": tol - abs(oracle_rwr_risk(f, r_f, t, cc) - trunc),
+            # the calibrated rejector adds at most the calibration error to the
+            # truncated loss; the squared excess dominates the truncated excess;
+            # and excess <= prediction error + calibration error
+            "calibration_gap_bound": exc_trunc + calib - excess + tol,
+            "surrogate_excess_bound": exc_sq - exc_trunc + tol,
+            "risk_decomposition_bound": pred + calib - excess + tol,
+        }.items():
+            worst[name] = _least(worst.get(name, math.inf), margin)
+    props["cond_mean_argmin_any_rejector"] = (worst.pop("cond_mean_argmin_any_rejector"), "")
 
-    # --- locally trapped pair
+    # --- locally trapped pair: nothing in the ball beats its loss of c by
+    # more than _TOL, and its gap to the optimum is the closed form's, > 0
     f0, r0 = build_locally_trapped_pair(task6, c6)
     report = verify_local_optimality((f0, r0), task6, 0.9 * math.sqrt(c6), c6)
-    gap_err = abs(report.global_gap - (c6 - bayes_risk(task6, c6)))
-    results.append(
-        PropertyResult(
-            "locally_trapped_pair",
-            bool(
-                not report.improvement_found
-                and abs(report.baseline_loss - c6) <= tol
-                and gap_err <= tol
-                and report.global_gap > 0.0
-            ),
-            float(report.best_found_loss - report.baseline_loss),
-            f"baseline {report.baseline_loss:.12f}, gap {report.global_gap:.12f}",
-        )
+    props["locally_trapped_pair"] = (
+        _least(report.best_found_loss - (report.baseline_loss - _TOL), tol - abs(report.baseline_loss - c6),
+               tol - abs(report.global_gap - (c6 - bayes6)), report.global_gap - tol),
+        f"baseline {report.baseline_loss:.12f}, gap {report.global_gap:.12f}",
     )
 
-    # --- entrywise trapped pair
+    # --- entrywise trapped pair: no single-argument change beats it by more
+    # than _TOL, and its gap to the optimum is the closed form's, > 0
     f1, r1 = build_entrywise_trapped_pair(task6, c6)
     ew = verify_entrywise_optimality((f1, r1), task6, c6)
     u1 = task6.variances < c6
     closed_gap = float(np.dot(task6.weights[u1], c6 - task6.variances[u1]))
-    results.append(
-        PropertyResult(
-            "entrywise_trapped_pair",
-            bool(
-                not ew.improvement_found
-                and abs(ew.global_gap - closed_gap) <= tol
-                and ew.global_gap > 0.0
-            ),
-            float(min(ew.best_rejector_loss, ew.best_regressor_loss) - ew.baseline_loss),
-            f"gap {ew.global_gap:.12f} vs closed form {closed_gap:.12f}",
-        )
+    props["entrywise_trapped_pair"] = (
+        _least(ew.best_rejector_loss - (ew.baseline_loss - _TOL), ew.best_regressor_loss - (ew.baseline_loss - _TOL),
+               tol - abs(ew.global_gap - closed_gap), ew.global_gap - tol),
+        f"gap {ew.global_gap:.12f} vs closed form {closed_gap:.12f}",
     )
+    props |= {name: (margin, "") for name, margin in worst.items()}
 
     # --- the decomposition is tight at the oracle: zero errors give exactly the optimum
     tight = check_risk_decomposition(f_star, OracleRiskCalibrator(task6, f_star), task6, c6)
-    results += [
-        PropertyResult("truncated_lower_bound", bool(worst_lb >= -tol), float(worst_lb)),
-        PropertyResult("truncated_equality_at_induced", bool(worst_eq <= tol), float(worst_eq)),
-        PropertyResult("calibration_gap_bound", bool(worst_gap >= -tol), float(worst_gap)),
-        PropertyResult("surrogate_excess_bound", bool(worst_sur >= -tol), float(worst_sur)),
-        PropertyResult("risk_decomposition_bound", bool(worst_dec >= -tol), float(worst_dec)),
-        PropertyResult("risk_decomposition_tight_at_oracle", all(abs(x) <= tol for x in tight),
-                       float(max(abs(x) for x in tight))),
-    ]
+    props["risk_decomposition_tight_at_oracle"] = (_least(*(tol - abs(x) for x in tight)), "")
 
     # --- conformal acceptance threshold: coverage, monotonicity, rate ceiling
     m_cal, gamma, n_trials, n_fresh = 99, 0.2, 2000, 200
@@ -455,50 +454,29 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
         hits += int((cov_gen.standard_normal(n_fresh) <= th.c_hat).sum())
     acc_rate = hits / (n_trials * n_fresh)
     lo, hi = (1 - gamma) - 0.03, (1 - gamma) + 1.0 / (m_cal + 1) + 0.03
-    results.append(
-        PropertyResult(
-            "conformal_coverage",
-            bool(lo <= acc_rate <= hi),
-            float(min(acc_rate - lo, hi - acc_rate)),
-            f"acceptance {acc_rate:.4f} in [{lo:.3f}, {hi:.3f}]",
-        )
+    props["conformal_coverage"] = (
+        _least(acc_rate - lo, hi - acc_rate), f"acceptance {acc_rate:.4f} in [{lo:.3f}, {hi:.3f}]"
     )
 
     # each draw: m scores and two budgets; the larger budget never raises the
     # threshold, and at each budget the rejection rate stays under gamma + 1/(m+1)
     draw_gen = RngHandle(seed + 3, STREAM_SCORES).generator()
-    worst_mono = worst_ceil = math.inf
+    mono = ceil = math.inf
     for _ in range(200):
         m = int(draw_gen.integers(5, 120))
         s = draw_gen.standard_normal(m)
         budgets = sorted(draw_gen.uniform(0.05, 0.95, size=2))
         c1, c2 = (conformal_threshold(s, g).c_hat for g in budgets)
-        worst_mono = min(worst_mono, 0.0 if math.isinf(c1) and math.isinf(c2) else c1 - c2)
+        mono = _least(mono, 0.0 if math.isinf(c1) and math.isinf(c2) else c1 - c2)
         for g, c_hat in zip(budgets, (c1, c2)):
-            worst_ceil = min(worst_ceil, g + 1.0 / (m + 1) - float(np.mean(s > c_hat)))
-    results += [
-        PropertyResult("conformal_monotone_in_budget", bool(worst_mono >= 0.0), float(worst_mono)),
-        PropertyResult("conformal_rejection_ceiling", bool(worst_ceil >= -tol), float(worst_ceil)),
-    ]
+            ceil = _least(ceil, g + 1.0 / (m + 1) - float(np.mean(s > c_hat)) + tol)
+    props |= {"conformal_monotone_in_budget": (mono, ""), "conformal_rejection_ceiling": (ceil, "")}
 
     # --- classification extension on the 4-point label task
-    btask = BinaryTask(
-        points=np.array([[0.0], [1.0], [2.0], [3.0]]),
-        weights=np.full(4, 0.25),
-        eta=np.array([0.9, 0.6, 0.5, 0.1]),
-    )
+    btask = BinaryTask(points=np.arange(4.0)[:, None], weights=np.full(4, 0.25), eta=np.array([0.9, 0.6, 0.5, 0.1]))
     clf, rej = classify_with_rejection(btask, 0.3)
     risk = binary_rwr_risk(clf, rej, btask, 0.3)
-    expected = float(np.dot(btask.weights, np.where(
-        np.minimum(btask.eta, 1 - btask.eta) <= 0.3, np.minimum(btask.eta, 1 - btask.eta), 0.3
-    )))
-    results.append(
-        PropertyResult(
-            "classification_extension",
-            bool(abs(risk - expected) <= tol),
-            float(abs(risk - expected)),
-            f"risk {risk:.12f} vs enumerated {expected:.12f}",
-        )
-    )
+    expected = float(np.dot(btask.weights, np.minimum(np.minimum(btask.eta, 1 - btask.eta), 0.3)))
+    props["classification_extension"] = (tol - abs(risk - expected), f"risk {risk:.12f} vs enumerated {expected:.12f}")
 
-    return results
+    return [PropertyResult(name, margin, detail) for name, (margin, detail) in props.items()]

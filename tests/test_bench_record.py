@@ -23,9 +23,11 @@ def test_a_matrix_run_records_time_memory_and_results():
         "csv-knn-kernel-c0.2", "hetero6-knn-kernel-budget0.2", "smooth1d-n5000-knn-kernel-c0.5", "csv-mlp-kernel-c0.2",
     }
     spec = dict(bench_record.MATRIX["smooth1d-n5000-knn-kernel-c0.5"], synthetic_n=400)
-    run = bench_record.run_config(ROOT, spec, repeats=1)
-    assert set(run) == {"wall_s", "peak_rss_mb", "rwr_mean", "rej_mean"}
-    assert 0.0 < run["wall_s"] < 2.0 and run["peak_rss_mb"] > 0.0
+    run = bench_record.run_config(ROOT, spec, repeats=1, calls=2)
+    assert set(run) == {"median_s", "call_s", "peak_rss_mb", "rwr_mean", "rej_mean"}
+    # the timed calls follow an untimed one, in the same process
+    assert len(run["call_s"]) == 2 and 0.0 < min(run["call_s"]) <= run["median_s"] <= max(run["call_s"]) < 2.0
+    assert run["peak_rss_mb"] > 0.0
     # the results are kept by repr, so that two files can be compared bit for bit
     assert float(run["rwr_mean"]) >= 0.0 and 0.0 <= float(run["rej_mean"]) <= 1.0
     assert repr(float(run["rwr_mean"])) == run["rwr_mean"]
@@ -76,7 +78,7 @@ def test_a_record_names_what_it_measured():
     assert bench_record.code_lines(canned) == 5
     assert env["thread_variables"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert set(record["perfbench"]) == set(bench_record.WORKLOADS)
-    assert all(m["config"]["repeats"] == 10 for m in record["matrix"].values())
+    assert all(m["config"]["repeats"] == 10 and m["calls"] == 9 for m in record["matrix"].values())
     assert all(k["input"] == bench_record.KERNELS[name] and k["calls"] == 9 for name, k in record["kernels"].items())
     json.dumps(record)
 

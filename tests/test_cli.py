@@ -485,7 +485,10 @@ class TestVerifyTheory:
         assert captured.out == "" and not out.exists()
 
     def test_failed_property_exits_with_verification_code(self, monkeypatch, tmp_path, capsys):
-        failing = [oracle.PropertyResult("some_bound", False, -1.0)]
+        # passed is the sign of the margin, so the old (name, passed, margin) call is refused
+        with pytest.raises(ValueError, match="margin must be a real number"):
+            oracle.PropertyResult("some_bound", False, -1.0)
+        failing = [oracle.PropertyResult("some_bound", -1.0)]
         monkeypatch.setattr(oracle, "run_verification_suite", lambda seed, trials: failing)
         out = tmp_path / "verify.json"
         assert main(["verify-theory", "--out", str(out)]) == 3

@@ -1,10 +1,12 @@
 import functools
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from selreg import oracle
 from selreg.core import (
     DEFAULT_SIGMA_GRID,
     DataError,
@@ -18,6 +20,7 @@ from selreg.harness import cost_calibrator, fit_regressor, materialize
 from selreg.losses import bayes_risk, oracle_rwr_risk, truncated_loss
 from selreg.models import KnnConfig
 from selreg.oracle import (
+    PropertyResult,
     TableRiskCalibrator,
     build_entrywise_trapped_pair,
     build_locally_trapped_pair,
@@ -356,6 +359,8 @@ class TestVerificationSuite:
         results = run_verification_suite(seed=777, trials=40)
         failed = [r.name for r in results if not r.passed]
         assert failed == []
+        assert len({r.name for r in results}) == len(results) == 14
+        assert all(r.margin >= 0.0 for r in results)
 
     def test_report_is_serializable(self):
         results = run_verification_suite(seed=778, trials=5)
@@ -364,6 +369,39 @@ class TestVerificationSuite:
 
         doc = json.dumps([asdict(r) for r in results])
         assert "bayes_pair_enumerated_minimum" in doc
+
+    def test_a_shifted_optimum_fails_with_negative_margins(self, monkeypatch):
+        # an optimum 1e-3 too high breaks the reference pair, the entrywise
+        # trap's closed-form gap and the tight decomposition; each failure
+        # shows as a negative margin, not as a margin of 0 beside passed=False
+        shifted = oracle.bayes_risk
+        monkeypatch.setattr(oracle, "bayes_risk", lambda task, c: shifted(task, c) + 1e-3)
+        failed = [r for r in run_verification_suite(seed=777, trials=5) if not r.passed]
+        assert len(failed) >= 3
+        assert all(r.margin < 0.0 for r in failed), failed
+
+
+class TestPropertyResult:
+    @pytest.mark.parametrize("margin", [-1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, math.inf, -math.inf])
+    def test_passed_is_a_nonnegative_margin(self, margin):
+        result = PropertyResult("p", margin)
+        assert result.passed is (margin >= 0.0) and result.margin == margin and result.detail == ""
+
+    def test_a_nan_margin_fails(self):
+        assert not PropertyResult("p", math.nan).passed
+
+    @pytest.mark.parametrize("margin", [True, False, "0.5", None, np.array([1.0])])
+    def test_a_margin_that_is_no_real_number_is_refused(self, margin):
+        with pytest.raises(ValueError, match="margin must be a real number"):
+            PropertyResult("p", margin)
+
+    def test_passed_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            PropertyResult("p", 1.0, "", passed=False)
+        # the JSON keeps its four keys
+        assert asdict(PropertyResult("p", np.float64(-2.0), "why")) == {
+            "name": "p", "margin": -2.0, "detail": "why", "passed": False,
+        }
 
 
 class TestTaskValidation:
