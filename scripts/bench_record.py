@@ -25,8 +25,8 @@ OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
 
 The file also records the checkout's commit (and whether its tree differs
 from it), a hash of ``src/selreg`` and its count of lines, in all and of code
-(``code_lines``), the Python, NumPy and BLAS versions, nproc and the thread
-variables.
+(``code_lines``), its code lines file by file, the Python, NumPy and BLAS
+versions, nproc and the thread variables.
 
 The file is named by the checkout's short commit, unless ``--label`` names
 it; a checkout whose ``src`` or ``perfbench`` differs from its commit needs a
@@ -91,6 +91,8 @@ KERNELS = {
     "few-points-d8": {"data": "normal", "nq": 512, "m": 250, "d": 8, "ks": [150]},
     # d = 1 on six values, as on hetero6: the window settles no row
     "six-values-d1": {"data": "six_values", "nq": 200, "m": 600, "d": 1, "ks": DEFAULT_K_GRID},
+    # d = 1 as in fit-knn-smooth1d's k search: the window settles every row
+    "uniform-d1": {"data": "uniform", "nq": 1000, "m": 3500, "d": 1, "ks": DEFAULT_K_GRID},
 }
 
 # Times one matrix config in the child: argv holds the config and the number
@@ -245,18 +247,19 @@ def environment(checkout: Path) -> dict:
         return done.stdout.strip() if done.returncode == 0 else None
 
     status = git("status", "--porcelain", "--", "src", "perfbench")
-    digest, lines, code = hashlib.sha256(), 0, 0
+    digest, lines, code = hashlib.sha256(), 0, {}
     for path in sorted((checkout / "src" / "selreg").rglob("*.py")):
-        text = path.read_bytes()
-        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0" + text)
+        text, name = path.read_bytes(), path.relative_to(checkout).as_posix()
+        digest.update(name.encode() + b"\0" + text)
         lines += len(text.splitlines())
-        code += code_lines(text.decode())
+        code[name] = code_lines(text.decode())
     return {
         "git_commit": git("rev-parse", "HEAD"),
         "tree_differs_from_commit": None if status is None else bool(status),
         "src_selreg_sha256": digest.hexdigest(),
         "src_selreg_lines": lines,
-        "src_selreg_code_lines": code,
+        "src_selreg_code_lines": sum(code.values()),
+        "src_selreg_code_lines_by_file": code,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,

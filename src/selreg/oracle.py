@@ -18,7 +18,8 @@ The trap checks search lookup pairs on at most 12 support points.  Given an
 accept pattern the combined loss splits per point (see _pair_losses), and an
 accepted point's risk is lowest at the allowed value nearest its conditional
 mean; so each search sets the regressor values that way once and scores every
-allowed accept pattern, which gives the exact minimum over its set of pairs.
+allowed accept pattern, which gives the exact minimum over its set of pairs;
+it returns that minimum next to the pair's own loss.
 
 The module is the engine behind the `verify-theory` CLI subcommand.
 """
@@ -66,12 +67,11 @@ __all__ = [
     "random_table_rejector",
     "random_table_calibrator",
     "run_verification_suite",
-    "LocalSearchReport",
-    "EntrywiseReport",
 ]
 
-# the searches enumerate all 2^m accept patterns, so m is capped; a found
-# pair counts as an improvement only if it beats the baseline by more than _TOL
+# the searches enumerate all 2^m accept patterns, so m is capped; the suite
+# counts a search's minimum as an improvement only if it beats the pair's own
+# loss by more than _TOL
 _EXHAUSTIVE_SUPPORT_LIMIT = 12
 _TOL = 1e-10
 
@@ -80,6 +80,18 @@ def _require_discrete(task) -> DiscreteTask:
     if not isinstance(task, DiscreteTask):
         raise SelregError("this check needs a finite-support task")
     return task
+
+
+def _search_task(task, c, radius=0.0) -> DiscreteTask:
+    """The task of a search, once its cost and radius pass: the one check of
+    all three searches.  It refuses a cost that is not finite and >= 0, and a
+    radius that is negative or NaN; an infinite radius makes the local search
+    global."""
+    if not 0.0 <= _require_real("c", c) < math.inf:
+        raise ValueError(f"cost c must be finite and >= 0, got {c!r}")
+    if not _require_real("radius", radius) >= 0.0:
+        raise ValueError(f"radius must be >= 0 or inf, got {radius!r}")
+    return _require_discrete(task)
 
 
 def _pair_losses(F: np.ndarray, A: np.ndarray, task: DiscreteTask, c: float) -> np.ndarray:
@@ -156,26 +168,6 @@ def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLoo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, kw_only=True)
-class _SearchReport:
-    baseline_loss: float
-    global_optimum: float
-    counterexample: dict | None = None
-
-    @property
-    def improvement_found(self) -> bool:
-        return self.counterexample is not None
-
-    @property
-    def global_gap(self) -> float:
-        return self.baseline_loss - self.global_optimum
-
-
-@dataclass(frozen=True, kw_only=True)
-class LocalSearchReport(_SearchReport):
-    best_found_loss: float
-
-
 def _all_accept_patterns(m: int) -> np.ndarray:
     if m > _EXHAUSTIVE_SUPPORT_LIMIT:
         raise SelregError(f"exhaustive search is limited to {_EXHAUSTIVE_SUPPORT_LIMIT} points, got {m}")
@@ -183,12 +175,9 @@ def _all_accept_patterns(m: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
 
 
-def _best_pattern(F: np.ndarray, patterns: np.ndarray, task: DiscreteTask, c: float) -> tuple[float, np.ndarray]:
-    """Lowest combined loss of regressor values F over the accept patterns,
-    and the pattern that attains it."""
-    losses = _pair_losses(F, patterns, task, c)
-    best = int(np.argmin(losses))
-    return float(losses[best]), patterns[best]
+def _best_pattern(F: np.ndarray, patterns: np.ndarray, task: DiscreteTask, c: float) -> float:
+    """Lowest combined loss of regressor values F over the accept patterns."""
+    return float(_pair_losses(F, patterns, task, c).min())
 
 
 def _baseline(pair: tuple[Regressor, Rejector], task: DiscreteTask, c: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -201,73 +190,41 @@ def _baseline(pair: tuple[Regressor, Rejector], task: DiscreteTask, c: float) ->
 
 def verify_local_optimality(
     pair: tuple[Regressor, Rejector], task: DiscreteTask, radius: float, c: float
-) -> LocalSearchReport:
-    """Find the lowest-loss pair in the perturbation ball around ``pair``.
+) -> tuple[float, float]:
+    """``(baseline, best)``: the combined loss of ``pair``, and the least
+    loss over the perturbation ball around it.
 
     The ball caps both the sup-norm change of the regressor values and the
-    marginal probability on which the rejector disagrees at ``radius``.
-    The regressor takes the conditional mean clipped to the ball, and every
-    accept pattern within the disagreement budget is scored at those values;
-    by the per-point split of the loss (module docstring) this is the exact
-    minimum over the ball.  The report carries a counterexample if that
-    minimum beats the baseline by more than 1e-10.
+    marginal probability on which the rejector disagrees at ``radius``; an
+    infinite radius makes it every lookup pair.  The regressor takes the
+    conditional mean clipped to the ball, and every accept pattern within
+    the disagreement budget is scored at those values; by the per-point
+    split of the loss (module docstring) this is the exact minimum over the
+    ball.
     """
-    task = _require_discrete(task)
+    task = _search_task(task, c, radius)
     f_vals, accepts, baseline = _baseline(pair, task, c)
     patterns = _all_accept_patterns(task.size)
     allowed = patterns[(patterns != accepts) @ task.weights <= radius + 1e-15]
     F = np.clip(task.means, f_vals - radius, f_vals + radius)
-    best_loss, best_accepts = _best_pattern(F, allowed, task, c)
-
-    counterexample = None
-    if best_loss < baseline - _TOL:
-        counterexample = {
-            "regressor_values": F.tolist(),
-            "accepts": best_accepts.tolist(),
-            "loss": best_loss,
-        }
-    return LocalSearchReport(
-        baseline_loss=baseline,
-        best_found_loss=best_loss,
-        global_optimum=bayes_risk(task, c),
-        counterexample=counterexample,
-    )
-
-
-@dataclass(frozen=True, kw_only=True)
-class EntrywiseReport(_SearchReport):
-    best_rejector_loss: float
-    best_regressor_loss: float
+    return baseline, _best_pattern(F, allowed, task, c)
 
 
 def verify_entrywise_optimality(
     pair: tuple[Regressor, Rejector], task: DiscreteTask, c: float
-) -> EntrywiseReport:
-    """Find the best single-argument change of ``pair``.
+) -> tuple[float, float, float]:
+    """``(baseline, best_rejector, best_regressor)``: the combined loss of
+    ``pair``, and the least loss of each single-argument change of it.
 
     Rejector side: every accept pattern is scored at the pair's regressor
     values.  Regressor side: with the rejector fixed, the regressor takes the
     conditional mean, which minimizes every accepted point's risk.  Both
     minima are exact.
     """
-    task = _require_discrete(task)
+    task = _search_task(task, c)
     f_vals, accepts, baseline = _baseline(pair, task, c)
-    best_rej, best_accepts = _best_pattern(f_vals, _all_accept_patterns(task.size), task, c)
-    best_reg = float(_pair_losses(task.means, accepts, task, c))
-
-    counterexample = None
-    if best_rej < baseline - _TOL:
-        counterexample = {"side": "rejector", "loss": best_rej, "accepts": best_accepts.tolist()}
-    elif best_reg < baseline - _TOL:
-        counterexample = {"side": "regressor", "loss": best_reg,
-                          "regressor_values": task.means.tolist()}
-    return EntrywiseReport(
-        baseline_loss=baseline,
-        best_rejector_loss=best_rej,
-        best_regressor_loss=best_reg,
-        global_optimum=bayes_risk(task, c),
-        counterexample=counterexample,
-    )
+    best_rej = _best_pattern(f_vals, _all_accept_patterns(task.size), task, c)
+    return baseline, best_rej, float(_pair_losses(task.means, accepts, task, c))
 
 
 def check_risk_decomposition(
@@ -295,8 +252,8 @@ def check_risk_decomposition(
 def enumerate_pair_minimum(task: DiscreteTask, c: float) -> float:
     """Minimum combined loss over all lookup pairs: the regressor at the
     conditional mean, the rejector over all 2^m accept patterns."""
-    task = _require_discrete(task)
-    return _best_pattern(task.means, _all_accept_patterns(task.size), task, c)[0]
+    task = _search_task(task, c)
+    return _best_pattern(task.means, _all_accept_patterns(task.size), task, c)
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +377,22 @@ def run_verification_suite(seed: int = 20240000, trials: int = 100) -> list[Prop
 
     # --- locally trapped pair: nothing in the ball beats its loss of c by
     # more than _TOL, and its gap to the optimum is the closed form's, > 0
-    f0, r0 = build_locally_trapped_pair(task6, c6)
-    report = verify_local_optimality((f0, r0), task6, 0.9 * math.sqrt(c6), c6)
+    baseline, best = verify_local_optimality(build_locally_trapped_pair(task6, c6), task6, 0.9 * math.sqrt(c6), c6)
+    gap = baseline - bayes6
     props["locally_trapped_pair"] = (
-        _least(report.best_found_loss - (report.baseline_loss - _TOL), tol - abs(report.baseline_loss - c6),
-               tol - abs(report.global_gap - (c6 - bayes6)), report.global_gap - tol),
-        f"baseline {report.baseline_loss:.12f}, gap {report.global_gap:.12f}",
+        _least(best - (baseline - _TOL), tol - abs(baseline - c6), tol - abs(gap - (c6 - bayes6)), gap - tol),
+        f"baseline {baseline:.12f}, gap {gap:.12f}",
     )
 
     # --- entrywise trapped pair: no single-argument change beats it by more
     # than _TOL, and its gap to the optimum is the closed form's, > 0
-    f1, r1 = build_entrywise_trapped_pair(task6, c6)
-    ew = verify_entrywise_optimality((f1, r1), task6, c6)
+    baseline, best_rej, best_reg = verify_entrywise_optimality(build_entrywise_trapped_pair(task6, c6), task6, c6)
+    gap = baseline - bayes6
     u1 = task6.variances < c6
     closed_gap = float(np.dot(task6.weights[u1], c6 - task6.variances[u1]))
     props["entrywise_trapped_pair"] = (
-        _least(ew.best_rejector_loss - (ew.baseline_loss - _TOL), ew.best_regressor_loss - (ew.baseline_loss - _TOL),
-               tol - abs(ew.global_gap - closed_gap), ew.global_gap - tol),
-        f"gap {ew.global_gap:.12f} vs closed form {closed_gap:.12f}",
+        _least(best_rej - (baseline - _TOL), best_reg - (baseline - _TOL), tol - abs(gap - closed_gap), gap - tol),
+        f"gap {gap:.12f} vs closed form {closed_gap:.12f}",
     )
     props |= {name: (margin, "") for name, margin in worst.items()}
 

@@ -136,30 +136,28 @@ def test_criterion_04_trap_constructions():
     with _Timer() as t:
         f0, r0 = build_locally_trapped_pair(task, c)
         flat_loss = oracle_rwr_risk(f0, r0, task, c)
-        local = verify_local_optimality((f0, r0), task, 0.9 * math.sqrt(c), c)
+        local_base, local_best = verify_local_optimality((f0, r0), task, 0.9 * math.sqrt(c), c)
+        local_gap = local_base - bayes_risk(task, c)
         gap_closed_form = c - bayes_risk(task, c)
         local_ok = (
             flat_loss == c
-            and not local.improvement_found
-            and abs(local.global_gap - gap_closed_form) <= TOL
-            and local.global_gap > 0.0
+            and not local_best < local_base - 1e-10
+            and abs(local_gap - gap_closed_form) <= TOL
+            and local_gap > 0.0
         )
 
         f1, r1 = build_entrywise_trapped_pair(task, c)
-        entry = verify_entrywise_optimality((f1, r1), task, c)
+        entry_base, best_rej, best_reg = verify_entrywise_optimality((f1, r1), task, c)
+        entry_gap = entry_base - bayes_risk(task, c)
         u1 = task.variances < c
         entry_gap_closed = float(np.dot(task.weights[u1], c - task.variances[u1]))
         entry_ok = (
-            not entry.improvement_found
-            and abs(entry.global_gap - entry_gap_closed) <= TOL
-            and entry.global_gap > 0.0
+            not (best_rej < entry_base - 1e-10 or best_reg < entry_base - 1e-10)
+            and abs(entry_gap - entry_gap_closed) <= TOL
+            and entry_gap > 0.0
         )
         ok = local_ok and entry_ok
-        margin = min(
-            local.best_found_loss - local.baseline_loss,
-            entry.best_rejector_loss - entry.baseline_loss,
-            entry.best_regressor_loss - entry.baseline_loss,
-        )
+        margin = min(local_best - local_base, best_rej - entry_base, best_reg - entry_base)
     _report(4, "trapped pairs: unimprovable locally/entrywise, positive global gaps",
             ok, margin, t.seconds)
     assert t.seconds < 30.0

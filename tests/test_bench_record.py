@@ -39,7 +39,7 @@ def test_the_kernel_half_times_each_input_and_hashes_its_result():
     bench_record = load_script()
     assert set(bench_record.KERNELS) == {
         "uniform-d8", "csv-like-d3", "lognormal-d8", "cluster-outlier1e3-d8", "cluster-outlier1e8-d8",
-        "lattice-d8", "few-points-d8", "six-values-d1",
+        "lattice-d8", "few-points-d8", "six-values-d1", "uniform-d1",
     }
     for name, spec in bench_record.KERNELS.items():
         q, p, v, ks = bench_record.kernel_input(spec)
@@ -60,6 +60,9 @@ def test_a_record_names_what_it_measured():
     env = record["env"]
     assert env["src_selreg_lines"] > 0 and len(env["src_selreg_sha256"]) == 64
     assert 0 < env["src_selreg_code_lines"] < env["src_selreg_lines"]
+    by_file = env["src_selreg_code_lines_by_file"]
+    assert set(by_file) == {p.relative_to(ROOT).as_posix() for p in (ROOT / "src" / "selreg").rglob("*.py")}
+    assert sum(by_file.values()) == env["src_selreg_code_lines"]
     # code lines leave out docstrings, comments and blank lines, but not a
     # string that is no docstring, nor a statement after a docstring
     canned = textwrap.dedent('''\

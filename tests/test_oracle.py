@@ -112,38 +112,38 @@ class TestTrapConstructions:
 class TestLocalOptimality:
     def test_no_improving_perturbation_found(self, task):
         f0, r0 = build_locally_trapped_pair(task, C)
-        report = verify_local_optimality((f0, r0), task, 0.9 * math.sqrt(C), C)
-        assert not report.improvement_found
-        assert report.best_found_loss >= report.baseline_loss - 1e-10
-        assert report.global_gap == pytest.approx(C - bayes_risk(task, C), abs=1e-12)
+        baseline, best = verify_local_optimality((f0, r0), task, 0.9 * math.sqrt(C), C)
+        # no improvement: nothing in the ball beats the pair by more than 1e-10
+        assert best >= baseline - 1e-10
+        assert baseline - bayes_risk(task, C) == pytest.approx(C - bayes_risk(task, C), abs=1e-12)
 
     def test_bayes_pair_locally_and_globally_optimal(self, task):
         pair = oracle_bayes_pair(task, C)
-        report = verify_local_optimality(pair, task, 0.3, C)
-        assert not report.improvement_found
-        assert report.global_gap == pytest.approx(0.0, abs=1e-12)
+        baseline, best = verify_local_optimality(pair, task, 0.3, C)
+        assert best >= baseline - 1e-10
+        assert baseline - bayes_risk(task, C) == pytest.approx(0.0, abs=1e-12)
 
     def test_search_detects_genuinely_improvable_pair(self, task):
         # all-defer paired with the exact conditional mean IS improvable:
         # accepting a low-variance point beats paying c
         f = TableLookupRegressor(task.points, task.means)
         r = TableLookupRejector(task.points, np.zeros(task.size, dtype=int))
-        report = verify_local_optimality((f, r), task, 0.9 * math.sqrt(C), C)
-        assert report.improvement_found
-        assert report.best_found_loss < C - 0.1
+        baseline, best = verify_local_optimality((f, r), task, 0.9 * math.sqrt(C), C)
+        assert best < baseline - 1e-10
+        assert best < C - 0.1
 
 
 class TestEntrywiseOptimality:
     def test_trap_passes_exhaustive_checks(self, task):
         pair = build_entrywise_trapped_pair(task, C)
-        report = verify_entrywise_optimality(pair, task, C)
-        assert not report.improvement_found
-        assert report.global_gap > 0.0
+        baseline, best_rej, best_reg = verify_entrywise_optimality(pair, task, C)
+        assert best_rej >= baseline - 1e-10 and best_reg >= baseline - 1e-10
+        assert baseline - bayes_risk(task, C) > 0.0
 
     def test_bayes_pair_entrywise_optimal_with_zero_gap(self, task):
-        report = verify_entrywise_optimality(oracle_bayes_pair(task, C), task, C)
-        assert not report.improvement_found
-        assert report.global_gap == pytest.approx(0.0, abs=1e-12)
+        baseline, best_rej, best_reg = verify_entrywise_optimality(oracle_bayes_pair(task, C), task, C)
+        assert best_rej >= baseline - 1e-10 and best_reg >= baseline - 1e-10
+        assert baseline - bayes_risk(task, C) == pytest.approx(0.0, abs=1e-12)
 
     def test_swapping_in_bayes_rejector_does_not_reach_optimum(self, task):
         f1, _ = build_entrywise_trapped_pair(task, C)
@@ -156,19 +156,18 @@ class TestEntrywiseOptimality:
         # points it should accept
         f = TableLookupRegressor(task.points, task.means)
         r = TableLookupRejector(task.points, (task.variances > C).astype(int))
-        report = verify_entrywise_optimality((f, r), task, C)
-        assert report.improvement_found
-        assert report.counterexample["side"] == "rejector"
+        baseline, best_rej, _ = verify_entrywise_optimality((f, r), task, C)
+        assert best_rej < baseline - 1e-10
 
     def test_improvable_regressor_detected(self, task):
         # a shifted mean with the rejector its own risk induces: no accept
         # pattern beats it at these values, but the conditional mean does
         f = TableLookupRegressor(task.points, task.means + 0.1)
         r = induce_rejector(OracleRiskCalibrator(task, f), C)
-        report = verify_entrywise_optimality((f, r), task, C)
-        assert report.improvement_found
-        assert report.counterexample["side"] == "regressor"
-        assert report.counterexample["loss"] == 1.2916666666666667
+        baseline, best_rej, best_reg = verify_entrywise_optimality((f, r), task, C)
+        assert best_rej >= baseline - 1e-10
+        assert best_reg < baseline - 1e-10
+        assert best_reg == 1.2916666666666667
 
     def test_large_support_is_refused(self):
         from selreg.tasks import DiscreteTask
@@ -215,24 +214,26 @@ class TestSearchesAreExact:
                 for A in itertools.product((0.0, 1.0), repeat=t.size)
                 if np.dot(t.weights, np.array(A) != accepts) <= radius + 1e-15
             )
-            report = verify_local_optimality((f, r), t, radius, c)
-            assert abs(report.best_found_loss - reference) <= 1e-12
+            _, best = verify_local_optimality((f, r), t, radius, c)
+            assert abs(best - reference) <= 1e-12
 
     def test_entrywise_regressor_side_is_the_conditional_mean(self):
         for t, (f, r), c, _ in self._small_tasks():
-            report = verify_entrywise_optimality((f, r), t, c)
+            _, _, best_reg = verify_entrywise_optimality((f, r), t, c)
             expected = oracle_rwr_risk(CondMeanRegressor(t), r, t, c)
-            assert report.best_regressor_loss == pytest.approx(expected, abs=1e-12)
+            assert best_reg == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize(
+    _searches = pytest.mark.parametrize(
         "search",
         [
-            lambda pair, t: verify_local_optimality(pair, t, 0.1, C),
-            lambda pair, t: verify_entrywise_optimality(pair, t, C),
-            lambda pair, t: enumerate_pair_minimum(t, C),
+            lambda pair, t, c=C: verify_local_optimality(pair, t, 0.1, c),
+            lambda pair, t, c=C: verify_entrywise_optimality(pair, t, c),
+            lambda pair, t, c=C: enumerate_pair_minimum(t, c),
         ],
         ids=["local", "entrywise", "enumerate"],
     )
+
+    @_searches
     def test_thirteen_points_refused(self, search):
         m = 13
         big = DiscreteTask(
@@ -242,6 +243,22 @@ class TestSearchesAreExact:
         with pytest.raises(SelregError, match="exhaustive search is limited to 12 points") as exc:
             search(oracle_bayes_pair(big, C), big)
         assert exc.type is SelregError
+
+    @_searches
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_unusable_cost_refused(self, search, task, c):
+        with pytest.raises(ValueError, match=f"cost c must be finite and >= 0, got {c!r}"):
+            search(oracle_bayes_pair(task, C), task, c)
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0])
+    def test_unusable_radius_refused(self, task, radius):
+        with pytest.raises(ValueError, match=f"radius must be >= 0 or inf, got {radius!r}"):
+            verify_local_optimality(oracle_bayes_pair(task, C), task, radius, C)
+
+    def test_an_infinite_radius_is_the_global_search(self, task):
+        f0, r0 = build_locally_trapped_pair(task, C)
+        baseline, best = verify_local_optimality((f0, r0), task, math.inf, C)
+        assert (baseline, best) == (C, enumerate_pair_minimum(task, C))
 
 
 _PIPELINE_SOURCES = [("smooth1d", 0.5), ("hetero6", 2.0)]
