@@ -6,7 +6,7 @@ The matrix, perfbench and kernel halves, all run in fresh processes with
 OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
 ``src`` and ``perfbench``:
 
-* the matrix: four ``run_experiment`` configs (``MATRIX``), 10 repeats at
+* the matrix: five ``run_experiment`` configs (``MATRIX``), 10 repeats at
   seed 0, each in a fresh ``python``, timed in process: the median of
   ``CALLS`` calls after one untimed warm-up call, which pays for the
   imports' first use, and each call's seconds.  Every run also records the
@@ -71,6 +71,11 @@ MATRIX = {
         "source": "smooth1d", "mode": "cost", "value": 0.5, "regressor": "knn", "synthetic_n": 5000,
     },
     "csv-mlp-kernel-c0.2": {"source": BUNDLED_CSV, "mode": "cost", "value": 0.2, "regressor": "mlp"},
+    # the CSV's 560 training rows in one batch: fit-mlp-budget-csv's
+    # full-batch path, on data that every checkout holds
+    "csv-mlp-fullbatch-budget0.2": {
+        "source": BUNDLED_CSV, "mode": "budget", "value": 0.2, "regressor": "mlp", "batch_size": 800,
+    },
 }
 REPEATS = 10
 CALLS = 9  # timed calls per matrix config and per kernel input
@@ -104,9 +109,10 @@ from selreg import CostConfig, KnnConfig, MlpConfig
 from selreg.harness import ExperimentConfig, run_experiment
 spec = json.loads(sys.argv[1])
 cost = CostConfig.fixed_cost if spec["mode"] == "cost" else CostConfig.fixed_budget
+mlp = MlpConfig(batch_size=spec.get("batch_size", MlpConfig.batch_size))
 cfg = ExperimentConfig(
     spec["source"], cost(spec["value"]),
-    regressor=KnnConfig() if spec["regressor"] == "knn" else MlpConfig(),
+    regressor=KnnConfig() if spec["regressor"] == "knn" else mlp,
     rejector="kernel", repeats=spec["repeats"], seed=0, synthetic_n=spec.get("synthetic_n", 1000),
 )
 report = run_experiment(cfg)

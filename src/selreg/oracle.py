@@ -82,13 +82,19 @@ def _require_discrete(task) -> DiscreteTask:
     return task
 
 
-def _search_task(task, c, radius=0.0) -> DiscreteTask:
-    """The task of a search, once its cost and radius pass: the one check of
-    all three searches.  It refuses a cost that is not finite and >= 0, and a
-    radius that is negative or NaN; an infinite radius makes the local search
-    global."""
+def _require_cost(c) -> None:
+    """Refuse a cost that is not finite and >= 0: the one cost check of the
+    searches and of ``check_risk_decomposition``."""
     if not 0.0 <= _require_real("c", c) < math.inf:
         raise ValueError(f"cost c must be finite and >= 0, got {c!r}")
+
+
+def _search_task(task, c, radius=0.0) -> DiscreteTask:
+    """The task of a search, once its cost and radius pass: the one check of
+    all three searches.  It refuses a cost that ``_require_cost`` refuses, and
+    a radius that is negative or NaN; an infinite radius makes the local
+    search global."""
+    _require_cost(c)
     if not _require_real("radius", radius) >= 0.0:
         raise ValueError(f"radius must be >= 0 or inf, got {radius!r}")
     return _require_discrete(task)
@@ -239,8 +245,10 @@ def check_risk_decomposition(
         prediction_error  = E[(fhat - f_bar)^2]
         calibration_error = E[|cal(X) - R(fhat, X)|]
 
-    and excess <= prediction_error + calibration_error always holds.
+    and excess <= prediction_error + calibration_error always holds.  A cost
+    that is not finite and >= 0 is refused.
     """
+    _require_cost(c)
     rej = induce_rejector(calibrator, c)
     achieved = oracle_rwr_risk(fhat, rej, task, c)
     calibration_error = float(

@@ -21,6 +21,7 @@ def test_a_matrix_run_records_time_memory_and_results():
     bench_record = load_script()
     assert set(bench_record.MATRIX) == {
         "csv-knn-kernel-c0.2", "hetero6-knn-kernel-budget0.2", "smooth1d-n5000-knn-kernel-c0.5", "csv-mlp-kernel-c0.2",
+        "csv-mlp-fullbatch-budget0.2",
     }
     spec = dict(bench_record.MATRIX["smooth1d-n5000-knn-kernel-c0.5"], synthetic_n=400)
     run = bench_record.run_config(ROOT, spec, repeats=1, calls=2)

@@ -179,6 +179,58 @@ def _boolean_scatter_forward_backward(params, X, y, work):
     return loss, [dw1, db1, dw2, db2]
 
 
+def _outer_forward_backward(params, X, y, work):
+    """Reference for ``models._forward_backward``: one pass over the whole
+    batch, the product ``dpred w2^T`` from ``np.outer``."""
+    w1, b1, w2, b2 = params
+    n = X.shape[0]
+    hidden = work[:n]
+    np.matmul(X, w1, out=hidden)
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    pred = (hidden @ w2 + b2)[:, 0]
+    err = pred - y
+    loss = float(np.mean(err**2))
+    dpred = (2.0 / n) * err
+    dw2 = hidden.T @ dpred[:, None]
+    db2 = np.array([dpred.sum()])
+    active = hidden > 0.0
+    dhidden = np.outer(dpred, w2[:, 0], out=hidden)
+    np.multiply(dhidden, active, out=dhidden)
+    dw1 = X.T @ dhidden
+    db1 = dhidden.sum(axis=0)
+    return loss, [dw1, db1, dw2, db2]
+
+
+def _per_layer_fit_mlp(train, cfg, seed):
+    """Reference for ``models.fit_mlp``: Adam layer by layer, each batch
+    gathered by ``X[idx]``, and the step ``_outer_forward_backward``."""
+    rng = RngHandle(seed, STREAM_MLP).generator()
+    X, y = train.features, train.targets
+    params = models._init_params(train.dim, cfg.hidden_width, rng)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    batch = min(cfg.batch_size, train.n)
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    work = np.empty((batch, cfg.hidden_width))
+    t = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(train.n)
+        for start in range(0, train.n, batch):
+            idx = order[start : start + batch]
+            _, grads = _outer_forward_backward(params, X[idx], y[idx], work)
+            t += 1
+            c1 = 1.0 - models._ADAM_BETA1**t
+            c2 = 1.0 - models._ADAM_BETA2**t
+            for i, g in enumerate(grads):
+                m[i] = models._ADAM_BETA1 * m[i] + (1.0 - models._ADAM_BETA1) * g
+                v[i] = models._ADAM_BETA2 * v[i] + (1.0 - models._ADAM_BETA2) * g * g
+                params[i] = params[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + models._ADAM_EPS)
+                if wd > 0.0 and i in (0, 2):
+                    params[i] = params[i] - lr * wd * params[i]
+    return models.MlpRegressor(*params)
+
+
 def _weight_bytes(model):
     return [p.tobytes() for p in (model.w1, model.b1, model.w2, model.b2)]
 
@@ -208,6 +260,28 @@ class TestMlp:
         new = _weight_bytes(fit_mlp(data, cfg, 4))
         monkeypatch.setattr(models, "_forward_backward", _boolean_scatter_forward_backward)
         assert new == _weight_bytes(fit_mlp(data, cfg, 4))
+
+    @pytest.mark.parametrize("shape", list(_STEP_SHAPES), ids=list(_STEP_SHAPES))
+    def test_fit_keeps_the_per_layer_bits(self, shape):
+        n, d, batch, low, high = _STEP_SHAPES[shape]
+        rng = np.random.default_rng(11)
+        X = rng.uniform(low, high, size=(n, d))
+        data = Dataset(X, np.sin(3.0 * X.sum(axis=1)) + rng.normal(0, 0.1, n))
+        cfg = MlpConfig(learning_rate=5e-3, batch_size=batch, epochs=20)
+        assert _weight_bytes(fit_mlp(data, cfg, 4)) == _weight_bytes(_per_layer_fit_mlp(data, cfg, 4))
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("tail", [1, 2, 17])
+    def test_full_batch_fit_keeps_the_per_layer_bits_whatever_its_last_chunk(self, tail, d):
+        # the step's row-wise passes run over models._CHUNK rows at a time;
+        # a one-row last chunk would be a gemv product, with other bits.
+        # Weight decay 0 covers the fit that skips the decay update
+        n = 2 * models._CHUNK + tail
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(n, d))
+        data = Dataset(X, np.sin(X.sum(axis=1)) + rng.normal(0, 0.1, n))
+        cfg = MlpConfig(learning_rate=5e-3, weight_decay=0.0, batch_size=n, epochs=10)
+        assert _weight_bytes(fit_mlp(data, cfg, 5)) == _weight_bytes(_per_layer_fit_mlp(data, cfg, 5))
 
     def test_constant_zero_target_fits_fast(self):
         rng = np.random.default_rng(7)

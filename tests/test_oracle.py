@@ -292,6 +292,12 @@ class TestRiskDecomposition:
         assert calib == pytest.approx(C, abs=1e-12)
         assert excess <= calib + 1e-12
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -1.0])
+    def test_unusable_cost_refused(self, task, c):
+        f_star = CondMeanRegressor(task)
+        with pytest.raises(ValueError, match=f"cost c must be finite and >= 0, got {c!r}"):
+            check_risk_decomposition(f_star, OracleRiskCalibrator(task, f_star), task, c)
+
     def test_table_calibrator_refuses_nonfinite_queries(self, task):
         cal = TableRiskCalibrator(task.points, task.variances)
         np.testing.assert_array_equal(cal.estimate(np.array([[1.0], [10.0]])), [0.25, 9.0])
