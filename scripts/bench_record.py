@@ -87,6 +87,8 @@ KERNELS = {
     # the float32 candidate pass settles every row
     "uniform-d8": {"data": "uniform", "nq": 512, "m": 8000, "d": 8, "ks": [20]},
     "csv-like-d3": {"data": "normal", "nq": 160, "m": 560, "d": 3, "ks": DEFAULT_K_GRID},
+    # past 2**16 points the candidates are picked in tiles of 2**16
+    "uniform-d8-m2^20": {"data": "uniform", "nq": 64, "m": 2**20, "d": 8, "ks": [20]},
     # the float32 pass leaves rows to the full distance row
     "lognormal-d8": {"data": "lognormal", "nq": 200, "m": 2000, "d": 8, "ks": [20]},
     "cluster-outlier1e3-d8": {"data": "cluster", "outlier": 1e3, "nq": 512, "m": 8000, "d": 8, "ks": [20]},

@@ -37,18 +37,24 @@ Contracts:
     For d > 1 with ``2 max(ks) < m``, one BLAS product per block,
     ``[|q'|^2, -2q', 1] @ [1; p'; |p'|^2]``, gives the whole norm expansion
     of the points less a centre c with no further pass over the block.  It
-    only preselects the ``2 max(ks)`` candidates of each query: the points
-    whose expansion is at or below its ``2 max(ks)``-th smallest value.
-    Every distance compared is still summed in float64 from exact
-    differences.  Two tiers rank the rows.  The first runs in float32, with
-    c the midpoint of the points' bounding box, so that its error follows
-    the points' spread and not their distance from the origin.  It leaves a
-    row unsettled where its candidates are not exactly ``2 max(ks)`` points
-    (a tie there, or a NaN), or may miss a point within the expansion's
-    rounding bound of its kth distance (a NaN or inf coordinate, coordinates
-    far from c, underflow, overflow).  The full distance row takes those
-    rows; where 2k < m it ranks only the points at or below each row's kth
-    distance.  The result has the same bits whichever tier settles a row.
+    only preselects the ``2 max(ks)`` candidates of each query.  Every
+    distance compared is still summed in float64 from exact differences.
+    Two tiers rank the rows.  The first runs in float32, with c the midpoint
+    of the points' bounding box, so that its error follows the points'
+    spread and not their distance from the origin.  In the product's own
+    buffer it packs each expansion, read as an int32 key, into a word of its
+    bucket, the key with its low bits cleared, and the point's index, in
+    those bits; one partition of each row's words then leaves the
+    ``2 max(ks)`` least, its candidates, in the row's first slots.  Past
+    2**16 points the words keep 16 index bits and are partitioned in tiles
+    of 2**16 points, whose candidates one more partition merges.  The pass
+    leaves a row unsettled where its candidates may miss a point within the
+    expansion's rounding bound of its kth distance (a NaN or inf coordinate,
+    coordinates far from c, underflow, overflow, or the buckets of its kth
+    and ``2 max(ks)``-th candidates closer than that bound).  The full
+    distance row takes those rows; where 2k < m it ranks only the points at
+    or below each row's kth distance.  The result has the same bits
+    whichever tier settles a row.
 
 ``gaussian_nw(queries, centers, values[m], sigmas) -> [len(sigmas), nq]``
     Row j is the weighted average with weights exp(-||q-c||^2 / sigmas[j]);
@@ -102,8 +108,8 @@ rows.  Block size changes no bit.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
 reusable buffer per role (distances, differences, weights, the mark of
-the weights' underflowing lanes, the expansion, its partition copy, the
-candidate mask, the point table and its float32 centred copy), each an
+the weights' underflowing lanes, the expansion, whose buffer its packed
+words reuse, the point table and its float32 centred copy), each an
 anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
 of size block x m, and no page of it is handed back to the system and
 faulted in again between blocks.  A buffer holds the largest array any call
@@ -354,13 +360,12 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     Everything up to the choice of candidates runs in float32.  The norm
     expansion ``a = |q'|^2 + |p'|^2 - 2 q'.p'`` of ``q' = q - c`` is one
     product, ``[|q'|^2, -2q', 1] @ [1; p'; |p'|^2]``, so it takes no pass
-    over the block x m array beyond the product's own.  It picks as
-    candidates the points whose ``a`` is at most t, the 2k-th smallest ``a``
-    of the row; a row where that is not exactly 2k points (a tie at t, or a
-    NaN) is redone.  Only the candidates' distances are summed, in float64
-    from exact differences of the points as given, with the bits
-    ``_sq_dist`` gives them, so every distance compared has the full path's
-    bits.
+    over the block x m array beyond the product's own.  It picks 2k
+    candidates per row, and a row that they may not settle is redone.  Only
+    the candidates' distances are summed, in float64 from exact differences
+    of the points as given, with the bits ``_sq_dist`` gives them, and in
+    index order, so that ``_nearest`` breaks their ties as the full path
+    does: every distance compared has the full path's bits.
 
     Call those sums e and the true distance D; with x = q - c and y = p - c
     taken exactly, S = |x|^2 + max |y|^2 >= D / 2.  eps is the spacing of
@@ -389,59 +394,62 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     delta = (d + 4)(4 eps S + 4 tiny) of the computed S.  The k points of
     smallest a then have e <= a_k + delta, a_k being the kth smallest a, and
     every point with e at or below the kth smallest e has a <= a_k +
-    2 delta.  A row settles when t exceeds that: every such point, ties
+    2 delta.  A row settles where every point outside its candidates has a
+    above that, as shown below: every point at or below the kth e, ties
     included, is then a candidate.  A row whose computed S is not at most a
     quarter of float32's largest value (NaN, inf, or so large that a term of
-    the product, or 4 S, could overflow) is redone.
+    the product, or 4 S, could overflow) is redone; below it, a is finite.
 
     The pick ranks the bits of ``a`` read as int32, which NumPy partitions
     several times faster than floats where it has SIMD sorting (x86 with
-    AVX-512): t is the float whose key is the 2k-th smallest, and the
-    candidates are the points whose key is at most its.  The keys order as
-    the floats where the sign bit is clear, and below all of those where it
-    is set.  So where t has its sign bit clear, every point outside the
-    candidates has a > t, and a_k, taken from the float values of the
-    candidates, is that of the row, as above.  A row whose t has it set
-    never settles: every a is at least e - delta >= -delta, so
-    t - a_k <= delta.
-
-    The expansion and its partition copy are block x m arrays in the
-    workspace.  Each row's count of candidates is a ``bincount`` of their
-    flat indices, so the candidate mask takes one pass; a row with ties at t
-    lists them all there for a moment, at most block x m indices.  A row that
-    the bound already sends back lists none.
+    AVX-512).  The keys order as the floats where the sign bit is clear, and
+    below all of those where it is set, as a <= -0.0 is there.  Each key
+    becomes a word in place: its low b = ``(m - 1).bit_length()`` bits, at
+    most 16, are cleared, which leaves its bucket, and set to the point's
+    index within its tile of 2^b points.  Words are distinct within a tile
+    and order by (bucket, index), so one partition at 2k - 1 leaves a tile's
+    2k least in its first 2k slots; the 2k least of those slots over every
+    tile are the candidates.  So every point outside them has a word at or
+    above W, the 2k-th least candidate word, and a bucket at or above W's.
+    Where W's sign bit is clear that point has a >= Tf, W with its low bits
+    cleared read as a float: the floor of W's bucket.  At least k
+    candidates have a <= Akup, the kth least candidate word with its low
+    bits set read as a float, the ceiling of its bucket, or 0 where its sign
+    bit is set; so a_k <= Akup.  A row settles where Tf > Akup + 2 delta, and
+    so never where W's sign bit is set, as Tf <= 0 there.  The edges are bit
+    masks of a word, which cannot wrap, and a ceiling in inf's bucket is NaN.
+    Ties at Tf ask no redo: a tied point outside the candidates has a >= Tf.
     """
     (n, d), m = q.shape, table.shape[1]
     info = np.finfo(np.float32)
+    low = (1 << min((m - 1).bit_length(), 16)) - 1  # a word's index bits
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _WORK.take("expansion", (n, d + 2), np.float32)
         np.subtract(q, centre, out=lhs[:, 1:-1], casting="same_kind")
         lhs[:, 0] = q2 = np.square(lhs[:, 1:-1]).sum(axis=1)
         lhs[:, 1:-1] *= -2.0
         lhs[:, -1] = 1.0
-        a = np.matmul(lhs, table32, out=_WORK.take("a", (n, m), np.float32))
-        keys = a.view(np.int32)
-        part = _WORK.take("part", (n, m), np.int32)
-        np.copyto(part, keys)
-        # one kth: NumPy's partition is several times slower given two
-        part.partition(2 * k - 1, axis=1)
-        tkey = part[:, 2 * k - 1]
-        kth = np.partition(part[:, : 2 * k].view(a.dtype), k - 1, axis=1)[:, k - 1]
+        words = np.matmul(lhs, table32, out=_WORK.take("a", (n, m), np.float32)).view(np.int32)
+        # each key's bucket, its low bits cleared, and the point's index in its tile
+        col = np.arange(m, dtype=np.int32) & low
+        np.bitwise_or(np.bitwise_and(words, ~low, out=words), col, out=words)
+        for tile in np.split(words, range(low + 1, m, low + 1), axis=1):
+            tile.partition(min(2 * k, tile.shape[1]) - 1, axis=1)
+        # the first 2k words of each tile; of several tiles, the 2k least
+        pool = np.flatnonzero(col < 2 * k)
+        if pool.size > 2 * k:
+            pool = pool[np.argpartition(words[:, pool], 2 * k - 1, axis=1)[:, : 2 * k]]
+        cw = words[np.arange(n)[:, None], pool]
+        cand = np.sort((pool & ~low) | (cw & low), axis=1)
+        # bit masks of a word, which cannot wrap: the floor of the 2k-th
+        # word's bucket, and the ceiling of the kth one's, at least 0
+        floor = (cw.max(axis=1) & ~low).view(np.float32)
+        ceil = np.maximum((np.partition(cw, k - 1, axis=1)[:, k - 1] | low).view(np.float32), 0.0)
         s = (q2 + p2max).astype(np.float64, copy=False)
         delta = (d + 4) * (float(info.eps) * (4.0 * s) + 4.0 * float(info.smallest_subnormal))
         # below a quarter of the largest float no term of the product, nor
         # 4 S, overflows; NaN and inf are not below it
-        full = ~(s <= float(info.max) / 4.0) | ~(tkey.view(a.dtype) > kth + 2.0 * delta)
-        # a row already redone lists no candidates but its -0.0s, whose key
-        # is the least
-        limit = np.where(full, np.iinfo(np.int32).min, tkey)
-        mask = np.less_equal(keys, limit[:, None], out=_WORK.take("mask", (n, m), bool))
-        # flat indices come in order, so each row's candidates are sorted
-        row, col = np.divmod(np.flatnonzero(mask), m)
-        full |= np.bincount(row, minlength=n) != 2 * k
-        # a row to redo takes the first 2k points, so that every row has 2k
-        cand = np.tile(np.arange(2 * k), (n, 1))
-        cand[~full] = col[~full[row]].reshape(-1, 2 * k)
+        full = ~(s <= float(info.max) / 4.0) | ~(floor > ceil + 2.0 * delta)
         e = np.zeros(cand.shape)
         diff = np.empty(cand.shape)
         for qj, pj in zip(q.T, table[1:]):

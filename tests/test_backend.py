@@ -1,6 +1,7 @@
 """Backend contract tests: the kernels must agree with a brute-force
 reference, resolve ties to the lower index and stay bounded in memory."""
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -857,6 +858,105 @@ def test_preselection_leaves_only_unsettled_rows_to_the_full_path():
     for q, p in (lattice, offset, *outliers, heavy):
         got = backend.knn_mean(q, p, v, (1, 20))
         np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, (1, 20)).view(np.int64))
+
+
+@pytest.mark.parametrize("m", [2**13, 2**13 + 1, 2**17 + 1])
+def test_preselection_keeps_the_full_path_bits_at_the_edges_of_the_index_bits(m):
+    # a packed word keeps (m - 1).bit_length() index bits, 13 and then 14
+    # here; past 2**16 points the words are partitioned in tiles of 2**16,
+    # and at 2**17 + 1 the last tile is one point, the first query's nearest
+    rng = np.random.default_rng(m)
+    p, v = rng.uniform(-1.0, 1.0, size=(m, 8)), rng.normal(size=m)
+    q = rng.uniform(-1.0, 1.0, size=(6, 8))
+    q[0] = p[-1] + 1e-3
+    assert not _preselect(q, p, 20).any()
+    for ks in ((1, 20), (1,)):
+        got = backend.knn_mean(q, p, v, ks)
+        np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, ks).view(np.int64))
+
+
+def test_preselection_settles_a_row_that_ties_past_its_2k_candidates():
+    # from the origin of {-1, 0, 1}^8, 16 points lie at squared distance 1
+    # and 112 at 2.  At k = 10 the 2k-th smallest expansion, 2, ties 128
+    # points at or below it, yet every point within the bound of the kth
+    # distance, 1, is a candidate: the row settles.  Coordinates this small
+    # make the float32 expansion exact, and the bounding box centres it at 0.
+    p = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=8)))
+    q = np.zeros((1, 8))
+    d2 = np.sort(np.square(p).sum(axis=1))
+    assert (d2[9], d2[19], np.count_nonzero(d2 <= d2[19])) == (1.0, 2.0, 129)
+    assert not _preselect(q, p, 10).any()
+    v = np.random.default_rng(16).normal(size=len(p))
+    for ks in ((10,), (1, 10)):
+        got = backend.knn_mean(q, p, v, ks)
+        np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, ks).view(np.int64))
+
+
+def _settles(expansion, k, p2max=0.0):
+    """Whether the candidate pass settles a row whose float32 expansion is
+    ``expansion``, point by point: at d = 1, a query at the centre and
+    centred coordinates of 0 make it the last row of the float32 table."""
+    m = len(expansion)
+    table = backend._point_table(np.zeros((m, 1)))
+    table32 = np.array([np.ones(m), np.zeros(m), expansion], dtype=np.float32)
+    return not backend._candidate_nearest(np.zeros((1, 1)), table, table32, np.zeros(1), np.float32(p2max), k)[1][0]
+
+
+def test_preselection_settles_on_the_bucket_edges():
+    # m = 10 leaves a word 4 index bits, so a bucket is 16 float32 steps;
+    # at S = 0 the bound is a few subnormals.  At k = 2 the 2k-th expansion
+    # (index 3) must lie in a later bucket than the kth: its floor is then
+    # above the kth one's ceiling
+    ulp, rest = float(np.finfo(np.float32).eps), [2.0] * 6
+    assert not _settles([1.0, 1.0, 1.0, 1.0 + 2 * ulp] + rest, 2)
+    assert not _settles([1.0, 1.0, 1.0, 1.0 + 15 * ulp] + rest, 2)
+    assert _settles([1.0, 1.0, 1.0, 1.0 + 16 * ulp] + rest, 2)
+    # a negative expansion bounds the kth from above by 0, not by its own
+    # ceiling: at max |p'|^2 = 419 the bound delta is about 1e-3
+    assert not _settles([-1.5e-3, -1.5e-3, 1.5e-3, 1.5e-3] + rest, 2, p2max=419.0)
+    assert _settles([-1.5e-3, -1.5e-3, 2.5e-3, 2.5e-3] + rest, 2, p2max=419.0)
+
+
+def test_preselection_redoes_a_row_at_the_top_of_float32s_range():
+    # the points lie within 1 of the origin, and the query at a squared
+    # distance in float32's last finite bucket of 2**-10 of its largest
+    # value, or just past it, where every expansion is inf: the bucket edges
+    # of the kth word are the largest float and NaN, and neither wraps to a
+    # value that settles the row
+    rng = np.random.default_rng(17)
+    big = float(np.finfo(np.float32).max)
+    p, v = rng.uniform(-1.0, 1.0, size=(300, 8)), rng.normal(size=300)
+    for ratio in (1.0 - 2.0**-12, 1.0 + 2.0**-12):
+        q = np.full((2, 8), np.sqrt(big * ratio / 8.0))
+        q[1] *= -1.0
+        kth = np.sort(backend.pairwise_sq_dists(q, p), axis=1)[:, 19]
+        assert np.all((kth > big * (1.0 - 2.0**-10)) & (kth < big * 1.001))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _preselect(q, p, 20).all()
+            got = backend.knn_mean(q, p, v, (1, 20))
+        np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, (1, 20)).view(np.int64))
+
+
+def test_the_candidate_pass_keeps_no_block_but_its_expansion():
+    # the candidates are picked in the expansion's own buffer: after a d = 8
+    # call on data the pass settles, the one block x m buffer of a fresh
+    # thread's workspace is the expansion's, with no partition copy or mask
+    rng = np.random.default_rng(18)
+    m = 8000
+    q, p, v = rng.uniform(-1.0, 1.0, size=(300, 8)), rng.uniform(-1.0, 1.0, size=(m, 8)), rng.normal(size=m)
+    sizes = {}
+
+    def run():
+        backend.knn_mean(q, p, v, (5, 20))
+        sizes.update((role, buf.nbytes) for role, buf in backend._WORK.buffers.items())
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and "part" not in sizes and "mask" not in sizes
+    block = backend._block_rows(m, backend._CANDIDATE_BUDGET) * m * 4
+    assert {role: size for role, size in sizes.items() if size >= block} == {"a": block}
 
 
 class TestDispatch:

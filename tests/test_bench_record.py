@@ -39,8 +39,8 @@ def test_the_kernel_half_times_each_input_and_hashes_its_result():
 
     bench_record = load_script()
     assert set(bench_record.KERNELS) == {
-        "uniform-d8", "csv-like-d3", "lognormal-d8", "cluster-outlier1e3-d8", "cluster-outlier1e8-d8",
-        "lattice-d8", "few-points-d8", "six-values-d1", "uniform-d1",
+        "uniform-d8", "csv-like-d3", "uniform-d8-m2^20", "lognormal-d8", "cluster-outlier1e3-d8",
+        "cluster-outlier1e8-d8", "lattice-d8", "few-points-d8", "six-values-d1", "uniform-d1",
     }
     for name, spec in bench_record.KERNELS.items():
         q, p, v, ks = bench_record.kernel_input(spec)
