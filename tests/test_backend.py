@@ -686,7 +686,8 @@ def test_knn_redone_rows_span_several_distance_blocks():
     # window takes blocks of 256.  Rows to redo, more than one distance block
     # of them, sit in the second and later blocks: NaN and infinite
     # coordinates, and queries next to 101 copies of one point far from the
-    # rest, which tie past the 2k candidates.  Each must land in its own row.
+    # rest, which tie at both the kth and the 2k-th candidate.  Each must land
+    # in its own row.
     rng = np.random.default_rng(9)
     m, ks = 4096, (1, 20)
     p, v = rng.normal(size=(m, 8)), rng.normal(size=m)
@@ -918,19 +919,19 @@ def test_preselection_settles_on_the_bucket_edges():
 
 
 def test_preselection_redoes_a_row_at_the_top_of_float32s_range():
-    # the points lie within 1 of the origin, and the query at a squared
-    # distance in float32's last finite bucket of 2**-10 of its largest
-    # value, or just past it, where every expansion is inf: the bucket edges
-    # of the kth word are the largest float and NaN, and neither wraps to a
-    # value that settles the row
+    # the points lie within 1 of the origin, and the queries at squared
+    # distances in float32's last finite bucket, the top 2**-15 of its
+    # largest value at m = 300, or just past it, where every expansion is
+    # inf: the bucket edges of the kth word are the largest float and NaN,
+    # and neither wraps to a value that settles the row
     rng = np.random.default_rng(17)
     big = float(np.finfo(np.float32).max)
     p, v = rng.uniform(-1.0, 1.0, size=(300, 8)), rng.normal(size=300)
-    for ratio in (1.0 - 2.0**-12, 1.0 + 2.0**-12):
+    for ratio in (1.0 - 2.0**-16, 1.0 + 2.0**-16):
         q = np.full((2, 8), np.sqrt(big * ratio / 8.0))
         q[1] *= -1.0
         kth = np.sort(backend.pairwise_sq_dists(q, p), axis=1)[:, 19]
-        assert np.all((kth > big * (1.0 - 2.0**-10)) & (kth < big * 1.001))
+        assert np.all((kth > big * (1.0 - 2.0**-15)) & (kth < big * 1.001))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _preselect(q, p, 20).all()
