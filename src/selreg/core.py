@@ -141,6 +141,15 @@ def _require_real(name: str, value) -> float:
     return float(value)
 
 
+def _require_cost(c) -> None:
+    """The one contract for the deferral cost c that the loss functionals,
+    the bandwidth search and the exact-risk checks read: a real number,
+    finite and >= 0.  A NaN c makes their losses NaN, and so does an
+    infinite one, through 0 * inf."""
+    if not 0.0 <= _require_real("c", c) < math.inf:
+        raise ValueError(f"cost c must be finite and >= 0, got {c!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix [n, d] plus target vector [n]; validated and immutable."""
@@ -242,7 +251,12 @@ class CostMode(Enum):
 @dataclass(frozen=True)
 class CostConfig:
     """Either a deferral cost c (same units as squared target error) or a
-    maximum rejection fraction gamma: ``value`` is the one ``mode`` reads."""
+    maximum rejection fraction gamma: ``value`` is the one ``mode`` reads.
+
+    The user's cost must be > 0, not only >= 0 as ``_require_cost`` asks
+    of the functions that read it: at c = 0 deferring is free, which is
+    what budget mode's ``cost_c`` of 0.0 stands for, and a cost-mode run
+    would defer every row whose estimated risk is not exactly 0."""
 
     mode: CostMode
     value: float

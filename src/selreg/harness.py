@@ -7,11 +7,15 @@ too: ``materialize``, ``fit_regressor``, then ``cost_calibrator`` or
 ``ExperimentConfig`` refuses a setting that its run would not read, so a
 config echo names exactly what ran.
 
-Each held-out row is predicted once per repeat at most.  In cost mode
-``fit_regressor`` hands its predictions of the validation split to
-``cost_calibrator``, which predicts nothing: kNN's are the chosen k's row of
-its k grid.  In budget mode only the half of the split that the calibrator
-fits on is predicted.
+Each held-out row is predicted once per repeat at most, with one
+exception.  In cost mode ``fit_regressor`` hands its predictions of the
+validation split to ``cost_calibrator``, which predicts nothing: kNN's are
+the chosen k's row of its k grid.  In budget mode only the half of the
+split that the calibrator fits on is predicted, but kNN predicts it twice:
+once for its k grid in ``fit_regressor``, and once more at the chosen k
+when ``budget_threshold`` takes its losses.  Handing those predictions over
+as cost mode does waits for ROADMAP direction 7, as the benchmark traces
+``kernel_calibrate``, the call that predicts them again.
 
 Per-repeat seeds are master_seed + repeat_index on named streams: the
 repeat seed draws the synthetic sample, permutes the split and initialises

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Regressor, Rejector, _require_int
-from .tasks import OracleRiskCalibrator, SyntheticTask
+from .core import Dataset, Regressor, Rejector, _require_cost, _require_int
+from .tasks import CondMeanRegressor, OracleRiskCalibrator, SyntheticTask
 
 __all__ = [
     "LossReport",
@@ -74,8 +74,7 @@ class LossReport:
 def rwr_report(sq: np.ndarray, accept: np.ndarray, c: float) -> LossReport:
     """Sample mean of r*(f-y)^2 + (1-r)*c, plus the accepted-only loss, from
     per-sample squared errors ``sq`` and {0,1} decisions ``accept``."""
-    if not c >= 0.0:  # refuses NaN as well
-        raise ValueError("deferral cost must be nonnegative")
+    _require_cost(c)
     acc = accept.astype(np.float64)
     rwr = float(np.mean(acc * sq + (1.0 - acc) * c))
     all_deferred = int(acc.sum()) == 0
@@ -109,9 +108,9 @@ def prediction_error(f: Regressor, task: SyntheticTask) -> float:
 
 
 def bayes_risk(task: SyntheticTask, c: float) -> float:
-    """Global optimum of the combined loss: E[min(v(X), c)], evaluated as
-    c + E[min(v - c, 0)] for exact cancellation against all-defer losses."""
-    return float(c + np.dot(task.weights, np.minimum(task.var_at(task.points) - c, 0.0)))
+    """Global optimum of the combined loss: E[min(v(X), c)], the truncated
+    loss of the conditional mean, whose risk is v(X) to the bit."""
+    return truncated_loss(CondMeanRegressor(task), task, c)
 
 
 def oracle_rwr_risk(f: Regressor, r: Rejector, task: SyntheticTask, c: float) -> float:
@@ -120,6 +119,7 @@ def oracle_rwr_risk(f: Regressor, r: Rejector, task: SyntheticTask, c: float) ->
     Evaluated as c + E[r * (R - c)] so the all-defer policy costs exactly c
     even when the weight vector cannot sum to 1.0 in floating point.
     """
+    _require_cost(c)
     acc = r.accept(task.points).astype(np.float64)
     return float(c + np.dot(task.weights, acc * (risk_values(f, task) - c)))
 
@@ -132,6 +132,7 @@ def truncated_loss(f: Regressor, task: SyntheticTask, c: float) -> float:
     c + E[min(R - c, 0)], which matches oracle_rwr_risk term by term at the
     induced rejector.
     """
+    _require_cost(c)
     return float(c + np.dot(task.weights, np.minimum(risk_values(f, task) - c, 0.0)))
 
 

@@ -41,6 +41,7 @@ from .core import (
     SelregError,
     TableLookupRegressor,
     TableLookupRejector,
+    _require_cost,
     _require_real,
 )
 from .losses import bayes_risk, excess_losses, oracle_rwr_risk, prediction_error, risk_values, truncated_loss
@@ -76,28 +77,18 @@ _EXHAUSTIVE_SUPPORT_LIMIT = 12
 _TOL = 1e-10
 
 
-def _require_discrete(task) -> DiscreteTask:
-    if not isinstance(task, DiscreteTask):
-        raise SelregError("this check needs a finite-support task")
-    return task
-
-
-def _require_cost(c) -> None:
-    """Refuse a cost that is not finite and >= 0: the one cost check of the
-    searches and of ``check_risk_decomposition``."""
-    if not 0.0 <= _require_real("c", c) < math.inf:
-        raise ValueError(f"cost c must be finite and >= 0, got {c!r}")
-
-
 def _search_task(task, c, radius=0.0) -> DiscreteTask:
-    """The task of a search, once its cost and radius pass: the one check of
-    all three searches.  It refuses a cost that ``_require_cost`` refuses, and
-    a radius that is negative or NaN; an infinite radius makes the local
+    """The task of a search or a trap, once its cost and radius pass: the
+    one check of the three searches and the two trap builders.  It refuses
+    a cost that ``_require_cost`` refuses, a radius that is negative or NaN,
+    and a task without a finite support; an infinite radius makes the local
     search global."""
     _require_cost(c)
     if not _require_real("radius", radius) >= 0.0:
         raise ValueError(f"radius must be >= 0 or inf, got {radius!r}")
-    return _require_discrete(task)
+    if not isinstance(task, DiscreteTask):
+        raise SelregError("this check needs a finite-support task")
+    return task
 
 
 def _pair_losses(F: np.ndarray, A: np.ndarray, task: DiscreteTask, c: float) -> np.ndarray:
@@ -142,7 +133,7 @@ def build_locally_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLooku
     any regressor perturbation smaller than sqrt(c), so no nearby pair beats
     the flat deferral loss of exactly c.
     """
-    task = _require_discrete(task)
+    task = _search_task(task, c)
     v = task.variances
     if not (v.min() < c < v.max()):
         raise SelregError(f"need min variance < c < max variance, got [{v.min()}, {v.max()}] vs c={c}")
@@ -160,7 +151,7 @@ def build_entrywise_trapped_pair(task: DiscreteTask, c: float) -> tuple[TableLoo
     all of U1, making the spoiled values irrelevant to single-argument
     improvement while the pair forfeits E[1{U1} * (c - v)] of risk.
     """
-    task = _require_discrete(task)
+    task = _search_task(task, c)
     u1 = task.variances < c
     if not np.any(u1):
         raise SelregError("need a region of strictly sub-threshold variance")
@@ -179,11 +170,6 @@ def _all_accept_patterns(m: int) -> np.ndarray:
         raise SelregError(f"exhaustive search is limited to {_EXHAUSTIVE_SUPPORT_LIMIT} points, got {m}")
     codes = np.arange(2**m, dtype=np.uint32)
     return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
-
-
-def _best_pattern(F: np.ndarray, patterns: np.ndarray, task: DiscreteTask, c: float) -> float:
-    """Lowest combined loss of regressor values F over the accept patterns."""
-    return float(_pair_losses(F, patterns, task, c).min())
 
 
 def _baseline(pair: tuple[Regressor, Rejector], task: DiscreteTask, c: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -213,7 +199,7 @@ def verify_local_optimality(
     patterns = _all_accept_patterns(task.size)
     allowed = patterns[(patterns != accepts) @ task.weights <= radius + 1e-15]
     F = np.clip(task.means, f_vals - radius, f_vals + radius)
-    return baseline, _best_pattern(F, allowed, task, c)
+    return baseline, float(_pair_losses(F, allowed, task, c).min())
 
 
 def verify_entrywise_optimality(
@@ -229,7 +215,7 @@ def verify_entrywise_optimality(
     """
     task = _search_task(task, c)
     f_vals, accepts, baseline = _baseline(pair, task, c)
-    best_rej = _best_pattern(f_vals, _all_accept_patterns(task.size), task, c)
+    best_rej = float(_pair_losses(f_vals, _all_accept_patterns(task.size), task, c).min())
     return baseline, best_rej, float(_pair_losses(task.means, accepts, task, c))
 
 
@@ -248,7 +234,7 @@ def check_risk_decomposition(
     and excess <= prediction_error + calibration_error always holds.  A cost
     that is not finite and >= 0 is refused.
     """
-    _require_cost(c)
+    _require_cost(c)  # before induce_rejector, whose threshold message would come first
     rej = induce_rejector(calibrator, c)
     achieved = oracle_rwr_risk(fhat, rej, task, c)
     calibration_error = float(
@@ -261,7 +247,7 @@ def enumerate_pair_minimum(task: DiscreteTask, c: float) -> float:
     """Minimum combined loss over all lookup pairs: the regressor at the
     conditional mean, the rejector over all 2^m accept patterns."""
     task = _search_task(task, c)
-    return _best_pattern(task.means, _all_accept_patterns(task.size), task, c)
+    return float(_pair_losses(task.means, _all_accept_patterns(task.size), task, c).min())
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .core import (
     TableLookupRejector,
     _as_block,
     _freeze,
+    _require_cost,
     _table,
     register_model,
     sigma_grid,
@@ -65,7 +66,7 @@ class KernelSmootherCalibrator(Calibrator):
     """
 
     def __init__(self, points: np.ndarray, losses: np.ndarray, kernel: KernelSpec):
-        self.points, self.losses = _table(points, losses)
+        self.points, self.losses = _loss_table(points, losses)
         self.kernel = kernel
 
     def estimate(self, X: np.ndarray) -> np.ndarray:
@@ -88,6 +89,15 @@ class KernelSmootherCalibrator(Calibrator):
             np.array(payload["losses"]),
             KernelSpec(length_scale_sigma=payload["sigma"]),
         )
+
+
+def _loss_table(points: np.ndarray, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_table`` of held-out points and their losses, which are squared
+    errors: a negative one is a DataError."""
+    points, losses = _table(points, losses)
+    if np.any(losses < 0.0):
+        raise DataError("held-out losses are squared errors and must be >= 0")
+    return points, losses
 
 
 class LinearLossCalibrator(Calibrator):
@@ -121,15 +131,20 @@ def kernel_calibrate(f: Regressor, val: Dataset, kernel: KernelSpec) -> KernelSm
 
 def linear_calibrate(points: np.ndarray, losses: np.ndarray) -> LinearLossCalibrator:
     """Least-squares fit of the held-out ``losses`` on (1, ``points``)."""
-    points, losses = _table(points, losses)
+    points, losses = _loss_table(points, losses)
     design = np.column_stack([np.ones(points.shape[0]), points])
     beta, *_ = np.linalg.lstsq(design, losses, rcond=None)
     return LinearLossCalibrator(beta[1:], beta[0])
 
 
 def induce_rejector(calibrator: Calibrator, c: float) -> InducedRejector:
-    # NaN fails every comparison, so it is refused here rather than accepting
-    # no row; inf stays allowed, as a budget threshold can be inf
+    """The rejector that accepts where ``calibrator``'s estimate is <= c.
+
+    c is a threshold here, so it keeps its own check, not ``_require_cost``:
+    a budget's threshold ``c_hat`` is +inf when its order statistic runs
+    past the scores, and then every row is accepted.  NaN fails every
+    comparison and would accept no row, so it is refused.
+    """
     if not c >= 0.0:
         raise ValueError("threshold cost must be nonnegative")
     return InducedRejector(calibrator, c)
@@ -152,8 +167,7 @@ def select_bandwidth(
     """
     if len(inner[1]) == 0 or len(outer[1]) == 0:
         raise DataError("validation data must be nonempty")
-    if not 0.0 <= c < math.inf:
-        raise ValueError("threshold cost must be nonnegative and finite")
+    _require_cost(c)
     outer_points, outer_losses = outer
     sigmas = sorted(sigma_grid(grid))
     estimates = backend.gaussian_nw(_as_block(outer_points), _as_block(inner[0]), inner[1], sigmas)
@@ -224,8 +238,7 @@ def classify_with_rejection(task: BinaryTask, c: float) -> tuple[TableLookupRegr
     The classifier thresholds eta at 1/2; the rejector accepts exactly where
     the classifier's conditional 0-1 risk min(eta, 1-eta) is <= c.
     """
-    if not c >= 0.0:
-        raise ValueError("deferral cost must be nonnegative")
+    _require_cost(c)
     labels = (task.eta >= 0.5).astype(np.float64)
     risk = np.minimum(task.eta, 1.0 - task.eta)
     classifier = TableLookupRegressor(task.points, labels)

@@ -13,7 +13,7 @@ draws Gaussian noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Callable
 
@@ -29,6 +29,7 @@ from .core import (
     _as_block,
     _freeze,
     _nearest_row,
+    _require_cost,
     _support_table,
 )
 
@@ -48,26 +49,37 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DiscreteTask:
-    """Finite support with per-point weight, conditional mean and variance."""
+class _FiniteSupport:
+    """Support points and their probability weights: the base of the
+    finite-support tasks.  A subclass adds its own columns, one entry per
+    point, and checks only those.  Every field is frozen into one lookup
+    table, which must reach each point."""
 
     points: np.ndarray
     weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
 
     def __post_init__(self) -> None:
-        fields = ("points", "weights", "means", "variances")
-        for f, a in zip(fields, _support_table(*(getattr(self, f) for f in fields))):
-            object.__setattr__(self, f, a)
+        for f, a in zip(fields(self), _support_table(*(getattr(self, f.name) for f in fields(self)))):
+            object.__setattr__(self, f.name, a)
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0.0):
             raise ValueError("weights must be a probability vector (sum 1 within 1e-12)")
-        if np.any(self.variances < 0.0):
-            raise ValueError("conditional variances must be nonnegative")
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+
+@dataclass(frozen=True)
+class DiscreteTask(_FiniteSupport):
+    """Finite support with per-point weight, conditional mean and variance."""
+
+    means: np.ndarray
+    variances: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if np.any(self.variances < 0.0):
+            raise ValueError("conditional variances must be nonnegative")
 
     def mean_at(self, X: np.ndarray) -> np.ndarray:
         return self.means[_nearest_row(X, self.points)]
@@ -138,25 +150,15 @@ SyntheticTask = DiscreteTask | SmoothTask1D
 
 
 @dataclass(frozen=True)
-class BinaryTask:
+class BinaryTask(_FiniteSupport):
     """Finite-support binary-label task: eta(x) = P(Y=1 | X=x)."""
 
-    points: np.ndarray
-    weights: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self) -> None:
-        fields = ("points", "weights", "eta")
-        for f, a in zip(fields, _support_table(*(getattr(self, f) for f in fields))):
-            object.__setattr__(self, f, a)
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        super().__post_init__()
         if np.any((self.eta < 0.0) | (self.eta > 1.0)):
             raise ValueError("eta must lie in [0,1]")
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
 
 
 def binary_rwr_risk(classifier: Regressor, rejector: Rejector, task: BinaryTask, c: float) -> float:
@@ -166,6 +168,7 @@ def binary_rwr_risk(classifier: Regressor, rejector: Rejector, task: BinaryTask,
     Computed from eta directly (P(Y != yhat) = eta if yhat=0 else 1-eta), so
     it is independent of any thresholding shortcut used to build the pair.
     """
+    _require_cost(c)
     yhat = classifier.predict(task.points)
     if not np.all((yhat == 0.0) | (yhat == 1.0)):
         raise ValueError("classifier must output 0/1 labels on the support")

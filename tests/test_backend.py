@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selreg import backend
 
@@ -937,6 +939,37 @@ def test_preselection_redoes_a_row_at_the_top_of_float32s_range():
             assert _preselect(q, p, 20).all()
             got = backend.knn_mean(q, p, v, (1, 20))
         np.testing.assert_array_equal(got.view(np.int64), full_path_knn_mean(q, p, v, (1, 20)).view(np.int64))
+
+
+@given(
+    d=st.sampled_from((1, 2, 8)),
+    k=st.integers(1, 12),
+    spare=st.integers(-12, 300),
+    layout=st.sampled_from(("continuous", "lattice0", "lattice1", "duplicates")),
+    outlier=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_knn_mean_keeps_the_full_path_bits(d, k, spare, layout, outlier, seed):
+    # m = 2k + spare lies on either side of 2k, so d > 1 takes the candidate
+    # pass or the full path; d = 1 takes the sorted window; up to 304
+    # queries, some on points, span two blocks of 256 rows
+    rng = np.random.default_rng(seed)
+    m = max(k, 2 * k + spare)
+    p = rng.normal(size=(m, d))
+    q = np.concatenate([rng.normal(size=(int(rng.integers(1, 300)), d)) * 1.5, p[:5]])
+    if layout.startswith("lattice"):  # ties at the kth distance
+        p, q = np.round(p, int(layout[-1])), np.round(q, int(layout[-1]))
+    elif layout == "duplicates":
+        p = p[rng.integers(0, max(1, m // 4), size=m)]
+    if outlier:
+        p[rng.integers(m)] += 1e8
+    v = rng.normal(size=m)
+    ks = (k, *(int(j) for j in rng.integers(1, k + 1, size=2)))
+    # compared as integers, so that equal means are equal bits
+    np.testing.assert_array_equal(
+        backend.knn_mean(q, p, v, ks).view(np.int64), full_path_knn_mean(q, p, v, ks).view(np.int64)
+    )
 
 
 def test_the_candidate_pass_keeps_no_block_but_its_expansion():

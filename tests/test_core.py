@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import re
 import tracemalloc
 
@@ -27,10 +29,19 @@ from selreg.core import (
     standardize,
     _table,
 )
+from selreg import losses, oracle
 from selreg.harness import ExperimentConfig
 from selreg.models import KnnRegressor, MlpRegressor
 from selreg.oracle import TableRiskCalibrator
-from selreg.rejection import KernelSmootherCalibrator, LinearLossCalibrator, linear_calibrate
+from selreg.rejection import (
+    KernelSmootherCalibrator,
+    LinearLossCalibrator,
+    classify_with_rejection,
+    linear_calibrate,
+    oracle_bayes_pair,
+    select_bandwidth,
+)
+from selreg.tasks import BinaryTask, OracleRiskCalibrator, binary_rwr_risk, default_discrete_task
 
 
 class TestDataset:
@@ -203,6 +214,45 @@ class TestCostConfig:
                 ExperimentConfig.from_dict(dict(echo, **{other: 0.5}))
 
 
+def _cost_readers():
+    """Each public function that reads a deferral cost c, as a call on c."""
+    task = default_discrete_task()
+    f, r = oracle_bayes_pair(task, 2.0)
+    cal = OracleRiskCalibrator(task, f)
+    btask = BinaryTask(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2, 0.9]))
+    data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+    held_out = (data.features, np.array([0.5, 1.5]))
+    return {
+        "rwr_report": lambda c: losses.rwr_report(np.array([1.0, 2.0]), np.array([1, 0]), c),
+        "empirical_rwr_loss": lambda c: losses.empirical_rwr_loss(f, r, data, c),
+        "bayes_risk": lambda c: losses.bayes_risk(task, c),
+        "oracle_rwr_risk": lambda c: losses.oracle_rwr_risk(f, r, task, c),
+        "truncated_loss": lambda c: losses.truncated_loss(f, task, c),
+        "excess_losses": lambda c: losses.excess_losses(f, task, c),
+        "select_bandwidth": lambda c: select_bandwidth(held_out, held_out, DEFAULT_SIGMA_GRID, c),
+        "classify_with_rejection": lambda c: classify_with_rejection(btask, c),
+        "binary_rwr_risk": lambda c: binary_rwr_risk(*classify_with_rejection(btask, 0.3), btask, c),
+        "check_risk_decomposition": lambda c: oracle.check_risk_decomposition(f, cal, task, c),
+        "verify_local_optimality": lambda c: oracle.verify_local_optimality((f, r), task, 0.5, c),
+        "verify_entrywise_optimality": lambda c: oracle.verify_entrywise_optimality((f, r), task, c),
+        "enumerate_pair_minimum": lambda c: oracle.enumerate_pair_minimum(task, c),
+        "build_locally_trapped_pair": lambda c: oracle.build_locally_trapped_pair(task, c),
+        "build_entrywise_trapped_pair": lambda c: oracle.build_entrywise_trapped_pair(task, c),
+    }
+
+
+@pytest.mark.parametrize("c", [math.nan, -0.1, math.inf, True, "0.2"], ids=repr)
+@pytest.mark.parametrize("reader", sorted(_cost_readers()))
+def test_every_cost_reader_refuses_a_cost_that_is_not_finite_and_nonnegative(reader, c):
+    # before, the losses took a NaN or negative c without a word, and the
+    # trap builders failed on another check or took it (True as 1)
+    read = _cost_readers()[reader]
+    message = "must be a real number" if isinstance(c, (bool, str)) else f"cost c must be finite and >= 0, got {c!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(c)
+    read(2.0)  # the same call takes a usable cost
+
+
 class TestKernelSpec:
     def test_default_grid_spans_seven_decades(self):
         assert DEFAULT_SIGMA_GRID == tuple(10.0**j for j in range(-3, 4))
@@ -357,6 +407,20 @@ def test_a_table_without_points_is_refused(build):
     # linear fit of no rows gave a zero model that accepts every query
     with pytest.raises(DataError, match=r"at least one point row, got shape \(0, 2\)"):
         build(np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, v: KernelSmootherCalibrator(x, v, KernelSpec(1.0)),
+    linear_calibrate,
+    lambda x, v: model_from_json(json.dumps({
+        "kind": "calibrator/kernel_smoother", "payload": {"points": x.tolist(), "losses": v.tolist(), "sigma": 1},
+    })),
+], ids=["kernel-smoother", "linear-calibrate", "kernel-smoother-file"])
+def test_a_negative_held_out_loss_is_refused(build):
+    # held-out losses are squared errors; a stored smoother of negative ones
+    # estimated a risk of 0 everywhere, which accepts every row
+    with pytest.raises(DataError, match="held-out losses are squared errors and must be >= 0"):
+        build(np.array([[0.0], [1.0]]), np.array([-1.0, -2.0]))
 
 
 def test_a_one_dimensional_block_is_refused():

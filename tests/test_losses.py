@@ -73,12 +73,12 @@ class TestEmpiricalRwr:
 
     def test_nan_cost_rejected(self, tiny_dataset):
         f = TableLookupRegressor(tiny_dataset.features, tiny_dataset.targets)
-        with pytest.raises(ValueError, match="deferral cost must be nonnegative"):
+        with pytest.raises(ValueError, match="cost c must be finite and >= 0"):
             empirical_rwr_loss(f, uniform_rejector(tiny_dataset.features, 1), tiny_dataset, c=np.nan)
 
     @pytest.mark.parametrize("c", [-0.1, np.nan])
     def test_rwr_report_refuses_a_negative_or_nan_cost(self, c):
-        with pytest.raises(ValueError, match="deferral cost must be nonnegative"):
+        with pytest.raises(ValueError, match="cost c must be finite and >= 0"):
             rwr_report(np.array([1.0, 2.0]), np.array([1, 0]), c)
 
 

@@ -463,9 +463,11 @@ class TestTaskValidation:
             DiscreteTask(**{**good, **change})
 
     @pytest.mark.parametrize("change, message", [
-        (dict(weights=np.array([0.5, 0.6])), "weights must sum to 1"),
+        (dict(weights=np.array([0.5, 0.6])), r"weights must be a probability vector \(sum 1 within 1e-12\)"),
+        # sums to 1, yet binary_rwr_risk read it as a distribution
+        (dict(weights=np.array([1.5, -0.5])), r"weights must be a probability vector \(sum 1 within 1e-12\)"),
         (dict(eta=np.array([0.2, 1.5])), r"eta must lie in \[0,1\]"),
-    ], ids=["weights-sum-1.1", "eta-above-1"])
+    ], ids=["weights-sum-1.1", "negative-weight", "eta-above-1"])
     def test_binary_task_refuses_an_impossible_distribution(self, change, message):
         good = dict(points=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]), eta=np.array([0.2, 0.7]))
         with pytest.raises(ValueError, match=message):

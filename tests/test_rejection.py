@@ -189,7 +189,7 @@ class TestSelectBandwidth:
     def test_cost_must_be_nonnegative_and_finite(self, c):
         # at c = inf every sigma's loss is NaN, and none could be chosen
         one = (np.zeros((1, 1)), np.ones(1))
-        with pytest.raises(ValueError, match="threshold cost must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="cost c must be finite and >= 0"):
             select_bandwidth(one, one, DEFAULT_SIGMA_GRID, c=c)
 
     def test_one_kernel_call_for_the_whole_grid(self, monkeypatch):
@@ -382,7 +382,7 @@ class TestClassification:
     @pytest.mark.parametrize("c", [-0.1, math.nan])
     def test_cost_must_be_nonnegative(self, c):
         task = BinaryTask(points=np.array([[0.0]]), weights=np.array([1.0]), eta=np.array([0.9]))
-        with pytest.raises(ValueError, match="deferral cost must be nonnegative"):
+        with pytest.raises(ValueError, match="cost c must be finite and >= 0"):
             classify_with_rejection(task, c)
 
 
