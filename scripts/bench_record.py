@@ -16,12 +16,16 @@ OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
   workload of ``BENCHMARK.json``, each for its ``run_seconds``, keeping each
   run's last JSON line, its ``env`` line, its exit code and, on a traced run,
   the lookup names its tracer did not find (``parse_perfbench``);
-* the kernels: ``backend.knn_mean`` on each input of ``KERNELS``, one fresh
-  ``python`` per input, timed in process: the median of ``CALLS`` calls
-  after one untimed warm-up call, each call's seconds, and a sha256 of the
-  result's bytes, so that two files show whether the bits held.  Each input
-  reaches one tier of the kNN search; this script builds them
-  (``kernel_input``), so both checkouts get the same ones.
+* the kernels: ``backend.knn_mean`` on each input of ``KERNELS`` but one,
+  and ``backend.nw_at_most`` on that one, one fresh ``python`` per input,
+  timed in process: the median of ``CALLS`` calls after one untimed warm-up
+  call, each call's seconds, and a sha256 of the result's bytes, so that two
+  files show whether the bits held.  Each kNN input reaches one tier of the
+  kNN search; the ``nw_at_most`` input is bandwidth selection's decision on
+  fit-knn-smooth1d's shape, and a checkout without that kernel is timed on
+  the expression it equals, ``np.maximum(gaussian_nw(...), 0.0) <= c``.
+  This script builds the inputs (``kernel_input``), so both checkouts get
+  the same ones.
 
 The file also records the checkout's commit (and whether its tree differs
 from it), a hash of ``src/selreg`` and its count of lines, in all and of code
@@ -80,9 +84,11 @@ MATRIX = {
 REPEATS = 10
 CALLS = 9  # timed calls per matrix config and per kernel input
 
-# name -> a knn_mean input, which kernel_input draws at seed 0; the comments
-# name the tier of the kNN search that settles its rows
+# name -> a knn_mean input, or an input of the kernel it names, which
+# kernel_input draws at seed 0; the comments name the tier of the kNN search
+# that settles its rows
 DEFAULT_K_GRID = [5, 10, 15, 20, 30, 50, 70, 100, 150]  # as in selreg.models
+DEFAULT_SIGMA_GRID = [10.0**j for j in range(-3, 4)]  # as in selreg.core
 KERNELS = {
     # the float32 candidate pass settles every row
     "uniform-d8": {"data": "uniform", "nq": 512, "m": 8000, "d": 8, "ks": [20]},
@@ -100,6 +106,12 @@ KERNELS = {
     "six-values-d1": {"data": "six_values", "nq": 200, "m": 600, "d": 1, "ks": DEFAULT_K_GRID},
     # d = 1 as in fit-knn-smooth1d's k search: the window settles every row
     "uniform-d1": {"data": "uniform", "nq": 1000, "m": 3500, "d": 1, "ks": DEFAULT_K_GRID},
+    # select_bandwidth's decisions in fit-knn-smooth1d: z-scored uniform
+    # points, squared errors as the values, the default grid and c = 0.5
+    "smooth1d-nw-at-most": {
+        "kernel": "nw_at_most", "data": "zscored_uniform", "nq": 500, "m": 1000, "d": 1,
+        "sigmas": DEFAULT_SIGMA_GRID, "c": 0.5,
+    },
 }
 
 # Times one matrix config in the child: argv holds the config and the number
@@ -137,15 +149,20 @@ print(json.dumps({
 # of timed calls and the directory of this script, whose kernel_input builds it.
 KERNEL_CHILD = """
 import hashlib, json, statistics, sys, time
+import numpy as np
 sys.path.insert(0, sys.argv[3])
 from bench_record import kernel_input
 from selreg import backend
-args = kernel_input(json.loads(sys.argv[1]))
-out = backend.knn_mean(*args)
+spec = json.loads(sys.argv[1])
+args = kernel_input(spec)
+call = getattr(backend, spec.get("kernel", "knn_mean"), None) or (
+    lambda q, p, v, sigmas, c: np.maximum(backend.gaussian_nw(q, p, v, sigmas), 0.0) <= c
+)
+out = call(*args)
 seconds = []
 for _ in range(int(sys.argv[2])):
     t0 = time.perf_counter()
-    backend.knn_mean(*args)
+    call(*args)
     seconds.append(time.perf_counter() - t0)
 print(json.dumps({
     "median_s": statistics.median(seconds),
@@ -157,11 +174,14 @@ print(json.dumps({
 
 def kernel_input(spec: dict):
     """The ``knn_mean`` arguments ``(queries, points, values, ks)`` that a
-    ``KERNELS`` spec names, drawn at seed 0."""
+    ``KERNELS`` spec names, drawn at seed 0, or for an ``nw_at_most`` spec
+    ``(queries, centers, values, sigmas, c)``."""
     rng = np.random.default_rng(0)
     data, nq, m, d = spec["data"], spec["nq"], spec["m"], spec["d"]
     if data == "uniform":  # as score-knn-d8 draws its points
         q, p = rng.uniform(-1.0, 1.0, size=(nq, d)), rng.uniform(-1.0, 1.0, size=(m, d))
+    elif data == "zscored_uniform":  # as smooth1d's points after standardize
+        q, p = rng.uniform(-3**0.5, 3**0.5, size=(nq, d)), rng.uniform(-3**0.5, 3**0.5, size=(m, d))
     elif data == "lognormal":  # z-scored and heavy-tailed
         z = rng.lognormal(sigma=2.0, size=(nq + m, d))
         z = (z - z.mean(axis=0)) / z.std(axis=0)
@@ -175,6 +195,8 @@ def kernel_input(spec: dict):
         q, p = rng.normal(size=(nq, d)), rng.normal(size=(m, d))
         if data == "lattice":
             q, p = np.round(q), np.round(p)
+    if spec.get("kernel") == "nw_at_most":
+        return q, p, rng.normal(size=m) ** 2, tuple(spec["sigmas"]), spec["c"]
     return q, p, rng.normal(size=m), tuple(spec["ks"])
 
 

@@ -77,6 +77,48 @@ Contracts:
     lower lane, -inf included, is +0.0, as ``np.exp`` gives there.  Those
     are ``np.exp``'s own bits in every lane.
 
+``nw_at_most(queries, centers, values[m], sigmas, c) -> bool[len(sigmas), nq]``
+    Row j is ``np.maximum(gaussian_nw(...)[j], 0.0) <= c``, bit for bit, as
+    a threshold needs only that.  At d = 1, with every input finite, every
+    value >= 0 and 0 <= c < inf, it decides most rows from a slice of the
+    centres.  The centres and queries are sorted once per call.  Per sigma
+    s, the sorted queries go in blocks spanning at most r / 2, with
+    r = sqrt(T s) and T = ``_NW_REACH``, and each block weighs only the
+    contiguous slice of centres within r of it, with the exact kernel's
+    quotients ``-(d2 / s)`` and ``_exp``: each weight has the exact bits.
+    The largest magnitude of a block's quotients is then below about
+    (3/2)^2 T, which ``np.exp`` takes on its fast path.
+
+    Proof.  Let u = 2^-53, tiny the least subnormal, and γ = m u / (1 - m u).
+    The slice's weight sum ws and product sum ns are within γ, relatively,
+    of the exact sums Ws and Ns of the same floats, as every term is >= 0:
+    any order of summation of m such terms errs by at most γ times their
+    sum.  A lane left out has a quotient at most ``edge``, that of the
+    nearest centre outside on either side against the block's nearer end,
+    as rounding keeps the order of differences, squares and quotients; so
+    its weight is at most 2 e^edge + tiny, and the mass left out, Wo, at
+    most ``omitted`` = (m - slice)(2 e^edge + tiny), about (m - slice) e^-T.
+    The exact kernel's sums are (Ws + Wo)(1 ± γ) and (Ns + No)(1 ± γ), where
+    No <= ``omitted`` vmax (1 + u) + m tiny counts the left-out products,
+    and its estimate is their quotient within (1 ± u) and tiny / 2.  So
+    with rho = (4m + 32) 2^-52, which covers those factors and the
+    roundings of the bounds' own arithmetic,
+
+        lo = ns (1 - rho) / ((ws + omitted)(1 + rho)) (1 - rho) - 4 tiny,
+        hi = (ns + omitted vmax + m tiny)(1 + rho) / (ws (1 - rho)) (1 + rho)
+             + 4 tiny
+
+    bracket the exact estimate, which is >= 0, so that the clamp is a
+    no-op.  A row with hi <= c accepts, one with lo > c defers: both are
+    settled.  Every other row takes ``gaussian_nw``: ties at c, rows whose
+    slice weights all underflow (ws = 0, and hi is inf), which may take the
+    nearest centre, and rows near c only through the mass left out.  So
+    does every sigma whose slices cover more than half of the nq x m lanes,
+    and every call with d > 1, a non-finite input, a negative value or a c
+    that is not finite and >= 0.  Those calls ask ``gaussian_nw`` once for
+    the whole sigmas and once for the rows left, which give its bits, as a
+    row of it does not depend on the other rows or sigmas of its call.
+
 ``nearest_rows(queries, points) -> [nq]``
     The index of each query's nearest point, ties to the lower index: the
     argmin of each distance block, so a NaN distance, which ``np.argmin``
@@ -104,16 +146,25 @@ blocks, and so ``pairwise_sq_dists``, ``gaussian_nw``, ``nearest_rows``,
 ``median_sq_dist`` and the full-path rows of ``knn_mean``, take a budget of
 2**16 elements; the candidate loop of ``knn_mean`` at d > 1 takes 2**19, as
 it does more work per block; the d = 1 window of ``knn_mean`` takes 256
-rows.  Block size changes no bit.
+rows; the slices of ``nw_at_most`` take at most the rows of a distance
+block.  Block size changes no bit.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
-reusable buffer per role (distances, differences, weights, the mark of
-the weights' underflowing lanes, the expansion, whose buffer its packed
-words reuse, the point table and its float32 centred copy), each an
-anonymous ``mmap`` outside malloc's heap.  So the hot loops allocate nothing
-of size block x m, and no page of it is handed back to the system and
-faulted in again between blocks.  A buffer holds the largest array any call
-in its thread has asked of its role until the thread ends: at most
+reusable buffer per role, each an anonymous ``mmap`` outside malloc's heap.
+The roles are ``d2``, ``diff`` and ``lhs`` (the distances, one coordinate's
+differences and the product's left rows), ``w`` (the weights, also of a
+slice) and ``mark`` (their lanes below ``_EXP_FAST``), ``expansion`` and
+``a`` (the float32 expansion, whose buffer its packed words reuse),
+``table`` and ``table32`` (the point table and its float32 centred copy),
+and the d = 1 window's block x k arrays: ``window`` (its distances),
+``slots`` (its sorted positions, then flat ranks), ``neighbours`` (the
+indices it returns), ``near`` (the ranked distances) and ``ties`` (two
+masks of adjacent ranks), with ``gathered``, the neighbours' values, on
+every kNN path.  So the hot loops allocate nothing of size block x m, and
+no page of it is handed back to the system and faulted in again between
+blocks; of block x k, the window allocates only ``_nearest``'s argsort,
+which takes no ``out=``.  A buffer holds the largest array any call in its
+thread has asked of its role until the thread ends: at most
 ``max(budget, 16 m)`` elements, (d + 1) x m for the point table, or
 (d + 2) x m for its float32 copy.  Apart from the ``[nq,m]`` result of
 ``pairwise_sq_dists`` and the triangle of ``median_sq_dist``, memory
@@ -127,7 +178,8 @@ expansion reads a second table, ``_centred_table``'s rows
 the first.
 
 Each kernel takes its buffers and is done with them within one call, and
-calls no other kernel while its point table is live.  No kernel yields, so
+calls no other kernel while its point table or a block is live:
+``nw_at_most`` calls ``gaussian_nw`` only after its last slice.  No kernel yields, so
 no code outside this module runs between two of its blocks, and a block
 never leaves the call that computed it.
 """
@@ -147,6 +199,9 @@ _DIST_BUDGET = 2**16  # elements per distance block
 _CANDIDATE_BUDGET = 2**19  # elements per block of the d > 1 candidate loop
 _EXP_FAST = -700.0  # np.exp is fast at and above this argument
 _EXP_ZERO = -746.0  # and +0.0 below this one, under half the least subnormal
+_NW_REACH = 64.0  # T: a centre beyond sqrt(T sigma) of a query weighs at most about e^-T
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class _Workspace(threading.local):
@@ -293,36 +348,44 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return col[np.searchsorted(row, np.arange(d2.shape[0]))[:, None] + np.arange(k)]
 
 
-def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, k: int):
+def _window_nearest(q: np.ndarray, order: np.ndarray, sx: np.ndarray, sums: np.ndarray, k: int):
     """The k nearest points to each coordinate in ``q`` (d = 1), in
     (distance, index) order, taken from k consecutive sorted positions, and
     a mask of the rows to redo on the full path.
 
     ``sx`` holds the point coordinates sorted stably and ``order`` their
-    indices, so equal coordinates already sit in index order.  The window
-    of start j moves one step right while point j + k is strictly nearer to
-    q than point j.  Where ``sx[j] < sx[j + k]`` that holds exactly when
-    ``sx[j] + sx[j + k] < 2q``, and these sums never decrease with j, so one
-    ``searchsorted`` of 2q among them finds the start.  Rounding, equal
-    coordinates, infinities (-inf + inf is NaN in the middle of the sums)
-    and overflow can move it; the checks below, not the search, vouch for
-    the answer, and send any row whose window is not its k nearest to the
-    full path.  Both gathers copy whole runs: the coordinates as rows of a
-    sliding-window view, and a neighbour's index as ``order[lo + rank]``.
+    indices, so equal coordinates already sit in index order; ``sums`` is
+    ``sx[: m - k] + sx[k:]``.  The window of start j moves one step right
+    while point j + k is strictly nearer to q than point j.  Where
+    ``sx[j] < sx[j + k]`` that holds exactly when ``sx[j] + sx[j + k] < 2q``,
+    and these sums never decrease with j, so one ``searchsorted`` of 2q
+    among them finds the start.  Rounding, equal coordinates, infinities
+    (-inf + inf is NaN in the middle of the sums) and overflow can move it;
+    the checks below, not the search, vouch for the answer, and send any
+    row whose window is not its k nearest to the full path.  Every block x k
+    array but ``_nearest``'s argsort lives in the workspace, and the indices
+    returned are the role ``neighbours``: valid until the next call.
     """
-    m = sx.shape[0]
+    (n,), m = q.shape, sx.shape[0]
+    d2 = _WORK.take("window", (n, k))
+    near = _WORK.take("near", (n, k))
+    slots = _WORK.take("slots", (n, k), np.intp)
+    idx = _WORK.take("neighbours", (n, k), np.intp)
+    ties = _WORK.take("ties", (2, n, k - 1), bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = np.searchsorted(sx[: m - k] + sx[k:], 2.0 * q)
+        lo = np.searchsorted(sums, 2.0 * q)
+        np.add(lo[:, None], np.arange(k), out=slots)
         # the full path adds the square to zeros, which changes no bit
-        d2 = np.square(q[:, None] - np.lib.stride_tricks.sliding_window_view(sx, k)[lo])
+        np.square(np.subtract(q[:, None], np.take(sx, slots, out=d2, mode="clip"), out=d2), out=d2)
         rank = _nearest(d2, k)
-        idx = order[lo[:, None] + rank]
-        near = np.take_along_axis(d2, rank, axis=1)
+        np.take(order, np.add(lo[:, None], rank, out=slots), out=idx, mode="clip")
+        np.take(d2.reshape(-1), np.add(rank, k * np.arange(n)[:, None], out=slots), out=near, mode="clip")
         kth = near[:, -1]
         # a NaN kth distance: NaNs sort last, so only then is one in the window
         full = np.isnan(kth)
         # equal distances out of index order: a mirror tie at q - r and q + r
-        full |= np.any((near[:, 1:] == near[:, :-1]) & (idx[:, 1:] < idx[:, :-1]), axis=1)
+        np.equal(near[:, 1:], near[:, :-1], out=ties[0])
+        full |= np.logical_and(ties[0], np.less(idx[:, 1:], idx[:, :-1], out=ties[1]), out=ties[0]).any(axis=1)
         # the nearest point outside on either side no farther than the kth; the
         # points past it are farther still, as the sorted coordinates move away
         for outside, exists in ((lo - 1, lo > 0), (lo + k, lo + k < m)):
@@ -487,7 +550,9 @@ def knn_mean(
         rows = _BLOCK
         order = np.argsort(table[1], kind="stable")
         sx = table[1, order]
-        first = lambda block: _window_nearest(block[:, 0], order, sx, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = sx[: m - k] + sx[k:]
+        first = lambda block: _window_nearest(block[:, 0], order, sx, sums, k)
     elif 2 * k < m:
         rows = _block_rows(m, _CANDIDATE_BUDGET)
         centred = _centred_table(table)
@@ -505,7 +570,7 @@ def knn_mean(
             some = redo[r : r + redo_rows]
             idx[some] = _nearest(_sq_dist(block[some], table), k)
         # the first k of the (distance, index) order are the k nearest
-        g = values[idx]
+        g = np.take(values, idx, out=_WORK.take("gathered", idx.shape), mode="clip")
         for j, kj in enumerate(ks):
             out[j, start : start + idx.shape[0]] = g[:, :kj].mean(axis=1)
     return out
@@ -534,6 +599,13 @@ def _exp(x: np.ndarray, least) -> np.ndarray:
     return x
 
 
+def _bandwidths(sigmas) -> tuple[float, ...]:
+    sigmas = tuple(float(s) for s in sigmas)
+    if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
+        raise ValueError(f"sigma must be positive and finite, got {sigmas}")
+    return sigmas
+
+
 def gaussian_nw(
     queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigmas
 ) -> np.ndarray:
@@ -546,9 +618,7 @@ def gaussian_nw(
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != np.shape(centers)[0]:
         raise ValueError("values length must match center count")
-    sigmas = tuple(float(s) for s in sigmas)
-    if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
-        raise ValueError(f"sigma must be positive and finite, got {sigmas}")
+    sigmas = _bandwidths(sigmas)
     queries, table, rows = _prepare(queries, centers)
     out = np.empty((len(sigmas), queries.shape[0]))
     for start in range(0, queries.shape[0], rows):
@@ -571,4 +641,90 @@ def gaussian_nw(
             if np.any(dead):
                 est[dead] = values[np.argmin(d2[dead], axis=1)]
             out[j, start : start + est.shape[0]] = est
+    return out
+
+
+def _slice_blocks(sq: np.ndarray, sx: np.ndarray, reach: float):
+    """Blocks ``(start, stop, a, b)`` of the sorted queries ``sq``, each
+    spanning at most ``reach / 2`` and ``_block_rows(m, _DIST_BUDGET)`` rows,
+    with the slice ``sx[a:b]`` of sorted centres within ``reach`` of it."""
+    nq, cap = sq.shape[0], _block_rows(sx.shape[0], _DIST_BUDGET)
+    blocks, start = [], 0
+    while start < nq:
+        stop = min(start + cap, int(np.searchsorted(sq, sq[start] + reach / 2.0, side="right")))
+        a = int(np.searchsorted(sx, sq[start] - reach))
+        b = int(np.searchsorted(sx, sq[stop - 1] + reach, side="right"))
+        blocks.append((start, stop, a, b))
+        start = stop
+    return blocks
+
+
+def _slice_at_most(sq, sx, sv, vmax: float, s: float, c: float):
+    """The rows that accept and the rows left unsettled at one sigma at
+    d = 1, in the order of the sorted queries ``sq``, from the slices of the
+    sorted centres ``sx`` (and their values ``sv``, at most ``vmax``); None
+    where the slices cover more than half of the query x centre lanes."""
+    nq, m = sq.shape[0], sx.shape[0]
+    blocks = _slice_blocks(sq, sx, math.sqrt(_NW_REACH * s))
+    if 2 * sum((stop - start) * (b - a) for start, stop, a, b in blocks) > nq * m:
+        return None
+    ws, ns, omitted = np.zeros(nq), np.zeros(nq), np.empty(nq)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start, stop, a, b in blocks:
+            # an omitted lane's quotient is at most that of the nearest centre
+            # outside on either side against the block's nearer end
+            gaps = ([sq[start] - sx[a - 1]] if a > 0 else []) + ([sx[b] - sq[stop - 1]] if b < m else [])
+            edge = max((-(g * g / s) for g in gaps), default=-math.inf)
+            omitted[start:stop] = (m - (b - a)) * (2.0 * math.exp(edge) + _TINY)
+            if a == b:  # no weight: the interval [0, inf] settles nothing
+                continue
+            # the exact kernel's quotients: a difference rounded once, its
+            # square, and its quotient by -s; the block's least is at a corner
+            w = _WORK.take("w", (stop - start, b - a))
+            np.divide(np.square(np.subtract(sq[start:stop, None], sx[a:b], out=w), out=w), -s, out=w)
+            _exp(w, min(w[0, -1], w[-1, 0]))
+            w.sum(axis=1, out=ws[start:stop])
+            np.multiply(w, sv[a:b], out=w).sum(axis=1, out=ns[start:stop])
+        rho = (4 * m + 32) * _EPS
+        hi = (ns + omitted * vmax + m * _TINY) * (1.0 + rho) / (ws * (1.0 - rho)) * (1.0 + rho) + 4.0 * _TINY
+        lo = ns * (1.0 - rho) / ((ws + omitted) * (1.0 + rho)) * (1.0 - rho) - 4.0 * _TINY
+    accept = hi <= c
+    return accept, ~(accept | (lo > c))
+
+
+def nw_at_most(queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigmas, c) -> np.ndarray:
+    """Row j: ``np.maximum(gaussian_nw(queries, centers, values, sigmas)[j],
+    0.0) <= c``, which slices of the centres settle at d = 1 for most rows
+    (see the module docstring); every other row and sigma takes
+    ``gaussian_nw``."""
+    values = np.asarray(values, dtype=np.float64)
+    sigmas = _bandwidths(sigmas)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    nq, m = queries.shape[0], centers.shape[0]
+    out = np.empty((len(sigmas), nq), dtype=bool)
+    redo = np.zeros((len(sigmas), nq), dtype=bool)
+    whole = range(len(sigmas))
+    if (
+        queries.shape[1:] == centers.shape[1:] == (1,) and values.shape == (m,) and nq and m and 0.0 <= c < math.inf
+        and np.isfinite(queries).all() and np.isfinite(centers).all() and np.isfinite(values).all()
+        and values.min() >= 0.0
+    ):
+        qorder, corder = np.argsort(queries[:, 0]), np.argsort(centers[:, 0])
+        sq, sx, sv = queries[qorder, 0], centers[corder, 0], values[corder]
+        vmax = float(sv.max())
+        whole = []
+        for j, s in enumerate(sigmas):
+            settled = _slice_at_most(sq, sx, sv, vmax, s, c)
+            if settled is None:
+                whole.append(j)
+            else:
+                out[j, qorder], redo[j, qorder] = settled
+    if whole:
+        out[whole] = np.maximum(gaussian_nw(queries, centers, values, [sigmas[j] for j in whole]), 0.0) <= c
+    rows, js = np.flatnonzero(redo.any(axis=0)), np.flatnonzero(redo.any(axis=1))
+    if rows.size:
+        exact = np.maximum(gaussian_nw(queries[rows], centers, values, [sigmas[j] for j in js]), 0.0) <= c
+        at = np.ix_(js, rows)
+        out[at] = np.where(redo[at], exact, out[at])
     return out

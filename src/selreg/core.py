@@ -313,7 +313,7 @@ DEFAULT_SIGMA_GRID = tuple(10.0**j for j in range(-3, 4))
 def sigma_grid(values: Sequence[float]) -> tuple[float, ...]:
     """``values`` as a bandwidth grid; refuses an empty one and any sigma that
     is not positive and finite."""
-    grid = tuple(float(s) for s in values)
+    grid = tuple(_require_real("sigma", s) for s in values)
     if not grid or not all(0.0 < s < math.inf for s in grid):
         raise ValueError(f"sigma grid must be nonempty and each sigma positive and finite, got {grid}")
     return grid
@@ -349,6 +349,11 @@ class Calibrator(ABC):
     @abstractmethod
     def estimate(self, X: np.ndarray) -> np.ndarray:
         """Vectorized nonnegative risk estimate for an [n, d] feature block."""
+
+    def at_most(self, X: np.ndarray, c: float) -> np.ndarray:
+        """Whether each row's estimate is <= c; a calibrator that can decide
+        that without the whole estimate overrides it, with the same result."""
+        return self.estimate(X) <= c
 
 
 def _as_block(X: np.ndarray) -> np.ndarray:

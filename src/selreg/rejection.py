@@ -7,6 +7,14 @@ or below the deferral cost.
 Fixed budget: turn held-out risk scores into an acceptance threshold via the
 split-conformal order statistic; acceptance probability is then at least
 1 - gamma provided the scored samples are independent of the regressor.
+
+Where a decision skips the estimate: ``select_bandwidth`` and
+``InducedRejector.accept`` need only whether the clamped estimate is at most
+the threshold.  They ask ``backend.nw_at_most``, the second through
+``Calibrator.at_most``, which at d = 1 settles most rows from a slice of the
+centres with a bound on what the slice leaves out, and takes the full
+estimate for the rest: the same decisions.  The conformal scores of budget
+mode and the scores ``selreg calibrate`` writes are ``estimate``'s values.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .core import (
     _as_block,
     _freeze,
     _require_cost,
+    _require_real,
     _table,
     register_model,
     sigma_grid,
@@ -75,6 +84,11 @@ class KernelSmootherCalibrator(Calibrator):
         )
         return np.maximum(est[0], 0.0)
 
+    def at_most(self, X: np.ndarray, c: float) -> np.ndarray:
+        return backend.nw_at_most(
+            _as_block(X), self.points, self.losses, (self.kernel.length_scale_sigma,), c
+        )[0]
+
     def payload(self) -> dict:
         return {
             "points": self.points.tolist(),
@@ -113,14 +127,22 @@ class LinearLossCalibrator(Calibrator):
 
 class InducedRejector(Rejector):
     """Accepts exactly where the calibrator's risk estimate is <= threshold
-    (exact ties accept)."""
+    (exact ties accept), asking the calibrator's ``at_most``.
+
+    The threshold is a real number >= 0, and not ``_require_cost``'s finite
+    cost: a budget's threshold ``c_hat`` is +inf when its order statistic
+    runs past the scores, and then every row is accepted.  NaN fails every
+    comparison and would accept no row, so it is refused.
+    """
 
     def __init__(self, calibrator: Calibrator, threshold: float):
+        if not _require_real("threshold", threshold) >= 0.0:
+            raise ValueError(f"threshold cost must be nonnegative, got {threshold!r}")
         self.calibrator = calibrator
         self.threshold = float(threshold)
 
     def accept(self, X: np.ndarray) -> np.ndarray:
-        return (self.calibrator.estimate(X) <= self.threshold).astype(np.int64)
+        return self.calibrator.at_most(X, self.threshold).astype(np.int64)
 
 
 def kernel_calibrate(f: Regressor, val: Dataset, kernel: KernelSpec) -> KernelSmootherCalibrator:
@@ -138,15 +160,8 @@ def linear_calibrate(points: np.ndarray, losses: np.ndarray) -> LinearLossCalibr
 
 
 def induce_rejector(calibrator: Calibrator, c: float) -> InducedRejector:
-    """The rejector that accepts where ``calibrator``'s estimate is <= c.
-
-    c is a threshold here, so it keeps its own check, not ``_require_cost``:
-    a budget's threshold ``c_hat`` is +inf when its order statistic runs
-    past the scores, and then every row is accepted.  NaN fails every
-    comparison and would accept no row, so it is refused.
-    """
-    if not c >= 0.0:
-        raise ValueError("threshold cost must be nonnegative")
+    """The rejector that accepts where ``calibrator``'s estimate is <= c,
+    which ``InducedRejector`` checks."""
     return InducedRejector(calibrator, c)
 
 
@@ -161,8 +176,8 @@ def select_bandwidth(
 
     ``inner`` and ``outer`` are (points, squared losses) of the regressor on
     held-out rows: the smoother fits on ``inner`` and its rejector is scored
-    on ``outer``.  One kernel call smooths at every sigma; each row is
-    clamped at zero and accepted at or below ``c``, as the
+    on ``outer``.  One kernel call decides every sigma: row j accepts where
+    the estimate, clamped at zero, is at or below ``c``, as the
     ``KernelSmootherCalibrator`` and ``InducedRejector`` of that sigma would.
     """
     if len(inner[1]) == 0 or len(outer[1]) == 0:
@@ -170,10 +185,10 @@ def select_bandwidth(
     _require_cost(c)
     outer_points, outer_losses = outer
     sigmas = sorted(sigma_grid(grid))
-    estimates = backend.gaussian_nw(_as_block(outer_points), _as_block(inner[0]), inner[1], sigmas)
+    accepts = backend.nw_at_most(_as_block(outer_points), _as_block(inner[0]), inner[1], sigmas, c)
     best_sigma, best_loss = None, np.inf
-    for sigma, est in zip(sigmas, np.maximum(estimates, 0.0)):
-        loss = rwr_report(outer_losses, (est <= c).astype(np.int64), c).rwr_loss
+    for sigma, accept in zip(sigmas, accepts):
+        loss = rwr_report(outer_losses, accept.astype(np.int64), c).rwr_loss
         if loss < best_loss:
             best_sigma, best_loss = sigma, loss
     return KernelSpec(best_sigma)

@@ -794,24 +794,22 @@ def test_window_leaves_only_unsettled_rows_to_the_full_path():
     # on continuous data the d=1 window settles every row but a NaN query,
     # queries beyond every point included; a start one position off keeps
     # the bits, as the full path takes its row, and only this count shows it
+    def window_redo(q, x, k):
+        order = np.argsort(x, kind="stable")
+        sx = x[order]
+        return backend._window_nearest(q, order, sx, sx[: len(x) - k] + sx[k:], k)[1]
+
     rng = np.random.default_rng(4)
     x = rng.normal(size=500)
-    order = np.argsort(x, kind="stable")
     q = np.concatenate([rng.normal(size=200), [-50.0, 50.0, np.nan]])
     for k in (1, 30, 150, len(x) - 1):
-        _, full = backend._window_nearest(q, order, x[order], k)
+        full = window_redo(q, x, k)
         assert not full[:-1].any() and full[-1]
     # the mirror tie from 0 at -1 (row 1) and +1 (row 0)
-    x = np.array([1.0, -1.0, 5.0])
-    order = np.argsort(x, kind="stable")
-    _, full = backend._window_nearest(np.array([0.0, 4.0]), order, x[order], 2)
-    assert full.tolist() == [True, False]
+    assert window_redo(np.array([0.0, 4.0]), np.array([1.0, -1.0, 5.0]), 2).tolist() == [True, False]
     # at k = m no point lies outside the window: only the NaN kth distance
     # sends the NaN query to the full path
-    x = rng.normal(size=40)
-    order = np.argsort(x, kind="stable")
-    _, full = backend._window_nearest(np.array([0.3, np.nan]), order, x[order], 40)
-    assert full.tolist() == [False, True]
+    assert window_redo(np.array([0.3, np.nan]), rng.normal(size=40), 40).tolist() == [False, True]
 
 
 def _preselect(q, p, k):
@@ -999,3 +997,116 @@ class TestDispatch:
 
         assert callable(b.pairwise_sq_dists) and callable(b.knn_mean) and callable(b.gaussian_nw)
         assert b.BACKEND == "numpy"
+
+
+def _nw_case(d, scale_exp, n, m, layout, u_sigma, seed):
+    """Queries, centres, nonnegative values and sigmas at scale 10**scale_exp:
+    duplicate centres, or one far outlier, and the last query so far out
+    that every weight underflows at the least sigma."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exp
+    c = rng.normal(size=(m, d))
+    if layout == "duplicates":
+        c = c[rng.integers(0, max(1, m // 4), size=m)]
+    elif layout == "outlier":
+        c[rng.integers(m)] += 1e8
+    sigmas = tuple(sorted(10.0 ** np.array(u_sigma)))
+    q = rng.normal(size=(n, d)) * 1.5
+    q[-1] = c.max(axis=0) + 40.0 * np.sqrt(sigmas[0])
+    v = rng.exponential(size=m) * rng.choice([0.0, 1.0], size=m, p=[0.2, 0.8])
+    return q * scale, c * scale, v, tuple(s * scale**2 for s in sigmas)
+
+
+nw_cases = dict(
+    d=st.sampled_from((1, 3)),
+    scale_exp=st.integers(-150, 150),
+    n=st.integers(1, 300),
+    m=st.integers(1, 300),
+    layout=st.sampled_from(("continuous", "duplicates", "outlier")),
+    u_sigma=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**nw_cases)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_nw_keeps_the_per_sigma_bits(d, scale_exp, n, m, layout, u_sigma, seed):
+    q, c, v, sigmas = _nw_case(d, scale_exp, n, m, layout, u_sigma, seed)
+    got = backend.gaussian_nw(q, c, v, sigmas)
+    with np.errstate(over="ignore", under="ignore"):
+        for row, sigma in zip(got, sigmas):
+            # compared as integers, so that equal estimates are equal bits
+            np.testing.assert_array_equal(row.view(np.int64), per_sigma_nw(q, c, v, sigma).view(np.int64))
+
+
+@given(**nw_cases, pick=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_nw_at_most_decides_as_the_clamped_estimate(d, scale_exp, n, m, layout, u_sigma, seed, pick):
+    # c is one of the rows' own exact estimates, where the slice's estimate
+    # may round to either side: only the bound's slack keeps those rows right
+    q, c, v, sigmas = _nw_case(d, scale_exp, n, m, layout, u_sigma, seed)
+    exact = np.maximum(backend.gaussian_nw(q, c, v, sigmas), 0.0)
+    rng = np.random.default_rng(pick)
+    for cost in (*rng.choice(exact.ravel(), size=3), 0.5 * float(v.mean())):
+        np.testing.assert_array_equal(backend.nw_at_most(q, c, v, sigmas, cost), exact <= cost)
+
+
+def test_nw_at_most_counts_the_mass_its_slices_leave_out():
+    # sigma 1 and a query at 0: the slice holds the centres within 8 of it.
+    # Row 0: the one centre in it has value 0, but three beyond it, at
+    # quotients -70, -81 and -100, have value 1e30 and lift the estimate to
+    # about 0.4, above c = 0.2.  Row 1: the one centre in it, at quotient -60,
+    # has value 1, but a hundred beyond it at -65 with value 0 pull the
+    # estimate down to about 0.6, below c = 0.8.  Each is near c only through
+    # the lanes the slice leaves out, so the slice may settle neither.
+    far = np.array([np.sqrt(70.0), 9.0, 10.0])
+    cases = [
+        (np.concatenate([[0.0], far]), np.array([0.0, 1e30, 1e30, 1e30]), 0.2),
+        (np.concatenate([[np.sqrt(60.0)], np.full(100, -np.sqrt(65.0))]), np.concatenate([[1.0], np.zeros(100)]), 0.8),
+    ]
+    for centres, v, cost in cases:
+        c = centres[:, None]
+        exact = backend.gaussian_nw(np.zeros((1, 1)), c, v, (1.0,))[0, 0]
+        assert abs(exact - cost) < 0.25 and abs(v[0] - cost) < 0.25 and (exact <= cost) != (v[0] <= cost)
+        assert backend.nw_at_most(np.zeros((1, 1)), c, v, (1.0,), cost)[0, 0] == (exact <= cost)
+
+
+def test_nw_at_most_asks_gaussian_nw_only_what_its_slices_leave(monkeypatch):
+    calls = []
+
+    def counted(q, c, v, sigmas):
+        calls.append((len(q), tuple(sigmas)))
+        return gaussian_nw(q, c, v, sigmas)
+
+    gaussian_nw = backend.gaussian_nw
+    monkeypatch.setattr(backend, "gaussian_nw", counted)
+    rng = np.random.default_rng(20)
+    q, c, v = rng.uniform(-1.7, 1.7, size=(500, 1)), rng.uniform(-1.7, 1.7, size=(500, 1)), rng.exponential(size=500)
+    # at d = 1 the slices settle every row at the two least sigmas, and the
+    # sigmas whose slices cover most of the centres take the exact kernel
+    backend.nw_at_most(q, c, v, (1e-3, 1e-2, 1.0, 10.0), 0.5)
+    assert calls == [(500, (1.0, 10.0))]
+    # a negative value, a NaN query, an infinite cost or d > 1: every sigma
+    for args in ((q, c, -v), (np.concatenate([q, [[np.nan]]]), c, v), (np.hstack([q, q]), np.hstack([c, c]), v)):
+        calls.clear()
+        backend.nw_at_most(*args, (1e-3, 1e-2), 0.5)
+        assert calls == [(len(args[0]), (1e-3, 1e-2))]
+    calls.clear()
+    assert backend.nw_at_most(q, c, v, (1e-3,), np.inf).all() and calls == [(500, (1e-3,))]
+
+
+def test_the_d1_window_keeps_no_block_but_the_argsort():
+    # a second identical call reuses the workspace: the only block x k array
+    # it allocates is _nearest's stable argsort, which takes no out=, with
+    # its merge buffer; the parent allocated about seven
+    rng = np.random.default_rng(21)
+    q, p, v = rng.uniform(-1.0, 1.0, size=(1000, 1)), rng.uniform(-1.0, 1.0, size=(3500, 1)), rng.normal(size=3500)
+    ks = (5, 50, 150)
+    backend.knn_mean(q, p, v, ks)
+    tracemalloc.start()
+    try:
+        backend.knn_mean(q, p, v, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * backend._BLOCK * max(ks) * 8

@@ -7,6 +7,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,19 +42,23 @@ def test_the_kernel_half_times_each_input_and_hashes_its_result():
     bench_record = load_script()
     assert set(bench_record.KERNELS) == {
         "uniform-d8", "csv-like-d3", "uniform-d8-m2^20", "lognormal-d8", "cluster-outlier1e3-d8",
-        "cluster-outlier1e8-d8", "lattice-d8", "few-points-d8", "six-values-d1", "uniform-d1",
+        "cluster-outlier1e8-d8", "lattice-d8", "few-points-d8", "six-values-d1", "uniform-d1", "smooth1d-nw-at-most",
     }
     for name, spec in bench_record.KERNELS.items():
-        q, p, v, ks = bench_record.kernel_input(spec)
+        q, p, v, *_ = bench_record.kernel_input(spec)
         assert q.shape == (spec["nq"], spec["d"]) and p.shape == (spec["m"], spec["d"]) and v.shape == (spec["m"],)
+        kernel = getattr(backend, spec.get("kernel", "knn_mean"))
         # shrunk, so that the script cannot rot unseen
         tiny = dict(spec, nq=8, m=300)
         run = bench_record.run_kernel(ROOT, tiny, calls=2)
         assert set(run) == {"median_s", "call_s", "sha256"}
         assert len(run["call_s"]) == 2 and 0.0 < run["median_s"] < 2.0
         # the hash is of the result's bytes, so two files show whether the bits held
-        want = hashlib.sha256(backend.knn_mean(*bench_record.kernel_input(tiny)).tobytes()).hexdigest()
+        want = hashlib.sha256(kernel(*bench_record.kernel_input(tiny)).tobytes()).hexdigest()
         assert run["sha256"] == want, name
+    # a checkout without nw_at_most hashes the expression it equals, to the bit
+    q, p, v, sigmas, c = bench_record.kernel_input(dict(bench_record.KERNELS["smooth1d-nw-at-most"], nq=8, m=300))
+    assert backend.nw_at_most(q, p, v, sigmas, c).tobytes() == (np.maximum(backend.gaussian_nw(q, p, v, sigmas), 0.0) <= c).tobytes()
 
 
 def test_a_record_names_what_it_measured():

@@ -267,10 +267,20 @@ class TestKernelSpec:
             with pytest.raises(ValueError, match="sigma grid"):
                 sigma_grid(grid)
 
-    @pytest.mark.parametrize("sigma", [True, np.bool_(True), "1.0", None])
-    def test_sigma_that_is_not_real_is_refused(self, sigma):
+    @pytest.mark.parametrize("sigma", [True, np.bool_(True), "1.0", "0.5", None])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            KernelSpec,
+            lambda sigma: sigma_grid([0.5, sigma]),
+            lambda sigma: ExperimentConfig("hetero6", CostConfig.fixed_cost(1.0), sigma_grid=(sigma,)),
+        ],
+        ids=["KernelSpec", "sigma_grid", "ExperimentConfig"],
+    )
+    def test_sigma_that_is_not_real_is_refused(self, read, sigma):
+        # one rule for a bandwidth: the grid took True as 1.0 and "0.5" as 0.5
         with pytest.raises(ValueError, match="must be a real number"):
-            KernelSpec(sigma)
+            read(sigma)
 
     def test_sigma_is_kept_as_a_float(self):
         assert type(KernelSpec(2).length_scale_sigma) is float
@@ -552,7 +562,9 @@ def test_finiteness_is_checked_in_one_place_per_kind_of_input():
         for path in sorted(Path(selreg.__file__).parent.glob("*.py"))
         for where in sites(ast.parse(path.read_text()), "<module>")
     }
-    assert found == {"core._freeze", "core._nearest_row", "harness._finite", "models.fit_mlp"}
+    # nw_at_most refuses nothing: it sends a call with a non-finite input to
+    # gaussian_nw, whose result it must give
+    assert found == {"core._freeze", "core._nearest_row", "harness._finite", "models.fit_mlp", "backend.nw_at_most"}
 
 
 def test_one_exception_class_per_exit_code():

@@ -15,9 +15,10 @@ from selreg.core import (
     TableLookupRegressor,
 )
 from selreg import backend
-from selreg.backend import gaussian_nw
+from selreg.backend import nw_at_most
 from selreg.losses import empirical_rwr_loss, oracle_rwr_risk, rwr_report
 from selreg.rejection import (
+    InducedRejector,
     KernelSmootherCalibrator,
     classify_with_rejection,
     conformal_threshold,
@@ -150,6 +151,14 @@ class TestInducedRejector:
         with pytest.raises(ValueError, match="threshold cost must be nonnegative"):
             induce_rejector(OracleRiskCalibrator(two_point_task, f), c)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, "2", True], ids=repr)
+    def test_the_rejector_checks_its_own_threshold(self, two_point_task, threshold):
+        # built directly, it took NaN and -1 (accepting no row) and "2" as 2.0
+        f = TableLookupRegressor(two_point_task.points, two_point_task.means)
+        message = "must be a real number" if isinstance(threshold, (bool, str)) else "threshold cost must be nonnegative"
+        with pytest.raises(ValueError, match=message):
+            InducedRejector(OracleRiskCalibrator(two_point_task, f), threshold)
+
     def test_infinite_threshold_accepts_everything(self, two_point_task):
         # a budget threshold is inf when the order statistic runs past m
         f = TableLookupRegressor(two_point_task.points, two_point_task.means)
@@ -193,13 +202,15 @@ class TestSelectBandwidth:
             select_bandwidth(one, one, DEFAULT_SIGMA_GRID, c=c)
 
     def test_one_kernel_call_for_the_whole_grid(self, monkeypatch):
+        # the search needs only accept or defer at each sigma, which one
+        # nw_at_most call decides for the whole grid
         calls = []
 
         def counted(*args):
             calls.append(args[3])
-            return gaussian_nw(*args)
+            return nw_at_most(*args)
 
-        monkeypatch.setattr(backend, "gaussian_nw", counted)
+        monkeypatch.setattr(backend, "nw_at_most", counted)
         rng = np.random.default_rng(3)
         half = (rng.normal(size=(50, 1)), rng.exponential(size=50))
         select_bandwidth(half, half, DEFAULT_SIGMA_GRID, c=1.0)
