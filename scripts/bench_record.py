@@ -16,14 +16,16 @@ OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
   workload of ``BENCHMARK.json``, each for its ``run_seconds``, keeping each
   run's last JSON line, its ``env`` line, its exit code and, on a traced run,
   the lookup names its tracer did not find (``parse_perfbench``);
-* the kernels: ``backend.knn_mean`` on each input of ``KERNELS`` but one,
-  and ``backend.nw_at_most`` on that one, one fresh ``python`` per input,
-  timed in process: the median of ``CALLS`` calls after one untimed warm-up
-  call, each call's seconds, and a sha256 of the result's bytes, so that two
-  files show whether the bits held.  Each kNN input reaches one tier of the
-  kNN search; the ``nw_at_most`` input is bandwidth selection's decision on
-  fit-knn-smooth1d's shape, and a checkout without that kernel is timed on
-  the expression it equals, ``np.maximum(gaussian_nw(...), 0.0) <= c``.
+* the kernels: ``backend.knn_mean`` on each input of ``KERNELS`` but
+  three, and ``backend.nw_at_most`` on those, one fresh ``python`` per
+  input, timed in process: the median of ``CALLS`` calls after one untimed
+  warm-up call, each call's seconds, and a sha256 of the result's bytes, so
+  that two files show whether the bits held.  Each kNN input reaches one
+  tier of the kNN search.  The ``nw_at_most`` inputs are bandwidth
+  selection's decision on fit-knn-smooth1d's shape, a kernel rejector's
+  decision on score-knn-d8's shape, which the float32 bracket settles, and
+  one it cannot settle; a checkout without that kernel is timed on the
+  expression it equals, ``np.maximum(gaussian_nw(...), 0.0) <= c``.
   This script builds the inputs (``kernel_input``), so both checkouts get
   the same ones.
 
@@ -111,6 +113,15 @@ KERNELS = {
     "smooth1d-nw-at-most": {
         "kernel": "nw_at_most", "data": "zscored_uniform", "nq": 500, "m": 1000, "d": 1,
         "sigmas": DEFAULT_SIGMA_GRID, "c": 0.5,
+    },
+    # a kernel rejector's decisions in score-knn-d8's shape, c near the
+    # median estimate: the float32 bracket settles nearly every row
+    "score-d8-nw-at-most": {
+        "kernel": "nw_at_most", "data": "uniform", "nq": 512, "m": 2000, "d": 8, "sigmas": [1.0], "c": 1.0,
+    },
+    # heavy tails at a small sigma: the bracket settles no row
+    "lognormal-d8-nw-at-most": {
+        "kernel": "nw_at_most", "data": "lognormal", "nq": 512, "m": 2000, "d": 8, "sigmas": [1e-3], "c": 1.0,
     },
 }
 

@@ -79,44 +79,64 @@ Contracts:
 
 ``nw_at_most(queries, centers, values[m], sigmas, c) -> bool[len(sigmas), nq]``
     Row j is ``np.maximum(gaussian_nw(...)[j], 0.0) <= c``, bit for bit, as
-    a threshold needs only that.  At d = 1, with every input finite, every
-    value >= 0 and 0 <= c < inf, it decides most rows from a slice of the
-    centres.  The centres and queries are sorted once per call.  Per sigma
-    s, the sorted queries go in blocks spanning at most r / 2, with
-    r = sqrt(T s) and T = ``_NW_REACH``, and each block weighs only the
-    contiguous slice of centres within r of it, with the exact kernel's
-    quotients ``-(d2 / s)`` and ``_exp``: each weight has the exact bits.
-    The largest magnitude of a block's quotients is then below about
-    (3/2)^2 T, which ``np.exp`` takes on its fast path.
+    a threshold needs only that.  With every input finite, every value >= 0
+    and 0 <= c < inf, a float32 bracket of the estimate decides most rows
+    without it.
 
-    Proof.  Let u = 2^-53, tiny the least subnormal, and γ = m u / (1 - m u).
-    The slice's weight sum ws and product sum ns are within γ, relatively,
-    of the exact sums Ws and Ns of the same floats, as every term is >= 0:
-    any order of summation of m such terms errs by at most γ times their
-    sum.  A lane left out has a quotient at most ``edge``, that of the
-    nearest centre outside on either side against the block's nearer end,
-    as rounding keeps the order of differences, squares and quotients; so
-    its weight is at most 2 e^edge + tiny, and the mass left out, Wo, at
-    most ``omitted`` = (m - slice)(2 e^edge + tiny), about (m - slice) e^-T.
-    The exact kernel's sums are (Ws + Wo)(1 ± γ) and (Ns + No)(1 ± γ), where
-    No <= ``omitted`` vmax (1 + u) + m tiny counts the left-out products,
-    and its estimate is their quotient within (1 ± u) and tiny / 2.  So
-    with rho = (4m + 32) 2^-52, which covers those factors and the
-    roundings of the bounds' own arithmetic,
+    The bracket.  Per distance block, ``_left_rows`` gives kNN's left rows
+    ``[|q'|^2, -2q', 1]``, S and delta (see ``_candidate_nearest``).  Per
+    sigma s, those rows times r = -1/s, rounded once to float32, make one
+    product with ``_centred_table``: t32, about -(d2 / s), in every lane.
+    Its weights w = ``np.exp(t32)`` are taken in float32 and copied into
+    float64, where one product ``w @ [v, 1]`` gives both sums, ns and ws.
 
-        lo = ns (1 - rho) / ((ws + omitted)(1 + rho)) (1 - rho) - 4 tiny,
-        hi = (ns + omitted vmax + m tiny)(1 + rho) / (ws (1 - rho)) (1 + rho)
-             + 4 tiny
+    Proof.  Let u = 2^-53, γ = m u / (1 - m u), eps and tiny float32's
+    spacing at 1 and least subnormal, and tiny64 float64's.  The exact
+    kernel's lane has the quotient t = -(e / s), rounded, and the weight
+    W = ``np.exp(t)``.
 
-    bracket the exact estimate, which is >= 0, so that the clamp is a
-    no-op.  A row with hi <= c accepts, one with lo > c defers: both are
-    settled.  Every other row takes ``gaussian_nw``: ties at c, rows whose
-    slice weights all underflow (ws = 0, and hi is inf), which may take the
-    nearest centre, and rows near c only through the mass left out.  So
-    does every sigma whose slices cover more than half of the nq x m lanes,
-    and every call with d > 1, a non-finite input, a negative value or a c
-    that is not finite and >= 0.  Those calls ask ``gaussian_nw`` once for
-    the whole sigmas and once for the rows left, which give its bits, as a
+    * Quotients.  kNN's proof bounds the unscaled product's error by
+      (3d/2 + 6) eps S + (3d/2 + 2) tiny.  Rounding each left entry times r
+      once to float32 (r and the float64 product add 2 u) adds at most
+      eps |r| S', and the exact quotient rounds within u |e / s| <=
+      2.01 u |r| S; delta's slack covers both.  Each left entry or product
+      that underflows errs by tiny / 2 in quotient units, times a right
+      entry at most 1 + |p'|.  So |t32 - t| <= dt = |r| delta +
+      4 (d + 4 + S) tiny.
+    * Weights.  ``np.exp`` errs by at most 4 eps relatively in float32 and
+      2^-51 in float64, and by tiny (tiny64) more where it underflows; tests
+      check both on dense grids.  Float32 ``np.exp`` is about 14 times
+      slower where its result is subnormal, so where a lane may be below
+      -87 (|t32| <= 2.01 |r| S + dt), every lane below -87 takes -87: its
+      weight, e^-87 (1 ± 4 eps), is within 2^-125 of e^t32, as is any
+      subnormal one.  With G = e^dt (1 + 2^-51) / (1 - 4 eps),
+      W <= G (w + 2^-125) + tiny64 and W >= (w - 2^-125) / G - tiny64, and
+      G tiny64 < 2^-125, as dt <= 1.
+    * Sums.  Any order of summation of m terms >= 0 errs by at most γ
+      times their sum: so do ws, ns and the exact kernel's row sums, and
+      the products of each that underflow add at most m tiny64.
+
+    So with K = 3 m 2^-125, top = max(v) + 1, rho = (4m + 32) 2^-52 and
+    g = e^(dt + 5 eps + rho), which covers G, the four sums' γ, the
+    estimate's own rounding and the bounds' arithmetic,
+
+        hi = g^2 (ns + K top) / (ws - K) + 4 tiny64,
+        lo = (ns - K top) / (g^2 (ws + K)) - 4 tiny64
+
+    bracket the exact estimate where ws > K, which also makes the exact
+    weight sum positive, so that no row takes the nearest centre, and ns is
+    finite.  The estimate is then >= 0, so that the clamp is a no-op.  Such
+    a row with hi <= c accepts, one with lo > c defers.  A row skips the
+    product where its S is not at most a quarter of float32's largest
+    value, as in kNN, where dt > 1, as its bracket then spans a factor of
+    e^4 or more and settles too few rows to pay for the product, or where
+    |r| is above a quarter of float32's largest value.
+
+    Every row the bracket does not settle takes ``gaussian_nw``: ties at
+    c, rows whose weights may sum to 0, and rows that skip the product.  So
+    does every sigma of a call with a non-finite input, a negative value or
+    a c that is not finite and >= 0.  Those calls ask ``gaussian_nw`` once,
+    for the whole sigmas or for the rows left, which give its bits, as a
     row of it does not depend on the other rows or sigmas of its call.
 
 ``nearest_rows(queries, points) -> [nq]``
@@ -146,24 +166,34 @@ blocks, and so ``pairwise_sq_dists``, ``gaussian_nw``, ``nearest_rows``,
 ``median_sq_dist`` and the full-path rows of ``knn_mean``, take a budget of
 2**16 elements; the candidate loop of ``knn_mean`` at d > 1 takes 2**19, as
 it does more work per block; the d = 1 window of ``knn_mean`` takes 256
-rows; the slices of ``nw_at_most`` take at most the rows of a distance
-block.  Block size changes no bit.
+rows; the float32 bracket of ``nw_at_most`` takes distance blocks.  Block
+size changes no bit.
 
 The block x m arrays live in a per-thread workspace, ``_WORK``: one
 reusable buffer per role, each an anonymous ``mmap`` outside malloc's heap.
-The roles are ``d2``, ``diff`` and ``lhs`` (the distances, one coordinate's
-differences and the product's left rows), ``w`` (the weights, also of a
-slice) and ``mark`` (their lanes below ``_EXP_FAST``), ``expansion`` and
-``a`` (the float32 expansion, whose buffer its packed words reuse),
-``table`` and ``table32`` (the point table and its float32 centred copy),
-and the d = 1 window's block x k arrays: ``window`` (its distances),
-``slots`` (its sorted positions, then flat ranks), ``neighbours`` (the
-indices it returns), ``near`` (the ranked distances) and ``ties`` (two
-masks of adjacent ranks), with ``gathered``, the neighbours' values, on
-every kNN path.  So the hot loops allocate nothing of size block x m, and
-no page of it is handed back to the system and faulted in again between
-blocks; of block x k, the window allocates only ``_nearest``'s argsort,
-which takes no ``out=``.  A buffer holds the largest array any call in its
+By tier, the roles are:
+
+* distance blocks (``_sq_dist``, and so ``gaussian_nw`` and kNN's full
+  path): ``table`` (the point table), ``d2``, ``diff`` and ``lhs`` (the
+  distances, one coordinate's differences and the product's left rows);
+  ``gaussian_nw`` adds ``w`` (the weights) and ``mark`` (their lanes below
+  ``_EXP_FAST``);
+* kNN's float32 candidates: ``table``, ``table32`` (its float32 centred
+  copy), ``expansion`` (the left rows) and ``a`` (the float32 expansion,
+  whose buffer its packed words reuse);
+* kNN's d = 1 window, its block x k arrays: ``window`` (its distances),
+  ``slots`` (its sorted positions, then flat ranks), ``neighbours`` (the
+  indices it returns), ``near`` (the ranked distances) and ``ties`` (two
+  masks of adjacent ranks); every kNN path adds ``gathered``, the
+  neighbours' values;
+* ``nw_at_most``'s float32 bracket: ``table``, ``table32``, ``expansion``,
+  ``a`` (the quotients, then their float32 weights) and ``w`` (those
+  weights in float64).
+
+So the hot loops allocate nothing of size block x m, and no page of it is
+handed back to the system and faulted in again between blocks; of block x
+k, the window allocates only ``_nearest``'s argsort, which takes no
+``out=``.  A buffer holds the largest array any call in its
 thread has asked of its role until the thread ends: at most
 ``max(budget, 16 m)`` elements, (d + 1) x m for the point table, or
 (d + 2) x m for its float32 copy.  Apart from the ``[nq,m]`` result of
@@ -179,9 +209,9 @@ the first.
 
 Each kernel takes its buffers and is done with them within one call, and
 calls no other kernel while its point table or a block is live:
-``nw_at_most`` calls ``gaussian_nw`` only after its last slice.  No kernel yields, so
-no code outside this module runs between two of its blocks, and a block
-never leaves the call that computed it.
+``nw_at_most`` calls ``gaussian_nw`` only after its last bracket block.
+No kernel yields, so no code outside this module runs between two of its
+blocks, and a block never leaves the call that computed it.
 """
 
 from __future__ import annotations
@@ -199,9 +229,11 @@ _DIST_BUDGET = 2**16  # elements per distance block
 _CANDIDATE_BUDGET = 2**19  # elements per block of the d > 1 candidate loop
 _EXP_FAST = -700.0  # np.exp is fast at and above this argument
 _EXP_ZERO = -746.0  # and +0.0 below this one, under half the least subnormal
-_NW_REACH = 64.0  # T: a centre beyond sqrt(T sigma) of a query weighs at most about e^-T
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+_MAX32 = float(np.finfo(np.float32).max)
 
 
 class _Workspace(threading.local):
@@ -413,6 +445,27 @@ def _centred_table(table: np.ndarray):
         return table32, centre, table32[-1].max()
 
 
+def _left_rows(q, centre, p2max):
+    """The float32 left rows ``[|q'|^2, -2q', 1]`` of the expansion product
+    for the block ``q``, in the workspace role ``expansion``; S =
+    ``|q'|^2 + p2max`` and the bound ``delta`` on the expansion's error, both
+    per row in float64 (see ``_candidate_nearest``); and the indices of the
+    rows whose S is at most a quarter of float32's largest value, the only
+    rows the product may settle.  S and delta need no product."""
+    n, d = q.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _WORK.take("expansion", (n, d + 2), np.float32)
+        np.subtract(q, centre, out=lhs[:, 1:-1], casting="same_kind")
+        lhs[:, 0] = q2 = np.square(lhs[:, 1:-1]).sum(axis=1)
+        lhs[:, 1:-1] *= -2.0
+        lhs[:, -1] = 1.0
+        s = (q2 + p2max).astype(np.float64, copy=False)
+        delta = (d + 4) * (_EPS32 * (4.0 * s) + 4.0 * _TINY32)
+    # below a quarter of the largest float no term of the product, nor 4 S,
+    # overflows; NaN and inf are not below it
+    return lhs, s, delta, np.flatnonzero(s <= _MAX32 / 4.0)
+
+
 def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     """The k nearest points to each row of ``q`` (d > 1, 2k < m), in
     (distance, index) order, and a mask of the rows to redo.
@@ -462,6 +515,8 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     included, is then a candidate.  A row whose computed S is not at most a
     quarter of float32's largest value (NaN, inf, or so large that a term of
     the product, or 4 S, could overflow) is redone; below it, a is finite.
+    S needs no product, so ``_left_rows`` finds those rows first: they skip
+    the product, and a block none of whose rows pass runs none.
 
     The pick ranks the bits of ``a`` read as int32, which NumPy partitions
     several times faster than floats where it has SIMD sorting (x86 with
@@ -483,15 +538,16 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     masks of a word, which cannot wrap, and a ceiling in inf's bucket is NaN.
     Ties at Tf ask no redo: a tied point outside the candidates has a >= Tf.
     """
-    (n, d), m = q.shape, table.shape[1]
-    info = np.finfo(np.float32)
+    m = table.shape[1]
     low = (1 << min((m - 1).bit_length(), 16)) - 1  # a word's index bits
+    lhs, _, delta, live = _left_rows(q, centre, p2max)
+    idx, full = np.empty((q.shape[0], k), dtype=np.intp), np.ones(q.shape[0], dtype=bool)
+    if live.size == 0:  # every row fails S: no product
+        return idx, full
+    if live.size < q.shape[0]:
+        lhs, delta, q = lhs[live], delta[live], q[live]
+    n = q.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = _WORK.take("expansion", (n, d + 2), np.float32)
-        np.subtract(q, centre, out=lhs[:, 1:-1], casting="same_kind")
-        lhs[:, 0] = q2 = np.square(lhs[:, 1:-1]).sum(axis=1)
-        lhs[:, 1:-1] *= -2.0
-        lhs[:, -1] = 1.0
         words = np.matmul(lhs, table32, out=_WORK.take("a", (n, m), np.float32)).view(np.int32)
         # each key's bucket, its low bits cleared, and the point's index in its tile
         col = np.arange(m, dtype=np.int32) & low
@@ -508,18 +564,15 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
         # word's bucket, and the ceiling of the kth one's, at least 0
         floor = (cw.max(axis=1) & ~low).view(np.float32)
         ceil = np.maximum((np.partition(cw, k - 1, axis=1)[:, k - 1] | low).view(np.float32), 0.0)
-        s = (q2 + p2max).astype(np.float64, copy=False)
-        delta = (d + 4) * (float(info.eps) * (4.0 * s) + 4.0 * float(info.smallest_subnormal))
-        # below a quarter of the largest float no term of the product, nor
-        # 4 S, overflows; NaN and inf are not below it
-        full = ~(s <= float(info.max) / 4.0) | ~(floor > ceil + 2.0 * delta)
+        full[live] = ~(floor > ceil + 2.0 * delta)
         e = np.zeros(cand.shape)
         diff = np.empty(cand.shape)
         for qj, pj in zip(q.T, table[1:]):
             np.take(pj, cand, out=diff)
             np.subtract(qj[:, None], diff, out=diff)
             e += np.square(diff, out=diff)
-    return np.take_along_axis(cand, _nearest(e, k), axis=1), full
+    idx[live] = np.take_along_axis(cand, _nearest(e, k), axis=1)
+    return idx, full
 
 
 def knn_mean(
@@ -644,84 +697,68 @@ def gaussian_nw(
     return out
 
 
-def _slice_blocks(sq: np.ndarray, sx: np.ndarray, reach: float):
-    """Blocks ``(start, stop, a, b)`` of the sorted queries ``sq``, each
-    spanning at most ``reach / 2`` and ``_block_rows(m, _DIST_BUDGET)`` rows,
-    with the slice ``sx[a:b]`` of sorted centres within ``reach`` of it."""
-    nq, cap = sq.shape[0], _block_rows(sx.shape[0], _DIST_BUDGET)
-    blocks, start = [], 0
-    while start < nq:
-        stop = min(start + cap, int(np.searchsorted(sq, sq[start] + reach / 2.0, side="right")))
-        a = int(np.searchsorted(sx, sq[start] - reach))
-        b = int(np.searchsorted(sx, sq[stop - 1] + reach, side="right"))
-        blocks.append((start, stop, a, b))
-        start = stop
-    return blocks
-
-
-def _slice_at_most(sq, sx, sv, vmax: float, s: float, c: float):
-    """The rows that accept and the rows left unsettled at one sigma at
-    d = 1, in the order of the sorted queries ``sq``, from the slices of the
-    sorted centres ``sx`` (and their values ``sv``, at most ``vmax``); None
-    where the slices cover more than half of the query x centre lanes."""
-    nq, m = sq.shape[0], sx.shape[0]
-    blocks = _slice_blocks(sq, sx, math.sqrt(_NW_REACH * s))
-    if 2 * sum((stop - start) * (b - a) for start, stop, a, b in blocks) > nq * m:
-        return None
-    ws, ns, omitted = np.zeros(nq), np.zeros(nq), np.empty(nq)
+def _bracket_at_most(queries, centers, values, sigmas, c: float):
+    """The rows that accept and the rows left unsettled at each sigma, from
+    the float32 bracket of the exact estimate (see the module docstring)."""
+    (nq, d), m = queries.shape, centers.shape[0]
+    table32, centre, p2max = _centred_table(_point_table(centers))
+    both = np.stack([values, np.ones(m)], axis=1)  # w @ both: both row sums in one product
+    slack, top = 3.0 * m * 2.0**-125, float(values.max()) + 1.0
+    grow = 5.0 * _EPS32 + (4 * m + 32) * _EPS
+    accept, left = np.zeros((len(sigmas), nq), dtype=bool), np.ones((len(sigmas), nq), dtype=bool)
+    rows = _block_rows(m, _DIST_BUDGET)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start, stop, a, b in blocks:
-            # an omitted lane's quotient is at most that of the nearest centre
-            # outside on either side against the block's nearer end
-            gaps = ([sq[start] - sx[a - 1]] if a > 0 else []) + ([sx[b] - sq[stop - 1]] if b < m else [])
-            edge = max((-(g * g / s) for g in gaps), default=-math.inf)
-            omitted[start:stop] = (m - (b - a)) * (2.0 * math.exp(edge) + _TINY)
-            if a == b:  # no weight: the interval [0, inf] settles nothing
-                continue
-            # the exact kernel's quotients: a difference rounded once, its
-            # square, and its quotient by -s; the block's least is at a corner
-            w = _WORK.take("w", (stop - start, b - a))
-            np.divide(np.square(np.subtract(sq[start:stop, None], sx[a:b], out=w), out=w), -s, out=w)
-            _exp(w, min(w[0, -1], w[-1, 0]))
-            w.sum(axis=1, out=ws[start:stop])
-            np.multiply(w, sv[a:b], out=w).sum(axis=1, out=ns[start:stop])
-        rho = (4 * m + 32) * _EPS
-        hi = (ns + omitted * vmax + m * _TINY) * (1.0 + rho) / (ws * (1.0 - rho)) * (1.0 + rho) + 4.0 * _TINY
-        lo = ns * (1.0 - rho) / ((ws + omitted) * (1.0 + rho)) * (1.0 - rho) - 4.0 * _TINY
-    accept = hi <= c
-    return accept, ~(accept | (lo > c))
+        for start in range(0, nq, rows):
+            lhs, s, delta, live = _left_rows(queries[start : start + rows], centre, p2max)
+            for j, sigma in enumerate(sigmas):
+                r = -1.0 / sigma
+                # dt bounds the quotients' error.  Past 1 the bracket spans a
+                # factor of e^4 or more and settles too few rows to pay for
+                # its product; the bound also needs dt below about 600
+                dt = abs(r) * delta[live] + 4.0 * (d + 4 + s[live]) * _TINY32
+                keep = (dt <= 1.0) & (abs(r) <= _MAX32 / 4.0)
+                some, dt = live[keep], dt[keep]
+                if some.size == 0:
+                    continue
+                # the left rows times r, rounded once to float32: one product
+                # gives the quotients -(d2 / sigma) of the block
+                a = np.matmul((lhs[some] * np.float64(r)).astype(np.float32), table32,
+                              out=_WORK.take("a", (some.size, m), np.float32))
+                # np.exp is about 14 times slower where its float32 result is
+                # subnormal: where a lane may be below -87 (as |t| <= 2.01 |r| S
+                # + dt), lanes there weigh e^-87 instead, within the slack
+                if 2.01 * abs(r) * float(s[some].max()) + 1.0 > 87.0:
+                    np.maximum(a, -87.0, out=a)
+                w = _WORK.take("w", a.shape)
+                np.copyto(w, np.exp(a, out=a))
+                ns, ws = np.matmul(w, both).T
+                g2 = np.exp(2.0 * (dt + grow))
+                hi = g2 * (ns + slack * top) / (ws - slack) + 4.0 * _TINY
+                lo = (ns - slack * top) / (g2 * (ws + slack)) - 4.0 * _TINY
+                valid = (ws > slack) & (ns < math.inf)
+                yes = valid & (hi <= c)
+                accept[j, start + some] = yes
+                left[j, start + some] = ~(yes | (valid & (lo > c)))
+    return accept, left
 
 
 def nw_at_most(queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigmas, c) -> np.ndarray:
     """Row j: ``np.maximum(gaussian_nw(queries, centers, values, sigmas)[j],
-    0.0) <= c``, which slices of the centres settle at d = 1 for most rows
-    (see the module docstring); every other row and sigma takes
+    0.0) <= c``, which a float32 bracket of the estimate settles for most
+    rows (see the module docstring); every row it leaves takes
     ``gaussian_nw``."""
     values = np.asarray(values, dtype=np.float64)
     sigmas = _bandwidths(sigmas)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    nq, m = queries.shape[0], centers.shape[0]
-    out = np.empty((len(sigmas), nq), dtype=bool)
-    redo = np.zeros((len(sigmas), nq), dtype=bool)
-    whole = range(len(sigmas))
-    if (
-        queries.shape[1:] == centers.shape[1:] == (1,) and values.shape == (m,) and nq and m and 0.0 <= c < math.inf
-        and np.isfinite(queries).all() and np.isfinite(centers).all() and np.isfinite(values).all()
-        and values.min() >= 0.0
+    m = centers.shape[0]
+    if not (
+        queries.ndim == 2 and queries.shape[1:] == centers.shape[1:] and values.shape == (m,) and len(queries) and m
+        and 0.0 <= c < math.inf and np.isfinite(queries).all() and np.isfinite(centers).all()
+        and np.isfinite(values).all() and values.min() >= 0.0
     ):
-        qorder, corder = np.argsort(queries[:, 0]), np.argsort(centers[:, 0])
-        sq, sx, sv = queries[qorder, 0], centers[corder, 0], values[corder]
-        vmax = float(sv.max())
-        whole = []
-        for j, s in enumerate(sigmas):
-            settled = _slice_at_most(sq, sx, sv, vmax, s, c)
-            if settled is None:
-                whole.append(j)
-            else:
-                out[j, qorder], redo[j, qorder] = settled
-    if whole:
-        out[whole] = np.maximum(gaussian_nw(queries, centers, values, [sigmas[j] for j in whole]), 0.0) <= c
+        return np.maximum(gaussian_nw(queries, centers, values, sigmas), 0.0) <= c
+    out, redo = _bracket_at_most(queries, centers, values, sigmas, c)
     rows, js = np.flatnonzero(redo.any(axis=0)), np.flatnonzero(redo.any(axis=1))
     if rows.size:
         exact = np.maximum(gaussian_nw(queries[rows], centers, values, [sigmas[j] for j in js]), 0.0) <= c

@@ -11,9 +11,9 @@ split-conformal order statistic; acceptance probability is then at least
 Where a decision skips the estimate: ``select_bandwidth`` and
 ``InducedRejector.accept`` need only whether the clamped estimate is at most
 the threshold.  They ask ``backend.nw_at_most``, the second through
-``Calibrator.at_most``, which at d = 1 settles most rows from a slice of the
-centres with a bound on what the slice leaves out, and takes the full
-estimate for the rest: the same decisions.  The conformal scores of budget
+``Calibrator.at_most``, which skips the estimate at any d: it settles
+most rows from a float32 bracket of the estimate, with a bound on its
+rounding, and takes the full estimate for the rest: the same decisions.  The conformal scores of budget
 mode and the scores ``selreg calibrate`` writes are ``estimate``'s values.
 """
 

@@ -592,6 +592,7 @@ def test_kernels_leave_the_callers_error_policy_alone():
     q[::7] = -np.inf
     p = np.concatenate([np.ones((4, 2)), np.full((4, 2), np.inf), -q[:4]])
     v = np.arange(len(p), dtype=np.float64)
+    ramp = np.linspace(-40.0, 40.0, 80).reshape(40, 2)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         policy = np.geterr()
         for call in (
@@ -599,6 +600,10 @@ def test_kernels_leave_the_callers_error_policy_alone():
             lambda: backend.knn_mean(q, p, v, (1, 3)),
             lambda: backend.knn_mean(q[:, :1], p[:, :1], v, (1, 3)),
             lambda: backend.gaussian_nw(q, p, v, (1.0, 1e-300)),
+            # finite input takes the float32 bracket, which meets overflow,
+            # underflow and zero weight sums at these sigmas
+            lambda: backend.nw_at_most(q[1:7], p[:4], v[:4], (1.0, 1e-300, 1e300), 0.5),
+            lambda: backend.nw_at_most(ramp, p[:4], v[:4], (1.0, 1e-300, 1e300), 0.5),
             lambda: backend.nearest_rows(q, p),
             lambda: backend.median_sq_dist(np.concatenate([q[1:20], p])),
         ):
@@ -1039,26 +1044,31 @@ def test_nw_keeps_the_per_sigma_bits(d, scale_exp, n, m, layout, u_sigma, seed):
             np.testing.assert_array_equal(row.view(np.int64), per_sigma_nw(q, c, v, sigma).view(np.int64))
 
 
-@given(**nw_cases, pick=st.integers(0, 2**32 - 1))
+@given(**dict(nw_cases, d=st.sampled_from((1, 2, 3, 8))), pick=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_nw_at_most_decides_as_the_clamped_estimate(d, scale_exp, n, m, layout, u_sigma, seed, pick):
-    # c is one of the rows' own exact estimates, where the slice's estimate
-    # may round to either side: only the bound's slack keeps those rows right
+    # c is one of the rows' own exact estimates, where the float32 bracket's
+    # estimate may round to either side: only the bound's slack keeps those
+    # rows right.  One more sigma puts the median lane at quotient -200, where
+    # float32 weights underflow and float64 ones do not.
     q, c, v, sigmas = _nw_case(d, scale_exp, n, m, layout, u_sigma, seed)
+    with np.errstate(over="ignore"):
+        extra = float(np.median(backend.pairwise_sq_dists(q, c))) / 200.0
+    sigmas += (extra,) if 0.0 < extra < np.inf else ()
     exact = np.maximum(backend.gaussian_nw(q, c, v, sigmas), 0.0)
     rng = np.random.default_rng(pick)
     for cost in (*rng.choice(exact.ravel(), size=3), 0.5 * float(v.mean())):
         np.testing.assert_array_equal(backend.nw_at_most(q, c, v, sigmas, cost), exact <= cost)
 
 
-def test_nw_at_most_counts_the_mass_its_slices_leave_out():
-    # sigma 1 and a query at 0: the slice holds the centres within 8 of it.
-    # Row 0: the one centre in it has value 0, but three beyond it, at
-    # quotients -70, -81 and -100, have value 1e30 and lift the estimate to
-    # about 0.4, above c = 0.2.  Row 1: the one centre in it, at quotient -60,
-    # has value 1, but a hundred beyond it at -65 with value 0 pull the
-    # estimate down to about 0.6, below c = 0.8.  Each is near c only through
-    # the lanes the slice leaves out, so the slice may settle neither.
+def test_nw_at_most_counts_the_mass_of_far_centres():
+    # sigma 1 and a query at 0.  Row 0: the one centre near it has value 0,
+    # but three beyond it, at quotients -70, -81 and -100, have value 1e30
+    # and lift the estimate to about 0.4, above c = 0.2.  Row 1: the one
+    # centre near it, at quotient -60, has value 1, but a hundred beyond it at
+    # -65 with value 0 pull the estimate down to about 0.6, below c = 0.8.
+    # Each is near c only through the far lanes, so the bracket must count
+    # them.
     far = np.array([np.sqrt(70.0), 9.0, 10.0])
     cases = [
         (np.concatenate([[0.0], far]), np.array([0.0, 1e30, 1e30, 1e30]), 0.2),
@@ -1071,28 +1081,108 @@ def test_nw_at_most_counts_the_mass_its_slices_leave_out():
         assert backend.nw_at_most(np.zeros((1, 1)), c, v, (1.0,), cost)[0, 0] == (exact <= cost)
 
 
-def test_nw_at_most_asks_gaussian_nw_only_what_its_slices_leave(monkeypatch):
+def _bracket_cases():
+    """Fabricated rows, each with centres, values and a sigma, where the
+    float32 estimate and the exact one may fall on either side of a c between
+    them, each case only through one term of the bracket's bound:
+
+    * ``expansion``: centres 30 from their box's centre at sigma 1, where the
+      float32 quotients err by about 1e-4, which ``delta`` covers;
+    * ``exp``: two centres 0.06 apart at sigma 1, where the quotients are
+      above -0.004 and ``delta`` is below eps32 / 10, so that only ``np.exp``'s
+      float32 error, up to 1.55 eps32 there, moves the estimate;
+    * ``underflow``: a centre of value 0 at quotient about -80, and one of
+      value 1 at about -95, whose float32 weight the bracket takes as e^-87
+      rather than a subnormal: the estimate, about e^-15, is within the
+      bracket only through the slack of 2^-125 per lane in its sums.
+    """
+    rng = np.random.default_rng(22)
+    ends = np.array([[-30.0, 0.0], [30.0, 0.0]])
+    near = np.array([-30.0, 0.0]) + rng.normal(size=(200, 2))
+    h = 0.03
+    zero_one = np.array([0.0, 1.0])
+    return {
+        "expansion": (
+            near[:64] + rng.normal(size=(64, 2)), np.concatenate([near, ends]), rng.exponential(size=202), 1.0,
+        ),
+        "exp": (np.column_stack([np.linspace(-h, h, 64), np.zeros(64)]), np.array([[-h, 0.0], [h, 0.0]]), zero_one, 1.0),
+        "underflow": (
+            rng.normal(size=(64, 2)) * 0.01, np.array([[80.0**0.5, 0.0], [-(95.0**0.5), 0.0]]), zero_one, 1.0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["expansion", "exp", "underflow"])
+def test_the_float32_bracket_holds_the_exact_estimate(case):
+    # with c at a row's own exact estimate the bracket holds c, so the row is
+    # left to gaussian_nw; with c on either side of it, the decision is the
+    # exact one
+    q, c, v, sigma = _bracket_cases()[case]
+    exact = np.maximum(backend.gaussian_nw(q, c, v, (sigma,))[0], 0.0)
+    for row, est in zip(q, exact):
+        assert backend._bracket_at_most(row[None], c, v, (sigma,), est)[1].all()
+        for cost in (est, np.nextafter(est, -np.inf), np.nextafter(est, np.inf)):
+            assert backend.nw_at_most(row[None], c, v, (sigma,), cost)[0, 0] == (est <= cost)
+
+
+def test_nw_at_most_asks_gaussian_nw_only_what_its_bracket_leaves(monkeypatch):
     calls = []
 
     def counted(q, c, v, sigmas):
         calls.append((len(q), tuple(sigmas)))
         return gaussian_nw(q, c, v, sigmas)
 
+    def left_by_the_bracket(q, c, v, sigmas, cost):
+        left = backend._bracket_at_most(q, c, v, sigmas, cost)[1]
+        rows = int(left.any(axis=0).sum())
+        return [(rows, tuple(s for s, some in zip(sigmas, left.any(axis=1)) if some))] if rows else []
+
     gaussian_nw = backend.gaussian_nw
-    monkeypatch.setattr(backend, "gaussian_nw", counted)
     rng = np.random.default_rng(20)
     q, c, v = rng.uniform(-1.7, 1.7, size=(500, 1)), rng.uniform(-1.7, 1.7, size=(500, 1)), rng.exponential(size=500)
-    # at d = 1 the slices settle every row at the two least sigmas, and the
-    # sigmas whose slices cover most of the centres take the exact kernel
-    backend.nw_at_most(q, c, v, (1e-3, 1e-2, 1.0, 10.0), 0.5)
-    assert calls == [(500, (1.0, 10.0))]
-    # a negative value, a NaN query, an infinite cost or d > 1: every sigma
-    for args in ((q, c, -v), (np.concatenate([q, [[np.nan]]]), c, v), (np.hstack([q, q]), np.hstack([c, c]), v)):
+    q2, c2 = np.hstack([q, q[::-1]]), np.hstack([c, c[::-1]])
+    monkeypatch.setattr(backend, "gaussian_nw", counted)
+    # c is row 0's own exact estimate at sigma 1, so that the bracket leaves
+    # that row to gaussian_nw, with the rows whose estimates lie within its
+    # width of c: under a tenth of them, at d = 1 as at d = 2
+    for args in ((q, c, v), (q2, c2, v)):
+        cost = float(gaussian_nw(args[0][:1], *args[1:], (1.0,))[0, 0])
+        sigmas = (1e-3, 1e-2, 1.0, 10.0)
+        want = left_by_the_bracket(*args, sigmas, cost)
+        assert want and want[0][0] < 50 and 1.0 in want[0][1]
+        calls.clear()
+        backend.nw_at_most(*args, sigmas, cost)
+        assert calls == want
+    # a negative value, a NaN query or an infinite cost: every sigma
+    for args in ((q, c, -v), (np.concatenate([q, [[np.nan]]]), c, v), (q2, c2, -v)):
         calls.clear()
         backend.nw_at_most(*args, (1e-3, 1e-2), 0.5)
         assert calls == [(len(args[0]), (1e-3, 1e-2))]
     calls.clear()
-    assert backend.nw_at_most(q, c, v, (1e-3,), np.inf).all() and calls == [(500, (1e-3,))]
+    assert backend.nw_at_most(q2, c2, v, (1e-3,), np.inf).all() and calls == [(500, (1e-3,))]
+
+
+def test_float32_exp_errs_as_the_bracket_assumes():
+    # np.exp within 4 eps32 relatively, and tiny32 absolutely where it
+    # underflows, over every float32 quotient a weight may take
+    eps32, tiny32 = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).smallest_subnormal)
+    x = np.linspace(-104.0, 1.0, 1_000_001, dtype=np.float32)
+    x = np.concatenate([x, np.nextafter(x, np.float32(0.0))])
+    ref = np.exp(x.astype(np.float64))
+    err = np.abs(np.exp(x).astype(np.float64) - ref)
+    assert np.all(err <= 4.0 * eps32 * ref + tiny32)
+
+
+def test_float64_exp_errs_as_the_bracket_assumes():
+    # np.exp within 2 eps64 relatively, and tiny64 absolutely where it
+    # underflows, against mpmath at 120 bits on [-746, 1]
+    mpmath = pytest.importorskip("mpmath")
+    eps, tiny = float(np.finfo(np.float64).eps), float(np.finfo(np.float64).smallest_subnormal)
+    x = np.concatenate([np.linspace(-746.0, 1.0, 4001), np.random.default_rng(23).uniform(-746.0, 1.0, 2000)])
+    with mpmath.workprec(120):
+        for xi, yi in zip(x.tolist(), np.exp(x).tolist()):
+            ref = mpmath.exp(mpmath.mpf(xi))
+            assert abs(mpmath.mpf(yi) - ref) <= 2 * eps * ref + tiny, xi
 
 
 def test_the_d1_window_keeps_no_block_but_the_argsort():
