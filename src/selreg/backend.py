@@ -84,30 +84,29 @@ Contracts:
     without it.
 
     The bracket.  Per distance block, ``_left_rows`` gives kNN's left rows
-    ``[|q'|^2, -2q', 1]``, S and delta (see ``_candidate_nearest``).  Per
-    sigma s, those rows times r = -1/s, rounded once to float32, make one
-    product with ``_centred_table``: t32, about -(d2 / s), in every lane.
-    Its weights w = ``np.exp(t32)`` are taken in float32 and copied into
-    float64, where one product ``w @ [v, 1]`` gives both sums, ns and ws.
+    ``[|q'|^2, -2q', 1]``, S and delta (see ``_candidate_nearest``), and
+    one product with ``_centred_table`` gives kNN's float32 expansion a,
+    about d2, in every lane, for every sigma.  Per sigma s, with r = 1/s,
+    each lane's quotient is t32 = a times -r in float32.  Its weights
+    w = ``np.exp(t32)`` are taken in float32 and copied into float64, where
+    one product ``w @ [v, 1]`` gives both sums, ns and ws.
 
     Proof.  Let u = 2^-53, γ = m u / (1 - m u), eps and tiny float32's
     spacing at 1 and least subnormal, and tiny64 float64's.  The exact
     kernel's lane has the quotient t = -(e / s), rounded, and the weight
     W = ``np.exp(t)``.
 
-    * Quotients.  kNN's proof bounds the unscaled product's error by
-      (3d/2 + 6) eps S + (3d/2 + 2) tiny.  Rounding each left entry times r
-      once to float32 (r and the float64 product add 2 u) adds at most
-      eps |r| S', and the exact quotient rounds within u |e / s| <=
-      2.01 u |r| S; delta's slack covers both.  Each left entry or product
-      that underflows errs by tiny / 2 in quotient units, times a right
-      entry at most 1 + |p'|.  So |t32 - t| <= dt = |r| delta +
-      4 (d + 4 + S) tiny.
+    * Quotients.  kNN's proof bounds |a - e| by (3d/2 + 6) eps S +
+      (3d/2 + 2) tiny, and e <= 2.01 S.  Where r is a normal float32, -r
+      rounded to float32 and the product's rounding add at most
+      1.01 eps r |a| + tiny / 2, and the exact quotient rounds within
+      u r e.  Delta's slack over kNN's bound, (5d/2 + 10) eps S, covers all
+      but the tiny / 2, so |t32 - t| <= dt = r delta + tiny.
     * Weights.  ``np.exp`` errs by at most 4 eps relatively in float32 and
       2^-51 in float64, and by tiny (tiny64) more where it underflows; tests
       check both on dense grids.  Float32 ``np.exp`` is about 14 times
       slower where its result is subnormal, so where a lane may be below
-      -87 (|t32| <= 2.01 |r| S + dt), every lane below -87 takes -87: its
+      -87 (|t32| <= 2.01 r S + dt), every lane below -87 takes -87: its
       weight, e^-87 (1 ± 4 eps), is within 2^-125 of e^t32, as is any
       subnormal one.  With G = e^dt (1 + 2^-51) / (1 - 4 eps),
       W <= G (w + 2^-125) + tiny64 and W >= (w - 2^-125) / G - tiny64, and
@@ -128,9 +127,11 @@ Contracts:
     finite.  The estimate is then >= 0, so that the clamp is a no-op.  Such
     a row with hi <= c accepts, one with lo > c defers.  A row skips the
     product where its S is not at most a quarter of float32's largest
-    value, as in kNN, where dt > 1, as its bracket then spans a factor of
-    e^4 or more and settles too few rows to pay for the product, or where
-    |r| is above a quarter of float32's largest value.
+    value, as in kNN.  A sigma skips a row where dt > 1, as its bracket then
+    spans a factor of e^4 or more and settles too few rows to pay for its
+    lanes, or where r times the row's least a is above 87, as then every
+    weight is within the slack of 0; and it skips every row where r is not
+    a normal float32.
 
     Every row the bracket does not settle takes ``gaussian_nw``: ties at
     c, rows whose weights may sum to 0, and rows that skip the product.  So
@@ -187,7 +188,8 @@ By tier, the roles are:
   masks of adjacent ranks); every kNN path adds ``gathered``, the
   neighbours' values;
 * ``nw_at_most``'s float32 bracket: ``table``, ``table32``, ``expansion``,
-  ``a`` (the quotients, then their float32 weights) and ``w`` (those
+  and, in float32, ``diff`` (kNN's float32 expansion) and ``d2`` (one
+  sigma's quotients, then their float32 weights), with ``w`` (those
   weights in float64).
 
 So the hot loops allocate nothing of size block x m, and no page of it is
@@ -700,46 +702,54 @@ def gaussian_nw(
 def _bracket_at_most(queries, centers, values, sigmas, c: float):
     """The rows that accept and the rows left unsettled at each sigma, from
     the float32 bracket of the exact estimate (see the module docstring)."""
-    (nq, d), m = queries.shape, centers.shape[0]
+    nq, m = queries.shape[0], centers.shape[0]
     table32, centre, p2max = _centred_table(_point_table(centers))
     both = np.stack([values, np.ones(m)], axis=1)  # w @ both: both row sums in one product
-    slack, top = 3.0 * m * 2.0**-125, float(values.max()) + 1.0
-    grow = 5.0 * _EPS32 + (4 * m + 32) * _EPS
-    accept, left = np.zeros((len(sigmas), nq), dtype=bool), np.ones((len(sigmas), nq), dtype=bool)
+    # ns, ws and dt per sigma and query; NaN where the bracket skips the row
+    ns, ws, dt = np.full((3, len(sigmas), nq), np.nan)
     rows = _block_rows(m, _DIST_BUDGET)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, nq, rows):
             lhs, s, delta, live = _left_rows(queries[start : start + rows], centre, p2max)
+            if live.size == 0:
+                continue
+            # kNN's expansion, about d2, once for every sigma, and its least
+            # lane in each row; in float32 views of the distance blocks'
+            # buffers, which a call of gaussian_nw has already faulted in
+            a = np.matmul(lhs[live], table32, out=_WORK.take("diff", (live.size, m), np.float32))
+            near, s, delta = a.min(axis=1), s[live], delta[live]
             for j, sigma in enumerate(sigmas):
-                r = -1.0 / sigma
-                # dt bounds the quotients' error.  Past 1 the bracket spans a
-                # factor of e^4 or more and settles too few rows to pay for
-                # its product; the bound also needs dt below about 600
-                dt = abs(r) * delta[live] + 4.0 * (d + 4 + s[live]) * _TINY32
-                keep = (dt <= 1.0) & (abs(r) <= _MAX32 / 4.0)
-                some, dt = live[keep], dt[keep]
-                if some.size == 0:
+                r = 1.0 / sigma
+                if not 2.0**-126 <= r <= 2.0**126:  # -r in float32 must be normal
                     continue
-                # the left rows times r, rounded once to float32: one product
-                # gives the quotients -(d2 / sigma) of the block
-                a = np.matmul((lhs[some] * np.float64(r)).astype(np.float32), table32,
-                              out=_WORK.take("a", (some.size, m), np.float32))
+                # the quotients' error.  Past 1 the bracket spans a factor of
+                # e^4 or more and settles too few rows to pay for its lanes; a
+                # row whose every lane is below -87 weighs within the slack of
+                # 0 and settles never
+                err = r * delta + _TINY32
+                keep = np.flatnonzero((err <= 1.0) & (r * near <= 87.0))
+                if keep.size == 0:
+                    continue
+                # the quotients -(d2 / sigma) of the kept rows, in float32
+                t = _WORK.take("d2", (keep.size, m), np.float32)
+                np.multiply(a if keep.size == a.shape[0] else np.take(a, keep, axis=0, out=t), np.float32(-r), out=t)
                 # np.exp is about 14 times slower where its float32 result is
-                # subnormal: where a lane may be below -87 (as |t| <= 2.01 |r| S
+                # subnormal: where a lane may be below -87 (as |t| <= 2.01 r S
                 # + dt), lanes there weigh e^-87 instead, within the slack
-                if 2.01 * abs(r) * float(s[some].max()) + 1.0 > 87.0:
-                    np.maximum(a, -87.0, out=a)
-                w = _WORK.take("w", a.shape)
-                np.copyto(w, np.exp(a, out=a))
-                ns, ws = np.matmul(w, both).T
-                g2 = np.exp(2.0 * (dt + grow))
-                hi = g2 * (ns + slack * top) / (ws - slack) + 4.0 * _TINY
-                lo = (ns - slack * top) / (g2 * (ws + slack)) - 4.0 * _TINY
-                valid = (ws > slack) & (ns < math.inf)
-                yes = valid & (hi <= c)
-                accept[j, start + some] = yes
-                left[j, start + some] = ~(yes | (valid & (lo > c)))
-    return accept, left
+                if 2.01 * r * float(s[keep].max()) + 1.0 > 87.0:
+                    np.maximum(t, -87.0, out=t)
+                w = _WORK.take("w", t.shape)
+                np.copyto(w, np.exp(t, out=t))
+                some = start + live[keep]
+                ns[j, some], ws[j, some] = np.matmul(w, both).T
+                dt[j, some] = err[keep]
+        slack, top = 3.0 * m * 2.0**-125, float(values.max()) + 1.0
+        g2 = np.exp(2.0 * (dt + 5.0 * _EPS32 + (4 * m + 32) * _EPS))
+        hi = g2 * (ns + slack * top) / (ws - slack) + 4.0 * _TINY
+        lo = (ns - slack * top) / (g2 * (ws + slack)) - 4.0 * _TINY
+        valid = (ws > slack) & (ns < math.inf)
+    accept = valid & (hi <= c)
+    return accept, ~(accept | (valid & (lo > c)))
 
 
 def nw_at_most(queries: np.ndarray, centers: np.ndarray, values: np.ndarray, sigmas, c) -> np.ndarray:
