@@ -24,10 +24,8 @@ OpenBLAS, OpenMP and MKL on one thread, from the measured checkout's own
   tier of the kNN search.  The ``nw_at_most`` inputs are bandwidth
   selection's decision on fit-knn-smooth1d's shape, a kernel rejector's
   decision on score-knn-d8's shape, which the float32 bracket settles, and
-  one it cannot settle; a checkout without that kernel is timed on the
-  expression it equals, ``np.maximum(gaussian_nw(...), 0.0) <= c``.
-  This script builds the inputs (``kernel_input``), so both checkouts get
-  the same ones.
+  one it cannot settle.  This script builds the inputs (``kernel_input``),
+  so both checkouts get the same ones.
 
 The file also records the checkout's commit (and whether its tree differs
 from it), a hash of ``src/selreg`` and its count of lines, in all and of code
@@ -98,6 +96,9 @@ KERNELS = {
     # past 2**16 points the candidates are picked in tiles of 2**16
     "uniform-d8-m2^20": {"data": "uniform", "nq": 64, "m": 2**20, "d": 8, "ks": [20]},
     # the float32 pass leaves rows to the full distance row
+    # (here every 8th query, whose first coordinate, 1e19, has a square that
+    # fails S, the pass's overflow test)
+    "uniform-d8-far-every8th": {"data": "uniform", "nq": 512, "m": 8000, "d": 8, "ks": [20], "far_every": 8},
     "lognormal-d8": {"data": "lognormal", "nq": 200, "m": 2000, "d": 8, "ks": [20]},
     "cluster-outlier1e3-d8": {"data": "cluster", "outlier": 1e3, "nq": 512, "m": 8000, "d": 8, "ks": [20]},
     # the full distance row takes every row
@@ -160,15 +161,12 @@ print(json.dumps({
 # of timed calls and the directory of this script, whose kernel_input builds it.
 KERNEL_CHILD = """
 import hashlib, json, statistics, sys, time
-import numpy as np
 sys.path.insert(0, sys.argv[3])
 from bench_record import kernel_input
 from selreg import backend
 spec = json.loads(sys.argv[1])
 args = kernel_input(spec)
-call = getattr(backend, spec.get("kernel", "knn_mean"), None) or (
-    lambda q, p, v, sigmas, c: np.maximum(backend.gaussian_nw(q, p, v, sigmas), 0.0) <= c
-)
+call = getattr(backend, spec.get("kernel", "knn_mean"))
 out = call(*args)
 seconds = []
 for _ in range(int(sys.argv[2])):
@@ -186,7 +184,8 @@ print(json.dumps({
 def kernel_input(spec: dict):
     """The ``knn_mean`` arguments ``(queries, points, values, ks)`` that a
     ``KERNELS`` spec names, drawn at seed 0, or for an ``nw_at_most`` spec
-    ``(queries, centers, values, sigmas, c)``."""
+    ``(queries, centers, values, sigmas, c)``; with ``far_every`` j, the
+    first coordinate of every jth query is 1e19."""
     rng = np.random.default_rng(0)
     data, nq, m, d = spec["data"], spec["nq"], spec["m"], spec["d"]
     if data == "uniform":  # as score-knn-d8 draws its points
@@ -206,6 +205,8 @@ def kernel_input(spec: dict):
         q, p = rng.normal(size=(nq, d)), rng.normal(size=(m, d))
         if data == "lattice":
             q, p = np.round(q), np.round(p)
+    if "far_every" in spec:
+        q[:: spec["far_every"], 0] = 1e19
     if spec.get("kernel") == "nw_at_most":
         return q, p, rng.normal(size=m) ** 2, tuple(spec["sigmas"]), spec["c"]
     return q, p, rng.normal(size=m), tuple(spec["ks"])

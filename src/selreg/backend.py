@@ -83,10 +83,10 @@ Contracts:
     and 0 <= c < inf, a float32 bracket of the estimate decides most rows
     without it.
 
-    The bracket.  Per distance block, ``_left_rows`` gives kNN's left rows
-    ``[|q'|^2, -2q', 1]``, S and delta (see ``_candidate_nearest``), and
-    one product with ``_centred_table`` gives kNN's float32 expansion a,
-    about d2, in every lane, for every sigma.  Per sigma s, with r = 1/s,
+    The bracket.  Per distance block, ``_expansion`` gives kNN's float32
+    expansion a, about d2, in every lane, for every sigma: one product of
+    the left rows ``[|q'|^2, -2q', 1]`` with ``_centred_table``, with S and
+    delta (see ``_candidate_nearest``).  Per sigma s, with r = 1/s,
     each lane's quotient is t32 = a times -r in float32.  Its weights
     w = ``np.exp(t32)`` are taken in float32 and copied into float64, where
     one product ``w @ [v, 1]`` gives both sums, ns and ws.
@@ -125,18 +125,18 @@ Contracts:
     bracket the exact estimate where ws > K, which also makes the exact
     weight sum positive, so that no row takes the nearest centre, and ns is
     finite.  The estimate is then >= 0, so that the clamp is a no-op.  Such
-    a row with hi <= c accepts, one with lo > c defers.  A row skips the
-    product where its S is not at most a quarter of float32's largest
-    value, as in kNN.  A sigma skips a row where dt > 1, as its bracket then
-    spans a factor of e^4 or more and settles too few rows to pay for its
-    lanes, or where r times the row's least a is above 87, as then every
-    weight is within the slack of 0; and it skips every row where r is not
-    a normal float32.
+    a row with hi <= c accepts, one with lo > c defers.  A row whose S is
+    not at most a quarter of float32's largest value is left to
+    ``gaussian_nw``, as kNN leaves it to the full path.  A sigma skips a
+    row where dt > 1, as its bracket then spans a factor of e^4 or more
+    and settles too few rows to pay for its lanes, or where r times the
+    row's least a is above 87, as then every weight is within the slack of
+    0; and it skips every row where r is not a normal float32.
 
     Every row the bracket does not settle takes ``gaussian_nw``: ties at
-    c, rows whose weights may sum to 0, and rows that skip the product.  So
-    does every sigma of a call with a non-finite input, a negative value or
-    a c that is not finite and >= 0.  Those calls ask ``gaussian_nw`` once,
+    c, rows whose weights may sum to 0, and rows that fail S.  So does
+    every sigma of a call with a non-finite input, a negative value or a c
+    that is not finite and >= 0.  Those calls ask ``gaussian_nw`` once,
     for the whole sigmas or for the rows left, which give its bits, as a
     row of it does not depend on the other rows or sigmas of its call.
 
@@ -180,8 +180,8 @@ By tier, the roles are:
   ``gaussian_nw`` adds ``w`` (the weights) and ``mark`` (their lanes below
   ``_EXP_FAST``);
 * kNN's float32 candidates: ``table``, ``table32`` (its float32 centred
-  copy), ``expansion`` (the left rows) and ``a`` (the float32 expansion,
-  whose buffer its packed words reuse);
+  copy), ``expansion`` (the left rows) and, in float32, ``diff`` (the
+  float32 expansion, whose buffer its packed words reuse);
 * kNN's d = 1 window, its block x k arrays: ``window`` (its distances),
   ``slots`` (its sorted positions, then flat ranks), ``neighbours`` (the
   indices it returns), ``near`` (the ranked distances) and ``ties`` (two
@@ -447,14 +447,16 @@ def _centred_table(table: np.ndarray):
         return table32, centre, table32[-1].max()
 
 
-def _left_rows(q, centre, p2max):
-    """The float32 left rows ``[|q'|^2, -2q', 1]`` of the expansion product
-    for the block ``q``, in the workspace role ``expansion``; S =
-    ``|q'|^2 + p2max`` and the bound ``delta`` on the expansion's error, both
-    per row in float64 (see ``_candidate_nearest``); and the indices of the
-    rows whose S is at most a quarter of float32's largest value, the only
-    rows the product may settle.  S and delta need no product."""
-    n, d = q.shape
+def _expansion(q, table32, centre, p2max):
+    """kNN's float32 norm expansion ``a`` of the block ``q`` against every
+    point of the ``_centred_table``, one product of the left rows
+    ``[|q'|^2, -2q', 1]`` (the workspace role ``expansion``) into the role
+    ``diff``: valid until the next call.  With it, S = ``|q'|^2 + p2max``
+    and the bound ``delta`` on a's error, both per row in float64 (see
+    ``_candidate_nearest``), and the mask of the rows whose S is at most a
+    quarter of float32's largest value, the only rows whose a may settle
+    anything."""
+    (n, d), m = q.shape, table32.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _WORK.take("expansion", (n, d + 2), np.float32)
         np.subtract(q, centre, out=lhs[:, 1:-1], casting="same_kind")
@@ -463,9 +465,10 @@ def _left_rows(q, centre, p2max):
         lhs[:, -1] = 1.0
         s = (q2 + p2max).astype(np.float64, copy=False)
         delta = (d + 4) * (_EPS32 * (4.0 * s) + 4.0 * _TINY32)
+        a = np.matmul(lhs, table32, out=_WORK.take("diff", (n, m), np.float32))
     # below a quarter of the largest float no term of the product, nor 4 S,
     # overflows; NaN and inf are not below it
-    return lhs, s, delta, np.flatnonzero(s <= _MAX32 / 4.0)
+    return a, s, delta, s <= _MAX32 / 4.0
 
 
 def _candidate_nearest(q, table, table32, centre, p2max, k: int):
@@ -517,8 +520,6 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     included, is then a candidate.  A row whose computed S is not at most a
     quarter of float32's largest value (NaN, inf, or so large that a term of
     the product, or 4 S, could overflow) is redone; below it, a is finite.
-    S needs no product, so ``_left_rows`` finds those rows first: they skip
-    the product, and a block none of whose rows pass runs none.
 
     The pick ranks the bits of ``a`` read as int32, which NumPy partitions
     several times faster than floats where it has SIMD sorting (x86 with
@@ -540,17 +541,11 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
     masks of a word, which cannot wrap, and a ceiling in inf's bucket is NaN.
     Ties at Tf ask no redo: a tied point outside the candidates has a >= Tf.
     """
-    m = table.shape[1]
+    n, m = q.shape[0], table.shape[1]
     low = (1 << min((m - 1).bit_length(), 16)) - 1  # a word's index bits
-    lhs, _, delta, live = _left_rows(q, centre, p2max)
-    idx, full = np.empty((q.shape[0], k), dtype=np.intp), np.ones(q.shape[0], dtype=bool)
-    if live.size == 0:  # every row fails S: no product
-        return idx, full
-    if live.size < q.shape[0]:
-        lhs, delta, q = lhs[live], delta[live], q[live]
-    n = q.shape[0]
+    a, _, delta, ok = _expansion(q, table32, centre, p2max)
+    words = a.view(np.int32)
     with np.errstate(over="ignore", invalid="ignore"):
-        words = np.matmul(lhs, table32, out=_WORK.take("a", (n, m), np.float32)).view(np.int32)
         # each key's bucket, its low bits cleared, and the point's index in its tile
         col = np.arange(m, dtype=np.int32) & low
         np.bitwise_or(np.bitwise_and(words, ~low, out=words), col, out=words)
@@ -566,15 +561,14 @@ def _candidate_nearest(q, table, table32, centre, p2max, k: int):
         # word's bucket, and the ceiling of the kth one's, at least 0
         floor = (cw.max(axis=1) & ~low).view(np.float32)
         ceil = np.maximum((np.partition(cw, k - 1, axis=1)[:, k - 1] | low).view(np.float32), 0.0)
-        full[live] = ~(floor > ceil + 2.0 * delta)
+        full = ~(ok & (floor > ceil + 2.0 * delta))
         e = np.zeros(cand.shape)
         diff = np.empty(cand.shape)
         for qj, pj in zip(q.T, table[1:]):
             np.take(pj, cand, out=diff)
             np.subtract(qj[:, None], diff, out=diff)
             e += np.square(diff, out=diff)
-    idx[live] = np.take_along_axis(cand, _nearest(e, k), axis=1)
-    return idx, full
+    return np.take_along_axis(cand, _nearest(e, k), axis=1), full
 
 
 def knn_mean(
@@ -710,14 +704,11 @@ def _bracket_at_most(queries, centers, values, sigmas, c: float):
     rows = _block_rows(m, _DIST_BUDGET)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, nq, rows):
-            lhs, s, delta, live = _left_rows(queries[start : start + rows], centre, p2max)
-            if live.size == 0:
-                continue
             # kNN's expansion, about d2, once for every sigma, and its least
             # lane in each row; in float32 views of the distance blocks'
             # buffers, which a call of gaussian_nw has already faulted in
-            a = np.matmul(lhs[live], table32, out=_WORK.take("diff", (live.size, m), np.float32))
-            near, s, delta = a.min(axis=1), s[live], delta[live]
+            a, s, delta, ok = _expansion(queries[start : start + rows], table32, centre, p2max)
+            near = a.min(axis=1)
             for j, sigma in enumerate(sigmas):
                 r = 1.0 / sigma
                 if not 2.0**-126 <= r <= 2.0**126:  # -r in float32 must be normal
@@ -727,7 +718,7 @@ def _bracket_at_most(queries, centers, values, sigmas, c: float):
                 # row whose every lane is below -87 weighs within the slack of
                 # 0 and settles never
                 err = r * delta + _TINY32
-                keep = np.flatnonzero((err <= 1.0) & (r * near <= 87.0))
+                keep = np.flatnonzero(ok & (err <= 1.0) & (r * near <= 87.0))
                 if keep.size == 0:
                     continue
                 # the quotients -(d2 / sigma) of the kept rows, in float32
@@ -740,9 +731,8 @@ def _bracket_at_most(queries, centers, values, sigmas, c: float):
                     np.maximum(t, -87.0, out=t)
                 w = _WORK.take("w", t.shape)
                 np.copyto(w, np.exp(t, out=t))
-                some = start + live[keep]
-                ns[j, some], ws[j, some] = np.matmul(w, both).T
-                dt[j, some] = err[keep]
+                ns[j, start + keep], ws[j, start + keep] = np.matmul(w, both).T
+                dt[j, start + keep] = err[keep]
         slack, top = 3.0 * m * 2.0**-125, float(values.max()) + 1.0
         g2 = np.exp(2.0 * (dt + 5.0 * _EPS32 + (4 * m + 32) * _EPS))
         hi = g2 * (ns + slack * top) / (ws - slack) + 4.0 * _TINY

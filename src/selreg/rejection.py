@@ -13,8 +13,9 @@ Where a decision skips the estimate: ``select_bandwidth`` and
 the threshold.  They ask ``backend.nw_at_most``, the second through
 ``Calibrator.at_most``, which skips the estimate at any d: it settles
 most rows from a float32 bracket of the estimate, with a bound on its
-rounding, and takes the full estimate for the rest: the same decisions.  The conformal scores of budget
-mode and the scores ``selreg calibrate`` writes are ``estimate``'s values.
+rounding, and takes the full estimate for the rest: the same decisions.
+The conformal scores of budget mode and the scores ``selreg calibrate``
+writes are ``estimate``'s values.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selreg import backend
@@ -636,6 +636,50 @@ def test_median_sq_dist_has_the_bits_of_the_full_triangle(m):
             assert want == 0.0  # harness takes sigma 1.0 for it
 
 
+def _points_case(d, m, scale_exp, layout, seed):
+    """m points at dimension d and scale 10**scale_exp: continuous, on a
+    lattice, which ties distances, or with duplicates."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, d))
+    if layout == "lattice":
+        x = np.round(x)
+    elif layout == "duplicates":
+        x = x[rng.integers(0, max(1, m // 3), size=m)]
+    return x * 10.0**scale_exp
+
+
+# below d = 8 np.sum adds a row's squares in order, as the kernels do, so
+# that brute_sq_dists has their bits
+points_cases = dict(
+    d=st.integers(1, 7),
+    scale_exp=st.integers(-160, 152),
+    layout=st.sampled_from(("continuous", "lattice", "duplicates")),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(nq=st.integers(1, 12), m=st.integers(1, 24), **points_cases)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_nearest_rows_is_the_argmin_of_the_brute_distances(nq, m, d, scale_exp, layout, seed):
+    x = _points_case(d, nq + m, scale_exp, layout, seed)
+    q, p = x[:nq], x[nq:]
+    q[nq // 2 :: 3] = p[: len(q[nq // 2 :: 3])]  # queries on points
+    np.testing.assert_array_equal(backend.nearest_rows(q, p), np.argmin(brute_sq_dists(q, p), axis=1))
+
+
+@given(m=st.integers(2, 24), **points_cases)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_median_sq_dist_is_the_median_of_the_brute_triangle(m, d, scale_exp, layout, seed):
+    x = _points_case(d, m, scale_exp, layout, seed)
+    upper = brute_sq_dists(x, x)[np.triu_indices(m, 1)]
+    # np.median averages the two middle values, whose sum may overflow
+    middle = np.sort(upper)[[(upper.size - 1) // 2, upper.size // 2]]
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(middle.sum()))
+    want = np.median(upper)
+    assert np.float64(backend.median_sq_dist(x)).view(np.int64) == np.float64(want).view(np.int64)
+
+
 def test_median_sq_dist_below_two_points_is_nan():
     for m in (0, 1):
         assert np.isnan(backend.median_sq_dist(np.ones((m, 3))))
@@ -975,10 +1019,44 @@ def test_knn_mean_keeps_the_full_path_bits(d, k, spare, layout, outlier, seed):
     )
 
 
+def s_failing_queries(d, rows, bad_values, seed):
+    """Queries on [-1, 1]^d over two blocks of ``rows``: every 5th row of the
+    first and every row of the second, 40 long, have one coordinate from
+    ``bad_values``, and a mask of those rows.  A NaN or infinite coordinate
+    fails S, the test of the float32 expansion in kNN's candidate pass and
+    nw_at_most's bracket; so does a finite 1e19, whose squared norm, 1e38,
+    is finite in float32 but above a quarter of its largest value."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, size=(rows + 40, d))
+    bad = np.zeros(len(q), dtype=bool)
+    bad[:rows:5] = bad[rows:] = True
+    at = np.flatnonzero(bad)
+    q[at, rng.integers(d, size=at.size)] = np.resize(bad_values, at.size)
+    return q, bad
+
+
+@pytest.mark.parametrize("d", [3, 20])
+def test_knn_mean_keeps_the_full_path_bits_on_blocks_that_fail_s(d):
+    # the pass settles every row that passes S, in a block whose other rows
+    # fail it and in one whose every row does; the full path takes the rest
+    rng = np.random.default_rng(50 + d)
+    m = 600
+    p, v = rng.uniform(-1.0, 1.0, size=(m, d)), rng.normal(size=m)
+    rows = backend._block_rows(m, backend._CANDIDATE_BUDGET)
+    q, bad = s_failing_queries(d, rows, (np.nan, np.inf, -np.inf, 1e19), 60 + d)
+    ks = (1, 7, 20)
+    full = _preselect(q, p, max(ks))
+    assert full[bad].all() and not full[~bad].any()
+    np.testing.assert_array_equal(
+        backend.knn_mean(q, p, v, ks).view(np.int64), full_path_knn_mean(q, p, v, ks).view(np.int64)
+    )
+
+
 def test_the_candidate_pass_keeps_no_block_but_its_expansion():
-    # the candidates are picked in the expansion's own buffer: after a d = 8
-    # call on data the pass settles, the one block x m buffer of a fresh
-    # thread's workspace is the expansion's, with no partition copy or mask
+    # the candidates are picked in the expansion's own buffer, the float32
+    # view of the distance blocks' diff: after a d = 8 call on data the pass
+    # settles, the one block x m buffer of a fresh thread's workspace is the
+    # expansion's, with no partition copy or mask
     rng = np.random.default_rng(18)
     m = 8000
     q, p, v = rng.uniform(-1.0, 1.0, size=(300, 8)), rng.uniform(-1.0, 1.0, size=(m, 8)), rng.normal(size=m)
@@ -993,7 +1071,7 @@ def test_the_candidate_pass_keeps_no_block_but_its_expansion():
     t.join(timeout=120)
     assert not t.is_alive() and "part" not in sizes and "mask" not in sizes
     block = backend._block_rows(m, backend._CANDIDATE_BUDGET) * m * 4
-    assert {role: size for role, size in sizes.items() if size >= block} == {"a": block}
+    assert {role: size for role, size in sizes.items() if size >= block} == {"diff": block}
 
 
 class TestDispatch:
@@ -1079,6 +1157,23 @@ def test_nw_at_most_counts_the_mass_of_far_centres():
         exact = backend.gaussian_nw(np.zeros((1, 1)), c, v, (1.0,))[0, 0]
         assert abs(exact - cost) < 0.25 and abs(v[0] - cost) < 0.25 and (exact <= cost) != (v[0] <= cost)
         assert backend.nw_at_most(np.zeros((1, 1)), c, v, (1.0,), cost)[0, 0] == (exact <= cost)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_nw_at_most_decides_as_the_clamped_estimate_on_blocks_that_fail_s(d):
+    # finite queries at 1e19 fail S: the bracket leaves them to gaussian_nw
+    # at every sigma, in a block whose other rows it settles and in one
+    # whose every row fails
+    rng = np.random.default_rng(70 + d)
+    m = 600
+    c, v = rng.uniform(-1.0, 1.0, size=(m, d)), rng.exponential(size=m)
+    q, bad = s_failing_queries(d, backend._block_rows(m, backend._DIST_BUDGET), (1e19,), 80 + d)
+    sigmas = (0.1, 1.0)
+    exact = np.maximum(backend.gaussian_nw(q, c, v, sigmas), 0.0)
+    cost = float(np.median(exact[:, ~bad]))
+    redo = backend._bracket_at_most(q, c, v, sigmas, cost)[1]
+    assert redo[:, bad].all() and not redo[:, ~bad].any()
+    np.testing.assert_array_equal(backend.nw_at_most(q, c, v, sigmas, cost), exact <= cost)
 
 
 def _bracket_cases():

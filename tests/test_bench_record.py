@@ -41,9 +41,9 @@ def test_the_kernel_half_times_each_input_and_hashes_its_result():
 
     bench_record = load_script()
     assert set(bench_record.KERNELS) == {
-        "uniform-d8", "csv-like-d3", "uniform-d8-m2^20", "lognormal-d8", "cluster-outlier1e3-d8",
-        "cluster-outlier1e8-d8", "lattice-d8", "few-points-d8", "six-values-d1", "uniform-d1", "smooth1d-nw-at-most",
-        "score-d8-nw-at-most", "lognormal-d8-nw-at-most",
+        "uniform-d8", "csv-like-d3", "uniform-d8-m2^20", "uniform-d8-far-every8th", "lognormal-d8",
+        "cluster-outlier1e3-d8", "cluster-outlier1e8-d8", "lattice-d8", "few-points-d8", "six-values-d1",
+        "uniform-d1", "smooth1d-nw-at-most", "score-d8-nw-at-most", "lognormal-d8-nw-at-most",
     }
     for name, spec in bench_record.KERNELS.items():
         q, p, v, *_ = bench_record.kernel_input(spec)
@@ -57,7 +57,7 @@ def test_the_kernel_half_times_each_input_and_hashes_its_result():
         # the hash is of the result's bytes, so two files show whether the bits held
         want = hashlib.sha256(kernel(*bench_record.kernel_input(tiny)).tobytes()).hexdigest()
         assert run["sha256"] == want, name
-    # a checkout without nw_at_most hashes the expression it equals, to the bit
+    # each nw_at_most input hashes the bits of the expression it stands for
     for name in ("smooth1d-nw-at-most", "score-d8-nw-at-most", "lognormal-d8-nw-at-most"):
         q, p, v, sigmas, c = bench_record.kernel_input(dict(bench_record.KERNELS[name], nq=8, m=300))
         want = np.maximum(backend.gaussian_nw(q, p, v, sigmas), 0.0) <= c
