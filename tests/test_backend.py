@@ -663,7 +663,7 @@ points_cases = dict(
 def test_nearest_rows_is_the_argmin_of_the_brute_distances(nq, m, d, scale_exp, layout, seed):
     x = _points_case(d, nq + m, scale_exp, layout, seed)
     q, p = x[:nq], x[nq:]
-    q[nq // 2 :: 3] = p[: len(q[nq // 2 :: 3])]  # queries on points
+    q[-1] = p[0]  # a query on a point
     np.testing.assert_array_equal(backend.nearest_rows(q, p), np.argmin(brute_sq_dists(q, p), axis=1))
 
 
